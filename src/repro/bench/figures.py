@@ -54,7 +54,7 @@ FIG7_QUERIES = 1_200
 #: Sizes for the Figure 8 stress series.
 FIG8_SIZES = (500, 1_000, 2_000, 4_000)
 #: Big-cluster sizes (quadratic edge growth and, under the paper's
-#: per-component incremental strategy, per-arrival re-matching of the
+#: per-component incremental strategy, per-closure re-evaluation of the
 #: whole partition; kept modest by default).
 FIG8_CLUSTER_SIZES = (50, 100, 200)
 #: Resident count for Figure 9 (paper: 20,000).

@@ -192,6 +192,12 @@ class UnifiabilityGraph:
         """Iterate over all queries in the graph."""
         return iter(self._queries.values())
 
+    @property
+    def insertion_ranks(self) -> dict[object, int]:
+        """Live query id -> insertion rank mapping (read-only): the
+        default arrival order of matching."""
+        return self._rank
+
     def out_edges(self, query_id: object) -> list[Edge]:
         """Edges from *query_id*'s heads to other queries' postconditions."""
         return [edge for edges in self._out_edges.get(query_id, {}).values()

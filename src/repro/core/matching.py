@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 from ..errors import SafetyViolation
 from .graph import Edge, UnifiabilityGraph
-from .query import EntangledQuery
-from .unify import Unifier, mgu_all
+from .unify import Unifier
 
 ConflictPolicy = Literal["first", "error", "backtrack"]
 
@@ -76,141 +75,242 @@ class ComponentMatch:
         return bool(self.survivors) and self.global_unifier is not None
 
 
-def _choose_edges(graph: UnifiabilityGraph,
-                  component: Sequence,
-                  order: dict,
-                  policy: ConflictPolicy) -> tuple[dict, dict]:
-    """Pick one providing edge per postcondition.
+class MatchState:
+    """Resumable Algorithm 1 state for one component (paper §5.1).
 
-    Returns ``(chosen, alternatives)`` where *chosen* maps
-    ``(query_id, pc_pos)`` to an Edge or None (unsatisfiable), and
-    *alternatives* maps the keys that had multiple candidates to their
-    full sorted candidate lists (for the backtracking policy).
+    Holds everything the matching of a component consists of — per
+    member the chosen provider edge of each postcondition (policy
+    ``"first"``), the dependents along chosen edges, the fixpoint
+    unifier and the alive/removed verdict, plus the running global
+    unifier — so an arrival *continues* the matching instead of
+    repeating it.  :meth:`extend` matches members from scratch;
+    :meth:`add` resumes with one arrival; both end in :meth:`_settle`,
+    the one Algorithm 1 loop.
+
+    The fixpoint is a function of the chosen edges alone (a node is
+    removed iff some ancestor-or-self along chosen edges has an
+    unsatisfiable postcondition or an inconsistent ancestor closure;
+    a survivor's unifier is the MGU of its ancestors' chosen in-edge
+    unifiers), never of the propagation order — which is why a resumed
+    state equals a from-scratch one.
+
+    Attributes:
+        members: query ids, in arrival order.
+        chosen: per member, its chosen in-edge (or None) per
+            postcondition position.
+        dependents: per member, the members relying on one of its heads
+            through a chosen edge (insertion-ordered; also the
+            membership index).
+        unifiers: fixpoint unifier per surviving member.
+        alive: the surviving members.
+        global_unifier: MGU of all survivor unifiers, None when they
+            are jointly inconsistent.
     """
-    chosen: dict = {}
-    alternatives: dict = {}
-    member_set = set(component)
-    for query_id in component:
-        query = graph.query(query_id)
-        for pc_pos in range(query.pccount):
-            candidates = [edge for src, edges
-                          in graph.in_edges_by_src(query_id,
-                                                   pc_pos).items()
-                          if src in member_set for edge in edges]
-            if not candidates:
-                chosen[(query_id, pc_pos)] = None
-                continue
-            if len(candidates) > 1:
+
+    __slots__ = ("_graph", "_order", "members", "chosen", "dependents",
+                 "unifiers", "alive", "global_unifier")
+
+    def __init__(self, graph: UnifiabilityGraph, order: Mapping):
+        self._graph = graph
+        self._order = order
+        self.members: list = []
+        self.chosen: dict = {}
+        self.dependents: dict = {}
+        self.unifiers: dict = {}
+        self.alive: set = set()
+        self.global_unifier: Optional[Unifier] = Unifier()
+
+    def extend(self, members: Sequence,
+               policy: ConflictPolicy = "first") -> None:
+        """Match *members* (arrival-ordered) into an empty state."""
+        self._link(members, policy)
+        self._settle(members)
+
+    def add(self, query_id: object, new_edges: Iterable[Edge]) -> bool:
+        """Resume with one arrival; False if it is no monotone extension.
+
+        *new_edges* are the edges the graph committed with the arrival.
+        An arrival later than every member can take no chosen slot from
+        an earlier provider, so the settled members keep their chosen
+        edges, unifiers and verdicts, and only the arrival is
+        initialised — from its chosen in-edges and its providers'
+        (final) unifiers — and run through the loop.  Two arrivals are
+        not monotone and leave the state untouched for the caller to
+        discard: one that arrives out of order (an import carrying an
+        older sequence number), and one whose head is the first provider
+        of a member's postcondition (that member and its CLEANUP-ed
+        dependents would have to be revived).
+        """
+        members = self.members
+        if members and self._order[query_id] < self._order[members[-1]]:
+            return False
+        chosen = self.chosen
+        for edge in new_edges:
+            if (edge.src == query_id
+                    and chosen[edge.dst][edge.pc_pos] is None):
+                return False
+        fresh = (query_id,)
+        self._link(fresh, "first")
+        self._settle(fresh)
+        return True
+
+    def _link(self, fresh: Sequence, policy: ConflictPolicy,
+              alternatives: dict | None = None) -> None:
+        """Register *fresh* members and pick one provider per
+        postcondition among the state's members: the earliest-arrived
+        head.  Postconditions with several candidates are recorded in
+        *alternatives* (sorted) when the caller wants to backtrack.
+        """
+        graph, order = self._graph, self._order
+        dependents = self.dependents
+        self.members += fresh
+        for query_id in fresh:
+            dependents[query_id] = {}
+
+        def arrival(edge: Edge) -> tuple:
+            return order[edge.src], edge.head_pos
+
+        for query_id in fresh:
+            slots: list = []
+            for pc_pos in range(graph.query(query_id).pccount):
+                candidates = [edge for src, edges
+                              in graph.in_edges_by_src(query_id,
+                                                       pc_pos).items()
+                              if src in dependents for edge in edges]
+                if len(candidates) <= 1:
+                    slots.append(candidates[0] if candidates else None)
+                    continue
                 if policy == "error":
                     raise SafetyViolation(
                         f"postcondition {pc_pos} of query {query_id!r} has "
                         f"{len(candidates)} candidate providers",
                         offending_query_id=query_id,
                         witnesses=tuple(edge.src for edge in candidates))
-                candidates.sort(key=lambda edge: (order[edge.src],
-                                                  edge.head_pos))
-                alternatives[(query_id, pc_pos)] = candidates
-            chosen[(query_id, pc_pos)] = candidates[0]
-    return chosen, alternatives
+                if alternatives is None:
+                    slots.append(min(candidates, key=arrival))
+                else:
+                    candidates.sort(key=arrival)
+                    alternatives[(query_id, pc_pos)] = candidates
+                    slots.append(candidates[0])
+            self.chosen[query_id] = slots
 
+    def _settle(self, fresh: Sequence) -> None:
+        """Algorithm 1: initialise *fresh* members, then propagate
+        unifiers along chosen edges, with cascading CLEANUP, until
+        quiescent; finally fold the fresh survivors into the global
+        unifier.  From scratch every member is fresh; on resumption
+        only the arrival is.
+        """
+        chosen, dependents = self.chosen, self.dependents
+        unifiers, alive = self.unifiers, self.alive
+        fresh_set = set(fresh)
+        alive |= fresh_set
+        for query_id in fresh:
+            for edge in chosen[query_id]:
+                if edge is not None:
+                    dependents[edge.src][query_id] = None
 
-def _propagate(graph: UnifiabilityGraph,
-               component: Sequence,
-               chosen: dict) -> tuple[set, dict]:
-    """Run Algorithm 1 given fixed edge choices.
+        in_queue: set = set()
+        updates: deque = deque()
 
-    Returns ``(alive, unifiers)``: the surviving node set and their final
-    unifiers.  Implements initialization (fold each node's chosen in-edge
-    unifiers), the updates queue, MGU propagation along chosen edges, and
-    cascading CLEANUP.
-    """
-    alive: set = set(component)
-    unifiers: dict = {}
+        def cleanup(node) -> None:
+            """Remove *node* and all its chosen-edge descendants."""
+            frontier = [node]
+            while frontier:
+                current = frontier.pop()
+                if current not in alive:
+                    continue
+                alive.discard(current)
+                in_queue.discard(current)
+                unifiers.pop(current, None)
+                frontier.extend(dependents[current])
 
-    # Arrival-order ranks, computed once per component; *component* is
-    # already sorted by arrival, so positional rank is the arrival rank.
-    # Algorithm 1's inner loop used to re-sort each provider's dependents
-    # on every queue pop (with repr() as the key, no less); instead the
-    # dependent lists are built rank-sorted up front.
-    rank = {query_id: position
-            for position, query_id in enumerate(component)}
-
-    # successors along *chosen* edges: provider -> dependents
-    dependent_sets: dict = {query_id: set() for query_id in component}
-    for edge in chosen.values():
-        if edge is not None:
-            dependent_sets[edge.src].add(edge.dst)
-    dependents: dict = {
-        query_id: sorted(dsts, key=rank.__getitem__)
-        for query_id, dsts in dependent_sets.items()}
-
-    def cleanup(node) -> None:
-        """Remove *node* and all its chosen-edge descendants."""
-        frontier = [node]
-        while frontier:
-            current = frontier.pop()
-            if current not in alive:
+        # Initialization: a node's unifier is the MGU of the atom-level
+        # unifiers of its chosen in-edges — and of the unifier of every
+        # provider settled earlier, whose constraints are final and
+        # will not come through the queue.  A node with an
+        # unsatisfiable postcondition (no candidate, or a removed
+        # provider) is unanswerable immediately.
+        for query_id in fresh:
+            if query_id not in alive:
                 continue
-            alive.discard(current)
-            in_queue.discard(current)
-            unifiers.pop(current, None)
-            frontier.extend(dependents.get(current, ()))
-
-    in_queue: set = set()
-    updates: deque = deque()
-
-    # Initialization: each node's unifier is the MGU of the atom-level
-    # unifiers of its chosen in-edges; a node with an unsatisfiable
-    # postcondition (no candidate) is unanswerable immediately.
-    for query_id in component:
-        query = graph.query(query_id)
-        node_unifier: Optional[Unifier] = Unifier()
-        for pc_pos in range(query.pccount):
-            edge = chosen.get((query_id, pc_pos))
-            if edge is None:
-                node_unifier = None
-                break
-            node_unifier = node_unifier.merged_with(edge.unifier)
+            node_unifier: Optional[Unifier] = Unifier()
+            for edge in chosen[query_id]:
+                if edge is None or edge.src not in alive:
+                    node_unifier = None
+                    break
+                node_unifier = node_unifier.merged_with(edge.unifier)
+                if node_unifier is not None \
+                        and edge.src not in fresh_set:
+                    node_unifier = node_unifier.merged_with(
+                        unifiers[edge.src])
+                if node_unifier is None:
+                    break
             if node_unifier is None:
+                cleanup(query_id)
+            else:
+                unifiers[query_id] = node_unifier
+
+        for query_id in fresh:
+            if query_id in alive:
+                updates.append(query_id)
+                in_queue.add(query_id)
+
+        # Algorithm 1 proper.  merged_with prefers the child's forest as
+        # the merge base on size ties, and the cached canonical
+        # fingerprint makes the `merged != unifiers[child]` change
+        # detection a frozenset comparison instead of two partition
+        # rebuilds.
+        while updates:
+            parent = updates.popleft()
+            if parent not in alive:
+                continue
+            in_queue.discard(parent)
+            for child in dependents[parent]:
+                if child not in alive or parent not in alive:
+                    continue
+                merged = unifiers[child].merged_with(unifiers[parent])
+                if merged is None:
+                    cleanup(child)
+                    continue
+                if merged != unifiers[child]:
+                    unifiers[child] = merged
+                    if child not in in_queue:
+                        updates.append(child)
+                        in_queue.add(child)
+
+        global_unifier = self.global_unifier
+        for query_id in fresh:
+            if global_unifier is None:
                 break
-        if node_unifier is None:
-            cleanup(query_id)
-        else:
-            unifiers[query_id] = node_unifier
+            if query_id in alive:
+                global_unifier = global_unifier.merged_with(
+                    unifiers[query_id])
+        self.global_unifier = global_unifier
 
-    for query_id in component:
-        if query_id in alive:
-            updates.append(query_id)
-            in_queue.add(query_id)
-
-    # Algorithm 1 proper.  merged_with prefers the child's forest as the
-    # merge base on size ties, and the cached canonical fingerprint makes
-    # the `merged != unifiers[child]` change detection a frozenset
-    # comparison instead of two partition rebuilds.
-    while updates:
-        parent = updates.popleft()
-        if parent not in alive:
-            continue
-        in_queue.discard(parent)
-        for child in dependents.get(parent, ()):
-            if child not in alive or parent not in alive:
-                continue
-            merged = unifiers[child].merged_with(unifiers[parent])
-            if merged is None:
-                cleanup(child)
-                continue
-            if merged != unifiers[child]:
-                unifiers[child] = merged
-                if child not in in_queue:
-                    updates.append(child)
-                    in_queue.add(child)
-    return alive, unifiers
+    def result(self) -> ComponentMatch:
+        """The matching outcome as an immutable-by-convention value."""
+        alive, chosen, unifiers = self.alive, self.chosen, self.unifiers
+        survivors = tuple(query_id for query_id in self.members
+                          if query_id in alive)
+        return ComponentMatch(
+            component=tuple(self.members),
+            survivors=survivors,
+            removed=frozenset(query_id for query_id in self.members
+                              if query_id not in alive),
+            unifiers={query_id: unifiers[query_id]
+                      for query_id in survivors},
+            chosen_edges={(query_id, pc_pos): edge
+                          for query_id in survivors
+                          for pc_pos, edge in enumerate(chosen[query_id])},
+            global_unifier=self.global_unifier,
+        )
 
 
 def match_component(graph: UnifiabilityGraph,
                     component: Iterable,
                     policy: ConflictPolicy = "first",
-                    order: dict | None = None) -> ComponentMatch:
+                    order: Mapping | None = None) -> ComponentMatch:
     """Match one connected component of the unifiability graph.
 
     *order* maps query ids to arrival sequence numbers (defaults to the
@@ -218,21 +318,18 @@ def match_component(graph: UnifiabilityGraph,
     resolution and for reporting survivors in arrival order.
     """
     if order is None:
-        order = {query_id: position
-                 for position, query_id in enumerate(graph.query_ids())}
-    members = sorted(component, key=lambda query_id: order[query_id])
-
+        order = graph.insertion_ranks
+    members = sorted(component, key=order.__getitem__)
     if policy == "backtrack":
         return _match_with_backtracking(graph, members, order)
-
-    chosen, _ = _choose_edges(graph, members, order, policy)
-    alive, unifiers = _propagate(graph, members, chosen)
-    return _package(graph, members, chosen, alive, unifiers)
+    state = MatchState(graph, order)
+    state.extend(members, policy)
+    return state.result()
 
 
 def _match_with_backtracking(graph: UnifiabilityGraph,
                              members: list,
-                             order: dict) -> ComponentMatch:
+                             order: Mapping) -> ComponentMatch:
     """Explore alternative providers when postconditions over-unify.
 
     Enumerates combinations of choices at multi-candidate postconditions
@@ -240,50 +337,31 @@ def _match_with_backtracking(graph: UnifiabilityGraph,
     outcome with the most survivors, preferring earlier arrival order on
     ties.  With no choice points this degenerates to the "first" policy.
     """
-    chosen, alternatives = _choose_edges(graph, members, order, "first")
-    choice_points = list(alternatives)
-    if not choice_points or len(choice_points) > MAX_BACKTRACK_CHOICE_POINTS:
-        alive, unifiers = _propagate(graph, members, chosen)
-        return _package(graph, members, chosen, alive, unifiers)
+    base = MatchState(graph, order)
+    alternatives: dict = {}
+    base._link(members, "first", alternatives)
+    if not alternatives or len(alternatives) > MAX_BACKTRACK_CHOICE_POINTS:
+        base._settle(members)
+        return base.result()
 
-    alternative_lists = [alternatives[key] for key in choice_points]
-    best: Optional[tuple] = None
-    for combination in itertools.product(*alternative_lists):
-        trial = dict(chosen)
-        for key, edge in zip(choice_points, combination):
-            trial[key] = edge
-        alive, unifiers = _propagate(graph, members, trial)
-        survivors = tuple(query_id for query_id in members
-                          if query_id in alive)
-        global_unifier = mgu_all(unifiers[query_id]
-                                 for query_id in survivors)
-        if global_unifier is None:
-            score = (-1,)
-        else:
-            score = (len(survivors),)
-        if best is None or score > best[0]:
-            best = (score, trial, alive, dict(unifiers))
-            if len(survivors) == len(members):
+    best: Optional[MatchState] = None
+    best_score = -2
+    for combination in itertools.product(*alternatives.values()):
+        trial = MatchState(graph, order)
+        trial.members = base.members
+        trial.dependents = {query_id: {} for query_id in members}
+        trial.chosen = {query_id: list(slots)
+                        for query_id, slots in base.chosen.items()}
+        for (query_id, pc_pos), edge in zip(alternatives, combination):
+            trial.chosen[query_id][pc_pos] = edge
+        trial._settle(members)
+        score = (-1 if trial.global_unifier is None
+                 else len(trial.alive))
+        if score > best_score:
+            best, best_score = trial, score
+            if len(trial.alive) == len(members):
                 break
-    _, trial, alive, unifiers = best
-    return _package(graph, members, trial, alive, unifiers)
-
-
-def _package(graph: UnifiabilityGraph, members: list, chosen: dict,
-             alive: set, unifiers: dict) -> ComponentMatch:
-    survivors = tuple(query_id for query_id in members if query_id in alive)
-    global_unifier = mgu_all(unifiers[query_id] for query_id in survivors)
-    chosen_edges = {key: edge for key, edge in chosen.items()
-                    if edge is not None
-                    and key[0] in alive and edge.src in alive}
-    return ComponentMatch(
-        component=tuple(members),
-        survivors=survivors,
-        removed=frozenset(set(members) - alive),
-        unifiers={query_id: unifiers[query_id] for query_id in survivors},
-        chosen_edges=chosen_edges,
-        global_unifier=global_unifier,
-    )
+    return best.result()
 
 
 def match_all(graph: UnifiabilityGraph,
@@ -293,8 +371,7 @@ def match_all(graph: UnifiabilityGraph,
     Components are independent, so callers may parallelize; this helper
     runs them sequentially in deterministic (arrival) order.
     """
-    order = {query_id: position
-             for position, query_id in enumerate(graph.query_ids())}
+    order = graph.insertion_ranks
     components = graph.connected_components()
     components.sort(key=lambda component: min(order[query_id]
                                               for query_id in component))

@@ -141,10 +141,12 @@ class D3CEngine:
         incremental_strategy: ``"local"`` (default) attempts bounded
             local groups per arrival; ``"component"`` reproduces the
             paper's design faithfully — whenever the arrival's whole
-            partition closes, match and evaluate the entire partition.
-            The component strategy degrades sharply on massively
-            unifying partitions, which is exactly the behaviour behind
-            the paper's Figure 8 set-at-a-time recommendation.
+            partition is closed, evaluate the entire partition,
+            continuing the stored matching state with the arrival
+            (Section 5.1) instead of re-matching.  On massively
+            unifying partitions the combined query is still rebuilt
+            and re-evaluated at every closure, which is the behaviour
+            behind the paper's Figure 8 set-at-a-time recommendation.
     """
 
     #: Blocks smaller than this are ingested serially — per-query
@@ -196,14 +198,16 @@ class D3CEngine:
         self.stats = EngineStats()
 
         self._lock = threading.RLock()
-        self._runtime = CoordinationScheduler(self)
-        self._safety = SafetyChecker()
         # query_id -> (query, ticket, submitted_at); insertion order is
         # arrival order (ids are never reused), which pending_ids and
         # the scheduler's component ordering rely on.
         self._pending: dict = {}
+        # query_id -> arrival sequence number; the scheduler's partition
+        # manager holds this very dict as its matching order.
         self._arrival: dict = {}
         self._next_seq = 0
+        self._runtime = CoordinationScheduler(self)
+        self._safety = SafetyChecker()
         # (deadline, seq, query_id) min-heap for deadline-bearing
         # staleness policies; settled entries are dropped lazily, so an
         # expiry sweep is O(expired log pending), not O(pending).

@@ -11,13 +11,20 @@ with the addition of a new query".  This module tracks:
   incoming edge exists — and the per-partition count of open
   postconditions, so *closure* (every postcondition of every member
   satisfied) is detected in O(edges) per arrival;
-* **cached unifiers** — the partial matching state, refreshed by an
-  incremental unifier-propagation pass seeded only at the nodes a new
-  arrival affects.
+* the **resumable matching state** — per matched component a
+  :class:`~repro.core.matching.MatchState` (chosen edges, Algorithm 1
+  fixpoint unifiers, survivors, global unifier) that each arrival
+  extends in O(new edges).
 
-Closure is the trigger for a coordination attempt; the cached unifiers
-make the propagation work measurable (Figure 8's "usual partitions"
-series) without re-running Algorithm 1 from scratch per arrival.
+Closure is the trigger for a coordination attempt; the matching state
+is what the attempt reads, so a closed partition that keeps growing
+(Figure 8's massively-unifying cluster) is never re-matched from
+scratch.  A state lives for as long as its component only grows by
+monotone extensions since it was last matched (a lone arrival is
+trivially matched); anything else — a removal, an out-of-order import,
+a providerless postcondition gaining its first provider, an arrival
+bridging two components or joining an unmatched one — drops it, and the
+next attempt rebuilds it, like a stale partition.
 Union-find cannot delete, so removals *ghost* the departed queries in
 O(removed) and mark their partitions structurally stale; the exact
 rebuild — survivors re-unioned along the graph's surviving edges so
@@ -33,30 +40,34 @@ connected components from scratch.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Mapping
 
 from ..core.graph import Edge, UnifiabilityGraph
+from ..core.matching import MatchState
 from ..core.query import EntangledQuery
-from ..core.unify import Unifier, mgu
 
 
 class PartitionManager:
-    """Tracks components, closure, and partial unifiers incrementally.
+    """Tracks components, closure, and matching state incrementally.
 
-    ``maintain_unifiers=False`` puts the manager in structure-only
-    mode for batch engines: the cached-unifier propagation pass *and*
-    the per-edge closure (postcondition-satisfaction) accounting are
-    skipped, matching the paper's set-at-a-time design — no partial
-    matching state is carried between arrivals, and nothing gates on
-    closure (set-at-a-time rounds drain whole components regardless).
-    :meth:`is_closed` is meaningless in this mode.
+    ``track_matching=False`` puts the manager in structure-only mode
+    for engines that never attempt a whole partition per arrival (batch
+    engines and the incremental ``"local"`` strategy): the per-edge
+    closure (postcondition-satisfaction) accounting and the resumable
+    matching state are skipped — set-at-a-time rounds drain whole
+    components regardless and match them from scratch.
+    :meth:`is_closed` and :meth:`match_state` are meaningless in this
+    mode.
+
+    *order* is the live query id -> arrival sequence mapping matching
+    resolves conflicts by.
     """
 
-    def __init__(self, graph: UnifiabilityGraph,
-                 maintain_unifiers: bool = True):
+    def __init__(self, graph: UnifiabilityGraph, order: Mapping,
+                 track_matching: bool):
         self._graph = graph
-        self._maintain_unifiers = maintain_unifiers
+        self._order = order
+        self._track_matching = track_matching
         self._parent: dict = {}
         self._rank: dict = {}
         # (query_id, pc_pos) -> satisfied?
@@ -67,15 +78,14 @@ class PartitionManager:
         self._root_open: dict = {}
         # root -> member set (kept small-into-large on union)
         self._root_members: dict = {}
-        # cached partial unifiers; None marks "known inconsistent so far"
-        self._unifiers: dict = {}
+        # root -> MatchState of the components whose matching is
+        # current; an absent entry means "never matched, or stale"
+        self._match_states: dict = {}
         # removed queries left as structural ghosts in the forest
         self._dead: set = set()
         # roots whose structure may be coarse (a member was removed and
         # the partition has not been re-split yet)
         self._stale_roots: set = set()
-        # propagation work counter (diagnostics / benchmarks)
-        self.propagation_steps = 0
 
     # ------------------------------------------------------------------
     # union-find
@@ -115,90 +125,53 @@ class PartitionManager:
         """Record an arrival; returns the partition root after merging.
 
         *new_edges* are the edges the graph discovered for this arrival
-        (both directions).  Updates closure bookkeeping and runs the
-        incremental propagation pass.
+        (both directions).  Updates closure bookkeeping and extends the
+        matching state of the components the arrival joins.
         """
         query_id = query.query_id
-        self._dead.discard(query_id)
+        if query_id in self._dead:
+            # A re-submitted id is still a ghost in the forest; live
+            # members of its old partition may resolve through it until
+            # that partition is re-split.
+            self._refresh(self.find(query_id))
+            self._dead.discard(query_id)
         self._parent[query_id] = query_id
         self._rank[query_id] = 0
         self._node_open[query_id] = query.pccount
         self._root_open[query_id] = query.pccount
         self._root_members[query_id] = {query_id}
 
-        if not self._maintain_unifiers:
+        if not self._track_matching:
             # Structure-only mode: merge components, skip closure
-            # accounting and unifier propagation entirely.
+            # accounting and matching state entirely.
             for edge in new_edges:
                 self._union(edge.src, edge.dst)
             return self.find(query_id)
 
         for pc_pos in range(query.pccount):
             self._pc_satisfied[(query_id, pc_pos)] = False
-        touched: set = {query_id}
+        # The matching carries over when the arrival starts a component
+        # (trivially matched) or extends exactly one matched component;
+        # one that bridges components, or joins an unmatched one, leaves
+        # the union to be rebuilt by the next attempt.
+        joined = dict.fromkeys(
+            self.find(edge.dst if edge.src == query_id else edge.src)
+            for edge in new_edges)
+        joined.pop(query_id, None)
+        states = [self._match_states.pop(root, None) for root in joined]
         for edge in new_edges:
             root = self._union(edge.src, edge.dst)
-            touched.add(edge.dst)
             key = (edge.dst, edge.pc_pos)
             if not self._pc_satisfied[key]:
                 self._pc_satisfied[key] = True
                 self._node_open[edge.dst] -= 1
                 self._root_open[root] -= 1
-
-        self._unifiers[query_id] = Unifier()
-        self._propagate(touched, new_edges)
-        return self.find(query_id)
-
-    def _propagate(self, seeds: set, new_edges: Iterable[Edge]) -> None:
-        """Incremental unifier propagation from the affected nodes.
-
-        First folds each new edge's atom-level unifier into its
-        destination's cached unifier, then pushes constraints along the
-        graph's edges until quiescent.  A node whose unifier collapses is
-        cached as None ("inconsistent so far"); correctness of eventual
-        answering does not rely on the cache — the full Algorithm 1 run
-        at closure decides.
-        """
-        queue: deque = deque()
-        queued: set = set()
-
-        def enqueue(node) -> None:
-            if node not in queued:
-                queue.append(node)
-                queued.add(node)
-
-        for edge in new_edges:
-            current = self._unifiers.get(edge.dst)
-            if current is None:
-                continue
-            merged = mgu(current, edge.unifier)
-            self._unifiers[edge.dst] = merged
-            enqueue(edge.dst)
-        for node in seeds:
-            enqueue(node)
-
-        while queue:
-            parent = queue.popleft()
-            queued.discard(parent)
-            parent_unifier = self._unifiers.get(parent)
-            if parent_unifier is None:
-                continue
-            for edge in self._graph.out_edges(parent):
-                child = edge.dst
-                child_unifier = self._unifiers.get(child)
-                if child_unifier is None:
-                    continue
-                self.propagation_steps += 1
-                # merged_with prefers the child as merge base on size
-                # ties, so the change check below usually compares two
-                # cached canonical fingerprints (no partition rebuild).
-                merged = child_unifier.merged_with(parent_unifier)
-                if merged is None:
-                    self._unifiers[child] = None
-                    continue
-                if merged != child_unifier:
-                    self._unifiers[child] = merged
-                    enqueue(child)
+        root = self.find(query_id)
+        state = (MatchState(self._graph, self._order) if not states
+                 else states[0] if len(states) == 1 else None)
+        if state is not None and state.add(query_id, new_edges):
+            self._match_states[root] = state
+        return root
 
     # ------------------------------------------------------------------
     # closure and removal
@@ -254,19 +227,27 @@ class PartitionManager:
                 for root, members in self._root_members.items()
                 if self._parent[root] == root]
 
-    def cached_unifier(self, query_id) -> Optional[Unifier]:
-        """The partial-matching unifier cached for a query (may be None
-        when the cache has detected inconsistency)."""
-        return self._unifiers.get(query_id)
+    def match_state(self, query_id) -> tuple[MatchState, bool]:
+        """The (exact) partition's matching state, and whether it was
+        carried forward (True) or had to be rebuilt from scratch."""
+        root = self._fresh_root(query_id)
+        state = self._match_states.get(root)
+        if state is not None:
+            return state, True
+        state = MatchState(self._graph, self._order)
+        state.extend(sorted(self._root_members[root],
+                            key=self._order.__getitem__))
+        self._match_states[root] = state
+        return state, False
 
     def remove_queries(self, removed: Iterable) -> list:
         """Forget answered/expired queries, in O(removed) time.
 
         The caller must already have removed them from the graph.
         Removed nodes stay in the union-find forest as structural
-        ghosts (union-find cannot delete) but leave the member sets,
-        the open-postcondition accounting, and the unifier cache; the
-        affected partitions are marked structurally *stale* and
+        ghosts (union-find cannot delete) but leave the member sets and
+        the open-postcondition accounting; the affected partitions lose
+        their matching state, are marked structurally *stale* and
         re-split exactly — survivors re-unioned along surviving edges,
         satisfaction recounted — the first time a consumer reads them
         (:meth:`refreshed_roots`, :meth:`members`, :meth:`is_closed`,
@@ -285,7 +266,6 @@ class PartitionManager:
             root = self.find(query_id)
             self._root_members[root].discard(query_id)
             self._root_open[root] -= self._node_open.pop(query_id, 0)
-            self._unifiers.pop(query_id, None)
             self._dead.add(query_id)
             affected.add(root)
             pc_pos = 0
@@ -293,6 +273,7 @@ class PartitionManager:
                 del self._pc_satisfied[(query_id, pc_pos)]
                 pc_pos += 1
         for root in sorted(affected, key=repr):
+            self._match_states.pop(root, None)
             members = self._root_members[root]
             if members:
                 self._stale_roots.add(root)
@@ -325,7 +306,7 @@ class PartitionManager:
         for query_id in members:
             self._parent[query_id] = query_id
             self._rank[query_id] = 0
-            if self._maintain_unifiers:
+            if self._track_matching:
                 query = graph.query(query_id)
                 open_count = 0
                 for pc_pos in range(query.pccount):

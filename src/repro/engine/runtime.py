@@ -82,13 +82,15 @@ class CoordinationScheduler:
     def __init__(self, host):
         self._host = host
         self.graph = UnifiabilityGraph()
-        # Batch engines track structure and closure only — the paper's
-        # set-at-a-time design carries no partial matching state
-        # between arrivals, and the propagation pass is the expensive
-        # part of partition maintenance on massively unifying sets.
+        # Closure accounting and the resumable matching state are
+        # maintained only where they are consumed: per-arrival attempts
+        # on whole partitions.  Batch engines (the paper's set-at-a-time
+        # design carries no matching state between arrivals) and the
+        # local strategy keep structure-only partitions.
         self.partitions = PartitionManager(
-            self.graph,
-            maintain_unifiers=host.mode == "incremental")
+            self.graph, host._arrival,
+            track_matching=(host.mode == "incremental"
+                            and host.incremental_strategy == "component"))
         self.graph.add_listener(self._on_delta)
         # The worklist: query id -> None, insertion-ordered.  Entries
         # are representatives — drain_all resolves each to its current
@@ -393,19 +395,18 @@ class CoordinationScheduler:
         origin = query.query_id
         if host.incremental_strategy == "component":
             if self.partitions.is_closed(origin):
-                members = self.partitions.members(origin)
                 if attempted_roots is not None:
                     # Key by member set, not root id: a partition that
                     # lost members to a settlement mid-block must be
                     # re-attempted even if its representative recurs,
                     # while an identical member set implies an
                     # identical graph and a deterministic repeat.
-                    key = frozenset(members)
+                    key = frozenset(self.partitions.members_set(origin))
                     if key in attempted_roots:
                         return
                     attempted_roots.add(key)
                 host.stats.closure_events += 1
-                self._attempt_component(members)
+                self._attempt_component(origin)
             return
         if query.pccount:
             self._attempt_around(origin)
@@ -426,33 +427,55 @@ class CoordinationScheduler:
         arrival = self._host._arrival
         return sorted(query_ids, key=arrival.__getitem__)
 
-    def _attempt_component(self, members: Sequence) -> None:
-        """Paper-faithful attempt: match and evaluate a whole partition.
+    def _combinable(self, match: ComponentMatch) -> Optional[dict]:
+        """The survivors' queries by id — or None when their combined
+        query would exceed ``max_combined_atoms`` (the paper observes
+        the DB collapsing past a join-count threshold, Figure 7; the
+        queries stay pending).  The simplified combined query has
+        exactly one atom per member body atom, so the cap is decided
+        before anything is built."""
+        queries_by_id = {query_id: self.graph.query(query_id)
+                         for query_id in match.survivors}
+        if sum(len(query.body) for query in queries_by_id.values()) \
+                > self._host.max_combined_atoms:
+            return None
+        return queries_by_id
 
-        Used by the ``"component"`` incremental strategy.  On massively
-        unifying partitions this re-matches a growing component on
-        every arrival — the cost the paper observes in Figure 8 before
-        recommending set-at-a-time evaluation there.
+    def _attempt_component(self, origin) -> None:
+        """Paper-faithful attempt: evaluate *origin*'s whole (closed)
+        partition.
+
+        Used by the ``"component"`` incremental strategy.  The matching
+        is read from the partition manager's resumable state, which the
+        arrival already extended, so a growing massively-unifying
+        partition (Figure 8) costs O(new edges) of matching per arrival,
+        not a re-match.  The combined query is still rebuilt and
+        re-evaluated at every closure — the cost that keeps
+        set-at-a-time evaluation ahead on such partitions.
         """
-        host = self._host
-        host.stats.coordination_rounds += 1
+        stats = self._host.stats
+        stats.coordination_rounds += 1
         tracer = TRACER
         if tracer.enabled:
             start_ns = time.perf_counter_ns()
         start = time.perf_counter()
-        match = match_component(self.graph, members,
-                                order=host._arrival)
-        host.stats.match_seconds += time.perf_counter() - start
+        state, resumed = self.partitions.match_state(origin)
+        match = state.result()
+        stats.match_seconds += time.perf_counter() - start
         if tracer.enabled:
-            self._record_match_spans(members, start_ns)
+            self._record_match_spans(match.component, start_ns)
+        if resumed:
+            stats.match_resumed += 1
+        else:
+            stats.match_rebuilt += 1
         if not match.survivors or match.global_unifier is None:
             return
-        queries_by_id = {query_id: self.graph.query(query_id)
-                         for query_id in match.survivors}
+        queries_by_id = self._combinable(match)
+        if queries_by_id is None:
+            return
         combined = build_combined_query(queries_by_id, match)
-        host.stats.combined_queries_built += 1
-        if len(combined.query.atoms) <= host.max_combined_atoms:
-            self._evaluate_combined(combined, queries_by_id)
+        stats.combined_queries_built += 1
+        self._evaluate_combined(combined, queries_by_id)
 
     def _attempt_around(self, origin) -> None:
         """Try bounded local coordination groups seeded at *origin*.
@@ -768,15 +791,11 @@ class CoordinationScheduler:
             self._evaluate_parallel(viable)
             return
         for match in viable:
-            queries_by_id = {query_id: self.graph.query(query_id)
-                             for query_id in match.survivors}
+            queries_by_id = self._combinable(match)
+            if queries_by_id is None:
+                continue
             combined = build_combined_query(queries_by_id, match)
             host.stats.combined_queries_built += 1
-            if len(combined.query.atoms) > host.max_combined_atoms:
-                # The paper observes the DB collapses past a
-                # join-count threshold (Figure 7); refuse to send
-                # monster queries and leave the queries pending.
-                continue
             if self._evaluate_combined(combined, queries_by_id,
                                        reusable=True):
                 continue
@@ -793,12 +812,11 @@ class CoordinationScheduler:
             if (not core_match.survivors
                     or core_match.global_unifier is None):
                 continue
-            core_queries = {query_id: self.graph.query(query_id)
-                            for query_id in core_match.survivors}
-            core_combined = build_combined_query(core_queries, core_match)
-            if len(core_combined.query.atoms) <= host.max_combined_atoms:
-                self._evaluate_combined(core_combined, core_queries,
-                                        reusable=True)
+            core_queries = self._combinable(core_match)
+            if core_queries is not None:
+                self._evaluate_combined(
+                    build_combined_query(core_queries, core_match),
+                    core_queries, reusable=True)
 
     def _evaluate_parallel(self, matches: list[ComponentMatch]) -> None:
         """Evaluate independent partitions on the shared worker pool.
@@ -810,28 +828,26 @@ class CoordinationScheduler:
         sequential ones.
         """
         host = self._host
-        graph = self.graph
 
         def build_and_probe(match: ComponentMatch):
-            queries_by_id = {query_id: graph.query(query_id)
-                             for query_id in match.survivors}
+            queries_by_id = self._combinable(match)
+            if queries_by_id is None:
+                return None
             combined = build_combined_query(queries_by_id, match)
-            if len(combined.query.atoms) > host.max_combined_atoms:
-                return combined, queries_by_id, []
             choose = max(query.choose
                          for query in queries_by_id.values())
-            valuations = list(host.database.evaluate(combined.query,
-                                                     limit=choose))
-            return combined, queries_by_id, valuations
+            return combined, list(host.database.evaluate(combined.query,
+                                                         limit=choose))
 
         start = time.perf_counter()
-        outcomes = map_bounded(build_and_probe, matches,
-                               host.parallel_workers)
+        outcomes = [outcome for outcome in map_bounded(
+                        build_and_probe, matches, host.parallel_workers)
+                    if outcome is not None]
         host.stats.db_seconds += time.perf_counter() - start
-        host.stats.combined_queries_built += len(matches)
+        host.stats.combined_queries_built += len(outcomes)
 
         from ..core.evaluate import CoordinationResult
-        for combined, queries_by_id, valuations in outcomes:
+        for combined, valuations in outcomes:
             if not valuations:
                 continue
             scratch = CoordinationResult()

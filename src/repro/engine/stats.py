@@ -24,6 +24,10 @@ class EngineStats:
     closure_events: int = 0
     blocks_ingested: int = 0
     components_drained: int = 0
+    #: Component-strategy attempts whose matching was carried forward by
+    #: the resumable state / rebuilt from scratch.
+    match_resumed: int = 0
+    match_rebuilt: int = 0
     graph_seconds: float = 0.0
     match_seconds: float = 0.0
     db_seconds: float = 0.0
@@ -64,6 +68,8 @@ class EngineStats:
             "closure_events": self.closure_events,
             "blocks_ingested": self.blocks_ingested,
             "components_drained": self.components_drained,
+            "match_resumed": self.match_resumed,
+            "match_rebuilt": self.match_rebuilt,
             "graph_seconds": self.graph_seconds,
             "match_seconds": self.match_seconds,
             "db_seconds": self.db_seconds,
@@ -77,7 +83,8 @@ class EngineStats:
     #: separately by consumers).
     COUNTER_KEYS = ("submitted", "answered", "coordination_rounds",
                     "combined_queries_built", "closure_events",
-                    "blocks_ingested", "components_drained")
+                    "blocks_ingested", "components_drained",
+                    "match_resumed", "match_rebuilt")
     SECONDS_KEYS = ("graph_seconds", "match_seconds", "db_seconds",
                     "safety_seconds")
 

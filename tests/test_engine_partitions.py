@@ -5,15 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.core.graph import UnifiabilityGraph
+from repro.core.matching import match_component
 from repro.core.terms import Constant, Variable
-from repro.core.unify import Unifier
 from repro.engine.partitions import PartitionManager
 from repro.lang import parse_ir
 
 
-def setup_manager():
+def setup_manager(track_matching=True):
     graph = UnifiabilityGraph()
-    return graph, PartitionManager(graph)
+    return graph, PartitionManager(graph, graph.insertion_ranks,
+                                   track_matching)
 
 
 def admit(graph, manager, text, query_id):
@@ -70,26 +71,107 @@ class TestMembershipAndClosure:
         assert manager.is_closed(root)
 
 
-class TestUnifierCache:
-    def test_propagation_constrains_cached_unifiers(self):
-        graph, manager = setup_manager()
-        admit(graph, manager, "{T(1)} R(y1) <- D2(y1)", "q2")
-        admit(graph, manager, "{T(z1)} S(z2) <- D3(z1, z2)", "q3")
-        admit(graph, manager,
-              "{R(x1), S(x2)} T(x3) <- D1(x1, x2, x3)", "q1")
-        cached = manager.cached_unifier("q1")
-        assert cached is not None
-        assert cached.constant_of(Variable("x3@q1")) == Constant(1)
-        assert manager.propagation_steps > 0
+def scratch(graph, manager, query_id):
+    return match_component(graph, manager.members_set(query_id))
 
-    def test_conflicting_constraints_mark_inconsistent(self):
+
+def assert_same_match(state, expected):
+    got = state.result()
+    assert got.component == expected.component
+    assert got.survivors == expected.survivors
+    assert got.removed == expected.removed
+    assert got.chosen_edges == expected.chosen_edges
+    assert got.unifiers == expected.unifiers
+    assert got.global_unifier == expected.global_unifier
+
+
+class TestMatchState:
+    def test_stale_state_is_rebuilt_at_first_read_then_carried(self):
         graph, manager = setup_manager()
-        admit(graph, manager, "{T(1)} R(y1) <- D2(y1)", "q2")
-        admit(graph, manager, "{T(2)} S(z2) <- D3(z1, z2)", "q3")
-        admit(graph, manager,
-              "{R(x1), S(x2)} T(x3) <- D1(x1, x2, x3)", "q1")
-        # x3 would need to equal both 1 and 2.
-        assert manager.cached_unifier("q1") is None
+        admit(graph, manager, "{R(B, x)} R(A, x) <- F(x)", "a")
+        admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
+        state, resumed = manager.match_state("a")
+        assert not resumed  # b revived a
+        assert state.alive == {"a", "b"}
+        assert manager.match_state("b") == (state, True)
+
+    def test_late_arrival_resumes_with_its_providers_constraints(self):
+        graph, manager = setup_manager()
+        admit(graph, manager, "{R(B, 1)} R(A, x) <- F(x)", "a")
+        admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
+        state, _ = manager.match_state("a")
+        # c's postcondition is provided by a, whose fixpoint already
+        # pins its variable to 1; c inherits that without a re-match.
+        admit(graph, manager, "{R(A, z)} R(C, z) <- F(z)", "c")
+        resumed_state, resumed = manager.match_state("c")
+        assert resumed and resumed_state is state
+        assert state.unifiers["c"].constant_of(
+            Variable("z@c")) == Constant(1)
+        assert_same_match(state, scratch(graph, manager, "c"))
+
+    def test_conflicting_arrival_is_removed_without_disturbing_members(
+            self):
+        graph, manager = setup_manager()
+        admit(graph, manager, "{R(B, 1)} R(A, x) <- F(x)", "a")
+        admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
+        state, _ = manager.match_state("a")
+        admit(graph, manager, "{R(A, 2)} R(C, 2) <- F(z)", "c")
+        assert manager.match_state("c") == (state, True)
+        assert state.alive == {"a", "b"}
+        assert_same_match(state, scratch(graph, manager, "c"))
+
+    def test_first_provider_of_an_open_postcondition_goes_stale(self):
+        graph, manager = setup_manager()
+        admit(graph, manager, "{R(B, x)} R(A, x) <- F(x)", "a")
+        state, _ = manager.match_state("a")
+        assert not state.alive  # nobody provides R(B, x) yet
+        admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
+        rebuilt, resumed = manager.match_state("a")
+        assert not resumed and rebuilt is not state
+        assert rebuilt.alive == {"a", "b"}
+
+    def test_removal_goes_stale(self):
+        graph, manager = setup_manager()
+        admit(graph, manager, "{R(B, x)} R(A, x) <- F(x)", "a")
+        admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
+        admit(graph, manager, "{R(A, z)} R(C, z) <- F(z)", "c")
+        manager.match_state("a")
+        graph.remove_query("c")
+        manager.remove_queries(["c"])
+        state, resumed = manager.match_state("a")
+        assert not resumed
+        assert_same_match(state, scratch(graph, manager, "a"))
+
+    def test_bridging_arrival_drops_the_states(self):
+        graph, manager = setup_manager()
+        admit(graph, manager, "{} R(A, 1) <- F(x)", "a")
+        admit(graph, manager, "{} S(B, 2) <- G(y)", "b")
+        assert manager.match_state("a")[1] and manager.match_state("b")[1]
+        admit(graph, manager, "{R(A, u), S(B, v)} T(u, v) <- H(u, v)",
+              "c")
+        state, resumed = manager.match_state("c")
+        assert not resumed
+        assert state.members == ["a", "b", "c"]
+        assert len(manager._match_states) == 1
+
+    def test_unmatched_side_of_a_bridge_drops_the_state(self):
+        graph, manager = setup_manager()
+        admit(graph, manager, "{} R(A, 1) <- F(x)", "a")
+        admit(graph, manager, "{P(w)} S(B, 2) <- G(w)", "b")
+        admit(graph, manager, "{} P(3) <- G(y)", "p")  # revives b
+        assert manager.find("b") not in manager._match_states
+        admit(graph, manager, "{R(A, u), S(B, v)} T(u, v) <- H(u, v)",
+              "c")
+        state, resumed = manager.match_state("c")
+        assert not resumed
+        assert state.alive == {"a", "b", "p", "c"}
+
+    def test_structure_only_mode_keeps_no_state(self):
+        graph, manager = setup_manager(track_matching=False)
+        admit(graph, manager, "{R(B, x)} R(A, x) <- F(x)", "a")
+        admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
+        assert manager.members("a") == ["a", "b"]
+        assert not manager._match_states
 
 
 class TestRemoval:
@@ -130,3 +212,36 @@ class TestRemoval:
         graph, manager = setup_manager()
         manager.remove_queries(["ghost"])
         assert len(manager) == 0
+
+
+class TestResubmittedGhost:
+    """An expired id may be re-submitted while it is still a ghost in
+    the union-find forest of a stale, not yet re-split partition."""
+
+    def test_ghost_root_is_refreshed_before_its_id_is_reused(self):
+        graph, manager = setup_manager(track_matching=False)
+        admit(graph, manager,
+              "{R(Nobody, x)} R(Jerry, x) <- Flights(x, Paris)", "q1")
+        admit(graph, manager,
+              "{R(Jerry, y)} R(Kramer, y) <- Flights(y, Paris)", "q2")
+        assert manager.find("q2") == "q1"  # q1 is the forest root
+        graph.remove_query("q1")
+        manager.remove_queries(["q1"])
+        admit(graph, manager, "{} R(Jerry, x) <- Flights(x, Paris)",
+              "q1")
+        assert manager.members_set("q2") == {"q1", "q2"}
+        assert manager.partition_sizes() == [2]
+        graph.remove_query("q1")
+        assert manager.remove_queries(["q1"]) == ["q2"]
+        assert manager.partition_sizes() == [1]
+
+    def test_interior_ghost_is_refreshed_too(self):
+        graph, manager = setup_manager(track_matching=False)
+        admit(graph, manager, "{B(1)} A(1)", "qa")
+        admit(graph, manager, "{C(1)} B(1)", "qb")
+        admit(graph, manager, "{D(1)} C(1)", "qc")
+        graph.remove_query("qb")
+        manager.remove_queries(["qb"])
+        admit(graph, manager, "{Z(1)} Y(1)", "qb")
+        assert sorted(manager.partition_sizes()) == [1, 1, 1]
+        assert manager.members_set("qb") == {"qb"}

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.combine import build_combined_query
-from repro.core.graph import build_unifiability_graph
-from repro.core.matching import match_all
+from repro.core.graph import UnifiabilityGraph, build_unifiability_graph
+from repro.core.matching import match_all, match_component
 from repro.core.query import EntangledQuery, rename_workload_apart
 from repro.core.terms import Variable, atom
 from repro.core.unify import mgu
+from repro.engine.partitions import PartitionManager
 
 
 def _cycle_group(group_index: int, size: int,
@@ -156,3 +157,82 @@ def test_combined_query_heads_cover_postconditions(queries):
             groundings.append(GroundedQuery(query_id, heads,
                                             postconditions))
         assert is_coordinating_set(groundings)
+
+# ----------------------------------------------------------------------
+# resumed matching == from-scratch matching
+# ----------------------------------------------------------------------
+
+def _joiner(index: int, destination: str, pin) -> EntangledQuery:
+    """A cluster-style query: its postcondition ``R(x, dest)`` unifies
+    with every head over *destination*, so it joins (and keeps
+    extending) whatever component lives there.  *pin* optionally fixes
+    the partner, which makes some joiners conflict with their
+    provider's constraints."""
+    partner = Variable("x") if pin is None else pin
+    return EntangledQuery(
+        query_id=f"j{index}",
+        head=(atom("R", f"J{index}", destination),),
+        postconditions=(atom("R", partner, destination),),
+        body=(atom("D", partner, destination),))
+
+
+@st.composite
+def _histories(draw):
+    """A workload plus an interleaving of in-order adds, out-of-order
+    adds (a removed query re-entering under its old sequence number,
+    as an import does) and removals."""
+    queries = draw(_workloads())
+    for index in range(draw(st.integers(min_value=2, max_value=7))):
+        destination = draw(st.sampled_from(["P", "Q"]))
+        pin = draw(st.sampled_from([None, None, "J0", "G0M0", "NOBODY"]))
+        queries.append(_joiner(index, destination, pin))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=999)))
+    rng.shuffle(queries)
+    steps = draw(st.lists(st.sampled_from(["add", "add", "add", "remove",
+                                           "readd"]),
+                          min_size=len(queries),
+                          max_size=len(queries) + 12))
+    return rename_workload_apart(queries), steps, rng
+
+
+@given(_histories())
+@settings(max_examples=150, deadline=None)
+def test_resumed_match_state_equals_from_scratch(history):
+    """Whatever the history, every component's carried
+    :class:`MatchState` is the matching ``match_component`` computes
+    from scratch."""
+    queries, steps, rng = history
+    graph = UnifiabilityGraph()
+    order: dict = {}
+    manager = PartitionManager(graph, order, track_matching=True)
+    waiting = list(enumerate(queries))
+    removed: list = []
+    resumed_reads = 0
+
+    def admit(seq, query):
+        order[query.query_id] = seq
+        manager.add_query(query, graph.add_query(query))
+
+    for step in steps:
+        if step == "add" and waiting:
+            admit(*waiting.pop(0))
+        elif step == "readd" and removed:
+            admit(*removed.pop(rng.randrange(len(removed))))
+        elif step == "remove" and len(graph):
+            query_id = rng.choice(sorted(graph.query_ids()))
+            removed.append((order[query_id], graph.query(query_id)))
+            graph.remove_query(query_id)
+            manager.remove_queries([query_id])
+        for root in manager.roots():
+            state, resumed = manager.match_state(root)
+            resumed_reads += resumed
+            got = state.result()
+            want = match_component(graph, manager.members_set(root),
+                                   order=order)
+            assert got.component == want.component
+            assert got.survivors == want.survivors
+            assert got.removed == want.removed
+            assert got.chosen_edges == want.chosen_edges
+            assert got.unifiers == want.unifiers
+            assert got.global_unifier == want.global_unifier
+    event(f"resumed reads: {min(resumed_reads, 20) // 5 * 5}+")

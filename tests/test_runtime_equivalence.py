@@ -22,8 +22,13 @@ from repro.core.combine import build_combined_query
 from repro.core.evaluate import CoordinationResult, _record_answers
 from repro.core.graph import UnifiabilityGraph
 from repro.core.matching import match_component
+from repro.core.query import EntangledQuery
+from repro.core.terms import Variable, atom
+from repro.db.database import Database
 from repro.engine.engine import D3CEngine
+from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock, TimeoutStaleness
+from repro.lang import parse_ir
 from repro.workloads import (build_flight_database, chain_queries,
                              generate_social_network, three_way_triangles,
                              two_way_pairs)
@@ -199,3 +204,215 @@ def test_incremental_component_state_matches_oracle(setup, seed):
         assert engine_components == oracle_components
         assert _edge_set(engine._graph) == _edge_set(oracle.graph)
     assert engine.stats.answered > 0
+
+
+# ----------------------------------------------------------------------
+# component strategy: carried matching state vs forced-stale reference
+# ----------------------------------------------------------------------
+
+_USERS = [f"U{index}" for index in range(8)]
+_DESTINATIONS = ["D0", "D1", "D2"]
+
+
+def _friend_database(seed: int) -> Database:
+    rng = random.Random(seed)
+    database = Database()
+    database.create_table("F", "a:text", "b:text")
+    database.insert("F", [(left, right) for left in _USERS
+                          for right in _USERS
+                          if left != right and rng.random() < 0.7])
+    return database
+
+
+def _cluster_query(index: int, rng: random.Random) -> EntangledQuery:
+    """``{R(x, D)} R(U, D) <- F(U, x)``: joins the one massively
+    unifying component of destination *D*.  Some partners are pinned,
+    which yields ground postconditions, conflicts and CLEANUP."""
+    user, destination = rng.choice(_USERS), rng.choice(_DESTINATIONS)
+    partner = (Variable("x") if rng.random() < 0.85
+               else rng.choice(_USERS + ["Nobody"]))
+    return EntangledQuery(
+        query_id=f"c{index}",
+        head=(atom("R", user, destination),),
+        postconditions=(atom("R", partner, destination),),
+        body=(atom("F", user, partner),))
+
+
+def _history(seed: int, length: int = 120) -> list[tuple]:
+    """One deterministic command history, replayed on both engines."""
+    rng = random.Random(seed)
+    history: list[tuple] = []
+    submitted = 0
+    for _ in range(length):
+        action = rng.random()
+        if action < 0.45:
+            history.append(("submit", _cluster_query(submitted, rng)))
+            submitted += 1
+        elif action < 0.60:
+            size = rng.randint(2, 5)
+            history.append(("submit_many",
+                            [_cluster_query(submitted + offset, rng)
+                             for offset in range(size)]))
+            submitted += size
+        elif action < 0.75:
+            # One user befriends (or drops) everybody: flips which
+            # clusters are answerable on the data.
+            user = rng.choice(_USERS)
+            rows = [pair for other in _USERS if other != user
+                    for pair in ((user, other), (other, user))]
+            history.append((rng.choice(["insert", "insert", "delete"]),
+                            rows))
+        elif action < 0.85:
+            history.append(("expire", rng.choice([1.0, 2.0, 4.0])))
+        elif action < 0.95:
+            follow_up = (_cluster_query(submitted, rng)
+                         if rng.random() < 0.5 else None)
+            submitted += follow_up is not None
+            history.append(("migrate", rng.random(), follow_up))
+        else:
+            history.append(("run_batch",))
+    return history
+
+
+def _replay(history, seed: int, force_stale: bool):
+    """Run *history* on a fresh component-strategy engine; returns the
+    engine and its observation log (every settlement, in order, with
+    rows; every expiry count; the pending set after each command)."""
+    database = _friend_database(seed)
+    clock = ManualClock()
+    engine = D3CEngine(database, incremental_strategy="component",
+                       staleness=TimeoutStaleness(9.5), clock=clock)
+    log: list = []
+    settle = engine._settle_answers
+
+    def logged_settle(answers):
+        log.append(("settled", [(query_id, answer.rows)
+                                for query_id, answer in answers.items()]))
+        return settle(answers)
+
+    engine._settle_answers = logged_settle
+    if force_stale:
+        partitions = engine._partitions
+        carried = partitions.match_state
+
+        def rebuilt(query_id):
+            partitions._match_states.clear()
+            return carried(query_id)
+
+        partitions.match_state = rebuilt
+
+    for command in history:
+        if command[0] == "submit":
+            engine.submit(command[1])
+        elif command[0] == "submit_many":
+            engine.submit_many(command[1])
+        elif command[0] == "insert":
+            database.insert("F", command[1])
+        elif command[0] == "delete":
+            database.delete_rows("F", command[1])
+        elif command[0] == "expire":
+            clock.advance(command[1])
+            log.append(("expired", engine.expire_stale()))
+        elif command[0] == "migrate":
+            # Export a whole component and import it back — after an
+            # optional arrival, so the records re-enter a live
+            # component under older sequence numbers.
+            pending = engine.pending_ids()
+            if pending:
+                pick = pending[int(command[1] * len(pending))]
+                records = engine.export_component(
+                    engine.component_members(pick))
+                if command[2] is not None:
+                    engine.submit(command[2])
+                engine.import_pending(records)
+            elif command[2] is not None:
+                engine.submit(command[2])
+        else:
+            engine.run_batch()
+        log.append(("pending", engine.pending_ids()))
+    return engine, log
+
+
+@pytest.mark.parametrize("seed", [5, 17, 29, 43, 71, 97])
+def test_component_strategy_carried_state_matches_forced_stale(seed):
+    """Carrying the matching state across arrivals, expiries,
+    mutations and migrations settles exactly the tickets, in exactly
+    the order, with exactly the rows of an engine that re-matches from
+    scratch at every attempt."""
+    history = _history(seed)
+    engine, log = _replay(history, seed, force_stale=False)
+    reference, reference_log = _replay(history, seed, force_stale=True)
+    assert log == reference_log
+    for counter in ("answered", "closure_events", "coordination_rounds",
+                    "combined_queries_built"):
+        assert getattr(engine.stats, counter) \
+            == getattr(reference.stats, counter)
+    assert engine.stats.answered > 0
+    # The comparison is only meaningful if the paths really differ.
+    assert engine.stats.match_resumed > 0
+    assert reference.stats.match_resumed == 0
+
+
+def test_resumed_component_answers_once_a_mutation_allows_it():
+    database = Database()
+    database.create_table("F", "a:text", "b:text")
+    database.insert("F", [("U0", "U1")])
+    engine = D3CEngine(database, incremental_strategy="component")
+
+    def arrive(index: int):
+        return engine.submit(EntangledQuery(
+            query_id=f"c{index}",
+            head=(atom("R", f"U{index}", "D"),),
+            postconditions=(atom("R", Variable("x"), "D"),),
+            body=(atom("F", f"U{index}", Variable("x")),)))
+
+    tickets = [arrive(index) for index in range(4)]
+    stats = engine.stats
+    # c1 revives c0 (a rebuild); c2 and c3 extend the matched component
+    # and each re-evaluates it: F(U1, U0) is missing.
+    assert (stats.coordination_rounds, stats.match_rebuilt,
+            stats.match_resumed, stats.answered) == (3, 1, 2, 0)
+    database.insert("F", [(f"U{index}", "U0") for index in range(1, 5)])
+    tickets.append(arrive(4))
+    assert all(ticket.state is TicketState.ANSWERED for ticket in tickets)
+    counters = engine.metrics_snapshot()["counters"]
+    assert (counters["match_rebuilt"], counters["match_resumed"]) == (1, 3)
+
+
+# ----------------------------------------------------------------------
+# re-submitting an expired id that is still a union-find ghost
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["batch", "incremental"])
+def test_resubmitted_ghost_id_matches_fresh_engine(mode):
+    database = Database()
+    database.create_table("Flights", "fno:int", "dest:text")
+    database.insert("Flights", [(122, "Paris"), (123, "Paris")])
+    second = parse_ir("{R(Jerry, y)} R(Kramer, y) <- Flights(y, Paris)",
+                      "q2")
+    retry = parse_ir("{} R(Jerry, x) <- Flights(x, Paris)", "q1")
+
+    clock = ManualClock()
+    engine = D3CEngine(database, mode=mode, clock=clock,
+                       staleness=TimeoutStaleness(10))
+    engine.submit(parse_ir(
+        "{R(Nobody, x)} R(Jerry, x) <- Flights(x, Paris)", "q1"))
+    clock.advance(5)
+    kramer = engine.submit(second)
+    engine.run_batch()
+    clock.advance(6)
+    assert engine.expire_stale() == 1  # q1; it was q2's forest root
+    jerry = engine.submit(retry)
+    engine.run_batch()
+
+    fresh = D3CEngine(database, mode=mode)
+    expected = [fresh.submit(second), fresh.submit(retry)]
+    fresh.run_batch()
+    assert [ticket.state for ticket in expected] \
+        == [TicketState.ANSWERED] * 2
+    assert [(ticket.state, ticket.answer.rows)
+            for ticket in (kramer, jerry)] \
+        == [(ticket.state, ticket.answer.rows) for ticket in expected]
+    assert engine.pending_ids() == [] and engine.partition_sizes() == []
+    clock.advance(20)
+    assert engine.expire_stale() == 0
