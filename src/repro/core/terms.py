@@ -203,29 +203,24 @@ def atom(relation: str, *args: object) -> Atom:
 class TermNumbering:
     """First-occurrence variable numbering for renaming-invariant keys.
 
-    Both the planner's plan-cache signature and the engine's
-    feasibility memo need to key structures by "the same atoms up to
-    renaming variables": variables map to dense integers in order of
-    first appearance, constants either to their value (``("c", value)``)
-    or to a bare marker when values should not distinguish keys.
+    The engine's feasibility memo keys structures by "the same atoms up
+    to renaming variables": variables map to dense integers in order of
+    first appearance, constants to their value (``("c", value)``).
     One numbering instance is shared across every atom of one key, so
-    join structure (variable sharing) is captured.
+    join structure (variable sharing) is captured.  (The db layer's
+    :func:`repro.db.planner.bind_query` numbers variables the same way
+    but keeps constant values *out* of its key.)
     """
 
     __slots__ = ("_ids",)
 
-    #: Marker used for constants when their values are excluded.
-    CONSTANT_MARK = "c"
-
     def __init__(self) -> None:
         self._ids: dict[Variable, int] = {}
 
-    def token(self, term: Term, constant_values: bool = True) -> object:
+    def token(self, term: Term) -> object:
         """The canonical token for *term*, extending the numbering."""
         if isinstance(term, Constant):
-            if constant_values:
-                return ("c", term.value)
-            return self.CONSTANT_MARK
+            return ("c", term.value)
         token = self._ids.get(term)
         if token is None:
             token = self._ids[term] = len(self._ids)
@@ -235,13 +230,11 @@ class TermNumbering:
         """The id already assigned to *variable*, or None."""
         return self._ids.get(variable)
 
-    def atoms_key(self, atoms: Iterable[Atom],
-                  constant_values: bool = True) -> tuple:
+    def atoms_key(self, atoms: Iterable[Atom]) -> tuple:
         """Renaming-invariant key: (relation, arg tokens) per atom."""
         return tuple(
             (atom.relation,
-             tuple(self.token(term, constant_values)
-                   for term in atom.args))
+             tuple(self.token(term) for term in atom.args))
             for atom in atoms)
 
 

@@ -258,11 +258,11 @@ class Database:
                       deleted: tuple) -> None:
         self._db_version += 1
         delta = TableDelta(name, inserted, deleted, self._db_version)
-        # Evict cached plans/compiled templates reading the table ahead
-        # of notification (the per-hit version checks would catch them
-        # anyway; eager eviction keeps the caches small and the hit
-        # counters honest after mutations).
-        self._executor.invalidate_tables((name,))
+        # Evict cached plans (and the programs compiled from them)
+        # reading the table ahead of notification (the per-hit table
+        # checks would catch them anyway; eager eviction keeps the
+        # cache small and the hit counters honest after mutations).
+        self._executor.planner.invalidate_tables((name,))
         if self._listeners:
             live = []
             for reference in self._listeners:
@@ -306,32 +306,28 @@ class Database:
         }
 
     def cache_stats(self) -> dict:
-        """Plan- and compile-cache activity for this database.
+        """Plan- and program-cache activity for this database.
 
         Stable plain-int keys like :meth:`range_stats`, so the dict
         merges by summation across a shard fleet (the metrics registry
-        surfaces these as ``db.<key>`` counters).
+        surfaces these as ``db.<key>`` counters).  The ``compile*``
+        keys count program-cache hits, program builds and retained
+        programs.
         """
         planner = self._executor.planner
         return {
             "plan_cache_hits": planner.cache_hits,
             "plan_cache_misses": planner.cache_misses,
             "cached_plans": planner.cached_plan_count(),
-            "compile_hits": self._executor.compile_hits,
-            "compile_misses": self._executor.compile_misses,
-            "compiled_plans": self._executor.compiled_plan_count(),
+            "compile_hits": planner.program_hits,
+            "compile_misses": planner.program_builds,
+            "compiled_plans": planner.retained_program_count(),
         }
 
     def evaluate(self, query: ConjunctiveQuery,
-                 limit: int | None = None,
-                 reusable: bool = True) -> Iterator[Valuation]:
-        """Stream valuations satisfying *query*.
-
-        ``reusable=False`` bypasses the executor's compiled-template
-        cache for queries known to be one-shot (see
-        :meth:`repro.db.executor.Executor.evaluate`)."""
-        return self._executor.evaluate(query, limit=limit,
-                                       reusable=reusable)
+                 limit: int | None = None) -> Iterator[Valuation]:
+        """Stream valuations satisfying *query*."""
+        return self._executor.evaluate(query, limit=limit)
 
     def first(self, query: ConjunctiveQuery) -> Optional[Valuation]:
         """One satisfying valuation or None."""

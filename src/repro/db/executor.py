@@ -2,36 +2,40 @@
 
 Follows the plan from :mod:`repro.db.planner`: at each step, probe the
 step's table on the positions bound by constants and already-bound join
-variables, extend the partial valuation with the row's values for the
-newly bound variables (verifying repeated occurrences agree), check the
-comparisons that just became fully bound, and recurse.  Results stream
-out as generator items so ``LIMIT 1`` — the common case for combined
-queries — touches as little data as possible.
+variables, bind the row's values for the newly bound variables
+(verifying repeated occurrences agree), check the comparisons that just
+became fully bound, and recurse.  Results stream out as generator items
+so ``LIMIT 1`` — the common case for combined queries — touches as
+little data as possible.
 
-Before running, each plan is *compiled*: which positions are bound at a
-given step is static (constants plus variables bound by earlier steps),
-so the table handle, the hash-index handle on the bound positions, and
-the key-construction recipe are all resolved once per evaluation instead
-of being rediscovered on every recursion into ``_extend``.
-
-Compiled plans are also *cached* as templates keyed by the query itself
-(a frozen value object) and validated against the involved tables'
-mutation versions: coordination rounds re-attempt dirty components whose
-combined query is unchanged since the last attempt, and the template
-cache lets those re-attempts skip planning *and* compilation entirely.
+Plans are *compiled per query shape*, not per query.  Which positions
+are bound at a given step is static (constants plus variables bound by
+earlier steps), and so is everything that follows from it: the table
+handle, the hash- or ordered-index handle on the bound positions, where
+each key component comes from, which registers a row fills.  The
+thousands of combined queries a coordination round evaluates differ
+only in their atoms' constants and in variable names, so
+:func:`repro.db.planner.bind_query` splits each into a shape and the
+values that fill it, the :class:`Program` compiled for the shape is
+kept with the planner's cache entry, and running it takes one flat
+*slot list* per call: the query's variables by first-occurrence number,
+then the atoms' constants, then the program's own comparison literals.
+A program holds handles and no rows — every probe reads the live
+tables — so nothing computed against an older database state can
+survive a mutation.
 """
 
 from __future__ import annotations
 
-import threading
+from itertools import islice
+from operator import itemgetter
+from typing import Iterator, Optional
 
-from typing import Iterator, Optional, Sequence
-
-from ..core.terms import Atom, Constant, Variable
+from ..core.terms import Atom, Constant
 from ..errors import QueryEvaluationError
-from .expression import (Comparison, ConjunctiveQuery, RangePlan,
+from .expression import (ConjunctiveQuery, OPERATORS, RangePlan,
                          plan_step_ranges)
-from .planner import Planner
+from .planner import CONSTANT_MARK, Planner, bind_query
 
 #: A valuation binds variables to plain Python values (not Constants).
 Valuation = dict
@@ -39,150 +43,194 @@ Valuation = dict
 #: Sentinel marking an exhausted row iterator in the search stack.
 _EXHAUSTED = object()
 
-#: Compiled-template cache entries are dropped wholesale past this size
-#: (coordination workloads cycle through a bounded set of combined
-#: queries between database mutations).
-MAX_COMPILED_PLANS = 2_048
 
-
-class CompiledStep:
+class ProgramStep:
     """One plan step with its lookup machinery pre-resolved.
 
     Exactly one fetch strategy is set per step:
 
-    * ``const_rows`` — the probe key is all-constant, so the matching
-      rows are materialized once at compile time (the database is a
-      snapshot for the duration of one evaluation);
     * ``scan`` — no bound positions: full-table scan via ``table.rows``;
-    * ``probe``/``row_map`` — a hash-index probe whose key mixes the
-      step's constants (pre-filled in ``key_template``) with join
-      variables bound by earlier steps (``var_slots``);
+    * ``probe``/``row_map`` — a hash-index probe whose key is read from
+      the slot list (``single`` for a one-column key, the ``key``
+      getter otherwise);
     * ``range_probe`` — an ordered-index probe: equality prefix plus a
       bisected window on the range column (sargable comparisons are
       consumed by the window; only ``comparisons`` stay per-row).
 
-    ``is_empty`` marks a step whose comparisons were proven
-    contradictory at compile time; the whole plan collapses to it.
+    ``binds`` pairs each newly bound position with its variable's
+    slot; ``same`` lists the later occurrences of a variable first
+    bound by this very atom (``F(x, x)``), which must agree with it.
+    ``comparisons`` are ``(operator, left slot, right slot)`` triples.
     """
 
-    __slots__ = ("comparisons", "free_positions", "const_rows", "scan",
-                 "probe", "row_map", "key_template", "var_slots",
-                 "single_var", "range_probe", "is_empty")
+    __slots__ = ("binds", "same", "comparisons", "scan", "probe",
+                 "row_map", "single", "key", "range_probe")
 
-    def __init__(self, comparisons, free_positions, const_rows=None,
-                 scan=None, probe=None, row_map=None, key_template=(),
-                 var_slots=(), single_var=None, range_probe=None,
-                 is_empty=False):
+    def __init__(self, binds, same, comparisons, scan=None, probe=None,
+                 row_map=None, key_slots=(), range_probe=None):
+        self.binds = binds
+        self.same = same
         self.comparisons = comparisons
-        self.free_positions = free_positions
-        self.const_rows = const_rows
         self.scan = scan
         self.probe = probe
         self.row_map = row_map
-        self.key_template = key_template
-        self.var_slots = var_slots
-        # Fast path: a one-slot key fed by one variable.
-        self.single_var = single_var
+        # Fast path: a one-column key needs no getter call.
+        self.single = key_slots[0] if len(key_slots) == 1 else None
+        self.key = itemgetter(*key_slots) if len(key_slots) > 1 else None
         self.range_probe = range_probe
-        self.is_empty = is_empty
 
 
-def _compile_step(table, atom, comparisons, bound,
-                  pushdown: bool = True) -> CompiledStep:
-    """Compile one (table, atom) pair given the statically bound set."""
-    if pushdown and comparisons:
-        # Classification needs the *pre-step* bound set: a variable
-        # bound by this very atom cannot feed its own probe window.
-        range_plan = plan_step_ranges(atom, comparisons, bound)
-    else:
-        range_plan = RangePlan(residual=comparisons)
-    const_or_bound: list[tuple[int, bool, object]] = []
-    free_positions: list[tuple[int, Variable]] = []
-    for position, term in enumerate(atom.args):
-        if isinstance(term, Constant):
-            const_or_bound.append((position, True, term.value))
-        elif term in bound:
-            const_or_bound.append((position, False, term))
-        else:
-            free_positions.append((position, term))
-    bound.update(atom.variables())
-    free = tuple(free_positions)
+class Program:
+    """The compiled form of one query shape (immutable once built).
 
-    if range_plan.empty:
-        return CompiledStep((), free, const_rows=(), is_empty=True)
-    if range_plan.range_position is not None:
-        return _compile_range_step(table, const_or_bound, free,
-                                   range_plan)
-    if not const_or_bound:
-        return CompiledStep(comparisons, free, scan=table.rows)
-    # index_on canonicalizes to sorted positions; key slots must
-    # follow the same order.
-    const_or_bound.sort()
-    index = table.index_on(tuple(position for position, _, _
-                                 in const_or_bound))
-    if all(is_const for _, is_const, _ in const_or_bound):
-        key = tuple(payload for _, _, payload in const_or_bound)
-        return CompiledStep(
-            comparisons, free,
-            const_rows=table.fetch_rows(index.probe(key)))
-    key_template = tuple(payload if is_const else None
-                         for _, is_const, payload in const_or_bound)
-    var_slots = tuple((slot, payload)
-                      for slot, (_, is_const, payload)
-                      in enumerate(const_or_bound) if not is_const)
-    single_var = var_slots[0][1] if len(key_template) == 1 else None
-    return CompiledStep(
-        comparisons, free,
-        probe=index.bucket_getter(), row_map=table.row_map,
-        key_template=key_template, var_slots=var_slots,
-        single_var=single_var)
-
-
-def _bound_spec(spec):
-    """Split a RangePlan bound into (constant pair, variable pair)."""
-    if spec is None:
-        return None, None
-    term, inclusive = spec
-    if isinstance(term, Constant):
-        return (term.value, inclusive), None
-    return None, (term, inclusive)
-
-
-def _compile_range_step(table, const_or_bound, free,
-                        range_plan) -> CompiledStep:
-    """Compile an ordered-index probe step.
-
-    The equality prefix reuses the hash path's key machinery (sorted
-    positions, constants pre-filled, variable slots patched per row);
-    the range column is bisected with bounds resolved from constants
-    at compile time or from the valuation at probe time.
+    ``contradiction`` marks a shape whose comparisons were proven
+    unsatisfiable at compile time; it has no steps and no results.
     """
-    const_or_bound.sort()
-    prefix_positions = tuple(position for position, _, _ in const_or_bound)
+
+    __slots__ = ("steps", "pre", "variable_count", "literals",
+                 "contradiction")
+
+    def __init__(self, steps, pre, variable_count, literals,
+                 contradiction=False):
+        self.steps = steps
+        self.pre = pre
+        self.variable_count = variable_count
+        self.literals = literals
+        self.contradiction = contradiction
+
+
+def _build_program(shape: tuple, query: ConjunctiveQuery, slots: dict,
+                   order, pushdown: bool) -> Program:
+    """Compile *order* for *shape*, which *query* was bound to.
+
+    The atoms are read from the shape alone — a constant contributes
+    its slot, never its value; *query* supplies the comparisons (whose
+    constants are part of the shape).
+    """
+    atom_shapes = shape[0]
+    variable_count = len(slots)
+    # Slot layout: variables, atom constants in order of appearance
+    # (bind_query's params), then this program's comparison literals.
+    param_base = []
+    next_slot = variable_count
+    for _, tokens in atom_shapes:
+        param_base.append(next_slot)
+        next_slot += tokens.count(CONSTANT_MARK)
+    literals: list = []
+
+    def slot_of(term) -> int:
+        if isinstance(term, Constant):
+            literals.append(term.value)
+            return next_slot + len(literals) - 1
+        return slots[term]
+
+    def compiled(comparisons) -> tuple:
+        return tuple((OPERATORS[comparison.op], slot_of(comparison.left),
+                      slot_of(comparison.right))
+                     for comparison in comparisons)
+
+    tables = {name: table for name, table, _ in order.reads}
+    # (relation, key positions) -> (bucket getter, row map): large
+    # shapes probe the same few indexes hundreds of times.
+    handles: dict[tuple, tuple] = {}
+    bound: set[int] = set()
+    steps = []
+    for atom_index, scheduled in zip(order.atom_order,
+                                     order.step_comparisons):
+        relation, tokens = atom_shapes[atom_index]
+        residual = ()
+        range_plan = None
+        if scheduled:
+            comparisons = tuple(query.comparisons[index]
+                                for index in scheduled)
+            if pushdown:
+                # Classification needs the *pre-step* bound set: a
+                # variable bound by this very atom cannot feed its own
+                # probe window.
+                range_plan = plan_step_ranges(
+                    query.atoms[atom_index], comparisons,
+                    {variable for variable, slot in slots.items()
+                     if slot in bound})
+                if range_plan.empty:
+                    # A contradictory interval empties the whole
+                    # conjunction: no step of it needs to run.
+                    return Program((), (), variable_count, (),
+                                   contradiction=True)
+                comparisons = range_plan.residual
+            residual = compiled(comparisons)
+
+        positions: list[int] = []
+        key_slots: list[int] = []
+        binds: list[tuple[int, int]] = []
+        same: list[tuple[int, int]] = []
+        fresh: list[int] = []
+        param = param_base[atom_index]
+        for position, token in enumerate(tokens):
+            if token == CONSTANT_MARK:
+                positions.append(position)
+                key_slots.append(param)
+                param += 1
+            elif token in bound:
+                positions.append(position)
+                key_slots.append(token)
+            elif token in fresh:
+                # Repeated free variable in one atom, e.g. F(x, x).
+                same.append((position, token))
+            else:
+                fresh.append(token)
+                binds.append((position, token))
+        bound.update(fresh)
+
+        # index_on canonicalizes to sorted positions; the key slots
+        # were collected in that order.  (Positional construction, no
+        # per-step kwargs dict: the build is the whole cost of shapes
+        # that are never reused.)
+        binds, same = tuple(binds), tuple(same)
+        if range_plan is not None and range_plan.range_position is not None:
+            steps.append(ProgramStep(
+                binds, same, residual,
+                range_probe=_range_probe(tables[relation], tuple(positions),
+                                         key_slots, range_plan, slots)))
+        elif not positions:
+            steps.append(ProgramStep(binds, same, residual,
+                                     scan=tables[relation].rows))
+        else:
+            handle = (relation, *positions)
+            found = handles.get(handle)
+            if found is None:
+                table = tables[relation]
+                found = handles[handle] = (
+                    table.index_on(positions).bucket_getter(),
+                    table.row_map)
+            steps.append(ProgramStep(binds, same, residual,
+                                     probe=found[0], row_map=found[1],
+                                     key_slots=key_slots))
+    pre = compiled(query.comparisons[index]
+                   for index in order.pre_comparisons)
+    return Program(tuple(steps), pre, variable_count, tuple(literals))
+
+
+def _range_probe(table, prefix_positions, key_slots, range_plan, slots):
+    """An ordered-index probe over the slot list.
+
+    The equality prefix is read from *key_slots*; each bound of the
+    range column is either fixed by the shape (a comparison constant)
+    or read from the slot of an earlier-bound variable.
+    """
     index = table.ordered_index_on(prefix_positions,
                                    range_plan.range_position)
-    lower_const, lower_var = _bound_spec(range_plan.lower)
-    upper_const, upper_var = _bound_spec(range_plan.upper)
-    all_const_prefix = all(is_const for _, is_const, _ in const_or_bound)
 
-    if all_const_prefix and lower_var is None and upper_var is None:
-        # Fully static window: materialize at compile time, like the
-        # all-constant hash path.
-        prefix_key = tuple(payload for _, _, payload in const_or_bound)
-        start, end = index.range_window(prefix_key, lower_const,
-                                        upper_const)
-        returned = end - start
-        table.note_range_probe(
-            returned, index.prefix_size(prefix_key) - returned)
-        return CompiledStep(
-            range_plan.residual, free,
-            const_rows=table.fetch_rows(index.row_ids_window(start, end)))
+    def bound_spec(spec):
+        """Split a RangePlan bound into (fixed pair, slot pair)."""
+        if spec is None:
+            return None, None
+        term, inclusive = spec
+        if isinstance(term, Constant):
+            return (term.value, inclusive), None
+        return None, (slots[term], inclusive)
 
-    key_template = tuple(payload if is_const else None
-                         for _, is_const, payload in const_or_bound)
-    var_slots = tuple((slot, payload)
-                      for slot, (_, is_const, payload)
-                      in enumerate(const_or_bound) if not is_const)
+    lower_fixed, lower_read = bound_spec(range_plan.lower)
+    upper_fixed, upper_read = bound_spec(range_plan.upper)
     range_window = index.range_window
     row_ids_window = index.row_ids_window
     prefix_size = index.prefix_size
@@ -190,211 +238,78 @@ def _compile_range_step(table, const_or_bound, free,
     row_map = table.row_map
     note = table.note_range_probe
 
-    def probe(valuation):
-        if var_slots:
-            slots = list(key_template)
-            for slot, variable in var_slots:
-                slots[slot] = valuation[variable]
-            prefix_key = tuple(slots)
-        else:
-            prefix_key = key_template
-        lower = lower_const
-        if lower_var is not None:
-            lower = (valuation[lower_var[0]], lower_var[1])
-        upper = upper_const
-        if upper_var is not None:
-            upper = (valuation[upper_var[0]], upper_var[1])
+    def probe(slot_list):
+        prefix_key = tuple([slot_list[slot] for slot in key_slots])
+        lower = lower_fixed
+        if lower_read is not None:
+            lower = (slot_list[lower_read[0]], lower_read[1])
+        upper = upper_fixed
+        if upper_read is not None:
+            upper = (slot_list[upper_read[0]], upper_read[1])
         start, end = range_window(prefix_key, lower, upper)
         returned = end - start
-        candidates = (total_entries() if not prefix_key
-                      else prefix_size(prefix_key))
+        candidates = (prefix_size(prefix_key) if prefix_key
+                      else total_entries())
         note(returned, candidates - returned)
         if not returned:
             return iter(())
         return iter([row_map[row_id]
                      for row_id in row_ids_window(start, end)])
 
-    return CompiledStep(range_plan.residual, free, range_probe=probe)
+    return probe
 
 
 class Executor:
     """Evaluates conjunctive queries against a database instance."""
 
     def __init__(self, database):
-        self._database = database
         self._planner = Planner(database)
-        # Compiled-template cache: query -> (compiled steps, pre
-        # comparisons, involved tables, table versions at compile time).
-        # Guarded by a lock — evaluation runs on worker threads during
-        # parallel component rounds.
-        self._compiled: dict[ConjunctiveQuery, tuple] = {}
-        # table name -> cached queries reading it (targeted eviction on
-        # mutation; see invalidate_tables).
-        self._compiled_by_table: dict[str, set] = {}
-        self._compiled_lock = threading.Lock()
-        # Diagnostics (read by benchmarks and tests).
-        self.compile_hits = 0
-        self.compile_misses = 0
-        # Ordered-index pushdown: compiled plans serve sargable
-        # comparisons from bisected windows.  Disabled only for the
+        # Ordered-index pushdown: programs serve sargable comparisons
+        # from bisected windows.  Disabled only for the
         # scan-and-filter baseline legs of the range benchmarks.
         self.range_pushdown = True
-        # Compile-time contradictions collapsed to an empty plan.
+        # Evaluations of shapes proven contradictory at compile time.
         self.empty_prunes = 0
 
     @property
     def planner(self) -> Planner:
-        """The (plan-caching) planner this executor runs on."""
+        """The planner (and shape cache) this executor runs on."""
         return self._planner
 
     def evaluate(self, query: ConjunctiveQuery,
-                 limit: int | None = None,
-                 reusable: bool = True) -> Iterator[Valuation]:
+                 limit: int | None = None) -> Iterator[Valuation]:
         """Yield valuations (variable -> value) satisfying *query*.
 
         Respects ``query.distinct`` (projected on ``output_variables``)
         and stops after *limit* results if given.  An atom-free query
         yields one empty valuation iff all constant comparisons hold.
-
-        ``reusable=False`` hints that an identical query will not be
-        evaluated again (e.g. the coordination engine's one-shot
-        incremental attempts, whose outcomes are cached upstream); the
-        compiled-template cache is bypassed entirely for those, saving
-        its per-evaluation admission cost.
         """
-        compiled, pre = self._compiled_for(query, reusable)
-        results = self._run(pre, compiled)
+        shape, params, slots = bind_query(query)
+        order, program = self._planner.lookup(shape, query)
+        if program is None:
+            program = _build_program(shape, query, slots, order,
+                                     self.range_pushdown)
+            self._planner.retain_program(shape, order, program)
+        if program.contradiction:
+            self.empty_prunes += 1
+        results = self._search(program, params, slots)
         if query.distinct:
             results = self._deduplicate(results, query)
         if limit is not None:
             results = self._take(results, limit)
         return results
 
-    def _compiled_for(self, query: ConjunctiveQuery,
-                      reusable: bool) -> tuple:
-        """The compiled probe machinery for *query*, cached by value.
-
-        Queries are frozen value objects, so an equal query re-used
-        across evaluations (a dirty component re-attempted, a repeated
-        CHOOSE enumeration) hits the template and skips both planning
-        and step compilation.  Entries pin the tables they compile
-        against and are revalidated by mutation version on every hit —
-        a ``const_rows`` materialization or index handle from an older
-        snapshot can never leak into a newer one.
-        """
-        if not reusable:
-            return self._compile_fresh(query)
-        # Lock-free read: dict lookups are atomic under CPython and
-        # entries are immutable tuples; only writes take the lock.
-        entry = self._compiled.get(query)
-        if entry is not None:
-            compiled, pre, tables, versions = entry
-            # Validate against the *live* catalog, not just the pinned
-            # versions: a dropped-and-recreated table is a different
-            # object whose version counter restarts, so an identity
-            # check is needed to keep stale rows from surviving DDL.
-            table_or_none = self._database.table_or_none
-            for table, version in zip(tables, versions):
-                if (table_or_none(table.schema.name) is not table
-                        or table.version != version):
-                    break
-            else:
-                self.compile_hits += 1
-                return compiled, pre
-        self.compile_misses += 1
-
-        compiled, pre, tables = self._compile_fresh(query,
-                                                    with_tables=True)
-        versions = tuple(table.version for table in tables)
-        with self._compiled_lock:
-            if len(self._compiled) >= MAX_COMPILED_PLANS:
-                self._compiled.clear()
-                self._compiled_by_table.clear()
-            self._compiled[query] = (compiled, pre, tables, versions)
-            for table in tables:
-                self._compiled_by_table.setdefault(
-                    table.schema.name, set()).add(query)
-        return compiled, pre
-
-    def invalidate_tables(self, names) -> None:
-        """Evict compiled templates (and cached plan orders) reading
-        any of *names*; entries over untouched tables survive.
-
-        Called by the database on every committed mutation.  The
-        per-hit version/identity validation in :meth:`_compiled_for`
-        remains the correctness backstop for direct table mutations.
-        An evicted entry leaves *every* table's reverse-index bucket,
-        not just the mutated one, so stable tables' buckets cannot
-        accumulate references to dead entries under mutation-heavy
-        workloads.
-        """
-        with self._compiled_lock:
-            for name in names:
-                for query in self._compiled_by_table.pop(name, ()):
-                    entry = self._compiled.pop(query, None)
-                    if entry is None:
-                        continue
-                    for table in entry[2]:
-                        other = table.schema.name
-                        bucket = self._compiled_by_table.get(other)
-                        if bucket is not None:
-                            bucket.discard(query)
-                            if not bucket:
-                                del self._compiled_by_table[other]
-        self._planner.invalidate_tables(names)
-
-    def compiled_plan_count(self) -> int:
-        """Number of cached compiled templates (diagnostics)."""
-        with self._compiled_lock:
-            return len(self._compiled)
-
     def set_range_pushdown(self, enabled: bool) -> None:
         """Toggle ordered-index pushdown (benchmark baselines only).
 
-        Compiled templates and cached plan orders embed the decision,
-        so both caches are dropped; the planner's selectivity term is
-        toggled in lockstep to keep the baseline leg's plans identical
-        to the pre-ordered-index planner.
+        Programs and cached plan orders embed the decision, so the
+        cache is dropped; the planner's selectivity term is toggled in
+        lockstep to keep the baseline leg's plans identical to the
+        pre-ordered-index planner.
         """
         self.range_pushdown = enabled
         self._planner.range_selectivity = enabled
         self._planner.clear_cache()
-        with self._compiled_lock:
-            self._compiled.clear()
-            self._compiled_by_table.clear()
-
-    def _compile_fresh(self, query: ConjunctiveQuery,
-                       with_tables: bool = False) -> tuple:
-        # The planner resolves every table up front, so unknown relations
-        # and arity mismatches fail fast here, before any probing.  The
-        # compiled probe machinery is built straight from the cached
-        # index order — no Plan/PlanStep objects on the hot path.
-        order, tables = self._planner.plan_order(query)
-        atoms = query.atoms
-        comparisons = query.comparisons
-        pushdown = self.range_pushdown
-        bound: set[Variable] = set()
-        steps = []
-        for atom_index, scheduled in zip(order.atom_order,
-                                         order.step_comparisons):
-            step = _compile_step(
-                tables[atom_index], atoms[atom_index],
-                tuple(comparisons[index] for index in scheduled),
-                bound, pushdown)
-            if step.is_empty:
-                # A contradictory interval empties the whole
-                # conjunction: collapse the plan to the one step that
-                # yields nothing instead of scanning and filtering.
-                self.empty_prunes += 1
-                steps = [step]
-                break
-            steps.append(step)
-        compiled = tuple(steps)
-        pre = tuple(comparisons[index] for index in order.pre_comparisons)
-        if with_tables:
-            involved = tuple(tables[index] for index in order.atom_order)
-            return compiled, pre, involved
-        return compiled, pre
 
     def first(self, query: ConjunctiveQuery) -> Optional[Valuation]:
         """Return one satisfying valuation or None (``LIMIT 1``)."""
@@ -412,106 +327,76 @@ class Executor:
 
     # ------------------------------------------------------------------
 
-    def _run(self, pre_comparisons: Sequence[Comparison],
-             compiled: Sequence[CompiledStep]) -> Iterator[Valuation]:
-        for comparison in pre_comparisons:
-            if not comparison.evaluate({}):
-                return
-        yield from self._search(compiled)
-
     @staticmethod
-    def _rows_for(step: CompiledStep, valuation: Valuation):
-        """Row iterator for *step* under the current partial valuation."""
-        if step.const_rows is not None:
-            return iter(step.const_rows)
+    def _rows_for(step: ProgramStep, slots: list):
+        """Row iterator for *step* under the current slot values."""
         if step.scan is not None:
             return step.scan()
         if step.range_probe is not None:
-            return step.range_probe(valuation)
-        if step.single_var is not None:
-            key = (valuation[step.single_var],)
+            return step.range_probe(slots)
+        if step.single is not None:
+            key = (slots[step.single],)
         else:
-            slots = list(step.key_template)
-            for slot, variable in step.var_slots:
-                slots[slot] = valuation[variable]
-            key = tuple(slots)
+            key = step.key(slots)
         row_ids = step.probe(key)
         if not row_ids:
             return iter(())
         row_map = step.row_map
         return iter([row_map[row_id] for row_id in row_ids])
 
-    def _search(self, compiled: Sequence[CompiledStep]
-                ) -> Iterator[Valuation]:
-        """Iterative backtracking search over the compiled plan.
+    def _search(self, program: Program, params: list,
+                variables) -> Iterator[Valuation]:
+        """Iterative backtracking search over the program's steps.
 
         One explicit stack of row iterators instead of a generator per
         recursion depth: results no longer bubble through a chain of
         ``yield from`` frames, which roughly halves the per-row overhead
         of deep join plans (the coordination hot path evaluates millions
-        of rows per benchmark round).
+        of rows per benchmark round).  All run state is local to the
+        call — programs are shared across threads.  A slot is only read
+        by steps deeper than the one that binds it, so backtracking
+        needs no undo: the next row simply overwrites it.
         """
-        last = len(compiled) - 1
+        if program.contradiction:
+            return
+        slots: list = [None] * program.variable_count
+        slots.extend(params)
+        slots.extend(program.literals)
+        for compare, left, right in program.pre:
+            if not compare(slots[left], slots[right]):
+                return
+        steps = program.steps
+        last = len(steps) - 1
         if last < 0:
             yield {}
             return
-        valuation: Valuation = {}
         iterators: list = [None] * (last + 1)
-        undo: list[tuple] = [()] * (last + 1)
         sentinel = _EXHAUSTED
         rows_for = self._rows_for
         depth = 0
-        iterators[0] = rows_for(compiled[0], valuation)
+        iterators[0] = rows_for(steps[0], slots)
         while True:
             row = next(iterators[depth], sentinel)
             if row is sentinel:
                 depth -= 1
                 if depth < 0:
                     return
-                for variable in undo[depth]:
-                    del valuation[variable]
-                undo[depth] = ()
                 continue
-            step = compiled[depth]
-            free = step.free_positions
-            # Binding fast paths: almost every step binds zero or one
-            # new variable, where no per-row extension dict is needed.
-            if not free:
-                bound_here: tuple = ()
-            elif len(free) == 1:
-                position, variable = free[0]
-                valuation[variable] = row[position]
-                bound_here = (variable,)
-            else:
-                extension: dict[Variable, object] = {}
-                consistent = True
-                for position, variable in free:
-                    value = row[position]
-                    if variable in extension:
-                        # Repeated free variable in one atom, e.g. F(x, x).
-                        if extension[variable] != value:
-                            consistent = False
-                            break
-                    else:
-                        extension[variable] = value
-                if not consistent:
-                    continue
-                valuation.update(extension)
-                bound_here = tuple(extension)
+            step = steps[depth]
+            for position, slot in step.binds:
+                slots[slot] = row[position]
+            if step.same and any(row[position] != slots[slot]
+                                 for position, slot in step.same):
+                continue
             if step.comparisons and not all(
-                    comparison.evaluate(valuation)
-                    for comparison in step.comparisons):
-                for variable in bound_here:
-                    del valuation[variable]
+                    compare(slots[left], slots[right])
+                    for compare, left, right in step.comparisons):
                 continue
             if depth == last:
-                yield dict(valuation)
-                for variable in bound_here:
-                    del valuation[variable]
+                yield dict(zip(variables, slots))
                 continue
-            undo[depth] = bound_here
             depth += 1
-            iterators[depth] = rows_for(compiled[depth], valuation)
+            iterators[depth] = rows_for(steps[depth], slots)
 
     @staticmethod
     def _deduplicate(results: Iterator[Valuation],
@@ -533,10 +418,7 @@ class Executor:
               limit: int) -> Iterator[Valuation]:
         if limit < 0:
             raise QueryEvaluationError(f"limit must be >= 0, got {limit}")
-        for count, valuation in enumerate(results):
-            if count >= limit:
-                return
-            yield valuation
+        return islice(results, limit)
 
 
 def evaluate_naive(database, query: ConjunctiveQuery) -> list[Valuation]:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 from ..core.terms import Atom, Constant, Term, Variable, variables_of
 from ..errors import QueryEvaluationError
 
-_OPERATORS: dict[str, Callable[[object, object], bool]] = {
+OPERATORS: dict[str, Callable[[object, object], bool]] = {
     "=": operator.eq,
     "!=": operator.ne,
     "<": operator.lt,
@@ -47,8 +47,8 @@ class Comparison:
     right: Term
 
     def __post_init__(self) -> None:
-        if self.op not in _OPERATORS:
-            valid = ", ".join(sorted(_OPERATORS))
+        if self.op not in OPERATORS:
+            valid = ", ".join(sorted(OPERATORS))
             raise QueryEvaluationError(
                 f"unknown comparison operator {self.op!r}; "
                 f"expected one of {valid}")
@@ -62,7 +62,7 @@ class Comparison:
         """Evaluate under *valuation*; all variables must be bound."""
         left = self._value(self.left, valuation)
         right = self._value(self.right, valuation)
-        return _OPERATORS[self.op](left, right)
+        return OPERATORS[self.op](left, right)
 
     @staticmethod
     def _value(term: Term, valuation: dict[Variable, object]) -> object:

@@ -18,15 +18,17 @@ to keep the paper's combined queries (chains of Friends/User joins)
 near-linear.
 
 Coordination rounds plan thousands of *structurally identical* combined
-queries that differ only in their constants (every two-way pair produces
-the same join shape with different user names).  The planner therefore
-caches the chosen atom order and comparison schedule keyed by a
-:func:`query_signature` — relations, bound-position pattern, join
-structure via first-occurrence variable numbering, and comparison shape.
-A cache hit rebuilds the plan for the concrete query in O(atoms) instead
-of re-running the O(atoms²) greedy cost search.  Cached orders are
-validated against the involved tables' mutation versions, so data
-changes fall back to fresh greedy planning.
+queries that differ only in their atoms' constants and in the names of
+renamed-apart variables (every two-way pair produces the same join shape
+with different user names).  :func:`bind_query` splits a query into its
+*shape* — relations, constant/variable pattern, join structure via
+first-occurrence variable numbering, comparisons — and the values that
+fill it; the planner caches one entry per shape: the chosen atom order
+and comparison schedule plus, attached by the executor, the program
+compiled from them.  A cache hit skips both the O(atoms²) greedy cost
+search and compilation.  Entries pin the tables they were planned
+against and are validated by identity and mutation version, so data
+changes and drop-and-recreate fall back to fresh planning.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..core.terms import Atom, Constant, TermNumbering, Variable
+from ..core.terms import Atom, Constant, Variable
 from ..errors import QueryEvaluationError
 from .expression import (Comparison, ConjunctiveQuery, Interval,
                          constant_intervals)
@@ -48,28 +50,62 @@ DEFAULT_RANGE_SELECTIVITY = 0.3
 #: sufficient: coordination workloads produce a handful of shapes).
 MAX_CACHED_PLANS = 1024
 
+#: Compiled programs are retained until their steps total this many,
+#: then dropped wholesale (their plan orders stay).  A massively
+#: unifying workload produces an ever larger shape per closure; by
+#: entry count those would pin tens of MiB of step objects.
+MAX_RETAINED_STEPS = 4_096
+
+#: Shape token of an atom constant (its value is a run-time parameter).
+CONSTANT_MARK = "c"
+
+
+def bind_query(query: ConjunctiveQuery) -> tuple[tuple, list, dict]:
+    """Split *query* into ``(shape, params, slots)`` in one pass.
+
+    Two queries share a shape iff they are identical up to renaming
+    variables and changing the constant values *in atoms*: same
+    relation sequence, same constant/variable pattern per position,
+    same variable-sharing (join) structure, same comparisons.  Any atom
+    order — and any compiled program — valid for one is valid for the
+    other.  *params* lists the atoms' constant values in order of
+    appearance; *slots* maps each variable to its first-occurrence
+    number (and, being insertion-ordered, lists the variables by slot).
+
+    Constants in comparisons stay in the shape by value: range
+    planning, contradiction detection and the planner's interval
+    selectivity are decided per shape, at compile time.
+    """
+    slots: dict[Variable, int] = {}
+    params: list = []
+    atom_tokens = []
+    for atom in query.atoms:
+        tokens = []
+        for term in atom.args:
+            if isinstance(term, Constant):
+                params.append(term.value)
+                tokens.append(CONSTANT_MARK)
+            else:
+                tokens.append(slots.setdefault(term, len(slots)))
+        atom_tokens.append((atom.relation, tuple(tokens)))
+
+    comparison_tokens = ()
+    if query.comparisons:
+        def token(term):
+            if isinstance(term, Constant):
+                return (CONSTANT_MARK, term.value)
+            return slots.setdefault(term, len(slots))
+
+        comparison_tokens = tuple(
+            (comparison.op, token(comparison.left),
+             token(comparison.right))
+            for comparison in query.comparisons)
+    return (tuple(atom_tokens), comparison_tokens), params, slots
+
 
 def query_signature(query: ConjunctiveQuery) -> tuple:
-    """A hashable structural key for plan caching.
-
-    Two queries share a signature iff they are identical up to renaming
-    variables and changing constant *values*: same relation sequence,
-    same constant/variable pattern per position, same variable-sharing
-    (join) structure, and same comparison shapes.  Any atom order that is
-    valid for one is valid for the other, so a cached order can be
-    replayed on the concrete atoms of either.  Constant values are
-    deliberately excluded — plans are order-correct for any constants,
-    and including values would make every per-user combined query a
-    cache miss.
-    """
-    numbering = TermNumbering()
-    atom_tokens = numbering.atoms_key(query.atoms, constant_values=False)
-    comparison_tokens = tuple(
-        (comparison.op,
-         numbering.token(comparison.left, constant_values=False),
-         numbering.token(comparison.right, constant_values=False))
-        for comparison in query.comparisons)
-    return (atom_tokens, comparison_tokens, query.distinct)
+    """The plan-cache key of *query*: its :func:`bind_query` shape."""
+    return bind_query(query)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,32 +140,40 @@ class Plan:
         return "\n".join(lines) if lines else "(empty plan)"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class _CachedOrder:
-    """A reusable planning decision for one query signature.
+    """The cache entry for one query shape.
 
     Attributes:
         atom_order: indices into ``query.atoms`` in execution order.
         step_comparisons: per step, indices into ``query.comparisons``
             scheduled at that step.
         pre_comparisons: indices of constant-only comparisons.
-        table_versions: mutation versions of the involved tables at plan
-            time, in ``atom_order`` sequence; a mismatch invalidates the
-            entry (stats may have shifted enough to change the greedy
-            choice).
+        reads: ``(name, table, version)`` per distinct table read —
+            the table object and its mutation version at plan time.  A
+            version mismatch invalidates the entry (stats may have
+            shifted enough to change the greedy choice); an identity
+            mismatch means the table was dropped and recreated, whose
+            version counter restarts.
+        program: the executor's compiled program for this shape, or
+            None while none is retained.  It holds handles into the
+            ``reads`` tables and no rows, so it lives and dies with
+            this entry.
     """
 
     atom_order: tuple[int, ...]
     step_comparisons: tuple[tuple[int, ...], ...]
     pre_comparisons: tuple[int, ...]
-    table_versions: tuple[int, ...]
+    reads: tuple[tuple, ...]
+    program: object = None
 
 
 class Planner:
     """Plans conjunctive queries against a database's statistics.
 
-    The *database* object must expose ``table(name)`` returning an object
-    with ``count_probe(bindings)``, ``version`` and ``__len__`` — i.e.
+    The *database* object must expose ``table(name)`` and
+    ``table_or_none(name)`` returning an object with
+    ``count_probe(bindings)``, ``version`` and ``__len__`` — i.e.
     :class:`repro.db.table.Table`.
     """
 
@@ -137,17 +181,19 @@ class Planner:
         self._database = database
         self._cache_plans = cache_plans
         self._cache: dict[tuple, _CachedOrder] = {}
-        # table name -> signatures of cached orders reading it (so a
-        # mutation evicts exactly the entries it invalidates), plus
-        # the inverse so an eviction leaves every bucket it is in.
+        # table name -> shapes of cached entries reading it (so a
+        # mutation evicts exactly the entries it invalidates).
         self._by_table: dict[str, set[tuple]] = {}
-        self._sig_tables: dict[tuple, tuple[str, ...]] = {}
-        # Guards the cache and its counters: plan_order is called from
+        # Steps of the programs currently retained by cache entries.
+        self._retained_steps = 0
+        # Guards the cache and its counters: lookup is called from
         # worker threads during parallel component evaluation.
         self._cache_lock = threading.Lock()
         # Diagnostics (read by benchmarks and tests).
         self.cache_hits = 0
         self.cache_misses = 0
+        self.program_hits = 0
+        self.program_builds = 0
         # Fold constant-interval selectivity into the greedy cost so
         # sargable atoms are ordered to exploit the ordered indexes.
         # Toggled off together with executor pushdown for baselines.
@@ -155,102 +201,132 @@ class Planner:
 
     def plan(self, query: ConjunctiveQuery) -> Plan:
         """Produce an execution order for *query*."""
-        order, _ = self.plan_order(query)
+        order, _ = self.lookup(bind_query(query)[0], query)
         return self._replay(query, order)
 
-    def plan_order(self,
-                   query: ConjunctiveQuery) -> tuple[_CachedOrder, list]:
-        """The index-level planning decision plus resolved tables.
+    def lookup(self, shape: tuple,
+               query: ConjunctiveQuery) -> tuple[_CachedOrder, object]:
+        """The planning decision for *shape* and its retained program.
 
-        This is the executor's entry point: on a cache hit nothing is
-        validated or materialized beyond the table-resolution loop —
-        signature-equal queries are structurally interchangeable, so the
-        seeding query's validation covers them, and the executor
-        compiles its probe machinery straight from the index order.
+        This is the executor's entry point.  On a hit nothing is
+        planned, validated or resolved beyond the entry's table check —
+        shape-equal queries are structurally interchangeable, so the
+        seeding query's validation covers them.  On a miss *query* is
+        planned; unknown relations and arity mismatches fail fast
+        here, before any probing.  The program is None when the entry
+        is new or retains none (see :meth:`retain_program`).
         """
-        # Resolve tables up front: fails fast on unknown relations and
-        # hoists the per-step arity checks out of the executor's inner
-        # recursion into plan build time.
-        tables = []
+        if self._cache_plans:
+            with self._cache_lock:
+                cached = self._cache.get(shape)
+                if cached is not None:
+                    table_or_none = self._database.table_or_none
+                    for name, table, version in cached.reads:
+                        if (table_or_none(name) is not table
+                                or table.version != version):
+                            self._evict(shape)
+                            break
+                    else:
+                        self.cache_hits += 1
+                        program = cached.program
+                        if program is not None:
+                            self.program_hits += 1
+                        return cached, program
+                self.cache_misses += 1
+
+        reads: dict[str, tuple] = {}
         for atom in query.atoms:
             table = self._database.table(atom.relation)
             if table.schema.arity != atom.arity:
                 raise QueryEvaluationError(
                     f"atom {atom} has arity {atom.arity} but table "
                     f"{atom.relation!r} has arity {table.schema.arity}")
-            tables.append(table)
-
-        if not self._cache_plans:
-            query.validate()
-            return self._plan_greedy(query)[1], tables
-
-        signature = query_signature(query)
-        with self._cache_lock:
-            cached = self._cache.get(signature)
-            if cached is not None:
-                versions = tuple(tables[index].version
-                                 for index in cached.atom_order)
-                if versions == cached.table_versions:
-                    self.cache_hits += 1
-                    return cached, tables
-            self.cache_misses += 1
-        # Greedy planning is the expensive part; run it unlocked (two
-        # racing threads at worst both plan and one insert wins).
+            reads[atom.relation] = (atom.relation, table, table.version)
         query.validate()
-        _, order = self._plan_greedy(query)
-        stored = _CachedOrder(
-            atom_order=order.atom_order,
-            step_comparisons=order.step_comparisons,
-            pre_comparisons=order.pre_comparisons,
-            table_versions=tuple(tables[index].version
-                                 for index in order.atom_order))
+        # Greedy planning is the expensive part; run it unlocked (two
+        # racing threads at worst both plan and the later insert wins).
+        order = self._plan_greedy(query, tuple(reads.values()))
+        if self._cache_plans:
+            with self._cache_lock:
+                if shape in self._cache:
+                    self._evict(shape)
+                elif len(self._cache) >= MAX_CACHED_PLANS:
+                    self._clear()
+                self._cache[shape] = order
+                for relation in reads:
+                    self._by_table.setdefault(relation, set()).add(shape)
+        return order, None
+
+    def retain_program(self, shape: tuple, order: _CachedOrder,
+                       program: object) -> None:
+        """Record a program build; keep *program* with *order* if the
+        step budget allows.
+
+        The budget counts plan steps, not entries: when the new
+        program does not fit beside the retained ones they are all
+        dropped (their orders stay cached), and a program larger than
+        the whole budget is simply not kept — the caller runs it once.
+        """
+        steps = len(order.atom_order)
         with self._cache_lock:
-            if len(self._cache) >= MAX_CACHED_PLANS:
-                self._cache.clear()
-                self._by_table.clear()
-                self._sig_tables.clear()
-            self._cache[signature] = stored
-            relations = {atom.relation for atom in query.atoms}
-            self._sig_tables[signature] = tuple(relations)
-            for relation in relations:
-                self._by_table.setdefault(relation,
-                                          set()).add(signature)
-        return stored, tables
+            self.program_builds += 1
+            if (steps > MAX_RETAINED_STEPS
+                    or self._cache.get(shape) is not order):
+                return
+            if self._retained_steps + steps > MAX_RETAINED_STEPS:
+                for other in self._cache.values():
+                    other.program = None
+                self._retained_steps = 0
+            if order.program is None:
+                self._retained_steps += steps
+            order.program = program
 
     def clear_cache(self) -> None:
-        """Drop all cached plan orders."""
+        """Drop all cached plan orders (and their programs)."""
         with self._cache_lock:
-            self._cache.clear()
-            self._by_table.clear()
-            self._sig_tables.clear()
+            self._clear()
 
     def invalidate_tables(self, names: Iterable[str]) -> None:
-        """Evict cached orders whose query reads any of *names*.
+        """Evict cached entries whose query reads any of *names*.
 
         Called by the database on every committed mutation; entries
         over untouched tables stay (the cache-hit counters prove it),
-        and an evicted signature leaves every table's bucket so stable
+        and an evicted entry leaves every table's bucket so stable
         tables cannot accumulate dead references.  The per-hit
-        table-version check remains as the correctness backstop for
-        mutations that bypass the database facade.
+        table check remains as the correctness backstop for mutations
+        that bypass the database facade.
         """
         with self._cache_lock:
             for name in names:
-                for signature in self._by_table.pop(name, ()):
-                    self._cache.pop(signature, None)
-                    for other in self._sig_tables.pop(signature, ()):
-                        if other == name:
-                            continue
-                        bucket = self._by_table.get(other)
-                        if bucket is not None:
-                            bucket.discard(signature)
-                            if not bucket:
-                                del self._by_table[other]
+                for shape in tuple(self._by_table.get(name, ())):
+                    self._evict(shape)
 
     def cached_plan_count(self) -> int:
         """Number of cached plan orders (diagnostics)."""
         with self._cache_lock:
             return len(self._cache)
+
+    def retained_program_count(self) -> int:
+        """Number of cached entries holding a program (diagnostics)."""
+        with self._cache_lock:
+            return sum(order.program is not None
+                       for order in self._cache.values())
+
+    def _clear(self) -> None:
+        self._cache.clear()
+        self._by_table.clear()
+        self._retained_steps = 0
+
+    def _evict(self, shape: tuple) -> None:
+        """Remove one entry, its program's steps and its bucket slots."""
+        order = self._cache.pop(shape)
+        if order.program is not None:
+            self._retained_steps -= len(order.atom_order)
+        for name, _, _ in order.reads:
+            bucket = self._by_table[name]
+            bucket.discard(shape)
+            if not bucket:
+                del self._by_table[name]
 
     @staticmethod
     def _replay(query: ConjunctiveQuery, cached: _CachedOrder) -> Plan:
@@ -265,9 +341,9 @@ class Planner:
                     for index in cached.pre_comparisons)
         return Plan(steps, pre)
 
-    def _plan_greedy(self,
-                     query: ConjunctiveQuery) -> tuple[Plan, _CachedOrder]:
-        """Run the greedy search; also report the index-level decisions.
+    def _plan_greedy(self, query: ConjunctiveQuery,
+                     reads: tuple) -> _CachedOrder:
+        """Run the greedy search over *query*'s atoms.
 
         Cost estimates are memoized per remaining atom and invalidated
         only when one of the atom's own variables becomes bound — the
@@ -296,7 +372,6 @@ class Planner:
 
         atom_order: list[int] = []
         step_comparisons: list[tuple[int, ...]] = []
-        steps: list[PlanStep] = []
         while remaining:
             best_index = None
             best_key: tuple | None = None
@@ -316,7 +391,6 @@ class Planner:
                     best_key = key
                     best_index = atom_index
             remaining.remove(best_index)
-            atom = atoms[best_index]
             newly_bound = atom_vars[best_index] - bound
             bound |= newly_bound
             if newly_bound:
@@ -329,15 +403,11 @@ class Planner:
                        if not query.comparisons[index].variables() <= bound]
             atom_order.append(best_index)
             step_comparisons.append(ready)
-            steps.append(PlanStep(
-                atom, tuple(query.comparisons[index] for index in ready)))
         if pending:  # pragma: no cover - validate() precludes
             raise QueryEvaluationError(
                 "comparisons left unscheduled; query not range-restricted")
-        pre = tuple(query.comparisons[index] for index in pre_indices)
-        order = _CachedOrder(tuple(atom_order), tuple(step_comparisons),
-                             pre_indices, ())
-        return Plan(tuple(steps), pre), order
+        return _CachedOrder(tuple(atom_order), tuple(step_comparisons),
+                            pre_indices, reads)
 
     # ------------------------------------------------------------------
 

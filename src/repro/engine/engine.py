@@ -522,9 +522,9 @@ class D3CEngine:
         Components whose plans read ``delta.table`` are re-queued on
         the scheduler's worklist (their failed-group entries dropped,
         their feasibility enumerations evicted); components over
-        untouched tables keep their clean state.  The db-layer caches
-        (plan orders, compiled templates) were already evicted by the
-        database before listeners ran.
+        untouched tables keep their clean state.  The db layer's shape
+        cache (plan orders, compiled programs) was already evicted by
+        the database before listeners ran.
         """
         with self._lock:
             self._runtime.mark_tables_dirty((delta.table,))

@@ -43,12 +43,13 @@ from typing import Iterable, Optional, Sequence
 
 from ..concurrency import map_bounded
 from ..core.combine import build_combined_query
-from ..core.evaluate import _record_answers
+from ..core.evaluate import CoordinationResult, _record_answers
 from ..core.graph import GraphDelta, UnifiabilityGraph
 from ..core.matching import ComponentMatch, match_component
 from ..core.query import EntangledQuery
 from ..core.terms import Constant, TermNumbering
 from ..core.ucs import check_ucs_graph
+from ..db.expression import ConjunctiveQuery
 from ..errors import ReproError
 from ..obs.trace import TRACER
 from .partitions import PartitionManager
@@ -551,7 +552,6 @@ class CoordinationScheduler:
         submits enumerates the same friends-and-towns join).  The memo
         is dropped by :meth:`invalidate`.
         """
-        from ..db.expression import ConjunctiveQuery
         host = self._host
         if not query.body:
             return edges
@@ -594,7 +594,7 @@ class CoordinationScheduler:
                 count = 0
                 stream = host.database.evaluate(
                     ConjunctiveQuery(query.body),
-                    limit=self._FEASIBILITY_LIMIT, reusable=False)
+                    limit=self._FEASIBILITY_LIMIT)
                 for valuation in stream:
                     count += 1
                     canon_valuations.append(
@@ -796,8 +796,7 @@ class CoordinationScheduler:
                 continue
             combined = build_combined_query(queries_by_id, match)
             host.stats.combined_queries_built += 1
-            if self._evaluate_combined(combined, queries_by_id,
-                                       reusable=True):
+            if self._evaluate_combined(combined, queries_by_id):
                 continue
             if host.ucs_fallback:
                 self._core_fallback(match)
@@ -816,7 +815,7 @@ class CoordinationScheduler:
             if core_queries is not None:
                 self._evaluate_combined(
                     build_combined_query(core_queries, core_match),
-                    core_queries, reusable=True)
+                    core_queries)
 
     def _evaluate_parallel(self, matches: list[ComponentMatch]) -> None:
         """Evaluate independent partitions on the shared worker pool.
@@ -846,7 +845,6 @@ class CoordinationScheduler:
         host.stats.db_seconds += time.perf_counter() - start
         host.stats.combined_queries_built += len(outcomes)
 
-        from ..core.evaluate import CoordinationResult
         for combined, valuations in outcomes:
             if not valuations:
                 continue
@@ -858,15 +856,8 @@ class CoordinationScheduler:
     # evaluation
     # ------------------------------------------------------------------
 
-    def _evaluate_combined(self, combined, queries_by_id,
-                           reusable: bool = False) -> bool:
-        """Evaluate a combined query; settle and evict on success.
-
-        *reusable* feeds the executor's compiled-template cache: batch
-        drains may re-attempt an identical combined query (a dirty
-        component whose data changed back, an invalidated worklist),
-        while incremental attempts are one-shot — their outcomes are
-        cached upstream in the failed-group set."""
+    def _evaluate_combined(self, combined, queries_by_id) -> bool:
+        """Evaluate a combined query; settle and evict on success."""
         host = self._host
         choose = max(query.choose for query in queries_by_id.values())
         tracer = TRACER
@@ -875,10 +866,9 @@ class CoordinationScheduler:
         start = time.perf_counter()
         if host.rng is None:
             valuations = list(host.database.evaluate(combined.query,
-                                                     limit=choose,
-                                                     reusable=reusable))
+                                                     limit=choose))
         else:
-            valuations = self._sample(combined.query, choose, reusable)
+            valuations = self._sample(combined.query, choose)
         host.stats.db_seconds += time.perf_counter() - start
         if tracer.enabled:
             tracer.record("db.evaluate", start_ns,
@@ -887,18 +877,15 @@ class CoordinationScheduler:
         if not valuations:
             return False
 
-        from ..core.evaluate import CoordinationResult
         scratch = CoordinationResult()
         _record_answers(combined, valuations, scratch)
         host._settle_answers(scratch.answers)
         return True
 
-    def _sample(self, query, choose: int,
-                reusable: bool = False) -> list:
+    def _sample(self, query, choose: int) -> list:
         host = self._host
         reservoir: list = []
-        for count, valuation in enumerate(
-                host.database.evaluate(query, reusable=reusable)):
+        for count, valuation in enumerate(host.database.evaluate(query)):
             if len(reservoir) < choose:
                 reservoir.append(valuation)
             else:

@@ -1,7 +1,7 @@
 """Targeted cache invalidation under live database mutations.
 
-Every data-dependent cache in the stack — the planner's plan-order
-cache, the executor's compiled-template cache, the scheduler's
+Every data-dependent cache in the stack — the planner's shape cache
+(plan orders and the programs compiled from them), the scheduler's
 feasibility memo and failed-group set, and the dirty-component
 worklist — must (a) return correct results after a mutation to a table
 it covered and (b) keep its entries for untouched tables, proven by the
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.query import EntangledQuery
 from repro.core.terms import Variable, atom
-from repro.db import Database
+from repro.db import Database, evaluate_naive
 from repro.db.expression import ConjunctiveQuery
 from repro.engine.engine import D3CEngine
 from repro.errors import SchemaError
@@ -44,18 +44,18 @@ def _cq(table: str) -> ConjunctiveQuery:
 def test_plan_cache_mutation_evicts_covered_table_only():
     db = _two_table_db()
     planner = db._executor.planner
-    planner.plan_order(_cq("A"))
-    planner.plan_order(_cq("B"))
+    planner.plan(_cq("A"))
+    planner.plan(_cq("B"))
     assert planner.cached_plan_count() == 2
 
-    planner.plan_order(_cq("A"))
+    planner.plan(_cq("A"))
     hits_before = planner.cache_hits
     assert hits_before >= 1
 
     db.insert("B", [("b3", "w3")])
     # B's entry is gone, A's survives and still hits.
     assert planner.cached_plan_count() == 1
-    planner.plan_order(_cq("A"))
+    planner.plan(_cq("A"))
     assert planner.cache_hits == hits_before + 1
     misses_before = planner.cache_misses
     rows = sorted(valuation[Variable("B_l")]
@@ -76,33 +76,34 @@ def test_plan_cache_delete_also_invalidates():
 
 
 # ----------------------------------------------------------------------
-# executor compiled-template cache
+# compiled programs (kept with their plan-cache entries)
 # ----------------------------------------------------------------------
 
 
-def test_compiled_templates_survive_unrelated_mutations():
+def test_programs_survive_unrelated_mutations():
     db = _two_table_db()
-    executor = db._executor
+    planner = db._executor.planner
     query_a, query_b = _cq("A"), _cq("B")
     list(db.evaluate(query_a))
     list(db.evaluate(query_b))
     list(db.evaluate(query_a))
-    hits_before = executor.compile_hits
+    hits_before = planner.program_hits
     assert hits_before >= 1
-    assert executor.compiled_plan_count() == 2
+    assert planner.retained_program_count() == 2
 
     db.insert("B", [("b3", "w3")])
-    assert executor.compiled_plan_count() == 1
+    assert planner.retained_program_count() == 1
     list(db.evaluate(query_a))
-    assert executor.compile_hits == hits_before + 1
-    misses_before = executor.compile_misses
+    assert planner.program_hits == hits_before + 1
+    builds_before = planner.program_builds
     assert len(list(db.evaluate(query_b))) == 3
-    assert executor.compile_misses == misses_before + 1
+    assert planner.program_builds == builds_before + 1
 
 
-def test_const_rows_materialization_not_stale_after_mutation():
-    """The all-constant probe path materializes rows at compile time —
-    the classic stale-cache hazard once the table mutates."""
+def test_all_constant_probe_not_stale_after_mutation():
+    """An all-constant probe key is a run-time probe like any other —
+    no rows are captured at compile time, whichever way the table is
+    mutated (through the facade, or directly behind it)."""
     db = _two_table_db()
     value = Variable("v")
     query = ConjunctiveQuery((atom("A", "a1", value),))
@@ -114,6 +115,52 @@ def test_const_rows_materialization_not_stale_after_mutation():
     db.delete_rows("A", [("a1", "v1")])
     assert [valuation[value] for valuation in db.evaluate(query)] \
         == ["v9"]
+    db.table("A").insert(("a1", "v7"))
+    assert sorted(valuation[value]
+                  for valuation in db.evaluate(query)) == ["v7", "v9"]
+
+
+def _chain(length: int) -> ConjunctiveQuery:
+    """A join chain of *length* atoms (a distinct shape per length)."""
+    variables = [Variable(f"n{index}") for index in range(length + 1)]
+    return ConjunctiveQuery(tuple(
+        atom("A", variables[index], variables[index + 1])
+        for index in range(length)))
+
+
+def test_oversized_program_runs_but_is_not_retained(monkeypatch):
+    db = _two_table_db()
+    db.insert("A", [("v1", "a2")])
+    planner = db._executor.planner
+    monkeypatch.setattr("repro.db.planner.MAX_RETAINED_STEPS", 4)
+    for _ in range(2):
+        assert len(list(db.evaluate(_chain(5)))) == \
+            len(evaluate_naive(db, _chain(5)))
+    # Built on both evaluations, kept on neither; the plan order is
+    # cached all the same.
+    assert planner.program_builds == 2
+    assert planner.program_hits == 0
+    assert planner.retained_program_count() == 0
+    assert planner.cache_hits == 1
+
+
+def test_program_budget_counts_steps_and_drops_wholesale(monkeypatch):
+    db = _two_table_db()
+    planner = db._executor.planner
+    monkeypatch.setattr("repro.db.planner.MAX_RETAINED_STEPS", 4)
+    list(db.evaluate(_chain(1)))
+    list(db.evaluate(_chain(2)))
+    assert planner.retained_program_count() == 2
+    # 1 + 2 + 3 steps exceed the budget: the retained programs go,
+    # their plan orders stay, and the newcomer is kept.
+    list(db.evaluate(_chain(3)))
+    assert planner.retained_program_count() == 1
+    assert planner.cached_plan_count() == 3
+    assert planner._retained_steps == 3
+    # Evicting the survivor returns its steps to the budget.
+    db.insert("A", [("a7", "v7")])
+    assert planner.cached_plan_count() == 0
+    assert planner._retained_steps == 0
 
 
 # ----------------------------------------------------------------------
@@ -275,25 +322,23 @@ def test_delete_where_evaluates_predicate_once_per_row():
 def test_eviction_leaves_every_reverse_index_bucket():
     """An entry reading two tables must vanish from BOTH tables'
     reverse-index buckets when either mutates (no dead references
-    retained under mutation-heavy workloads)."""
+    retained under mutation-heavy workloads), and its program with
+    it."""
     db = _two_table_db()
-    executor = db._executor
-    planner = executor.planner
+    planner = db._executor.planner
     left, right = Variable("l"), Variable("r")
     joined = ConjunctiveQuery((atom("A", left, right),
                                atom("B", left, right)))
     list(db.evaluate(joined))
-    assert executor.compiled_plan_count() == 1
     assert planner.cached_plan_count() == 1
+    assert planner.retained_program_count() == 1
+    assert set(planner._by_table) == {"A", "B"}
 
     db.insert("A", [("a9", "v9")])
-    assert executor.compiled_plan_count() == 0
     assert planner.cached_plan_count() == 0
-    for bucket in executor._compiled_by_table.values():
-        assert joined not in bucket
-    assert all(not bucket for bucket
-               in planner._by_table.values()) or \
-        not planner._by_table
+    assert planner.retained_program_count() == 0
+    assert not planner._by_table
+    assert planner._retained_steps == 0
 
 
 def test_db_version_is_monotone_and_per_commit():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 from repro.core.evaluate import coordinate
 from repro.engine.engine import D3CEngine
@@ -80,3 +81,40 @@ class TestParallelBatchEngine:
                  if hasattr(ticket.state, "value") else str(ticket.state))
                 for ticket in tickets))
         assert outcomes[0] == outcomes[1]
+
+    def test_parallel_rounds_share_one_program_cache(self):
+        """Worker threads look up, build and retain programs in the one
+        shape cache concurrently; several rounds must settle
+        byte-identically to serial, with no lookup lost from the
+        cache's counters.  A tiny switch interval forces interleavings
+        inside the cache's critical sections."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = []
+            for workers in (1, 8):
+                # A fresh database per leg: both start from a cold cache.
+                database, queries = _workload(seed=19)
+                engine = D3CEngine(database, mode="batch",
+                                   parallel_workers=workers)
+                rendered = []
+                for start in range(0, len(queries), 45):
+                    tickets = engine.submit_all(queries[start:start + 45])
+                    engine.run_batch()
+                    rendered.extend(
+                        (ticket.query_id, ticket.state.value,
+                         ticket.answer and sorted(
+                             (relation, tuple(rows)) for relation, rows
+                             in ticket.answer.rows.items()))
+                        for ticket in tickets)
+                planner = database._executor.planner
+                # Every evaluation is one lookup and then exactly one
+                # of: a program hit, a program build.
+                assert (planner.program_hits + planner.program_builds
+                        == planner.cache_hits + planner.cache_misses)
+                assert planner.program_hits > planner.program_builds
+                outcomes.append(rendered)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(outcomes[0]) == repr(outcomes[1])
+        assert any(state == "answered" for _, state, _ in outcomes[0])

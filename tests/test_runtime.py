@@ -12,6 +12,7 @@ from repro.core.graph import GraphDelta, UnifiabilityGraph
 from repro.core.terms import Variable
 from repro.db import Database
 from repro.db.expression import ConjunctiveQuery
+from repro.db.planner import bind_query
 from repro.engine import (D3CEngine, ManualClock, ManualStaleness,
                           StalenessPolicy, TimeoutStaleness)
 from repro.lang import parse_ir
@@ -249,62 +250,74 @@ class TestIntrospection:
             assert engine.partition_sizes() == [2, 1]
 
 
-class TestCompiledTemplateCache:
-    def _query(self, db):
-        return ConjunctiveQuery(tuple(
-            parse_ir("{} R(u, t) <- F(u, v), U(v, t)", "probe").body))
+class TestProgramCache:
+    def _query(self, suffix=""):
+        return ConjunctiveQuery(tuple(parse_ir(
+            f"{{}} R(u{suffix}, t{suffix}) <- "
+            f"F(u{suffix}, v{suffix}), U(v{suffix}, t{suffix})",
+            "probe").body))
 
-    def test_repeated_evaluation_hits_template(self, pair_db):
-        executor = pair_db._executor
-        query = self._query(pair_db)
-        first = sorted(map(repr, pair_db.evaluate(query)))
-        misses = executor.compile_misses
-        hits = executor.compile_hits
-        second = sorted(map(repr, pair_db.evaluate(query)))
-        assert second == first
-        assert executor.compile_misses == misses
-        assert executor.compile_hits == hits + 1
-        # An equal-by-value query object also hits.
-        again = self._query(pair_db)
-        assert sorted(map(repr, pair_db.evaluate(again))) == first
-        assert executor.compile_hits == hits + 2
+    def test_repeated_evaluation_hits_program(self, pair_db):
+        planner = pair_db._executor.planner
+        first = sorted(map(repr, pair_db.evaluate(self._query())))
+        builds, hits = planner.program_builds, planner.program_hits
+        assert sorted(map(repr, pair_db.evaluate(self._query()))) == first
+        assert planner.program_builds == builds
+        assert planner.program_hits == hits + 1
+        # A renamed-apart copy is the same shape: same program.
+        renamed = list(pair_db.evaluate(self._query("_2")))
+        assert len(renamed) == len(first)
+        assert planner.program_builds == builds
+        assert planner.program_hits == hits + 2
 
-    def test_drop_and_recreate_table_invalidates_template(self, pair_db):
+    def test_drop_and_recreate_table_does_not_reuse_handles(self,
+                                                             pair_db):
         # A recreated table is a new object whose version counter
         # restarts; the cache must validate identity against the live
-        # catalog, not just the pinned version numbers.
-        query = self._query(pair_db)
+        # catalog, not just the pinned version numbers.  The new table
+        # is filled behind the facade (no eviction by name) up to the
+        # old table's version, so only identity tells them apart.
+        query = self._query()
         before = sorted(map(repr, pair_db.evaluate(query)))
         assert before
+        old_version = pair_db.table("F").version
         pair_db.drop_table("F")
-        pair_db.create_table("F", "u text", "v text")
-        pair_db.insert("F", [("newman", "kramer")])
+        table = pair_db.create_table("F", "u text", "v text")
+        table.insert_many([("newman", "kramer")] * old_version)
+        assert table.version == old_version
         after = sorted(map(repr, pair_db.evaluate(query)))
         assert after != before
-        assert len(after) == 1
+        assert len(after) == old_version
 
-    def test_table_mutation_invalidates_template(self, pair_db):
+    def test_retained_program_reads_live_rows(self, pair_db):
+        # A program holds index and table handles, never rows: run
+        # again after a mutation — without being rebuilt — it sees the
+        # table as it is now.
         executor = pair_db._executor
-        query = self._query(pair_db)
-        before = sorted(map(repr, pair_db.evaluate(query)))
+        query = self._query()
+        shape, params, slots = bind_query(query)
+        before = list(pair_db.evaluate(query))
+        _, program = executor.planner.lookup(shape, query)
+        assert program is not None
         pair_db.insert("F", [("newman", "jerry")])
-        misses = executor.compile_misses
-        after = sorted(map(repr, pair_db.evaluate(query)))
-        assert executor.compile_misses == misses + 1
+        after = list(executor._search(program, params, slots))
         assert len(after) > len(before)
+        assert sorted(map(repr, after)) == \
+            sorted(map(repr, pair_db.evaluate(query)))
 
     def test_reattempted_component_skips_compilation(self, pair_db):
         engine = D3CEngine(pair_db, mode="batch")
         engine.submit(pair("e", "elaine", "newman"))
         engine.submit(pair("n", "newman", "elaine"))
         engine.run_batch()
-        # Touch the component without changing its combined query's
-        # outcome: expire nothing, add an unrelated arrival, and force
-        # a re-attempt via invalidate (data unchanged -> template hit).
-        hits = pair_db._executor.compile_hits
+        # Force a re-attempt with the data unchanged: the combined
+        # query's shape is cached, so nothing is compiled.
+        planner = pair_db._executor.planner
+        builds, hits = planner.program_builds, planner.program_hits
         engine.invalidate_cache()
         engine.run_batch()
-        assert pair_db._executor.compile_hits > hits
+        assert planner.program_hits > hits
+        assert planner.program_builds == builds
 
 
 class TestRenameInterning:
