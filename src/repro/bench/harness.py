@@ -248,22 +248,20 @@ def run_churn(database: Database, rounds,
     :func:`repro.workloads.generators.churn_rounds`).  Every round
     advances a manual clock by one tick, expires queries older than
     *ttl_rounds* ticks, ingests the round's block, and runs one
-    set-at-a-time coordination round.  Engines exposing ``submit_many``
-    ingest each block through it (the batched, parallel arrival
-    pipeline); older engines fall back to one ``submit`` per query.
+    set-at-a-time coordination round; blocks are ingested through
+    ``submit_many`` (the batched, parallel arrival pipeline).
     """
     from ..engine.staleness import ManualClock, TimeoutStaleness
     clock = ManualClock()
     engine = D3CEngine(database, mode="batch",
                        staleness=TimeoutStaleness(ttl_rounds + 0.5),
                        clock=clock, **engine_kwargs)
-    submit_block = getattr(engine, "submit_many", engine.submit_all)
     with frozen_dataset():
         with stopwatch() as elapsed:
             for block in rounds:
                 clock.advance(1.0)
                 engine.expire_stale()
-                submit_block(block)
+                engine.submit_many(block)
                 engine.run_batch()
             total = elapsed()
     num_queries = sum(len(block) for block in rounds)
@@ -492,8 +490,12 @@ def run_range_scan(database: Database, queries,
 
 def _metrics(engine: D3CEngine, num_queries: int, total: float) -> dict:
     from ..core.evaluate import FailureReason
+    from ..engine.stats import EngineStats
     from ..obs import TRACER, absorb_snapshot
-    stats = engine.stats
+    # One snapshot serves the figures below and the global aggregate
+    # (a fleet's or wrapper's ``stats`` would take a second one).
+    snapshot = engine.metrics_snapshot()
+    stats = EngineStats.from_metrics(snapshot)
     metrics = {
         "queries": num_queries,
         "seconds": total,
@@ -506,13 +508,10 @@ def _metrics(engine: D3CEngine, num_queries: int, total: float) -> dict:
         "db_seconds": stats.db_seconds,
         "safety_seconds": stats.safety_seconds,
     }
-    # Outside the stopwatch: fold this run's registry snapshot into
-    # the process-global aggregate (``bench --metrics-json`` reads it)
-    # and, when tracing is on, add per-phase latency quantiles from
-    # the ring buffer's spans.
-    snapshot_of = getattr(engine, "metrics_snapshot", None)
-    if snapshot_of is not None:
-        absorb_snapshot(snapshot_of())
+    # Outside the stopwatch: fold it into the process-global aggregate
+    # (``bench --metrics-json`` reads it); with tracing on, add
+    # per-phase latency quantiles from the ring buffer's spans.
+    absorb_snapshot(snapshot)
     if TRACER.enabled:
         metrics.update(phase_latencies())
     return metrics

@@ -146,10 +146,8 @@ def _command_coordinate(arguments: argparse.Namespace) -> int:
     if not queries:
         print("workload is empty", file=sys.stderr)
         return 1
-    if arguments.wal_dir:
-        return _coordinate_durable(database, queries, arguments)
-    if arguments.shards:
-        return _coordinate_sharded(database, queries, arguments)
+    if arguments.wal_dir or arguments.shards:
+        return _coordinate_service(database, queries, arguments)
     result = coordinate(queries, database,
                         check_safety=not arguments.no_safety,
                         ucs_fallback=arguments.ucs_fallback)
@@ -189,114 +187,111 @@ def _plain_metrics(queries, result, database) -> dict:
     return registry.snapshot()
 
 
-def _coordinate_sharded(database, queries, arguments) -> int:
-    """Coordinate a workload through the sharded service (one round).
+def _open_service(arguments: argparse.Namespace, database=None,
+                  **options):
+    """The coordination service a command's flags name.
 
-    Safety checking needs the global pending set, so ``--shards``
-    implies ``--no-safety`` (the paper's throughput experiments run the
-    same way).  Queries the round cannot answer are reported pending —
-    a service would hold them for future partners, not fail them.
+    The one place ``--shards`` / ``--shard-backend`` / ``--wal-dir`` /
+    ``--snapshot-every`` are interpreted: ``--shards`` picks a fleet
+    over one engine, ``--wal-dir`` wraps either in the durable journal
+    — recovering when the directory holds state (*database*, or the
+    data file loaded when it is None, only seeds a fresh start).  Every
+    shape is served set-at-a-time with safety checking off (admission
+    checking needs the global pending set; the paper's service
+    experiments run without it).
     """
+    options["mode"] = "batch"
+    if arguments.shards:
+        from .shard import ShardedCoordinator as build
+        options.update(num_shards=arguments.shards,
+                       backend=arguments.shard_backend)
+    else:
+        from .engine.engine import D3CEngine as build
+    if arguments.wal_dir:
+        from .durability import DurableCoordinator, DurableEngine
+        durable = DurableCoordinator if arguments.shards else DurableEngine
+        options["snapshot_every"] = arguments.snapshot_every
+        if durable.has_state(arguments.wal_dir):
+            service = durable.recover(arguments.wal_dir, **options)
+            note = (f"recovered {arguments.wal_dir}: generation "
+                    f"{service.generation}, {service.commands_applied} "
+                    f"commands journalled, "
+                    f"{len(service.restored_tickets)} queries still "
+                    f"pending")
+            if database is not None:
+                # The caller's loaded database is ignored in favour of
+                # the recovered one; say where that one stands.
+                note += f", db_version {service.database.db_version}"
+            print(note, file=sys.stderr)
+            return service
+        build, options["wal_dir"] = durable, arguments.wal_dir
+    if database is None:
+        database = load_database(arguments.data)
+    return build(database=database, **options)
+
+
+def _report_tickets(tickets) -> int:
+    """Print one ``answered`` / ``failed`` / ``pending`` line per
+    ticket (sorted by id); returns the answered count.  Queries a round
+    cannot answer are reported pending — a service holds them for
+    future partners, it does not fail them."""
     from .engine.futures import TicketState
-    from .shard import ShardedCoordinator
-    if not arguments.no_safety:
-        print("note: --shards implies --no-safety (admission checking "
-              "is global)", file=sys.stderr)
-    coordinator = ShardedCoordinator(
-        database, num_shards=arguments.shards,
-        backend=arguments.shard_backend, mode="batch",
-        ucs_fallback=arguments.ucs_fallback)
-    try:
-        tickets = coordinator.submit_many(queries)
-        coordinator.run_batch()
-        answered = 0
-        for ticket in sorted(tickets, key=lambda t: repr(t.query_id)):
-            if ticket.state is TicketState.ANSWERED:
-                print(f"answered  {ticket.query_id}: "
-                      f"{ticket.answer.rows}")
-                answered += 1
-            elif ticket.state is TicketState.FAILED:
-                print(f"failed    {ticket.query_id}: "
-                      f"{ticket.failure_reason.value}")
-            else:
-                print(f"pending   {ticket.query_id}")
-        stats = coordinator.stats
-        print(f"-- shards {arguments.shards}  "
-              f"migrations {coordinator.migrations}  "
-              f"graph {stats.graph_seconds:.3f}s  "
-              f"match {stats.match_seconds:.3f}s  "
-              f"db {stats.db_seconds:.3f}s")
-        if arguments.metrics_json:
-            _write_metrics_json(arguments.metrics_json,
-                                coordinator.metrics_snapshot())
-        return 0 if answered else 2
-    finally:
-        coordinator.close()
+    answered = 0
+    for ticket in sorted(tickets, key=lambda t: repr(t.query_id)):
+        if ticket.state is TicketState.ANSWERED:
+            print(f"answered  {ticket.query_id}: {ticket.answer.rows}")
+            answered += 1
+        elif ticket.state is TicketState.FAILED:
+            print(f"failed    {ticket.query_id}: "
+                  f"{ticket.failure_reason.value}")
+        else:
+            print(f"pending   {ticket.query_id}")
+    return answered
 
 
-def _coordinate_durable(database, queries, arguments) -> int:
-    """Coordinate under a write-ahead log (one durable round).
+def _coordinate_service(database, queries, arguments) -> int:
+    """Coordinate a workload through a service (one round).
 
     The first run against ``--wal-dir`` starts fresh from the data
     file; later runs recover the journalled state (database, pending
-    queries, burned ids) and the data file argument is ignored in
-    favour of the recovered database.  Safety checking is off, as on
-    ``--shards``.
+    queries, burned ids) and the data file is ignored in favour of the
+    recovered database.
     """
-    from .durability import DurableCoordinator, DurableEngine
-    from .engine.futures import TicketState
     if not arguments.no_safety:
-        print("note: --wal-dir implies --no-safety (durable services "
-              "run without the admission check)", file=sys.stderr)
-    kwargs = dict(snapshot_every=arguments.snapshot_every,
-                  mode="batch", ucs_fallback=arguments.ucs_fallback)
-    if arguments.shards:
-        cls = DurableCoordinator
-        kwargs.update(num_shards=arguments.shards,
-                      backend=arguments.shard_backend)
-    else:
-        cls = DurableEngine
-    if cls.has_state(arguments.wal_dir):
-        service = cls.recover(arguments.wal_dir, **kwargs)
-        print(f"recovered {arguments.wal_dir}: generation "
-              f"{service.generation}, {service.commands_applied} "
-              f"commands journalled, {len(service.restored_tickets)} "
-              f"queries still pending, "
-              f"db_version {service.database.db_version}",
+        flag, why = (("--wal-dir", "durable services run without the "
+                                   "admission check")
+                     if arguments.wal_dir else
+                     ("--shards", "admission checking is global"))
+        print(f"note: {flag} implies --no-safety ({why})",
               file=sys.stderr)
-        # Workload files number their queries from 0 on every run;
-        # shift this run's ids past everything the journal has seen
-        # (pending or settled ids are all below the arrival counter),
-        # so re-running a workload extends the history instead of
-        # colliding with it.
-        from .core.query import EntangledQuery
-        offset = service.next_arrival_seq
-        queries = [EntangledQuery(query_id=offset + index,
-                                  head=query.head,
-                                  postconditions=query.postconditions,
-                                  body=query.body, choose=query.choose,
-                                  owner=query.owner)
-                   for index, query in enumerate(queries)]
-    else:
-        service = cls(arguments.wal_dir, database, **kwargs)
+    service = _open_service(arguments, database,
+                            ucs_fallback=arguments.ucs_fallback)
     try:
+        # Workload files number their queries from 0 on every run;
+        # shift this run's ids past everything a recovered journal has
+        # seen (pending or settled ids are all below the arrival
+        # counter, which is 0 on a fresh service), so re-running a
+        # workload extends the history instead of colliding with it.
+        offset = service.next_arrival_seq
+        if offset:
+            from dataclasses import replace
+            queries = [replace(query, query_id=offset + index)
+                       for index, query in enumerate(queries)]
         tickets = service.submit_many(queries)
         service.run_batch()
-        answered = 0
-        for ticket in sorted(tickets, key=lambda t: repr(t.query_id)):
-            if ticket.state is TicketState.ANSWERED:
-                print(f"answered  {ticket.query_id}: "
-                      f"{ticket.answer.rows}")
-                answered += 1
-            elif ticket.state is TicketState.FAILED:
-                print(f"failed    {ticket.query_id}: "
-                      f"{ticket.failure_reason.value}")
-            else:
-                print(f"pending   {ticket.query_id}")
-        print(f"-- wal {arguments.wal_dir}  "
-              f"generation {service.generation}  "
-              f"commands {service.commands_applied}  "
-              f"pending {service.pending_count}")
+        answered = _report_tickets(tickets)
+        if arguments.wal_dir:
+            print(f"-- wal {arguments.wal_dir}  "
+                  f"generation {service.generation}  "
+                  f"commands {service.commands_applied}  "
+                  f"pending {service.pending_count}")
+        else:
+            stats = service.stats
+            print(f"-- shards {arguments.shards}  "
+                  f"migrations {service.migrations}  "
+                  f"graph {stats.graph_seconds:.3f}s  "
+                  f"match {stats.match_seconds:.3f}s  "
+                  f"db {stats.db_seconds:.3f}s")
         if arguments.metrics_json:
             _write_metrics_json(arguments.metrics_json,
                                 service.metrics_snapshot())
@@ -367,19 +362,12 @@ def _command_trace(arguments: argparse.Namespace) -> int:
     set_tracing(True)
     TRACER.clear()
     try:
-        if arguments.shards:
-            from .shard import ShardedCoordinator
-            with ShardedCoordinator(
-                    database, num_shards=arguments.shards,
-                    backend=arguments.shard_backend,
-                    mode="batch") as coordinator:
-                coordinator.submit_many(queries)
-                coordinator.run_batch()
-        else:
-            from .engine.engine import D3CEngine
-            engine = D3CEngine(database, mode="batch", safety="off")
-            engine.submit_many(queries)
-            engine.run_batch()
+        service = _open_service(arguments, database)
+        try:
+            service.submit_many(queries)
+            service.run_batch()
+        finally:
+            service.close()
         print(format_traces(TRACER.spans()))
         if arguments.jsonl:
             TRACER.export_jsonl(arguments.jsonl)
@@ -388,47 +376,6 @@ def _command_trace(arguments: argparse.Namespace) -> int:
     finally:
         set_tracing(False)
     return 0
-
-
-def _build_serve_service(arguments: argparse.Namespace):
-    """The engine/fleet/durable service ``repro serve`` fronts.
-
-    Mirrors ``coordinate``'s selection: ``--wal-dir`` wins (recovering
-    when the directory already holds state — the data file is then
-    ignored), ``--shards`` builds a fleet, otherwise one batch-mode
-    engine.  Safety checking is off in every served shape: admission
-    checking needs the global pending set and the paper's service
-    experiments run without it.
-    """
-    if arguments.wal_dir:
-        from .durability import DurableCoordinator, DurableEngine
-        kwargs = dict(snapshot_every=arguments.snapshot_every,
-                      mode="batch")
-        if arguments.shards:
-            cls = DurableCoordinator
-            kwargs.update(num_shards=arguments.shards,
-                          backend=arguments.shard_backend)
-        else:
-            cls = DurableEngine
-        if cls.has_state(arguments.wal_dir):
-            service = cls.recover(arguments.wal_dir, **kwargs)
-            print(f"recovered {arguments.wal_dir}: generation "
-                  f"{service.generation}, {service.commands_applied} "
-                  f"commands journalled, "
-                  f"{len(service.restored_tickets)} queries still "
-                  f"pending", file=sys.stderr)
-            return service
-        return cls(arguments.wal_dir, load_database(arguments.data),
-                   **kwargs)
-    database = load_database(arguments.data)
-    if arguments.shards:
-        from .shard import ShardedCoordinator
-        return ShardedCoordinator(database,
-                                  num_shards=arguments.shards,
-                                  backend=arguments.shard_backend,
-                                  mode="batch")
-    from .engine.engine import D3CEngine
-    return D3CEngine(database, mode="batch", safety="off")
 
 
 def _command_serve(arguments: argparse.Namespace) -> int:
@@ -446,7 +393,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         tenant_burst=arguments.tenant_burst,
         request_timeout=arguments.request_timeout)
     try:
-        service = _build_serve_service(arguments)
+        service = _open_service(arguments)
     except ReproError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 1
@@ -459,9 +406,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                                unix_path=arguments.unix or None)
         except (ReproError, OSError) as error:
             print(f"serve: {error}", file=sys.stderr)
-            close = getattr(service, "close", None)
-            if close is not None:
-                close()
+            service.close()
             return 1
         server.install_signal_handlers()
         listening = []
@@ -671,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--jsonl", metavar="PATH",
                        help="also export the raw spans as JSON lines "
                             "to PATH (validated up front)")
-    trace.set_defaults(handler=_command_trace)
+    trace.set_defaults(handler=_command_trace, wal_dir=None)
 
     lint = subparsers.add_parser(
         "lint", help="run the invariant linter (determinism, wire, "

@@ -351,6 +351,16 @@ def record_from_payload(payload: dict):
                          payload.get("trace"))
 
 
+def id_pairs(mapping: dict) -> list:
+    """A JSON-safe, deterministic rendering of a map keyed by query id.
+
+    Query ids need not be strings, and JSON object keys must be — so
+    such maps always travel as sorted ``[key, value]`` pairs, never as
+    JSON objects.
+    """
+    return [[key, mapping[key]] for key in sorted(mapping, key=repr)]
+
+
 def delta_to_payload(delta) -> dict:
     """Serialize one :class:`~repro.db.database.TableDelta`."""
     return {"table": _wire_scalar(delta.table, "table name"),

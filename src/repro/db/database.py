@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..core.terms import Variable
-from ..errors import RecoveryError, SchemaError
+from ..errors import RecoveryError, SchemaError, ValidationError
 from .executor import Executor, Valuation
 from .expression import ConjunctiveQuery
 from .schema import Catalog, TableSchema, schema as make_schema
@@ -171,6 +171,31 @@ class Database:
         if removed:
             self._commit_delta(name, (), tuple(removed))
         return len(removed)
+
+    def apply_mutations(self, operations: Iterable[Sequence]
+                        ) -> list[int]:
+        """Apply a batch of ``(kind, table, rows)`` DML operations
+        (kind ``"insert"`` or ``"delete"``); returns per-op row counts.
+
+        All-or-nothing against bad input: kinds, table names and every
+        row are validated before any operation is applied, so a bad op
+        mid-batch cannot leave earlier ops committed behind an
+        exception (no journal frame would reproduce them, and a retry
+        would double-apply them under bag semantics).  Every service's
+        ``apply_mutations`` and the journal's replay go through here.
+        """
+        checked: list[tuple] = []
+        for kind, name, rows in operations:
+            if kind not in ("insert", "delete"):
+                raise ValidationError(
+                    f"unknown mutation op {kind!r}; expected 'insert' "
+                    f"or 'delete'")
+            schema = self.table(name).schema
+            checked.append((kind, name,
+                            [schema.check_row(row) for row in rows]))
+        return [self.insert_stored_rows(name, rows) if kind == "insert"
+                else self.delete_rows(name, rows)
+                for kind, name, rows in checked]
 
     # ------------------------------------------------------------------
     # mutation protocol: versions, listeners, delta replay

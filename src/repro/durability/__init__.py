@@ -10,11 +10,12 @@ lets a coordinator survive its process.  Three layers:
   layout: one checksummed snapshot file plus one log segment per
   generation, with atomic snapshot publication and truncation of old
   generations.
-* :mod:`repro.durability.service` — :class:`DurableEngine` and
-  :class:`DurableCoordinator`, journaling wrappers around
-  :class:`~repro.engine.engine.D3CEngine` and
-  :class:`~repro.shard.coordinator.ShardedCoordinator` whose
-  ``recover`` classmethods rebuild the exact pre-crash state from the
+* :mod:`repro.durability.service` — the journaling wrapper, written
+  once against :class:`~repro.service.CoordinationService` and named
+  :class:`DurableEngine` / :class:`DurableCoordinator` after the inner
+  :class:`~repro.engine.engine.D3CEngine` /
+  :class:`~repro.shard.coordinator.ShardedCoordinator` it builds; its
+  ``recover`` classmethod rebuilds the exact pre-crash state from the
   newest valid snapshot plus the log suffix.
 
 See DESIGN.md §8 for the record framing, the snapshot/truncate state

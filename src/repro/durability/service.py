@@ -1,11 +1,14 @@
-"""Durable journaling wrappers: crash-recoverable engine + coordinator.
+"""The durable journaling wrapper: a crash-recoverable service.
 
 :class:`DurableEngine` and :class:`DurableCoordinator` wrap the
 in-memory :class:`~repro.engine.engine.D3CEngine` and
 :class:`~repro.shard.coordinator.ShardedCoordinator` with a write-ahead
 command journal (:mod:`repro.durability.wal`) under a generation-
-numbered snapshot layout (:mod:`repro.durability.snapshots`).  The
-journal is *logical* and written **after** each command executes:
+numbered snapshot layout (:mod:`repro.durability.snapshots`).  They are
+one class — the wrapper is written once against the
+:class:`~repro.service.CoordinationService` protocol and the two names
+only say which inner service to build.  The journal is *logical* and
+written **after** each command executes:
 
 * ``wal_cmd`` — one frame per serving command (``submit``, ``mutate``,
   ``run_batch``, ``expire``) carrying the command's inputs, its pinned
@@ -22,11 +25,12 @@ append makes the in-flight command *never happened* — exactly the
 contract a torn final record gets — so recovery is uniform: rebuild
 from the newest valid snapshot, then fold the log suffix into plain
 state (no coordination is re-executed; answers were recorded when they
-were produced).  Recovery ends by re-importing the pending set into a
-freshly built engine/fleet and writing a new snapshot generation, so
-every boot starts with a short log.
+were produced).  Recovery ends by restoring that state into a freshly
+built inner service — of either shape, whichever wrote the directory —
+and writing a new snapshot generation, so every boot starts with a
+short log.
 
-Clock discipline: the wrapper owns the inner engine's clock and *pins*
+Clock discipline: the wrapper owns the inner service's clock and *pins*
 it once per command to the caller-supplied source clock's reading.
 The pinned value rides in the command frame, so submission instants in
 later snapshots agree byte-for-byte with the journal.
@@ -43,52 +47,30 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.evaluate import FailureReason
 from ..dataio import (WIRE_VERSION, delta_from_payload, delta_to_payload,
-                      dump_database, load_database, record_from_payload,
-                      record_to_payload, to_payload)
+                      id_pairs, load_database, record_from_payload,
+                      to_payload)
 from ..engine.engine import D3CEngine
 from ..engine.futures import CoordinationTicket, TicketCallback, \
     TicketState
-from ..engine.staleness import Clock, SystemClock
+from ..engine.staleness import Clock, PinnedClock, SystemClock
+from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ValidationError
 from ..obs import TRACER
 from ..shard.coordinator import ShardedCoordinator
 from .snapshots import SnapshotStore
 
 
-class _PinnedClock(Clock):
-    """The inner engine's clock: frozen between commands, advanced to
-    the source clock's reading at each command boundary (never moves
-    backwards — mirrors the shard workers' clock discipline)."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = start
-
-    def now(self) -> float:
-        return self._now
-
-    def set(self, now: float) -> None:
-        if now > self._now:
-            self._now = now
-
-
-def _pairs(mapping: dict) -> list:
-    """A JSON-safe, deterministic rendering of a scalar-keyed map.
-
-    Query ids need not be strings, and JSON object keys must be — so
-    maps keyed by query id always travel as sorted ``[key, value]``
-    pairs, never as JSON objects.
-    """
-    return [[key, mapping[key]] for key in sorted(mapping, key=repr)]
-
-
 class _RecoveredState:
     """What replaying snapshot + log suffix yields: plain state, ready
     to seed a fresh engine or coordinator."""
 
-    __slots__ = ("database", "next_seq", "pending", "tombstones",
-                 "used_ids", "answers", "failures", "submitted",
-                 "answered", "failed", "commands", "generation",
-                 "log_clean")
+    #: ``burned`` maps every id that may not be re-submitted to its
+    #: arrival sequence — or to None when the snapshot that burned it
+    #: was fleet-written (``used_ids`` carries no sequences; nothing
+    #: reads the sequence of a settled id, it only has to be present).
+    __slots__ = ("database", "next_seq", "pending", "burned",
+                 "answers", "failures", "submitted", "answered",
+                 "failed", "commands", "generation", "log_clean")
 
     def pending_records(self) -> list:
         """The pending set as :class:`~repro.engine.engine.
@@ -137,9 +119,10 @@ def _replay_store(store: SnapshotStore) -> _RecoveredState:
     recovered.next_seq = state["next_seq"]
     recovered.pending = {payload["query"]["id"]: payload
                          for payload in state["pending"]}
-    recovered.tombstones = {query_id: seq
-                            for query_id, seq in state["tombstones"]}
-    recovered.used_ids = set(state["used_ids"])
+    # Either shape may have written the snapshot: the engine burns
+    # ids as ``tombstones`` pairs, the fleet as bare ``used_ids``.
+    recovered.burned = dict.fromkeys(state["used_ids"])
+    recovered.burned.update(state["tombstones"])
     recovered.answers = {query_id: payload
                          for query_id, payload in state["answers"]}
     recovered.failures = {query_id: value
@@ -176,17 +159,11 @@ def _replay_command(recovered: _RecoveredState, frame: dict) -> None:
             query_id = payload["id"]
             recovered.pending[query_id] = {
                 "query": payload, "seq": seq, "at": frame["at"]}
-            recovered.tombstones[query_id] = seq
-            recovered.used_ids.add(query_id)
+            recovered.burned[query_id] = seq
             recovered.next_seq = max(recovered.next_seq, seq + 1)
             recovered.submitted += 1
     elif op == "mutate":
-        for kind, table, rows in frame["ops"]:
-            rows = [tuple(row) for row in rows]
-            if kind == "insert":
-                recovered.database.insert(table, rows)
-            else:
-                recovered.database.delete_rows(table, rows)
+        recovered.database.apply_mutations(frame["ops"])
     elif op not in ("run_batch", "expire"):
         raise RecoveryError(f"unknown journalled command {op!r}")
     _replay_events(recovered, frame.get("events", ()))
@@ -200,9 +177,8 @@ def _replay_events(recovered: _RecoveredState, events) -> None:
             # already recorded that, but when the submit predates the
             # snapshot this record arrived via the snapshot's pending
             # set — the settlement is the only replay step that knows
-            # the id must stay tombstoned.
-            recovered.tombstones[query_id] = record["seq"]
-            recovered.used_ids.add(query_id)
+            # the id must stay burned.
+            recovered.burned[query_id] = record["seq"]
         if kind == "answered":
             recovered.answers[query_id] = payload
             recovered.answered += 1
@@ -212,25 +188,112 @@ def _replay_events(recovered: _RecoveredState, events) -> None:
                 recovered.failed.get(payload, 0) + 1
             if payload == FailureReason.STALE.value:
                 # Expired ids are retryable: the engine releases them.
-                recovered.used_ids.discard(query_id)
-                recovered.tombstones.pop(query_id, None)
+                recovered.burned.pop(query_id, None)
         else:
             raise RecoveryError(f"unknown settlement event {kind!r}")
 
 
 class _DurableService:
-    """Shared journaling machinery of the two wrappers."""
+    """A coordination service that survives its process.
+
+    Implements the :class:`~repro.service.CoordinationService` protocol
+    by delegating to :attr:`service` — the inner
+    :attr:`_service_class` instance it builds — and journaling every
+    state-changing command.  Construction starts *fresh*: builds the
+    inner service over *database*, writes generation 0, and refuses a
+    directory that already holds state (that history belongs to
+    :meth:`recover`, never to silent overwrite).  Keyword arguments
+    beyond the journal's own pass through to the inner service
+    unchanged, except ``clock`` (the wrapper owns the inner clock —
+    pass the source clock here) and ``rng`` (refused: sampled CHOOSE
+    draws cannot be reproduced by recovery).
+
+    Restrictions: queries must be wire-serializable (aggregate
+    constraints are rejected at submission, exactly as on the sharded
+    service's wire format).
+    """
 
     #: Default command count between automatic snapshots.
     DEFAULT_SNAPSHOT_EVERY = 64
 
-    def _init_journal(self, store: SnapshotStore, clock: Clock | None,
-                      snapshot_every: int | None,
-                      sync_every: int | None,
-                      snapshot_log_bytes: int | None = None) -> None:
+    #: The inner service class a concrete wrapper journals.
+    _service_class: type
+
+    def __init__(self, wal_dir: str | Path, database=None, *,
+                 clock: Clock | None = None,
+                 snapshot_every: int | None = DEFAULT_SNAPSHOT_EVERY,
+                 sync_every: int | None = 8,
+                 snapshot_log_bytes: int | None = None,
+                 **service_kwargs):
+        store = SnapshotStore(wal_dir)
+        if store.has_state():
+            raise RecoveryError(
+                f"{store.root} already holds durable state; use "
+                f"{type(self).__name__}.recover() (a fresh start would "
+                f"orphan that history)")
+        if database is None:
+            raise ValidationError(
+                "a database is required to start a fresh durable "
+                "service")
+        self._open(store, database, clock, snapshot_every, sync_every,
+                   snapshot_log_bytes, service_kwargs)
+        self.snapshot()
+
+    @classmethod
+    def recover(cls, wal_dir: str | Path, *,
+                clock: Clock | None = None,
+                snapshot_every: int | None = DEFAULT_SNAPSHOT_EVERY,
+                sync_every: int | None = 8,
+                snapshot_log_bytes: int | None = None,
+                **service_kwargs):
+        """Rebuild the service a crashed (or closed) one left in
+        *wal_dir*.
+
+        Configuration (mode, staleness policy, shard count, backend…)
+        is the caller's to supply — the journal records *state*, not
+        configuration, so the recovering shape may differ from the one
+        that wrote the directory: a fleet of another size, or the
+        other inner service altogether (restore re-routes the pending
+        set, exactly as dead-shard re-homing does).  The recovered
+        service is at the exact pre-crash ``db_version`` and arrival
+        sequence and refuses every id the crashed one had burned;
+        still-pending queries get fresh tickets in
+        :attr:`restored_tickets`, and a new snapshot generation is
+        written before this returns, so the next boot replays nothing.
+        """
+        store = SnapshotStore(wal_dir)
+        recovered = _replay_store(store)
+
+        self = cls.__new__(cls)
+        self._open(store, recovered.database, clock, snapshot_every,
+                   sync_every, snapshot_log_bytes, service_kwargs)
+        self.answers = recovered.answers
+        self.failures = recovered.failures
+        self.commands_applied = recovered.commands
+        self._generation = recovered.generation
+        self.restored_tickets = self.restore_state(
+            next_seq=recovered.next_seq,
+            used_ids=recovered.burned,
+            records=recovered.pending_records(),
+            submitted=recovered.submitted,
+            answered=recovered.answered,
+            failed=recovered.failed_counter())
+        return self
+
+    def _open(self, store: SnapshotStore, database,
+              clock: Clock | None, snapshot_every: int | None,
+              sync_every: int | None, snapshot_log_bytes: int | None,
+              service_kwargs: dict) -> None:
+        """Journal bookkeeping plus the inner service over *database*
+        (shared by fresh construction and :meth:`recover`)."""
+        if service_kwargs.get("rng") is not None:
+            raise ValidationError(
+                "durable services are deterministic-only: sampled "
+                "CHOOSE draws cannot be reproduced by recovery (pass "
+                "rng=None)")
         self._store = store
         self._clock = clock or SystemClock()
-        self._pinned = _PinnedClock()
+        self._pinned = PinnedClock()
         self._snapshot_every = snapshot_every or 0
         self._snapshot_log_bytes = snapshot_log_bytes or 0
         self._sync_every = sync_every
@@ -263,6 +326,10 @@ class _DurableService:
         #: query_id -> fresh ticket for queries that were pending at
         #: recovery (empty on a fresh start).
         self.restored_tickets: dict = {}
+        #: The journalled inner service.
+        self.service = self._service_class(database, clock=self._pinned,
+                                           **service_kwargs)
+        database.add_mutation_listener(self._on_delta)
 
     # -- properties ----------------------------------------------------
 
@@ -288,10 +355,6 @@ class _DurableService:
         if self._closed:
             raise ValidationError("this durable service is closed")
 
-    def _pin(self) -> float:
-        self._pinned.set(self._clock.now())
-        return self._pinned.now()
-
     def _command(self, op: str, fields: dict,
                  execute: Callable[[], object]):
         """Run one serving command under the journal.
@@ -306,8 +369,9 @@ class _DurableService:
         tickets fired) and the exception propagates.
         """
         self._ensure_open()
+        self._pinned.set(self._clock.now())
         frame = {"wire": WIRE_VERSION, "kind": "wal_cmd", "op": op,
-                 "at": self._pin(), **fields}
+                 "at": self._pinned.now(), **fields}
         # The one serialization of the frame (sans events, which do
         # not exist yet): failing here is the clean no-side-effects
         # rejection, and the rendered body is reused verbatim for the
@@ -351,9 +415,6 @@ class _DurableService:
             self.snapshot()
         return result
 
-    def _track(self, ticket: CoordinationTicket) -> None:
-        ticket.add_callback(self._on_settle)
-
     def _on_settle(self, ticket: CoordinationTicket) -> None:
         query_id = ticket.query_id
         if ticket.state is TicketState.ANSWERED:
@@ -394,8 +455,9 @@ class _DurableService:
         tracer = TRACER
         start_ns = time.perf_counter_ns() if tracer.enabled else 0
         generation = self._generation + 1
-        self._store.write_snapshot(generation, self.commands_applied,
-                                   self._state_payload())
+        self._store.write_snapshot(
+            generation, self.commands_applied,
+            self.snapshot_state(dump_cache=self._dump_cache))
         self._absorb_log_counters()
         if self._log is not None:
             self._log.close()
@@ -421,10 +483,8 @@ class _DurableService:
     def durability_stats(self) -> dict:
         """Journal activity over this service's lifetime.
 
-        Stable plain-int keys — the dict merges by summation like
-        ``range_stats`` and rides :class:`~repro.engine.stats.
-        EngineStats.durability` into the stats/metrics snapshots as
-        ``durability.<key>`` counters.
+        Stable plain-int keys; :meth:`metrics_snapshot` adds them to
+        the inner service's snapshot as ``durability.<key>`` counters.
         """
         log = self._log
         return {
@@ -457,7 +517,7 @@ class _DurableService:
             self._closed = True
             if self._log is not None:
                 self._log.close()
-            self._close_inner()
+            self.service.close()
 
     def __enter__(self):
         return self
@@ -465,156 +525,52 @@ class _DurableService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- shared state payload pieces -----------------------------------
-
-    def _journal_state(self) -> dict:
-        return {"answers": _pairs(self.answers),
-                "failures": _pairs(self.failures)}
-
     @staticmethod
     def has_state(wal_dir: str | Path) -> bool:
         """True when *wal_dir* holds recoverable state (use
         ``recover``; a fresh construction would refuse it)."""
         return SnapshotStore(wal_dir).has_state()
 
-    def _state_payload(self) -> dict:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _close_inner(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class DurableEngine(_DurableService):
-    """A :class:`~repro.engine.engine.D3CEngine` that survives its
-    process.
-
-    Construction starts *fresh*: builds the engine over *database*,
-    writes generation 0, and refuses a directory that already holds
-    state (that history belongs to :meth:`recover`, never to silent
-    overwrite).  Engine keyword arguments pass through unchanged,
-    except ``clock`` (the wrapper owns the inner clock — pass the
-    source clock here) and ``rng`` (refused: recovery must be
-    deterministic, matching the sharded coordinator's rule).
-
-    Restrictions: queries must be wire-serializable (aggregate
-    constraints are rejected at submission, exactly as on the sharded
-    service's wire format).
-    """
-
-    def __init__(self, wal_dir: str | Path, database=None, *,
-                 clock: Clock | None = None,
-                 snapshot_every: int | None =
-                 _DurableService.DEFAULT_SNAPSHOT_EVERY,
-                 sync_every: int | None = 8,
-                 snapshot_log_bytes: int | None = None,
-                 **engine_kwargs):
-        if engine_kwargs.get("rng") is not None:
-            raise ValidationError(
-                "the durable engine is deterministic-only: sampled "
-                "CHOOSE draws cannot be reproduced by recovery (submit "
-                "with rng=None)")
-        store = SnapshotStore(wal_dir)
-        if store.has_state():
-            raise RecoveryError(
-                f"{store.root} already holds durable state; use "
-                f"DurableEngine.recover() (a fresh start would orphan "
-                f"that history)")
-        if database is None:
-            raise ValidationError(
-                "a database is required to start a fresh durable "
-                "engine")
-        self._init_journal(store, clock, snapshot_every, sync_every,
-                           snapshot_log_bytes)
-        self.engine = D3CEngine(database, clock=self._pinned,
-                                **engine_kwargs)
-        self._next_seq = 0
-        database.add_mutation_listener(self._on_delta)
-        self.snapshot()
-
-    @classmethod
-    def recover(cls, wal_dir: str | Path, *,
-                clock: Clock | None = None,
-                snapshot_every: int | None =
-                _DurableService.DEFAULT_SNAPSHOT_EVERY,
-                sync_every: int | None = 8,
-                snapshot_log_bytes: int | None = None,
-                **engine_kwargs) -> "DurableEngine":
-        """Rebuild the engine a crashed (or closed) service left in
-        *wal_dir*.
-
-        Engine configuration (mode, staleness policy, worker counts…)
-        is the caller's to supply and must match the original run —
-        the journal records *state*, not configuration.  The recovered
-        engine is at the exact pre-crash ``db_version`` and arrival
-        sequence; still-pending queries get fresh tickets in
-        :attr:`restored_tickets`, and a new snapshot generation is
-        written before this returns, so the next boot replays nothing.
-        """
-        if engine_kwargs.get("rng") is not None:
-            raise ValidationError(
-                "the durable engine is deterministic-only (recover "
-                "with rng=None)")
-        store = SnapshotStore(wal_dir)
-        recovered = _replay_store(store)
-
-        self = cls.__new__(cls)
-        self._init_journal(store, clock, snapshot_every, sync_every,
-                           snapshot_log_bytes)
-        self.engine = D3CEngine(recovered.database, clock=self._pinned,
-                                **engine_kwargs)
-        self.engine.restore_tombstones(
-            {query_id: seq
-             for query_id, seq in recovered.tombstones.items()
-             if query_id not in recovered.pending},
-            next_seq=recovered.next_seq)
-        tickets = self.engine.import_pending(
-            recovered.pending_records())
-        for ticket in tickets.values():
-            self._track(ticket)
-        stats = self.engine.stats
-        stats.submitted = recovered.submitted
-        stats.answered = recovered.answered
-        stats.failed = recovered.failed_counter()
-
-        self._next_seq = recovered.next_seq
-        self.answers = recovered.answers
-        self.failures = recovered.failures
-        self.restored_tickets = tickets
-        self.commands_applied = recovered.commands
-        self._generation = recovered.generation
-        recovered.database.add_mutation_listener(self._on_delta)
-        self.snapshot()
-        return self
-
-    # -- serving surface -----------------------------------------------
+    # -- serving surface (the CoordinationService protocol) ------------
 
     @property
     def database(self):
-        return self.engine.database
+        return self.service.database
+
+    def _submit(self, queries: list,
+                admit: Callable[[], list]) -> list[CoordinationTicket]:
+        """Journal one ``submit`` command around *admit*.
+
+        The frame carries the queries as handed over and the arrival
+        sequences the inner service is about to assign (consecutive
+        from its counter, safety-rejected arrivals included); replay
+        re-renames them apart to the same working copies (suffix =
+        query id).  The inner service rejects a bad query or block
+        before touching any state: that raises out of ``execute()``
+        and the prepared frame is discarded unappended.
+        """
+        start = self.service.next_arrival_seq
+
+        def execute():
+            tickets = admit()
+            for ticket in tickets:
+                ticket.add_callback(self._on_settle)
+            return tickets
+
+        return self._command(
+            "submit",
+            {"queries": [to_payload(query) for query in queries],
+             "seqs": list(range(start, start + len(queries)))},
+            execute)
 
     def submit(self, query, callback: TicketCallback | None = None
                ) -> CoordinationTicket:
         """Submit one query durably (journalled; see the module doc)."""
-        seq = self._next_seq
-
-        def execute():
-            # The engine validates on admission, before any state is
-            # touched — a rejected query raises out of execute() and
-            # the prepared frame is discarded unappended.
-            ticket = self.engine.submit(query, arrival_seq=seq)
-            self._next_seq = seq + 1
-            self._track(ticket)
-            if callback is not None:
-                ticket.add_callback(callback)
-            return ticket
-
-        # The frame carries the query as submitted; the engine renames
-        # it apart deterministically (suffix = query id), so replay
-        # re-renames to the same working copy without this path paying
-        # for a second rename per query.
-        return self._command(
-            "submit", {"queries": [to_payload(query)], "seqs": [seq]},
-            execute)
+        (ticket,) = self._submit(
+            [query], lambda: [self.service.submit(query)])
+        if callback is not None:
+            ticket.add_callback(callback)
+        return ticket
 
     def submit_all(self, queries: Iterable) -> list[CoordinationTicket]:
         """Submit many queries in order (one journal frame each)."""
@@ -623,77 +579,38 @@ class DurableEngine(_DurableService):
     def submit_many(self, queries: Iterable) -> list[CoordinationTicket]:
         """Submit a block through the batched pipeline (one frame)."""
         queries = list(queries)
-        seqs = list(range(self._next_seq,
-                          self._next_seq + len(queries)))
-
-        def execute():
-            # submit_many validates the whole block before admitting
-            # any query, so a bad block raises here with no state
-            # touched and no frame appended.
-            tickets = self.engine.submit_many(queries,
-                                              arrival_seqs=seqs)
-            self._next_seq = seqs[-1] + 1 if seqs else self._next_seq
-            for ticket in tickets:
-                self._track(ticket)
-            return tickets
-
-        # As in submit(): journal the queries as handed over, let the
-        # engine do the one deterministic rename.
-        return self._command(
-            "submit",
-            {"queries": [to_payload(query) for query in queries],
-             "seqs": seqs},
-            execute)
+        return self._submit(
+            queries, lambda: self.service.submit_many(queries))
 
     def run_batch(self) -> int:
         """One journalled set-at-a-time round; returns answered count."""
-        return self._command("run_batch", {}, self.engine.run_batch)
+        return self._command("run_batch", {}, self.service.run_batch)
 
     def expire_stale(self) -> int:
         """One journalled expiry sweep; returns the expired count."""
-        return self._command("expire", {}, self.engine.expire_stale)
+        return self._command("expire", {}, self.service.expire_stale)
 
     def apply_mutations(self, operations: Sequence[tuple]) -> list[int]:
         """Apply a batch of DML operations under ONE journal frame.
 
-        Direct mutations of the engine's database are journalled too
+        Direct mutations of the service's database are journalled too
         — the delta listener writes one ``wal_delta`` frame per
         committed :class:`~repro.db.database.TableDelta` — but a
         mutation-heavy round pays per-frame append cost for every
         delta.  Batching through here costs one ``mutate`` command
-        frame for the whole block, mirroring
-        :meth:`DurableCoordinator.apply_mutations`.
+        frame for the whole block.  The inner service validates the
+        whole batch before applying any of it, so a bad op leaves the
+        database and the journal untouched.
         """
         ops = [[kind, table, [list(row) for row in rows]]
                for kind, table, rows in operations]
 
         def execute():
-            # Validate the whole batch — kinds, table names, every
-            # row — before applying any operation: a bad op mid-batch
-            # must not leave earlier ops committed with no journal
-            # frame to reproduce them on recovery.
-            database = self.engine.database
-            checked: list[tuple] = []
-            for kind, table, rows in ops:
-                if kind not in ("insert", "delete"):
-                    raise ValidationError(
-                        f"unknown mutation op {kind!r}; expected "
-                        f"'insert' or 'delete'")
-                schema = database.table(table).schema
-                checked.append(
-                    (kind, table,
-                     [schema.check_row(row) for row in rows]))
-            counts: list[int] = []
             self._suppress_deltas = True
             try:
-                for kind, table, rows in checked:
-                    if kind == "insert":
-                        counts.append(database.insert(table, rows))
-                    else:
-                        counts.append(database.delete_rows(table, rows))
+                return self.service.apply_mutations(ops)
             finally:
                 self._suppress_deltas = False
-            return counts
 
         return self._command("mutate", {"ops": ops}, execute)
 
@@ -706,280 +623,67 @@ class DurableEngine(_DurableService):
         return self.apply_mutations([("delete", table, rows)])[0]
 
     def invalidate_cache(self) -> None:
-        self.engine.invalidate_cache()
+        self.service.invalidate_cache()
 
     @property
     def next_arrival_seq(self) -> int:
-        return self.engine.next_arrival_seq
+        return self.service.next_arrival_seq
 
     @property
     def pending_count(self) -> int:
-        return self.engine.pending_count
+        return self.service.pending_count
 
     def pending_ids(self) -> list:
-        return self.engine.pending_ids()
+        return self.service.pending_ids()
 
     def partition_sizes(self) -> list[int]:
-        return self.engine.partition_sizes()
-
-    @property
-    def stats(self):
-        self.engine.stats.durability = self.durability_stats()
-        return self.engine.stats
-
-    def stats_snapshot(self) -> dict:
-        """The engine's counters with journal activity folded in
-        (``durability`` key; see :meth:`durability_stats`)."""
-        self.engine.stats.durability = self.durability_stats()
-        return self.engine.stats_snapshot()
+        return self.service.partition_sizes()
 
     def metrics_snapshot(self) -> dict:
-        """The engine's metrics snapshot joined by ``durability.*``
-        counters (see
-        :meth:`~repro.engine.engine.D3CEngine.metrics_snapshot`)."""
-        self.engine.stats.durability = self.durability_stats()
-        return self.engine.metrics_snapshot()
-
-    # -- durability internals ------------------------------------------
-
-    def _state_payload(self) -> dict:
-        engine = self.engine
-        state = {
-            "database": dump_database(engine.database,
-                                      cache=self._dump_cache),
-            "db_version": engine.database.db_version,
-            "next_seq": engine.next_arrival_seq,
-            "pending": [record_to_payload(record)
-                        for record in engine.snapshot_pending()],
-            "tombstones": _pairs(engine.arrival_tombstones()),
-            "used_ids": [],
-            "counters": {
-                "submitted": engine.stats.submitted,
-                "answered": engine.stats.answered,
-                "failed": {reason.value: count
-                           for reason, count in sorted(
-                               engine.stats.failed.items(),
-                               key=lambda item: item[0].value)},
-            },
-        }
-        state.update(self._journal_state())
-        return state
-
-    def _close_inner(self) -> None:
-        pass
-
-
-class DurableCoordinator(_DurableService):
-    """A :class:`~repro.shard.coordinator.ShardedCoordinator` that
-    survives its process.
-
-    Same contract as :class:`DurableEngine` — fresh construction
-    refuses a directory holding state; :meth:`recover` rebuilds the
-    fleet (of whatever shape the caller asks for: shard count and
-    backend may differ from the crashed run — restore re-routes the
-    pending set, exactly as dead-shard re-homing does) at the exact
-    pre-crash database version and arrival sequence.  Coordinator
-    keyword arguments (``num_shards``, ``backend``, ``staleness``,
-    ``warm_indexes``…) pass through unchanged except ``clock``.
-    """
-
-    def __init__(self, wal_dir: str | Path, database=None, *,
-                 clock: Clock | None = None,
-                 snapshot_every: int | None =
-                 _DurableService.DEFAULT_SNAPSHOT_EVERY,
-                 sync_every: int | None = 8,
-                 snapshot_log_bytes: int | None = None,
-                 **coordinator_kwargs):
-        store = SnapshotStore(wal_dir)
-        if store.has_state():
-            raise RecoveryError(
-                f"{store.root} already holds durable state; use "
-                f"DurableCoordinator.recover() (a fresh start would "
-                f"orphan that history)")
-        if database is None:
-            raise ValidationError(
-                "a database is required to start a fresh durable "
-                "coordinator")
-        self._init_journal(store, clock, snapshot_every, sync_every,
-                           snapshot_log_bytes)
-        self.coordinator = ShardedCoordinator(database,
-                                              clock=self._pinned,
-                                              **coordinator_kwargs)
-        database.add_mutation_listener(self._on_delta)
-        self.snapshot()
-
-    @classmethod
-    def recover(cls, wal_dir: str | Path, *,
-                clock: Clock | None = None,
-                snapshot_every: int | None =
-                _DurableService.DEFAULT_SNAPSHOT_EVERY,
-                sync_every: int | None = 8,
-                snapshot_log_bytes: int | None = None,
-                **coordinator_kwargs) -> "DurableCoordinator":
-        """Rebuild the fleet a crashed (or closed) service left in
-        *wal_dir* (see :meth:`DurableEngine.recover`; configuration is
-        caller-supplied, state is replayed)."""
-        store = SnapshotStore(wal_dir)
-        recovered = _replay_store(store)
-
-        self = cls.__new__(cls)
-        self._init_journal(store, clock, snapshot_every, sync_every,
-                           snapshot_log_bytes)
-        self.coordinator = ShardedCoordinator(recovered.database,
-                                              clock=self._pinned,
-                                              **coordinator_kwargs)
-        tickets = self.coordinator.restore_state(
-            next_seq=recovered.next_seq,
-            used_ids=recovered.used_ids,
-            records=recovered.pending_records(),
-            submitted=recovered.submitted,
-            answered=recovered.answered,
-            failed=recovered.failed_counter())
-        for ticket in tickets.values():
-            self._track(ticket)
-
-        self.answers = recovered.answers
-        self.failures = recovered.failures
-        self.restored_tickets = tickets
-        self.commands_applied = recovered.commands
-        self._generation = recovered.generation
-        recovered.database.add_mutation_listener(self._on_delta)
-        self.snapshot()
-        return self
-
-    # -- serving surface -----------------------------------------------
-
-    @property
-    def database(self):
-        return self.coordinator.database
-
-    def submit(self, query, callback: TicketCallback | None = None
-               ) -> CoordinationTicket:
-        """Submit one query durably (journalled; see the module doc)."""
-        query.validate()
-        seq = self.coordinator.next_arrival_seq
-
-        def execute():
-            ticket = self.coordinator.submit(query)
-            self._track(ticket)
-            if callback is not None:
-                ticket.add_callback(callback)
-            return ticket
-
-        # Journal the query as submitted; the shard engine renames it
-        # apart deterministically on admission (see DurableEngine).
-        return self._command(
-            "submit", {"queries": [to_payload(query)], "seqs": [seq]},
-            execute)
-
-    def submit_all(self, queries: Iterable) -> list[CoordinationTicket]:
-        """Submit many queries in order (one journal frame each)."""
-        return [self.submit(query) for query in queries]
-
-    def submit_many(self, queries: Iterable) -> list[CoordinationTicket]:
-        """Submit a block through the sharded pipeline (one frame)."""
-        queries = list(queries)
-        for query in queries:
-            query.validate()
-        start = self.coordinator.next_arrival_seq
-        seqs = list(range(start, start + len(queries)))
-
-        def execute():
-            tickets = self.coordinator.submit_many(queries)
-            for ticket in tickets:
-                self._track(ticket)
-            return tickets
-
-        return self._command(
-            "submit",
-            {"queries": [to_payload(query) for query in queries],
-             "seqs": seqs},
-            execute)
-
-    def run_batch(self) -> int:
-        """One journalled fleet-wide round; returns answered count."""
-        return self._command("run_batch", {},
-                             self.coordinator.run_batch)
-
-    def expire_stale(self) -> int:
-        """One journalled fleet-wide expiry sweep; returns the count."""
-        return self._command("expire", {}, self.coordinator.expire_stale)
-
-    def apply_mutations(self, operations: Sequence[tuple]) -> list[int]:
-        """Apply and journal a batch of DML operations fleet-wide."""
-        ops = [[kind, table, [list(row) for row in rows]]
-               for kind, table, rows in operations]
-
-        def execute():
-            checked = [(kind, table, [tuple(row) for row in rows])
-                       for kind, table, rows in ops]
-            self._suppress_deltas = True
-            try:
-                return self.coordinator.apply_mutations(checked)
-            finally:
-                self._suppress_deltas = False
-
-        return self._command("mutate", {"ops": ops}, execute)
-
-    def insert(self, table: str, rows) -> int:
-        """Insert rows fleet-wide (one journalled mutation block)."""
-        return self.apply_mutations([("insert", table, rows)])[0]
-
-    def delete_rows(self, table: str, rows) -> int:
-        """Delete rows fleet-wide (one journalled mutation block)."""
-        return self.apply_mutations([("delete", table, rows)])[0]
-
-    def invalidate_cache(self) -> None:
-        self.coordinator.invalidate_cache()
-
-    @property
-    def next_arrival_seq(self) -> int:
-        return self.coordinator.next_arrival_seq
-
-    @property
-    def pending_count(self) -> int:
-        return self.coordinator.pending_count
-
-    def pending_ids(self) -> list:
-        return self.coordinator.pending_ids()
-
-    def partition_sizes(self) -> list[int]:
-        return self.coordinator.partition_sizes()
-
-    @property
-    def stats(self):
-        stats = self.coordinator.stats
-        stats.durability = self.durability_stats()
-        return stats
-
-    def stats_snapshot(self) -> dict:
-        """Fleet-wide counters with journal activity folded in."""
-        stats = self.coordinator.stats
-        stats.durability = self.durability_stats()
-        return stats.snapshot()
-
-    def metrics_snapshot(self) -> dict:
-        """The fleet's merged metrics snapshot joined by
-        ``durability.*`` counters (the journal lives on the wrapper,
-        not on any one shard)."""
-        snapshot = self.coordinator.metrics_snapshot()
+        """The inner service's metrics snapshot joined by the
+        ``durability.*`` counters (the journal lives on the wrapper)."""
+        snapshot = self.service.metrics_snapshot()
         counters = snapshot["counters"]
         for key, value in self.durability_stats().items():
             counters[f"durability.{key}"] = value
         return snapshot
 
     @property
-    def db_version(self) -> int:
-        return self.coordinator.db_version
+    def stats(self) -> EngineStats:
+        """:meth:`metrics_snapshot` in the engine's vocabulary
+        (journal activity under ``durability``)."""
+        return EngineStats.from_metrics(self.metrics_snapshot())
 
-    # -- durability internals ------------------------------------------
-
-    def _state_payload(self) -> dict:
-        state = self.coordinator.snapshot_state(
-            dump_cache=self._dump_cache)
-        state["tombstones"] = []
-        state.update(self._journal_state())
+    def snapshot_state(self, *, dump_cache: dict | None = None) -> dict:
+        """The inner service's durable state plus the settlement maps
+        (the snapshot body, and the crash battery's fingerprint)."""
+        state = self.service.snapshot_state(dump_cache=dump_cache)
+        state["answers"] = id_pairs(self.answers)
+        state["failures"] = id_pairs(self.failures)
         return state
 
-    def _close_inner(self) -> None:
-        self.coordinator.close()
+    def restore_state(self, **state) -> dict:
+        """Restore the (pristine) inner service, journal the restored
+        tickets' settlements from here on, and publish the result as a
+        new snapshot generation; returns the fresh tickets."""
+        tickets = self.service.restore_state(**state)
+        for ticket in tickets.values():
+            ticket.add_callback(self._on_settle)
+        self.snapshot()
+        return tickets
+
+
+class DurableEngine(_DurableService):
+    """A durable :class:`~repro.engine.engine.D3CEngine` (see
+    :class:`_DurableService`; engine keyword arguments pass through)."""
+
+    _service_class = D3CEngine
+
+
+class DurableCoordinator(_DurableService):
+    """A durable :class:`~repro.shard.coordinator.ShardedCoordinator`
+    (see :class:`_DurableService`; ``num_shards``, ``backend``,
+    ``staleness``, ``warm_indexes``… pass through — shard count and
+    backend may differ from the run that wrote the directory)."""
+
+    _service_class = ShardedCoordinator

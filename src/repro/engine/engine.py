@@ -39,14 +39,16 @@ import math
 import random
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 from ..concurrency import cpu_parallelism_available, default_worker_count
 
 from ..core.evaluate import FailureReason
 from ..core.query import EntangledQuery
 from ..core.safety import SafetyChecker
+from ..dataio import dump_database, id_pairs, record_to_payload
 from ..db.database import Database
 from ..errors import RecoveryError, ValidationError
 from ..obs.metrics import MetricsRegistry
@@ -58,7 +60,7 @@ _SETTLED_ANSWERED = {"outcome": "answered"}
 from .futures import CoordinationTicket, TicketCallback
 from .runtime import CoordinationScheduler
 from .staleness import Clock, NeverStale, StalenessPolicy, SystemClock
-from .stats import EngineStats
+from .stats import EngineStats, lifecycle_payload
 
 EngineMode = Literal["incremental", "batch"]
 SafetyMode = Literal["reject", "off"]
@@ -247,26 +249,18 @@ class D3CEngine:
     # statistics
     # ------------------------------------------------------------------
 
-    def stats_snapshot(self) -> dict:
-        """Counters as a plain dict, with fresh range-index figures.
-
-        Refreshes ``stats.range_index`` from the database's ordered-index
-        counters before snapshotting; kept out of the ``stats`` attribute
-        accessor so hot-path counter bumps stay attribute stores.
-        """
-        self.stats.range_index = self.database.range_stats()
-        return self.stats.snapshot()
-
     def metrics_snapshot(self) -> dict:
         """This engine's metrics as one registry snapshot.
 
-        Supersedes :meth:`stats_snapshot`: every counter that dict
-        carries appears here under the same name (nested dicts as
-        dotted counters), joined by the database-layer cache counters
-        (``db.*``) and the scheduler's feasibility memo counters
-        (``feasibility.*``) that previously lived on their own
-        objects.  The shape is JSON-safe and merges across a fleet
-        with :func:`repro.obs.merge_snapshots`.
+        The one stats surface: every :class:`EngineStats` counter
+        appears under its own name (nested dicts as dotted counters,
+        ``range_index.*`` refreshed from the database here so hot-path
+        counter bumps stay attribute stores), joined by the
+        database-layer cache counters (``db.*``) and the scheduler's
+        feasibility memo counters (``feasibility.*``).  The shape is
+        JSON-safe, merges across a fleet with
+        :func:`repro.obs.merge_snapshots`, and renders back into the
+        engine's vocabulary with :meth:`EngineStats.from_metrics`.
         """
         registry = MetricsRegistry()
         with self._lock:
@@ -500,6 +494,23 @@ class D3CEngine:
             ticket.resolve(answer)
         return len(settled)
 
+    def apply_mutations(self, operations: Sequence[tuple]) -> list[int]:
+        """Apply a batch of ``(kind, table, rows)`` DML operations to
+        the engine's database, all-or-nothing against bad input (see
+        :meth:`Database.apply_mutations`); returns per-op row counts.
+        No cache hammer follows: each committed delta reaches
+        :meth:`_on_table_delta`, which re-queues exactly the readers of
+        the mutated table."""
+        return self.database.apply_mutations(operations)
+
+    def insert(self, table: str, rows) -> int:
+        """Insert rows (one mutation block)."""
+        return self.apply_mutations([("insert", table, rows)])[0]
+
+    def delete_rows(self, table: str, rows) -> int:
+        """Delete rows (one mutation block)."""
+        return self.apply_mutations([("delete", table, rows)])[0]
+
     def invalidate_cache(self) -> None:
         """Forget data-dependent coordination state, indiscriminately.
 
@@ -670,12 +681,17 @@ class D3CEngine:
     # durability hooks (see repro.durability.service)
     # ------------------------------------------------------------------
 
-    def snapshot_pending(self) -> list[PendingRecord]:
-        """A non-destructive view of the pending set, in arrival order.
+    def snapshot_state(self, *, dump_cache: dict | None = None) -> dict:
+        """The engine's durable state as a wire-safe payload.
 
-        The same records :meth:`export_component` would produce, but
-        nothing leaves the engine — the durability layer snapshots a
-        *live* engine with these and keeps serving from it.
+        The key set every service shape snapshots: the database (text
+        dump plus version), the arrival counter, the pending set as
+        migration-record payloads in arrival order (non-destructive —
+        a *live* engine is snapshotted and keeps serving), the
+        lifecycle counters, and the burned ids.  Answered and
+        safety-rejected ids stay burned for the engine's lifetime (only
+        expiry releases one); the engine spells them ``tombstones`` —
+        ``[id, arrival seq]`` pairs — and leaves ``used_ids`` empty.
         """
         with self._lock:
             records = [PendingRecord(working, self._arrival[query_id],
@@ -684,47 +700,57 @@ class D3CEngine:
                        for query_id, (working, _, submitted_at)
                        in self._pending.items()]
             records.sort(key=lambda record: record.arrival_seq)
-            return records
+            return {
+                "database": dump_database(self.database,
+                                          cache=dump_cache),
+                "db_version": self.database.db_version,
+                "next_seq": self._next_seq,
+                "pending": [record_to_payload(record)
+                            for record in records],
+                "tombstones": id_pairs(
+                    {query_id: seq
+                     for query_id, seq in self._arrival.items()
+                     if query_id not in self._pending}),
+                "used_ids": [],
+                "counters": lifecycle_payload(self.stats.submitted,
+                                              self.stats.answered,
+                                              self.stats.failed),
+            }
 
-    def arrival_tombstones(self) -> dict:
-        """Arrival entries of *settled* queries: ``{query_id: seq}``.
+    def restore_state(self, *, next_seq: int, used_ids: Mapping,
+                      records: Sequence[PendingRecord],
+                      submitted: int = 0, answered: int = 0,
+                      failed: Counter | None = None) -> dict:
+        """Reinstate a recovered history on a freshly built engine.
 
-        Answered and safety-rejected ids stay burned for the engine's
-        lifetime (only expiry releases an id for retry); a recovered
-        engine must reinstate these entries or it would accept
-        re-submissions the crashed engine would have refused.
-        """
-        with self._lock:
-            return {query_id: seq
-                    for query_id, seq in self._arrival.items()
-                    if query_id not in self._pending}
-
-    def restore_tombstones(self, entries: dict,
-                           next_seq: int | None = None) -> None:
-        """Reinstate settled arrival entries on a freshly built engine.
-
-        *entries* maps burned query ids to their arrival sequence
-        numbers (the :meth:`arrival_tombstones` of the engine being
-        recovered); *next_seq* pins the arrival counter so post-recovery
-        submissions continue the pre-crash sequence even when the
-        highest sequences belonged to since-expired queries.  Raises
-        :class:`~repro.errors.RecoveryError` over live state — restoring
-        onto an engine that already admitted queries would silently
-        merge two histories.
+        *used_ids* maps every burned id to its arrival sequence (or
+        ``None``: nothing reads the sequence of a settled id, it only
+        has to be present so a re-submission is refused); *next_seq*
+        continues the pre-crash arrival counter even when the highest
+        sequences belonged to since-expired queries; *records* re-enter
+        through :meth:`import_pending`, whose fresh tickets are
+        returned.  Raises :class:`~repro.errors.RecoveryError` over
+        live state — restoring onto an engine that already admitted
+        queries would silently merge two histories.
         """
         with self._lock:
             if (self._pending or self._arrival or self._next_seq
                     or not self._runtime.pristine):
                 raise RecoveryError(
-                    "cannot restore tombstones over live engine state "
+                    "cannot restore over live engine state "
                     f"({len(self._pending)} pending, "
                     f"{len(self._arrival)} arrival entries, "
                     f"next_seq={self._next_seq})")
-            for query_id, seq in entries.items():
-                self._arrival[query_id] = seq
-                self._next_seq = max(self._next_seq, seq + 1)
-            if next_seq is not None:
-                self._next_seq = max(self._next_seq, next_seq)
+            self._arrival.update(used_ids)
+            self._next_seq = next_seq
+            self.stats.submitted = submitted
+            self.stats.answered = answered
+            self.stats.failed = Counter(failed or ())
+            return self.import_pending(records)
+
+    def close(self) -> None:
+        """Release the engine (it owns no workers or files; present so
+        every service shape closes the same way)."""
 
     @property
     def next_arrival_seq(self) -> int:

@@ -46,6 +46,24 @@ class ManualClock(Clock):
         self._now += seconds
 
 
+class PinnedClock(Clock):
+    """A clock frozen between commands and pinned at each command
+    boundary: by the durable wrapper to its source clock's reading, by
+    shard workers to the ``now`` every coordinator frame carries.
+    ``set`` never moves backwards — a caller mixing clock sources must
+    not unexpire anything."""
+
+    def __init__(self, start: float = 0.0):
+        self._now = start
+
+    def now(self) -> float:
+        return self._now
+
+    def set(self, now: float) -> None:
+        if now > self._now:
+            self._now = now
+
+
 class StalenessPolicy(abc.ABC):
     """Decides when a pending query has waited long enough.
 

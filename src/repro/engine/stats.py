@@ -12,6 +12,17 @@ from dataclasses import dataclass, field
 from ..core.evaluate import FailureReason
 
 
+def lifecycle_payload(submitted: int, answered: int,
+                      failed: Counter) -> dict:
+    """The lifecycle counters as a JSON-safe dict with stable key order
+    (the ``counters`` block of every service's durable state)."""
+    return {"submitted": submitted, "answered": answered,
+            "failed": {reason.value: count
+                       for reason, count in sorted(
+                           failed.items(),
+                           key=lambda item: item[0].value)}}
+
+
 @dataclass(slots=True)
 class EngineStats:
     """Aggregated counters for one engine instance."""
@@ -33,12 +44,12 @@ class EngineStats:
     db_seconds: float = 0.0
     safety_seconds: float = 0.0
     #: Ordered-index pushdown counters, refreshed from the database by
-    #: :meth:`repro.engine.Engine.stats_snapshot` (empty until then).
+    #: ``metrics_snapshot()`` (empty until then).
     range_index: dict = field(default_factory=dict)
     #: Durability counters (WAL appends, fsync batches, bytes,
-    #: snapshots taken), refreshed by the durable wrappers'
-    #: ``stats_snapshot`` (empty on an unjournalled engine).  Fleet
-    #: merges sum these key-wise like :attr:`range_index`.
+    #: snapshots taken): filled by :meth:`from_metrics` from the
+    #: ``durability.*`` counters the durable wrapper adds to its
+    #: metrics snapshot (empty on an unjournalled service).
     durability: dict = field(default_factory=dict)
 
     @property
@@ -56,12 +67,8 @@ class EngineStats:
     def snapshot(self) -> dict:
         """A plain-dict view (stable keys) for logging and benchmarks."""
         return {
-            "submitted": self.submitted,
-            "answered": self.answered,
-            "failed": {reason.value: count
-                       for reason, count in sorted(
-                           self.failed.items(),
-                           key=lambda item: item[0].value)},
+            **lifecycle_payload(self.submitted, self.answered,
+                                self.failed),
             "pending": self.pending,
             "coordination_rounds": self.coordination_rounds,
             "combined_queries_built": self.combined_queries_built,
@@ -105,6 +112,32 @@ class EngineStats:
             registry.inc(f"range_index.{key}", value)
         for key, value in self.durability.items():
             registry.inc(f"durability.{key}", value)
+
+    @classmethod
+    def from_metrics(cls, snapshot: dict) -> "EngineStats":
+        """The inverse of :meth:`to_metrics`: render a
+        ``metrics_snapshot()`` back into the engine's vocabulary.
+
+        The one stats path of every service shape — the fleet's merged
+        snapshot, the durable wrapper's (``durability.*`` joined), and
+        the server's ``stats`` op all read their figures from here;
+        counters outside this vocabulary (``db.*``, ``shard.*``,
+        ``server.*``…) are ignored.
+        """
+        counters = snapshot["counters"]
+        gauges = snapshot["gauges"]
+        stats = cls()
+        for key in cls.COUNTER_KEYS:
+            setattr(stats, key, counters.get(key, 0))
+        for key in cls.SECONDS_KEYS:
+            setattr(stats, key, gauges.get(key, 0.0))
+        for key, value in counters.items():
+            prefix, _, name = key.partition(".")
+            if prefix == "failed":
+                stats.failed[FailureReason(name)] = value
+            elif prefix in ("range_index", "durability"):
+                getattr(stats, prefix)[name] = value
+        return stats
 
     def __str__(self) -> str:
         failed = ", ".join(f"{reason.value}={count}"

@@ -2,9 +2,12 @@
 
 :class:`CoordinationServer` listens on TCP and/or a unix socket and
 serves the protocol of :mod:`repro.server.protocol` against one shared
-service — a :class:`~repro.engine.D3CEngine`, a sharded coordinator,
-or (the production shape) a durable wrapper whose journal survives a
-kill-9 under load.
+:class:`~repro.service.CoordinationService` — a
+:class:`~repro.engine.D3CEngine`, a sharded coordinator, or (the
+production shape) a durable wrapper whose journal survives a kill-9
+under load.  The service protocol is the server's whole contract with
+what it fronts: it calls the service directly and never asks which
+shape it was handed.
 
 Design
 ------
@@ -57,9 +60,11 @@ from typing import Callable, Optional
 from ..core.query import EntangledQuery
 from ..dataio import from_payload, to_payload
 from ..engine.futures import TicketState
+from ..engine.stats import EngineStats
 from ..errors import ReproError, ValidationError
 from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.trace import TRACER
+from ..service import CoordinationService
 from .admission import AdmissionController
 from .protocol import (BAD_FRAME, INTERNAL, INVALID, MAX_FRAME_BYTES,
                        ORDERED_OPS, OVERLOADED, SHUTTING_DOWN, TIMEOUT,
@@ -112,58 +117,6 @@ class _Connection:
         self.lock = asyncio.Lock()
 
 
-class _ServiceAdapter:
-    """One surface over the four service shapes the server fronts.
-
-    ``D3CEngine``, ``ShardedCoordinator``, ``DurableEngine``, and
-    ``DurableCoordinator`` agree on submission and batch methods but
-    differ on mutations: the engine has no ``apply_mutations``, so the
-    adapter supplies the durable wrapper's semantics (validate every
-    row first, then apply — all-or-nothing against schema errors) over
-    the bare database.  The fault battery's oracle wraps its fresh
-    engine in this same adapter so replayed mutations match exactly.
-    """
-
-    def __init__(self, service):
-        self.service = service
-
-    def submit_many(self, queries):
-        return self.service.submit_many(queries)
-
-    def run_batch(self) -> int:
-        return self.service.run_batch()
-
-    def expire_stale(self) -> int:
-        return self.service.expire_stale()
-
-    def pending_ids(self) -> list:
-        return list(self.service.pending_ids())
-
-    def stats_snapshot(self) -> dict:
-        return self.service.stats_snapshot()
-
-    def apply_mutations(self, operations) -> list:
-        applier = getattr(self.service, "apply_mutations", None)
-        if applier is not None:
-            return applier(operations)
-        database = self.service.database
-        checked = []
-        for kind, table, rows in operations:
-            schema = database.table(table).schema
-            checked.append(
-                (kind, table, [schema.check_row(row) for row in rows]))
-        counts = []
-        for kind, table, rows in checked:
-            if kind == "insert":
-                counts.append(database.insert(table, rows))
-            else:
-                counts.append(database.delete_rows(table, rows))
-        invalidate = getattr(self.service, "invalidate_cache", None)
-        if invalidate is not None:
-            invalidate()
-        return counts
-
-
 def normalize_mutations(args: dict) -> list:
     """Validate and normalize a mutate request's ``ops`` argument into
     the ``(kind, table, rows-of-tuples)`` shape the services expect."""
@@ -195,12 +148,12 @@ def normalize_mutations(args: dict) -> list:
 class CoordinationServer:
     """Asyncio TCP/unix front door for one coordination service."""
 
-    def __init__(self, service, config: ServerConfig | None = None, *,
+    def __init__(self, service: CoordinationService,
+                 config: ServerConfig | None = None, *,
                  clock: Callable[[], float] = time.monotonic):
         self.service = service
         self.config = config or ServerConfig()
         self._clock = clock
-        self._adapter = _ServiceAdapter(service)
         self._admission = AdmissionController(
             window=self.config.window,
             queue_limit=self.config.queue_limit,
@@ -329,9 +282,7 @@ class CoordinationServer:
         for conn in list(self._connections):
             await self._close_connection(conn)
         if close_service:
-            close = getattr(self.service, "close", None)
-            if close is not None:
-                close()
+            self.service.close()
         self._unlink_unix()
         self._drained.set()
 
@@ -531,9 +482,10 @@ class CoordinationServer:
         if op == "ping":
             return {"pong": True, "draining": self._draining}, None
         if op == "pending":
-            return {"ids": self._adapter.pending_ids()}, None
+            return {"ids": self.service.pending_ids()}, None
         if op == "stats":
-            return self._adapter.stats_snapshot(), None
+            return EngineStats.from_metrics(
+                self.service.metrics_snapshot()).snapshot(), None
         if op == "metrics":
             return self.metrics_snapshot(), None
         if op == "resolved":
@@ -546,10 +498,10 @@ class CoordinationServer:
         if op == "submit":
             return self._do_submit(conn, args), order
         if op == "run_batch":
-            return {"answered": self._adapter.run_batch()}, order
+            return {"answered": self.service.run_batch()}, order
         if op == "expire":
-            return {"expired": self._adapter.expire_stale()}, order
-        return {"counts": self._adapter.apply_mutations(
+            return {"expired": self.service.expire_stale()}, order
+        return {"counts": self.service.apply_mutations(
             normalize_mutations(args))}, order
 
     def _do_submit(self, conn: _Connection, args: dict) -> dict:
@@ -573,7 +525,7 @@ class CoordinationServer:
         for qid in ids:
             self._owners[qid] = conn
         try:
-            tickets = self._adapter.submit_many(queries)
+            tickets = self.service.submit_many(queries)
         except BaseException:
             for qid in ids:
                 if qid in previous:

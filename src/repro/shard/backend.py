@@ -185,8 +185,6 @@ class ShardBackend(Protocol):
 
     def call_db_delta(self, payload: dict) -> ShardCall: ...
 
-    def call_stats(self) -> ShardCall: ...
-
     def call_metrics(self) -> ShardCall: ...
 
     def call_partition_sizes(self) -> ShardCall: ...
@@ -199,9 +197,6 @@ class ShardBackend(Protocol):
 
     def partition_sizes(self) -> list[int]:
         """Component sizes on this shard."""
-
-    def stats_snapshot(self) -> dict:
-        """The shard engine's ``EngineStats.snapshot()``."""
 
     def metrics_snapshot(self) -> dict:
         """The shard engine's ``MetricsRegistry`` snapshot (see
@@ -367,9 +362,6 @@ class InProcessBackend:
     def call_db_delta(self, payload: dict) -> ShardCall:
         return _eager(lambda: self.apply_db_delta(payload))
 
-    def call_stats(self) -> ShardCall:
-        return _eager(self.stats_snapshot)
-
     def call_metrics(self) -> ShardCall:
         return _eager(self.metrics_snapshot)
 
@@ -383,10 +375,6 @@ class InProcessBackend:
     def partition_sizes(self) -> list[int]:
         self.wire_requests += 1
         return self.engine.partition_sizes()
-
-    def stats_snapshot(self) -> dict:
-        self.wire_requests += 1
-        return self.engine.stats_snapshot()
 
     def metrics_snapshot(self) -> dict:
         self.wire_requests += 1

@@ -45,7 +45,7 @@ from ..db.database import Database
 from ..engine.futures import CoordinationTicket, TicketCallback
 from ..engine.staleness import Clock, NeverStale, StalenessPolicy, \
     SystemClock
-from ..engine.stats import EngineStats
+from ..engine.stats import EngineStats, lifecycle_payload
 from ..errors import RecoveryError, ValidationError
 from ..obs import MetricsRegistry, TRACER, merge_snapshots
 from .backend import InProcessBackend, ShardBackend
@@ -621,33 +621,17 @@ class ShardedCoordinator:
         ``("delete", table, rows)`` tuples, applied in order against
         the coordinator's database (the primary) and then shipped to
         every live worker as a single versioned ``db_delta`` frame.
+        All-or-nothing against bad input (see
+        :meth:`Database.apply_mutations`): a bad op mid-batch leaves
+        nothing applied, so a retry of the "failed" batch cannot
+        double-apply earlier ops fleet-wide under bag semantics.
         Returns the per-operation row counts.  Workers ack the
         resulting ``db_version``; a worker acking any other version is
         refused (:class:`ShardReplicationError`), and a worker that
         died mid-frame has its components re-homed onto a healthy
         shard (replayed to the current version first).
         """
-        # Validate the whole batch — kinds, table names, and every
-        # row — before applying any operation: a bad op mid-batch
-        # must not leave earlier ops committed behind an exception
-        # (a retry of the "failed" batch would double-apply them
-        # fleet-wide under bag semantics).
-        checked: list[tuple] = []
-        for operation in operations:
-            kind, table, rows = operation
-            if kind not in ("insert", "delete"):
-                raise ValidationError(
-                    f"unknown mutation op {kind!r}; expected 'insert' "
-                    f"or 'delete'")
-            schema = self.database.table(table).schema
-            rows = [schema.check_row(row) for row in rows]
-            checked.append((kind, table, rows))
-        counts: list[int] = []
-        for kind, table, rows in checked:
-            if kind == "insert":
-                counts.append(self.database.insert(table, rows))
-            else:
-                counts.append(self.database.delete_rows(table, rows))
+        counts = self.database.apply_mutations(operations)
         self._replicate()
         return counts
 
@@ -1070,9 +1054,11 @@ class ShardedCoordinator:
 
         Everything a fresh coordinator needs to continue this one's
         history: the primary database (text dump plus its version), the
-        global arrival counter, the used-id set, the full pending set
-        as migration-record payloads (the coordinator's ``_pending_meta``
-        copy — workers are not consulted), and the lifecycle counters.
+        global arrival counter, the burned ids (as ``used_ids``; the
+        engine's ``tombstones`` spelling stays empty), the full pending
+        set as migration-record payloads (the coordinator's
+        ``_pending_meta`` copy — workers are not consulted), and the
+        lifecycle counters.
         Shard placement is deliberately *not* captured: restore re-routes
         the pending set onto whatever fleet shape the recovering caller
         builds, which is also what re-homing after a worker death does.
@@ -1088,16 +1074,11 @@ class ShardedCoordinator:
             "database": dump_database(self.database, cache=dump_cache),
             "db_version": self.database.db_version,
             "next_seq": self._next_seq,
-            "used_ids": sorted(self._used_ids, key=repr),
             "pending": [record_to_payload(record) for record in records],
-            "counters": {
-                "submitted": self._submitted,
-                "answered": self._answered,
-                "failed": {reason.value: count
-                           for reason, count in sorted(
-                               self._failed.items(),
-                               key=lambda item: item[0].value)},
-            },
+            "tombstones": [],
+            "used_ids": sorted(self._used_ids, key=repr),
+            "counters": lifecycle_payload(self._submitted,
+                                          self._answered, self._failed),
         }
 
     def restore_state(self, *, next_seq: int, used_ids: Iterable,
@@ -1106,6 +1087,8 @@ class ShardedCoordinator:
                       failed: Counter | None = None) -> dict:
         """Reinstate a recovered coordinator history onto fresh shards.
 
+        *used_ids* holds every burned id (the fleet reads only the
+        keys of the id → arrival-sequence map the engine takes).
         *records* are :class:`~repro.engine.engine.PendingRecord`\\ s of
         every pending query (the whole fleet's, in any order); they are
         routed as one block — every coordination partner is in the
@@ -1246,25 +1229,7 @@ class ShardedCoordinator:
         into :class:`~repro.engine.stats.EngineStats` for callers that
         speak the engine's vocabulary.
         """
-        snapshot = self.metrics_snapshot()
-        counters = snapshot["counters"]
-        gauges = snapshot["gauges"]
-        merged = EngineStats()
-        merged.submitted = self._submitted
-        merged.answered = self._answered
-        merged.failed = Counter(self._failed)
-        for key in EngineStats.COUNTER_KEYS:
-            if key in ("submitted", "answered"):
-                continue
-            setattr(merged, key, counters.get(key, 0))
-        for key in EngineStats.SECONDS_KEYS:
-            setattr(merged, key, gauges.get(key, 0.0))
-        for key, value in counters.items():
-            if key.startswith("range_index."):
-                merged.range_index[key[len("range_index."):]] = value
-            elif key.startswith("durability."):
-                merged.durability[key[len("durability."):]] = value
-        return merged
+        return EngineStats.from_metrics(self.metrics_snapshot())
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -41,9 +41,10 @@ start-up and kept current by versioned ``db_delta`` frames (the worker
 acks each block's resulting version, skips already-applied replays,
 and refuses gapped blocks with a ``stale replica`` error so the
 coordinator replays its mutation log).  The worker's clock is a
-:class:`_SettableClock` pinned by the coordinator's ``now`` on every
-command, so staleness is judged against coordinator time and the
-process fleet behaves byte-identically to in-process shards.
+:class:`~repro.engine.staleness.PinnedClock` set to the coordinator's
+``now`` on every command, so staleness is judged against coordinator
+time and the process fleet behaves byte-identically to in-process
+shards.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from ..concurrency import shutdown_grace_seconds
 from ..core.evaluate import FailureReason
 from ..engine.engine import D3CEngine, PendingRecord
 from ..engine.futures import CoordinationTicket, TicketState
-from ..engine.staleness import Clock, NeverStale, StalenessPolicy, \
-    TimeoutStaleness
+from ..engine.staleness import NeverStale, PinnedClock, \
+    StalenessPolicy, TimeoutStaleness
 from ..obs.trace import TRACER, set_tracing
 from .backend import ShardCall
 
@@ -83,22 +84,6 @@ class ShardReplicaStaleError(ShardWorkerError):
     """Coordinator-side: the worker refused a ``db_delta`` block
     because its replica is behind the block's ``from`` version.
     Recoverable — the coordinator replays the retained mutation log."""
-
-
-class _SettableClock(Clock):
-    """A clock pinned by the coordinator: every command carries 'now'."""
-
-    def __init__(self) -> None:
-        self._now = 0.0
-
-    def now(self) -> float:
-        return self._now
-
-    def set(self, now: float) -> None:
-        # Never move backwards: commands arrive in send order, but a
-        # caller mixing clock sources should not unexpire anything.
-        if now > self._now:
-            self._now = now
 
 
 def _reap(process, grace: float) -> None:
@@ -164,7 +149,7 @@ class _Worker:
         # mutation counter disagrees with the primary's; pin it so
         # replicated db_delta frames line up from the first block.
         self.database.reset_db_version(config.get("db_version", 0))
-        self.clock = _SettableClock()
+        self.clock = PinnedClock()
         self.engine = D3CEngine(
             self.database,
             staleness=staleness_from_spec(config["staleness"]),
@@ -265,8 +250,6 @@ class _Worker:
             return self.engine.pending_ids()
         if op == "sizes":
             return self.engine.partition_sizes()
-        if op == "stats":
-            return self.engine.stats_snapshot()
         if op == "metrics":
             return self.engine.metrics_snapshot()
         if op == "invalidate":
@@ -582,9 +565,6 @@ class ProcessBackend:
     def call_db_delta(self, payload: dict) -> ShardCall:
         return self._call_async("db_delta", payload=payload)
 
-    def call_stats(self) -> ShardCall:
-        return self._call_async("stats")
-
     def call_metrics(self) -> ShardCall:
         return self._call_async("metrics")
 
@@ -596,9 +576,6 @@ class ProcessBackend:
 
     def partition_sizes(self) -> list[int]:
         return self._call("sizes")
-
-    def stats_snapshot(self) -> dict:
-        return self._call("stats")
 
     def metrics_snapshot(self) -> dict:
         return self._call("metrics")

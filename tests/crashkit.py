@@ -159,7 +159,7 @@ def fingerprint(service) -> str:
     submission instant), tombstones, lifecycle counters, and the full
     answers/failures maps."""
     import json
-    return json.dumps(service._state_payload(), sort_keys=True,
+    return json.dumps(service.snapshot_state(), sort_keys=True,
                       ensure_ascii=False)
 
 

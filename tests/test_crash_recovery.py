@@ -27,7 +27,11 @@ import pytest
 
 import crashkit
 from repro.durability import SnapshotStore
+from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock
+from repro.errors import ValidationError
+from repro.lang import parse_ir
+from repro.workloads import build_intro_database
 
 CRASHKIT = os.path.join(os.path.dirname(__file__), "crashkit.py")
 SNAP_EVERY = 5
@@ -186,13 +190,120 @@ def test_recovery_reshapes_the_fleet(tmp_path, workload, oracle):
     service = crashkit.DurableCoordinator.recover(wal_dir, clock=clock,
                                                   **kwargs)
     try:
-        assert service.coordinator.num_shards == 3
+        assert service.service.num_shards == 3
         crashkit.drive(service, clock, rounds, 14,
                        crashkit.TOTAL_STEPS)
         assert crashkit.fingerprint(service) == \
             oracle("coord-inprocess")
     finally:
         service.close()
+
+
+# ---------------------------------------------------------------------------
+# Cross-shape recovery: the directory records state, not the shape
+
+
+def _cross_shape_queries(tag):
+    return [
+        parse_ir("{Reservation(Jerry, x)} Reservation(Kramer, x) "
+                 "<- Flights(x, Paris)", f"kramer-{tag}"),
+        parse_ir("{Reservation(Kramer, y)} Reservation(Jerry, y) "
+                 "<- Flights(y, Paris), Airlines(y, United)",
+                 f"jerry-{tag}"),
+    ]
+
+
+def _cross_shape_loner():
+    return parse_ir("{Reservation(Nobody, z)} Reservation(Elaine, z) "
+                    "<- Flights(z, Rome)", "elaine")
+
+
+CROSS_SHAPE = pytest.mark.parametrize(
+    "writer, reader",
+    [(crashkit.DurableEngine, crashkit.DurableCoordinator),
+     (crashkit.DurableCoordinator, crashkit.DurableEngine)],
+    ids=["engine-to-fleet", "fleet-to-engine"])
+CROSS_KWARGS = dict(sync_every=None, snapshot_every=None, mode="batch",
+                    staleness=crashkit.TimeoutStaleness(2.5))
+
+
+def _assert_history_carried_over(service, burned, next_seq):
+    """*service* refuses every id in *burned*, takes the released
+    (expired) id back, and continues the arrival counter."""
+    assert service.next_arrival_seq == next_seq
+    assert service.pending_count == 0
+    for query in (_cross_shape_queries("a") + _cross_shape_queries("b")):
+        if query.query_id in burned:
+            with pytest.raises(ValidationError, match="already used"):
+                service.submit(query)
+    assert set(service.answers) == burned
+    assert service.failures == {"elaine": "stale"}
+    retry = service.submit(_cross_shape_loner())
+    assert retry.state is TicketState.PENDING
+    assert service.next_arrival_seq == next_seq + 1
+    assert service.pending_ids() == ["elaine"]
+
+
+@CROSS_SHAPE
+def test_cross_shape_recovery_keeps_burned_ids(tmp_path, writer, reader):
+    """``serve --wal-dir D`` then ``serve --wal-dir D --shards 2`` (or
+    the reverse): a directory closed by one durable shape and recovered
+    by the other still refuses every answered id, keeps an expired id
+    retryable, and continues the arrival counter."""
+    wal_dir = tmp_path / "wal"
+    clock = ManualClock()
+    with writer(wal_dir, build_intro_database(), clock=clock,
+                **CROSS_KWARGS) as service:
+        service.submit_many(_cross_shape_queries("a")
+                            + [_cross_shape_loner()])
+        assert service.run_batch() == 2
+        clock.advance(3.0)
+        assert service.expire_stale() == 1
+    recovered = reader.recover(wal_dir, clock=clock, **CROSS_KWARGS)
+    try:
+        assert recovered.restored_tickets == {}
+        _assert_history_carried_over(
+            recovered, {"kramer-a", "jerry-a"}, next_seq=3)
+    finally:
+        recovered.close()
+    # And back again: what the second shape snapshots, the first reads.
+    back = writer.recover(wal_dir, clock=clock, **CROSS_KWARGS)
+    try:
+        assert set(back.restored_tickets) == {"elaine"}
+        assert back.next_arrival_seq == 4
+        with pytest.raises(ValidationError, match="already used"):
+            back.submit(_cross_shape_queries("a")[0])
+    finally:
+        back.close()
+
+
+@CROSS_SHAPE
+def test_cross_shape_recovery_from_snapshot_plus_log_suffix(
+        tmp_path, writer, reader):
+    """The crashed variant: some ids were burned by the snapshot (in
+    the writer's dialect), others only by log frames after it — the
+    reader must refuse both kinds."""
+    wal_dir = tmp_path / "wal"
+    clock = ManualClock()
+    service = writer(wal_dir, build_intro_database(), clock=clock,
+                     **CROSS_KWARGS)
+    service.submit_many(_cross_shape_queries("a"))
+    assert service.run_batch() == 2
+    service.snapshot()              # "a" burned by the snapshot
+    service.submit_many(_cross_shape_queries("b")
+                        + [_cross_shape_loner()])
+    assert service.run_batch() == 2    # "b" burned by log frames only
+    clock.advance(3.0)
+    assert service.expire_stale() == 1
+    assert service.wal_bytes > 0
+    del service                     # crash: no final snapshot
+    recovered = reader.recover(wal_dir, clock=clock, **CROSS_KWARGS)
+    try:
+        _assert_history_carried_over(
+            recovered, {"kramer-a", "jerry-a", "kramer-b", "jerry-b"},
+            next_seq=5)
+    finally:
+        recovered.close()
 
 
 def test_torn_final_record_drops_exactly_one_command(tmp_path,

@@ -7,7 +7,7 @@ import pytest
 from repro.core.terms import Variable, atom
 from repro.db import ConjunctiveQuery, Database
 from repro.db.schema import schema
-from repro.errors import SchemaError
+from repro.errors import ReproError, SchemaError
 
 
 class TestDdl:
@@ -56,6 +56,62 @@ class TestDml:
         first = db.insert_row("T", (1,))
         second = db.insert_row("T", (2,))
         assert second == first + 1
+
+
+class TestApplyMutations:
+    @staticmethod
+    def _db():
+        db = Database()
+        db.create_table("T", "a int", "b text")
+        db.create_table("U", "n int")
+        db.insert("T", [(1, "x"), (2, "y")])
+        db.insert("U", [(7,)])
+        return db
+
+    def test_batch_applies_in_order_one_delta_per_op(self):
+        db = self._db()
+        deltas = []
+        db.add_mutation_listener(deltas.append)
+        version = db.db_version
+        counts = db.apply_mutations([
+            ("insert", "T", [(3, "z"), [4, "w"]]),
+            ("delete", "T", [(1, "x"), (99, "absent")]),
+            ("insert", "U", []),
+        ])
+        assert counts == [2, 1, 0]
+        assert sorted(db.table("T").rows()) == [(2, "y"), (3, "z"),
+                                                (4, "w")]
+        # Empty ops commit nothing; every other op is one delta.
+        assert db.db_version == version + 2
+        assert [(delta.table, delta.inserted, delta.deleted)
+                for delta in deltas] == [
+            ("T", ((3, "z"), (4, "w")), ()), ("T", (), ((1, "x"),))]
+
+    @pytest.mark.parametrize("bad", [
+        ("upsert", "T", [(5, "v")]),          # unknown kind
+        ("insert", "Ghost", [(5, "v")]),      # unknown table
+        ("insert", "T", [(5, "v", "extra")]),  # wrong arity
+        ("delete", "T", [("not-an-int", "v")]),  # wrong type
+    ])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_op_anywhere_changes_nothing(self, bad, position):
+        """Whole-batch validation: a bad op leaves ``db_version``,
+        every table and every listener untouched — the good ops
+        around it included."""
+        db = self._db()
+        deltas = []
+        db.add_mutation_listener(deltas.append)
+        version = db.db_version
+        before = {name: sorted(db.table(name).rows())
+                  for name in db.table_names()}
+        batch = [("insert", "T", [(3, "z")]), ("delete", "U", [(7,)])]
+        batch.insert(position, bad)
+        with pytest.raises(ReproError):
+            db.apply_mutations(batch)
+        assert db.db_version == version
+        assert {name: sorted(db.table(name).rows())
+                for name in db.table_names()} == before
+        assert deltas == []
 
 
 class TestFacadeQueries:

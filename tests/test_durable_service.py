@@ -36,11 +36,21 @@ def _intro_queries():
     ]
 
 
-def _engine(wal_dir, **kwargs):
+def _durable(cls, wal_dir, **kwargs):
     kwargs.setdefault("clock", ManualClock())
     kwargs.setdefault("sync_every", None)
     kwargs.setdefault("mode", "batch")
-    return DurableEngine(wal_dir, build_intro_database(), **kwargs)
+    return cls(wal_dir, build_intro_database(), **kwargs)
+
+
+def _engine(wal_dir, **kwargs):
+    return _durable(DurableEngine, wal_dir, **kwargs)
+
+
+#: The wrapper is one class; its contracts hold over either inner shape.
+both_shapes = pytest.mark.parametrize(
+    "cls", [DurableEngine, DurableCoordinator],
+    ids=["engine", "coordinator"])
 
 
 # ---------------------------------------------------------------------------
@@ -63,13 +73,14 @@ def test_recover_refuses_empty_directory(tmp_path):
     assert not DurableEngine.has_state(tmp_path / "nothing")
 
 
-def test_durable_engine_rejects_rng(tmp_path):
+@both_shapes
+def test_durable_service_rejects_rng(tmp_path, cls):
     import random
     with pytest.raises(ValidationError, match="deterministic-only"):
-        _engine(tmp_path / "wal", rng=random.Random(1))
-    _engine(tmp_path / "wal2").close()
+        _durable(cls, tmp_path / "wal", rng=random.Random(1))
+    _durable(cls, tmp_path / "wal2").close()
     with pytest.raises(ValidationError, match="deterministic-only"):
-        DurableEngine.recover(tmp_path / "wal2", rng=random.Random(1))
+        cls.recover(tmp_path / "wal2", rng=random.Random(1))
 
 
 def test_fresh_construction_requires_database(tmp_path):
@@ -79,19 +90,22 @@ def test_fresh_construction_requires_database(tmp_path):
         DurableCoordinator(tmp_path / "wal2")
 
 
-def test_closed_service_refuses_every_command(tmp_path):
-    service = _engine(tmp_path / "wal")
+@both_shapes
+def test_closed_service_refuses_every_command(tmp_path, cls):
+    service = _durable(cls, tmp_path / "wal")
     service.close()
     service.close()    # idempotent
     for call in (lambda: service.submit(_intro_queries()[0]),
                  lambda: service.submit_many(_intro_queries()),
                  service.run_batch, service.expire_stale,
+                 lambda: service.insert("Flights", [(300, "Oslo")]),
                  service.snapshot, service.sync):
         with pytest.raises(ValidationError, match="closed"):
             call()
 
 
-def test_unserializable_submission_has_no_side_effects(tmp_path):
+@both_shapes
+def test_unserializable_submission_has_no_side_effects(tmp_path, cls):
     """The frame is JSON-rendered before execution, so a query the
     wire cannot carry fails with nothing journalled and nothing
     admitted."""
@@ -106,7 +120,7 @@ def test_unserializable_submission_has_no_side_effects(tmp_path):
             atoms=(atom("Reservation", "A", x),),
             answer_relations=frozenset({"Reservation"}),
             op=">=", threshold=1),))
-    service = _engine(tmp_path / "wal")
+    service = _durable(cls, tmp_path / "wal")
     try:
         before = service.commands_applied
         with pytest.raises(ValidationError):
@@ -122,30 +136,32 @@ def test_unserializable_submission_has_no_side_effects(tmp_path):
 # Settlements salvaged when a command raises (wal_settle)
 
 
+@both_shapes
 def test_settlements_survive_a_command_that_raises(tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, cls):
     """If ``run_batch`` settles tickets and then dies, the settlements
     were real (their callbacks fired) — a ``wal_settle`` frame keeps
     them durable even though the command itself never happened."""
     wal_dir = tmp_path / "wal"
-    service = _engine(wal_dir, snapshot_every=None)
+    service = _durable(cls, wal_dir, snapshot_every=None)
     service.submit_many(_intro_queries())
 
-    real_run_batch = service.engine.run_batch
+    real_run_batch = service.service.run_batch
 
     def poisoned_run_batch():
         result = real_run_batch()
         raise RuntimeError("crash after settling")
 
-    monkeypatch.setattr(service.engine, "run_batch", poisoned_run_batch)
+    monkeypatch.setattr(service.service, "run_batch",
+                        poisoned_run_batch)
     with pytest.raises(RuntimeError, match="crash after settling"):
         service.run_batch()
     assert set(service.answers) == {"jerry", "kramer"}
     assert service.commands_applied == 1    # the submit; not the batch
 
     del service    # crash without close
-    recovered = DurableEngine.recover(wal_dir, clock=ManualClock(),
-                                      sync_every=None, mode="batch")
+    recovered = cls.recover(wal_dir, clock=ManualClock(),
+                            sync_every=None, mode="batch")
     try:
         assert set(recovered.answers) == {"jerry", "kramer"}
         assert recovered.pending_count == 0
@@ -200,25 +216,26 @@ def test_apply_mutations_batch_is_one_frame_and_replays(tmp_path):
     ])
     assert counts == [2, 1]
     assert service.commands_applied == 1    # whole batch, one frame
-    rows = set(service.engine.database.table("Flights").rows())
+    rows = set(service.database.table("Flights").rows())
     assert (200, "Oslo") in rows and (136, "Rome") not in rows
     del service    # crash without close: only the log has the batch
     recovered = DurableEngine.recover(wal_dir, clock=ManualClock(),
                                       sync_every=None, mode="batch")
     try:
         assert set(
-            recovered.engine.database.table("Flights").rows()) == rows
+            recovered.database.table("Flights").rows()) == rows
         assert recovered.commands_applied == 1
     finally:
         recovered.close()
 
 
-def test_apply_mutations_validates_before_applying(tmp_path):
+@both_shapes
+def test_apply_mutations_validates_before_applying(tmp_path, cls):
     """A bad op anywhere in the batch must leave the database (and the
     journal) untouched — earlier ops in the batch included."""
     wal_dir = tmp_path / "wal"
-    with _engine(wal_dir, snapshot_every=None) as service:
-        before = set(service.engine.database.table("Flights").rows())
+    with _durable(cls, wal_dir, snapshot_every=None) as service:
+        before = set(service.database.table("Flights").rows())
         with pytest.raises(ValidationError, match="unknown mutation op"):
             service.apply_mutations([
                 ("insert", "Flights", [(200, "Oslo")]),
@@ -230,26 +247,29 @@ def test_apply_mutations_validates_before_applying(tmp_path):
                 ("insert", "Flights", [(203, "Oslo", "extra")]),
             ])
         assert set(
-            service.engine.database.table("Flights").rows()) == before
+            service.database.table("Flights").rows()) == before
         assert service.commands_applied == 0
 
 
-def test_snapshot_log_bytes_triggers_on_segment_growth(tmp_path):
+@both_shapes
+def test_snapshot_log_bytes_triggers_on_segment_growth(tmp_path, cls):
     """With the size-based cadence, a snapshot lands once the log
     segment outgrows the threshold — and never before."""
     wal_dir = tmp_path / "wal"
-    with _engine(wal_dir, snapshot_every=None,
-                 snapshot_log_bytes=1) as service:
+    with _durable(cls, wal_dir, snapshot_every=None,
+                  snapshot_log_bytes=1) as service:
         assert service.generation == 0
         service.insert("Flights", [(300, "Oslo")])
         assert service.generation == 1    # any append crosses 1 byte
         assert service.wal_bytes == 0     # fresh segment after snapshot
 
 
-def test_snapshot_log_bytes_below_threshold_never_snapshots(tmp_path):
+@both_shapes
+def test_snapshot_log_bytes_below_threshold_never_snapshots(tmp_path,
+                                                            cls):
     wal_dir = tmp_path / "wal"
-    with _engine(wal_dir, snapshot_every=None,
-                 snapshot_log_bytes=64 * 1024 * 1024) as service:
+    with _durable(cls, wal_dir, snapshot_every=None,
+                  snapshot_log_bytes=64 * 1024 * 1024) as service:
         for fno in range(300, 310):
             service.insert("Flights", [(fno, "Oslo")])
         assert service.generation == 0
@@ -260,18 +280,19 @@ def test_snapshot_log_bytes_below_threshold_never_snapshots(tmp_path):
 # Restore preconditions (engine, coordinator, database)
 
 
-def test_engine_restore_tombstones_refuses_live_state():
+def test_engine_restore_state_refuses_live_state():
     engine = D3CEngine(build_intro_database(), mode="batch")
     engine.submit(_intro_queries()[0])
     with pytest.raises(RecoveryError, match="live engine state"):
-        engine.restore_tombstones({"ghost": 7}, next_seq=8)
+        engine.restore_state(next_seq=8, used_ids={"ghost": 7},
+                             records=[])
 
 
-def test_engine_restore_tombstones_on_pristine_engine():
+def test_engine_restore_state_on_pristine_engine():
     engine = D3CEngine(build_intro_database(), mode="batch")
-    engine.restore_tombstones({"ghost": 3}, next_seq=9)
+    engine.restore_state(next_seq=9, used_ids={"ghost": 3}, records=[])
     assert engine.next_arrival_seq == 9
-    assert engine.arrival_tombstones() == {"ghost": 3}
+    assert engine.snapshot_state()["tombstones"] == [["ghost", 3]]
     with pytest.raises(ValidationError, match="already used"):
         engine.submit(parse_ir("{Reservation(Jerry, x)} "
                                "Reservation(Kramer, x) "

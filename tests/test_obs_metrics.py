@@ -5,11 +5,11 @@ The properties proven here are what the coordinator's single
 aggregation codepath leans on: :func:`repro.obs.merge_snapshots` is
 associative and commutative with the empty snapshot as identity, no
 key present in any input is dropped, and a snapshot that round-trips
-through JSON merges identically to a live one.  The supersession
-tests pin the migration story — every counter
-``Engine.stats_snapshot`` reports appears in ``metrics_snapshot``
-under the same (dotted) name, for the bare engine, the sharded fleet,
-and the durable wrappers.
+through JSON merges identically to a live one.  The one-stats-surface
+tests pin that every counter :class:`~repro.engine.stats.EngineStats`
+reports appears in ``metrics_snapshot`` under the same (dotted) name —
+for the bare engine, the sharded fleet, and the durable wrapper — and
+that ``EngineStats.from_metrics`` renders it back exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import pytest
 from repro.durability import DurableEngine
 from repro.engine.engine import D3CEngine
 from repro.engine.staleness import ManualClock
+from repro.engine.stats import EngineStats
 from repro.lang import parse_ir
 from repro.obs import (MetricsRegistry, absorb_snapshot, empty_snapshot,
                        global_snapshot, merge_snapshots, quantiles,
@@ -150,11 +151,12 @@ def test_snapshot_merges_identically_after_a_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# Supersession: metrics_snapshot covers stats_snapshot
+# One stats surface: EngineStats is a rendering of metrics_snapshot
 
 
 def _flatten_stats(snapshot: dict) -> dict:
-    """``stats_snapshot`` keys under their ``metrics_snapshot`` names."""
+    """``EngineStats.snapshot()`` keys under their
+    ``metrics_snapshot`` names."""
     flat: dict = {}
     for key, value in snapshot.items():
         if key in ("failed", "range_index", "durability"):
@@ -175,14 +177,18 @@ def _assert_supersedes(metrics: dict, stats: dict) -> None:
             assert counters[key] == value, key
 
 
-def test_engine_metrics_snapshot_supersedes_stats_snapshot():
+def test_engine_stats_round_trip_through_metrics_snapshot():
     engine = D3CEngine(build_intro_database(), mode="batch")
     engine.submit_many(_intro_queries())
     engine.run_batch()
-    stats = engine.stats_snapshot()
     metrics = engine.metrics_snapshot()
+    stats = engine.stats.snapshot()
     assert stats["answered"] == 2
     _assert_supersedes(metrics, stats)
+    # from_metrics is the inverse of to_metrics: the rendering every
+    # other shape (and the server's stats op) serves equals the
+    # engine's live counters.
+    assert EngineStats.from_metrics(metrics).snapshot() == stats
     # The registry also carries the database-layer counters the stats
     # dict never had.
     assert any(key.startswith("db.") for key in metrics["counters"])
@@ -217,7 +223,7 @@ def test_durable_engine_metrics_include_durability_counters(tmp_path):
         engine.submit_many(_intro_queries())
         engine.run_batch()
         engine.snapshot()
-        stats = engine.stats_snapshot()
+        stats = engine.stats.snapshot()
         metrics = engine.metrics_snapshot()
         durability = stats["durability"]
         assert durability["snapshots_taken"] == bootstrap + 1

@@ -190,7 +190,7 @@ def test_contradictory_interval_prunes_without_scanning():
 # ----------------------------------------------------------------------
 
 
-def test_engine_stats_snapshot_reports_range_counters():
+def test_engine_metrics_snapshot_reports_range_counters():
     database = Database()
     database.create_table("S", "UserName text", "Slot int")
     database.insert("S", [("amy", 15), ("amy", 90), ("bob", 15),
@@ -209,7 +209,8 @@ def test_engine_stats_snapshot_reports_range_counters():
     engine = D3CEngine(database, mode="batch")
     engine.submit_all(queries)
     engine.run_batch()
-    snapshot = engine.stats_snapshot()
+    engine.metrics_snapshot()    # refreshes stats.range_index
+    snapshot = engine.stats.snapshot()
     assert snapshot["answered"] == 2
     counters = snapshot["range_index"]
     assert counters["range_probes"] > 0

@@ -34,8 +34,10 @@ import pytest
 
 from repro.dataio import dump_database, from_payload, to_payload
 from repro.db import Database
+from repro.durability import DurableCoordinator, DurableEngine
 from repro.engine.engine import D3CEngine
 from repro.engine.futures import TicketState
+from repro.engine.stats import EngineStats
 from repro.errors import ValidationError
 from repro.lang import parse_ir
 from repro.server import (CoordinationServer, ServerAddressInUseError,
@@ -45,7 +47,8 @@ from repro.server import (CoordinationServer, ServerAddressInUseError,
 from repro.server.protocol import (OVERLOADED, FrameDecoder,
                                    encode_frame, hello_frame,
                                    request_frame)
-from repro.server.server import _ServiceAdapter, normalize_mutations
+from repro.server.server import normalize_mutations
+from repro.shard import ShardedCoordinator
 from repro.workloads import (build_intro_database,
                              build_flight_database,
                              generate_social_network, two_way_pairs)
@@ -139,21 +142,20 @@ def _replay(histories):
     client's acknowledged commands, in global order."""
     database = build_flight_database(_network())
     engine = D3CEngine(database, mode="batch", safety="off")
-    adapter = _ServiceAdapter(engine)
     tickets = []
     last_order = 0
     for order, op, args in histories:
         assert order > last_order, "duplicate or reordered history"
         last_order = order
         if op == "submit":
-            tickets.extend(adapter.submit_many(
+            tickets.extend(engine.submit_many(
                 [from_payload(p) for p in args["queries"]]))
         elif op == "run_batch":
-            adapter.run_batch()
+            engine.run_batch()
         elif op == "expire":
-            adapter.expire_stale()
+            engine.expire_stale()
         elif op == "mutate":
-            adapter.apply_mutations(normalize_mutations(args))
+            engine.apply_mutations(normalize_mutations(args))
         else:  # pragma: no cover - history only holds ordered ops
             raise AssertionError(op)
     answers, failures = {}, {}
@@ -308,6 +310,60 @@ def test_draining_server_sheds_with_shutting_down():
             await client.close()
             server._draining = False
             await server.drain(close_service=False)
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# read-only ops: every service shape, the same replies
+# ----------------------------------------------------------------------
+
+
+def _served_shape(shape: str, wal_dir):
+    database = build_intro_database()
+    if shape == "engine":
+        return _intro_engine()
+    if shape == "fleet":
+        return ShardedCoordinator(database, num_shards=2, mode="batch")
+    cls = DurableEngine if shape == "durable-engine" \
+        else DurableCoordinator
+    return cls(wal_dir, database, mode="batch", sync_every=None)
+
+
+@pytest.mark.parametrize("shape", ["engine", "fleet", "durable-engine",
+                                   "durable-fleet"])
+def test_read_only_ops_answer_ok_on_every_shape(shape, tmp_path):
+    """``ping`` / ``pending`` / ``stats`` / ``metrics`` / ``resolved``
+    over real frames: the server asks nothing of its service beyond
+    the CoordinationService protocol, so every shape answers each op
+    and ``stats`` carries the same keys everywhere."""
+    async def scenario():
+        server = CoordinationServer(
+            _served_shape(shape, tmp_path / "wal"))
+        await server.start(port=0)
+        host, port = server.tcp_address
+        client = await ServerClient.connect_tcp(host, port)
+        try:
+            await client.submit(_intro_queries("r"), timeout=10)
+            assert (await client.ping(timeout=10))["pong"] is True
+            assert sorted((await client.pending(timeout=10))) == \
+                ["jerry-r", "kramer-r"]
+            assert await client.run_batch(timeout=10) == 2
+            stats = await client.stats(timeout=10)
+            assert stats.keys() == EngineStats().snapshot().keys()
+            assert (stats["submitted"], stats["answered"],
+                    stats["pending"]) == (2, 2, 0)
+            assert bool(stats["durability"]) == \
+                shape.startswith("durable")
+            metrics = await client.metrics(timeout=10)
+            assert metrics["counters"]["answered"] == 2
+            assert metrics["counters"]["server.replies"] >= 5
+            resolved = await client.resolved(timeout=10)
+            assert [qid for qid, _ in resolved["answers"]] == \
+                ["jerry-r", "kramer-r"]
+            assert resolved["failures"] == []
+        finally:
+            await client.close()
+            await server.drain()    # closes the service, every shape
     asyncio.run(scenario())
 
 

@@ -63,13 +63,13 @@ def test_settle_flood_during_inflight_call_keeps_order():
         backend.begin_submit_block(queries, list(range(len(queries))),
                                    0.0)
         backend.begin_run_batch(0.0)       # will settle all 12
-        stats_call = backend.call_stats()  # three commands in flight
+        stats_call = backend.call_metrics()  # three commands in flight
 
         # Collect the *last* command first: pumping its reply forces
         # the earlier replies (carrying the settle flood) through the
         # pipe out of collection order.
         snapshot = stats_call.result()
-        assert snapshot["answered"] == len(queries)
+        assert snapshot["counters"]["answered"] == len(queries)
 
         events = backend.drain_events()
         answered = [query_id for kind, query_id, _ in events]
@@ -95,8 +95,8 @@ def test_events_from_pipelined_commands_keep_worker_order():
 
         backend.begin_expire(5.0)     # expires "old" (not the pair)
         backend.begin_run_batch(5.0)  # answers the pair
-        snapshot = backend.call_stats().result()  # out-of-order collect
-        assert snapshot["failed"] == {"stale": 1}
+        snapshot = backend.call_metrics().result()  # out-of-order collect
+        assert snapshot["counters"]["failed.stale"] == 1
 
         events = backend.drain_events()
         # Worker execution order: the expiry's failure event strictly
@@ -116,10 +116,11 @@ def test_inflight_window_applies_backpressure():
     backend = _backend()
     try:
         backend.window = 2
-        calls = [backend.call_stats() for _ in range(11)]
+        calls = [backend.call_metrics() for _ in range(11)]
         assert len(backend._inflight) <= 2
         results = [call.result() for call in calls]
-        assert all(snapshot["submitted"] == 0 for snapshot in results)
+        assert all(snapshot["counters"]["submitted"] == 0
+                   for snapshot in results)
         assert backend.wire_requests == 11
     finally:
         backend.close()
@@ -129,10 +130,10 @@ def test_replies_resolve_out_of_order():
     backend = _backend()
     try:
         first = backend.call_partition_sizes()
-        second = backend.call_stats()
+        second = backend.call_metrics()
         third = backend.call_partition_sizes()
         assert third.result() == []
-        assert second.result()["submitted"] == 0
+        assert second.result()["counters"]["submitted"] == 0
         assert first.result() == []
     finally:
         backend.close()
