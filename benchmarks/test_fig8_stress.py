@@ -7,9 +7,14 @@ Paper series:
 * "usual partitions" — long unification chains that never close; the
   incremental unifier propagation dominates but stays near-linear
   because partitions stay bounded;
-* one massively unifying cluster — incremental evaluation degrades
-  sharply; set-at-a-time evaluation of the same workload is far
-  cheaper, the paper's stated conclusion.
+* one massively unifying cluster — the paper's incremental mode
+  degrades sharply here because every arrival closes the partition
+  again and re-evaluates it, so set-at-a-time evaluation of the same
+  workload is far cheaper.  This reproduction keeps the per-arrival
+  closures but carries the matching state and its "empty on the data"
+  verdict between them (DESIGN.md §5a), so the re-evaluation — and
+  with it the paper's gap — is gone; what the report asserts is that
+  accounting, not a wall-clock ordering (EXPERIMENTS.md "Figure 8").
 """
 
 from __future__ import annotations
@@ -76,10 +81,26 @@ def test_fig8_report(benchmark, network, database):
     paper = by_name["Fig 8: single large cluster, incremental "
                     "(paper's per-component strategy)"]
     batch = by_name["Fig 8: single large cluster, set-at-a-time"]
-    # The paper's conclusion: set-at-a-time beats its incremental
-    # strategy on one huge cluster (our local-group strategy is an
-    # extension and is reported alongside; see EXPERIMENTS.md).
-    assert (sum(batch.metric("seconds"))
-            < sum(paper.metric("seconds"))), (
-        "set-at-a-time should beat per-component incremental "
-        "evaluation on one huge cluster")
+    sizes = paper.xs()
+    answered = paper.metric("answered")
+    closures = paper.metric("closures")
+    # Still the paper's regime: the incremental strategy closes the
+    # partition again on every arrival that finds company (all but the
+    # first, and the first after a settlement emptied the cluster),
+    # where set-at-a-time runs one round over the whole cluster...
+    for size, closed, settled in zip(sizes, closures, answered):
+        assert size - settled - 1 <= closed <= size
+    assert batch.metric("rounds") == [1] * len(sizes)
+    # ...but a closure no longer re-evaluates.  The data never changes
+    # in this figure, so every combined query built either settles
+    # queries or leaves the one verdict all later closures are answered
+    # from: builds are bounded by settlements, not one per closure.
+    for built, settled in zip(paper.metric("combined"), answered):
+        assert built <= settled + 1
+    assert paper.metric("combined")[-1] <= closures[-1] // 4
+    # With the re-evaluation gone the two land within noise of each
+    # other (0.7-1.2x); only a loose guard on the ratio is kept.
+    assert (sum(paper.metric("seconds"))
+            <= 3 * sum(batch.metric("seconds"))), (
+        "per-component incremental evaluation should stay within 3x "
+        "of set-at-a-time on one huge cluster")

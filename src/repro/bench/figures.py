@@ -165,10 +165,14 @@ def figure8(sizes: Sequence[int] | None = None,
         metrics = run_incremental(database, queries,
                                   incremental_strategy="component")
         cluster_paper.add(size, seconds=metrics["seconds"],
-                          answered=metrics["answered"])
+                          answered=metrics["answered"],
+                          closures=metrics["closure_events"],
+                          combined=metrics["combined_queries_built"])
         metrics = run_batch(database, queries)
         cluster_batch.add(size, seconds=metrics["seconds"],
-                          answered=metrics["answered"])
+                          answered=metrics["answered"],
+                          rounds=metrics["coordination_rounds"],
+                          combined=metrics["combined_queries_built"])
         metrics = run_incremental(database, queries)
         cluster_local.add(size, seconds=metrics["seconds"],
                           answered=metrics["answered"])

@@ -503,6 +503,9 @@ def _metrics(engine: D3CEngine, num_queries: int, total: float) -> dict:
         "answered": stats.answered,
         "failed_stale": stats.failed[FailureReason.STALE],
         "pending": stats.pending,
+        "closure_events": stats.closure_events,
+        "coordination_rounds": stats.coordination_rounds,
+        "combined_queries_built": stats.combined_queries_built,
         "graph_seconds": stats.graph_seconds,
         "match_seconds": stats.match_seconds,
         "db_seconds": stats.db_seconds,

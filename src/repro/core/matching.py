@@ -105,10 +105,16 @@ class MatchState:
         alive: the surviving members.
         global_unifier: MGU of all survivor unifiers, None when they
             are jointly inconsistent.
+        empty_reads: ``(relation, table, version)`` per table read by
+            the last combined query that found no answer on the data,
+            else None.  A resumed state only adds survivors and refines
+            the global unifier, so every later combined query is a
+            conjunctive superset of that one: empty too, for as long as
+            those versions stand (the scheduler sets and checks it).
     """
 
     __slots__ = ("_graph", "_order", "members", "chosen", "dependents",
-                 "unifiers", "alive", "global_unifier")
+                 "unifiers", "alive", "global_unifier", "empty_reads")
 
     def __init__(self, graph: UnifiabilityGraph, order: Mapping):
         self._graph = graph
@@ -119,6 +125,7 @@ class MatchState:
         self.unifiers: dict = {}
         self.alive: set = set()
         self.global_unifier: Optional[Unifier] = Unifier()
+        self.empty_reads: Optional[tuple] = None
 
     def extend(self, members: Sequence,
                policy: ConflictPolicy = "first") -> None:

@@ -159,14 +159,17 @@ class PartitionManager:
             for edge in new_edges)
         joined.pop(query_id, None)
         states = [self._match_states.pop(root, None) for root in joined]
+        # One union per neighbouring component, however many edges lead
+        # there; the edge loop below is satisfaction accounting only.
+        root = query_id
+        for neighbour in joined:
+            root = self._union(root, neighbour)
         for edge in new_edges:
-            root = self._union(edge.src, edge.dst)
             key = (edge.dst, edge.pc_pos)
             if not self._pc_satisfied[key]:
                 self._pc_satisfied[key] = True
                 self._node_open[edge.dst] -= 1
                 self._root_open[root] -= 1
-        root = self.find(query_id)
         state = (MatchState(self._graph, self._order) if not states
                  else states[0] if len(states) == 1 else None)
         if state is not None and state.add(query_id, new_edges):
@@ -346,28 +349,6 @@ class PartitionManager:
     def _refresh_all(self) -> None:
         for root in list(self._stale_roots):
             self._refresh(root)
-
-    def recount(self, root) -> int:
-        """Recompute (and store) the exact open-pc count of a partition.
-
-        Walks the live members, refreshing each one's satisfaction
-        against the graph's current edges.  Returns the new open count.
-        """
-        root = self._fresh_root(root)
-        total_open = 0
-        for query_id in self._root_members[root]:
-            query = self._graph.query(query_id)
-            open_count = 0
-            for pc_pos in range(query.pccount):
-                satisfied = bool(
-                    self._graph.in_edges_for_pc(query_id, pc_pos))
-                self._pc_satisfied[(query_id, pc_pos)] = satisfied
-                if not satisfied:
-                    open_count += 1
-            self._node_open[query_id] = open_count
-            total_open += open_count
-        self._root_open[root] = total_open
-        return total_open
 
     def __len__(self) -> int:
         """Number of live (non-removed) queries tracked."""

@@ -448,27 +448,43 @@ class CoordinationScheduler:
 
         Used by the ``"component"`` incremental strategy.  The matching
         is read from the partition manager's resumable state, which the
-        arrival already extended, so a growing massively-unifying
-        partition (Figure 8) costs O(new edges) of matching per arrival,
-        not a re-match.  The combined query is still rebuilt and
-        re-evaluated at every closure — the cost that keeps
-        set-at-a-time evaluation ahead on such partitions.
+        arrival already extended, and so is the data verdict: a state
+        whose last combined query was empty on table versions that
+        still stand (``MatchState.empty_reads``) can only yield a
+        conjunctive superset of that query, so the closure is answered
+        without building or evaluating anything.  A growing massively-
+        unifying partition (Figure 8) therefore costs O(new edges) per
+        arrival end to end.
         """
-        stats = self._host.stats
+        host = self._host
+        stats = host.stats
         stats.coordination_rounds += 1
         tracer = TRACER
         if tracer.enabled:
             start_ns = time.perf_counter_ns()
         start = time.perf_counter()
         state, resumed = self.partitions.match_state(origin)
-        match = state.result()
-        stats.match_seconds += time.perf_counter() - start
-        if tracer.enabled:
-            self._record_match_spans(match.component, start_ns)
         if resumed:
             stats.match_resumed += 1
         else:
             stats.match_rebuilt += 1
+        if state.empty_reads is not None:
+            table_or_none = host.database.table_or_none
+            if all(table_or_none(name) is table and table.version == version
+                   for name, table, version in state.empty_reads):
+                stats.closures_skipped_empty += 1
+                stats.match_seconds += time.perf_counter() - start
+                if tracer.enabled:
+                    tracer.record("query.match_attempt", start_ns,
+                                  host._trace_of.get(origin),
+                                  outcome="empty_carried",
+                                  members=len(state.members))
+                return
+            state.empty_reads = None
+        match = state.result()
+        stats.match_seconds += time.perf_counter() - start
+        if tracer.enabled:
+            self._record_match_spans(match.component, start_ns)
         if not match.survivors or match.global_unifier is None:
             return
         queries_by_id = self._combinable(match)
@@ -476,7 +492,14 @@ class CoordinationScheduler:
             return
         combined = build_combined_query(queries_by_id, match)
         stats.combined_queries_built += 1
-        self._evaluate_combined(combined, queries_by_id)
+        # Stamped before evaluating: a write racing the evaluation then
+        # reads as a version mismatch, never as a verdict that stands.
+        tables = {atom.relation: host.database.table(atom.relation)
+                  for atom in combined.query.atoms}
+        reads = tuple((name, table, table.version)
+                      for name, table in tables.items())
+        if not self._evaluate_combined(combined, queries_by_id):
+            state.empty_reads = reads
 
     def _attempt_around(self, origin) -> None:
         """Try bounded local coordination groups seeded at *origin*.

