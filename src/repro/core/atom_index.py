@@ -18,9 +18,10 @@ variables are not captured by the index), so callers re-verify with
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterator
 
 from .terms import Atom, Constant, Variable
+from .unify import atoms_unifiable, unify_atoms
 
 #: The wildcard standing for "any variable" in index keys.
 DELTA = object()
@@ -56,9 +57,9 @@ class AtomIndex:
     insertion sequence, and :meth:`lookup` returns candidates in
     insertion order.  This makes every graph built on the index fully
     deterministic (set buckets iterate in string-hash order, which
-    ``PYTHONHASHSEED`` randomizes across processes) and hands the
-    unifiability graph its canonical edge-commit order for free — no
-    per-edge sort on the arrival hot path.
+    ``PYTHONHASHSEED`` randomizes across processes) and keeps the
+    unifiability graph's provider refs in insertion-rank order for
+    free — no sort on the arrival hot path.
     """
 
     __slots__ = ("_by_key", "_by_relation", "_atoms", "_repeats",
@@ -96,7 +97,8 @@ class AtomIndex:
                 yield (atom.relation, atom.arity, position, DELTA)
 
     def add(self, entry: Hashable, atom: Atom) -> None:
-        """Insert *atom* under handle *entry* (idempotent per entry)."""
+        """Insert *atom* under a fresh handle *entry*; re-adding a live
+        entry raises ``KeyError`` (remove it first)."""
         if entry in self._atoms:
             raise KeyError(f"entry {entry!r} already indexed")
         seq = self._next_seq
@@ -184,8 +186,9 @@ class AtomIndex:
                 return candidates.keys()
         return candidates.keys()
 
-    def lookup_unifiable(self, probe: Atom) -> list[tuple[Hashable, Atom]]:
-        """``(entry, atom)`` pairs that *definitely* unify with *probe*.
+    def lookup_unifiable(self, probe: Atom) -> list[Hashable]:
+        """The entries whose atoms *definitely* unify with *probe*, in
+        insertion order.
 
         Unlike :meth:`lookup`, the result needs no re-verification.  The
         index's candidate formula already enforces relation, arity, and
@@ -195,7 +198,6 @@ class AtomIndex:
         unify_atoms` is consulted exactly for those — which workloads
         renamed apart essentially never hit.
         """
-        from .unify import unify_atoms
         candidates = self.lookup(probe)
         if not candidates:
             return []
@@ -204,14 +206,10 @@ class AtomIndex:
         atoms = self._atoms
         repeats = self._repeats
         variables = self._vars
-        verified: list[tuple[Hashable, Atom]] = []
-        for entry in candidates:
-            if (not probe_repeats and not repeats[entry]
-                    and probe_vars.isdisjoint(variables[entry])):
-                verified.append((entry, atoms[entry]))
-            elif unify_atoms(probe, atoms[entry]) is not None:
-                verified.append((entry, atoms[entry]))
-        return verified
+        return [entry for entry in candidates
+                if (not probe_repeats and not repeats[entry]
+                    and probe_vars.isdisjoint(variables[entry]))
+                or unify_atoms(probe, atoms[entry]) is not None]
 
     def entries(self) -> Iterator[tuple[Hashable, Atom]]:
         """Yield (entry, atom) pairs currently indexed."""
@@ -245,13 +243,12 @@ class NaiveAtomIndex:
         self._atoms.pop(entry, None)
 
     def lookup(self, probe: Atom):
-        from .unify import atoms_unifiable
         return {entry: None for entry, atom in self._atoms.items()
                 if atoms_unifiable(probe, atom)}.keys()
 
-    def lookup_unifiable(self, probe: Atom) -> list[tuple[Hashable, Atom]]:
+    def lookup_unifiable(self, probe: Atom) -> list[Hashable]:
         """Same as :meth:`lookup`: the scan already fully verifies."""
-        return [(entry, self._atoms[entry]) for entry in self.lookup(probe)]
+        return list(self.lookup(probe))
 
     def entries(self) -> Iterator[tuple[Hashable, Atom]]:
         return iter(self._atoms.items())

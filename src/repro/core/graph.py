@@ -8,8 +8,10 @@ of ``qi``, ``p`` a postcondition atom of ``qj``, and ``h`` unifies with
 
 The graph supports incremental insertion and removal of queries, which
 the engine's incremental mode relies on, and exposes the derived
-quantities the matching algorithm needs: per-postcondition incoming
-edges, successors/predecessors, and connected components.
+quantities the matching algorithm needs: per-postcondition providers,
+successors/predecessors, and connected components.  Edges are a view
+over per-postcondition provider refs, not stored objects; DESIGN.md §3
+states the contract.
 
 Self-edges (a query's own head satisfying its own postcondition) are
 excluded; see DESIGN.md §3 for why this interpretation is forced by the
@@ -18,9 +20,9 @@ paper's own experimental workloads.
 
 from __future__ import annotations
 
-
-from typing import (Callable, Hashable, Iterable, Iterator, NamedTuple,
-                    Optional)
+from operator import itemgetter
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Sequence)
 
 from .atom_index import AtomIndex, NaiveAtomIndex
 from .query import EntangledQuery
@@ -32,12 +34,17 @@ HeadRef = tuple
 #: Handle for a specific postcondition atom: (query_id, pc_position).
 PcRef = tuple
 
-#: Sentinel for Edge's lazily computed ground-head key.
-_UNSET = object()
+#: The query id of either handle.
+_FIRST = itemgetter(0)
 
 
 class Edge:
-    """One unifiable (head, postcondition) pair.
+    """One unifiable (head, postcondition) pair, as a value.
+
+    The graph stores edges as provider refs and builds an ``Edge`` only
+    for a pair a caller follows (see :class:`UnifiabilityGraph`), so two
+    edges for the same ``(src, head_pos, dst, pc_pos)`` are equal, not
+    necessarily identical.
 
     Attributes:
         src: query id providing the head atom.
@@ -46,12 +53,12 @@ class Edge:
         pc_pos: index of the postcondition atom within ``dst``.
         head_atom / pc_atom: the two atoms.
         unifier: the most general unifier of the two atoms — computed
-            lazily, because graphs over large pending sets carry many
-            edges that matching never follows.
+            on first use and kept, so re-matching a pair the graph has
+            already materialised unifies nothing again.
     """
 
     __slots__ = ("src", "head_pos", "dst", "pc_pos", "head_atom",
-                 "pc_atom", "_unifier", "_ground_key")
+                 "pc_atom", "_unifier")
 
     def __init__(self, src: object, head_pos: int, dst: object,
                  pc_pos: int, head_atom: Atom, pc_atom: Atom):
@@ -62,7 +69,6 @@ class Edge:
         self.head_atom = head_atom
         self.pc_atom = pc_atom
         self._unifier: Optional[Unifier] = None
-        self._ground_key: object = _UNSET
 
     @property
     def unifier(self) -> Unifier:
@@ -72,20 +78,14 @@ class Edge:
             assert self._unifier is not None, "edge atoms must unify"
         return self._unifier
 
-    def ground_key(self) -> Optional[tuple]:
-        """The head atom's value tuple if it is ground, else None.
+    def _key(self) -> tuple:
+        return self.src, self.head_pos, self.dst, self.pc_pos
 
-        Cached: the engine's feasibility prefilter asks for this once
-        per (arrival, candidate) pair, and edges live as long as their
-        queries stay pending.
-        """
-        if self._ground_key is _UNSET:
-            if self.head_atom.is_ground():
-                self._ground_key = tuple(term.value
-                                         for term in self.head_atom.args)
-            else:
-                self._ground_key = None
-        return self._ground_key
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Edge) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"Edge({self.src!r}[{self.head_pos}] -> "
@@ -106,45 +106,60 @@ class GraphDelta(NamedTuple):
         kind: ``"add"`` or ``"remove"``.
         query_id: the query inserted or removed.
         query: the inserted query (``None`` for removals).
-        edges: the edges created with the insertion, in their committed
-            (deterministic) order, or the edges that vanished with the
-            removal (order unspecified).
+        providers: per postcondition of the arrival, its provider-ref
+            map — the graph's own live map, not a copy: read-only, and
+            later arrivals append to it, so listeners read it when the
+            delta is emitted (empty for removals).
+        slots: the ``(dst, pc_pos)`` postconditions the arrival's heads
+            were written into, in commit order — head position, then
+            the slot's insertion rank (empty for removals).
     """
 
     kind: str
     query_id: object
     query: Optional[EntangledQuery]
-    edges: tuple[Edge, ...]
+    providers: tuple = ()
+    slots: Sequence[PcRef] = ()
 
 
 class UnifiabilityGraph:
     """Incremental multigraph over a set of entangled queries.
 
-    Queries must be renamed apart before insertion (the graph checks and
-    raises on shared variables only when ``strict_variables`` is set,
-    since the check is linear in query size).
+    Edges are a *view*.  What is stored, per pending postcondition, is
+    one insertion-ordered map of **provider refs** — ``(src id, head
+    pos)`` handles of the pending heads that unify with it, in
+    insertion-rank order — filled from the two atom-index lookups an
+    arrival makes (its heads against the pending postconditions, its
+    postconditions against the pending heads).  The read accessors
+    derive everything else from the refs and build an :class:`Edge`
+    only for a ref a caller follows, memoised in the ref's own map
+    slot.  Each query also remembers which queries hold one of its
+    heads, so removal is O(degree) with no index lookup and leaves no
+    ref behind for a re-submitted id to resurrect.
+
+    Queries must be renamed apart before insertion.  ``counters`` is the
+    object whose ``edges_materialised`` attribute counts the edges
+    built (the engine passes its statistics; default: the graph).
     """
 
-    def __init__(self, use_index: bool = True):
+    def __init__(self, use_index: bool = True, counters: object = None):
         index_cls = AtomIndex if use_index else NaiveAtomIndex
-        self._index_cls = index_cls
         self._queries: dict[object, EntangledQuery] = {}
         self._head_index = index_cls()
         self._pc_index = index_cls()
-        # dst query id -> pc position -> src query id -> edges from that
-        # provider into that pc.  Keying the bucket by provider makes
-        # edge removal O(providers touched) instead of O(bucket), and
-        # lets matching collect a group's candidate edges without
-        # copying whole buckets.
-        self._in_edges: dict[object, dict[int, dict[object, list[Edge]]]] = {}
-        # src query id -> dst query id -> edges to that dependent
-        # (dst-keyed for the same O(1)-removal reason as above)
-        self._out_edges: dict[object, dict[object, list[Edge]]] = {}
-        # query id -> insertion rank; edge lists are committed in rank
-        # order, so sequential and block (parallel-discovery) ingestion
-        # produce byte-identical edge orderings.
+        # dst query id -> per pc position, the provider refs of that
+        # postcondition: {(src id, head pos): its Edge once built}.
+        self._providers: dict[object, tuple[dict[HeadRef,
+                                                 Optional[Edge]], ...]] = {}
+        # src query id -> {dst id: None} of the queries holding a ref
+        # to one of its heads (what removal walks).
+        self._dependents: dict[object, dict[object, None]] = {}
+        # query id -> insertion rank: the order of every ref map, so
+        # the view does not depend on how a query's neighbours arrived.
         self._rank: dict[object, int] = {}
         self._next_rank = 0
+        self.edges_materialised = 0
+        self._counters = self if counters is None else counters
         # delta listeners (the engine's scheduler); called after every
         # mutation with a GraphDelta.
         self._listeners: list[Callable[[GraphDelta], None]] = []
@@ -160,15 +175,6 @@ class UnifiabilityGraph:
     def _emit(self, delta: GraphDelta) -> None:
         for listener in self._listeners:
             listener(delta)
-
-    def make_scratch_index(self) -> object:
-        """A fresh atom index of the graph's configured class.
-
-        Block ingestion keeps side indexes of the atoms committed so far
-        within one arrival block; using the graph's own index class keeps
-        naive-index graphs (tests, ablations) fully naive.
-        """
-        return self._index_cls()
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -198,53 +204,89 @@ class UnifiabilityGraph:
         default arrival order of matching."""
         return self._rank
 
-    def out_edges(self, query_id: object) -> list[Edge]:
-        """Edges from *query_id*'s heads to other queries' postconditions."""
-        return [edge for edges in self._out_edges.get(query_id, {}).values()
-                for edge in edges]
+    # ------------------------------------------------------------------
+    # the edge view
+    # ------------------------------------------------------------------
 
-    def in_edges(self, query_id: object) -> list[Edge]:
-        """Edges into *query_id*'s postconditions, across all positions."""
-        per_pc = self._in_edges.get(query_id, {})
-        return [edge for by_src in per_pc.values()
-                for edges in by_src.values() for edge in edges]
+    def provider_refs(self, query_id: object
+                      ) -> tuple[Mapping[HeadRef, Optional[Edge]], ...]:
+        """Per postcondition of *query_id*, the ``(src, head_pos)`` refs
+        of the pending heads satisfying it, in insertion-rank order
+        (read-only; iterate a map for its refs, and turn a ref into its
+        edge with :meth:`edge`)."""
+        return self._providers[query_id]
 
-    def in_edges_for_pc(self, query_id: object, pc_pos: int) -> list[Edge]:
-        """Edges into one specific postcondition of *query_id*."""
-        by_src = self._in_edges.get(query_id, {}).get(pc_pos)
-        if not by_src:
-            return []
-        return [edge for edges in by_src.values() for edge in edges]
+    def head_of(self, ref: HeadRef) -> Atom:
+        """The head atom a provider ref stands for."""
+        return self._queries[ref[0]].head[ref[1]]
+
+    def edge(self, query_id: object, pc_pos: int, ref: HeadRef) -> Edge:
+        """The edge from provider *ref* into one postcondition, built
+        on first use and kept in the ref's slot from then on."""
+        refs = self._providers[query_id][pc_pos]
+        edge = refs[ref]
+        if edge is None:
+            src, head_pos = ref
+            queries = self._queries
+            edge = refs[ref] = Edge(
+                src, head_pos, query_id, pc_pos,
+                queries[src].head[head_pos],
+                queries[query_id].postconditions[pc_pos])
+            self._counters.edges_materialised += 1
+        return edge
 
     def in_edges_by_src(self, query_id: object,
                         pc_pos: int) -> dict[object, list[Edge]]:
-        """Provider -> edges mapping for one postcondition (read-only)."""
-        by_src = self._in_edges.get(query_id, {}).get(pc_pos)
-        return by_src if by_src is not None else {}
+        """Provider -> edges mapping for one postcondition."""
+        by_src: dict[object, list[Edge]] = {}
+        for edge in self.in_edges_for_pc(query_id, pc_pos):
+            by_src.setdefault(edge.src, []).append(edge)
+        return by_src
+
+    def in_edges_for_pc(self, query_id: object, pc_pos: int) -> list[Edge]:
+        """Edges into one specific postcondition of *query_id*."""
+        slots = self._providers.get(query_id, ())
+        return [self.edge(query_id, pc_pos, ref)
+                for ref in (slots[pc_pos] if pc_pos < len(slots) else ())]
+
+    def in_edges(self, query_id: object) -> list[Edge]:
+        """Edges into *query_id*'s postconditions, across all positions."""
+        return [self.edge(query_id, pc_pos, ref)
+                for pc_pos, refs
+                in enumerate(self._providers.get(query_id, ()))
+                for ref in refs]
+
+    def out_edges(self, query_id: object) -> list[Edge]:
+        """Edges from *query_id*'s heads to other queries'
+        postconditions, by dependent rank, then postcondition, then
+        head position."""
+        query = self._queries.get(query_id)
+        if query is None:
+            return []
+        heads = range(len(query.head))
+        return [self.edge(dst, pc_pos, (query_id, head_pos))
+                for dst in sorted(self._dependents[query_id],
+                                  key=self._rank.__getitem__)
+                for pc_pos, refs in enumerate(self._providers[dst])
+                for head_pos in heads if (query_id, head_pos) in refs]
 
     def indegree(self, query_id: object) -> int:
         """INDEGREE(q): number of edges into the query node."""
-        return sum(len(edges)
-                   for by_src in self._in_edges.get(query_id, {}).values()
-                   for edges in by_src.values())
+        return sum(map(len, self._providers.get(query_id, ())))
 
     def successors(self, query_id: object) -> set[object]:
         """Distinct queries whose postconditions this query's heads satisfy."""
-        return set(self._out_edges.get(query_id, ()))
+        return set(self._dependents.get(query_id, ()))
 
     def predecessors(self, query_id: object) -> set[object]:
         """Distinct queries whose heads satisfy this query's postconditions."""
-        result: set[object] = set()
-        for by_src in self._in_edges.get(query_id, {}).values():
-            result.update(by_src)
-        return result
+        return {src for refs in self._providers.get(query_id, ())
+                for src, _ in refs}
 
     def unsatisfied_pcs(self, query_id: object) -> list[int]:
         """Postcondition positions with no incoming edge."""
-        query = self._queries[query_id]
-        per_pc = self._in_edges.get(query_id, {})
-        return [position for position in range(query.pccount)
-                if not per_pc.get(position)]
+        return [pc_pos for pc_pos, refs
+                in enumerate(self._providers[query_id]) if not refs]
 
     def is_fully_matched(self, query_id: object) -> bool:
         """True if every postcondition of the query has >= 1 incoming edge."""
@@ -254,150 +296,74 @@ class UnifiabilityGraph:
     # mutation
     # ------------------------------------------------------------------
 
-    def add_query(self, query: EntangledQuery) -> list[Edge]:
-        """Insert a query, discovering edges in both directions.
+    def add_query(self, query: EntangledQuery) -> GraphDelta:
+        """Insert a query, writing its provider refs in both directions.
 
-        Returns the new edges, which the incremental matcher uses to decide
-        which unifiers to refresh.  Self-edges are never created.
-        """
-        return self.insert_query(query, self.discover_edges(query))
-
-    def discover_edges(self, query: EntangledQuery,
-                       head_index: object | None = None,
-                       pc_index: object | None = None) -> list[Edge]:
-        """Candidate edges between *query* and the indexed atoms.
-
-        Read-only: looks up the graph's own atom indexes (or the given
-        side indexes, used by block ingestion to find intra-block edges)
-        without mutating anything, so blocks of arrivals can discover
-        their edges concurrently on a worker pool before being committed
-        one at a time.  Self-edges are excluded; the result's order is
-        irrelevant — :meth:`insert_query` commits edges in a canonical
-        rank order.
-        """
-        query_id = query.query_id
-        if head_index is None:
-            head_index = self._head_index
-        if pc_index is None:
-            pc_index = self._pc_index
-        edges: list[Edge] = []
-        # New heads may satisfy existing postconditions.  The index's
-        # verified lookup skips per-candidate unification except for the
-        # rare repeated/shared-variable cases it cannot decide itself.
-        for head_pos, head in enumerate(query.head):
-            for (dst_id, pc_pos), pc_atom \
-                    in pc_index.lookup_unifiable(head):
-                if dst_id == query_id:
-                    continue
-                edges.append(Edge(query_id, head_pos,
-                                  dst_id, pc_pos, head, pc_atom))
-        # Existing heads may satisfy the new postconditions.
-        for pc_pos, postcondition in enumerate(query.postconditions):
-            for (src_id, head_pos), head \
-                    in head_index.lookup_unifiable(postcondition):
-                if src_id == query_id:
-                    continue
-                edges.append(Edge(src_id, head_pos,
-                                  query_id, pc_pos, head,
-                                  postcondition))
-        return edges
-
-    def canonical_edge_order(self, query_id: object,
-                             edges: Iterable[Edge]) -> list[Edge]:
-        """Sort candidate edges into the canonical commit order.
-
-        The canonical order — outgoing (head → existing postcondition)
-        before incoming, then by atom position and the partner's
-        insertion rank — is what :meth:`discover_edges` already produces
-        against a single index (the atom index returns candidates in
-        insertion order).  This explicit sort exists for callers that
-        merge discoveries from several indexes (the block-ingestion
-        pipeline, for multi-head/multi-postcondition queries).
-        """
-        rank = self._rank
-
-        # Packed integer sort keys (direction, major pos, partner rank,
-        # minor pos): 20 bits per atom position, far beyond any real
-        # query, so fields cannot collide.
-        def commit_order(edge: Edge) -> int:
-            if edge.src == query_id:
-                return ((edge.head_pos << 84) | (rank[edge.dst] << 20)
-                        | edge.pc_pos)
-            return ((1 << 104) | (edge.pc_pos << 84)
-                    | (rank[edge.src] << 20) | edge.head_pos)
-
-        return sorted(edges, key=commit_order)
-
-    def insert_query(self, query: EntangledQuery,
-                     candidate_edges: Iterable[Edge]) -> list[Edge]:
-        """Commit *query* with the given discovered edges.
-
-        Edges are wired in the caller's order, which must be the
-        canonical commit order — what :meth:`discover_edges` produces
-        (the atom index yields candidates in insertion order), or
-        :meth:`canonical_edge_order` for merged discoveries — so the
-        committed structure does not depend on how the candidates were
-        found (sequentially or by the parallel block pipeline).  Emits
-        an ``"add"`` delta and returns the committed edge list.
+        Emits and returns the ``"add"`` delta.  The query's own atoms
+        are indexed last, so it never provides for itself.
         """
         query_id = query.query_id
         if query_id in self._queries:
             raise KeyError(f"query id {query_id!r} already in graph")
+        # The two lookups, before anything is written: the pending
+        # postconditions each new head satisfies, and the pending heads
+        # satisfying each new postcondition.  The index returns entries
+        # in insertion order, so appending below keeps every ref map in
+        # rank order.
+        found = list(map(self._pc_index.lookup_unifiable, query.head))
+        own = tuple(map(dict.fromkeys,
+                        map(self._head_index.lookup_unifiable,
+                            query.postconditions)))
+
         self._queries[query_id] = query
         self._rank[query_id] = self._next_rank
         self._next_rank += 1
-        self._in_edges[query_id] = {position: {}
-                                    for position in range(query.pccount)}
-        self._out_edges[query_id] = {}
+        providers, dependents = self._providers, self._dependents
+        slots: list[PcRef] = []
+        for head_pos, written in enumerate(found):
+            if written:
+                ref = (query_id, head_pos)
+                for dst, pc_pos in written:
+                    providers[dst][pc_pos][ref] = None
+                slots += written
+        dependents[query_id] = dict.fromkeys(map(_FIRST, slots))
+        for refs in own:
+            for src, _ in refs:
+                dependents[src][query_id] = None
+        providers[query_id] = own
 
-        new_edges = (candidate_edges
-                     if isinstance(candidate_edges, list)
-                     else list(candidate_edges))
-        for edge in new_edges:
-            self._out_edges[edge.src].setdefault(edge.dst, []).append(edge)
-            self._in_edges[edge.dst].setdefault(
-                edge.pc_pos, {}).setdefault(edge.src, []).append(edge)
-
-        # Index the new atoms last so the query cannot match itself.
         for head_pos, head in enumerate(query.head):
             self._head_index.add((query_id, head_pos), head)
         for pc_pos, postcondition in enumerate(query.postconditions):
             self._pc_index.add((query_id, pc_pos), postcondition)
-        self._emit(GraphDelta("add", query_id, query, tuple(new_edges)))
-        return new_edges
+        delta = GraphDelta("add", query_id, query, own, slots)
+        self._emit(delta)
+        return delta
 
     def remove_query(self, query_id: object) -> None:
-        """Remove a query and all its incident edges.
+        """Remove a query and every ref to or from it, in O(degree).
 
-        Emits a ``"remove"`` delta carrying the edges that vanished, so
-        listeners can update derived state in O(affected)."""
+        Emits a ``"remove"`` delta so listeners can update derived
+        state."""
         query = self._queries.pop(query_id, None)
         if query is None:
             return
-        self._rank.pop(query_id, None)
+        del self._rank[query_id]
+        heads: list[HeadRef] = []
         for head_pos in range(len(query.head)):
-            self._head_index.remove((query_id, head_pos))
+            heads.append((query_id, head_pos))
+            self._head_index.remove(heads[-1])
         for pc_pos in range(query.pccount):
             self._pc_index.remove((query_id, pc_pos))
-        removed_edges: list[Edge] = []
-        # Both edge maps are keyed by the opposite endpoint, so removal
-        # is one dict pop per incident bucket — no list rebuilds.
-        for by_dst in self._out_edges.pop(query_id, {}).values():
-            for edge in by_dst:
-                removed_edges.append(edge)
-                dst_pcs = self._in_edges.get(edge.dst)
-                if dst_pcs is not None:
-                    by_src = dst_pcs.get(edge.pc_pos)
-                    if by_src is not None:
-                        by_src.pop(query_id, None)
-        for per_pc in self._in_edges.pop(query_id, {}).values():
-            for src_id, edges in per_pc.items():
-                removed_edges.extend(edges)
-                src_out = self._out_edges.get(src_id)
-                if src_out is not None:
-                    src_out.pop(query_id, None)
-        self._emit(GraphDelta("remove", query_id, None,
-                              tuple(removed_edges)))
+        providers, dependents = self._providers, self._dependents
+        for dst in dependents.pop(query_id):
+            for refs in providers[dst]:
+                for ref in heads:
+                    refs.pop(ref, None)
+        for refs in providers.pop(query_id):
+            for src, _ in refs:
+                dependents[src].pop(query_id, None)
+        self._emit(GraphDelta("remove", query_id, None))
 
     # ------------------------------------------------------------------
     # partitioning (paper Section 4.1.2)
@@ -414,17 +380,8 @@ class UnifiabilityGraph:
         remaining = set(self._queries)
         components: list[set[object]] = []
         while remaining:
-            seed = remaining.pop()
-            component = {seed}
-            frontier = [seed]
-            while frontier:
-                current = frontier.pop()
-                for neighbor in (self.successors(current)
-                                 | self.predecessors(current)):
-                    if neighbor in remaining:
-                        remaining.discard(neighbor)
-                        component.add(neighbor)
-                        frontier.append(neighbor)
+            component = self.component_of(remaining.pop())
+            remaining -= component
             components.append(component)
         return components
 
@@ -434,11 +391,10 @@ class UnifiabilityGraph:
         frontier = [query_id]
         while frontier:
             current = frontier.pop()
-            for neighbor in (self.successors(current)
-                             | self.predecessors(current)):
-                if neighbor not in component:
-                    component.add(neighbor)
-                    frontier.append(neighbor)
+            fresh = (self.successors(current)
+                     | self.predecessors(current)) - component
+            component |= fresh
+            frontier += fresh
         return component
 
     def descendants(self, query_id: object) -> set[object]:

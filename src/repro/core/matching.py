@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 from ..errors import SafetyViolation
-from .graph import Edge, UnifiabilityGraph
+from .graph import UnifiabilityGraph
 from .unify import Unifier
 
 ConflictPolicy = Literal["first", "error", "backtrack"]
@@ -133,10 +133,11 @@ class MatchState:
         self._link(members, policy)
         self._settle(members)
 
-    def add(self, query_id: object, new_edges: Iterable[Edge]) -> bool:
+    def add(self, query_id: object, slots: Iterable) -> bool:
         """Resume with one arrival; False if it is no monotone extension.
 
-        *new_edges* are the edges the graph committed with the arrival.
+        *slots* are the ``(dst, pc_pos)`` postconditions the graph wrote
+        the arrival's heads into (``GraphDelta.slots``).
         An arrival later than every member can take no chosen slot from
         an earlier provider, so the settled members keep their chosen
         edges, unifiers and verdicts, and only the arrival is
@@ -152,9 +153,8 @@ class MatchState:
         if members and self._order[query_id] < self._order[members[-1]]:
             return False
         chosen = self.chosen
-        for edge in new_edges:
-            if (edge.src == query_id
-                    and chosen[edge.dst][edge.pc_pos] is None):
+        for dst, pc_pos in slots:
+            if chosen[dst][pc_pos] is None:
                 return False
         fresh = (query_id,)
         self._link(fresh, "first")
@@ -165,8 +165,9 @@ class MatchState:
               alternatives: dict | None = None) -> None:
         """Register *fresh* members and pick one provider per
         postcondition among the state's members: the earliest-arrived
-        head.  Postconditions with several candidates are recorded in
-        *alternatives* (sorted) when the caller wants to backtrack.
+        head, the only ref an edge is built for.  Postconditions with
+        several candidates are recorded in *alternatives* (every
+        candidate's edge, sorted) when the caller wants to backtrack.
         """
         graph, order = self._graph, self._order
         dependents = self.dependents
@@ -174,31 +175,36 @@ class MatchState:
         for query_id in fresh:
             dependents[query_id] = {}
 
-        def arrival(edge: Edge) -> tuple:
-            return order[edge.src], edge.head_pos
-
         for query_id in fresh:
             slots: list = []
-            for pc_pos in range(graph.query(query_id).pccount):
-                candidates = [edge for src, edges
-                              in graph.in_edges_by_src(query_id,
-                                                       pc_pos).items()
-                              if src in dependents for edge in edges]
-                if len(candidates) <= 1:
-                    slots.append(candidates[0] if candidates else None)
+            for pc_pos, refs in enumerate(graph.provider_refs(query_id)):
+                candidates = [ref for ref in refs
+                              if ref[0] in dependents]
+                if not candidates:
+                    slots.append(None)
                     continue
-                if policy == "error":
-                    raise SafetyViolation(
-                        f"postcondition {pc_pos} of query {query_id!r} has "
-                        f"{len(candidates)} candidate providers",
-                        offending_query_id=query_id,
-                        witnesses=tuple(edge.src for edge in candidates))
-                if alternatives is None:
-                    slots.append(min(candidates, key=arrival))
-                else:
-                    candidates.sort(key=arrival)
-                    alternatives[(query_id, pc_pos)] = candidates
-                    slots.append(candidates[0])
+                best = candidates[0]
+                if len(candidates) > 1:
+                    if policy == "error":
+                        raise SafetyViolation(
+                            f"postcondition {pc_pos} of query "
+                            f"{query_id!r} has {len(candidates)} "
+                            f"candidate providers",
+                            offending_query_id=query_id,
+                            witnesses=tuple(ref[0] for ref in candidates))
+                    # A provider's refs are in head order, so the first
+                    # ref of the earliest provider is the earliest head.
+                    srcs = [ref[0] for ref in candidates]
+                    best = candidates[srcs.index(
+                        min(srcs, key=order.__getitem__))]
+                    if alternatives is not None:
+                        candidates.sort(key=lambda ref: order[ref[0]])
+                        alternatives[(query_id, pc_pos)] = [
+                            graph.edge(query_id, pc_pos, ref)
+                            for ref in candidates]
+                # A ref's value is its edge once some match built it.
+                slots.append(refs[best]
+                             or graph.edge(query_id, pc_pos, best))
             self.chosen[query_id] = slots
 
     def _settle(self, fresh: Sequence) -> None:

@@ -21,11 +21,10 @@ path:
   re-matched; independent components can be evaluated in parallel
   worker threads.
 
-Blocks of arrivals can be ingested together with
-:meth:`D3CEngine.submit_many`, which discovers candidate edges for the
-whole block concurrently on the shared worker pool before committing
-the queries in arrival order — byte-identical to one-at-a-time
-ingestion, but materially faster under heavy arrival traffic.
+Blocks of arrivals can be submitted together with
+:meth:`D3CEngine.submit_many`: the block is admitted and ingested by
+the same per-arrival loop as :meth:`D3CEngine.submit`, and coordination
+is attempted once the whole block is in the graph.
 
 Safety is enforced at admission: a query that would make the pending
 workload unsafe is rejected immediately (``safety="reject"``), mirroring
@@ -42,8 +41,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Optional, Sequence
-
-from ..concurrency import cpu_parallelism_available, default_worker_count
 
 from ..core.evaluate import FailureReason
 from ..core.query import EntangledQuery
@@ -123,11 +120,6 @@ class D3CEngine:
             applies to :meth:`run_batch` rounds).
         parallel_workers: >1 enables parallel per-partition evaluation
             in batch mode.
-        ingest_workers: worker bound for :meth:`submit_many`'s parallel
-            edge discovery (0 = auto: size from the shared pool on
-            free-threaded builds, serial under the GIL, where threaded
-            pure-Python discovery only adds overhead; 1 = serial;
-            >1 = force that many workers).
         max_group_size: incremental mode's cap on the size of the local
             coordination group built around an arrival; groups that
             would exceed it are deferred to set-at-a-time rounds (the
@@ -151,10 +143,6 @@ class D3CEngine:
             behind the paper's Figure 8 set-at-a-time recommendation.
     """
 
-    #: Blocks smaller than this are ingested serially — per-query
-    #: discovery tasks are too small to amortize pool dispatch.
-    _MIN_PARALLEL_INGEST = 16
-
     def __init__(self, database: Database,
                  mode: EngineMode = "incremental",
                  safety: SafetyMode = "off",
@@ -164,7 +152,6 @@ class D3CEngine:
                  rng: Optional[random.Random] = None,
                  ucs_fallback: bool = False,
                  parallel_workers: int = 1,
-                 ingest_workers: int = 0,
                  max_group_size: int = 64,
                  max_candidate_attempts: int = 8,
                  max_combined_atoms: int = 512,
@@ -185,14 +172,6 @@ class D3CEngine:
         self.rng = rng
         self.ucs_fallback = ucs_fallback
         self.parallel_workers = max(1, parallel_workers)
-        if ingest_workers > 0:
-            self.ingest_workers = ingest_workers
-        elif cpu_parallelism_available():
-            self.ingest_workers = default_worker_count()
-        else:
-            # Edge discovery is pure Python; under the GIL, threads
-            # only add dispatch overhead, so 'auto' means serial.
-            self.ingest_workers = 1
         self.max_group_size = max(2, max_group_size)
         self.max_candidate_attempts = max(1, max_candidate_attempts)
         self.max_combined_atoms = max(1, max_combined_atoms)
@@ -317,8 +296,8 @@ class D3CEngine:
                                                  arrival_seq, trace_id)
             if not settle_unsafe:
                 if self.mode == "incremental":
-                    new_edges = self._runtime.ingest(working)
-                    self._runtime.drain_arrival(working, new_edges)
+                    self._runtime.drain_arrival(
+                        working, self._runtime.ingest(working))
                 else:
                     self._runtime.ingest(working)
                     if (self.batch_size is not None
@@ -337,17 +316,17 @@ class D3CEngine:
                     arrival_seqs: Sequence[int] | None = None,
                     trace_ids: Sequence[str | None] | None = None
                     ) -> list[CoordinationTicket]:
-        """Submit a block of arrivals through the batched pipeline.
+        """Submit a block of arrivals, coordinating after the block.
 
-        The block's candidate edges are discovered in parallel on the
-        shared worker pool against the pre-block graph, then the
-        queries are committed in arrival order — producing exactly the
-        same graph as one-at-a-time ingestion.  Coordination is
-        deferred to the end of the block: incremental engines then
-        drain each arrival in order, batch engines check the
-        ``batch_size`` trigger once.  (This deferral is the one
-        semantic difference from a loop of :meth:`submit`, where an
-        arrival may coordinate before the next is ingested.)
+        The block is validated as a whole, then admitted and ingested
+        in arrival order by the same loop as :meth:`submit` — the graph,
+        partitions and matching states it leaves are those of one
+        :meth:`submit` per query.  Coordination is deferred to the end
+        of the block: incremental engines then drain each arrival in
+        order, batch engines check the ``batch_size`` trigger once.
+        (This deferral is the one semantic difference from a loop of
+        :meth:`submit`, where an arrival may coordinate before the
+        next is ingested.)
 
         Returns the tickets in input order; tickets may already be
         settled on return.  *arrival_seqs*, when given, must be one
@@ -389,14 +368,15 @@ class D3CEngine:
                 else:
                     admitted.append(working)
 
-            workers = (1 if len(admitted) < self._MIN_PARALLEL_INGEST
-                       else self.ingest_workers)
-            ingested = self._runtime.ingest_block(admitted, workers)
+            ingest = self._runtime.ingest
+            ingested = [(working, ingest(working))
+                        for working in admitted]
+            self.stats.blocks_ingested += 1
             if self.mode == "incremental":
                 attempted_roots: set = set()
-                for working, new_edges in ingested:
+                for working, delta in ingested:
                     if working.query_id in self._runtime.graph:
-                        self._runtime.drain_arrival(working, new_edges,
+                        self._runtime.drain_arrival(working, delta,
                                                     attempted_roots)
             elif (self.batch_size is not None
                     and len(self._pending) >= self.batch_size):

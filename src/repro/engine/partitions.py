@@ -5,16 +5,19 @@ unifiability graph across query arrivals and "stores the partial
 matching unifiers and continues the matching algorithm from this state
 with the addition of a new query".  This module tracks:
 
-* the **partition structure** — a union-find over query ids, merged as
-  new edges connect components;
+* the **partition structure** — a union-find over query ids, merged
+  once per neighbouring component as an arrival's provider refs connect
+  components;
 * per (query, postcondition) **satisfaction** — whether at least one
-  incoming edge exists — and the per-partition count of open
+  provider ref exists — and the per-partition count of open
   postconditions, so *closure* (every postcondition of every member
-  satisfied) is detected in O(edges) per arrival;
+  satisfied) is detected with one flag check per slot the arrival's
+  heads were written into;
 * the **resumable matching state** — per matched component a
   :class:`~repro.core.matching.MatchState` (chosen edges, Algorithm 1
   fixpoint unifiers, survivors, global unifier) that each arrival
-  extends in O(new edges).
+  extends by choosing its own providers — one edge built per
+  postcondition of the arrival.
 
 Closure is the trigger for a coordination attempt; the matching state
 is what the attempt reads, so a closed partition that keeps growing
@@ -27,7 +30,7 @@ bridging two components or joining an unmatched one — drops it, and the
 next attempt rebuilds it, like a stale partition.
 Union-find cannot delete, so removals *ghost* the departed queries in
 O(removed) and mark their partitions structurally stale; the exact
-rebuild — survivors re-unioned along the graph's surviving edges so
+rebuild — survivors re-unioned along the graph's surviving refs so
 components split back apart, with satisfaction recounted — runs lazily,
 the first time a consumer actually reads the partition (a set-at-a-time
 drain, the closure check, or a diagnostic).  Readers therefore always
@@ -40,9 +43,9 @@ connected components from scratch.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
-from ..core.graph import Edge, UnifiabilityGraph
+from ..core.graph import GraphDelta, UnifiabilityGraph
 from ..core.matching import MatchState
 from ..core.query import EntangledQuery
 
@@ -50,12 +53,14 @@ from ..core.query import EntangledQuery
 class PartitionManager:
     """Tracks components, closure, and matching state incrementally.
 
-    ``track_matching=False`` puts the manager in structure-only mode
-    for engines that never attempt a whole partition per arrival (batch
-    engines and the incremental ``"local"`` strategy): the per-edge
-    closure (postcondition-satisfaction) accounting and the resumable
-    matching state are skipped — set-at-a-time rounds drain whole
-    components regardless and match them from scratch.
+    Arrivals come as the graph's ``"add"`` delta — provider refs and
+    written slots, never edge objects.  ``track_matching=False`` puts
+    the manager in structure-only mode for engines that never attempt
+    a whole partition per arrival (batch engines and the incremental
+    ``"local"`` strategy): the per-slot closure (postcondition-
+    satisfaction) accounting and the resumable matching state are
+    skipped — set-at-a-time rounds drain whole components regardless
+    and match them from scratch.
     :meth:`is_closed` and :meth:`match_state` are meaningless in this
     mode.
 
@@ -121,12 +126,14 @@ class PartitionManager:
     # ------------------------------------------------------------------
 
     def add_query(self, query: EntangledQuery,
-                  new_edges: Iterable[Edge]) -> object:
+                  delta: GraphDelta) -> object:
         """Record an arrival; returns the partition root after merging.
 
-        *new_edges* are the edges the graph discovered for this arrival
-        (both directions).  Updates closure bookkeeping and extends the
-        matching state of the components the arrival joins.
+        *delta* is the graph's ``"add"`` delta for this arrival: its
+        provider refs per postcondition and the slots its heads were
+        written into.  Merges the arrival with each neighbouring
+        component once, updates closure bookkeeping per slot and
+        extends the matching state of the component the arrival joins.
         """
         query_id = query.query_id
         if query_id in self._dead:
@@ -140,39 +147,53 @@ class PartitionManager:
         self._node_open[query_id] = query.pccount
         self._root_open[query_id] = query.pccount
         self._root_members[query_id] = {query_id}
+        # The neighbouring components, in first-seen order.  Slots and
+        # refs are both (neighbour id, position) pairs; a neighbour in
+        # the component found last needs no find of its own, so a
+        # cluster costs one find and one union however many refs lead
+        # there.
+        joined: dict = {}
+        members: Collection = ()
+        for pairs in (delta.slots, *delta.providers):
+            for neighbour, _ in pairs:
+                if neighbour not in members:
+                    root = self.find(neighbour)
+                    joined[root] = None
+                    members = self._root_members[root]
 
         if not self._track_matching:
             # Structure-only mode: merge components, skip closure
             # accounting and matching state entirely.
-            for edge in new_edges:
-                self._union(edge.src, edge.dst)
-            return self.find(query_id)
+            root = query_id
+            for neighbour in joined:
+                root = self._union(root, neighbour)
+            return root
 
-        for pc_pos in range(query.pccount):
-            self._pc_satisfied[(query_id, pc_pos)] = False
         # The matching carries over when the arrival starts a component
         # (trivially matched) or extends exactly one matched component;
         # one that bridges components, or joins an unmatched one, leaves
         # the union to be rebuilt by the next attempt.
-        joined = dict.fromkeys(
-            self.find(edge.dst if edge.src == query_id else edge.src)
-            for edge in new_edges)
-        joined.pop(query_id, None)
         states = [self._match_states.pop(root, None) for root in joined]
-        # One union per neighbouring component, however many edges lead
-        # there; the edge loop below is satisfaction accounting only.
         root = query_id
         for neighbour in joined:
             root = self._union(root, neighbour)
-        for edge in new_edges:
-            key = (edge.dst, edge.pc_pos)
-            if not self._pc_satisfied[key]:
-                self._pc_satisfied[key] = True
-                self._node_open[edge.dst] -= 1
+
+        # Closure accounting, per slot: the arrival's own postconditions
+        # that found a provider, then the slots its heads now provide.
+        satisfied = self._pc_satisfied
+        own: list = []
+        for pc_pos, refs in enumerate(delta.providers):
+            satisfied[(query_id, pc_pos)] = False
+            if refs:
+                own.append((query_id, pc_pos))
+        for slot in (*own, *delta.slots):
+            if not satisfied[slot]:
+                satisfied[slot] = True
+                self._node_open[slot[0]] -= 1
                 self._root_open[root] -= 1
         state = (MatchState(self._graph, self._order) if not states
                  else states[0] if len(states) == 1 else None)
-        if state is not None and state.add(query_id, new_edges):
+        if state is not None and state.add(query_id, delta.slots):
             self._match_states[root] = state
         return root
 
@@ -310,21 +331,21 @@ class PartitionManager:
             self._parent[query_id] = query_id
             self._rank[query_id] = 0
             if self._track_matching:
-                query = graph.query(query_id)
                 open_count = 0
-                for pc_pos in range(query.pccount):
-                    satisfied = bool(
-                        graph.in_edges_for_pc(query_id, pc_pos))
-                    self._pc_satisfied[(query_id, pc_pos)] = satisfied
-                    if not satisfied:
+                for pc_pos, refs in enumerate(
+                        graph.provider_refs(query_id)):
+                    self._pc_satisfied[(query_id, pc_pos)] = bool(refs)
+                    if not refs:
                         open_count += 1
                 self._node_open[query_id] = open_count
             self._root_open[query_id] = self._node_open.get(query_id, 0)
             self._root_members[query_id] = {query_id}
+        # Every edge is stored once, at its destination: walking each
+        # member's providers visits all of them.
         for query_id in members:
-            for edge in graph.out_edges(query_id):
-                if edge.dst in members:
-                    self._union(query_id, edge.dst)
+            for src in graph.predecessors(query_id):
+                if src in members:
+                    self._union(src, query_id)
         roots = sorted({self.find(query_id) for query_id in members},
                        key=repr)
         if root in self._dead and len(roots) == 1:

@@ -21,13 +21,11 @@ scheduler built on two pieces of machinery:
   answer-preserving; callers that mutate the database go through
   ``D3CEngine.invalidate_cache`` which re-marks everything.
 
-Arrival ingestion is batched and parallel
-(:meth:`CoordinationScheduler.ingest_block`): candidate edges for a
-block of new queries are discovered concurrently on the shared worker
-pool against the pre-block graph (read-only), then the queries are
-committed in arrival order, discovering intra-block edges against small
-block-local indexes.  The graph commits edge lists in a canonical rank
-order, so block ingestion is byte-identical to sequential ingestion.
+Arrival ingestion is one path (:meth:`CoordinationScheduler.ingest`):
+the graph writes the arrival's provider refs and emits its delta, and a
+block of arrivals (``submit_many``) is that same call in a loop — the
+graph keeps every ref map in insertion-rank order, so a block leaves
+exactly the state the one-at-a-time loop leaves.
 
 The scheduler owns coordination *mechanics* (worklist, matching,
 combined-query evaluation, failure caches); its host — the
@@ -82,7 +80,7 @@ class CoordinationScheduler:
 
     def __init__(self, host):
         self._host = host
-        self.graph = UnifiabilityGraph()
+        self.graph = UnifiabilityGraph(counters=host.stats)
         # Closure accounting and the resumable matching state are
         # maintained only where they are consumed: per-arrival attempts
         # on whole partitions.  Batch engines (the paper's set-at-a-time
@@ -138,7 +136,7 @@ class CoordinationScheduler:
     def _on_delta(self, delta: GraphDelta) -> None:
         """Fold one graph delta into partition state and the worklist."""
         if delta.kind == "add":
-            self.partitions.add_query(delta.query, delta.edges)
+            self.partitions.add_query(delta.query, delta)
             self._dirty[delta.query_id] = None
             self._track_reader(delta.query)
             return
@@ -297,89 +295,22 @@ class CoordinationScheduler:
     # arrival ingestion
     # ------------------------------------------------------------------
 
-    def ingest(self, query: EntangledQuery):
-        """Admit one query into the graph; returns its new edges."""
+    def ingest(self, query: EntangledQuery) -> GraphDelta:
+        """Admit one query into the graph; returns its ``"add"`` delta."""
         stats = self._host.stats
         start = time.perf_counter()
-        new_edges = self.graph.add_query(query)
+        delta = self.graph.add_query(query)
         stats.graph_seconds += time.perf_counter() - start
-        return new_edges
-
-    def ingest_block(self, queries: Sequence[EntangledQuery],
-                     workers: int) -> list:
-        """Admit a block of queries, discovering edges in parallel.
-
-        Candidate edges against the pre-block graph are discovered
-        concurrently on the shared pool (pure reads); the block is then
-        committed in arrival order, finding edges *within* the block
-        via small block-local indexes.  Because the graph sorts every
-        committed edge list into canonical rank order, the result is
-        byte-identical to ingesting the queries one at a time.
-
-        Returns ``(query, new_edges)`` pairs in arrival order.  No
-        coordination runs here — the caller drains afterwards.
-        """
-        stats = self._host.stats
-        start = time.perf_counter()
-        ingested: list = []
-        if workers > 1 and len(queries) > 1:
-            # Chunked dispatch: a few queries per task amortizes pool
-            # overhead (per-query tasks are far too small).
-            discover = self.graph.discover_edges
-            chunk_size = max(1, len(queries) // (workers * 4))
-            chunks = [queries[index:index + chunk_size]
-                      for index in range(0, len(queries), chunk_size)]
-            external = [edges for chunk_edges in map_bounded(
-                            lambda chunk: [discover(query)
-                                           for query in chunk],
-                            chunks, workers)
-                        for edges in chunk_edges]
-            block_heads = self.graph.make_scratch_index()
-            block_pcs = self.graph.make_scratch_index()
-            for query, ext_edges in zip(queries, external):
-                intra = self.graph.discover_edges(
-                    query, head_index=block_heads, pc_index=block_pcs)
-                query_id = query.query_id
-                if not intra:
-                    merged = ext_edges
-                elif len(query.head) == 1 and query.pccount <= 1:
-                    # Each discovery is already canonical; with one
-                    # head and at most one postcondition the per-
-                    # direction groups are contiguous, and external
-                    # ranks all precede block ranks — a partitioned
-                    # concatenation restores the global order.
-                    ext_out = [edge for edge in ext_edges
-                               if edge.src == query_id]
-                    ext_in = [edge for edge in ext_edges
-                              if edge.src != query_id]
-                    intra_out = [edge for edge in intra
-                                 if edge.src == query_id]
-                    intra_in = [edge for edge in intra
-                                if edge.src != query_id]
-                    merged = ext_out + intra_out + ext_in + intra_in
-                else:
-                    merged = self.graph.canonical_edge_order(
-                        query_id, ext_edges + intra)
-                committed = self.graph.insert_query(query, merged)
-                for head_pos, head in enumerate(query.head):
-                    block_heads.add((query_id, head_pos), head)
-                for pc_pos, pc_atom in enumerate(query.postconditions):
-                    block_pcs.add((query_id, pc_pos), pc_atom)
-                ingested.append((query, committed))
-        else:
-            for query in queries:
-                ingested.append((query, self.graph.add_query(query)))
-        stats.graph_seconds += time.perf_counter() - start
-        stats.blocks_ingested += 1
-        return ingested
+        return delta
 
     # ------------------------------------------------------------------
     # incremental (per-arrival) draining
     # ------------------------------------------------------------------
 
-    def drain_arrival(self, query: EntangledQuery, new_edges,
+    def drain_arrival(self, query: EntangledQuery, delta: GraphDelta,
                       attempted_roots: Optional[set] = None) -> None:
-        """Attempt coordination triggered by one arrival.
+        """Attempt coordination triggered by one arrival (*delta* is
+        what :meth:`ingest` returned for it).
 
         ``"component"`` strategy: match the arrival's whole partition
         when it just closed.  ``"local"`` strategy: build bounded local
@@ -415,8 +346,8 @@ class CoordinationScheduler:
             # A postcondition-free query can satisfy others or answer
             # alone.  Give dependents first shot at forming a group
             # containing it; if none consumes it, answer it solo.
-            for dst in self._arrival_order({edge.dst for edge
-                                            in new_edges}):
+            for dst in self._arrival_order({dst for dst, _
+                                            in delta.slots}):
                 if origin not in self.graph:
                     return
                 if dst in self.graph:
@@ -453,8 +384,9 @@ class CoordinationScheduler:
         still stand (``MatchState.empty_reads``) can only yield a
         conjunctive superset of that query, so the closure is answered
         without building or evaluating anything.  A growing massively-
-        unifying partition (Figure 8) therefore costs O(new edges) per
-        arrival end to end.
+        unifying partition (Figure 8) therefore costs, per arrival and
+        end to end, the graph's ref writes plus one built edge per
+        postcondition of the arrival.
         """
         host = self._host
         stats = host.stats
@@ -519,33 +451,21 @@ class CoordinationScheduler:
         """
         host = self._host
         query = self.graph.query(origin)
-        primary_edges: Sequence = ()
+        choices: Sequence = (None,)
         if query.pccount:
-            by_src = self.graph.in_edges_by_src(origin, 0)
-            if not by_src:
-                return
-            if len(by_src) == 1:
-                primary_edges = next(iter(by_src.values()))
-            else:
-                # Sort the (fewer) providers, not the flattened edges;
-                # per-provider edge order is preserved, so this matches
-                # the old stable sort of the flat list by arrival.
-                arrival = host._arrival
-                primary_edges = [edge for src
-                                 in sorted(by_src,
-                                           key=arrival.__getitem__)
-                                 for edge in by_src[src]]
-            if len(primary_edges) > 1:
-                primary_edges = self._feasible_first(query, primary_edges)
-                if not primary_edges:
-                    # The data supports no pending provider; any group
-                    # through this postcondition is empty on the DB.
-                    return
-        choices = (list(primary_edges[:host.max_candidate_attempts])
-                   if query.pccount else [None])
+            # Stable by arrival: a provider's refs stay in head order.
+            arrival = host._arrival
+            choices = sorted(self.graph.provider_refs(origin)[0],
+                             key=lambda ref: arrival[ref[0]])
+            if len(choices) > 1:
+                choices = self._feasible_first(query, choices)
+            # No choice left means no pending provider, or none the
+            # data can pair with: any group through this postcondition
+            # is empty on the DB.
+            choices = choices[:host.max_candidate_attempts]
         tried: set[frozenset] = set()
-        for edge in choices:
-            forced = {} if edge is None else {(origin, 0): edge}
+        for ref in choices:
+            forced = {} if ref is None else {(origin, 0): ref[0]}
             group = self._build_group(origin, forced)
             if group is None or group in tried:
                 continue
@@ -557,8 +477,8 @@ class CoordinationScheduler:
                 return
 
     def _feasible_first(self, query: EntangledQuery,
-                        edges: list) -> list:
-        """Filter/reorder candidate providers by data feasibility.
+                        refs: list) -> list:
+        """Filter/reorder candidate provider refs by data feasibility.
 
         Evaluates the origin query's body (bounded) to learn which
         groundings of its first postcondition the data supports.  If the
@@ -577,10 +497,10 @@ class CoordinationScheduler:
         """
         host = self._host
         if not query.body:
-            return edges
+            return refs
         pc_atom = query.postconditions[0]
         if pc_atom.is_ground():
-            return edges
+            return refs
 
         # Canonical body key: constants by value, variables by first
         # occurrence, so renamed-apart copies of one body share a key.
@@ -594,7 +514,7 @@ class CoordinationScheduler:
             versions = tuple(host.database.table(atom.relation).version
                              for atom in query.body)
         except ReproError:
-            return edges
+            return refs
         # Projection of the pc atom in canonical terms; pc variables not
         # bound by the body project to _UNBOUND (they can never equal a
         # candidate's ground values, exactly like the unbound Variable
@@ -625,7 +545,7 @@ class CoordinationScheduler:
                          for variable, value in valuation.items()})
                 complete = count < self._FEASIBILITY_LIMIT
             except ReproError:
-                return edges
+                return refs
             finally:
                 host.stats.db_seconds += time.perf_counter() - start
             cached = (canon_valuations, complete, versions,
@@ -647,12 +567,15 @@ class CoordinationScheduler:
                 for is_const, payload in slots))
 
         preferred, fallback = [], []
-        for edge in edges:
-            key = edge.ground_key()
-            if key is None or key in feasible:
-                preferred.append(edge)
+        head_of = self.graph.head_of
+        for ref in refs:
+            head = head_of(ref)
+            if (not head.is_ground()
+                    or tuple([term.value for term in head.args])
+                    in feasible):
+                preferred.append(ref)
             else:
-                fallback.append(edge)
+                fallback.append(ref)
         if complete:
             return preferred
         return preferred + fallback
@@ -662,8 +585,10 @@ class CoordinationScheduler:
 
         Every member's every postcondition must have a provider inside
         the group; providers already in the group are preferred, then
-        earliest arrival.  ``forced`` pins specific providers (used to
-        iterate alternatives for the origin's first postcondition).
+        earliest arrival.  ``forced`` pins the provider of specific
+        postconditions (used to iterate alternatives for the origin's
+        first postcondition).  Reads refs only: the one edge per slot a
+        group ends up using is built by its matching.
         """
         group: set = {origin}
         stack: list = [origin]
@@ -671,24 +596,21 @@ class CoordinationScheduler:
         max_group_size = self._host.max_group_size
         while stack:
             current = stack.pop()
-            query = self.graph.query(current)
-            for pc_pos in range(query.pccount):
-                by_src = self.graph.in_edges_by_src(current, pc_pos)
-                if not by_src:
-                    return None
-                pinned = forced.get((current, pc_pos))
-                if pinned is not None:
-                    chosen = pinned
-                else:
-                    in_group = [src for src in by_src if src in group]
-                    pool = in_group or by_src.keys()
-                    best_src = min(pool, key=arrival.__getitem__)
-                    chosen = by_src[best_src][0]
-                if chosen.src not in group:
+            for pc_pos, refs in enumerate(
+                    self.graph.provider_refs(current)):
+                chosen = forced.get((current, pc_pos))
+                if chosen is None:
+                    providers = [src for src, _ in refs]
+                    if not providers:
+                        return None
+                    in_group = [src for src in providers if src in group]
+                    chosen = min(in_group or providers,
+                                 key=arrival.__getitem__)
+                if chosen not in group:
                     if len(group) >= max_group_size:
                         return None
-                    group.add(chosen.src)
-                    stack.append(chosen.src)
+                    group.add(chosen)
+                    stack.append(chosen)
         return frozenset(group)
 
     def _record_match_spans(self, members, start_ns: int) -> None:

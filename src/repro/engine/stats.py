@@ -41,6 +41,11 @@ class EngineStats:
     match_resumed: int = 0
     match_rebuilt: int = 0
     closures_skipped_empty: int = 0
+    #: ``Edge`` objects the unifiability graph built: it stores provider
+    #: refs and materialises an edge only for a ref some caller follows,
+    #: so this counts pairs matching actually looked at, not pairs that
+    #: unify.
+    edges_materialised: int = 0
     graph_seconds: float = 0.0
     match_seconds: float = 0.0
     db_seconds: float = 0.0
@@ -80,6 +85,7 @@ class EngineStats:
             "match_resumed": self.match_resumed,
             "match_rebuilt": self.match_rebuilt,
             "closures_skipped_empty": self.closures_skipped_empty,
+            "edges_materialised": self.edges_materialised,
             "graph_seconds": self.graph_seconds,
             "match_seconds": self.match_seconds,
             "db_seconds": self.db_seconds,
@@ -95,7 +101,7 @@ class EngineStats:
                     "combined_queries_built", "closure_events",
                     "blocks_ingested", "components_drained",
                     "match_resumed", "match_rebuilt",
-                    "closures_skipped_empty")
+                    "closures_skipped_empty", "edges_materialised")
     SECONDS_KEYS = ("graph_seconds", "match_seconds", "db_seconds",
                     "safety_seconds")
 

@@ -83,7 +83,7 @@ class ShardedCoordinator:
             equivalence oracle runs against it) or ``"process"``
             (spawned workers, real CPU parallelism under the GIL).
         mode / staleness / clock / batch_size / ucs_fallback /
-        parallel_workers / ingest_workers / max_group_size /
+        parallel_workers / max_group_size /
         max_candidate_attempts / max_combined_atoms /
         incremental_strategy: exactly as on
             :class:`~repro.engine.engine.D3CEngine`; forwarded to every
@@ -110,7 +110,6 @@ class ShardedCoordinator:
                  rng=None,
                  ucs_fallback: bool = False,
                  parallel_workers: int = 1,
-                 ingest_workers: int = 0,
                  max_group_size: int = 64,
                  max_candidate_attempts: int = 8,
                  max_combined_atoms: int = 512,
@@ -148,7 +147,6 @@ class ShardedCoordinator:
             mode=mode, safety="off", batch_size=None, rng=None,
             ucs_fallback=ucs_fallback,
             parallel_workers=parallel_workers,
-            ingest_workers=ingest_workers,
             max_group_size=max_group_size,
             max_candidate_attempts=max_candidate_attempts,
             max_combined_atoms=max_combined_atoms,
@@ -265,11 +263,11 @@ class ShardedCoordinator:
         query_id = working.query_id
         partners: set = set()
         for head in working.head:
-            for entry, _ in self._pc_index.lookup_unifiable(head):
+            for entry in self._pc_index.lookup_unifiable(head):
                 if entry[0] != query_id:
                     partners.add(entry[0])
         for pc_atom in working.postconditions:
-            for entry, _ in self._head_index.lookup_unifiable(pc_atom):
+            for entry in self._head_index.lookup_unifiable(pc_atom):
                 if entry[0] != query_id:
                     partners.add(entry[0])
         return partners

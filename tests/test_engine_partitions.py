@@ -221,19 +221,29 @@ class TestResubmittedGhost:
 
     def test_ghost_root_is_refreshed_before_its_id_is_reused(self):
         graph, manager = setup_manager(track_matching=False)
+        heads = {"q1": "R(Jerry, x)", "q2": "R(Kramer, x)"}
         admit(graph, manager,
-              "{R(Nobody, x)} R(Jerry, x) <- Flights(x, Paris)", "q1")
+              "{R(Kramer, x)} R(Jerry, x) <- Flights(x, Paris)", "q1")
         admit(graph, manager,
-              "{R(Jerry, y)} R(Kramer, y) <- Flights(y, Paris)", "q2")
-        assert manager.find("q2") == "q1"  # q1 is the forest root
-        graph.remove_query("q1")
-        manager.remove_queries(["q1"])
-        admit(graph, manager, "{} R(Jerry, x) <- Flights(x, Paris)",
-              "q1")
-        assert manager.members_set("q2") == {"q1", "q2"}
+              "{R(Jerry, x)} R(Kramer, x) <- Flights(x, Paris)", "q2")
+        # Whichever id the forest elected root is the one that departs
+        # and comes back (the pair is symmetric).
+        ghost = manager.find("q1")
+        (survivor,) = {"q1", "q2"} - {ghost}
+        assert manager.find(survivor) == ghost
+        graph.remove_query(ghost)
+        manager.remove_queries([ghost])
+        assert manager.find(survivor) == ghost  # resolves through it
+        assert ghost in manager._stale_roots
+        admit(graph, manager,
+              f"{{}} {heads[ghost]} <- Flights(x, Paris)", ghost)
+        # The stale partition was re-split before the id re-entered
+        # the forest, and the newcomer joined the survivor afresh.
+        assert not manager._stale_roots
+        assert manager.members_set(survivor) == {"q1", "q2"}
         assert manager.partition_sizes() == [2]
-        graph.remove_query("q1")
-        assert manager.remove_queries(["q1"]) == ["q2"]
+        graph.remove_query(ghost)
+        assert manager.remove_queries([ghost]) == [survivor]
         assert manager.partition_sizes() == [1]
 
     def test_interior_ghost_is_refreshed_too(self):

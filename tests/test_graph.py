@@ -62,10 +62,16 @@ class TestGraphConstruction:
         graph = UnifiabilityGraph()
         graph.add_query(parse_ir("{R(Kramer, x)} R(Jerry, x) "
                                  "<- F(x, Paris)", "jerry"))
-        new_edges = graph.add_query(
+        delta = graph.add_query(
             parse_ir("{R(Jerry, y)} R(Kramer, y) <- F(y, Paris)",
                      "kramer"))
-        directions = {(edge.src, edge.dst) for edge in new_edges}
+        # Incoming: jerry's head 0 provides kramer's postcondition 0;
+        # outgoing: kramer's head was written into jerry's slot 0.
+        assert [list(refs) for refs in delta.providers] == [[("jerry", 0)]]
+        assert list(delta.slots) == [("jerry", 0)]
+        directions = {(edge.src, edge.dst)
+                      for edge in (graph.in_edges("kramer")
+                                   + graph.out_edges("kramer"))}
         assert directions == {("kramer", "jerry"), ("jerry", "kramer")}
 
     def test_naive_index_variant_equivalent(self):

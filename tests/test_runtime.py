@@ -49,49 +49,51 @@ class TestGraphDeltas:
         left = pair("j", "jerry", "kramer").rename_apart()
         right = pair("k", "kramer", "jerry").rename_apart()
         graph.add_query(left)
-        graph.add_query(right)
+        # Nothing to unify with yet: one postcondition, no provider,
+        # and no slot the head was written into.
+        assert [list(refs) for refs in deltas[0].providers] == [[]]
+        assert list(deltas[0].slots) == []
+        assert graph.add_query(right) is deltas[1]
         assert [delta.kind for delta in deltas] == ["add", "add"]
-        assert deltas[0].edges == ()  # nothing to unify with yet
-        assert {(edge.src, edge.dst) for edge in deltas[1].edges} \
-            == {("j", "k"), ("k", "j")}
+        # The second arrival carries both directions as refs: who
+        # provides its postcondition, and whose slot its head entered.
+        assert [list(refs) for refs in deltas[1].providers] == [[("j", 0)]]
+        assert list(deltas[1].slots) == [("j", 0)]
         assert deltas[1].query is right
+        # The delta's ref maps are the graph's own, not copies.
+        assert deltas[1].providers[0] is graph.provider_refs("k")[0]
+        assert graph.edges_materialised == 0  # refs, not Edge objects
         graph.remove_query("j")
         assert deltas[-1].kind == "remove"
-        assert deltas[-1].query is None
-        assert {(edge.src, edge.dst) for edge in deltas[-1].edges} \
-            == {("j", "k"), ("k", "j")}
+        assert deltas[-1].query_id == "j" and deltas[-1].query is None
+        assert deltas[-1].providers == () and deltas[-1].slots == ()
+        # The removal left no ref behind, in either direction.
+        assert list(graph.provider_refs("k")[0]) == []
+        assert graph.out_edges("k") == []
 
-    def test_block_discovery_commits_identically(self):
-        """discover_edges + insert_query == add_query, byte for byte."""
+    def test_block_of_arrivals_leaves_the_loops_view(self):
+        """A ``submit_many`` block ingests by the same loop as
+        ``submit``: the edge view, the partitions and the ref order are
+        those of one-at-a-time submission, whatever the block split."""
         network = generate_social_network(num_users=300, seed=3)
-        queries = [query.rename_apart()
-                   for query in two_way_pairs(network, 120, seed=4)]
-        sequential = UnifiabilityGraph()
+        database = build_flight_database(network)
+        queries = two_way_pairs(network, 120, seed=4)
+        loop = D3CEngine(database, mode="batch")
         for query in queries:
-            sequential.add_query(query)
+            loop.submit(query)
+        block = D3CEngine(database, mode="batch")
+        block.submit_many(queries[:60])
+        block.submit_many(queries[60:])
 
-        staged = UnifiabilityGraph()
-        base, block = queries[:60], queries[60:]
-        for query in base:
-            staged.add_query(query)
-        external = [staged.discover_edges(query) for query in block]
-        block_heads = staged.make_scratch_index()
-        block_pcs = staged.make_scratch_index()
-        for query, ext_edges in zip(block, external):
-            intra = staged.discover_edges(query, head_index=block_heads,
-                                          pc_index=block_pcs)
-            staged.insert_query(query, ext_edges + intra)
-            for head_pos, head in enumerate(query.head):
-                block_heads.add((query.query_id, head_pos), head)
-            for pc_pos, pc_atom in enumerate(query.postconditions):
-                block_pcs.add((query.query_id, pc_pos), pc_atom)
-
-        for query in queries:
-            expected = [(e.src, e.head_pos, e.dst, e.pc_pos) for e
-                        in sequential.out_edges(query.query_id)]
-            actual = [(e.src, e.head_pos, e.dst, e.pc_pos) for e
-                      in staged.out_edges(query.query_id)]
-            assert expected == actual
+        def view(engine):
+            graph = engine._graph
+            return [[(e.src, e.head_pos, e.dst, e.pc_pos) for e in edges]
+                    for query in queries
+                    for edges in (graph.in_edges(query.query_id),
+                                  graph.out_edges(query.query_id))]
+        assert view(loop) == view(block)
+        assert loop.partition_sizes() == block.partition_sizes()
+        assert any(any(edges) for edges in view(loop))
 
 
 class TestWorklist:
@@ -150,19 +152,21 @@ class TestWorklist:
 
 
 class TestSubmitMany:
-    def test_parallel_block_matches_serial(self, pair_db):
-        def outcomes(workers):
-            engine = D3CEngine(pair_db, ingest_workers=workers)
-            engine._MIN_PARALLEL_INGEST = 1
-            tickets = engine.submit_many(
-                [pair("j", "jerry", "kramer"),
-                 pair("k", "kramer", "jerry"),
-                 pair("e", "elaine", "newman")])
+    def test_block_matches_loop_of_submits(self, pair_db):
+        """One block settles what the loop of submits settles (the
+        block ingests by that very loop; there is no second path)."""
+        queries = [pair("j", "jerry", "kramer"),
+                   pair("k", "kramer", "jerry"),
+                   pair("e", "elaine", "newman")]
+
+        def outcomes(tickets):
             return [(ticket.query_id, ticket.done(),
                      ticket.answer.rows if ticket.done() else None)
                     for ticket in tickets]
-        assert outcomes(1) == outcomes(4)
-        assert outcomes(4)[0][1]  # the pair coordinated
+        block = outcomes(D3CEngine(pair_db).submit_many(queries))
+        loop = outcomes(D3CEngine(pair_db).submit_all(queries))
+        assert block == loop
+        assert block[0][1]  # the pair coordinated
 
     def test_block_counts_and_validation(self, pair_db):
         from repro.errors import ValidationError
