@@ -14,8 +14,10 @@ Commands:
     coordination service (:mod:`repro.shard`) instead of one engine.
     ``--wal-dir DIR`` journals every command to a write-ahead log (and
     recovers from DIR when it already holds state — see
-    :mod:`repro.durability`); ``--snapshot-every N`` sets the snapshot
-    cadence.
+    :mod:`repro.durability`).  Snapshot cadence is derived by default
+    (a generation is published whenever the log segment has outgrown
+    the snapshot it follows); ``--snapshot-every N`` overrides it with
+    one snapshot per N journalled commands.
 
 ``sql DATA "SELECT ..."``
     Run a plain SQL SELECT against a data file.
@@ -70,6 +72,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -210,7 +213,8 @@ def _open_service(arguments: argparse.Namespace, database=None,
     if arguments.wal_dir:
         from .durability import DurableCoordinator, DurableEngine
         durable = DurableCoordinator if arguments.shards else DurableEngine
-        options["snapshot_every"] = arguments.snapshot_every
+        if arguments.snapshot_every is not None:
+            options["snapshot_every"] = arguments.snapshot_every
         if durable.has_state(arguments.wal_dir):
             service = durable.recover(arguments.wal_dir, **options)
             note = (f"recovered {arguments.wal_dir}: generation "
@@ -397,6 +401,13 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     except ReproError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 1
+    # The loaded (or recovered) database and its indexes live as long
+    # as the server does: take them out of the collector's reach, or
+    # every full collection of a serving epoch walks them again.  Done
+    # here and not in the service classes — the collector belongs to
+    # the process entry point, never to a library object.
+    gc.collect()
+    gc.freeze()
 
     async def _run() -> int:
         server = CoordinationServer(service, config)
@@ -564,11 +575,13 @@ def build_parser() -> argparse.ArgumentParser:
                                         "recovered (crash-safe) and "
                                         "the data file is ignored")
     coordinate_parser.add_argument("--snapshot-every", type=int,
-                                   default=64, metavar="N",
+                                   default=None, metavar="N",
                                    help="with --wal-dir: write a "
                                         "snapshot generation every N "
-                                        "journalled commands "
-                                        "(default: 64)")
+                                        "journalled commands (default: "
+                                        "derived - whenever the log "
+                                        "has outgrown the snapshot it "
+                                        "follows)")
     coordinate_parser.add_argument("--metrics-json", metavar="PATH",
                                    help="write the run's metrics-"
                                         "registry snapshot to PATH as "
@@ -662,10 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--wal-dir", metavar="DIR",
                        help="serve a durable service journalled in "
                             "DIR (recovers when DIR holds state)")
-    serve.add_argument("--snapshot-every", type=int, default=64,
+    serve.add_argument("--snapshot-every", type=int, default=None,
                        metavar="N",
-                       help="with --wal-dir: snapshot cadence "
-                            "(default: 64)")
+                       help="with --wal-dir: snapshot every N "
+                            "journalled commands (default: derived - "
+                            "whenever the log has outgrown the "
+                            "snapshot it follows)")
     serve.add_argument("--window", type=int, default=64, metavar="N",
                        help="per-connection in-flight request window "
                             "(default: 64)")

@@ -43,7 +43,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from ..core.evaluate import FailureReason
 from ..dataio import (WIRE_VERSION, delta_from_payload, delta_to_payload,
@@ -58,6 +58,11 @@ from ..errors import RecoveryError, ValidationError
 from ..obs import TRACER
 from ..shard.coordinator import ShardedCoordinator
 from .snapshots import SnapshotStore
+
+#: Floor of the derived snapshot cadence (see :class:`_DurableService`):
+#: without it a near-empty state, whose snapshot is a few hundred
+#: bytes, would publish a generation per command.
+SNAPSHOT_FLOOR_BYTES = 64 * 1024
 
 
 class _RecoveredState:
@@ -208,20 +213,30 @@ class _DurableService:
     pass the source clock here) and ``rng`` (refused: sampled CHOOSE
     draws cannot be reproduced by recovery).
 
+    Snapshot cadence: when the caller names none, it is *derived* — a
+    new generation is published once the live log segment has grown to
+    the byte length of the snapshot that opened it (floored by
+    :data:`SNAPSHOT_FLOOR_BYTES`).  However long the service lives,
+    recovery therefore never replays more than one state's worth of
+    log, and every snapshot but the newest was followed by at least
+    its own size in log: lifetime snapshot bytes stay within the log's
+    plus the newest snapshot's — about twice the log's for a state
+    that grows no faster than its journal.  ``snapshot_every=N``
+    (every N commands), ``snapshot_every=None`` (never) and
+    ``snapshot_log_bytes=N`` (a fixed segment size) are explicit
+    overrides; naming any of them turns the derived rule off.
+
     Restrictions: queries must be wire-serializable (aggregate
     constraints are rejected at submission, exactly as on the sharded
     service's wire format).
     """
-
-    #: Default command count between automatic snapshots.
-    DEFAULT_SNAPSHOT_EVERY = 64
 
     #: The inner service class a concrete wrapper journals.
     _service_class: type
 
     def __init__(self, wal_dir: str | Path, database=None, *,
                  clock: Clock | None = None,
-                 snapshot_every: int | None = DEFAULT_SNAPSHOT_EVERY,
+                 snapshot_every: int | Literal["derived"] | None = "derived",
                  sync_every: int | None = 8,
                  snapshot_log_bytes: int | None = None,
                  **service_kwargs):
@@ -242,7 +257,7 @@ class _DurableService:
     @classmethod
     def recover(cls, wal_dir: str | Path, *,
                 clock: Clock | None = None,
-                snapshot_every: int | None = DEFAULT_SNAPSHOT_EVERY,
+                snapshot_every: int | Literal["derived"] | None = "derived",
                 sync_every: int | None = 8,
                 snapshot_log_bytes: int | None = None,
                 **service_kwargs):
@@ -281,7 +296,8 @@ class _DurableService:
         return self
 
     def _open(self, store: SnapshotStore, database,
-              clock: Clock | None, snapshot_every: int | None,
+              clock: Clock | None,
+              snapshot_every: int | Literal["derived"] | None,
               sync_every: int | None, snapshot_log_bytes: int | None,
               service_kwargs: dict) -> None:
         """Journal bookkeeping plus the inner service over *database*
@@ -294,7 +310,11 @@ class _DurableService:
         self._store = store
         self._clock = clock or SystemClock()
         self._pinned = PinnedClock()
-        self._snapshot_every = snapshot_every or 0
+        derived = snapshot_every == "derived"
+        #: No cadence named: snapshot() re-derives the segment-size
+        #: threshold from every snapshot it publishes.
+        self._derived_cadence = derived and not snapshot_log_bytes
+        self._snapshot_every = 0 if derived else snapshot_every or 0
         self._snapshot_log_bytes = snapshot_log_bytes or 0
         self._sync_every = sync_every
         self._log = None
@@ -318,6 +338,7 @@ class _DurableService:
         self._wal_records = 0
         self._wal_sync_batches = 0
         self._wal_bytes_total = 0
+        self._snapshot_bytes_total = 0
         #: query_id -> answer payload / failure-reason value, for every
         #: settlement this service ever produced (recovery rebuilds
         #: both maps exactly — they are the oracle-equivalence surface).
@@ -408,10 +429,11 @@ class _DurableService:
         elif (self._snapshot_log_bytes
                 and self._log.bytes_appended >= self._snapshot_log_bytes):
             # Size-based cadence: snapshot once the segment has grown
-            # to the threshold, bounding both replay length and write
-            # amplification (a command-count cadence re-writes the
-            # whole state however little the log grew — ruinous when
-            # the state dwarfs a command frame).
+            # to the threshold — derived from the snapshot that opened
+            # it unless the caller fixed one — bounding both replay
+            # length and write amplification (a command-count cadence
+            # re-writes the whole state however little the log grew —
+            # ruinous when the state dwarfs a command frame).
             self.snapshot()
         return result
 
@@ -455,9 +477,12 @@ class _DurableService:
         tracer = TRACER
         start_ns = time.perf_counter_ns() if tracer.enabled else 0
         generation = self._generation + 1
-        self._store.write_snapshot(
+        written = self._store.write_snapshot(
             generation, self.commands_applied,
             self.snapshot_state(dump_cache=self._dump_cache))
+        self._snapshot_bytes_total += written
+        if self._derived_cadence:
+            self._snapshot_log_bytes = max(written, SNAPSHOT_FLOOR_BYTES)
         self._absorb_log_counters()
         if self._log is not None:
             self._log.close()
@@ -496,6 +521,7 @@ class _DurableService:
                 log.syncs if log is not None else 0),
             "wal_bytes": self._wal_bytes_total + (
                 log.bytes_appended if log is not None else 0),
+            "snapshot_bytes": self._snapshot_bytes_total,
         }
 
     def sync(self) -> None:

@@ -65,19 +65,22 @@ class SnapshotStore:
     # -- snapshots -----------------------------------------------------
 
     def write_snapshot(self, generation: int, commands: int,
-                       state: dict) -> None:
-        """Publish a snapshot atomically (temp + fsync + rename)."""
+                       state: dict) -> int:
+        """Publish a snapshot atomically (temp + fsync + rename);
+        returns the byte length of the published frame."""
         payload = {"wire": WIRE_VERSION, "kind": "wal_snapshot",
                    "generation": generation, "commands": commands,
                    "state": state}
+        framed = frame_record(payload)
         final = self.snapshot_path(generation)
         temp = final.with_suffix(".json.tmp")
         with open(temp, "wb") as handle:
-            handle.write(frame_record(payload))
+            handle.write(framed)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temp, final)
         self._sync_dir()
+        return len(framed)
 
     def load_snapshot(self, generation: int) -> dict:
         """Load and verify one snapshot; raises RecoveryError if the

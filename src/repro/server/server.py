@@ -48,6 +48,7 @@ dead one — the crash-leftover this fixes — is unlinked and reclaimed.
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import signal
 import socket
@@ -208,6 +209,10 @@ class CoordinationServer:
             self._listeners.append(listener)
             self._tcp_address = \
                 listener.sockets[0].getsockname()[:2]
+        # Read once: the count is a walk over the frozen objects, and
+        # whoever freezes (``repro serve``) does so before starting.
+        self._metrics.gauge("process.gc.frozen_objects",
+                            gc.get_freeze_count())
         self._consumer = asyncio.create_task(self._serve())
 
     @property
@@ -417,6 +422,10 @@ class CoordinationServer:
             # requester times out instead of decoding garbage.
             self._metrics.inc("server.sends.oversized")
             return False
+        return await self._write(conn, data)
+
+    async def _write(self, conn: _Connection, data: bytes) -> bool:
+        """One ``write`` + ``drain`` of already-encoded frames."""
         try:
             async with conn.lock:
                 conn.writer.write(data)
@@ -557,19 +566,34 @@ class CoordinationServer:
         self._event_backlog.setdefault(conn, []).append(frame)
 
     async def _flush_events(self) -> None:
+        """Push every backlogged settlement, one write per connection
+        (a command settles tens of tickets; a write each is a syscall
+        and a ``drain()`` each).  An event too large to frame is
+        dropped alone; its neighbours are still delivered, in
+        settlement order."""
         if not self._event_backlog:
             return
         backlog, self._event_backlog = self._event_backlog, {}
+        limit = self.config.max_frame_bytes
         for conn, frames in backlog.items():
             if conn.closed:
                 self._metrics.inc("server.events.dropped",
                                   len(frames))
                 continue
+            encoded = []
             for frame in frames:
-                if await self._send(conn, frame):
-                    self._metrics.inc("server.events.sent")
-                else:
+                try:
+                    encoded.append(encode_frame(frame, limit))
+                except FrameError:
+                    self._metrics.inc("server.sends.oversized")
                     self._metrics.inc("server.events.dropped")
+            if not encoded:
+                continue
+            if await self._write(conn, b"".join(encoded)):
+                self._metrics.inc("server.events.sent", len(encoded))
+            else:
+                self._metrics.inc("server.events.dropped",
+                                  len(encoded))
 
     def _resolved_maps(self) -> tuple:
         """Settled outcomes, joined with the durable service's maps so
@@ -587,7 +611,13 @@ class CoordinationServer:
     # -- introspection ------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """The service's metrics merged with the ``server.*`` layer."""
+        """The service's metrics merged with the ``server.*`` layer
+        and two readings of the hosting process's collector: what was
+        frozen when the server started (``repro serve`` freezes its
+        boot heap) and the full collections run so far.  Read-only —
+        the server never configures the collector."""
+        self._metrics.gauge("process.gc.full_collections",
+                            gc.get_stats()[2]["collections"])
         return merge_snapshots(self.service.metrics_snapshot(),
                                self._metrics.snapshot())
 

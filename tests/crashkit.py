@@ -21,6 +21,11 @@ mode:
     command ran in the doomed process's memory and was never
     journalled — by the log-after-execute contract recovery must
     resume at the *same* step.
+``mid_publish``
+    the step's frame lands and the snapshot generation it triggers is
+    published, then SIGKILL before that generation's log segment opens
+    — recovery boots from the new snapshot with no segment beside it
+    and resumes at the *next* step (the step must publish).
 ``clean``
     run every step, ``close()`` properly, exit 0 — the no-crash
     control.
@@ -29,6 +34,12 @@ Child usage (the parent builds this command line)::
 
     python tests/crashkit.py CONFIG WAL_DIR WORKLOAD CRASH_STEP MODE \
         SNAP_EVERY
+
+``SNAP_EVERY`` is a command count, ``none`` (never snapshot), or
+``derived`` — the cadence a service gets when its caller names none
+(a generation once the log segment has outgrown the snapshot it
+follows), run with its floor lowered to one byte so that a scenario
+this small publishes at all (see :func:`lowered_floor`).
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
 from repro.bench.harness import bench_database, bench_network
 from repro.dataio import dump_database, load_database
 from repro.durability import DurableCoordinator, DurableEngine
+from repro.durability import service as durable_service
 from repro.engine.staleness import ManualClock, TimeoutStaleness
 from repro.workloads.generators import (dynamic_db_rounds,
                                         install_dynamic_tables)
@@ -62,15 +74,17 @@ CONFIGS = {
 }
 
 
-def build_workload():
+def build_workload(users: int = 250):
     """The deterministic scenario, derived once by the parent.
 
     Children never re-derive it: workload generation iterates string
     sets whose order follows the per-process hash seed, so a child
     rebuilding "the same" network would insert rows in a different
     order.  The parent serializes this via :func:`write_workload` and
-    children load the identical bytes back."""
-    network = bench_network(250, seed=3)
+    children load the identical bytes back.  *users* sizes the
+    database (the derived-cadence cases want a state small enough for
+    the scenario's log to outgrow it more than once)."""
+    network = bench_network(users, seed=3)
     base_text = dump_database(bench_database(network))
     rounds = dynamic_db_rounds(network, ROUNDS, 35, seed=7)
     return base_text, rounds
@@ -108,11 +122,25 @@ def fresh_database(base_text: str):
     return database
 
 
+#: The ``snapshot_every`` a service gets when its caller names none.
+DERIVED = "derived"
+
+
 def service_kwargs(config: str, snapshot_every):
     _, extra = CONFIGS[config]
     return dict(snapshot_every=snapshot_every, sync_every=None,
                 mode="batch", staleness=TimeoutStaleness(TTL_SECONDS),
                 **extra)
+
+
+def lowered_floor(floor: int = 1):
+    """Patch the derived cadence's floor down to *floor* bytes (a
+    context manager): the scenario's log segments are smaller than the
+    stock 64 KiB floor, which would otherwise keep them from
+    publishing."""
+    from unittest import mock
+    return mock.patch.object(durable_service, "SNAPSHOT_FLOOR_BYTES",
+                             floor)
 
 
 def commands_through(config: str, steps: int) -> int:
@@ -153,6 +181,20 @@ def drive(service, clock: ManualClock, rounds, start_step: int,
             service.run_batch()
 
 
+def drive_noting_publications(service, clock: ManualClock,
+                              rounds) -> list[int]:
+    """Run the whole scenario; returns the steps whose command
+    published a snapshot generation (under the derived cadence sizes
+    decide them, not a count)."""
+    published = []
+    for step in range(TOTAL_STEPS):
+        before = service.generation
+        drive(service, clock, rounds, step, step + 1)
+        if service.generation != before:
+            published.append(step)
+    return published
+
+
 def fingerprint(service) -> str:
     """The oracle-equivalence surface, rendered byte-stably: database
     text, db_version, arrival sequence, pending records (query + seq +
@@ -166,7 +208,11 @@ def fingerprint(service) -> str:
 def main(argv) -> int:
     config, wal_dir, workload_path, crash_step, mode, snap = argv
     crash_step = int(crash_step)
-    snapshot_every = None if snap == "none" else int(snap)
+    if snap == DERIVED:
+        snapshot_every = DERIVED
+        lowered_floor().start()     # for the life of this process
+    else:
+        snapshot_every = None if snap == "none" else int(snap)
     cls, _ = CONFIGS[config]
     base_text, rounds = read_workload(workload_path)
     clock = ManualClock()
@@ -197,6 +243,16 @@ def main(argv) -> int:
         # A step that happened to journal nothing: same contract, the
         # journal never saw it — crash here instead.
         os.kill(os.getpid(), signal.SIGKILL)
+
+    if mode == "mid_publish":
+        drive(service, clock, rounds, 0, crash_step)
+
+        def die_opening(*_args, **_kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        service._store.open_log = die_opening
+        drive(service, clock, rounds, crash_step, crash_step + 1)
+        raise SystemExit(f"step {crash_step} published no generation")
 
     raise SystemExit(f"unknown crash mode {mode!r}")
 

@@ -13,7 +13,9 @@ run of the same scenario.
 
 22 randomized crash points across the single-engine service and both
 shard backends, plus the torn-final-record, stale-snapshot-long-tail,
-and clean-shutdown controls.
+and clean-shutdown controls — and, under the *derived* snapshot
+cadence (the one a service gets when its caller names none), kills on,
+inside, and on either side of every generation it publishes.
 """
 
 from __future__ import annotations
@@ -197,6 +199,98 @@ def test_recovery_reshapes_the_fleet(tmp_path, workload, oracle):
             oracle("coord-inprocess")
     finally:
         service.close()
+
+
+# ---------------------------------------------------------------------------
+# The derived cadence: kills around every generation it publishes
+
+
+@pytest.fixture(scope="module")
+def small_workload(tmp_path_factory):
+    """The scenario over a database small enough for its log to
+    outgrow the state more than once, so the derived cadence — floor
+    lowered to a byte — publishes mid-scenario."""
+    base_text, rounds = crashkit.build_workload(users=30)
+    path = tmp_path_factory.mktemp("small-workload") / "workload.json"
+    crashkit.write_workload(path, base_text, rounds)
+    return base_text, rounds, path
+
+
+@pytest.fixture(scope="module")
+def derived_oracle(small_workload, tmp_path_factory):
+    """Per configuration, from one uncrashed run under the derived
+    cadence: the final fingerprint and the steps whose command
+    published a generation."""
+    base_text, rounds, _ = small_workload
+    cache = {}
+
+    def run(config: str):
+        if config not in cache:
+            cls, _ = crashkit.CONFIGS[config]
+            wal_dir = tmp_path_factory.mktemp(f"derived-{config}")
+            clock = ManualClock()
+            with crashkit.lowered_floor():
+                service = cls(
+                    wal_dir / "wal", crashkit.fresh_database(base_text),
+                    clock=clock,
+                    **crashkit.service_kwargs(config, crashkit.DERIVED))
+                try:
+                    published = crashkit.drive_noting_publications(
+                        service, clock, rounds)
+                    cache[config] = (crashkit.fingerprint(service),
+                                     published)
+                finally:
+                    service.close()
+        return cache[config]
+
+    return run
+
+
+def _derived_trial(tmp_path, small_workload, derived_oracle, config,
+                   publication, kill):
+    """Kill *config* at the *publication*-th generation the derived
+    cadence publishes — ``kill`` says where relative to it — then
+    recover, resume, and compare with the uncrashed run."""
+    expected, published = derived_oracle(config)
+    assert len(published) >= 2, \
+        "the scenario must outgrow its state at least twice"
+    step = published[publication]
+    crash_step, mode, resume_step = {
+        # the generation is published; its segment holds nothing yet
+        "after": (step, "post", step + 1),
+        # the snapshot is durable; its segment was never opened
+        "inside": (step, "mid_publish", step + 1),
+        # the frame that would have triggered it never landed
+        "before": (step, "pre_append", step),
+        # the fresh segment's first append is the one that dies
+        "next": (step + 1, "pre_append", step + 1),
+    }[kill]
+    wal_dir = tmp_path / "wal"
+    _crash_child(config, wal_dir, small_workload, crash_step, mode,
+                 snap_every=crashkit.DERIVED)
+    with crashkit.lowered_floor():
+        got = _recover_and_resume(config, wal_dir, resume_step,
+                                  small_workload,
+                                  snap_every=crashkit.DERIVED)
+    assert got == expected
+
+
+@pytest.mark.parametrize("kill", ["after", "inside", "before", "next"])
+@pytest.mark.parametrize("publication", [0, 1], ids=["first", "second"])
+def test_engine_recovers_around_derived_publications(
+        tmp_path, small_workload, derived_oracle, publication, kill):
+    _derived_trial(tmp_path, small_workload, derived_oracle, "engine",
+                   publication, kill)
+
+
+@pytest.mark.parametrize("config, kill",
+                         [("coord-inprocess", "after"),
+                          ("coord-inprocess", "inside"),
+                          ("coord-process", "after")])
+def test_fleet_recovers_around_derived_publications(
+        tmp_path, small_workload, derived_oracle, config, kill):
+    _derived_trial(tmp_path, small_workload, derived_oracle, config,
+                   0, kill)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ No pytest-asyncio here: every test drives its own loop via
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import signal
@@ -45,9 +46,9 @@ from repro.server import (CoordinationServer, ServerAddressInUseError,
                           ServerOverloadedError,
                           ServerShuttingDownError, ServerTimeoutError)
 from repro.server.protocol import (OVERLOADED, FrameDecoder,
-                                   encode_frame, hello_frame,
-                                   request_frame)
-from repro.server.server import normalize_mutations
+                                   encode_frame, event_frame,
+                                   hello_frame, request_frame)
+from repro.server.server import _Connection, normalize_mutations
 from repro.shard import ShardedCoordinator
 from repro.workloads import (build_intro_database,
                              build_flight_database,
@@ -655,3 +656,163 @@ def test_invalid_mutation_is_typed_and_changes_nothing():
             await client.close()
             await server.drain(close_service=False)
     asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# settlement push: one write per connection per command
+# ----------------------------------------------------------------------
+
+
+class _CountingWriter:
+    """Stands in for a connection's ``StreamWriter``: records every
+    ``write`` call (optionally failing them all)."""
+
+    def __init__(self, broken: bool = False):
+        self.writes: list = []
+        self.broken = broken
+
+    def write(self, data) -> None:
+        if self.broken:
+            raise ConnectionResetError("peer went away")
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        pass
+
+    def events(self) -> list:
+        """``(event, query id)`` of every frame written, in order."""
+        return [(frame["event"], frame["query"]) for frame
+                in FrameDecoder().feed(b"".join(self.writes))]
+
+
+def _submit_split_pairs(server, conns, tags) -> None:
+    """Each pair's kramer goes to ``conns[0]``, its jerry to
+    ``conns[1]``, as the reader tasks would have admitted them."""
+    for tag in tags:
+        for conn, query in zip(conns, _intro_queries(tag)):
+            server._do_submit(conn, {"queries": [to_payload(query)]})
+
+
+def _counter(server, name: str) -> int:
+    return server.metrics_snapshot()["counters"].get(name, 0)
+
+
+def test_flush_events_writes_once_per_connection_per_command():
+    async def scenario():
+        server = CoordinationServer(_intro_engine())
+        conns = [_Connection(_CountingWriter()) for _ in range(2)]
+        _submit_split_pairs(server, conns, "abc")
+        await server._flush_events()            # nothing settled yet
+        assert [conn.writer.writes for conn in conns] == [[], []]
+        assert server.service.run_batch() == 6
+        await server._flush_events()
+        # ``_answers`` is filled in settlement order: each connection
+        # must see exactly its own events, in that order, in ONE write.
+        settled = list(server._answers)
+        assert sorted(settled) == sorted(
+            query.query_id for tag in "abc"
+            for query in _intro_queries(tag))
+        for conn, owner in zip(conns, ("kramer", "jerry")):
+            assert len(conn.writer.writes) == 1
+            assert conn.writer.events() == [
+                ("answered", qid) for qid in settled
+                if qid.startswith(owner)]
+        assert _counter(server, "server.events.sent") == 6
+        # The next command is the next write, not a longer first one.
+        _submit_split_pairs(server, conns, "d")
+        assert server.service.run_batch() == 2
+        await server._flush_events()
+        assert [len(conn.writer.writes) for conn in conns] == [2, 2]
+        assert _counter(server, "server.events.sent") == 8
+        assert _counter(server, "server.events.dropped") == 0
+    asyncio.run(scenario())
+
+
+def test_flush_events_drops_an_oversized_event_alone():
+    async def scenario():
+        server = CoordinationServer(
+            _intro_engine(), ServerConfig(max_frame_bytes=1024))
+        conns = [_Connection(_CountingWriter()) for _ in range(2)]
+        _submit_split_pairs(server, conns, "ab")
+        assert server.service.run_batch() == 4
+        huge = event_frame("answered", "huge", "x" * 4096)
+        # In the middle of one connection's backlog; the whole of a
+        # third connection's.
+        server._event_backlog[conns[0]].insert(1, huge)
+        lonely = _Connection(_CountingWriter())
+        server._event_backlog[lonely] = [huge]
+        await server._flush_events()
+        for conn in conns:
+            assert len(conn.writer.writes) == 1
+            assert len(conn.writer.events()) == 2
+            assert ("answered", "huge") not in conn.writer.events()
+        assert lonely.writer.writes == []       # nothing left to send
+        assert _counter(server, "server.sends.oversized") == 2
+        assert _counter(server, "server.events.dropped") == 2
+        assert _counter(server, "server.events.sent") == 4
+    asyncio.run(scenario())
+
+
+def test_flush_events_counts_a_failed_write_as_dropped_events():
+    async def scenario():
+        server = CoordinationServer(_intro_engine())
+        conns = [_Connection(_CountingWriter(broken=True)),
+                 _Connection(_CountingWriter())]
+        _submit_split_pairs(server, conns, "ab")
+        assert server.service.run_batch() == 4
+        await server._flush_events()
+        assert conns[0].closed and not conns[1].closed
+        assert len(conns[1].writer.events()) == 2
+        assert _counter(server, "server.sends.dropped") == 1
+        assert _counter(server, "server.events.dropped") == 2
+        assert _counter(server, "server.events.sent") == 2
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# the collector: frozen by the process entry point, read by the server
+# ----------------------------------------------------------------------
+
+
+def test_metrics_read_the_collector_without_configuring_it(tmp_path):
+    """Library classes report the host process's collector; only
+    ``repro serve`` (next test) freezes anything."""
+    async def scenario():
+        frozen = gc.get_freeze_count()
+        server = CoordinationServer(DurableEngine(
+            tmp_path / "wal", build_intro_database(), mode="batch"))
+        await server.start(port=0)
+        try:
+            gauges = server.metrics_snapshot()["gauges"]
+            assert gauges["process.gc.frozen_objects"] == frozen
+            assert gauges["process.gc.full_collections"] == \
+                gc.get_stats()[2]["collections"]
+            assert gc.get_freeze_count() == frozen
+        finally:
+            await server.drain()
+    asyncio.run(scenario())
+
+
+def test_stock_serve_freezes_its_static_heap(tmp_path):
+    """``repro serve`` moves the loaded database out of the collector's
+    reach at boot, and says so through the ``metrics`` op."""
+    data_path = tmp_path / "intro.data"
+    data_path.write_text(dump_database(build_intro_database()))
+    sock_path = tmp_path / "srv.sock"
+    server = _spawn_server(data_path, sock_path, tmp_path / "wal")
+
+    async def read_metrics():
+        client = await ServerClient.connect_unix(str(sock_path))
+        try:
+            return await client.metrics(timeout=10)
+        finally:
+            await client.close()
+
+    try:
+        gauges = asyncio.run(read_metrics())["gauges"]
+    finally:
+        server.send_signal(signal.SIGTERM)
+        output = server.communicate(timeout=15)[0]
+    assert "drained:" in output
+    assert gauges["process.gc.frozen_objects"] > 1_000
+    assert gauges["process.gc.full_collections"] >= 1
