@@ -261,7 +261,8 @@ def sharded(shard_counts: Sequence[int] | None = None,
     are the point — each worker owns its components on its own core,
     the first configuration whose coordination hot path is not
     GIL-bound — but note the scaling column is only meaningful on a
-    multi-core host (``repro.concurrency.process_parallelism_available``).
+    multi-core host (``os.cpu_count() > 1``; a single core only pays
+    the serialization overhead).
     The migrations column counts cross-shard component moves (the
     two-phase protocol at work).
     """

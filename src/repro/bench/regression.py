@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Optional, Sequence
@@ -231,7 +232,6 @@ def _shard_scaling_probe(network, database, scale: float) -> dict:
     the core count — so a single-core run records a note instead of a
     win (the equivalence suite still proves the answers identical).
     """
-    from ..concurrency import process_parallelism_available
     rounds = multi_tenant_rounds(network, SHARD_ROUNDS,
                                  _sized(SHARD_PER_ROUND, scale),
                                  seed=SHARD_PER_ROUND)
@@ -246,7 +246,7 @@ def _shard_scaling_probe(network, database, scale: float) -> dict:
     if metrics["seconds"] > 0:
         metrics["scaling_vs_single"] = round(
             single["seconds"] / metrics["seconds"], 2)
-    if not process_parallelism_available():
+    if (os.cpu_count() or 1) < 2:
         metrics["note"] = (
             "single-core host: process shards cannot beat one engine "
             "here; scaling_vs_single is an overhead measurement")

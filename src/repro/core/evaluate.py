@@ -211,8 +211,7 @@ def coordinate(queries: Sequence[EntangledQuery],
                policy: ConflictPolicy = "first",
                rng: Optional[random.Random] = None,
                ucs_fallback: bool = False,
-               use_index: bool = True,
-               parallel_workers: int = 1) -> CoordinationResult:
+               use_index: bool = True) -> CoordinationResult:
     """Answer a set of entangled queries together (set-at-a-time mode).
 
     Args:
@@ -228,12 +227,6 @@ def coordinate(queries: Sequence[EntangledQuery],
             the Figure 3(b) situation; extension, off by default).
         use_index: build the unifiability graph with the atom index
             (disable only for the ablation benchmark).
-        parallel_workers: >1 evaluates independent matched components
-            concurrently on the process-wide pool (components are
-            independent per paper §4.1.2).  Results are merged on the
-            calling thread in arrival order, so output is byte-identical
-            to sequential mode.  Ignored when an *rng* is supplied —
-            shared-rng sampling must stay sequential to be reproducible.
 
     Returns a :class:`CoordinationResult` with answers, failures, and
     phase timings.
@@ -263,24 +256,9 @@ def coordinate(queries: Sequence[EntangledQuery],
     result.timings.match_seconds = time.perf_counter() - start
     result.matches = matches
 
-    def evaluate_one(match: ComponentMatch) -> CoordinationResult:
-        scratch = CoordinationResult()
+    # Matched components are independent (paper §4.1.2) and come in
+    # arrival order, which is the order their outcomes are recorded in.
+    for match in matches:
         _evaluate_component(queries_by_id, graph, match, database,
-                            scratch, rng, ucs_fallback, order)
-        return scratch
-
-    if parallel_workers > 1 and rng is None and len(matches) > 1:
-        from ..concurrency import map_bounded
-        scratches = map_bounded(evaluate_one, matches, parallel_workers)
-    else:
-        scratches = [evaluate_one(match) for match in matches]
-
-    # Deterministic merge: matches are in arrival order, and each
-    # scratch result is merged wholesale before the next, so parallel
-    # evaluation is indistinguishable from sequential in the output.
-    for scratch in scratches:
-        result.answers.update(scratch.answers)
-        result.failures.update(scratch.failures)
-        result.combined.extend(scratch.combined)
-        result.timings.db_seconds += scratch.timings.db_seconds
+                            result, rng, ucs_fallback, order)
     return result

@@ -31,6 +31,14 @@ shard-local replicas.  Payloads are
 JSON-compatible and carry no live objects, so they cross process
 boundaries without depending on pickle's class-identity machinery, and
 the round trip is exact: ``from_payload(to_payload(x)) == x``.
+
+Finally it owns the one **frame envelope** —
+``<length:u32><crc32:u32><utf-8 JSON>`` — that carries payloads to
+disk and over sockets: :func:`frame_record` / :func:`encode_frame`
+write it, and a single scan loop reads it back under two stop
+policies, :func:`unframe_records` for the write-ahead log and
+snapshots (a torn tail is a clean end-of-log) and the incremental
+:class:`FrameDecoder` for server streams (corruption is fatal).
 """
 
 from __future__ import annotations
@@ -47,7 +55,8 @@ from .core.terms import Atom, Constant, Term, Variable
 from .db.database import Database
 from .db.expression import Comparison
 from .db.types import column_type_of
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ParseError, ReproError, SchemaError, \
+    ValidationError
 from .lang.tokenizer import TokenStream, TokenType  # leaf module; no cycle
 
 #: Version stamp carried by every payload; bump on format changes so
@@ -423,18 +432,43 @@ def db_delta_from_payload(payload: dict) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# durable record framing (the write-ahead log's on-disk format)
+# the frame envelope (write-ahead log, snapshots, server sockets)
 # ----------------------------------------------------------------------
 
-#: Per-record header of the durable log: little-endian payload length
-#: and CRC32 of the payload bytes.  The payload is the UTF-8 JSON text
-#: of a wire payload dict, so the log is the shard wire format plus an
-#: 8-byte integrity envelope.
+#: Envelope header: little-endian body length and CRC32 of the body
+#: bytes.  The body is the UTF-8 JSON text of a payload dict, so a log
+#: record and a socket frame are both the wire format plus this 8-byte
+#: integrity envelope.
 _FRAME_HEADER = struct.Struct("<II")
+
+#: Default ceiling on one stream frame's JSON body (the header's
+#: ``length`` field); a declared length beyond the ceiling is rejected
+#: before any of the body is buffered.
+MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+
+class FrameError(ReproError):
+    """The byte stream does not parse as envelope frames (bad CRC,
+    undecodable body, non-dict payload).  Connection-fatal: there is
+    no way to resynchronize a corrupt length-prefixed stream.
+
+    :attr:`frames` carries any frames the same ``feed()`` call decoded
+    *before* hitting the corruption, so a receiver can still process
+    the valid prefix before rejecting and closing.
+    """
+
+    def __init__(self, message: str, frames: list | None = None):
+        self.frames = frames or []
+        super().__init__(message)
+
+
+class FrameOversizeError(FrameError):
+    """A frame header declares a body larger than the decoder's
+    limit.  Raised before any body bytes are buffered."""
 
 
 def frame_record(payload: dict) -> bytes:
-    """Encode one payload as a durable log record.
+    """Encode one payload as an envelope frame (a durable log record).
 
     The record is self-checking: ``<length, crc32>`` header followed by
     the JSON body.  A torn write (machine crash mid-flush) fails the
@@ -457,6 +491,77 @@ def frame_body(body: bytes) -> bytes:
     return _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
+def encode_frame(payload: dict,
+                 max_bytes: int = MAX_FRAME_BYTES) -> bytes:
+    """:func:`frame_record` for a stream that promised a size limit.
+
+    Raises :class:`FrameOversizeError` when the rendered body exceeds
+    *max_bytes* — the sender's half of the size contract, so an
+    oversized reply can never poison a connection that was promised a
+    limit in the welcome frame.
+    """
+    frame = frame_record(payload)
+    body_bytes = len(frame) - _FRAME_HEADER.size
+    if body_bytes > max_bytes:
+        raise FrameOversizeError(
+            f"frame body is {body_bytes} bytes; the connection limit "
+            f"is {max_bytes}")
+    return frame
+
+
+def _scan_frames(data, max_bytes: Optional[int]
+                 ) -> tuple[list[dict], int, Optional[FrameError]]:
+    """The one envelope reader: decode whole frames off the front of
+    *data* (``bytes`` or ``bytearray``).
+
+    Each frame is checked in a fixed order — declared length against
+    the *max_bytes* ceiling (None: no ceiling), completeness, CRC,
+    UTF-8 JSON, is-a-dict — and the scan stops at the first frame that
+    fails one.  Returns ``(payloads, offset, stop)``: *offset* is where
+    that frame starts (``len(data)`` when everything parsed) and *stop*
+    says why — None when the data simply ran out (nothing, or an
+    incomplete frame, at *offset*), otherwise the unraised
+    :class:`FrameError` describing the frame at *offset*.  What a stop
+    *means* is the caller's policy: :func:`unframe_records` reads every
+    stop as a clean end-of-log, :class:`FrameDecoder` raises every stop
+    but the incomplete one.
+    """
+    payloads: list[dict] = []
+    offset = 0
+    total = len(data)
+    stop: Optional[FrameError] = None
+    while total - offset >= _FRAME_HEADER.size:
+        length, crc = _FRAME_HEADER.unpack_from(data, offset)
+        if max_bytes is not None and length > max_bytes:
+            stop = FrameOversizeError(
+                f"frame declares a {length}-byte body; the "
+                f"connection limit is {max_bytes}")
+            break
+        start = offset + _FRAME_HEADER.size
+        end = start + length
+        if end > total:
+            break
+        body = data[start:end]
+        if zlib.crc32(body) != crc:
+            stop = FrameError(
+                "frame body fails its CRC (corrupt stream)")
+            break
+        try:
+            payload = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as error:
+            stop = FrameError(f"frame body is not JSON: {error}")
+            stop.__cause__ = error
+            break
+        if not isinstance(payload, dict):
+            stop = FrameError(
+                f"frame body is a {type(payload).__name__}, "
+                f"not an object")
+            break
+        payloads.append(payload)
+        offset = end
+    return payloads, offset, stop
+
+
 def unframe_records(data: bytes) -> tuple[list[dict], int]:
     """Decode durable log records from *data*; tolerate a torn tail.
 
@@ -465,29 +570,50 @@ def unframe_records(data: bytes) -> tuple[list[dict], int]:
     CRC (== ``len(data)`` when the whole buffer parses).  Everything
     before the torn point is intact — the crash-recovery contract is
     that a torn final record means "that command never happened", so
-    decoding stops there instead of raising.
+    any stop of :func:`_scan_frames` is an end-of-log, never a raise.
     """
-    payloads: list[dict] = []
-    offset = 0
-    total = len(data)
-    while total - offset >= _FRAME_HEADER.size:
-        length, crc = _FRAME_HEADER.unpack_from(data, offset)
-        start = offset + _FRAME_HEADER.size
-        end = start + length
-        if end > total:
-            break
-        body = data[start:end]
-        if zlib.crc32(body) != crc:
-            break
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            break
-        if not isinstance(payload, dict):
-            break
-        payloads.append(payload)
-        offset = end
-    return payloads, offset
+    payloads, clean_length, _ = _scan_frames(data, None)
+    return payloads, clean_length
+
+
+class FrameDecoder:
+    """Incremental frame decoder over an untrusted byte stream.
+
+    ``feed(data)`` buffers *data* and returns every frame completed by
+    it, in stream order.  Partial frames stay buffered across calls;
+    coalesced frames all come out of one call.  Unlike a log, a stream
+    has no legitimate torn state, so every :func:`_scan_frames` stop
+    other than "incomplete" raises: corruption (CRC, JSON, non-dict
+    payload) as :class:`FrameError`, a header declaring a body beyond
+    *max_bytes* as :class:`FrameOversizeError` before the body is
+    buffered.  After a raise the decoder is poisoned — length-prefixed
+    streams cannot resynchronize — and every further feed raises.
+    """
+
+    __slots__ = ("max_bytes", "_buffer", "_poisoned")
+
+    def __init__(self, max_bytes: int = MAX_FRAME_BYTES):
+        self.max_bytes = max_bytes
+        self._buffer = bytearray()
+        self._poisoned = False
+
+    def __len__(self) -> int:
+        """Bytes currently buffered (incomplete-frame residue)."""
+        return len(self._buffer)
+
+    def feed(self, data: bytes) -> list[dict]:
+        if self._poisoned:
+            raise FrameError(
+                "decoder already failed; the stream cannot recover")
+        self._buffer.extend(data)
+        frames, consumed, stop = _scan_frames(self._buffer,
+                                              self.max_bytes)
+        del self._buffer[:consumed]
+        if stop is not None:
+            self._poisoned = True
+            stop.frames = frames
+            raise stop
+        return frames
 
 
 def manifest_to_payload(manifest_id: str, records) -> dict:

@@ -186,8 +186,8 @@ class Planner:
         self._by_table: dict[str, set[tuple]] = {}
         # Steps of the programs currently retained by cache entries.
         self._retained_steps = 0
-        # Guards the cache and its counters: lookup is called from
-        # worker threads during parallel component evaluation.
+        # Guards the cache and its counters: several caller threads
+        # may evaluate against one database concurrently.
         self._cache_lock = threading.Lock()
         # Diagnostics (read by benchmarks and tests).
         self.cache_hits = 0

@@ -32,8 +32,8 @@ class Table:
         self.range_probes = 0
         self.range_rows = 0
         self.range_pruned = 0
-        # Guards lazy index construction: the engine may evaluate
-        # independent partitions on worker threads concurrently.
+        # Guards lazy index construction: several caller threads may
+        # evaluate against one database concurrently.
         self._index_lock = threading.Lock()
         # Bumped on every mutation; the planner's cached plan orders are
         # validated against this so stale statistics trigger a re-plan.

@@ -2,13 +2,13 @@
 
 * :class:`~repro.engine.engine.D3CEngine` — submit entangled queries,
   get :class:`~repro.engine.futures.CoordinationTicket` futures back;
-  incremental and set-at-a-time evaluation modes, per-partition
-  parallelism, admission-time safety, staleness expiry.
+  incremental and set-at-a-time evaluation modes, admission-time
+  safety, staleness expiry.
 * :mod:`~repro.engine.staleness` — pluggable staleness policies and
   injectable clocks.
 * :mod:`~repro.engine.runtime` — the delta-driven scheduler: the
-  dirty-component worklist, batched/parallel arrival ingestion, and
-  the coordination mechanics every evaluation mode runs through.
+  dirty-component worklist, batched arrival ingestion, and the
+  coordination mechanics every evaluation mode runs through.
 * :mod:`~repro.engine.partitions` — the incremental partition state
   (union-find, closure detection, cached partial unifiers, exact lazy
   re-splitting on removal).

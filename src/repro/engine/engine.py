@@ -18,8 +18,8 @@ path:
   runs when :meth:`D3CEngine.run_batch` drains the scheduler's
   dirty-component worklist (or automatically every ``batch_size``
   arrivals).  Only components touched since their last attempt are
-  re-matched; independent components can be evaluated in parallel
-  worker threads.
+  re-matched.  Independent components run in parallel by living on
+  different process shards (:mod:`repro.shard`), not on threads.
 
 Blocks of arrivals can be submitted together with
 :meth:`D3CEngine.submit_many`: the block is admitted and ingested by
@@ -118,8 +118,6 @@ class D3CEngine:
         ucs_fallback: retry strongly connected cores when a closed
             partition finds no data (Section 6-adjacent extension;
             applies to :meth:`run_batch` rounds).
-        parallel_workers: >1 enables parallel per-partition evaluation
-            in batch mode.
         max_group_size: incremental mode's cap on the size of the local
             coordination group built around an arrival; groups that
             would exceed it are deferred to set-at-a-time rounds (the
@@ -151,7 +149,6 @@ class D3CEngine:
                  batch_size: int | None = None,
                  rng: Optional[random.Random] = None,
                  ucs_fallback: bool = False,
-                 parallel_workers: int = 1,
                  max_group_size: int = 64,
                  max_candidate_attempts: int = 8,
                  max_combined_atoms: int = 512,
@@ -171,7 +168,6 @@ class D3CEngine:
         self.batch_size = batch_size
         self.rng = rng
         self.ucs_fallback = ucs_fallback
-        self.parallel_workers = max(1, parallel_workers)
         self.max_group_size = max(2, max_group_size)
         self.max_candidate_attempts = max(1, max_candidate_attempts)
         self.max_combined_atoms = max(1, max_combined_atoms)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import time
 from typing import Iterable, Optional, Sequence
 
-from ..concurrency import map_bounded
 from ..core.combine import build_combined_query
 from ..core.evaluate import CoordinationResult, _record_answers
 from ..core.graph import GraphDelta, UnifiabilityGraph
@@ -64,8 +63,8 @@ class CoordinationScheduler:
     The *host* (the engine) provides configuration attributes
     (``database``, ``stats``, ``rng``, ``incremental_strategy``,
     ``max_group_size``, ``max_candidate_attempts``,
-    ``max_combined_atoms``, ``ucs_fallback``, ``parallel_workers``), the
-    arrival-order mapping ``_arrival``, and the settlement callback
+    ``max_combined_atoms``, ``ucs_fallback``), the arrival-order
+    mapping ``_arrival``, and the settlement callback
     ``_settle_answers``.  All entry points must be called under the
     host's lock.
     """
@@ -732,9 +731,6 @@ class CoordinationScheduler:
         viable = [match for match in matches
                   if match.survivors
                   and match.global_unifier is not None]
-        if host.parallel_workers > 1 and len(viable) > 1:
-            self._evaluate_parallel(viable)
-            return
         for match in viable:
             queries_by_id = self._combinable(match)
             if queries_by_id is None:
@@ -761,41 +757,6 @@ class CoordinationScheduler:
                 self._evaluate_combined(
                     build_combined_query(core_queries, core_match),
                     core_queries)
-
-    def _evaluate_parallel(self, matches: list[ComponentMatch]) -> None:
-        """Evaluate independent partitions on the shared worker pool.
-
-        Combined-query evaluation is read-only on the database, so
-        partitions can proceed concurrently; settlement (which mutates
-        engine state) happens back on the calling thread, in partition
-        arrival order, so parallel rounds settle identically to
-        sequential ones.
-        """
-        host = self._host
-
-        def build_and_probe(match: ComponentMatch):
-            queries_by_id = self._combinable(match)
-            if queries_by_id is None:
-                return None
-            combined = build_combined_query(queries_by_id, match)
-            choose = max(query.choose
-                         for query in queries_by_id.values())
-            return combined, list(host.database.evaluate(combined.query,
-                                                         limit=choose))
-
-        start = time.perf_counter()
-        outcomes = [outcome for outcome in map_bounded(
-                        build_and_probe, matches, host.parallel_workers)
-                    if outcome is not None]
-        host.stats.db_seconds += time.perf_counter() - start
-        host.stats.combined_queries_built += len(outcomes)
-
-        for combined, valuations in outcomes:
-            if not valuations:
-                continue
-            scratch = CoordinationResult()
-            _record_answers(combined, valuations, scratch)
-            host._settle_answers(scratch.answers)
 
     # ------------------------------------------------------------------
     # evaluation

@@ -1,15 +1,17 @@
-"""The server's stream protocol: framing + message vocabulary.
+"""The server's stream protocol: the message vocabulary.
 
-Frames reuse the durable log's self-checking envelope —
-``<length:u32><crc32:u32><utf-8 JSON>`` (:func:`repro.dataio.
-frame_record`) — made *incremental* for a byte stream by
-:class:`FrameDecoder`: feed it whatever the socket produced (half a
-header, three coalesced frames, one byte at a time) and it yields every
-complete payload while buffering the rest.  Unlike the WAL reader,
-which treats a torn tail as a clean end-of-log, a stream has no
-legitimate torn state: a CRC mismatch or undecodable body means the
-connection is corrupt and raises :class:`FrameError` (the server
-replies with a typed ``reject`` and closes).
+Frames travel in the one self-checking envelope the durable log uses —
+``<length:u32><crc32:u32><utf-8 JSON>``, implemented once in
+:mod:`repro.dataio` and re-exported here: :func:`encode_frame` is
+:func:`~repro.dataio.frame_record` plus the connection's size limit,
+and :class:`FrameDecoder` runs the log reader's scan loop
+*incrementally* — feed it whatever the socket produced (half a header,
+three coalesced frames, one byte at a time) and it yields every
+complete payload while buffering the rest.  The two readers differ
+only in stop policy: the WAL reads a torn tail as a clean end-of-log,
+while a stream has no legitimate torn state, so a CRC mismatch or
+undecodable body raises :class:`FrameError` (the server replies with a
+typed ``reject`` and closes).
 
 Every frame is a dict stamped ``proto = PROTOCOL_VERSION``; queries
 and answers embedded inside requests/events additionally carry their
@@ -52,21 +54,16 @@ Typed error codes (``rep``/``reject`` frames):
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
-
+# The envelope names are re-exported: clients, the server and the test
+# batteries import them from here (and from the package).
+from ..dataio import (MAX_FRAME_BYTES, WIRE_VERSION,  # noqa: F401
+                      FrameDecoder, FrameError, FrameOversizeError,
+                      encode_frame)
 from ..errors import ReproError
 
 #: Version stamp of the server stream protocol; bump on changes to the
 #: frame vocabulary so mixed client/server revisions fail loudly.
 PROTOCOL_VERSION = 1
-
-#: Hard ceiling on one frame's JSON body (header ``length`` field);
-#: a declared length beyond this is rejected before any allocation.
-MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-_HEADER = struct.Struct("<II")
 
 #: The typed error vocabulary (see the module docstring).
 OVERLOADED = "OVERLOADED"
@@ -87,26 +84,6 @@ ORDERED_OPS = ("submit", "run_batch", "expire", "mutate")
 #: The full request vocabulary the server understands.
 REQUEST_OPS = ORDERED_OPS + ("pending", "stats", "metrics", "resolved",
                              "ping")
-
-
-class FrameError(ReproError):
-    """The byte stream does not parse as protocol frames (bad CRC,
-    undecodable body, non-dict payload).  Connection-fatal: there is
-    no way to resynchronize a corrupt length-prefixed stream.
-
-    :attr:`frames` carries any frames the same ``feed()`` call decoded
-    *before* hitting the corruption, so a receiver can still process
-    the valid prefix before rejecting and closing.
-    """
-
-    def __init__(self, message: str, frames: list | None = None):
-        self.frames = frames or []
-        super().__init__(message)
-
-
-class FrameOversizeError(FrameError):
-    """A frame header declares a body larger than the decoder's
-    limit.  Raised before any body bytes are buffered."""
 
 
 class ServerError(ReproError):
@@ -174,93 +151,6 @@ def error_for(code: str, message: str) -> ServerError:
 
 
 # ----------------------------------------------------------------------
-# framing
-# ----------------------------------------------------------------------
-
-
-def encode_frame(payload: dict,
-                 max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Render one protocol frame (envelope + JSON body).
-
-    Raises :class:`FrameOversizeError` when the rendered body exceeds
-    *max_bytes* — the sender's half of the size contract, so an
-    oversized reply can never poison a connection that was promised a
-    limit in the welcome frame.
-    """
-    body = json.dumps(payload, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
-    if len(body) > max_bytes:
-        raise FrameOversizeError(
-            f"frame body is {len(body)} bytes; the connection limit "
-            f"is {max_bytes}")
-    return _HEADER.pack(len(body), zlib.crc32(body)) + body
-
-
-class FrameDecoder:
-    """Incremental frame decoder over an untrusted byte stream.
-
-    ``feed(data)`` buffers *data* and returns every frame completed by
-    it, in stream order.  Partial frames stay buffered across calls;
-    coalesced frames all come out of one call.  Corruption (CRC, JSON,
-    non-dict payload) raises :class:`FrameError`; a header declaring a
-    body beyond *max_bytes* raises :class:`FrameOversizeError` before
-    the body is buffered.  After a raise the decoder is poisoned —
-    length-prefixed streams cannot resynchronize — and every further
-    feed raises.
-    """
-
-    __slots__ = ("max_bytes", "_buffer", "_poisoned")
-
-    def __init__(self, max_bytes: int = MAX_FRAME_BYTES):
-        self.max_bytes = max_bytes
-        self._buffer = bytearray()
-        self._poisoned = False
-
-    def __len__(self) -> int:
-        """Bytes currently buffered (incomplete-frame residue)."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> list[dict]:
-        if self._poisoned:
-            raise FrameError(
-                "decoder already failed; the stream cannot recover")
-        self._buffer.extend(data)
-        frames: list[dict] = []
-        while len(self._buffer) >= _HEADER.size:
-            length, crc = _HEADER.unpack_from(self._buffer)
-            if length > self.max_bytes:
-                self._poisoned = True
-                raise FrameOversizeError(
-                    f"frame declares a {length}-byte body; the "
-                    f"connection limit is {self.max_bytes}",
-                    frames=frames)
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                break
-            body = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            if zlib.crc32(body) != crc:
-                self._poisoned = True
-                raise FrameError(
-                    "frame body fails its CRC (corrupt stream)",
-                    frames=frames)
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as error:
-                self._poisoned = True
-                raise FrameError(
-                    f"frame body is not JSON: {error}",
-                    frames=frames) from error
-            if not isinstance(payload, dict):
-                self._poisoned = True
-                raise FrameError(
-                    f"frame body is a {type(payload).__name__}, "
-                    f"not an object", frames=frames)
-            frames.append(payload)
-        return frames
-
-
-# ----------------------------------------------------------------------
 # message constructors / validators
 # ----------------------------------------------------------------------
 
@@ -272,7 +162,6 @@ def hello_frame(tenant: str, client: str = "repro") -> dict:
 
 def welcome_frame(window: int, queue_limit: int,
                   max_frame: int) -> dict:
-    from ..dataio import WIRE_VERSION
     return {"proto": PROTOCOL_VERSION, "kind": "welcome",
             "server": "repro", "wire": WIRE_VERSION,
             "window": window, "queue": queue_limit,

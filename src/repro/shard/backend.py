@@ -19,6 +19,13 @@ Two implementations ship:
   worker process behind the :mod:`repro.dataio` wire format; the GIL
   stays per-process, so shards coordinate on separate cores.
 
+Every command has exactly one spelling, ``call_<command>(...)``, which
+issues the command without waiting and returns a :class:`ShardCall`;
+``.result()`` collects the reply.  A blocking call site is
+``backend.call_x(...).result()``; a fan-out issues on every shard
+first and collects in shard order afterwards, so process workers
+overlap.
+
 The migration protocol is two-phase on the source shard:
 ``reserve`` detaches a component and parks it under a manifest (the
 queries can no longer coordinate or expire), ``transfer`` hands the
@@ -30,6 +37,7 @@ only on it landing exactly once, which reserve/commit guarantees.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Protocol, Sequence
 
@@ -75,138 +83,109 @@ class ShardCall:
         return self._resolve()
 
 
-def _eager(fn) -> ShardCall:
-    """Run *fn* now, deferring its outcome to ``result()`` time —
-    in-process backends mirror the process backend's failure timing."""
-    try:
-        return ShardCall.completed(fn())
-    except Exception as error:
-        return ShardCall.failed(error)
-
-
 class ShardBackend(Protocol):
-    """What the coordinator requires of a shard worker."""
+    """What the coordinator requires of a shard worker.
+
+    Commands are ``call_*`` methods returning a :class:`ShardCall`
+    whose ``result()`` is documented per command.  Several calls may
+    be in flight per backend (the process backend windows them);
+    replies — and the settlement events that ride on them — are applied
+    in worker execution order regardless of collection order.  The
+    coordinator fans a command out by issuing it on every shard before
+    collecting any: shard state is disjoint, the database only changes
+    between fan-outs (replicated ``db_delta`` frames, never mid-round)
+    and events are applied in shard order, so a fan-out is
+    answer-identical to running the shards one after another.
+    """
 
     shard_index: int
 
     #: Protocol commands issued to this worker (request frames on the
-    #: process backend, command-method calls in-process).  The bench
+    #: process backend, ``call_*`` invocations in-process).  The bench
     #: layer reads this to report per-round wire traffic.
     wire_requests: int
 
-    def submit_block(self, queries: Sequence[EntangledQuery],
-                     seqs: Sequence[int], now: float,
-                     trace_ids: Sequence | None = None) -> None:
+    def call_submit_block(self, queries: Sequence[EntangledQuery],
+                          seqs: Sequence[int], now: float,
+                          trace_ids: Sequence | None = None
+                          ) -> ShardCall:
         """Ingest a block of arrivals with global arrival seqs.
 
         *trace_ids* (one per query, or None) threads the coordinator's
         lifecycle trace ids through so worker-side spans stitch into
         the front-door trace."""
 
-    def run_batch(self, now: float) -> int:
-        """One set-at-a-time round over the shard's dirty components."""
+    def call_run_batch(self, now: float) -> ShardCall:
+        """One set-at-a-time round over the shard's dirty components;
+        results in the number answered."""
 
-    def expire(self, now: float) -> int:
-        """Expire stale pending queries at coordinator time *now*."""
+    def call_expire(self, now: float) -> ShardCall:
+        """Expire stale pending queries at coordinator time *now*;
+        results in the number expired."""
 
-    # Fan-out form of the three serving commands: ``begin_*`` issues
-    # the command without waiting, ``finish_*`` collects its result
-    # (FIFO per backend).  The coordinator begins on every shard before
-    # finishing on any — with process workers the shards genuinely run
-    # concurrently (shard state is disjoint, the database only changes
-    # between fan-outs — replicated db_delta frames, never mid-round —
-    # and events are applied in shard order, so the fan-out is
-    # answer-identical to the sequential form).  Commands pipeline:
-    # several may be outstanding per backend, bounded by the process
-    # backend's in-flight window.
-
-    def begin_submit_block(self, queries: Sequence[EntangledQuery],
-                           seqs: Sequence[int], now: float,
-                           trace_ids: Sequence | None = None) -> None: ...
-
-    def finish_submit_block(self) -> None: ...
-
-    def begin_run_batch(self, now: float) -> None: ...
-
-    def finish_run_batch(self) -> int: ...
-
-    def begin_expire(self, now: float) -> None: ...
-
-    def finish_expire(self) -> int: ...
-
-    def component_members(self, query_id: object) -> list:
+    def call_members(self, query_id: object) -> ShardCall:
         """The full coordination component of one pending query."""
 
-    def reserve(self, query_ids: Sequence) -> str:
-        """Phase 1: detach a component batch for migration; returns a
-        manifest id."""
+    def call_reserve(self, query_ids: Sequence) -> ShardCall:
+        """Phase 1: detach a component batch for migration; results in
+        a manifest id."""
 
-    def transfer(self, manifest: str) -> object:
+    def call_transfer(self, manifest: str) -> ShardCall:
         """Phase 2: the reserved records (opaque to the coordinator —
         live records in-process, a ``migration_manifest`` payload on
         the wire)."""
 
-    def commit(self, manifest: str) -> None:
+    def call_commit(self, manifest: str) -> ShardCall:
         """Phase 3: forget a transferred manifest."""
 
-    def abort(self, manifest: str) -> None:
+    def call_abort(self, manifest: str) -> ShardCall:
         """Undo a reservation: restore the component batch locally."""
 
-    def import_records(self, records: object) -> None:
-        """Adopt what a peer backend's ``transfer`` produced."""
+    def call_import(self, records: object) -> ShardCall:
+        """Adopt what a peer backend's ``call_transfer`` produced."""
 
-    def apply_db_delta(self, payload: dict) -> int:
+    def call_db_delta(self, payload: dict) -> ShardCall:
         """Apply one versioned ``db_delta`` replication block to the
-        shard's database replica; returns the replica's resulting
-        ``db_version`` (the ack the coordinator verifies).  Blocks the
-        replica has already applied are acknowledged without reapplying
-        (replays are idempotent); a block whose ``from`` version is
-        ahead of the replica raises — the replica has a gap and must be
-        replayed from the mutation log first."""
+        shard's database replica; results in the replica's
+        ``db_version`` afterwards (the ack the coordinator verifies).
+        Blocks the replica has already applied are acknowledged without
+        reapplying (replays are idempotent); a block whose ``from``
+        version is ahead of the replica raises — the replica has a gap
+        and must be replayed from the mutation log first."""
 
-    # Pipelined form of the commands the coordinator fans out during
-    # routing and migration: ``call_*`` issues without waiting and
-    # returns a :class:`ShardCall`.  Several calls may be in flight per
-    # backend (the process backend windows them); replies — and the
-    # settlement events that ride on them — are applied in worker
-    # execution order regardless of collection order.
+    def call_metrics(self) -> ShardCall:
+        """The shard engine's ``MetricsRegistry`` snapshot (see
+        :meth:`repro.engine.engine.D3CEngine.metrics_snapshot`)."""
 
-    def call_members(self, query_id: object) -> ShardCall: ...
+    def call_partition_sizes(self) -> ShardCall:
+        """Component sizes on this shard."""
 
-    def call_reserve(self, query_ids: Sequence) -> ShardCall: ...
+    def call_pending(self) -> ShardCall:
+        """Pending query ids on this shard (arrival order)."""
 
-    def call_transfer(self, manifest: str) -> ShardCall: ...
-
-    def call_commit(self, manifest: str) -> ShardCall: ...
-
-    def call_abort(self, manifest: str) -> ShardCall: ...
-
-    def call_import(self, records: object) -> ShardCall: ...
-
-    def call_db_delta(self, payload: dict) -> ShardCall: ...
-
-    def call_metrics(self) -> ShardCall: ...
-
-    def call_partition_sizes(self) -> ShardCall: ...
+    def call_invalidate(self) -> ShardCall:
+        """Forget data-dependent caches after a database mutation."""
 
     def drain_events(self) -> list[Event]:
         """Settlements since the last drain, in settlement order."""
 
-    def pending_ids(self) -> list:
-        """Pending query ids on this shard (arrival order)."""
-
-    def partition_sizes(self) -> list[int]:
-        """Component sizes on this shard."""
-
-    def metrics_snapshot(self) -> dict:
-        """The shard engine's ``MetricsRegistry`` snapshot (see
-        :meth:`repro.engine.engine.D3CEngine.metrics_snapshot`)."""
-
-    def invalidate_cache(self) -> None:
-        """Forget data-dependent caches after a database mutation."""
-
     def close(self) -> None:
         """Release the worker (idempotent)."""
+
+
+def _eager(command):
+    """Turn an :class:`InProcessBackend` command body into its
+    ``call_*`` method: count one wire request, run the body now, and
+    park the outcome in a :class:`ShardCall` — a raised error surfaces
+    at ``result()``, mirroring the process backend's failure timing."""
+    @functools.wraps(command)
+    def call(self, *args, **kwargs) -> ShardCall:
+        self.wire_requests += 1
+        try:
+            return ShardCall.completed(command(self, *args, **kwargs))
+        except Exception as error:
+            return ShardCall.failed(error)
+    return call
 
 
 class InProcessBackend:
@@ -216,6 +195,9 @@ class InProcessBackend:
     ``now`` arguments are informational here (the engine reads the same
     clock the coordinator just did).  Settlement events are captured by
     ticket callbacks the backend wires at submission and import time.
+    There is no worker to overlap with: every ``call_*`` executes
+    eagerly (see :func:`_eager`) and ``result()`` hands the outcome
+    back.
     """
 
     def __init__(self, shard_index: int, database: Database,
@@ -225,7 +207,6 @@ class InProcessBackend:
         self._events: list[Event] = []
         self._manifests: dict[str, list[PendingRecord]] = {}
         self._manifest_counter = itertools.count()
-        self._deferred: object = None
         self.wire_requests = 0
 
     # -- settlement capture --------------------------------------------
@@ -247,10 +228,10 @@ class InProcessBackend:
 
     # -- command surface ------------------------------------------------
 
-    def submit_block(self, queries: Sequence[EntangledQuery],
-                     seqs: Sequence[int], now: float,
-                     trace_ids: Sequence | None = None) -> None:
-        self.wire_requests += 1
+    @_eager
+    def call_submit_block(self, queries: Sequence[EntangledQuery],
+                          seqs: Sequence[int], now: float,
+                          trace_ids: Sequence | None = None) -> None:
         if len(queries) == 1:
             ticket = self.engine.submit(
                 queries[0], arrival_seq=seqs[0],
@@ -266,122 +247,67 @@ class InProcessBackend:
         for ticket in tickets:
             self._track(ticket)
 
-    def run_batch(self, now: float) -> int:
-        self.wire_requests += 1
+    @_eager
+    def call_run_batch(self, now: float) -> int:
         return self.engine.run_batch()
 
-    def expire(self, now: float) -> int:
-        self.wire_requests += 1
+    @_eager
+    def call_expire(self, now: float) -> int:
         return self.engine.expire_stale()
 
-    # In-process "fan-out": there is no worker to overlap with, so
-    # begin executes eagerly and finish hands the result back.
-
-    def begin_submit_block(self, queries, seqs, now: float,
-                           trace_ids=None) -> None:
-        self._deferred = self.submit_block(queries, seqs, now,
-                                           trace_ids)
-
-    def finish_submit_block(self) -> None:
-        self._deferred = None
-
-    def begin_run_batch(self, now: float) -> None:
-        self._deferred = self.run_batch(now)
-
-    def finish_run_batch(self) -> int:
-        result, self._deferred = self._deferred, None
-        return result
-
-    def begin_expire(self, now: float) -> None:
-        self._deferred = self.expire(now)
-
-    def finish_expire(self) -> int:
-        result, self._deferred = self._deferred, None
-        return result
-
-    def component_members(self, query_id: object) -> list:
-        self.wire_requests += 1
+    @_eager
+    def call_members(self, query_id: object) -> list:
         return self.engine.component_members(query_id)
 
-    def reserve(self, query_ids: Sequence) -> str:
-        self.wire_requests += 1
+    @_eager
+    def call_reserve(self, query_ids: Sequence) -> str:
         records = self.engine.export_component(query_ids)
         manifest = f"m{next(self._manifest_counter)}"
         self._manifests[manifest] = records
         return manifest
 
-    def transfer(self, manifest: str) -> list:
-        self.wire_requests += 1
+    @_eager
+    def call_transfer(self, manifest: str) -> list:
         return list(self._manifests[manifest])
 
-    def commit(self, manifest: str) -> None:
-        self.wire_requests += 1
+    @_eager
+    def call_commit(self, manifest: str) -> None:
         del self._manifests[manifest]
 
-    def abort(self, manifest: str) -> None:
-        self.wire_requests += 1
+    @_eager
+    def call_abort(self, manifest: str) -> None:
         records = self._manifests.pop(manifest, None)
         if records:
             for ticket in self.engine.import_pending(records).values():
                 self._track(ticket)
 
-    def import_records(self, records: list) -> None:
-        self.wire_requests += 1
+    @_eager
+    def call_import(self, records: list) -> None:
         for ticket in self.engine.import_pending(records).values():
             self._track(ticket)
 
-    def apply_db_delta(self, payload: dict) -> int:
-        self.wire_requests += 1
+    @_eager
+    def call_db_delta(self, payload: dict) -> int:
         # In-process shards share the coordinator's live database
         # object: the mutation block is already applied (and the shard
         # engine's own mutation listener already dirty-marked its
         # components), so the ack is simply the shared version.
         return self.engine.database.db_version
 
-    # In-process pipelining: execute eagerly, park the outcome (see
-    # ShardCall — failures surface at result() on both backends).
-
-    def call_members(self, query_id: object) -> ShardCall:
-        return _eager(lambda: self.component_members(query_id))
-
-    def call_reserve(self, query_ids: Sequence) -> ShardCall:
-        return _eager(lambda: self.reserve(query_ids))
-
-    def call_transfer(self, manifest: str) -> ShardCall:
-        return _eager(lambda: self.transfer(manifest))
-
-    def call_commit(self, manifest: str) -> ShardCall:
-        return _eager(lambda: self.commit(manifest))
-
-    def call_abort(self, manifest: str) -> ShardCall:
-        return _eager(lambda: self.abort(manifest))
-
-    def call_import(self, records: object) -> ShardCall:
-        return _eager(lambda: self.import_records(records))
-
-    def call_db_delta(self, payload: dict) -> ShardCall:
-        return _eager(lambda: self.apply_db_delta(payload))
-
-    def call_metrics(self) -> ShardCall:
-        return _eager(self.metrics_snapshot)
-
-    def call_partition_sizes(self) -> ShardCall:
-        return _eager(self.partition_sizes)
-
-    def pending_ids(self) -> list:
-        self.wire_requests += 1
-        return self.engine.pending_ids()
-
-    def partition_sizes(self) -> list[int]:
-        self.wire_requests += 1
-        return self.engine.partition_sizes()
-
-    def metrics_snapshot(self) -> dict:
-        self.wire_requests += 1
+    @_eager
+    def call_metrics(self) -> dict:
         return self.engine.metrics_snapshot()
 
-    def invalidate_cache(self) -> None:
-        self.wire_requests += 1
+    @_eager
+    def call_partition_sizes(self) -> list[int]:
+        return self.engine.partition_sizes()
+
+    @_eager
+    def call_pending(self) -> list:
+        return self.engine.pending_ids()
+
+    @_eager
+    def call_invalidate(self) -> None:
         self.engine.invalidate_cache()
 
     def close(self) -> None:

@@ -83,9 +83,8 @@ class ShardedCoordinator:
             equivalence oracle runs against it) or ``"process"``
             (spawned workers, real CPU parallelism under the GIL).
         mode / staleness / clock / batch_size / ucs_fallback /
-        parallel_workers / max_group_size /
-        max_candidate_attempts / max_combined_atoms /
-        incremental_strategy: exactly as on
+        max_group_size / max_candidate_attempts /
+        max_combined_atoms / incremental_strategy: exactly as on
             :class:`~repro.engine.engine.D3CEngine`; forwarded to every
             shard engine (``batch_size`` is enforced *here*, against
             the global pending count).
@@ -109,7 +108,6 @@ class ShardedCoordinator:
                  batch_size: int | None = None,
                  rng=None,
                  ucs_fallback: bool = False,
-                 parallel_workers: int = 1,
                  max_group_size: int = 64,
                  max_candidate_attempts: int = 8,
                  max_combined_atoms: int = 512,
@@ -146,7 +144,6 @@ class ShardedCoordinator:
         engine_kwargs = dict(
             mode=mode, safety="off", batch_size=None, rng=None,
             ucs_fallback=ucs_fallback,
-            parallel_workers=parallel_workers,
             max_group_size=max_group_size,
             max_candidate_attempts=max_candidate_attempts,
             max_combined_atoms=max_combined_atoms,
@@ -571,7 +568,8 @@ class ShardedCoordinator:
             source = pair[0]
             if pair in reserved:
                 try:
-                    self._backends[source].abort(reserved[pair])
+                    self._backends[source].call_abort(
+                        reserved[pair]).result()
                 except Exception:
                     # The primary failure is already propagating; a
                     # failed best-effort abort leaves only a counter.
@@ -586,7 +584,7 @@ class ShardedCoordinator:
             if shard in exclude:
                 continue
             try:
-                backend.import_records(payload)
+                backend.call_import(payload).result()
             except Exception:
                 self._health.inc("shard.rehome_import_failures")
                 continue
@@ -750,7 +748,7 @@ class ShardedCoordinator:
         for payload in self._mutation_log:
             if payload["version"] <= self._acked[shard]:
                 continue
-            ack = backend.apply_db_delta(payload)
+            ack = backend.call_db_delta(payload).result()
             if ack < payload["version"]:
                 raise ShardReplicationError(
                     f"shard {shard} acked db_version {ack} while "
@@ -809,7 +807,8 @@ class ShardedCoordinator:
         for target in self._live_shards():
             try:
                 self._sync_shard(target)
-                self._backends[target].import_records(importable)
+                self._backends[target].call_import(
+                    importable).result()
             except Exception:
                 self._health.inc("shard.rehome_import_failures")
                 continue
@@ -876,9 +875,9 @@ class ShardedCoordinator:
         else:
             (target,) = self._route_block([working])
         self._register(working, seq, ticket, now)
-        self._backends[target].submit_block(
+        self._backends[target].call_submit_block(
             [working], [seq], now,
-            trace_ids=None if trace_id is None else [trace_id])
+            trace_ids=None if trace_id is None else [trace_id]).result()
         self._drain_all_events()
         self._maybe_autobatch()
         return ticket
@@ -952,14 +951,14 @@ class ShardedCoordinator:
         # Fan out: every shard ingests its sub-block concurrently
         # (process workers overlap on real cores); results collected
         # and events applied in shard order for determinism.
-        targets_in_order = sorted(blocks)
-        for target in targets_in_order:
+        calls = []
+        for target in sorted(blocks):
             sub_queries, sub_seqs, sub_traces = blocks[target]
-            self._backends[target].begin_submit_block(
+            calls.append(self._backends[target].call_submit_block(
                 sub_queries, sub_seqs, now,
-                trace_ids=sub_traces if trace_ids is not None else None)
-        for target in targets_in_order:
-            self._backends[target].finish_submit_block()
+                trace_ids=sub_traces if trace_ids is not None else None))
+        for call in calls:
+            call.result()
         self._drain_all_events()
         self._maybe_autobatch()
         return tickets
@@ -986,10 +985,9 @@ class ShardedCoordinator:
         now = self._clock.now()
         answered = 0
         live = [self._backends[shard] for shard in self._live_shards()]
-        for backend in live:
-            backend.begin_run_batch(now)
-        for backend in live:
-            answered += backend.finish_run_batch()
+        calls = [backend.call_run_batch(now) for backend in live]
+        for backend, call in zip(live, calls):
+            answered += call.result()
             self._apply_events(backend.drain_events())
         return answered
 
@@ -999,17 +997,16 @@ class ShardedCoordinator:
         now = self._clock.now()
         expired = 0
         live = [self._backends[shard] for shard in self._live_shards()]
-        for backend in live:
-            backend.begin_expire(now)
-        for backend in live:
-            expired += backend.finish_expire()
+        calls = [backend.call_expire(now) for backend in live]
+        for backend, call in zip(live, calls):
+            expired += call.result()
             self._apply_events(backend.drain_events())
         return expired
 
     def invalidate_cache(self) -> None:
         """Forget data-dependent coordination state on every shard."""
         for shard in self._live_shards():
-            self._backends[shard].invalidate_cache()
+            self._backends[shard].call_invalidate().result()
 
     def _drain_all_events(self) -> None:
         for shard in self._live_shards():
@@ -1134,9 +1131,9 @@ class ShardedCoordinator:
             if self.backend_kind == "process":
                 from ..dataio import manifest_to_payload
                 payload = manifest_to_payload(f"restore-{shard}", group)
-                self._backends[shard].import_records(payload)
+                self._backends[shard].call_import(payload).result()
             else:
-                self._backends[shard].import_records(group)
+                self._backends[shard].call_import(group).result()
         return tickets
 
     # ------------------------------------------------------------------

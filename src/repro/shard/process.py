@@ -1,7 +1,7 @@
 """Process-parallel shard workers behind a pipelined wire protocol.
 
-The GIL serializes Python threads, so PR 2's thread-parallel pipelines
-auto-degrade to serial on stock CPython; worker *processes* do not.
+The GIL serializes Python threads; worker *processes* do not share
+one, so process shards are this repo's one parallelism story.
 :class:`ProcessBackend` runs one :class:`~repro.engine.engine.D3CEngine`
 per spawned worker process and speaks a **correlation-ID** command
 protocol over a pipe:
@@ -10,8 +10,9 @@ protocol over a pipe:
   monotonically increasing ``req_id``;
 * replies are ``(req_id, status, result, events)`` frames;
 * several requests may be in flight at once (bounded by
-  :attr:`ProcessBackend.window`), so coordinator fan-outs —
-  ``begin_submit_block`` / ``begin_run_batch`` / ``begin_expire``,
+  :attr:`ProcessBackend.window`), so coordinator fan-outs — a
+  ``call_*`` issued on every shard before any ``result()`` is
+  collected: sub-block ingests, rounds, expiry sweeps,
   partner-discovery lookups, migration exchanges, stats snapshots —
   overlap across shards instead of serializing on round trips.
 
@@ -24,16 +25,25 @@ the pipe (never when the caller happens to collect that command's
 result), so draining stays in worker execution order no matter how
 replies interleave with other in-flight calls.
 
-Everything crossing the boundary is a tree of dicts, lists, and
-scalars built on :func:`repro.dataio.to_payload` /
-:func:`repro.dataio.from_payload` — queries, settled answers, and
-batched migration manifests (:func:`repro.dataio.manifest_to_payload`)
-all use the same stable wire format, so the protocol does not depend
-on pickle's class-identity machinery and survives mixed-revision
-inspection.
+Two layers cross the boundary, and only one of them is ours.  The
+payload *trees* inside a frame — queries, settled answers, batched
+migration manifests (:func:`repro.dataio.manifest_to_payload`),
+``db_delta`` blocks — are dicts, lists, and scalars in the stable
+:mod:`repro.dataio` wire format (:func:`~repro.dataio.to_payload` /
+:func:`~repro.dataio.from_payload`), so no live object and no class
+identity travels.  The frame *envelope* is ``Connection.send`` — a
+pickled tuple, delimited by the kernel — deliberately not
+:func:`repro.dataio.frame_record`: the pipe is a trusted channel
+between two processes of one revision, where a CRC detects nothing the
+kernel does not already guarantee, and pickle is the cheaper carrier of
+an already-plain tree (a 60-query ``submit_block`` frame: 97 µs to
+encode / 237 µs to decode and 13.9 KB pickled, against 330 / 219 µs and
+18.0 KB through ``frame_record`` / ``unframe_records``; a 32-answer
+reply 12 / 20 µs against 62 / 34 µs — about +0.3 ms per round per
+shard for nothing; see EXPERIMENTS.md).
 
 Workers are started with the ``spawn`` method: the coordinator's
-process may be running pool threads (forking one is lock-roulette), and
+process may be running threads (forking one is lock-roulette), and
 spawn gives each worker a clean interpreter that rebuilds its database
 from :func:`repro.dataio.dump_database` text — a *replica* of the
 coordinator's primary, pinned to the primary's ``db_version`` at
@@ -50,11 +60,12 @@ shards.
 from __future__ import annotations
 
 import itertools
+import os
+import time
 import traceback
-from collections import deque
+import warnings
 from typing import Sequence
 
-from ..concurrency import shutdown_grace_seconds
 from ..core.evaluate import FailureReason
 from ..engine.engine import D3CEngine, PendingRecord
 from ..engine.futures import CoordinationTicket, TicketState
@@ -86,16 +97,51 @@ class ShardReplicaStaleError(ShardWorkerError):
     Recoverable — the coordinator replays the retained mutation log."""
 
 
+#: Default grace period (seconds) each step of worker-process shutdown
+#: waits before escalating.
+DEFAULT_SHUTDOWN_GRACE = 5.0
+
+
+def shutdown_grace_seconds() -> float:
+    """Grace period per step of shard-worker shutdown escalation.
+
+    The ``REPRO_SHUTDOWN_TIMEOUT`` environment variable overrides the
+    default (:data:`DEFAULT_SHUTDOWN_GRACE` seconds); deployments with
+    slow container teardown raise it, test batteries that churn many
+    fleets lower it.  An unusable value (empty, non-numeric, zero, or
+    negative) falls back to the default with a :class:`RuntimeWarning`
+    — a typo in a deployment manifest should degrade shutdown timing,
+    never crash the service as it closes.
+    """
+    override = os.environ.get("REPRO_SHUTDOWN_TIMEOUT")
+    if override is None:
+        return DEFAULT_SHUTDOWN_GRACE
+    try:
+        value = float(override.strip())
+    except ValueError:
+        value = None
+    if value is None or value <= 0:
+        warnings.warn(
+            f"ignoring REPRO_SHUTDOWN_TIMEOUT={override!r}: expected a "
+            f"positive number of seconds; using the default "
+            f"({DEFAULT_SHUTDOWN_GRACE})",
+            RuntimeWarning, stacklevel=2)
+        return DEFAULT_SHUTDOWN_GRACE
+    return value
+
+
 def _reap(process, grace: float) -> None:
     """Deterministic worker shutdown escalation.
 
-    ``join`` (the cooperative stop already happened or the pipe
-    closed), then ``terminate`` (SIGTERM), then ``kill`` (SIGKILL) —
-    each step waits the same *grace* period (see
-    :func:`repro.concurrency.shutdown_grace_seconds`) before
-    escalating, so ``close()`` is bounded at three grace periods even
-    against a worker wedged in uninterruptible state, and an orphaned
-    worker can never outlive the backend that owns it.
+    ``join`` (the cooperative stop already happened, timed out, or the
+    pipe closed), then ``terminate`` (SIGTERM), then ``kill``
+    (SIGKILL) — each step waits the same *grace* period (see
+    :func:`shutdown_grace_seconds`) before escalating.  Together with
+    the one grace period :meth:`ProcessBackend.close` allows the stop
+    acknowledgment, ``close()`` is bounded at four grace periods even
+    against a worker that stalls instead of dying (stopped, or wedged
+    in uninterruptible state), and an orphaned worker can never outlive
+    the backend that owns it.
     """
     process.join(timeout=grace)
     if process.is_alive():
@@ -354,7 +400,6 @@ class ProcessBackend:
         self._req_ids = itertools.count(READY_REQ_ID + 1)
         self._inflight: dict[int, str] = {}
         self._replies: dict[int, tuple] = {}
-        self._begun: deque[tuple[str, int]] = deque()
         self._ready = False
         self._closed = False
         self.wire_requests = 0
@@ -446,9 +491,6 @@ class ProcessBackend:
                 f"shard {self.shard_index} failed {op!r}:\n{result}")
         return result
 
-    def _call(self, op: str, **args):
-        return self._wait(self._send(op, **args))
-
     def _call_async(self, op: str, **args) -> ShardCall:
         try:
             req_id = self._send(op, **args)
@@ -461,40 +503,13 @@ class ProcessBackend:
         return events
 
     # -- command surface ------------------------------------------------
+    #
+    # One spelling per command (see the ShardBackend protocol): issue
+    # without waiting, collect with ``result()``.  Several calls may be
+    # outstanding, bounded by the window.
 
-    def submit_block(self, queries, seqs, now: float,
-                     trace_ids=None) -> None:
-        self.begin_submit_block(queries, seqs, now, trace_ids)
-        self.finish_submit_block()
-
-    def run_batch(self, now: float) -> int:
-        return self._call("run_batch", now=now)
-
-    def expire(self, now: float) -> int:
-        return self._call("expire", now=now)
-
-    # Fan-out form: begin sends without waiting (the worker starts
-    # immediately), finish collects FIFO.  Pipelined — several begins
-    # (and async calls) may be outstanding, bounded by the window.
-
-    def _finish(self, expected_op: str):
-        if not self._begun:
-            raise ShardWorkerError(
-                f"shard {self.shard_index}: finish called with no "
-                f"begin outstanding")
-        op, req_id = self._begun[0]
-        if op != expected_op:
-            # Begins/finishes must pair FIFO per command — silently
-            # handing one command's result back as another's would be
-            # far worse than refusing.
-            raise ShardWorkerError(
-                f"shard {self.shard_index}: finish of {expected_op!r} "
-                f"requested but {op!r} is the oldest outstanding begin")
-        self._begun.popleft()
-        return self._wait(req_id)
-
-    def begin_submit_block(self, queries, seqs, now: float,
-                           trace_ids=None) -> None:
+    def call_submit_block(self, queries, seqs, now: float,
+                          trace_ids=None) -> ShardCall:
         from ..dataio import to_payload
         args = dict(
             queries=[to_payload(query) for query in queries],
@@ -502,47 +517,13 @@ class ProcessBackend:
         if trace_ids is not None:
             # Optional versioned frame field (see _Worker.handle).
             args["trace"] = list(trace_ids)
-        self._begun.append(("submit_block",
-                            self._send("submit_block", **args)))
+        return self._call_async("submit_block", **args)
 
-    def finish_submit_block(self) -> None:
-        self._finish("submit_block")
+    def call_run_batch(self, now: float) -> ShardCall:
+        return self._call_async("run_batch", now=now)
 
-    def begin_run_batch(self, now: float) -> None:
-        self._begun.append(("run_batch", self._send("run_batch",
-                                                    now=now)))
-
-    def finish_run_batch(self) -> int:
-        return self._finish("run_batch")
-
-    def begin_expire(self, now: float) -> None:
-        self._begun.append(("expire", self._send("expire", now=now)))
-
-    def finish_expire(self) -> int:
-        return self._finish("expire")
-
-    def component_members(self, query_id) -> list:
-        return self._call("members", id=query_id)
-
-    def reserve(self, query_ids) -> str:
-        return self._call("reserve", ids=list(query_ids))
-
-    def transfer(self, manifest: str) -> dict:
-        return self._call("transfer", manifest=manifest)
-
-    def commit(self, manifest: str) -> None:
-        self._call("commit", manifest=manifest)
-
-    def abort(self, manifest: str) -> None:
-        self._call("abort", manifest=manifest)
-
-    def import_records(self, records: dict) -> None:
-        self._call("import", manifest=records)
-
-    def apply_db_delta(self, payload: dict) -> int:
-        return self._call("db_delta", payload=payload)
-
-    # Pipelined forms (see ShardBackend protocol).
+    def call_expire(self, now: float) -> ShardCall:
+        return self._call_async("expire", now=now)
 
     def call_members(self, query_id) -> ShardCall:
         return self._call_async("members", id=query_id)
@@ -571,32 +552,31 @@ class ProcessBackend:
     def call_partition_sizes(self) -> ShardCall:
         return self._call_async("sizes")
 
-    def pending_ids(self) -> list:
-        return self._call("pending")
+    def call_pending(self) -> ShardCall:
+        return self._call_async("pending")
 
-    def partition_sizes(self) -> list[int]:
-        return self._call("sizes")
-
-    def metrics_snapshot(self) -> dict:
-        return self._call("metrics")
-
-    def invalidate_cache(self) -> None:
-        self._call("invalidate")
+    def call_invalidate(self) -> ShardCall:
+        return self._call_async("invalidate")
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
+        grace = shutdown_grace_seconds()
         try:
             stop_id = next(self._req_ids)
             self._connection.send((stop_id, "stop", {}))
             # Drain replies to anything still in flight until the stop
-            # acknowledgment (or the worker hangs up).
-            while True:
+            # acknowledgment — or the worker hangs up, or one grace
+            # period passes without it (a worker that stalls instead
+            # of dying).  Every exit falls through to _reap.
+            deadline = time.monotonic() + grace
+            while self._connection.poll(
+                    max(0.0, deadline - time.monotonic())):
                 req_id, _, _, _ = self._connection.recv()
                 if req_id == stop_id:
                     break
         except (BrokenPipeError, EOFError, OSError):
             pass
         self._connection.close()
-        _reap(self._process, shutdown_grace_seconds())
+        _reap(self._process, grace)

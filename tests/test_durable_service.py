@@ -3,7 +3,7 @@ the durable wrappers' refusal modes, the replay guards on
 :class:`~repro.db.database.Database`, the engine/coordinator restore
 preconditions, the salvage path for commands that raise after settling
 tickets, and the worker-shutdown escalation
-(:func:`repro.concurrency.shutdown_grace_seconds`,
+(:func:`repro.shard.process.shutdown_grace_seconds`,
 :func:`repro.shard.process._reap`).
 """
 
@@ -13,8 +13,6 @@ import gc
 
 import pytest
 
-from repro.concurrency import (DEFAULT_SHUTDOWN_GRACE,
-                               shutdown_grace_seconds)
 from repro.db import Database
 from repro.db.database import TableDelta
 from repro.durability import DurableCoordinator, DurableEngine
@@ -23,7 +21,8 @@ from repro.engine.staleness import ManualClock
 from repro.errors import RecoveryError, ValidationError
 from repro.lang import parse_ir
 from repro.shard import ShardedCoordinator
-from repro.shard.process import _reap
+from repro.shard.process import (DEFAULT_SHUTDOWN_GRACE, _reap,
+                                 shutdown_grace_seconds)
 from repro.workloads import build_intro_database
 
 

@@ -134,16 +134,6 @@ class TestBatchMode:
         second = engine.submit(pair("k", "kramer", "jerry"))
         assert first.done() and second.done()
 
-    def test_parallel_workers(self, pair_db):
-        engine = D3CEngine(pair_db, mode="batch", parallel_workers=4)
-        tickets = [engine.submit(pair("j", "jerry", "kramer")),
-                   engine.submit(pair("k", "kramer", "jerry")),
-                   engine.submit(pair("e", "elaine", "newman")),
-                   engine.submit(pair("n", "newman", "elaine"))]
-        answered = engine.run_batch()
-        assert answered == 2
-        assert tickets[0].done() and tickets[1].done()
-
     def test_repeated_batches_converge(self, pair_db):
         engine = D3CEngine(pair_db, mode="batch")
         engine.submit(pair("j", "jerry", "kramer"))

@@ -71,7 +71,8 @@ class ScriptedRouter(ShardRouter):
 def _audit_exactly_once(coordinator) -> None:
     fleet: list = []
     for shard in coordinator._live_shards():
-        fleet.extend(coordinator._backends[shard].pending_ids())
+        fleet.extend(
+            coordinator._backends[shard].call_pending().result())
     assert len(fleet) == len(set(fleet)), f"duplicated: {fleet}"
     assert sorted(fleet, key=repr) == sorted(coordinator._shard_of,
                                              key=repr)
@@ -133,7 +134,7 @@ def test_worker_killed_mid_db_delta_rehomes_components(monkeypatch):
         assert coordinator.dead_shards() == {1}
         assert coordinator.shard_of("p2-a") == 0
         assert coordinator._acked[0] == coordinator.db_version
-        assert sorted(coordinator._backends[0].pending_ids()) \
+        assert sorted(coordinator._backends[0].call_pending().result()) \
             == ["p1-a", "p1-b", "p2-a", "p2-b"]
         _audit_exactly_once(coordinator)
 
@@ -305,17 +306,17 @@ def test_worker_version_guard_idempotent_replay_and_gap():
             "G", [("u1", "u2"), ("u2", "u1")]))
         block2 = _delta_block(primary, lambda db: db.delete_rows(
             "G", [("u1", "u2")]))
-        assert worker.apply_db_delta(block1) == base + 1
+        assert worker.call_db_delta(block1).result() == base + 1
         # Idempotent replay: already applied, acked without reapplying.
-        assert worker.apply_db_delta(block1) == base + 1
+        assert worker.call_db_delta(block1).result() == base + 1
         # Gap: block2 skipped, a future block must be refused.
         future = _delta_block(primary, lambda db: db.insert(
             "H", [("u3", "u4")]))
         with pytest.raises(ShardWorkerError, match="stale replica"):
-            worker.apply_db_delta(future)
+            worker.call_db_delta(future).result()
         # Replaying the log in order heals the gap.
-        assert worker.apply_db_delta(block2) == base + 2
-        assert worker.apply_db_delta(future) == base + 3
+        assert worker.call_db_delta(block2).result() == base + 2
+        assert worker.call_db_delta(future).result() == base + 3
     finally:
         worker.close()
 

@@ -8,10 +8,15 @@ Covers the PR-1 cache guarantees:
 * cached-plan execution matches the ``evaluate_naive`` oracle on
   hypothesis-generated queries (the executor always goes through the
   cache, so evaluating twice exercises both the miss and hit paths);
-* data mutations invalidate cached orders (table versions shift).
+* data mutations invalidate cached orders (table versions shift);
+* threads evaluating against one database share the cache without
+  losing a lookup or changing a result (``Planner._cache_lock``).
 """
 
 from __future__ import annotations
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -43,14 +48,18 @@ def rename(query: ConjunctiveQuery, suffix: str) -> ConjunctiveQuery:
                             distinct=query.distinct)
 
 
-@pytest.fixture
-def db() -> Database:
+def make_db() -> Database:
     database = Database()
     database.create_table("F", "a int", "b int")
     database.create_table("U", "a int", "c text")
     database.insert("F", [(i, (i * 3) % 7) for i in range(30)])
     database.insert("U", [(i, f"t{i % 4}") for i in range(30)])
     return database
+
+
+@pytest.fixture
+def db() -> Database:
+    return make_db()
 
 
 class TestSignature:
@@ -115,6 +124,45 @@ class TestPlanCache:
         cold = Planner(db, cache_plans=False).plan(rename(query, "_q2"))
         assert plan_shape(second) == plan_shape(cold)
         assert plan_shape(first)[0] != ()  # sanity: non-empty plan
+
+    def test_concurrent_evaluations_share_one_program_cache(self):
+        """Caller threads look up, build and retain programs in the
+        one shape cache concurrently; every evaluation must return
+        what a serial run returns, with no lookup lost from the
+        cache's counters.  A tiny switch interval forces interleavings
+        inside the cache's critical sections."""
+        queries = [query for k in range(30) for query in (
+            ConjunctiveQuery((atom("F", k, X), atom("U", X, Y))),
+            ConjunctiveQuery((atom("U", X, f"t{k % 4}"), atom("F", X, Y)),
+                             (Comparison(Y, ">", Constant(k % 5)),)),
+            ConjunctiveQuery((atom("F", X, Y), atom("F", Y, k % 7))),
+            ConjunctiveQuery((atom("U", k, X),)))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = []
+            for workers in (1, 8):
+                # A fresh database per leg: both start from a cold cache.
+                database = make_db()
+
+                def evaluate(query):
+                    return sorted(sorted(
+                        (variable.name, value)
+                        for variable, value in valuation.items())
+                        for valuation in database.evaluate(query))
+
+                with ThreadPoolExecutor(workers) as pool:
+                    outcomes.append(list(pool.map(evaluate, queries)))
+                planner = database._executor.planner
+                # Every evaluation is one lookup and then exactly one
+                # of: a program hit, a program build.
+                assert (planner.program_hits + planner.program_builds
+                        == planner.cache_hits + planner.cache_misses)
+                assert planner.program_hits > planner.program_builds
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes[0] == outcomes[1]
+        assert any(outcomes[0])
 
 
 # -- oracle property ----------------------------------------------------

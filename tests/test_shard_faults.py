@@ -8,10 +8,15 @@ refusing the abort, a source dying between import and commit.  Each
 test drives the failure through the real protocol machinery and then
 audits the fleet: every query pending exactly once, coordinator
 bookkeeping consistent, and the service able to retry and coordinate
-afterwards.
+afterwards.  Last comes the first fault of the "stalls rather than
+dies" family: a stopped worker must not be able to hang ``close()``.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import threading
 
 import pytest
 
@@ -82,13 +87,14 @@ def _audit_exactly_once(coordinator) -> None:
     coordinator's ownership map agreeing with the engines."""
     fleet: list = []
     for backend in coordinator._backends:
-        fleet.extend(backend.pending_ids())
+        fleet.extend(backend.call_pending().result())
     assert len(fleet) == len(set(fleet)), f"duplicated: {fleet}"
     assert sorted(fleet, key=repr) == sorted(coordinator._shard_of,
                                              key=repr)
     for query_id in fleet:
         shard = coordinator.shard_of(query_id)
-        assert query_id in coordinator._backends[shard].pending_ids()
+        assert query_id in coordinator._backends[
+            shard].call_pending().result()
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +166,8 @@ def test_destination_import_failure_restores_source(small_flight_db,
     # Abort restored the component on its source; nothing duplicated,
     # nothing lost, and the failed arrival left no ghost routing state.
     assert coordinator.shard_of("t-b") == 1
-    assert coordinator._backends[1].pending_ids() == ["t-b"]
-    assert coordinator._backends[0].pending_ids() == ["t-a"]
+    assert coordinator._backends[1].call_pending().result() == ["t-b"]
+    assert coordinator._backends[0].call_pending().result() == ["t-a"]
     assert coordinator.pending_ids() == ["t-a", "t-b"]
     _audit_exactly_once(coordinator)
 
@@ -193,7 +199,7 @@ def test_destination_and_source_failure_rehomes_records(
     # Both migration parties failed; the coordinator still held the
     # transferred records and adopted them on the surviving shard.
     assert coordinator.shard_of("d-b") == 2
-    assert coordinator._backends[2].pending_ids() == ["d-b"]
+    assert coordinator._backends[2].call_pending().result() == ["d-b"]
     _audit_exactly_once(coordinator)
 
 
@@ -234,8 +240,9 @@ def test_commit_failure_after_import_does_not_duplicate(
     # live copy is on the destination — an abort here would duplicate
     # it, and reverting ownership would strand it.
     assert coordinator.shard_of("k-b") == 0
-    assert coordinator._backends[0].pending_ids() == ["k-a", "k-b"]
-    assert "k-b" not in coordinator._backends[1].pending_ids()
+    assert coordinator._backends[0].call_pending().result() \
+        == ["k-a", "k-b"]
+    assert "k-b" not in coordinator._backends[1].call_pending().result()
     _audit_exactly_once(coordinator)
 
     monkeypatch.undo()
@@ -273,7 +280,8 @@ def test_failure_between_plan_and_flush_reverts_ownership(
         coordinator.submit_many([t_c, u_c])
 
     assert coordinator.shard_of("t-b") == 1
-    assert coordinator._backends[1].pending_ids() == ["t-b", "u-b"]
+    assert coordinator._backends[1].call_pending().result() \
+        == ["t-b", "u-b"]
     _audit_exactly_once(coordinator)
 
     # After the worker heals the same bridges route and migrate fine.
@@ -312,7 +320,7 @@ def test_killed_destination_worker_aborts_to_source(small_flight_db,
 
         # The surviving source shard holds its component, exactly once.
         assert coordinator.shard_of("w-b") == 1
-        assert coordinator._backends[1].pending_ids() == ["w-b"]
+        assert coordinator._backends[1].call_pending().result() == ["w-b"]
 
 
 def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
@@ -334,18 +342,57 @@ def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
         pair = [query.rename_apart()
                 for query in make_pair("z1", "z2", "user1", "user2",
                                        "ORD")]
-        source.submit_block(pair, [0, 1], 0.0)
-        manifest = source.reserve(["z1", "z2"])
-        payload = source.transfer(manifest)
+        source.call_submit_block(pair, [0, 1], 0.0).result()
+        manifest = source.call_reserve(["z1", "z2"]).result()
+        payload = source.call_transfer(manifest).result()
 
         target._process.kill()
         target._process.join(5)
         with pytest.raises(ShardWorkerError):
-            target.import_records(payload)
+            target.call_import(payload).result()
 
-        source.abort(manifest)
-        assert source.pending_ids() == ["z1", "z2"]
-        assert source.partition_sizes() == [2]
+        source.call_abort(manifest).result()
+        assert source.call_pending().result() == ["z1", "z2"]
+        assert source.call_partition_sizes().result() == [2]
     finally:
         source.close()
         target.close()
+
+
+# ----------------------------------------------------------------------
+# process backend: a worker that stalls instead of dying
+# ----------------------------------------------------------------------
+
+
+def test_close_is_bounded_against_a_stalled_worker(monkeypatch):
+    """A SIGSTOPped worker never acknowledges ``stop`` and never hangs
+    up.  ``close()`` must give up on the acknowledgment after one grace
+    period and escalate through ``_reap`` — SIGTERM stays pending on a
+    stopped process, so it takes the SIGKILL — which bounds it at four
+    grace periods.  ``close()`` runs on a thread so that an unbounded
+    one fails this test instead of hanging the suite."""
+    from repro.shard.process import ProcessBackend
+
+    grace = 0.3
+    monkeypatch.setenv("REPRO_SHUTDOWN_TIMEOUT", str(grace))
+    backend = ProcessBackend(0, {
+        "database_text": "table U user:text town:text\nrow U a x\n",
+        "staleness": ("never",),
+        "engine": {"mode": "batch", "safety": "off"},
+        "warm_indexes": []})
+    backend.ensure_ready()
+    process = backend._process
+    closer = threading.Thread(target=backend.close, daemon=True)
+    try:
+        os.kill(process.pid, signal.SIGSTOP)
+        closer.start()
+        closer.join(4 * grace + 1.0)
+        assert not closer.is_alive(), \
+            "close() is still waiting on the stalled worker"
+        assert not process.is_alive()
+        assert process.exitcode == -signal.SIGKILL
+        backend.close()  # idempotent: nothing left to stop or reap
+    finally:
+        if process.is_alive():
+            process.kill()  # releases a close() that never gave up
+        closer.join(5)

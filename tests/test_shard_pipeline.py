@@ -17,7 +17,10 @@ import pytest
 from repro.core.query import EntangledQuery
 from repro.core.terms import Variable, atom
 from repro.dataio import dump_database
-from repro.shard import ShardedCoordinator, ShardRouter
+from repro.errors import ValidationError
+from repro.shard import (InProcessBackend, ShardBackend, ShardCall,
+                         ShardedCoordinator, ShardRouter,
+                         ShardWorkerError)
 from repro.shard.process import ProcessBackend
 
 #: A two-row co-located users table: every `_settling_pair` below
@@ -60,9 +63,9 @@ def test_settle_flood_during_inflight_call_keeps_order():
         queries = [query.rename_apart()
                    for index in range(6)
                    for query in _settling_pair(f"p{index}")]
-        backend.begin_submit_block(queries, list(range(len(queries))),
-                                   0.0)
-        backend.begin_run_batch(0.0)       # will settle all 12
+        submit_call = backend.call_submit_block(
+            queries, list(range(len(queries))), 0.0)
+        round_call = backend.call_run_batch(0.0)  # will settle all 12
         stats_call = backend.call_metrics()  # three commands in flight
 
         # Collect the *last* command first: pumping its reply forces
@@ -78,8 +81,8 @@ def test_settle_flood_during_inflight_call_keeps_order():
                                           for query in queries)
         assert len(answered) == len(set(answered)), "events duplicated"
 
-        backend.finish_submit_block()
-        assert backend.finish_run_batch() == len(queries)
+        assert submit_call.result() is None
+        assert round_call.result() == len(queries)
         # Collecting the results later must not replay their events.
         assert backend.drain_events() == []
     finally:
@@ -89,12 +92,13 @@ def test_settle_flood_during_inflight_call_keeps_order():
 def test_events_from_pipelined_commands_keep_worker_order():
     backend = _backend(staleness=("timeout", 1.0))
     try:
-        backend.submit_block([_filler("old").rename_apart()], [0], 0.0)
+        backend.call_submit_block([_filler("old").rename_apart()], [0],
+                                  0.0).result()
         pair = [query.rename_apart() for query in _settling_pair("new")]
-        backend.submit_block(pair, [1, 2], 4.5)
+        backend.call_submit_block(pair, [1, 2], 4.5).result()
 
-        backend.begin_expire(5.0)     # expires "old" (not the pair)
-        backend.begin_run_batch(5.0)  # answers the pair
+        expire_call = backend.call_expire(5.0)  # expires "old" only
+        round_call = backend.call_run_batch(5.0)  # answers the pair
         snapshot = backend.call_metrics().result()  # out-of-order collect
         assert snapshot["counters"]["failed.stale"] == 1
 
@@ -106,8 +110,8 @@ def test_events_from_pipelined_commands_keep_worker_order():
             == ["failed", "answered", "answered"]
         assert events[0][1] == "old"
 
-        assert backend.finish_expire() == 1
-        assert backend.finish_run_batch() == 2
+        assert expire_call.result() == 1
+        assert round_call.result() == 2
     finally:
         backend.close()
 
@@ -137,6 +141,84 @@ def test_replies_resolve_out_of_order():
         assert first.result() == []
     finally:
         backend.close()
+
+
+def test_collecting_a_call_twice_raises_instead_of_pumping_forever():
+    """A reply is handed out once.  Asking for it again must be a
+    named error — the frame it would wait for is never coming, so
+    pumping the pipe for it would block forever."""
+    backend = _backend()
+    try:
+        call = backend.call_partition_sizes()
+        assert call.result() == []
+        with pytest.raises(ShardWorkerError, match="already collected"):
+            call.result()
+        # The connection is still in step afterwards.
+        assert backend.call_pending().result() == []
+    finally:
+        backend.close()
+
+
+# ----------------------------------------------------------------------
+# one spelling per command (protocol conformance)
+# ----------------------------------------------------------------------
+
+
+def _public_methods(cls) -> set:
+    return {name for name, member in vars(cls).items()
+            if not name.startswith("_") and callable(member)}
+
+
+#: The op table: command -> (arguments, what its in-process body
+#: raises on them).  Where a command can fail on an idle shard the
+#: arguments make it — a query id or manifest nobody holds, a record
+#: of the wrong shape — and the rest are driven on their happy path.
+COMMANDS = {
+    "call_submit_block": (([None], [0], 0.0), AttributeError),
+    "call_run_batch": ((0.0,), None),
+    "call_expire": ((0.0,), None),
+    "call_members": (("ghost",), KeyError),
+    "call_reserve": ((["ghost"],), ValidationError),
+    "call_transfer": (("no-such-manifest",), KeyError),
+    "call_commit": (("no-such-manifest",), KeyError),
+    "call_abort": (("no-such-manifest",), None),
+    "call_import": (([None],), AttributeError),
+    "call_db_delta": (({},), None),
+    "call_pending": ((), None),
+    "call_partition_sizes": ((), None),
+    "call_metrics": ((), None),
+    "call_invalidate": ((), None),
+}
+
+
+def test_both_backends_expose_exactly_the_protocol_surface():
+    protocol = _public_methods(ShardBackend)
+    assert protocol == set(COMMANDS) | {"drain_events", "close"}
+    assert _public_methods(InProcessBackend) == protocol
+    # The process backend adds only its start-up handshake.
+    assert _public_methods(ProcessBackend) == protocol | {"ensure_ready"}
+    for cls in (ShardBackend, InProcessBackend, ProcessBackend):
+        assert not [name for name in vars(cls)
+                    if name.startswith(("begin_", "finish_"))]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_in_process_calls_defer_their_outcome_to_result(
+        command, small_flight_db):
+    """The ``_eager`` contract: an in-process ``call_*`` never raises
+    at issue time — it counts one wire request and parks the outcome,
+    error included, for ``result()``, like a real in-flight command."""
+    backend = InProcessBackend(
+        0, small_flight_db, dict(mode="batch", safety="off"))
+    args, raises = COMMANDS[command]
+    call = getattr(backend, command)(*args)
+    assert isinstance(call, ShardCall)
+    assert backend.wire_requests == 1
+    if raises is None:
+        call.result()
+    else:
+        with pytest.raises(raises):
+            call.result()
 
 
 # ----------------------------------------------------------------------

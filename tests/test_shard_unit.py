@@ -253,33 +253,34 @@ def backend_pair(database):
 
 def _submit_pair(backend, ids, users, destination, seqs):
     pair = make_pair(ids[0], ids[1], users[0], users[1], destination)
-    backend.submit_block([query.rename_apart() for query in pair],
-                         seqs, now=0.0)
+    backend.call_submit_block(
+        [query.rename_apart() for query in pair], seqs,
+        now=0.0).result()
 
 
 def test_reserve_transfer_commit_moves_exactly_once(backend_pair):
     source, target = backend_pair
     _submit_pair(source, ("m1", "m2"), ("user1", "user2"), "ITH", [0, 1])
-    manifest = source.reserve(["m1", "m2"])
+    manifest = source.call_reserve(["m1", "m2"]).result()
     # Reserved queries are detached: the source can no longer
     # coordinate or expire them.
-    assert source.pending_ids() == []
-    records = source.transfer(manifest)
-    target.import_records(records)
-    source.commit(manifest)
-    assert target.pending_ids() == ["m1", "m2"]
+    assert source.call_pending().result() == []
+    records = source.call_transfer(manifest).result()
+    target.call_import(records).result()
+    source.call_commit(manifest).result()
+    assert target.call_pending().result() == ["m1", "m2"]
     with pytest.raises(KeyError):
-        source.transfer(manifest)
+        source.call_transfer(manifest).result()
 
 
 def test_abort_restores_the_component(backend_pair):
     source, _ = backend_pair
     _submit_pair(source, ("a1", "a2"), ("user3", "user4"), "JFK", [0, 1])
-    manifest = source.reserve(["a1", "a2"])
-    assert source.pending_ids() == []
-    source.abort(manifest)
-    assert source.pending_ids() == ["a1", "a2"]
-    assert source.partition_sizes() == [2]
+    manifest = source.call_reserve(["a1", "a2"]).result()
+    assert source.call_pending().result() == []
+    source.call_abort(manifest).result()
+    assert source.call_pending().result() == ["a1", "a2"]
+    assert source.call_partition_sizes().result() == [2]
 
 
 def test_wire_records_round_trip(database):

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dataio import frame_record, unframe_records
+from repro.dataio import (MAX_FRAME_BYTES, FrameDecoder, FrameError,
+                          frame_body, frame_record, unframe_records)
 from repro.durability import DurableEngine, SnapshotStore, WriteAheadLog
 from repro.durability.wal import read_log
 from repro.engine.staleness import ManualClock
@@ -103,6 +106,70 @@ def test_unframe_garbage_and_empty():
     assert unframe_records(b"\x00\x01\x02") == ([], 0)
     records, consumed = unframe_records(b"\xff" * 64)
     assert records == [] and consumed == 0
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() \
+    | st.text(max_size=8)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda leaf: st.lists(leaf, max_size=3), max_leaves=8)
+_PAYLOADS = st.dictionaries(st.text(min_size=1, max_size=8),
+                            _JSON_VALUES, max_size=4)
+
+
+def _decode_stream(stream: bytes, bounds: list) -> tuple:
+    """Feed *stream* to a fresh FrameDecoder chunk by chunk; returns
+    ``(frames, bytes consumed, error class or None)``."""
+    decoder = FrameDecoder()
+    frames: list = []
+    fed = 0
+    for start, end in zip(bounds, bounds[1:]):
+        fed = end
+        try:
+            frames.extend(decoder.feed(stream[start:end]))
+        except FrameError as error:
+            frames.extend(error.frames)
+            return frames, fed - len(decoder), type(error)
+    return frames, fed - len(decoder), None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_log_reader_and_stream_decoder_are_one_codec(data):
+    """The WAL reader and the socket decoder run the same scan loop
+    and differ only in what a stop means.  On any stream — intact, cut
+    anywhere, one bit flipped, a body that is not a JSON object, a
+    header declaring an oversized body — they accept exactly the same
+    frames and stop at the same byte; where ``unframe_records`` reads a
+    clean end-of-log the decoder either waits (incomplete) or raises
+    carrying the same prefix.  Chunking the stream changes nothing."""
+    stream = b"".join(frame_record(payload) for payload
+                      in data.draw(st.lists(_PAYLOADS, max_size=5)))
+    damage = data.draw(st.sampled_from(
+        ["none", "cut", "flip", "body", "oversize"]))
+    if damage == "cut":
+        stream = stream[:data.draw(st.integers(0, len(stream)))]
+    elif damage == "flip" and stream:
+        position = data.draw(st.integers(0, len(stream) - 1))
+        flipped = bytearray(stream)
+        flipped[position] ^= 1 << data.draw(st.integers(0, 7))
+        stream = bytes(flipped)
+    elif damage == "body":
+        body = data.draw(
+            st.binary(max_size=12)
+            | _JSON_VALUES.map(lambda value: json.dumps(value).encode()))
+        stream += frame_body(body) + frame_record({"after": "damage"})
+    elif damage == "oversize":
+        declared = MAX_FRAME_BYTES + data.draw(st.integers(1, 1 << 20))
+        stream += struct.pack("<II", declared, 0) \
+            + data.draw(st.binary(max_size=12))
+
+    records, clean_length = unframe_records(stream)
+    whole = _decode_stream(stream, [0, len(stream)])
+    assert whole[:2] == (records, clean_length)
+
+    cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=6))
+    chunked = _decode_stream(stream, sorted({0, len(stream), *cuts}))
+    assert chunked == whole
 
 
 # ---------------------------------------------------------------------------
