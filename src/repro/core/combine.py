@@ -15,19 +15,20 @@ Two forms are produced:
   ``T(1) ∧ R(x1) ∧ S(x2) <- D1(x1,x2,x3) ∧ D2(x1) ∧ D3(1,x2)``).
 
 The simplified form is what gets sent to the database; the raw form is
-kept for display and for the tests that verify the two are equivalent.
+derived on demand (:attr:`CombinedQuery.raw_query`) for display and for
+the tests that verify the two are equivalent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from ..db.expression import Comparison, ConjunctiveQuery
 from ..errors import CoordinationError
 from .matching import ComponentMatch
 from .query import EntangledQuery
-from .terms import Atom, Constant, Term, Variable
+from .terms import Constant, Term, Variable
 from .unify import Unifier
 
 
@@ -40,36 +41,56 @@ class CombinedQuery:
         heads: per query id, its head atoms after simplification — these
             are grounded by each valuation of ``query``.
         query: the simplified conjunctive query over database relations.
-        raw_query: the unsimplified form (original bodies + φ_U).
+        choose: valuations to fetch (the survivors' largest ``CHOOSE``).
         unifier: the component's global most general unifier.
+        members: the survivors' queries, in ``survivors`` order.
     """
 
     survivors: tuple
     heads: dict
     query: ConjunctiveQuery
-    raw_query: ConjunctiveQuery
+    choose: int
     unifier: Unifier
+    members: tuple = field(repr=False)
+
+    @property
+    def raw_query(self) -> ConjunctiveQuery:
+        """The unsimplified form: original bodies plus φ_U as explicit
+        equality comparisons."""
+        phi = tuple(Comparison(left, "=", right)
+                    for left, right in self.unifier.equality_pairs())
+        return ConjunctiveQuery(
+            tuple(atom for query in self.members for atom in query.body),
+            tuple(comparison for query in self.members
+                  for comparison in query.body_comparisons) + phi)
 
     def ground_heads(self, valuation: Mapping[Variable, object]) -> dict:
-        """Ground every survivor's heads under a combined-query valuation.
+        """See :func:`ground_heads`."""
+        return ground_heads(self.heads, valuation)
 
-        Returns ``{query_id: (Atom, ...)}`` with fully ground atoms.
-        Raises CoordinationError if the valuation leaves a head variable
-        unbound (which would indicate a range-restriction bug upstream).
-        """
-        mapping: dict[Variable, Term] = {
-            variable: Constant(value)
-            for variable, value in valuation.items()}
-        result: dict = {}
-        for query_id, atoms in self.heads.items():
-            grounded = tuple(atom.substitute(mapping) for atom in atoms)
-            for atom in grounded:
-                if not atom.is_ground():
-                    raise CoordinationError(
-                        f"combined-query valuation does not ground head "
-                        f"{atom} of query {query_id!r}")
-            result[query_id] = grounded
-        return result
+
+def ground_heads(heads: Mapping,
+                 valuation: Mapping[Variable, object]) -> dict:
+    """Ground every survivor's heads under a combined-query valuation.
+
+    *heads* is :attr:`CombinedQuery.heads`.  Returns ``{query_id:
+    (Atom, ...)}`` with fully ground atoms.  Raises CoordinationError if
+    the valuation leaves a head variable unbound (which would indicate a
+    range-restriction bug upstream).
+    """
+    mapping: dict[Variable, Term] = {
+        variable: Constant(value)
+        for variable, value in valuation.items()}
+    result: dict = {}
+    for query_id, atoms in heads.items():
+        grounded = tuple(atom.substitute(mapping) for atom in atoms)
+        for atom in grounded:
+            if not atom.is_ground():
+                raise CoordinationError(
+                    f"combined-query valuation does not ground head "
+                    f"{atom} of query {query_id!r}")
+        result[query_id] = grounded
+    return result
 
 
 def build_combined_query(
@@ -102,18 +123,7 @@ def build_combined_query(
     if not members:
         raise CoordinationError("no surviving queries to combine")
 
-    body_atoms: list[Atom] = []
-    body_comparisons: list[Comparison] = []
-    for query_id in members:
-        body_atoms.extend(queries[query_id].body)
-        body_comparisons.extend(queries[query_id].body_comparisons)
-
-    # Raw form: original atoms plus φ_U as explicit equality comparisons
-    # (member body comparisons ride along untouched).
-    phi = tuple(Comparison(left, "=", right)
-                for left, right in unifier.equality_pairs())
-    raw_query = ConjunctiveQuery(tuple(body_atoms),
-                                 tuple(body_comparisons) + phi)
+    member_queries = tuple([queries[query_id] for query_id in members])
 
     # Simplified form: substitute class representatives everywhere, which
     # realises φ_U structurally (equated variables collapse; variables
@@ -121,22 +131,19 @@ def build_combined_query(
     # keep their shape — substituted, they become sargable bounds the
     # executor pushes into ordered-index windows.
     substitution = unifier.substitution()
-    simplified_atoms = tuple(atom.substitute(substitution)
-                             for atom in body_atoms)
     simplified = ConjunctiveQuery(
-        simplified_atoms,
-        tuple(comparison.substitute(substitution)
-              for comparison in body_comparisons))
+        tuple([atom.substitute(substitution)
+               for query in member_queries for atom in query.body]),
+        tuple([comparison.substitute(substitution)
+               for query in member_queries
+               for comparison in query.body_comparisons]))
 
     heads = {
-        query_id: tuple(atom.substitute(substitution)
-                        for atom in queries[query_id].head)
-        for query_id in members
+        query.query_id: tuple([atom.substitute(substitution)
+                               for atom in query.head])
+        for query in member_queries
     }
     return CombinedQuery(
-        survivors=tuple(members),
-        heads=heads,
-        query=simplified,
-        raw_query=raw_query,
-        unifier=unifier,
-    )
+        tuple(members), heads, simplified,
+        max([query.choose for query in member_queries]), unifier,
+        member_queries)

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..db.database import Database
 from ..errors import CoordinationError
-from .combine import CombinedQuery, build_combined_query
+from .combine import CombinedQuery, build_combined_query, ground_heads
 from .graph import UnifiabilityGraph, build_unifiability_graph
 from .matching import ComponentMatch, ConflictPolicy, match_component, match_all
 from .query import EntangledQuery, validate_workload
@@ -134,8 +134,7 @@ def _evaluate_component(
 
     combined = build_combined_query(queries_by_id, match)
     result.combined.append(combined)
-    choose = max(queries_by_id[query_id].choose
-                 for query_id in combined.survivors)
+    choose = combined.choose
 
     start = time.perf_counter()
     valuations = _pick_valuations(database, combined, choose, rng)
@@ -193,11 +192,12 @@ def _pick_valuations(database: Database, combined: CombinedQuery,
     return reservoir
 
 
-def _record_answers(combined: CombinedQuery, valuations: list,
+def _record_answers(combined, valuations: list,
                     result: CoordinationResult) -> None:
-    per_query: dict = {query_id: [] for query_id in combined.survivors}
+    # *combined*: a CombinedQuery, or the Attempt retained of one.
+    per_query: dict = {query_id: [] for query_id in combined.heads}
     for valuation in valuations:
-        grounded = combined.ground_heads(valuation)
+        grounded = ground_heads(combined.heads, valuation)
         for query_id, atoms in grounded.items():
             per_query[query_id].append(atoms)
     for query_id, groundings in per_query.items():

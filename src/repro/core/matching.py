@@ -75,7 +75,30 @@ class ComponentMatch:
         return bool(self.survivors) and self.global_unifier is not None
 
 
-class MatchState:
+class Attempt:
+    """What a component's last coordination attempt left to re-evaluate:
+    all a set-at-a-time engine retains per failed component (an
+    unchanged member set derives the same combined query), and part of
+    the component strategy's :class:`MatchState`.
+
+    Attributes:
+        query, heads, choose: their ``CombinedQuery`` namesakes for the
+            current member set; ``query`` is None until built.
+        empty_reads: ``(relation, table, version)`` per distinct table
+            read by the last combined query that found no answer on the
+            data, else None.  Conjunctive queries are monotone: it, and
+            every conjunctive superset of it, is empty for as long as
+            those versions stand (the scheduler sets and checks it).
+    """
+
+    __slots__ = ("query", "heads", "choose", "empty_reads")
+
+    def __init__(self) -> None:
+        self.query = self.heads = self.empty_reads = None
+        self.choose = 1
+
+
+class MatchState(Attempt):
     """Resumable Algorithm 1 state for one component (paper §5.1).
 
     Holds everything the matching of a component consists of — per
@@ -105,18 +128,18 @@ class MatchState:
         alive: the surviving members.
         global_unifier: MGU of all survivor unifiers, None when they
             are jointly inconsistent.
-        empty_reads: ``(relation, table, version)`` per table read by
-            the last combined query that found no answer on the data,
-            else None.  A resumed state only adds survivors and refines
-            the global unifier, so every later combined query is a
-            conjunctive superset of that one: empty too, for as long as
-            those versions stand (the scheduler sets and checks it).
+
+    :meth:`add` drops the inherited ``query`` (the grown component
+    combines anew) and keeps ``empty_reads``: a resumed state only adds
+    survivors and refines the global unifier, so every later combined
+    query is a conjunctive superset of the one that came back empty.
     """
 
     __slots__ = ("_graph", "_order", "members", "chosen", "dependents",
-                 "unifiers", "alive", "global_unifier", "empty_reads")
+                 "unifiers", "alive", "global_unifier")
 
     def __init__(self, graph: UnifiabilityGraph, order: Mapping):
+        super().__init__()
         self._graph = graph
         self._order = order
         self.members: list = []
@@ -125,7 +148,6 @@ class MatchState:
         self.unifiers: dict = {}
         self.alive: set = set()
         self.global_unifier: Optional[Unifier] = Unifier()
-        self.empty_reads: Optional[tuple] = None
 
     def extend(self, members: Sequence,
                policy: ConflictPolicy = "first") -> None:
@@ -159,6 +181,7 @@ class MatchState:
         fresh = (query_id,)
         self._link(fresh, "first")
         self._settle(fresh)
+        self.query = self.heads = None
         return True
 
     def _link(self, fresh: Sequence, policy: ConflictPolicy,

@@ -155,21 +155,27 @@ class EntangledQuery:
         workloads, where every submit renames its query apart.
         """
         suffix = f"@{tag if tag is not None else self.query_id}"
-        if all(variable.name.endswith(suffix)
-               for variable in self.variables()):
+        # A first variable without the suffix settles "already
+        # renamed?" with no sweep: one pass, one direct construction.
+        first = next((term for item in itertools.chain(
+            self.head, self.postconditions, self.body)
+            for term in item.args if isinstance(term, Variable)), None)
+        if first is None or (first.name.endswith(suffix) and all(
+                variable.name.endswith(suffix)
+                for variable in self.variables())):
             return self
         memo: dict = {}
-        return replace(
-            self,
-            head=tuple(item.rename(suffix, memo) for item in self.head),
-            postconditions=tuple(item.rename(suffix, memo)
-                                 for item in self.postconditions),
-            body=tuple(item.rename(suffix, memo) for item in self.body),
-            aggregates=tuple(constraint.rename(suffix)
-                             for constraint in self.aggregates),
-            body_comparisons=tuple(item.rename(suffix, memo)
-                                   for item in self.body_comparisons),
-        )
+        head = tuple([item.rename(suffix, memo) for item in self.head])
+        postconditions = tuple([item.rename(suffix, memo)
+                                for item in self.postconditions])
+        body = tuple([item.rename(suffix, memo) for item in self.body])
+        return EntangledQuery(
+            self.query_id, head, postconditions, body, self.choose,
+            self.owner,
+            tuple([constraint.rename(suffix)
+                   for constraint in self.aggregates]),
+            tuple([item.rename(suffix, memo)
+                   for item in self.body_comparisons]))
 
     # ------------------------------------------------------------------
     # grounding (used by the brute-force baseline and the semantics tests)

@@ -18,8 +18,9 @@ path:
   runs when :meth:`D3CEngine.run_batch` drains the scheduler's
   dirty-component worklist (or automatically every ``batch_size``
   arrivals).  Only components touched since their last attempt are
-  re-matched.  Independent components run in parallel by living on
-  different process shards (:mod:`repro.shard`), not on threads.
+  attempted, re-matched only if their member set changed.  Independent
+  components run in parallel by living on different process shards
+  (:mod:`repro.shard`), not on threads.
 
 Blocks of arrivals can be submitted together with
 :meth:`D3CEngine.submit_many`: the block is admitted and ingested by
@@ -506,15 +507,15 @@ class D3CEngine:
     def _on_table_delta(self, delta) -> None:
         """Database mutation listener: targeted dirty-marking.
 
-        Components whose plans read ``delta.table`` are re-queued on
-        the scheduler's worklist (their failed-group entries dropped,
-        their feasibility enumerations evicted); components over
+        Components whose plans read ``delta.table`` are invalidated as
+        :meth:`CoordinationScheduler.mark_table_dirty` describes (an
+        insert re-queues them, a delete does not); components over
         untouched tables keep their clean state.  The db layer's shape
         cache (plan orders, compiled programs) was already evicted by
         the database before listeners ran.
         """
         with self._lock:
-            self._runtime.mark_tables_dirty((delta.table,))
+            self._runtime.mark_table_dirty(delta)
 
     # ------------------------------------------------------------------
     # component migration (the sharded service's export/import hooks)
@@ -743,8 +744,9 @@ class D3CEngine:
 
         Drains the scheduler's dirty-component worklist: every
         component touched since its last attempt (new arrivals,
-        expirations, settlements, or an :meth:`invalidate_cache`) is
-        re-matched and evaluated.  Returns the number of queries
+        expirations, settlements, rows inserted into a table it reads,
+        or an :meth:`invalidate_cache`) is attempted again, re-matched
+        only if its member set changed.  Returns the number of queries
         answered this round; unanswered queries stay pending (until
         stale).  Valid in both modes — in incremental mode it
         re-attempts everything the per-arrival paths left pending but

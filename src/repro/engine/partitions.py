@@ -17,7 +17,9 @@ with the addition of a new query".  This module tracks:
   :class:`~repro.core.matching.MatchState` (chosen edges, Algorithm 1
   fixpoint unifiers, survivors, global unifier) that each arrival
   extends by choosing its own providers — one edge built per
-  postcondition of the arrival.
+  postcondition of the arrival — or, in structure-only mode, just the
+  slim :class:`~repro.core.matching.Attempt` (combined query, heads,
+  data verdict) a set-at-a-time round retained to re-evaluate.
 
 Closure is the trigger for a coordination attempt; the matching state
 is what the attempt reads, so a closed partition that keeps growing
@@ -27,7 +29,8 @@ monotone extensions since it was last matched (a lone arrival is
 trivially matched); anything else — a removal, an out-of-order import,
 a providerless postcondition gaining its first provider, an arrival
 bridging two components or joining an unmatched one — drops it, and the
-next attempt rebuilds it, like a stale partition.
+next attempt rebuilds it, like a stale partition.  A retained attempt
+is dropped likewise, and by any arrival joining its component.
 Union-find cannot delete, so removals *ghost* the departed queries in
 O(removed) and mark their partitions structurally stale; the exact
 rebuild — survivors re-unioned along the graph's surviving refs so
@@ -46,7 +49,7 @@ from __future__ import annotations
 from typing import Collection, Iterable, Mapping
 
 from ..core.graph import GraphDelta, UnifiabilityGraph
-from ..core.matching import MatchState
+from ..core.matching import Attempt, MatchState
 from ..core.query import EntangledQuery
 
 
@@ -59,10 +62,9 @@ class PartitionManager:
     a whole partition per arrival (batch engines and the incremental
     ``"local"`` strategy): the per-slot closure (postcondition-
     satisfaction) accounting and the resumable matching state are
-    skipped — set-at-a-time rounds drain whole components regardless
-    and match them from scratch.
-    :meth:`is_closed` and :meth:`match_state` are meaningless in this
-    mode.
+    skipped — set-at-a-time rounds drain whole components regardless,
+    matching one from scratch only when its member set changed
+    (:meth:`retain`).  :meth:`is_closed` is meaningless in this mode.
 
     *order* is the live query id -> arrival sequence mapping matching
     resolves conflicts by.
@@ -84,7 +86,8 @@ class PartitionManager:
         # root -> member set (kept small-into-large on union)
         self._root_members: dict = {}
         # root -> MatchState of the components whose matching is
-        # current; an absent entry means "never matched, or stale"
+        # current (structure-only: the retained slim Attempt); an
+        # absent entry means "never matched, or stale"
         self._match_states: dict = {}
         # removed queries left as structural ghosts in the forest
         self._dead: set = set()
@@ -162,10 +165,11 @@ class PartitionManager:
                     members = self._root_members[root]
 
         if not self._track_matching:
-            # Structure-only mode: merge components, skip closure
-            # accounting and matching state entirely.
+            # Structure-only mode: merge components (dropping what
+            # they retained), skip closure accounting and matching.
             root = query_id
             for neighbour in joined:
+                self._match_states.pop(neighbour, None)
                 root = self._union(root, neighbour)
             return root
 
@@ -234,6 +238,10 @@ class PartitionManager:
         """A copy of the partition's member set (mutation-safe)."""
         return set(self._root_members[self._fresh_root(query_id)])
 
+    def first_arrival(self, root) -> int:
+        """Earliest arrival in the partition at exact *root*."""
+        return min(map(self._order.__getitem__, self._root_members[root]))
+
     def roots(self) -> list:
         """Current partition representatives (diagnostics/scheduler)."""
         self._refresh_all()
@@ -251,9 +259,10 @@ class PartitionManager:
                 for root, members in self._root_members.items()
                 if self._parent[root] == root]
 
-    def match_state(self, query_id) -> tuple[MatchState, bool]:
-        """The (exact) partition's matching state, and whether it was
-        carried forward (True) or had to be rebuilt from scratch."""
+    def match_state(self, query_id) -> tuple[Attempt, bool]:
+        """What the (exact) partition kept from its last attempt, and
+        whether it was carried forward (True) or matched from scratch
+        (which structure-only mode leaves to :meth:`retain` to keep)."""
         root = self._fresh_root(query_id)
         state = self._match_states.get(root)
         if state is not None:
@@ -261,8 +270,18 @@ class PartitionManager:
         state = MatchState(self._graph, self._order)
         state.extend(sorted(self._root_members[root],
                             key=self._order.__getitem__))
-        self._match_states[root] = state
+        if self._track_matching:
+            self._match_states[root] = state
         return state, False
+
+    def retain(self, query_id, state: Attempt, combined) -> Attempt:
+        """Keep *combined*'s evaluable parts for the partition: on its
+        matching *state* or, in structure-only mode, as a slim record."""
+        if not self._track_matching:
+            state = self._match_states[self._fresh_root(query_id)] = Attempt()
+        state.query, state.heads, state.choose = (
+            combined.query, combined.heads, combined.choose)
+        return state
 
     def remove_queries(self, removed: Iterable) -> list:
         """Forget answered/expired queries, in O(removed) time.

@@ -1,12 +1,10 @@
 """The incremental coordination runtime: one delta-driven scheduler.
 
-Historically the engine had three disjoint evaluation paths: per-arrival
-incremental admission, a ``run_batch`` that recomputed the partition
-structure from scratch, and expiry sweeps that scanned the whole pending
-set.  The paper's coordination loop is inherently incremental — queries
+The paper's coordination loop is inherently incremental — queries
 arrive, join the unifiability graph, and only the affected components
-need re-matching — so this module unifies all three behind a single
-scheduler built on two pieces of machinery:
+need re-matching — so per-arrival admission, set-at-a-time rounds and
+expiry sweeps all run behind a single scheduler built on two pieces of
+machinery:
 
 * **Graph deltas** — :class:`repro.core.graph.UnifiabilityGraph` emits a
   :class:`~repro.core.graph.GraphDelta` after every insertion/removal.
@@ -15,11 +13,11 @@ scheduler built on two pieces of machinery:
   component truth) in sync and marks the touched components *dirty*.
 * **A dirty-component worklist** — set-at-a-time rounds
   (:meth:`CoordinationScheduler.drain_all`) simply drain the worklist:
-  only components that changed since their last attempt are re-matched.
-  An unchanged component would deterministically produce its previous
-  outcome against an unchanged database, so skipping it is
-  answer-preserving; callers that mutate the database go through
-  ``D3CEngine.invalidate_cache`` which re-marks everything.
+  only components whose member set changed are re-matched, only those
+  an insert may have made answerable are re-evaluated.  An unchanged
+  component would deterministically produce its previous outcome on an
+  unchanged database — or, conjunctive bodies being monotone, on one
+  that only lost rows — so skipping it is answer-preserving.
 
 Arrival ingestion is one path (:meth:`CoordinationScheduler.ingest`):
 the graph writes the arrival's provider refs and emits its delta, and a
@@ -40,7 +38,8 @@ import time
 from typing import Iterable, Optional, Sequence
 
 from ..core.combine import build_combined_query
-from ..core.evaluate import CoordinationResult, _record_answers
+from ..core.evaluate import (CoordinationResult, _pick_valuations,
+                             _record_answers)
 from ..core.graph import GraphDelta, UnifiabilityGraph
 from ..core.matching import ComponentMatch, match_component
 from ..core.query import EntangledQuery
@@ -82,9 +81,9 @@ class CoordinationScheduler:
         self.graph = UnifiabilityGraph(counters=host.stats)
         # Closure accounting and the resumable matching state are
         # maintained only where they are consumed: per-arrival attempts
-        # on whole partitions.  Batch engines (the paper's set-at-a-time
-        # design carries no matching state between arrivals) and the
-        # local strategy keep structure-only partitions.
+        # on whole partitions.  Batch engines and the local strategy
+        # keep structure-only partitions (nothing per arrival; a round
+        # retains the slim Attempt of each component it fails on).
         self.partitions = PartitionManager(
             self.graph, host._arrival,
             track_matching=(host.mode == "incremental"
@@ -118,7 +117,7 @@ class CoordinationScheduler:
         # relation name -> {query_id: None} of live queries whose body
         # reads it, plus the inverse for cleanup: database mutations
         # dirty-mark exactly the components that read the mutated
-        # table (see mark_tables_dirty).  Built lazily at the first
+        # table (see mark_table_dirty).  Built lazily at the first
         # mutation — mutation-free workloads (every paper benchmark)
         # pay nothing on the arrival hot path — then maintained
         # incrementally by the delta listener.
@@ -211,49 +210,45 @@ class CoordinationScheduler:
                 and not self._failed_groups
                 and not self.partitions.partition_sizes())
 
-    def mark_all_dirty(self) -> None:
-        """Queue every live component for the next drain (used after
-        database mutations, when previous failures may now succeed)."""
-        for query_id in self.graph.query_ids():
-            self._dirty[query_id] = None
+    def mark_table_dirty(self, delta) -> None:
+        """Targeted invalidation after a committed ``TableDelta``.
 
-    def mark_tables_dirty(self, tables: Iterable[str]) -> None:
-        """Targeted invalidation after a mutation to *tables*.
-
-        Exactly the queries whose bodies read a mutated table are
+        Exactly the queries whose bodies read the mutated table are
         re-queued (their components re-attempt at the next drain —
-        previously failed groups over those tables may now succeed, and
-        previously successful shapes may now fail); components reading
-        only untouched tables keep their clean state, their failed-group
-        entries, and their feasibility enumerations.  This is what lets
-        a live service absorb fact arrivals and retractions without
-        paying a full-recompute round per mutation.
+        previously failed groups over that table may now succeed);
+        components reading only untouched tables keep their clean
+        state, their failed-group entries, and their feasibility
+        enumerations.  A delta that inserted nothing re-queues nobody —
+        combined queries are conjunctive (no aggregates on the engine
+        path), hence monotone: losing rows makes nothing answerable —
+        but still evicts the enumerations over its table.
 
         All three invalidations go through maintained reverse indexes
         (relation -> readers, member -> failed groups, relation -> memo
         keys): the per-mutation cost is proportional to what is
         actually invalidated, never to the size of the caches.
         """
-        self._ensure_reader_index()
-        affected: set = set()
-        for table in tables:
-            affected.update(self._readers.get(table, ()))
-        for query_id in sorted(affected, key=repr):
-            self._dirty[query_id] = None
-            self._drop_failed_groups_of(query_id)
-        for table in tables:
-            for body_key in self._feasible_by_table.pop(table, ()):
-                entry = self._feasible_memo.pop(body_key, None)
-                if entry is None:
+        table = delta.table
+        if delta.inserted:
+            self._ensure_reader_index()
+            # (Mark order is immaterial: rounds go by arrival.)
+            readers = self._readers.get(table, ())
+            self._dirty.update(readers)
+            if self._failed_by_member:  # never, in batch engines
+                for query_id in readers:
+                    self._drop_failed_groups_of(query_id)
+        for body_key in self._feasible_by_table.pop(table, ()):
+            entry = self._feasible_memo.pop(body_key, None)
+            if entry is None:
+                continue
+            for other in entry[3]:
+                if other == table:
                     continue
-                for other in entry[3]:
-                    if other == table:
-                        continue
-                    bucket = self._feasible_by_table.get(other)
-                    if bucket is not None:
-                        bucket.discard(body_key)
-                        if not bucket:
-                            del self._feasible_by_table[other]
+                bucket = self._feasible_by_table.get(other)
+                if bucket is not None:
+                    bucket.discard(body_key)
+                    if not bucket:
+                        del self._feasible_by_table[other]
 
     def invalidate(self) -> None:
         """Forget data-dependent caches and re-queue everything."""
@@ -261,7 +256,7 @@ class CoordinationScheduler:
         self._failed_by_member.clear()
         self._feasible_memo.clear()
         self._feasible_by_table.clear()
-        self.mark_all_dirty()
+        self._dirty.update(dict.fromkeys(self.graph.query_ids()))
 
     def _record_failed_group(self, group: frozenset) -> None:
         """Cache a group's data failure, indexed by member for
@@ -337,6 +332,7 @@ class CoordinationScheduler:
                         return
                     attempted_roots.add(key)
                 host.stats.closure_events += 1
+                host.stats.coordination_rounds += 1
                 self._attempt_component(origin)
             return
         if query.pccount:
@@ -372,65 +368,73 @@ class CoordinationScheduler:
             return None
         return queries_by_id
 
-    def _attempt_component(self, origin) -> None:
-        """Paper-faithful attempt: evaluate *origin*'s whole (closed)
-        partition.
+    def _attempt_component(self, origin, fallback: bool = False) -> None:
+        """Paper-faithful attempt: evaluate *origin*'s whole partition.
 
-        Used by the ``"component"`` incremental strategy.  The matching
-        is read from the partition manager's resumable state, which the
-        arrival already extended, and so is the data verdict: a state
-        whose last combined query was empty on table versions that
-        still stand (``MatchState.empty_reads``) can only yield a
-        conjunctive superset of that query, so the closure is answered
-        without building or evaluating anything.  A growing massively-
-        unifying partition (Figure 8) therefore costs, per arrival and
-        end to end, the graph's ref writes plus one built edge per
-        postcondition of the arrival.
+        The one match -> combine -> evaluate path of whole components:
+        the ``"component"`` strategy takes it at closure, set-at-a-time
+        rounds per dirty component (*fallback*: their ``ucs_fallback``).
+        It starts from what the partition's last attempt left: the
+        matching is resumed where arrivals extended it, else rebuilt;
+        the combined query is reused while the member set stands; and
+        one that was empty on table versions that still stand
+        (``Attempt.empty_reads``) is empty still, as is every
+        conjunctive superset a resumed matching can yield, so nothing
+        is built or evaluated.  A growing massively-unifying partition
+        (Figure 8) therefore costs, per arrival and end to end, the
+        graph's ref writes plus one built edge per postcondition of the
+        arrival.  A *fallback* round ignores the verdict: it speaks for
+        the whole component, not for its cores.
         """
         host = self._host
         stats = host.stats
-        stats.coordination_rounds += 1
+        partitions = self.partitions
         tracer = TRACER
         if tracer.enabled:
             start_ns = time.perf_counter_ns()
         start = time.perf_counter()
-        state, resumed = self.partitions.match_state(origin)
+        kept, resumed = partitions.match_state(origin)
         if resumed:
             stats.match_resumed += 1
         else:
             stats.match_rebuilt += 1
-        if state.empty_reads is not None:
+        if kept.empty_reads is not None and not fallback:
             table_or_none = host.database.table_or_none
             if all(table_or_none(name) is table and table.version == version
-                   for name, table, version in state.empty_reads):
+                   for name, table, version in kept.empty_reads):
                 stats.closures_skipped_empty += 1
                 stats.match_seconds += time.perf_counter() - start
                 if tracer.enabled:
                     tracer.record("query.match_attempt", start_ns,
                                   host._trace_of.get(origin),
                                   outcome="empty_carried",
-                                  members=len(state.members))
+                                  members=partitions.partition_size(origin))
                 return
-            state.empty_reads = None
-        match = state.result()
+        match = kept.result() if kept.query is None else None
         stats.match_seconds += time.perf_counter() - start
         if tracer.enabled:
-            self._record_match_spans(match.component, start_ns)
-        if not match.survivors or match.global_unifier is None:
-            return
-        queries_by_id = self._combinable(match)
-        if queries_by_id is None:
-            return
-        combined = build_combined_query(queries_by_id, match)
-        stats.combined_queries_built += 1
+            self._record_match_spans(
+                partitions.members_set(origin), start_ns,
+                "reused" if match is None else "built")
+        if match is not None:
+            if not match.survivors or match.global_unifier is None:
+                return
+            queries_by_id = self._combinable(match)
+            if queries_by_id is None:
+                return
+            kept = partitions.retain(
+                origin, kept, build_combined_query(queries_by_id, match))
+            stats.combined_queries_built += 1
         # Stamped before evaluating: a write racing the evaluation then
         # reads as a version mismatch, never as a verdict that stands.
-        tables = {atom.relation: host.database.table(atom.relation)
-                  for atom in combined.query.atoms}
-        reads = tuple((name, table, table.version)
-                      for name, table in tables.items())
-        if not self._evaluate_combined(combined, queries_by_id):
-            state.empty_reads = reads
+        reads = tuple([(name, table, table.version)
+                       for name in dict.fromkeys(
+                           [atom.relation for atom in kept.query.atoms])
+                       for table in (host.database.table(name),)])
+        if not self._evaluate_combined(kept):
+            kept.empty_reads = reads
+            if fallback:
+                self._core_fallback(tuple(kept.heads))
 
     def _attempt_around(self, origin) -> None:
         """Try bounded local coordination groups seeded at *origin*.
@@ -612,19 +616,19 @@ class CoordinationScheduler:
                     stack.append(chosen)
         return frozenset(group)
 
-    def _record_match_spans(self, members, start_ns: int) -> None:
+    def _record_match_spans(self, members, start_ns, outcome) -> None:
         """One ``query.match_attempt`` span per member that carries a
         trace id (members with no live trace are skipped); all spans
         share the attempt's start, so they report the same matching
-        interval from each participating query's point of view."""
+        interval from each participating query's point of view.
+        *outcome*: the combined query was ``"built"`` or ``"reused"``."""
         if TRACER.enabled:
-            trace_of = self._host._trace_of
             traced = [trace_id for trace_id
-                      in map(trace_of.get, members)
+                      in map(self._host._trace_of.get, members)
                       if trace_id is not None]
             if traced:
-                TRACER.record_many("query.match_attempt", start_ns,
-                                   traced, members=len(members))
+                TRACER.record_many("query.match_attempt", start_ns, traced,
+                                   members=len(members), outcome=outcome)
 
     def _attempt_group(self, group: frozenset) -> bool:
         """Match, combine, and evaluate one candidate group."""
@@ -638,7 +642,7 @@ class CoordinationScheduler:
                                 order=host._arrival)
         host.stats.match_seconds += time.perf_counter() - start
         if tracer.enabled:
-            self._record_match_spans(group, start_ns)
+            self._record_match_spans(group, start_ns, "built")
         if (set(match.survivors) != set(group)
                 or match.global_unifier is None):
             # The group as chosen cannot mutually satisfy; it is a
@@ -647,9 +651,9 @@ class CoordinationScheduler:
             return False
         queries_by_id = {query_id: self.graph.query(query_id)
                          for query_id in match.survivors}
-        combined = build_combined_query(queries_by_id, match)
         host.stats.combined_queries_built += 1
-        if self._evaluate_combined(combined, queries_by_id):
+        if self._evaluate_combined(
+                build_combined_query(queries_by_id, match)):
             return True
         self._record_failed_group(group)
         return False
@@ -658,39 +662,11 @@ class CoordinationScheduler:
     # set-at-a-time draining (the worklist)
     # ------------------------------------------------------------------
 
-    def _resolve_marks(self, marks: Sequence) -> list[set]:
-        """Map worklist marks to live components, in arrival order.
-
-        Marks are mapped to their partition roots via the manager
-        (answered/expired marks drop out) and deduplicated; component
-        member sets are snapshotted so settlement during the drain
-        cannot mutate them under the caller.
-        """
-        seen_roots: set = set()
-        components: list[set] = []
-        for query_id in marks:
-            if query_id not in self.graph:
-                continue
-            # A mark from a removal stands for its whole (possibly
-            # stale) partition: refreshing yields every component the
-            # partition split into, all of which changed shape.
-            for root in self.partitions.refreshed_roots(query_id):
-                if root in seen_roots:
-                    continue
-                seen_roots.add(root)
-                components.append(self.partitions.members_set(root))
-        arrival = self._host._arrival
-        components.sort(key=lambda component: min(
-            arrival[query_id] for query_id in component))
-        return components
-
     def drain_all(self) -> None:
         """One set-at-a-time coordination round over dirty components.
 
-        Replaces the old full recompute: instead of rebuilding the
-        partition structure of the entire pending set, only components
-        touched since their last attempt are matched and evaluated.
-        Components whose evaluation settles queries re-enter the
+        Only components touched since their last attempt are attempted
+        again.  Components whose evaluation settles queries re-enter the
         worklist through the removal deltas (their survivors changed
         shape); failed components stay clean until something changes.
         If the round aborts mid-drain (a planner or evaluation error),
@@ -707,45 +683,25 @@ class CoordinationScheduler:
             raise
 
     def _drain_marks(self, marks: Sequence) -> None:
+        """Attempt the live components *marks* stand for (answered and
+        expired marks drop out), in arrival order."""
+        roots: set = set()
+        for query_id in marks:
+            if query_id in self.graph:
+                # A mark from a removal stands for its whole (possibly
+                # stale) partition: refreshing yields every component
+                # the partition split into, all of which changed shape.
+                roots.update(self.partitions.refreshed_roots(query_id))
         host = self._host
-        components = self._resolve_marks(marks)
-        host.stats.components_drained += len(components)
-        if not components:
-            return
-        order = host._arrival
-        tracer = TRACER
-        start = time.perf_counter()
-        if tracer.enabled:
-            matches = []
-            for component in components:
-                start_ns = time.perf_counter_ns()
-                matches.append(match_component(self.graph, component,
-                                               order=order))
-                self._record_match_spans(component, start_ns)
-        else:
-            matches = [match_component(self.graph, component,
-                                       order=order)
-                       for component in components]
-        host.stats.match_seconds += time.perf_counter() - start
+        host.stats.components_drained += len(roots)
+        # (Components are disjoint: settling one keeps the rest exact.)
+        for root in sorted(roots, key=self.partitions.first_arrival):
+            self._attempt_component(root, host.ucs_fallback)
 
-        viable = [match for match in matches
-                  if match.survivors
-                  and match.global_unifier is not None]
-        for match in viable:
-            queries_by_id = self._combinable(match)
-            if queries_by_id is None:
-                continue
-            combined = build_combined_query(queries_by_id, match)
-            host.stats.combined_queries_built += 1
-            if self._evaluate_combined(combined, queries_by_id):
-                continue
-            if host.ucs_fallback:
-                self._core_fallback(match)
-
-    def _core_fallback(self, match: ComponentMatch) -> None:
+    def _core_fallback(self, survivors: Sequence) -> None:
         """Retry a failed component's strongly connected cores."""
         host = self._host
-        report = check_ucs_graph(self.graph, set(match.survivors))
+        report = check_ucs_graph(self.graph, set(survivors))
         for core in report.cores:
             core_match = match_component(self.graph, core,
                                          order=host._arrival)
@@ -755,26 +711,22 @@ class CoordinationScheduler:
             core_queries = self._combinable(core_match)
             if core_queries is not None:
                 self._evaluate_combined(
-                    build_combined_query(core_queries, core_match),
-                    core_queries)
+                    build_combined_query(core_queries, core_match))
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
 
-    def _evaluate_combined(self, combined, queries_by_id) -> bool:
-        """Evaluate a combined query; settle and evict on success."""
+    def _evaluate_combined(self, combined) -> bool:
+        """Evaluate a combined query (a ``CombinedQuery`` or the
+        ``Attempt`` retained of one); settle and evict on success."""
         host = self._host
-        choose = max(query.choose for query in queries_by_id.values())
         tracer = TRACER
         if tracer.enabled:
             start_ns = time.perf_counter_ns()
         start = time.perf_counter()
-        if host.rng is None:
-            valuations = list(host.database.evaluate(combined.query,
-                                                     limit=choose))
-        else:
-            valuations = self._sample(combined.query, choose)
+        valuations = _pick_valuations(host.database, combined,
+                                      combined.choose, host.rng)
         host.stats.db_seconds += time.perf_counter() - start
         if tracer.enabled:
             tracer.record("db.evaluate", start_ns,
@@ -787,15 +739,3 @@ class CoordinationScheduler:
         _record_answers(combined, valuations, scratch)
         host._settle_answers(scratch.answers)
         return True
-
-    def _sample(self, query, choose: int) -> list:
-        host = self._host
-        reservoir: list = []
-        for count, valuation in enumerate(host.database.evaluate(query)):
-            if len(reservoir) < choose:
-                reservoir.append(valuation)
-            else:
-                slot = host.rng.randint(0, count)
-                if slot < choose:
-                    reservoir[slot] = valuation
-        return reservoir

@@ -35,9 +35,12 @@ class EngineStats:
     closure_events: int = 0
     blocks_ingested: int = 0
     components_drained: int = 0
-    #: Component-strategy attempts whose matching was carried forward by
-    #: the resumable state / rebuilt from scratch, and those answered
-    #: from the state's carried "empty on the data" verdict.
+    #: Whole-component attempts (closures, and components drained by
+    #: set-at-a-time rounds) that started from what the last attempt
+    #: left — resumed matching, retained combined query — / matched from
+    #: scratch, and those answered from a carried "empty on the data"
+    #: verdict.  In batch mode ``match_resumed - closures_skipped_empty``
+    #: re-evaluations built nothing.
     match_resumed: int = 0
     match_rebuilt: int = 0
     closures_skipped_empty: int = 0

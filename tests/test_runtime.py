@@ -310,18 +310,46 @@ class TestProgramCache:
             sorted(map(repr, pair_db.evaluate(query)))
 
     def test_reattempted_component_skips_compilation(self, pair_db):
+        pair_db.insert("F", [("george", "susan"), ("susan", "george")])
+        pair_db.insert("U", [("george", "BOS"), ("susan", "SFO")])
+        engine = D3CEngine(pair_db, mode="batch")
+        for left, right in (("elaine", "newman"), ("george", "susan")):
+            engine.submit(pair(left[0], left, right))
+            engine.submit(pair(right[0], right, left))
+        engine.run_batch()
+        planner = pair_db._executor.planner
+        built = engine.stats.combined_queries_built
+        assert built == 2
+        # A real insert that satisfies nobody re-queues both readers
+        # of U and evicts the plan their combined queries share.  Each
+        # retained query is re-evaluated as it stands — nothing is
+        # matched or built again — and one compilation serves both.
+        pair_db.insert("U", [("puddy", "ITH")])
+        builds, hits = planner.program_builds, planner.program_hits
+        rebuilt = engine.stats.match_rebuilt
+        assert engine.run_batch() == 0
+        assert engine.stats.components_drained == 4
+        assert engine.stats.combined_queries_built == built
+        assert engine.stats.match_rebuilt == rebuilt
+        assert planner.program_builds == builds + 1
+        assert planner.program_hits == hits + 1
+
+    def test_unchanged_reattempt_is_answered_from_the_verdict(self,
+                                                              pair_db):
         engine = D3CEngine(pair_db, mode="batch")
         engine.submit(pair("e", "elaine", "newman"))
         engine.submit(pair("n", "newman", "elaine"))
         engine.run_batch()
-        # Force a re-attempt with the data unchanged: the combined
-        # query's shape is cached, so nothing is compiled.
+        # Forced to re-attempt on the data it already failed on, the
+        # component is answered from its carried verdict: the database
+        # is not asked, so not even a cached program is hit.
         planner = pair_db._executor.planner
-        builds, hits = planner.program_builds, planner.program_hits
+        cached, hits = planner.cache_hits, planner.program_hits
         engine.invalidate_cache()
-        engine.run_batch()
-        assert planner.program_hits > hits
-        assert planner.program_builds == builds
+        assert engine.run_batch() == 0
+        assert engine.stats.closures_skipped_empty == 1
+        assert engine.stats.combined_queries_built == 1
+        assert (planner.cache_hits, planner.program_hits) == (cached, hits)
 
 
 class TestRenameInterning:
