@@ -199,11 +199,12 @@ def _open_service(arguments: argparse.Namespace, database=None,
     over one engine, ``--wal-dir`` wraps either in the durable journal
     — recovering when the directory holds state (*database*, or the
     data file loaded when it is None, only seeds a fresh start).  Every
-    shape is served set-at-a-time with safety checking off (admission
+    shape is served set-at-a-time (``repro trace --mode incremental``
+    alone overrides *mode*) with safety checking off (admission
     checking needs the global pending set; the paper's service
     experiments run without it).
     """
-    options["mode"] = "batch"
+    options.setdefault("mode", "batch")
     if arguments.shards:
         from .shard import ShardedCoordinator as build
         options.update(num_shards=arguments.shards,
@@ -366,10 +367,16 @@ def _command_trace(arguments: argparse.Namespace) -> int:
     set_tracing(True)
     TRACER.clear()
     try:
-        service = _open_service(arguments, database)
+        service = _open_service(arguments, database, mode=arguments.mode)
         try:
-            service.submit_many(queries)
-            service.run_batch()
+            if arguments.mode == "incremental":
+                # One arrival per call: each submit() runs the closure
+                # (prefilter, matching, evaluation) it triggers.
+                for query in queries:
+                    service.submit(query)
+            else:
+                service.submit_many(queries)
+                service.run_batch()
         finally:
             service.close()
         print(format_traces(TRACER.spans()))
@@ -626,6 +633,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default="inprocess",
                        help="shard worker backend for --shards "
                             "(default: inprocess)")
+    trace.add_argument("--mode", choices=["batch", "incremental"],
+                       default="batch",
+                       help="batch: one submit_many block and one "
+                            "round (default); incremental: one "
+                            "submit() per query, tracing the "
+                            "per-arrival closures")
     trace.add_argument("--jsonl", metavar="PATH",
                        help="also export the raw spans as JSON lines "
                             "to PATH (validated up front)")

@@ -30,21 +30,18 @@ DELTA = object()
 _EMPTY_KEYS = {}.keys()
 
 
-def has_repeated_variables(atom: Atom) -> bool:
-    """True if some variable occurs at two positions of *atom*.
+def variable_profile(atom: Atom) -> tuple[frozenset[Variable], bool]:
+    """The variables of *atom*, and whether one occurs at two positions.
 
     Repeated variables are the one thing the index's candidate formula
     cannot capture; atoms without them (the overwhelmingly common case —
     queries are renamed apart) can skip post-lookup re-verification
     entirely when the probe is also repeat-free.
     """
-    seen: set[Variable] = set()
-    for term in atom.args:
-        if isinstance(term, Variable):
-            if term in seen:
-                return True
-            seen.add(term)
-    return False
+    occurrences = [term for term in atom.args
+                   if isinstance(term, Variable)]
+    variables = frozenset(occurrences)
+    return variables, len(variables) != len(occurrences)
 
 
 class AtomIndex:
@@ -89,12 +86,12 @@ class AtomIndex:
         return self._atoms[entry]
 
     @staticmethod
-    def _keys_for(atom: Atom) -> Iterator[tuple]:
-        for position, term in enumerate(atom.args):
-            if isinstance(term, Constant):
-                yield (atom.relation, atom.arity, position, term.value)
-            else:
-                yield (atom.relation, atom.arity, position, DELTA)
+    def _keys_for(atom: Atom) -> list[tuple]:
+        relation, args = atom.relation, atom.args
+        arity = len(args)
+        return [(relation, arity, position,
+                 term.value if isinstance(term, Constant) else DELTA)
+                for position, term in enumerate(args)]
 
     def add(self, entry: Hashable, atom: Atom) -> None:
         """Insert *atom* under a fresh handle *entry*; re-adding a live
@@ -104,8 +101,7 @@ class AtomIndex:
         seq = self._next_seq
         self._next_seq += 1
         self._atoms[entry] = atom
-        self._repeats[entry] = has_repeated_variables(atom)
-        self._vars[entry] = frozenset(atom.variables())
+        self._vars[entry], self._repeats[entry] = variable_profile(atom)
         self._by_relation.setdefault(
             (atom.relation, atom.arity), {})[entry] = seq
         for key in self._keys_for(atom):
@@ -143,20 +139,21 @@ class AtomIndex:
         it supports membership and set comparisons, and iterates in the
         order the atoms were indexed.
         """
-        relation_bucket = self._by_relation.get((probe.relation, probe.arity))
+        relation, args = probe.relation, probe.args
+        arity = len(args)
+        relation_bucket = self._by_relation.get((relation, arity))
         if not relation_bucket:
             return _EMPTY_KEYS
         empty: dict[Hashable, int] = {}
         by_key = self._by_key
         # Gather the (exact, wildcard) bucket pair per constant position.
         pairs: list[tuple[dict, dict]] = []
-        for position, term in enumerate(probe.args):
+        for position, term in enumerate(args):
             if not isinstance(term, Constant):
                 continue
-            exact = by_key.get(
-                (probe.relation, probe.arity, position, term.value), empty)
-            wild = by_key.get(
-                (probe.relation, probe.arity, position, DELTA), empty)
+            exact = by_key.get((relation, arity, position, term.value),
+                               empty)
+            wild = by_key.get((relation, arity, position, DELTA), empty)
             if not exact and not wild:
                 return _EMPTY_KEYS
             pairs.append((exact, wild))
@@ -201,10 +198,14 @@ class AtomIndex:
         candidates = self.lookup(probe)
         if not candidates:
             return []
-        probe_repeats = has_repeated_variables(probe)
-        probe_vars = frozenset(probe.variables())
         atoms = self._atoms
         repeats = self._repeats
+        probe_vars, probe_repeats = variable_profile(probe)
+        if not probe_vars:
+            # A ground probe has no variable to repeat or share.
+            return [entry for entry in candidates
+                    if not repeats[entry]
+                    or unify_atoms(probe, atoms[entry]) is not None]
         variables = self._vars
         return [entry for entry in candidates
                 if (not probe_repeats and not repeats[entry]

@@ -26,7 +26,7 @@ from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
 
 from .atom_index import AtomIndex, NaiveAtomIndex
 from .query import EntangledQuery
-from .terms import Atom
+from .terms import Atom, Constant
 from .unify import Unifier, unify_atoms
 
 #: Handle for a specific head atom: (query_id, head_position).
@@ -154,6 +154,10 @@ class UnifiabilityGraph:
         # src query id -> {dst id: None} of the queries holding a ref
         # to one of its heads (what removal walks).
         self._dependents: dict[object, dict[object, None]] = {}
+        # head ref -> the head's argument values when it is ground,
+        # else None (what a data-feasibility check compares a
+        # candidate provider by).
+        self._head_values: dict[HeadRef, Optional[tuple]] = {}
         # query id -> insertion rank: the order of every ref map, so
         # the view does not depend on how a query's neighbours arrived.
         self._rank: dict[object, int] = {}
@@ -216,9 +220,10 @@ class UnifiabilityGraph:
         edge with :meth:`edge`)."""
         return self._providers[query_id]
 
-    def head_of(self, ref: HeadRef) -> Atom:
-        """The head atom a provider ref stands for."""
-        return self._queries[ref[0]].head[ref[1]]
+    def head_values(self, ref: HeadRef) -> Optional[tuple]:
+        """The argument values of the head a provider ref stands for,
+        computed once at insertion; None for a non-ground head."""
+        return self._head_values[ref]
 
     def edge(self, query_id: object, pc_pos: int, ref: HeadRef) -> Edge:
         """The edge from provider *ref* into one postcondition, built
@@ -333,7 +338,13 @@ class UnifiabilityGraph:
         providers[query_id] = own
 
         for head_pos, head in enumerate(query.head):
-            self._head_index.add((query_id, head_pos), head)
+            ref = (query_id, head_pos)
+            self._head_index.add(ref, head)
+            values = [term.value for term in head.args
+                      if isinstance(term, Constant)]
+            self._head_values[ref] = (tuple(values)
+                                      if len(values) == len(head.args)
+                                      else None)
         for pc_pos, postcondition in enumerate(query.postconditions):
             self._pc_index.add((query_id, pc_pos), postcondition)
         delta = GraphDelta("add", query_id, query, own, slots)
@@ -353,6 +364,7 @@ class UnifiabilityGraph:
         for head_pos in range(len(query.head)):
             heads.append((query_id, head_pos))
             self._head_index.remove(heads[-1])
+            del self._head_values[heads[-1]]
         for pc_pos in range(query.pccount):
             self._pc_index.remove((query_id, pc_pos))
         providers, dependents = self._providers, self._dependents

@@ -4,13 +4,13 @@ Given the unifiability graph of a (component of a) workload, matching
 
 1. chooses, for every postcondition of every query, the head atom that
    will satisfy it (under safety there is at most one candidate);
-2. initializes each node's unifier from its chosen in-edges;
-3. runs **Algorithm 1** — a work-queue fixpoint that pushes unifier
-   constraints forward along edges, merging with the most general
-   unifier, and removes nodes whose unifier collapses;
-4. removes *unanswerable* queries: any query with an unsatisfiable
-   postcondition, plus (CLEANUP) all its descendants, since under safety
-   they relied on its heads.
+2. computes the fixpoint of **Algorithm 1** — every node's unifier is
+   the most general unifier of the chosen in-edges of the node and all
+   its ancestors — in one pass over the strongly connected components
+   of the chosen edges, providers first (DESIGN.md §5.1);
+3. removes *unanswerable* queries: any query with an unsatisfiable
+   postcondition or a collapsed unifier, plus (CLEANUP) all its
+   descendants, since under safety they relied on its heads.
 
 The result is, per component, the set of surviving queries with their
 final unifiers — everything Section 4.2's combined-query construction
@@ -26,12 +26,12 @@ provider, ``"error"`` raises :class:`repro.errors.SafetyViolation`, and
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 from ..errors import SafetyViolation
 from .graph import UnifiabilityGraph
+from .ucs import iter_sccs
 from .unify import Unifier
 
 ConflictPolicy = Literal["first", "error", "backtrack"]
@@ -103,12 +103,11 @@ class MatchState(Attempt):
 
     Holds everything the matching of a component consists of — per
     member the chosen provider edge of each postcondition (policy
-    ``"first"``), the dependents along chosen edges, the fixpoint
-    unifier and the alive/removed verdict, plus the running global
-    unifier — so an arrival *continues* the matching instead of
-    repeating it.  :meth:`extend` matches members from scratch;
-    :meth:`add` resumes with one arrival; both end in :meth:`_settle`,
-    the one Algorithm 1 loop.
+    ``"first"``), the fixpoint unifier and the alive/removed verdict,
+    plus the running global unifier — so an arrival *continues* the
+    matching instead of repeating it.  :meth:`extend` matches members
+    from scratch; :meth:`add` resumes with one arrival; both end in
+    :meth:`_settle`, the one Algorithm 1 pass.
 
     The fixpoint is a function of the chosen edges alone (a node is
     removed iff some ancestor-or-self along chosen edges has an
@@ -120,11 +119,9 @@ class MatchState(Attempt):
     Attributes:
         members: query ids, in arrival order.
         chosen: per member, its chosen in-edge (or None) per
-            postcondition position.
-        dependents: per member, the members relying on one of its heads
-            through a chosen edge (insertion-ordered; also the
-            membership index).
-        unifiers: fixpoint unifier per surviving member.
+            postcondition position (also the membership index).
+        unifiers: fixpoint unifier per surviving member; the members
+            of one chosen-edge cycle share one object (read-only).
         alive: the surviving members.
         global_unifier: MGU of all survivor unifiers, None when they
             are jointly inconsistent.
@@ -135,8 +132,8 @@ class MatchState(Attempt):
     query is a conjunctive superset of the one that came back empty.
     """
 
-    __slots__ = ("_graph", "_order", "members", "chosen", "dependents",
-                 "unifiers", "alive", "global_unifier")
+    __slots__ = ("_graph", "_order", "members", "chosen", "unifiers",
+                 "alive", "global_unifier")
 
     def __init__(self, graph: UnifiabilityGraph, order: Mapping):
         super().__init__()
@@ -144,7 +141,6 @@ class MatchState(Attempt):
         self._order = order
         self.members: list = []
         self.chosen: dict = {}
-        self.dependents: dict = {}
         self.unifiers: dict = {}
         self.alive: set = set()
         self.global_unifier: Optional[Unifier] = Unifier()
@@ -162,9 +158,10 @@ class MatchState(Attempt):
         the arrival's heads into (``GraphDelta.slots``).
         An arrival later than every member can take no chosen slot from
         an earlier provider, so the settled members keep their chosen
-        edges, unifiers and verdicts, and only the arrival is
-        initialised — from its chosen in-edges and its providers'
-        (final) unifiers — and run through the loop.  Two arrivals are
+        edges, unifiers and verdicts, and only the arrival — which
+        nobody relies on yet, a component of its own — is settled, from
+        its chosen in-edges and its providers' (final) unifiers.  Two
+        arrivals are
         not monotone and leave the state untouched for the caller to
         discard: one that arrives out of order (an import carrying an
         older sequence number), and one whose head is the first provider
@@ -193,16 +190,15 @@ class MatchState(Attempt):
         candidate's edge, sorted) when the caller wants to backtrack.
         """
         graph, order = self._graph, self._order
-        dependents = self.dependents
+        chosen = self.chosen
         self.members += fresh
         for query_id in fresh:
-            dependents[query_id] = {}
+            chosen[query_id] = ()
 
         for query_id in fresh:
             slots: list = []
             for pc_pos, refs in enumerate(graph.provider_refs(query_id)):
-                candidates = [ref for ref in refs
-                              if ref[0] in dependents]
+                candidates = [ref for ref in refs if ref[0] in chosen]
                 if not candidates:
                     slots.append(None)
                     continue
@@ -228,101 +224,70 @@ class MatchState(Attempt):
                 # A ref's value is its edge once some match built it.
                 slots.append(refs[best]
                              or graph.edge(query_id, pc_pos, best))
-            self.chosen[query_id] = slots
+            chosen[query_id] = slots
 
     def _settle(self, fresh: Sequence) -> None:
-        """Algorithm 1: initialise *fresh* members, then propagate
-        unifiers along chosen edges, with cascading CLEANUP, until
-        quiescent; finally fold the fresh survivors into the global
-        unifier.  From scratch every member is fresh; on resumption
-        only the arrival is.
+        """Algorithm 1 in one pass over *fresh* members: their strongly
+        connected components along chosen edges, providers first, one
+        unifier per component, folded once into the global unifier.
+        From scratch every member is fresh; on resumption only the
+        arrival is.  Members of a component that cannot be answered
+        never become alive, so every component relying on one finds a
+        dead provider: that is CLEANUP.
         """
-        chosen, dependents = self.chosen, self.dependents
-        unifiers, alive = self.unifiers, self.alive
+        chosen, unifiers, alive = self.chosen, self.unifiers, self.alive
         fresh_set = set(fresh)
-        alive |= fresh_set
-        for query_id in fresh:
-            for edge in chosen[query_id]:
-                if edge is not None:
-                    dependents[edge.src][query_id] = None
-
-        in_queue: set = set()
-        updates: deque = deque()
-
-        def cleanup(node) -> None:
-            """Remove *node* and all its chosen-edge descendants."""
-            frontier = [node]
-            while frontier:
-                current = frontier.pop()
-                if current not in alive:
-                    continue
-                alive.discard(current)
-                in_queue.discard(current)
-                unifiers.pop(current, None)
-                frontier.extend(dependents[current])
-
-        # Initialization: a node's unifier is the MGU of the atom-level
-        # unifiers of its chosen in-edges — and of the unifier of every
-        # provider settled earlier, whose constraints are final and
-        # will not come through the queue.  A node with an
-        # unsatisfiable postcondition (no candidate, or a removed
-        # provider) is unanswerable immediately.
-        for query_id in fresh:
-            if query_id not in alive:
-                continue
-            node_unifier: Optional[Unifier] = Unifier()
-            for edge in chosen[query_id]:
-                if edge is None or edge.src not in alive:
-                    node_unifier = None
-                    break
-                node_unifier = node_unifier.merged_with(edge.unifier)
-                if node_unifier is not None \
-                        and edge.src not in fresh_set:
-                    node_unifier = node_unifier.merged_with(
-                        unifiers[edge.src])
-                if node_unifier is None:
-                    break
-            if node_unifier is None:
-                cleanup(query_id)
-            else:
-                unifiers[query_id] = node_unifier
-
-        for query_id in fresh:
-            if query_id in alive:
-                updates.append(query_id)
-                in_queue.add(query_id)
-
-        # Algorithm 1 proper.  merged_with prefers the child's forest as
-        # the merge base on size ties, and the cached canonical
-        # fingerprint makes the `merged != unifiers[child]` change
-        # detection a frozenset comparison instead of two partition
-        # rebuilds.
-        while updates:
-            parent = updates.popleft()
-            if parent not in alive:
-                continue
-            in_queue.discard(parent)
-            for child in dependents[parent]:
-                if child not in alive or parent not in alive:
-                    continue
-                merged = unifiers[child].merged_with(unifiers[parent])
-                if merged is None:
-                    cleanup(child)
-                    continue
-                if merged != unifiers[child]:
-                    unifiers[child] = merged
-                    if child not in in_queue:
-                        updates.append(child)
-                        in_queue.add(child)
-
         global_unifier = self.global_unifier
-        for query_id in fresh:
-            if global_unifier is None:
-                break
-            if query_id in alive:
-                global_unifier = global_unifier.merged_with(
-                    unifiers[query_id])
+        if global_unifier is not None:
+            # Folded in place below; results handed out keep theirs.
+            global_unifier = global_unifier.copy()
+
+        def fresh_providers(query_id) -> list:
+            return [edge.src for edge in chosen[query_id]
+                    if edge is not None and edge.src in fresh_set]
+
+        for component in iter_sccs(fresh, fresh_providers):
+            unifier = self._closure(component)
+            if unifier is None:
+                continue
+            for query_id in component:
+                unifiers[query_id] = unifier
+            alive.update(component)
+            if global_unifier is not None \
+                    and not global_unifier.update(unifier):
+                global_unifier = None
         self.global_unifier = global_unifier
+
+    def _closure(self, component: Sequence) -> Optional[Unifier]:
+        """The MGU of the chosen in-edges of *component*'s members and
+        of all their ancestors, or None when the component is
+        unanswerable: a postcondition without a provider, a removed
+        provider, or a clash.  Providers outside the component are
+        settled, and their unifiers already are their own closures.
+        """
+        chosen, unifiers, alive = self.chosen, self.unifiers, self.alive
+        inside = set(component)
+        # By identity: a Unifier hashes by its canonical fingerprint.
+        settled: dict[int, Unifier] = {}
+        unifier = Unifier()
+        for query_id in component:
+            for edge in chosen[query_id]:
+                if edge is None:
+                    return None
+                src = edge.src
+                if src in alive:
+                    settled[id(unifiers[src])] = unifiers[src]
+                elif src not in inside:
+                    return None
+                if not unifier.update(edge.unifier):
+                    return None
+        for provided in settled.values():
+            # Size-aware: a settled closure is usually the larger
+            # operand, and is copied rather than re-merged term by term.
+            unifier = unifier.merged_with(provided)
+            if unifier is None:
+                return None
+        return unifier
 
     def result(self) -> ComponentMatch:
         """The matching outcome as an immutable-by-convention value."""
@@ -385,7 +350,6 @@ def _match_with_backtracking(graph: UnifiabilityGraph,
     for combination in itertools.product(*alternatives.values()):
         trial = MatchState(graph, order)
         trial.members = base.members
-        trial.dependents = {query_id: {} for query_id in members}
         trial.chosen = {query_id: list(slots)
                         for query_id, slots in base.chosen.items()}
         for (query_id, pc_pos), edge in zip(alternatives, combination):

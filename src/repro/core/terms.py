@@ -200,44 +200,6 @@ def atom(relation: str, *args: object) -> Atom:
     return Atom(relation, tuple(terms))
 
 
-class TermNumbering:
-    """First-occurrence variable numbering for renaming-invariant keys.
-
-    The engine's feasibility memo keys structures by "the same atoms up
-    to renaming variables": variables map to dense integers in order of
-    first appearance, constants to their value (``("c", value)``).
-    One numbering instance is shared across every atom of one key, so
-    join structure (variable sharing) is captured.  (The db layer's
-    :func:`repro.db.planner.bind_query` numbers variables the same way
-    but keeps constant values *out* of its key.)
-    """
-
-    __slots__ = ("_ids",)
-
-    def __init__(self) -> None:
-        self._ids: dict[Variable, int] = {}
-
-    def token(self, term: Term) -> object:
-        """The canonical token for *term*, extending the numbering."""
-        if isinstance(term, Constant):
-            return ("c", term.value)
-        token = self._ids.get(term)
-        if token is None:
-            token = self._ids[term] = len(self._ids)
-        return token
-
-    def get(self, variable: Variable) -> Optional[int]:
-        """The id already assigned to *variable*, or None."""
-        return self._ids.get(variable)
-
-    def atoms_key(self, atoms: Iterable[Atom]) -> tuple:
-        """Renaming-invariant key: (relation, arg tokens) per atom."""
-        return tuple(
-            (atom.relation,
-             tuple(self.token(term) for term in atom.args))
-            for atom in atoms)
-
-
 def variables_of(atoms: Iterable[Atom]) -> set[Variable]:
     """Collect the set of variables appearing in *atoms*."""
     result: set[Variable] = set()

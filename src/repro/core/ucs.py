@@ -15,7 +15,9 @@ supported by proper subsets of a component.
 This module implements Tarjan's algorithm iteratively (workloads can be
 large and Python's recursion limit is small) and exposes:
 
-* :func:`strongly_connected_components` over an arbitrary adjacency map;
+* :func:`iter_sccs` / :func:`strongly_connected_components` over an
+  arbitrary successor function / adjacency map (matching settles
+  Algorithm 1 over the same pass);
 * :func:`simplified_graph` — project a :class:`UnifiabilityGraph` down to
   the simple digraph;
 * :func:`check_ucs` / :func:`is_ucs` — the property itself;
@@ -27,16 +29,66 @@ large and Python's recursion limit is small) and exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import (Callable, Hashable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from .graph import UnifiabilityGraph
 from .query import EntangledQuery
 
 
+def iter_sccs(roots: Iterable[Hashable],
+              successors: Callable[[Hashable], Iterable[Hashable]]
+              ) -> Iterator[list]:
+    """Tarjan's SCC algorithm, iterative form, over what *roots* reach.
+
+    Yields each strongly connected component once, as the list of its
+    members, after every component it has an edge into (reverse
+    topological order).  Roots are visited in the order given and
+    *successors* is called once per node.
+    """
+    index: dict[Hashable, int] = {}
+    lowlink: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    stack: list[Hashable] = []
+    for root in roots:
+        if root in index:
+            continue
+        # Each work item is (node, iterator over its successors).
+        work = [(root, iter(successors(root)))]
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, pending = work[-1]
+            for successor in pending:
+                if successor not in index:
+                    index[successor] = lowlink[successor] = len(index)
+                    stack.append(successor)
+                    on_stack.add(successor)
+                    work.append((successor, iter(successors(successor))))
+                    break
+                if successor in on_stack:
+                    lowlink[node] = min(lowlink[node], index[successor])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    yield component
+
+
 def strongly_connected_components(
         adjacency: Mapping[Hashable, Iterable[Hashable]]
 ) -> list[set[Hashable]]:
-    """Tarjan's SCC algorithm, iterative form.
+    """The SCCs of an adjacency map (see :func:`iter_sccs`).
 
     *adjacency* maps each node to its successors; nodes appearing only as
     successors are treated as having no outgoing edges.  Returns SCCs in
@@ -45,57 +97,12 @@ def strongly_connected_components(
     all_nodes = set(adjacency)
     for successors in adjacency.values():
         all_nodes.update(successors)
-    index_counter = 0
-    index: dict[Hashable, int] = {}
-    lowlink: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
-    stack: list[Hashable] = []
-    components: list[set[Hashable]] = []
-
     # Visit roots in a hash-independent order: the reverse-topological
     # component list this returns feeds answer assembly downstream, so
     # its tie-breaks must not observe PYTHONHASHSEED.
-    for root in sorted(all_nodes, key=repr):
-        if root in index:
-            continue
-        # Each work item is (node, iterator over its successors).
-        work = [(root, iter(tuple(adjacency.get(root, ()))))]
-        index[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
-                if successor not in index:
-                    index[successor] = lowlink[successor] = index_counter
-                    index_counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append(
-                        (successor,
-                         iter(tuple(adjacency.get(successor, ())))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], index[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: set[Hashable] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
+    return [set(component) for component in iter_sccs(
+        sorted(all_nodes, key=repr),
+        lambda node: adjacency.get(node, ()))]
 
 
 def simplified_graph(

@@ -8,9 +8,11 @@ the classic greedy heuristic:
 1. start from the atom with the best (lowest) estimated scan cost given
    only its constants;
 2. repeatedly append the atom whose estimated probe cost — rows matching
-   its constants plus already-bound join variables — is smallest,
-   preferring atoms that share at least one variable with the bound set
-   (to avoid Cartesian products).
+   its constants plus already-bound join variables — is smallest: the
+   minimum fan-out next.  Sharing a variable with the bound set only
+   breaks cost ties; an atom joined on a bound variable is usually the
+   cheapest anyway, and where it is not (``U(x, c)`` with only the town
+   ``c`` bound scans the town) the cheaper atom goes first.
 
 Estimates come from actual index bucket sizes, so they are exact for
 single-probe selectivity and only heuristic across joins, which is enough
@@ -383,10 +385,10 @@ class Planner:
                     costs[atom_index] = cost
                 connected = not bound or not bound.isdisjoint(
                     atom_vars[atom_index])
-                # Prefer connected atoms, then low cost, then
+                # Prefer low cost, then connected atoms, then
                 # constant-bearing atoms, then stable position order
                 # (remaining preserves original order) for determinism.
-                key = (not connected, cost, not has_constants[atom_index])
+                key = (cost, not connected, not has_constants[atom_index])
                 if best_key is None or key < best_key:
                     best_key = key
                     best_index = atom_index

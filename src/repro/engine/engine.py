@@ -214,10 +214,6 @@ class D3CEngine:
         return self._runtime.partitions
 
     @property
-    def _feasible_memo(self):
-        return self._runtime._feasible_memo
-
-    @property
     def _failed_groups(self):
         return self._runtime._failed_groups
 
@@ -232,8 +228,8 @@ class D3CEngine:
         appears under its own name (nested dicts as dotted counters,
         ``range_index.*`` refreshed from the database here so hot-path
         counter bumps stay attribute stores), joined by the
-        database-layer cache counters (``db.*``) and the scheduler's
-        feasibility memo counters (``feasibility.*``).  The shape is
+        database-layer cache counters (``db.*``) and the prefilter's
+        enumeration count (``feasibility.misses``).  The shape is
         JSON-safe, merges across a fleet with
         :func:`repro.obs.merge_snapshots`, and renders back into the
         engine's vocabulary with :meth:`EngineStats.from_metrics`.
@@ -242,8 +238,6 @@ class D3CEngine:
         with self._lock:
             self.stats.range_index = self.database.range_stats()
             self.stats.to_metrics(registry)
-            registry.inc("feasibility.hits",
-                         self._runtime.feasibility_hits)
             registry.inc("feasibility.misses",
                          self._runtime.feasibility_misses)
             for key, value in self.database.cache_stats().items():

@@ -43,7 +43,7 @@ from ..core.evaluate import (CoordinationResult, _pick_valuations,
 from ..core.graph import GraphDelta, UnifiabilityGraph
 from ..core.matching import ComponentMatch, match_component
 from ..core.query import EntangledQuery
-from ..core.terms import Constant, TermNumbering
+from ..core.terms import Constant
 from ..core.ucs import check_ucs_graph
 from ..db.expression import ConjunctiveQuery
 from ..errors import ReproError
@@ -51,8 +51,7 @@ from ..obs.trace import TRACER
 from .partitions import PartitionManager
 
 #: Marker for postcondition slots the body does not bind; never equal to
-#: any database value, mirroring the unbound Variable objects that used
-#: to occupy those slots.
+#: any database value.
 _UNBOUND = object()
 
 
@@ -70,11 +69,6 @@ class CoordinationScheduler:
 
     #: Cap on body valuations enumerated by the feasibility prefilter.
     _FEASIBILITY_LIMIT = 64
-
-    #: Entry cap for the feasibility memo; like the planner's plan
-    #: cache, it is dropped wholesale on overflow so a long-lived
-    #: engine serving many distinct users cannot grow without bound.
-    _FEASIBILITY_MEMO_LIMIT = 8_192
 
     def __init__(self, host):
         self._host = host
@@ -101,18 +95,8 @@ class CoordinationScheduler:
         # without scanning the whole set.
         self._failed_groups: set[frozenset] = set()
         self._failed_by_member: dict = {}
-        # Canonical-body-key -> (canonical valuations, complete,
-        # table versions, relations read) for the feasibility
-        # prefilter; entries are revalidated against table versions on
-        # every hit and evicted when a read table mutates.
-        self._feasible_memo: dict[tuple, tuple[list, bool, tuple,
-                                               frozenset]] = {}
-        # relation -> memo body keys reading it (targeted eviction
-        # without a per-mutation scan of the whole memo).
-        self._feasible_by_table: dict[str, set] = {}
-        # Feasibility-memo diagnostics (cache-invalidation tests read
-        # these, mirroring the planner/executor hit counters).
-        self.feasibility_hits = 0
+        # Body enumerations the feasibility prefilter ran (published
+        # as ``feasibility.misses``: every call enumerates).
         self.feasibility_misses = 0
         # relation name -> {query_id: None} of live queries whose body
         # reads it, plus the inverse for cleanup: database mutations
@@ -217,45 +201,29 @@ class CoordinationScheduler:
         re-queued (their components re-attempt at the next drain —
         previously failed groups over that table may now succeed);
         components reading only untouched tables keep their clean
-        state, their failed-group entries, and their feasibility
-        enumerations.  A delta that inserted nothing re-queues nobody —
-        combined queries are conjunctive (no aggregates on the engine
-        path), hence monotone: losing rows makes nothing answerable —
-        but still evicts the enumerations over its table.
+        state and their failed-group entries.  A delta that inserted
+        nothing re-queues nobody — combined queries are conjunctive
+        (no aggregates on the engine path), hence monotone: losing
+        rows makes nothing answerable.
 
-        All three invalidations go through maintained reverse indexes
-        (relation -> readers, member -> failed groups, relation -> memo
-        keys): the per-mutation cost is proportional to what is
-        actually invalidated, never to the size of the caches.
+        Both invalidations go through maintained reverse indexes
+        (relation -> readers, member -> failed groups): the
+        per-mutation cost is proportional to what is actually
+        invalidated, never to the size of the caches.
         """
-        table = delta.table
         if delta.inserted:
             self._ensure_reader_index()
             # (Mark order is immaterial: rounds go by arrival.)
-            readers = self._readers.get(table, ())
+            readers = self._readers.get(delta.table, ())
             self._dirty.update(readers)
             if self._failed_by_member:  # never, in batch engines
                 for query_id in readers:
                     self._drop_failed_groups_of(query_id)
-        for body_key in self._feasible_by_table.pop(table, ()):
-            entry = self._feasible_memo.pop(body_key, None)
-            if entry is None:
-                continue
-            for other in entry[3]:
-                if other == table:
-                    continue
-                bucket = self._feasible_by_table.get(other)
-                if bucket is not None:
-                    bucket.discard(body_key)
-                    if not bucket:
-                        del self._feasible_by_table[other]
 
     def invalidate(self) -> None:
         """Forget data-dependent caches and re-queue everything."""
         self._failed_groups.clear()
         self._failed_by_member.clear()
-        self._feasible_memo.clear()
-        self._feasible_by_table.clear()
         self._dirty.update(dict.fromkeys(self.graph.query_ids()))
 
     def _record_failed_group(self, group: frozenset) -> None:
@@ -483,20 +451,18 @@ class CoordinationScheduler:
                         refs: list) -> list:
         """Filter/reorder candidate provider refs by data feasibility.
 
-        Evaluates the origin query's body (bounded) to learn which
-        groundings of its first postcondition the data supports.  If the
+        One bounded enumeration of the origin query's body, in the
+        planner's fan-out order, projected onto its first
+        postcondition's arguments; then one set-membership test per
+        candidate, by the ground head values the graph keeps.  If the
         enumeration is *complete* (did not hit the cap), candidates the
         data cannot pair with are dropped outright — their combined
-        query is guaranteed empty.  If the enumeration was truncated,
+        query is guaranteed empty.  If it was truncated,
         infeasible-looking candidates are merely moved to the back.
         Either way a provider whose head is non-ground is kept in front
-        (feasibility cannot be decided statically for it).
-
-        The body enumeration is memoized under a renaming-invariant body
-        key — the semi-join depends only on the body and the database
-        snapshot, and workload bodies repeat heavily (every query a user
-        submits enumerates the same friends-and-towns join).  The memo
-        is dropped by :meth:`invalidate`.
+        (feasibility cannot be decided statically for it).  Nothing is
+        remembered between calls, so there is nothing a mutation could
+        leave stale.
         """
         host = self._host
         if not query.body:
@@ -504,81 +470,44 @@ class CoordinationScheduler:
         pc_atom = query.postconditions[0]
         if pc_atom.is_ground():
             return refs
-
-        # Canonical body key: constants by value, variables by first
-        # occurrence, so renamed-apart copies of one body share a key.
-        numbering = TermNumbering()
-        body_key = numbering.atoms_key(query.body)
-        # Memo entries are validated against the involved tables'
-        # mutation versions, so data changes invalidate automatically —
-        # invalidate() is a belt-and-braces sweep, not a correctness
-        # requirement.
+        tracer = TRACER
+        if tracer.enabled:
+            start_ns = time.perf_counter_ns()
+        # Postcondition variables the body does not bind project to
+        # _UNBOUND: they can never equal a candidate's ground values.
+        args = pc_atom.args
+        limit = self._FEASIBILITY_LIMIT
+        feasible: set[tuple] = set()
+        enumerated = 0
+        self.feasibility_misses += 1
+        start = time.perf_counter()
         try:
-            versions = tuple(host.database.table(atom.relation).version
-                             for atom in query.body)
+            for valuation in host.database.evaluate(
+                    ConjunctiveQuery(query.body), limit=limit):
+                enumerated += 1
+                feasible.add(tuple(
+                    [term.value if isinstance(term, Constant)
+                     else valuation.get(term, _UNBOUND)
+                     for term in args]))
         except ReproError:
             return refs
-        # Projection of the pc atom in canonical terms; pc variables not
-        # bound by the body project to _UNBOUND (they can never equal a
-        # candidate's ground values, exactly like the unbound Variable
-        # objects the unmemoized code used to leave in place).
-        slots = tuple(
-            (True, term.value) if isinstance(term, Constant)
-            else (False, numbering.get(term))
-            for term in pc_atom.args)
-
-        cached = self._feasible_memo.get(body_key)
-        if cached is not None and cached[2] != versions:
-            cached = None
-        if cached is not None:
-            self.feasibility_hits += 1
-        else:
-            self.feasibility_misses += 1
-            canon_valuations: list[dict] = []
-            start = time.perf_counter()
-            try:
-                count = 0
-                stream = host.database.evaluate(
-                    ConjunctiveQuery(query.body),
-                    limit=self._FEASIBILITY_LIMIT)
-                for valuation in stream:
-                    count += 1
-                    canon_valuations.append(
-                        {numbering.get(variable): value
-                         for variable, value in valuation.items()})
-                complete = count < self._FEASIBILITY_LIMIT
-            except ReproError:
-                return refs
-            finally:
-                host.stats.db_seconds += time.perf_counter() - start
-            cached = (canon_valuations, complete, versions,
-                      frozenset(atom.relation for atom in query.body))
-            if len(self._feasible_memo) >= self._FEASIBILITY_MEMO_LIMIT:
-                self._feasible_memo.clear()
-                self._feasible_by_table.clear()
-            self._feasible_memo[body_key] = cached
-            for relation in cached[3]:
-                self._feasible_by_table.setdefault(
-                    relation, set()).add(body_key)
-
-        canon_valuations, complete = cached[0], cached[1]
-        feasible: set[tuple] = set()
-        for canon in canon_valuations:
-            feasible.add(tuple(
-                payload if is_const
-                else (_UNBOUND if payload is None else canon[payload])
-                for is_const, payload in slots))
+        finally:
+            host.stats.db_seconds += time.perf_counter() - start
 
         preferred, fallback = [], []
-        head_of = self.graph.head_of
+        head_values = self.graph.head_values
         for ref in refs:
-            head = head_of(ref)
-            if (not head.is_ground()
-                    or tuple([term.value for term in head.args])
-                    in feasible):
+            values = head_values(ref)
+            if values is None or values in feasible:
                 preferred.append(ref)
             else:
                 fallback.append(ref)
+        complete = enumerated < limit
+        if tracer.enabled:
+            tracer.record("query.prefilter", start_ns,
+                          host._trace_of.get(query.query_id),
+                          candidates=len(refs), enumerated=enumerated,
+                          kept=len(preferred), complete=complete)
         if complete:
             return preferred
         return preferred + fallback

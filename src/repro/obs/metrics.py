@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` per engine absorbs the counters that
 previously lived scattered across subsystems (engine stats, ordered-
-index ``range_stats``, feasibility memo hits, plan-cache hits,
+index ``range_stats``, prefilter enumerations, plan-cache hits,
 ``wire_requests``, WAL/fsync counters) behind a single
 :meth:`MetricsRegistry.snapshot`.  Fleet aggregation is
 :func:`merge_snapshots` — associative, commutative, with the empty

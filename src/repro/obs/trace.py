@@ -38,6 +38,7 @@ PHASE_ORDER = {
     "query.submit": 0,
     "query.rename_apart": 1,
     "query.route": 2,
+    "query.prefilter": 3,
     "query.match_attempt": 3,
     "query.settle": 4,
     "query.expire": 4,

@@ -138,3 +138,32 @@ class TestCli:
         output = capsys.readouterr().out
         assert output.count("answered") == 2
         assert "Kramer" in output and "Jerry" in output
+
+    def test_trace_mode_incremental_shows_the_prefilter(self, tmp_path,
+                                                        capsys):
+        data = tmp_path / "friends.data"
+        data.write_text("table Friends a:text b:text\n"
+                        "row Friends 'Jerry' 'Kramer'\n"
+                        "row Friends 'Jerry' 'Newman'\n")
+        workload = tmp_path / "friends.eq"
+        # Two pending heads unify with Jerry's open postcondition; the
+        # data pairs him with Kramer only.
+        workload.write_text(
+            "{Res(Jerry, Paris)} Res(Kramer, Paris) "
+            "<- Friends(Jerry, Kramer)\n"
+            "{Res(Jerry, Paris)} Res(Elaine, Paris) "
+            "<- Friends(Jerry, x)\n"
+            "{Res(p, Paris)} Res(Jerry, Paris) <- Friends(Jerry, p)\n")
+        assert main(["trace", str(data), str(workload),
+                     "--mode", "incremental"]) == 0
+        output = capsys.readouterr().out
+        (span,) = [line for line in output.splitlines()
+                   if "query.prefilter" in line]
+        assert span.endswith(
+            "candidates=2 complete=True enumerated=2 kept=1")
+        assert output.count("outcome=answered") == 2
+        # The default is today's one block, one round: no arrival path.
+        assert main(["trace", str(data), str(workload)]) == 0
+        output = capsys.readouterr().out
+        assert "query.prefilter" not in output
+        assert "engine.run_batch" in output

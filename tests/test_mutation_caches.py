@@ -2,8 +2,7 @@
 
 Every data-dependent cache in the stack — the planner's shape cache
 (plan orders and the programs compiled from them), the scheduler's
-feasibility memo and failed-group set, and the dirty-component
-worklist — must (a) return correct results after a mutation to a table
+failed-group set, and the dirty-component worklist — must (a) return correct results after a mutation to a table
 it covered and (b) keep its entries for untouched tables, proven by the
 hit counters.  These are the regression tests for the live-mutation
 subsystem's invalidation story; the oracle-equivalence suite proves the
@@ -161,62 +160,6 @@ def test_program_budget_counts_steps_and_drops_wholesale(monkeypatch):
     db.insert("A", [("a7", "v7")])
     assert planner.cached_plan_count() == 0
     assert planner._retained_steps == 0
-
-
-# ----------------------------------------------------------------------
-# scheduler: feasibility memo
-# ----------------------------------------------------------------------
-
-
-def _generic(query_id: str, user: str, tag: str,
-             friends_table: str = "F") -> EntangledQuery:
-    partner, town = Variable(tag), Variable(tag + "_c")
-    return EntangledQuery(
-        query_id=query_id,
-        head=(atom("Res", user, "PAR"),),
-        postconditions=(atom("Res", partner, "PAR"),),
-        body=(atom(friends_table, user, partner),
-              atom("U", user, town), atom("U", partner, town)))
-
-
-def test_feasibility_memo_evicts_mutated_tables_keeps_others():
-    db = Database()
-    db.create_table("F", "a text", "b text")
-    db.create_table("F2", "a text", "b text")
-    db.create_table("U", "u text", "t text")
-    db.insert("U", [("alice", "t1"), ("bob", "t1"), ("carol", "t1"),
-                    ("dave", "t1")])
-    engine = D3CEngine(db, mode="incremental")
-    # Two pending providers force the prefilter for each arrival family.
-    engine.submit(_generic("c1", "carol", "p"))
-    engine.submit(_generic("d1", "dave", "q"))
-    engine.submit(_generic("a1", "alice", "r"))
-    engine.submit(_generic("c2", "carol", "p2", friends_table="F2"))
-    engine.submit(_generic("d2", "dave", "q2", friends_table="F2"))
-    engine.submit(_generic("b1", "bob", "r2", friends_table="F2"))
-    def memo_relations():
-        return [entry[3] for entry in
-                engine._runtime._feasible_memo.values()]
-
-    assert any("F" in relations for relations in memo_relations())
-    f2_entries = sum("F2" in relations
-                     for relations in memo_relations())
-    assert f2_entries
-    misses_before = engine._runtime.feasibility_misses
-
-    # Mutating F evicts the F entries; the F2 entries survive and hit.
-    db.insert("F", [("zz", "yy")])
-    assert not any("F" in relations for relations in memo_relations())
-    assert sum("F2" in relations
-               for relations in memo_relations()) == f2_entries
-    engine.submit(_generic("b2", "bob", "r2", friends_table="F2"))
-    assert engine._runtime.feasibility_hits >= 1
-    # A fresh F arrival re-enumerates (a miss) and sees the new rows.
-    db.insert("F", [("alice", "carol"), ("carol", "alice")])
-    engine.submit(_generic("a2", "alice", "s"))
-    assert engine._runtime.feasibility_misses > misses_before
-    assert engine.stats.answered == 2
-    assert "a2" not in engine.pending_ids()
 
 
 # ----------------------------------------------------------------------
