@@ -30,7 +30,12 @@ versioned replication blocks that carry live database mutations to
 shard-local replicas.  Payloads are
 JSON-compatible and carry no live objects, so they cross process
 boundaries without depending on pickle's class-identity machinery, and
-the round trip is exact: ``from_payload(to_payload(x)) == x``.
+the round trip is exact: ``from_payload(to_payload(x)) == x``.  Where
+a query is bound for JSON *text* (submit frames on the socket and in
+the journal), :func:`render_query` writes that text from a per-shape
+template instead of building the tree, byte for byte what dumping
+:func:`to_payload` would give; :func:`decode_queries` reads a frame's
+block of query payloads back in one call.
 
 Finally it owns the one **frame envelope** —
 ``<length:u32><crc32:u32><utf-8 JSON>`` — that carries payloads to
@@ -44,8 +49,11 @@ snapshots (a torn tail is a clean end-of-log) and the incremental
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
+from json.encoder import encode_basestring
+from operator import call
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -62,6 +70,12 @@ from .lang.tokenizer import TokenStream, TokenType  # leaf module; no cycle
 #: Version stamp carried by every payload; bump on format changes so
 #: mixed-revision shard fleets fail loudly instead of misparsing.
 WIRE_VERSION = 1
+
+#: The JSON text of every frame body: ``json.dumps(value,
+#: separators=(",", ":"), ensure_ascii=False)``, minus building an
+#: encoder per call.
+compact_json = json.JSONEncoder(separators=(",", ":"),
+                                ensure_ascii=False).encode
 
 
 def load_database(source: Union[str, Path]) -> Database:
@@ -220,12 +234,26 @@ def _term_to_payload(term: Term) -> list:
     return ["c", _wire_scalar(term.value, "constant value")]
 
 
-def _term_from_payload(item) -> Term:
-    tag, payload = item
+def _term_from_payload(item, variables: dict, constants: dict) -> Term:
+    """One term of a payload, shared within a decode call: one
+    ``Variable`` per name and one ``Constant`` per ``(type, value)`` —
+    keyed by type so ``1``, ``True`` and ``1.0`` stay distinct.
+    Floats are never shared: ``0.0`` and ``-0.0`` are equal keys but
+    render differently."""
+    tag, value = item
     if tag == "v":
-        return Variable(payload)
+        term = variables.get(value)
+        if term is None:
+            term = variables[value] = Variable(value)
+        return term
     if tag == "c":
-        return Constant(payload)
+        if type(value) is float:
+            return Constant(value)
+        key = (type(value), value)
+        term = constants.get(key)
+        if term is None:
+            term = constants[key] = Constant(value)
+        return term
     raise ParseError(f"unknown term tag {tag!r} in payload")
 
 
@@ -245,10 +273,11 @@ def _atoms_to_payload(atoms: Iterable[Atom]) -> list:
     return out
 
 
-def _atoms_from_payload(items) -> tuple[Atom, ...]:
-    return tuple(Atom(relation, tuple(_term_from_payload(term)
-                                      for term in terms))
-                 for relation, terms in items)
+def _atoms_from_payload(items, variables: dict,
+                        constants: dict) -> tuple[Atom, ...]:
+    return tuple([Atom(relation, tuple([
+        _term_from_payload(term, variables, constants)
+        for term in terms])) for relation, terms in items])
 
 
 def to_payload(obj: Union[EntangledQuery, Answer]) -> dict:
@@ -298,26 +327,213 @@ def to_payload(obj: Union[EntangledQuery, Answer]) -> dict:
         f"cannot serialize {type(obj).__name__} to a wire payload")
 
 
+# ----------------------------------------------------------------------
+# rendered queries (the text form of to_payload, for submit frames)
+# ----------------------------------------------------------------------
+
+#: Shape templates are dropped wholesale past this many (simple and
+#: sufficient: a workload submits a handful of query shapes).
+MAX_CACHED_SHAPES = 1024
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: A hole's JSON text by the exact type of its value — what
+#: ``json.dumps(..., ensure_ascii=False)`` writes for that value.
+#: Subclasses are absent on purpose: their shapes take the reference
+#: path.
+_SCALAR_JSON = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: _float_json,
+    type(None): {None: "null"}.__getitem__,
+}
+
+#: Stands in for every hole while a template is built from a payload.
+_HOLE = "\x00"
+_HOLE_JSON = encode_basestring(_HOLE)
+
+#: shape key -> ``(format string, per-hole encoders)``, or None for a
+#: shape only the reference path renders.  An entry is a function of
+#: its key alone, so one process-wide cache is safe to share.
+_shape_templates: dict = {}
+
+
+def _render_reference(obj) -> str:
+    return compact_json(to_payload(obj))
+
+
+def _build_template(query: EntangledQuery):
+    """A shape's template, derived from one query's own payload: each
+    hole (id, term values, choose, owner) is swapped for a marker, the
+    tree is dumped once, and the text is cut at the markers.  Holes
+    are visited in the order :func:`render_query` collects values."""
+    payload = to_payload(query)  # raises exactly what rendering must
+    encoders = []
+
+    def hole(value, encoder=None):
+        encoders.append(encoder or _SCALAR_JSON.get(type(value)))
+        return _HOLE
+
+    def term_hole(term):
+        # Variable names are not part of the shape: the strict string
+        # encoder raises on a non-str name, and that query alone takes
+        # the reference path.
+        term[1] = hole(term[1],
+                       encode_basestring if term[0] == "v" else None)
+
+    payload["id"] = hole(payload["id"])
+    for section in ("head", "post", "body"):
+        for _, args in payload[section]:
+            for term in args:
+                term_hole(term)
+    payload["choose"] = hole(payload["choose"])
+    payload["owner"] = hole(payload["owner"])
+    for left, _, right in payload.get("cmp", ()):
+        term_hole(left)
+        term_hole(right)
+    pieces = compact_json(payload).split(_HOLE_JSON)
+    if None in encoders or len(pieces) != len(encoders) + 1:
+        return None  # a subclass-typed value, or a marker in the text
+    return ("%s".join(piece.replace("%", "%%") for piece in pieces),
+            tuple(encoders))
+
+
+def render_query(query) -> str:
+    """The wire JSON text of *query*, rendered once from its shape.
+
+    Byte-identical to ``json.dumps(to_payload(query),
+    separators=(",", ":"), ensure_ascii=False)`` and raising the same
+    :class:`ValidationError`\\ s.  A query's *shape* — its id's type,
+    each atom's relation and variable-or-constant pattern with every
+    constant's exact type, choose's and owner's types, each
+    comparison's operator — keys a cached template whose holes take
+    the JSON text of this query's values, so the payload tree is
+    never built.  Anything the template cannot vouch for (aggregates,
+    a value that is not a wire scalar, a subclass-typed value, a
+    non-str relation or variable name, a non-query) renders through
+    :func:`to_payload`, the reference.
+    """
+    if type(query) is not EntangledQuery or query.aggregates:
+        return _render_reference(query)
+    query_id = query.query_id
+    key = [type(query_id)]
+    values = [query_id]
+    append_key = key.append
+    append_value = values.append
+    for atoms in (query.head, query.postconditions, query.body):
+        # A relation string opens each atom, so arities are implicit.
+        append_key(len(atoms))
+        for atom in atoms:
+            args = atom.args
+            relation = atom.relation
+            if type(relation) is not str:
+                return _render_reference(query)
+            append_key(relation)
+            for term in args:
+                if type(term) is Variable:
+                    append_key(Variable)
+                    append_value(term.name)
+                elif type(term) is Constant:
+                    value = term.value
+                    append_key(type(value))
+                    append_value(value)
+                else:
+                    return _render_reference(query)
+    append_key(type(query.choose))
+    append_value(query.choose)
+    append_key(type(query.owner))
+    append_value(query.owner)
+    comparisons = query.body_comparisons
+    append_key(len(comparisons))
+    for comparison in comparisons:
+        append_key(comparison.op)
+        for term in (comparison.left, comparison.right):
+            if type(term) is Variable:
+                append_key(Variable)
+                append_value(term.name)
+            elif type(term) is Constant:
+                value = term.value
+                append_key(type(value))
+                append_value(value)
+            else:
+                return _render_reference(query)
+    key = tuple(key)
+    try:
+        template = _shape_templates[key]
+    except KeyError:
+        template = _build_template(query)
+        if len(_shape_templates) >= MAX_CACHED_SHAPES:
+            _shape_templates.clear()
+        _shape_templates[key] = template
+    if template is None:
+        return _render_reference(query)
+    text, encoders = template
+    try:
+        return text % tuple(map(call, encoders, values))
+    except TypeError:
+        return _render_reference(query)
+
+
+def decode_queries(payloads) -> list[EntangledQuery]:
+    """Rebuild a block of query payloads in one call.
+
+    Equal to ``[from_payload(p) for p in payloads]``, but the block
+    shares its terms: one ``Variable`` per name and one ``Constant``
+    per ``(type, value)`` across every query decoded here, so a
+    submit frame of look-alike queries allocates each term once.  A
+    payload of another kind is refused: a block is queries only.
+    """
+    variables: dict = {}
+    constants: dict = {}
+    queries = []
+    for payload in payloads:
+        if payload.get("wire") != WIRE_VERSION:
+            raise ParseError(
+                f"payload wire version {payload.get('wire')!r} != "
+                f"{WIRE_VERSION} (mixed shard revisions?)")
+        if payload.get("kind") != "query":
+            raise ValidationError(
+                f"expected query payloads, got kind "
+                f"{payload.get('kind')!r}")
+        queries.append(EntangledQuery(
+            query_id=payload["id"],
+            head=_atoms_from_payload(payload["head"], variables,
+                                     constants),
+            postconditions=_atoms_from_payload(payload["post"],
+                                               variables, constants),
+            body=_atoms_from_payload(payload["body"], variables,
+                                     constants),
+            choose=payload["choose"],
+            owner=payload["owner"],
+            body_comparisons=tuple([
+                Comparison(_term_from_payload(left, variables, constants),
+                           op,
+                           _term_from_payload(right, variables,
+                                              constants))
+                for left, op, right in payload.get("cmp", ())])))
+    return queries
+
+
 def from_payload(payload: dict) -> Union[EntangledQuery, Answer]:
     """Rebuild the query or answer a payload stands for (exact inverse
-    of :func:`to_payload`)."""
+    of :func:`to_payload`; a query is :func:`decode_queries` of one)."""
     if payload.get("wire") != WIRE_VERSION:
         raise ParseError(
             f"payload wire version {payload.get('wire')!r} != "
             f"{WIRE_VERSION} (mixed shard revisions?)")
     kind = payload.get("kind")
     if kind == "query":
-        return EntangledQuery(
-            query_id=payload["id"],
-            head=_atoms_from_payload(payload["head"]),
-            postconditions=_atoms_from_payload(payload["post"]),
-            body=_atoms_from_payload(payload["body"]),
-            choose=payload["choose"],
-            owner=payload["owner"],
-            body_comparisons=tuple(
-                Comparison(_term_from_payload(left), op,
-                           _term_from_payload(right))
-                for left, op, right in payload.get("cmp", ())))
+        return decode_queries([payload])[0]
     if kind == "answer":
         return Answer(
             query_id=payload["id"],
@@ -354,10 +570,17 @@ def record_to_payload(record) -> dict:
 def record_from_payload(payload: dict):
     """Rebuild the :class:`~repro.engine.engine.PendingRecord` a
     payload stands for (exact inverse of :func:`record_to_payload`)."""
+    return decode_records([payload])[0]
+
+
+def decode_records(payloads) -> list:
+    """:func:`record_from_payload` over a block, its queries decoded
+    in one :func:`decode_queries` call."""
     from .engine.engine import PendingRecord  # avoid an import cycle
-    return PendingRecord(from_payload(payload["query"]),
-                         payload["seq"], payload["at"],
-                         payload.get("trace"))
+    queries = decode_queries([payload["query"] for payload in payloads])
+    return [PendingRecord(query, payload["seq"], payload["at"],
+                          payload.get("trace"))
+            for query, payload in zip(queries, payloads)]
 
 
 def id_pairs(mapping: dict) -> list:
@@ -476,8 +699,7 @@ def frame_record(payload: dict) -> bytes:
     :func:`unframe_records`; a bit flip inside a record fails the CRC
     the same way, so a reader never acts on corrupt bytes.
     """
-    return frame_body(json.dumps(payload, separators=(",", ":"),
-                                 ensure_ascii=False).encode("utf-8"))
+    return frame_body(compact_json(payload).encode("utf-8"))
 
 
 def frame_body(body: bytes) -> bytes:
@@ -491,22 +713,25 @@ def frame_body(body: bytes) -> bytes:
     return _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def encode_frame(payload: dict,
+def encode_frame(payload: Union[dict, str],
                  max_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """:func:`frame_record` for a stream that promised a size limit.
 
-    Raises :class:`FrameOversizeError` when the rendered body exceeds
+    *payload* is a payload dict or its already-rendered JSON text (a
+    submit frame whose queries were rendered by :func:`render_query`).
+    Raises :class:`FrameOversizeError` when the body exceeds
     *max_bytes* — the sender's half of the size contract, so an
     oversized reply can never poison a connection that was promised a
     limit in the welcome frame.
     """
-    frame = frame_record(payload)
-    body_bytes = len(frame) - _FRAME_HEADER.size
-    if body_bytes > max_bytes:
+    if not isinstance(payload, str):
+        payload = compact_json(payload)
+    body = payload.encode("utf-8")
+    if len(body) > max_bytes:
         raise FrameOversizeError(
-            f"frame body is {body_bytes} bytes; the connection limit "
+            f"frame body is {len(body)} bytes; the connection limit "
             f"is {max_bytes}")
-    return frame
+    return frame_body(body)
 
 
 def _scan_frames(data, max_bytes: Optional[int]
@@ -644,7 +869,7 @@ def manifest_from_payload(payload: dict) -> tuple:
         raise ParseError(
             f"expected a migration_manifest payload, got "
             f"{payload.get('kind')!r}")
-    records = [record_from_payload(item) for item in payload["records"]]
+    records = decode_records(payload["records"])
     if len(records) != payload["count"]:
         raise ParseError(
             f"manifest {payload['manifest']!r} carries {len(records)} "

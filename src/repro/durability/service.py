@@ -38,7 +38,6 @@ later snapshots agree byte-for-byte with the journal.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 from dataclasses import replace
@@ -46,9 +45,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
 
 from ..core.evaluate import FailureReason
-from ..dataio import (WIRE_VERSION, delta_from_payload, delta_to_payload,
-                      id_pairs, load_database, record_from_payload,
-                      to_payload)
+from ..dataio import (WIRE_VERSION, compact_json, decode_records,
+                      delta_from_payload, delta_to_payload, id_pairs,
+                      load_database, render_query, to_payload)
 from ..engine.engine import D3CEngine
 from ..engine.futures import CoordinationTicket, TicketCallback, \
     TicketState
@@ -79,12 +78,12 @@ class _RecoveredState:
 
     def pending_records(self) -> list:
         """The pending set as :class:`~repro.engine.engine.
-        PendingRecord`\\ s, in arrival order."""
+        PendingRecord`\\ s, in arrival order (snapshot records and
+        replayed submit frames decoded in one call)."""
         ordered = sorted(self.pending.values(),
                          key=lambda payload: payload["seq"])
         records = []
-        for payload in ordered:
-            record = record_from_payload(payload)
+        for record in decode_records(ordered):
             # Submit frames journal the query exactly as the caller
             # handed it over; the engine renames apart on admission
             # with a deterministic suffix (the query id).  Renaming
@@ -376,29 +375,28 @@ class _DurableService:
         if self._closed:
             raise ValidationError("this durable service is closed")
 
-    def _command(self, op: str, fields: dict,
+    def _command(self, op: str, fields: str,
                  execute: Callable[[], object]):
         """Run one serving command under the journal.
 
-        The frame (sans events) is JSON-rendered *before* execution, so
-        an unserializable input fails cleanly with no side effects;
-        the append happens *after*, so a crash anywhere in between
-        leaves a journal in which the command never happened.  Events
-        settled while the command ran ride inside its frame; if the
-        command raises after settling tickets, the events are salvaged
-        into a ``wal_settle`` frame (the settlements are real — their
-        tickets fired) and the exception propagates.
+        *fields* is the JSON text of the frame's command-specific
+        members (``',"ops":[...]'``; empty for none), rendered by the
+        caller *before* execution, so an unserializable input fails
+        cleanly with no side effects; the append happens *after*, so a
+        crash anywhere in between leaves a journal in which the command
+        never happened.  Events settled while the command ran ride
+        inside its frame; if the command raises after settling
+        tickets, the events are salvaged into a ``wal_settle`` frame
+        (the settlements are real — their tickets fired) and the
+        exception propagates.
         """
         self._ensure_open()
         self._pinned.set(self._clock.now())
-        frame = {"wire": WIRE_VERSION, "kind": "wal_cmd", "op": op,
-                 "at": self._pinned.now(), **fields}
-        # The one serialization of the frame (sans events, which do
-        # not exist yet): failing here is the clean no-side-effects
-        # rejection, and the rendered body is reused verbatim for the
-        # post-execution append with the events spliced in.
-        body = json.dumps(frame, separators=(",", ":"),
-                          ensure_ascii=False)
+        head = compact_json({"wire": WIRE_VERSION, "kind": "wal_cmd",
+                             "op": op, "at": self._pinned.now()})
+        # The one serialization of the frame: the events (which do not
+        # exist yet) are spliced in after execution.
+        body = head[:-1] + fields
         del self._events[:]
         try:
             result = execute()
@@ -409,10 +407,9 @@ class _DurableService:
                                   "events": list(self._events)})
                 del self._events[:]
             raise
-        events = json.dumps(self._events, separators=(",", ":"),
-                            ensure_ascii=False)
+        events = compact_json(self._events)
         del self._events[:]
-        framed = (body[:-1] + ',"events":' + events + "}").encode("utf-8")
+        framed = (body + ',"events":' + events + "}").encode("utf-8")
         tracer = TRACER
         if tracer.enabled:
             start_ns = time.perf_counter_ns()
@@ -483,9 +480,10 @@ class _DurableService:
         self._snapshot_bytes_total += written
         if self._derived_cadence:
             self._snapshot_log_bytes = max(written, SNAPSHOT_FLOOR_BYTES)
-        self._absorb_log_counters()
         if self._log is not None:
             self._log.close()
+            # After the close: its fsync is the segment's last.
+            self._absorb_log_counters()
         self._log = self._store.open_log(generation, self._sync_every)
         self._store.prune_before(generation)
         self._generation = generation
@@ -497,10 +495,8 @@ class _DurableService:
         return generation
 
     def _absorb_log_counters(self) -> None:
-        """Fold the closing segment's counters into lifetime totals."""
+        """Fold the closed segment's counters into lifetime totals."""
         log = self._log
-        if log is None:
-            return
         self._wal_records += log.records_appended
         self._wal_sync_batches += log.syncs
         self._wal_bytes_total += log.bytes_appended
@@ -567,15 +563,20 @@ class _DurableService:
                 admit: Callable[[], list]) -> list[CoordinationTicket]:
         """Journal one ``submit`` command around *admit*.
 
-        The frame carries the queries as handed over and the arrival
-        sequences the inner service is about to assign (consecutive
-        from its counter, safety-rejected arrivals included); replay
-        re-renames them apart to the same working copies (suffix =
-        query id).  The inner service rejects a bad query or block
-        before touching any state: that raises out of ``execute()``
-        and the prepared frame is discarded unappended.
+        The frame carries the queries as handed over — rendered by
+        :func:`~repro.dataio.render_query`, the bytes of their payloads
+        — and the arrival sequences the inner service is about to
+        assign (consecutive from its counter, safety-rejected arrivals
+        included); replay re-renames them apart to the same working
+        copies (suffix = query id).  A query the wire cannot carry
+        fails here, before anything runs; the inner service rejects a
+        bad query or block before touching any state: that raises out
+        of ``execute()`` and the prepared frame is discarded
+        unappended.
         """
         start = self.service.next_arrival_seq
+        rendered = ",".join([render_query(query) for query in queries])
+        seqs = compact_json(list(range(start, start + len(queries))))
 
         def execute():
             tickets = admit()
@@ -584,10 +585,7 @@ class _DurableService:
             return tickets
 
         return self._command(
-            "submit",
-            {"queries": [to_payload(query) for query in queries],
-             "seqs": list(range(start, start + len(queries)))},
-            execute)
+            "submit", f',"queries":[{rendered}],"seqs":{seqs}', execute)
 
     def submit(self, query, callback: TicketCallback | None = None
                ) -> CoordinationTicket:
@@ -610,11 +608,11 @@ class _DurableService:
 
     def run_batch(self) -> int:
         """One journalled set-at-a-time round; returns answered count."""
-        return self._command("run_batch", {}, self.service.run_batch)
+        return self._command("run_batch", "", self.service.run_batch)
 
     def expire_stale(self) -> int:
         """One journalled expiry sweep; returns the expired count."""
-        return self._command("expire", {}, self.service.expire_stale)
+        return self._command("expire", "", self.service.expire_stale)
 
     def apply_mutations(self, operations: Sequence[tuple]) -> list[int]:
         """Apply a batch of DML operations under ONE journal frame.
@@ -638,7 +636,8 @@ class _DurableService:
             finally:
                 self._suppress_deltas = False
 
-        return self._command("mutate", {"ops": ops}, execute)
+        return self._command("mutate", ',"ops":' + compact_json(ops),
+                             execute)
 
     def insert(self, table: str, rows) -> int:
         """Insert rows (one journalled mutation block)."""

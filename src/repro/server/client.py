@@ -13,10 +13,11 @@ backpressure is something a caller catches, not a hang it debugs.
 
 The client records every acknowledged state-changing command in
 :attr:`history` as ``(order, op, args)`` — ``order`` being the global
-execution position stamped on the reply.  The fault battery merges
-the histories of all concurrent clients, sorts by ``order``, and
-replays them into a fresh in-process engine to prove the served
-answers byte-identical to the single-engine oracle.
+execution position stamped on the reply, and a submit's ``queries``
+the objects (or payload dicts) exactly as handed to :meth:`submit`.
+The fault battery merges the histories of all concurrent clients,
+sorts by ``order``, and replays them into a fresh in-process engine to
+prove the served answers byte-identical to the single-engine oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import asyncio
 from typing import Optional
 
-from ..dataio import to_payload
+from ..dataio import compact_json, render_query
 from .protocol import (MAX_FRAME_BYTES, ORDERED_OPS, FrameDecoder,
                        FrameError, PROTOCOL_VERSION,
                        ServerDisconnectedError, ServerProtocolError,
@@ -225,13 +226,25 @@ class ServerClient:
         ``TimeoutError``); the server's own queue deadline produces a
         typed ``ServerTimeoutError`` instead.
         """
+        args = args or {}
+        return await self._exchange(
+            op, args, lambda req_id: request_frame(req_id, op, args),
+            timeout)
+
+    async def _exchange(self, op: str, args: dict, frame,
+                        timeout: float | None):
+        """One request/reply round trip: *frame* renders the request
+        (a payload dict or its JSON text) for the id it is given;
+        *args* is what :attr:`history` records."""
         if self._closed:
             raise ServerDisconnectedError("client is closed")
         self._next_id += 1
         req_id = self._next_id
+        data = encode_frame(frame(req_id), self.max_frame_bytes)
         waiter = asyncio.get_running_loop().create_future()
         self._waiters[req_id] = waiter
-        await self._write(request_frame(req_id, op, args or {}))
+        self._writer.write(data)
+        await self._writer.drain()
         try:
             if timeout is None:
                 reply = await waiter
@@ -244,17 +257,32 @@ class ServerClient:
                             reply.get("message", "request failed"))
         order = reply.get("order")
         if op in ORDERED_OPS and order is not None:
-            self.history.append((order, op, args or {}))
+            self.history.append((order, op, args))
         return reply.get("result")
 
     async def submit(self, queries, *,
                      timeout: float | None = None) -> list:
         """Submit queries (objects or wire payloads); returns their
         :class:`RemoteTicket`\\ s, registered before the request goes
-        out so no settlement event can race past them."""
-        payloads = [query if isinstance(query, dict)
-                    else to_payload(query) for query in queries]
-        ids = [payload.get("id") for payload in payloads]
+        out so no settlement event can race past them.
+
+        Query objects are rendered straight into the request frame
+        (:func:`repro.dataio.render_query`, the same bytes as their
+        payloads); :attr:`history` records the queries as submitted.
+        """
+        queries = list(queries)
+        items = ",".join([
+            compact_json(query) if isinstance(query, dict)
+            else render_query(query) for query in queries])
+        ids = [query.get("id") if isinstance(query, dict)
+               else query.query_id for query in queries]
+
+        def frame(req_id: int) -> str:
+            # ``request_frame``'s bytes with the rendered array spliced
+            # into its empty args: the text ends ``"args":{}}``.
+            head = compact_json(request_frame(req_id, "submit", {}))
+            return f'{head[:-2]}"queries":[{items}]}}}}'
+
         fresh = []
         for query_id in ids:
             ticket = self.tickets.get(query_id)
@@ -263,8 +291,8 @@ class ServerClient:
                     RemoteTicket(query_id)
                 fresh.append(query_id)
         try:
-            await self.request("submit", {"queries": payloads},
-                               timeout=timeout)
+            await self._exchange("submit", {"queries": queries}, frame,
+                                 timeout)
         except BaseException:
             for query_id in fresh:
                 self.tickets.pop(query_id, None)

@@ -58,8 +58,7 @@ from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Callable, Optional
 
-from ..core.query import EntangledQuery
-from ..dataio import from_payload, to_payload
+from ..dataio import decode_queries, to_payload
 from ..engine.futures import TicketState
 from ..engine.stats import EngineStats
 from ..errors import ReproError, ValidationError
@@ -518,12 +517,7 @@ class CoordinationServer:
         if not isinstance(payloads, list) or not payloads:
             raise ValidationError(
                 "submit args need a non-empty 'queries' list")
-        queries = [from_payload(payload) for payload in payloads]
-        for query in queries:
-            if not isinstance(query, EntangledQuery):
-                raise ValidationError(
-                    f"submit payloads must be queries, got "
-                    f"{type(query).__name__}")
+        queries = decode_queries(payloads)
         ids = [query.query_id for query in queries]
         # Register ownership before submitting: in incremental mode a
         # ticket can settle inside submit_many, and its event must

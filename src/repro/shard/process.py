@@ -218,12 +218,11 @@ class _Worker:
                                 ticket.failure_reason.value))
 
     def handle(self, op: str, args: dict):
-        from ..dataio import from_payload, manifest_from_payload, \
+        from ..dataio import decode_queries, manifest_from_payload, \
             manifest_to_payload
         if op == "submit_block":
             self.clock.set(args["now"])
-            queries = [from_payload(payload)
-                       for payload in args["queries"]]
+            queries = decode_queries(args["queries"])
             # Optional versioned field: coordinators that trace send
             # one trace id per query; older coordinators simply omit
             # the key (and older workers ignore it).

@@ -275,6 +275,36 @@ def test_snapshot_log_bytes_below_threshold_never_snapshots(tmp_path,
         assert service.commands_applied == 10
 
 
+def test_published_fsyncs_count_every_segment_close(tmp_path,
+                                                    monkeypatch):
+    """``durability.wal_sync_batches`` (the ledger's ``wal.fsyncs``)
+    equals the ``WriteAheadLog.sync`` calls actually made, across two
+    rotations — a rotated segment's closing fsync included."""
+    from repro.durability.wal import WriteAheadLog
+    calls = []
+    original = WriteAheadLog.sync
+
+    def counting(log):
+        calls.append(log.path.name)
+        original(log)
+
+    monkeypatch.setattr(WriteAheadLog, "sync", counting)
+    service = _engine(tmp_path / "wal", snapshot_every=None,
+                      sync_every=8)
+    for fno in range(300, 320):
+        service.insert("Flights", [(fno, "Oslo")])
+    service.snapshot()
+    for fno in range(320, 330):
+        service.insert("Flights", [(fno, "Oslo")])
+    service.snapshot()
+    published = service.metrics_snapshot()["counters"][
+        "durability.wal_sync_batches"]
+    # 20 records: 2 batch syncs + 1 closing; 10 more: 1 + 1 closing.
+    assert calls == ["wal-000000.log"] * 3 + ["wal-000001.log"] * 2
+    assert published == len(calls)
+    service.close()
+
+
 # ---------------------------------------------------------------------------
 # Restore preconditions (engine, coordinator, database)
 

@@ -149,8 +149,11 @@ def _replay(histories):
         assert order > last_order, "duplicate or reordered history"
         last_order = order
         if op == "submit":
+            # The history holds the queries as submitted: objects, or
+            # payload dicts for a client that sent the wire form.
             tickets.extend(engine.submit_many(
-                [from_payload(p) for p in args["queries"]]))
+                [from_payload(q) if isinstance(q, dict) else q
+                 for q in args["queries"]]))
         elif op == "run_batch":
             engine.run_batch()
         elif op == "expire":
