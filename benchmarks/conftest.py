@@ -6,9 +6,10 @@ experiments) and keeps benchmark time inside the measurement regions.
 Scale everything up with ``REPRO_BENCH_SCALE`` (see repro.bench).
 
 Under pytest the default scale is reduced (the figure sweeps are shape
-checks here, not measurements — ``python -m repro.bench`` remains the
-full-scale path), which keeps the tier-1 suite fast.  Setting
-``REPRO_BENCH_SCALE`` explicitly overrides the reduction.
+checks here, not measurements — ``python -m repro bench`` remains the
+full-scale path, and performance is measured by the coordination
+ledger in ``benchmarks/ledger/``), which keeps the tier-1 suite fast.
+Setting ``REPRO_BENCH_SCALE`` explicitly overrides the reduction.
 """
 
 from __future__ import annotations

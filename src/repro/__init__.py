@@ -31,7 +31,7 @@ Package map:
 * :mod:`repro.db` — the in-memory relational substrate;
 * :mod:`repro.engine` — the D3C middleware (futures, staleness, modes);
 * :mod:`repro.workloads` — the paper's experimental scenario;
-* :mod:`repro.bench` — harnesses regenerating every figure.
+* :mod:`repro.bench` — harnesses regenerating Figures 6-9.
 """
 
 from .errors import (CoordinationError, ParseError, QueryEvaluationError,

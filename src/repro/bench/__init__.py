@@ -2,29 +2,21 @@
 
 Run everything standalone::
 
-    python -m repro.bench            # all figures
-    REPRO_BENCH_SCALE=10 python -m repro.bench   # bigger runs
+    python -m repro bench                        # all figures
+    REPRO_BENCH_SCALE=10 python -m repro bench 6  # one figure, bigger
 
 or through pytest-benchmark (one file per figure in ``benchmarks/``).
+Performance claims live in the coordination ledger
+(``benchmarks/ledger/``), not here.
 """
 
-from .harness import (HARNESS_REVISION, Series, SeriesRow,
-                      bench_database, bench_network, bench_scale,
-                      run_batch, run_churn, run_incremental,
-                      run_range_scan, run_range_sweep, run_sharded,
-                      scaled, schedule_database, stopwatch)
-from .figures import (churn, figure6, figure7, figure8, figure9,
-                      migration_heavy, range_sweep, run_all, sharded)
-
-# NB: repro.bench.regression is intentionally not imported here — it is
-# an entry point (`python -m repro.bench.regression`), and importing it
-# from the package would trigger the double-import RuntimeWarning.
+from .harness import (Series, SeriesRow, bench_database, bench_network,
+                      bench_scale, run_batch, run_incremental, scaled,
+                      stopwatch)
+from .figures import FIGURES, figure6, figure7, figure8, figure9, run_all
 
 __all__ = [
-    "HARNESS_REVISION", "Series", "SeriesRow", "bench_database",
-    "bench_network", "bench_scale", "run_batch", "run_churn",
-    "run_incremental", "run_range_scan", "run_range_sweep",
-    "run_sharded", "scaled", "schedule_database", "stopwatch",
-    "churn", "figure6", "figure7", "figure8", "figure9",
-    "migration_heavy", "range_sweep", "run_all", "sharded",
+    "Series", "SeriesRow", "bench_database", "bench_network",
+    "bench_scale", "run_batch", "run_incremental", "scaled", "stopwatch",
+    "FIGURES", "figure6", "figure7", "figure8", "figure9", "run_all",
 ]

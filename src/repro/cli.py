@@ -32,16 +32,11 @@ Commands:
     exports the raw spans as JSON lines.
 
 ``bench [FIGURE ...]``
-    Regenerate the paper's figures (same as ``python -m repro.bench``);
-    figure names include the beyond-paper ``churn`` arrival/expiry
-    scenario driven through the incremental runtime, the ``sharded``
-    multi-tenant scenario driven through the shard fleet, the
-    ``migration_heavy`` rendezvous scenario comparing the batched
-    manifest transport against per-decision exchanges, and the
-    ``dynamic_db`` live-mutation scenario comparing targeted
-    invalidation against full recompute, and the ``range_sweep``
-    slot-window scenario comparing ordered-index pushdown against
-    scan-and-filter bodies.
+    Regenerate the paper's Figures 6-9 (all four by default); scale
+    run sizes with ``REPRO_BENCH_SCALE``.  ``--metrics-json PATH``
+    writes the aggregated metrics snapshot of every engine the run
+    built.  Performance claims are made by the coordination ledger
+    (``benchmarks/ledger/``), not by this command.
 
 ``lint [PATHS ...]``
     Run the invariant linter (:mod:`repro.analysis`) over the source
@@ -313,9 +308,7 @@ def _command_sql(arguments: argparse.Namespace) -> int:
 
 
 def _command_bench(arguments: argparse.Namespace) -> int:
-    from .bench.figures import (churn, dynamic_db, figure6, figure7,
-                                figure8, figure9, migration_heavy,
-                                range_sweep, run_all, sharded)
+    from .bench.figures import FIGURES, run_all
     from .obs import global_snapshot, reset_global_metrics
     if arguments.metrics_json:
         error = _output_path_error(arguments.metrics_json,
@@ -324,15 +317,11 @@ def _command_bench(arguments: argparse.Namespace) -> int:
             print(error, file=sys.stderr)
             return 1
         reset_global_metrics()
-    figures = {"6": figure6, "7": figure7, "8": figure8, "9": figure9,
-               "churn": churn, "sharded": sharded,
-               "migration_heavy": migration_heavy,
-               "dynamic_db": dynamic_db, "range_sweep": range_sweep}
     if not arguments.figures:
         run_all()
     else:
         for number in arguments.figures:
-            for series in figures[number]():
+            for series in FIGURES[number]():
                 series.print()
     if arguments.metrics_json:
         # The harness absorbs every engine's metrics snapshot into the
@@ -602,14 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     sql.set_defaults(handler=_command_sql)
 
     bench = subparsers.add_parser(
-        "bench", help="regenerate the paper's figures and the beyond-"
-                      "paper scenarios")
+        "bench", help="regenerate the paper's Figures 6-9")
     bench.add_argument("figures", nargs="*",
-                       choices=["6", "7", "8", "9", "churn", "sharded",
-                                "migration_heavy", "dynamic_db",
-                                "range_sweep", []],
-                       help="figure numbers or scenario names "
-                            "(default: all)")
+                       choices=["6", "7", "8", "9", []],
+                       help="figure numbers (default: all)")
     bench.add_argument("--metrics-json", metavar="PATH",
                        help="write the aggregated metrics-registry "
                             "snapshot of every engine the run built "

@@ -304,8 +304,9 @@ class Database:
     def set_range_pushdown(self, enabled: bool) -> None:
         """Toggle ordered-index pushdown engine-wide.
 
-        Exists for the range benchmarks' scan-and-filter baseline leg;
-        answers are identical either way (the A/B probes enforce it).
+        Exists as the scan-and-filter reference leg of the range-index
+        tests; answers are identical either way (those tests enforce
+        it).
         """
         self._executor.set_range_pushdown(enabled)
 

@@ -266,7 +266,7 @@ class Executor:
         self._planner = Planner(database)
         # Ordered-index pushdown: programs serve sargable comparisons
         # from bisected windows.  Disabled only for the
-        # scan-and-filter baseline legs of the range benchmarks.
+        # scan-and-filter reference leg of the range-index tests.
         self.range_pushdown = True
         # Evaluations of shapes proven contradictory at compile time.
         self.empty_prunes = 0
@@ -300,7 +300,7 @@ class Executor:
         return results
 
     def set_range_pushdown(self, enabled: bool) -> None:
-        """Toggle ordered-index pushdown (benchmark baselines only).
+        """Toggle ordered-index pushdown (the tests' reference leg).
 
         Programs and cached plan orders embed the decision, so the
         cache is dropped; the planner's selectivity term is toggled in

@@ -5,7 +5,8 @@ append writes its record to the OS immediately — a ``write`` that
 returned survives ``kill -9`` of the process, which is the failure the
 crash-recovery battery injects — while ``fsync`` (needed only against
 machine/power failure) is batched every *sync_every* records, which is
-what keeps the logged ``dynamic_db`` probe within its overhead budget.
+what keeps the journal's share of an epoch small (the ledger's
+``durability.journal_overhead_pct``).
 The record format is :func:`repro.dataio.frame_record`; reading back
 uses :func:`repro.dataio.unframe_records`, which stops cleanly at a
 torn tail instead of raising.

@@ -492,8 +492,8 @@ class D3CEngine:
         :class:`~repro.db.database.TableDelta` commits and re-queues
         exactly the components whose plans read the mutated table (see
         :meth:`_on_table_delta`).  Kept for mutations that bypass the
-        facade and as the paired baseline the ``dynamic_db`` benchmark
-        measures targeted invalidation against.
+        facade and as the full-recompute reference the mutation tests
+        check targeted invalidation against.
         """
         with self._lock:
             self._runtime.invalidate()

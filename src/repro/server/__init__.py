@@ -22,8 +22,6 @@ or durable coordinator.
 * :mod:`repro.server.client` — :class:`ServerClient`, the async
   client library the CLI (``repro connect``) and the test batteries
   drive.
-* :mod:`repro.server.loopback` — an in-process server+clients harness
-  for the ``server_throughput`` regression probe and smoke tests.
 """
 
 from .admission import AdmissionController, TokenBucket

@@ -90,13 +90,6 @@ class ShardedCoordinator:
             the global pending count).
         router: injectable :class:`~repro.shard.router.ShardRouter`
             (defaults to one over *num_shards*).
-        migration_batching: when True (default), all components that
-            must co-locate for one routing block are collected into a
-            single manifest per (source, destination) shard pair and
-            moved in one reserve → transfer → commit exchange; False
-            restores the PR 3 behaviour of one exchange per
-            co-location decision (kept for paired benchmarking of the
-            protocol round-trip reduction).
     """
 
     def __init__(self, database: Database,
@@ -113,8 +106,7 @@ class ShardedCoordinator:
                  max_combined_atoms: int = 512,
                  incremental_strategy: str = "local",
                  router: ShardRouter | None = None,
-                 warm_indexes: Sequence[tuple] = (),
-                 migration_batching: bool = True):
+                 warm_indexes: Sequence[tuple] = ()):
         if backend not in BACKENDS:
             raise ValueError(f"unknown shard backend {backend!r}")
         if rng is not None:
@@ -223,11 +215,12 @@ class ShardedCoordinator:
         self._submitted = 0
         self._answered = 0
         self._failed: Counter = Counter()
-        self.migration_batching = migration_batching
-        #: Cross-shard migration counters (diagnostics / benchmarks):
+        #: Cross-shard migration counters (the ledger's
+        #: ``shard.migrations`` / ``shard.migrated_queries``):
         #: ``migrations`` counts manifest *exchanges* (one reserve →
-        #: transfer → commit round per (source, destination) pair),
-        #: ``migrated_queries`` the records moved by them.
+        #: transfer → commit round per (source, destination) pair, all
+        #: of a routing block's moves batched), ``migrated_queries``
+        #: the records moved by them.
         self.migrations = 0
         self.migrated_queries = 0
 
@@ -308,8 +301,6 @@ class ShardedCoordinator:
                 assignments[query_id] = target
                 self._shard_of[query_id] = target
                 self._index_query(working)
-                if not self.migration_batching:
-                    self._flush_migrations(physical)
             self._flush_migrations(physical)
         except BaseException:
             # Planned-but-unflushed moves are ownership edits with no

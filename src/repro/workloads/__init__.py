@@ -12,14 +12,11 @@ from .airports import AIRPORTS, airport
 from .socialnet import SocialNetwork, generate_social_network
 from .flightdb import (FRIENDS, RESERVE, USER, build_flight_database,
                        build_intro_database)
-from .generators import (DYNAMIC_GATE_TABLES, SCHEDULE_TABLE,
-                         SafetyStressWorkload,
+from .generators import (DYNAMIC_GATE_TABLES, SafetyStressWorkload,
                          big_cluster_queries, chain_queries,
                          churn_rounds, clique_queries,
                          dynamic_db_rounds, install_dynamic_tables,
-                         install_schedule_table, migration_heavy_rounds,
                          multi_tenant_rounds, non_unifying_queries,
-                         range_scan_queries, range_sweep_pairs,
                          safety_stress_workload, three_way_triangles,
                          two_way_pairs)
 
@@ -28,11 +25,9 @@ __all__ = [
     "SocialNetwork", "generate_social_network",
     "FRIENDS", "RESERVE", "USER", "build_flight_database",
     "build_intro_database",
-    "DYNAMIC_GATE_TABLES", "SCHEDULE_TABLE", "SafetyStressWorkload",
+    "DYNAMIC_GATE_TABLES", "SafetyStressWorkload",
     "big_cluster_queries", "chain_queries", "churn_rounds",
     "clique_queries", "dynamic_db_rounds", "install_dynamic_tables",
-    "install_schedule_table", "migration_heavy_rounds",
     "multi_tenant_rounds", "non_unifying_queries",
-    "range_scan_queries", "range_sweep_pairs",
     "safety_stress_workload", "three_way_triangles", "two_way_pairs",
 ]

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from ..core.query import EntangledQuery
-from ..core.terms import Atom, Constant, Variable, atom
-from ..db.expression import Comparison, ConjunctiveQuery
+from ..core.terms import Atom, Variable, atom
 from .airports import AIRPORTS
 from .flightdb import FRIENDS, RESERVE, USER
 from .socialnet import SocialNetwork
@@ -486,31 +485,6 @@ def multi_tenant_rounds(network: SocialNetwork, num_rounds: int,
     return rounds
 
 
-def migration_heavy_rounds(network: SocialNetwork, num_rounds: int,
-                           arrivals_per_round: int,
-                           tenants: int = 8, seed: int = 11,
-                           destinations: Sequence[str] = AIRPORTS
-                           ) -> list[list[EntangledQuery]]:
-    """Migration-stress variant of :func:`multi_tenant_rounds`.
-
-    The dial positions that hurt a sharded transport most: many
-    tenants under steep zipf skew (``2.0``) and a block dominated by
-    cross-tenant rendezvous triples (``rendezvous_fraction=0.7``, only
-    a sliver of intra-tenant pairs), so nearly every bridge arrival
-    entangles components resident on different shards and forces a
-    manifest exchange.  The round-trip economics of the migration
-    protocol — one reserve → transfer → commit per batched manifest
-    versus one per co-location decision — dominate this scenario's
-    wall clock on the process backend, which is exactly what the
-    ``migration_heavy`` regression probe measures.
-    """
-    return multi_tenant_rounds(network, num_rounds, arrivals_per_round,
-                               tenants=tenants, skew=2.0,
-                               rendezvous_fraction=0.7,
-                               answerable_fraction=0.15,
-                               seed=seed, destinations=destinations)
-
-
 #: Gate tables of the ``dynamic_db`` scenario: small mutable relations
 #: whose rows arrive and retract at runtime, gating coordination.  The
 #: flight tables (``F``/``U``) stay immutable, so targeted dirty-marking
@@ -555,8 +529,9 @@ def dynamic_db_rounds(network: SocialNetwork, num_rounds: int,
       never-coordinating filler chains reading only ``U``.  The chains
       linger until staleness expires them, so the pending set a
       full-recompute round must re-match is large while the set a
-      mutation actually touches stays small — exactly the gap the
-      ``dynamic_db`` regression probe measures.
+      mutation actually touches stays small — exactly the gap targeted
+      invalidation exploits (the ledger's ``dynamic_durable_rounds``
+      workload drives these rounds).
 
     The caller owns applying the mutations (``Database.insert`` /
     ``delete_rows``, or ``ShardedCoordinator.apply_mutations``) and
@@ -634,154 +609,6 @@ def dynamic_db_rounds(network: SocialNetwork, num_rounds: int,
             chain_id += 1
         rounds.append((mutations, block))
     return rounds
-
-
-#: The ``range_sweep`` scenario's schedule table ``S(UserName, Slot)``:
-#: every user holds a handful of candidate time slots drawn from a
-#: large discrete domain, and queries constrain the slot with
-#: *inequality windows* instead of equalities — the access pattern the
-#: ordered indexes exist for (DESIGN.md §9).
-SCHEDULE_TABLE = "S"
-
-#: Slot-domain defaults shared by the installer and both generators, so
-#: the generated windows are calibrated against the slot density they
-#: will actually meet (expected rows per window = ``users *
-#: slots_per_user * window / slot_domain``).
-SCHEDULE_SLOT_DOMAIN = 4096
-SCHEDULE_SLOTS_PER_USER = 32
-
-
-def _schedule(*args) -> Atom:
-    return atom(SCHEDULE_TABLE, *args)
-
-
-def install_schedule_table(database, network: SocialNetwork,
-                           slots_per_user: int = SCHEDULE_SLOTS_PER_USER,
-                           slot_domain: int = SCHEDULE_SLOT_DOMAIN,
-                           seed: int = 13) -> None:
-    """Create and populate the slot-schedule table ``S(user, slot)``.
-
-    Each user receives ``slots_per_user`` distinct slots sampled from
-    ``range(slot_domain)``.  Idempotent: a database that already has the
-    table is left untouched, so cached bench substrates can share one
-    installation.
-    """
-    if database.has_table(SCHEDULE_TABLE):
-        return
-    database.create_table(SCHEDULE_TABLE, "UserName text", "Slot int")
-    rng = random.Random(seed)
-    rows: list[tuple[str, int]] = []
-    for user in network.users:
-        for slot in rng.sample(range(slot_domain), slots_per_user):
-            rows.append((user, slot))
-    database.insert(SCHEDULE_TABLE, rows)
-
-
-def range_sweep_pairs(network: SocialNetwork, num_queries: int,
-                      window: int = 64,
-                      slot_domain: int = SCHEDULE_SLOT_DOMAIN,
-                      slots_per_user: int = SCHEDULE_SLOTS_PER_USER,
-                      seed: int = 13,
-                      destinations: Sequence[str] = AIRPORTS,
-                      shuffle: bool = True) -> list[EntangledQuery]:
-    """Friend pairs whose bodies carry slot-window comparisons.
-
-    Like the *specific* pairs of :func:`two_way_pairs`, but each
-    member's body reads the schedule table under a deadline window::
-
-        {R(Kramer, ITH)} R(Jerry, ITH)
-            <- S(Jerry, s) ∧ s >= lo ∧ s < lo + window
-
-    A member is answerable iff the user holds a slot inside the pair's
-    window, so with the default calibration (32 slots over a 4096-slot
-    domain, 64-wide windows) roughly 40% of members — and hence ~16% of
-    pairs — can coordinate; the rest linger and expire.  Every body
-    evaluation is a range probe, which is what makes this workload the
-    engine-level A/B scenario for ordered-index pushdown
-    (``bench range_sweep``).
-    """
-    if num_queries % 2:
-        raise ValueError("range-sweep workload needs an even query count")
-    if not 0 < window <= slot_domain:
-        raise ValueError("window must be within (0, slot_domain]")
-    rng = random.Random(seed)
-    pairs = network.friend_pairs(rng)
-    town_pool = list(destinations)
-    queries: list[EntangledQuery] = []
-    for pair_index in range(num_queries // 2):
-        left, right = next(pairs)
-        destination = rng.choice(town_pool)
-        low = rng.randrange(slot_domain - window)
-        tag = f"sweep-{pair_index}"
-        for member, user, partner in (("a", left, right),
-                                      ("b", right, left)):
-            slot = Variable("s")
-            queries.append(EntangledQuery(
-                query_id=f"{tag}-{member}",
-                head=(_reserve(user, destination),),
-                postconditions=(_reserve(partner, destination),),
-                body=(_schedule(user, slot),),
-                body_comparisons=(
-                    Comparison(slot, ">=", Constant(low)),
-                    Comparison(slot, "<", Constant(low + window))),
-                owner=user))
-    if shuffle:
-        rng.shuffle(queries)
-    return queries
-
-
-def range_scan_queries(network: SocialNetwork, num_queries: int,
-                       window: int = 96,
-                       slot_domain: int = SCHEDULE_SLOT_DOMAIN,
-                       seed: int = 13) -> list[ConjunctiveQuery]:
-    """Database-level slot queries for the ``range_scan`` probe.
-
-    A deterministic mix, cycling per group of eight queries:
-
-    * **five sweeps** — ``S(x, s) ∧ lo <= s < hi``: the off-leg scans
-      the whole table and filters; the on-leg reads one contiguous
-      ordered-index window.
-    * **two rendezvous joins** — ``S(a, s) ∧ S(b, s) ∧ lo <= s < hi``
-      for a named friend pair: equality-prefix + range probes.
-    * **one contradiction** — ``S(x, s) ∧ s < lo ∧ s > hi``: an empty
-      interval the compiled plan prunes without touching the table.
-
-    These are evaluated directly via :meth:`repro.db.Database.evaluate`
-    (no engine in the loop) so the probe's wall clock is index work,
-    not coordination overhead.
-    """
-    if not 0 < window <= slot_domain:
-        raise ValueError("window must be within (0, slot_domain]")
-    rng = random.Random(seed)
-    pairs = network.friend_pairs(rng)
-    queries: list[ConjunctiveQuery] = []
-    user_var, slot = Variable("x"), Variable("s")
-    for index in range(num_queries):
-        low = rng.randrange(slot_domain - window)
-        kind = index % 8
-        if kind < 5:
-            queries.append(ConjunctiveQuery(
-                atoms=(_schedule(user_var, slot),),
-                comparisons=(Comparison(slot, ">=", Constant(low)),
-                             Comparison(slot, "<",
-                                        Constant(low + window))),
-                output_variables=(user_var, slot)))
-        elif kind < 7:
-            left, right = next(pairs)
-            queries.append(ConjunctiveQuery(
-                atoms=(_schedule(left, slot), _schedule(right, slot)),
-                comparisons=(Comparison(slot, ">=", Constant(low)),
-                             Comparison(slot, "<",
-                                        Constant(low + window))),
-                output_variables=(slot,)))
-        else:
-            queries.append(ConjunctiveQuery(
-                atoms=(_schedule(user_var, slot),),
-                comparisons=(Comparison(slot, "<", Constant(low)),
-                             Comparison(slot, ">",
-                                        Constant(low + window))),
-                output_variables=(user_var, slot)))
-    return queries
 
 
 @dataclass(frozen=True, slots=True)

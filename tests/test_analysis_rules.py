@@ -689,16 +689,3 @@ class TestRealTreeSelfCheck:
         assert code == 0, (
             "the tree has non-baselined lint findings:\n"
             + out.getvalue() + err.getvalue())
-
-
-class TestBenchRegressionBaselineError:
-    def test_missing_baseline_names_path_and_candidates(
-            self, tmp_path, capsys):
-        from repro.bench import regression
-        missing = tmp_path / "nope.json"
-        code = regression.main(["--baseline", str(missing),
-                                "--out", str(tmp_path / "out.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert str(missing) in err
-        assert "BENCH_PR1.json" in err

@@ -167,3 +167,22 @@ class TestCli:
         output = capsys.readouterr().out
         assert "query.prefilter" not in output
         assert "engine.run_batch" in output
+
+    def test_bench_runs_a_paper_figure_and_writes_metrics(
+            self, tmp_path, monkeypatch, capsys):
+        import json
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
+        path = tmp_path / "bench.json"
+        assert main(["bench", "6", "--metrics-json", str(path)]) == 0
+        assert "Fig 6: three-way coordination" in capsys.readouterr().out
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["submitted"] > 0
+        assert counters["coordination_rounds"] > 0
+
+    def test_bench_runs_the_paper_figures_only(self, capsys):
+        # Beyond-paper scenarios are measured by the ledger
+        # (benchmarks/ledger/), not by this command.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "churn"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'churn'" in capsys.readouterr().err

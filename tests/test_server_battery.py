@@ -131,11 +131,12 @@ async def _oracle_scenario():
             histories = sorted(
                 entry for client in clients
                 for entry in client.history)
+            counters = server.metrics_snapshot()["counters"]
         finally:
             for client in clients:
                 await client.close()
             await server.drain(close_service=False)
-    return answered, expired, resolved, histories
+    return answered, expired, resolved, histories, counters
 
 
 def _replay(histories):
@@ -172,10 +173,14 @@ def _replay(histories):
 
 
 def test_32_clients_match_single_engine_oracle_byte_for_byte():
-    answered, expired, resolved, histories = asyncio.run(
+    answered, expired, resolved, histories, counters = asyncio.run(
         _oracle_scenario())
     assert answered > 0
     assert expired == 0
+    # Every client got its own connection, and no settlement event was
+    # dropped on the way to its owner.
+    assert counters["server.connections.opened"] == N_CLIENTS
+    assert counters.get("server.events.dropped", 0) == 0
     # submits (2 per client, minus empty halves) + mutates + batch +
     # expire all carry strictly increasing global order stamps.
     assert len(histories) == 2 * N_CLIENTS + N_CLIENTS // 4 + 2

@@ -255,14 +255,15 @@ def _triple(tag: str) -> list[EntangledQuery]:
     return [a, b, c]
 
 
-def _bridged_coordinator(small_flight_db, **kwargs) -> tuple:
+def _bridged_coordinator(small_flight_db,
+                         backend: str = "inprocess") -> ShardedCoordinator:
     """Two rendezvous triples whose providers straddle shards 0/1;
     submitting both bridges in one block forces two component moves
     with the same (source, destination)."""
     script = {"m1-a": 0, "m1-b": 1, "m2-a": 0, "m2-b": 1}
     coordinator = ShardedCoordinator(
-        small_flight_db, num_shards=2, mode="batch",
-        router=ScriptedRouter(2, script), **kwargs)
+        small_flight_db, num_shards=2, backend=backend, mode="batch",
+        router=ScriptedRouter(2, script))
     one, two = _triple("m1"), _triple("m2")
     coordinator.submit_many([one[0], one[1], two[0], two[1]])
     coordinator.submit_many([one[2], two[2]])
@@ -270,37 +271,25 @@ def _bridged_coordinator(small_flight_db, **kwargs) -> tuple:
 
 
 def test_block_migrations_share_one_manifest(small_flight_db):
-    batched = _bridged_coordinator(small_flight_db)
-    unbatched = _bridged_coordinator(small_flight_db,
-                                     migration_batching=False)
+    coordinator = _bridged_coordinator(small_flight_db)
 
-    # Same physics: both moved both providers to shard 0...
-    for coordinator in (batched, unbatched):
-        assert coordinator.migrated_queries == 2
-        assert {coordinator.shard_of(query_id)
-                for query_id in ("m1-a", "m1-b", "m1-c",
-                                 "m2-a", "m2-b", "m2-c")} == {0}
-    assert batched.pending_ids() == unbatched.pending_ids()
-    assert batched.partition_sizes() == unbatched.partition_sizes()
-
-    # ...but the batched transport needed one manifest exchange where
-    # the per-decision transport needed two.
-    assert unbatched.migrations == 2
-    assert batched.migrations == 1
-    assert batched.wire_requests < unbatched.wire_requests
+    # Both providers moved to shard 0 in ONE manifest exchange: the
+    # block's two co-location decisions share a (source, destination).
+    assert coordinator.migrations == 1
+    assert coordinator.migrated_queries == 2
+    assert {coordinator.shard_of(query_id)
+            for query_id in ("m1-a", "m1-b", "m1-c",
+                             "m2-a", "m2-b", "m2-c")} == {0}
+    # A second exchange would add its reserve/transfer/import/commit
+    # quartet (15).
+    assert coordinator.wire_requests == 11
 
 
-def test_batching_is_equivalent_on_the_process_backend(small_flight_db):
-    script = {"m1-a": 0, "m1-b": 1, "m2-a": 0, "m2-b": 1}
+def test_bridged_block_is_equivalent_on_the_process_backend(
+        small_flight_db):
     outcomes = []
-    for batching in (True, False):
-        with ShardedCoordinator(
-                small_flight_db, num_shards=2, backend="process",
-                mode="batch", router=ScriptedRouter(2, script),
-                migration_batching=batching) as coordinator:
-            one, two = _triple("m1"), _triple("m2")
-            coordinator.submit_many([one[0], one[1], two[0], two[1]])
-            coordinator.submit_many([one[2], two[2]])
+    for backend in ("process", "inprocess"):
+        with _bridged_coordinator(small_flight_db, backend) as coordinator:
             answered = coordinator.run_batch()
             outcomes.append((answered, coordinator.pending_ids(),
                              coordinator.partition_sizes(),
