@@ -369,6 +369,9 @@ def _command_trace(arguments: argparse.Namespace) -> int:
         finally:
             service.close()
         print(format_traces(TRACER.spans()))
+        if TRACER.dropped:
+            print(f"-- {TRACER.dropped} spans dropped: the ring keeps "
+                  f"the newest {len(TRACER)}", file=sys.stderr)
         if arguments.jsonl:
             TRACER.export_jsonl(arguments.jsonl)
             print(f"-- {len(TRACER)} spans exported to "

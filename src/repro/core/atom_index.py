@@ -18,6 +18,7 @@ variables are not captured by the index), so callers re-verify with
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Iterator
 
 from .terms import Atom, Constant, Variable
@@ -26,22 +27,10 @@ from .unify import atoms_unifiable, unify_atoms
 #: The wildcard standing for "any variable" in index keys.
 DELTA = object()
 
-#: Shared empty ordered-view result (dict keys views are immutable).
-_EMPTY_KEYS = {}.keys()
-
-
-def variable_profile(atom: Atom) -> tuple[frozenset[Variable], bool]:
-    """The variables of *atom*, and whether one occurs at two positions.
-
-    Repeated variables are the one thing the index's candidate formula
-    cannot capture; atoms without them (the overwhelmingly common case —
-    queries are renamed apart) can skip post-lookup re-verification
-    entirely when the probe is also repeat-free.
-    """
-    occurrences = [term for term in atom.args
-                   if isinstance(term, Variable)]
-    variables = frozenset(occurrences)
-    return variables, len(variables) != len(occurrences)
+#: Shared empty bucket (never written).
+_EMPTY: dict = {}
+#: A narrowing position's bucket size.
+_SIZE = itemgetter(0)
 
 
 class AtomIndex:
@@ -50,29 +39,31 @@ class AtomIndex:
     Entries are arbitrary hashable handles chosen by the caller; the atom
     itself is stored alongside so lookups can re-verify unifiability.
 
-    Buckets are insertion-ordered dicts mapping each entry to its global
-    insertion sequence, and :meth:`lookup` returns candidates in
-    insertion order.  This makes every graph built on the index fully
-    deterministic (set buckets iterate in string-hash order, which
-    ``PYTHONHASHSEED`` randomizes across processes) and keeps the
-    unifiability graph's provider refs in insertion-rank order for
-    free — no sort on the arrival hot path.
+    One record per ``(relation, arity)`` holds the bucket of all its
+    entries and, per argument position, a map from value (or
+    :data:`DELTA`) to a bucket: no key tuple is built on add, remove or
+    lookup (DESIGN.md §3).  Buckets are insertion-ordered dicts mapping
+    each entry to its global insertion sequence, and :meth:`lookup`
+    returns candidates in insertion order.  This makes every graph built
+    on the index fully deterministic (set buckets iterate in string-hash
+    order, which ``PYTHONHASHSEED`` randomizes across processes) and
+    keeps the unifiability graph's provider refs in insertion-rank
+    order for free — no sort on the arrival hot path.  An emptied
+    bucket is deleted, so an emptied index holds none.
     """
 
-    __slots__ = ("_by_key", "_by_relation", "_atoms", "_repeats",
-                 "_vars", "_next_seq")
+    __slots__ = ("_relations", "_atoms", "_repeating", "_with_variables",
+                 "_next_seq")
 
     def __init__(self) -> None:
-        # (relation, position, value-or-DELTA) -> {entry: seq}
-        self._by_key: dict[tuple, dict[Hashable, int]] = {}
-        # (relation, arity) -> {entry: seq} (for all-variable lookups)
-        self._by_relation: dict[tuple[str, int], dict[Hashable, int]] = {}
-        # entry -> atom
+        # (relation, arity) -> ({entry: seq}, [per position
+        # {value-or-DELTA: {entry: seq}}])
+        self._relations: dict[tuple[str, int], tuple] = {}
         self._atoms: dict[Hashable, Atom] = {}
-        # entry -> atom has a repeated variable (verification fast path)
-        self._repeats: dict[Hashable, bool] = {}
-        # entry -> the atom's variable set (verification fast path)
-        self._vars: dict[Hashable, frozenset[Variable]] = {}
+        # What alone can fail a candidate's verification: entries whose
+        # atom repeats a variable, and how many atoms have a variable.
+        self._repeating: set = set()
+        self._with_variables = 0
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -85,46 +76,105 @@ class AtomIndex:
         """Return the atom stored under *entry*."""
         return self._atoms[entry]
 
-    @staticmethod
-    def _keys_for(atom: Atom) -> list[tuple]:
-        relation, args = atom.relation, atom.args
-        arity = len(args)
-        return [(relation, arity, position,
-                 term.value if isinstance(term, Constant) else DELTA)
-                for position, term in enumerate(args)]
-
     def add(self, entry: Hashable, atom: Atom) -> None:
         """Insert *atom* under a fresh handle *entry*; re-adding a live
         entry raises ``KeyError`` (remove it first)."""
         if entry in self._atoms:
             raise KeyError(f"entry {entry!r} already indexed")
         seq = self._next_seq
-        self._next_seq += 1
+        self._next_seq = seq + 1
         self._atoms[entry] = atom
-        self._vars[entry], self._repeats[entry] = variable_profile(atom)
-        self._by_relation.setdefault(
-            (atom.relation, atom.arity), {})[entry] = seq
-        for key in self._keys_for(atom):
-            self._by_key.setdefault(key, {})[entry] = seq
+        args = atom.args
+        key = (atom.relation, len(args))
+        record = self._relations.get(key)
+        if record is None:
+            record = self._relations[key] = ({}, [{} for _ in args])
+        record[0][entry] = seq
+        variables = 0
+        for by_value, term in zip(record[1], args):
+            if isinstance(term, Constant):
+                value = term.value
+            else:
+                value = DELTA
+                variables += 1
+            bucket = by_value.get(value)
+            if bucket is None:
+                by_value[value] = {entry: seq}
+            else:
+                bucket[entry] = seq
+        if variables:
+            self._with_variables += 1
+            if variables > 1 and variables != len(
+                    {term for term in args if isinstance(term, Variable)}):
+                self._repeating.add(entry)
 
     def remove(self, entry: Hashable) -> None:
         """Remove the atom stored under *entry* (missing entries ignored)."""
         atom = self._atoms.pop(entry, None)
         if atom is None:
             return
-        self._repeats.pop(entry, None)
-        self._vars.pop(entry, None)
-        bucket = self._by_relation.get((atom.relation, atom.arity))
-        if bucket is not None:
-            bucket.pop(entry, None)
+        args = atom.args
+        key = (atom.relation, len(args))
+        everything, positions = self._relations[key]
+        del everything[entry]
+        if not everything:
+            del self._relations[key]
+        variables = False
+        for by_value, term in zip(positions, args):
+            if isinstance(term, Constant):
+                value = term.value
+            else:
+                value = DELTA
+                variables = True
+            bucket = by_value[value]
+            del bucket[entry]
             if not bucket:
-                del self._by_relation[(atom.relation, atom.arity)]
-        for key in self._keys_for(atom):
-            key_bucket = self._by_key.get(key)
-            if key_bucket is not None:
-                key_bucket.pop(entry, None)
-                if not key_bucket:
-                    del self._by_key[key]
+                del by_value[value]
+        if variables:
+            self._with_variables -= 1
+            self._repeating.discard(entry)
+
+    def _candidates(self, probe: Atom):
+        """The paper's intersection formula, as an insertion-ordered
+        iterable of entries — possibly a live bucket: copy it before
+        the index changes."""
+        args = probe.args
+        record = self._relations.get((probe.relation, len(args)))
+        if record is None:
+            return _EMPTY
+        everything, positions = record
+        # Per constant position, its exact and wildcard buckets (disjoint:
+        # an atom holds a constant or a variable there), unless together
+        # they hold every atom of the relation and so narrow nothing.
+        narrowing = []
+        for by_value, term in zip(positions, args):
+            if isinstance(term, Constant):
+                exact = by_value.get(term.value, _EMPTY)
+                wild = by_value.get(DELTA, _EMPTY)
+                size = len(exact) + len(wild)
+                if not size:
+                    return _EMPTY
+                if size < len(everything):
+                    narrowing.append((size, exact, wild))
+        if not narrowing:
+            return everything
+        # Seed from the most selective position and narrow by membership
+        # tests — never materialize the exact ∪ wildcard union (the
+        # wildcard bucket can hold every pending atom of the relation).
+        seed = min(narrowing, key=_SIZE)
+        _, exact, wild = seed
+        if exact and wild:
+            # Merged by insertion sequence: global insertion order.
+            merged = {**exact, **wild}
+            candidates = sorted(merged, key=merged.__getitem__)
+        else:
+            candidates = exact or wild
+        for pair in narrowing:
+            if pair is not seed:
+                _, exact, wild = pair
+                candidates = [entry for entry in candidates
+                              if entry in exact or entry in wild]
+        return candidates
 
     def lookup(self, probe: Atom):
         """Candidate entries whose atoms may unify with *probe*.
@@ -135,53 +185,11 @@ class AtomIndex:
         position ``i``.  If the probe has no constants, all entries of the
         relation (at matching arity) are candidates.
 
-        Returns a set-like, *insertion-ordered* view (a dict keys view):
-        it supports membership and set comparisons, and iterates in the
-        order the atoms were indexed.
+        Returns a set-like, *insertion-ordered* view (a dict keys view
+        of a private copy): it supports membership and set comparisons,
+        and iterates in the order the atoms were indexed.
         """
-        relation, args = probe.relation, probe.args
-        arity = len(args)
-        relation_bucket = self._by_relation.get((relation, arity))
-        if not relation_bucket:
-            return _EMPTY_KEYS
-        empty: dict[Hashable, int] = {}
-        by_key = self._by_key
-        # Gather the (exact, wildcard) bucket pair per constant position.
-        pairs: list[tuple[dict, dict]] = []
-        for position, term in enumerate(args):
-            if not isinstance(term, Constant):
-                continue
-            exact = by_key.get((relation, arity, position, term.value),
-                               empty)
-            wild = by_key.get((relation, arity, position, DELTA), empty)
-            if not exact and not wild:
-                return _EMPTY_KEYS
-            pairs.append((exact, wild))
-        if not pairs:
-            # All-variable probe: every atom of the relation is a candidate.
-            return dict.fromkeys(relation_bucket).keys()
-        # Seed from the most selective position and narrow by membership
-        # tests — never materialize the exact ∪ wildcard union (the
-        # wildcard bucket can hold every pending atom of the relation).
-        # An atom has exactly one of {constant, variable} per position,
-        # so the seed's exact/wild buckets are disjoint; merging them by
-        # insertion sequence restores global insertion order.
-        pairs.sort(key=lambda pair: len(pair[0]) + len(pair[1]))
-        exact, wild = pairs[0]
-        if not wild:
-            merged = exact
-        elif not exact:
-            merged = wild
-        else:
-            merged = dict(sorted((exact | wild).items(),
-                                 key=lambda item: item[1]))
-        candidates = dict.fromkeys(merged)
-        for exact, wild in pairs[1:]:
-            candidates = {entry: None for entry in candidates
-                          if entry in exact or entry in wild}
-            if not candidates:
-                return candidates.keys()
-        return candidates.keys()
+        return dict.fromkeys(self._candidates(probe)).keys()
 
     def lookup_unifiable(self, probe: Atom) -> list[Hashable]:
         """The entries whose atoms *definitely* unify with *probe*, in
@@ -195,21 +203,20 @@ class AtomIndex:
         unify_atoms` is consulted exactly for those — which workloads
         renamed apart essentially never hit.
         """
-        candidates = self.lookup(probe)
-        if not candidates:
-            return []
+        candidates = self._candidates(probe)
+        occurrences = [term for term in probe.args
+                       if isinstance(term, Variable)]
+        variables = set(occurrences)
+        apart = len(variables) == len(occurrences)
+        repeating = self._repeating
+        if apart and not repeating and (
+                not variables or not self._with_variables):
+            # Nothing repeats and nothing can be shared.
+            return [*candidates]
         atoms = self._atoms
-        repeats = self._repeats
-        probe_vars, probe_repeats = variable_profile(probe)
-        if not probe_vars:
-            # A ground probe has no variable to repeat or share.
-            return [entry for entry in candidates
-                    if not repeats[entry]
-                    or unify_atoms(probe, atoms[entry]) is not None]
-        variables = self._vars
         return [entry for entry in candidates
-                if (not probe_repeats and not repeats[entry]
-                    and probe_vars.isdisjoint(variables[entry]))
+                if (apart and entry not in repeating
+                    and variables.isdisjoint(atoms[entry].args))
                 or unify_atoms(probe, atoms[entry]) is not None]
 
     def entries(self) -> Iterator[tuple[Hashable, Atom]]:

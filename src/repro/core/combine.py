@@ -78,12 +78,15 @@ def ground_heads(heads: Mapping,
     the valuation leaves a head variable unbound (which would indicate a
     range-restriction bug upstream).
     """
-    mapping: dict[Variable, Term] = {
-        variable: Constant(value)
-        for variable, value in valuation.items()}
+    # (Only head variables become Constants; body variables never do.)
+    mapping: dict[Variable, Term] = {}
     result: dict = {}
     for query_id, atoms in heads.items():
-        grounded = tuple(atom.substitute(mapping) for atom in atoms)
+        for atom in atoms:
+            for term in atom.args:
+                if isinstance(term, Variable) and term in valuation:
+                    mapping[term] = Constant(valuation[term])
+        grounded = tuple([atom.substitute(mapping) for atom in atoms])
         for atom in grounded:
             if not atom.is_ground():
                 raise CoordinationError(

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..db.database import Database
-from ..errors import CoordinationError
 from .combine import CombinedQuery, build_combined_query, ground_heads
 from .graph import UnifiabilityGraph, build_unifiability_graph
 from .matching import ComponentMatch, ConflictPolicy, match_component, match_all
@@ -67,8 +66,8 @@ class Answer:
         rows: dict = {}
         for grounded_heads in groundings:
             for atom in grounded_heads:
-                values = tuple(term.value for term in atom.args)  # type: ignore[union-attr]
-                rows.setdefault(atom.relation, []).append(values)
+                rows.setdefault(atom.relation, []).append(
+                    tuple([term.value for term in atom.args]))
         return cls(query_id=query_id, rows=rows,
                    choices=len(groundings))
 
@@ -141,7 +140,7 @@ def _evaluate_component(
     result.timings.db_seconds += time.perf_counter() - start
 
     if valuations:
-        _record_answers(combined, valuations, result)
+        _record_answers(combined, valuations, result.answers)
         return
 
     if ucs_fallback:
@@ -158,7 +157,8 @@ def _evaluate_component(
             result.timings.db_seconds += time.perf_counter() - start
             if core_valuations:
                 result.combined.append(core_combined)
-                _record_answers(core_combined, core_valuations, result)
+                _record_answers(core_combined, core_valuations,
+                                result.answers)
                 handled.update(core_combined.survivors)
         for query_id in match.survivors:
             if query_id not in handled:
@@ -192,8 +192,7 @@ def _pick_valuations(database: Database, combined: CombinedQuery,
     return reservoir
 
 
-def _record_answers(combined, valuations: list,
-                    result: CoordinationResult) -> None:
+def _record_answers(combined, valuations: list, answers: dict) -> None:
     # *combined*: a CombinedQuery, or the Attempt retained of one.
     per_query: dict = {query_id: [] for query_id in combined.heads}
     for valuation in valuations:
@@ -201,7 +200,7 @@ def _record_answers(combined, valuations: list,
         for query_id, atoms in grounded.items():
             per_query[query_id].append(atoms)
     for query_id, groundings in per_query.items():
-        result.answers[query_id] = Answer.from_head_groundings(
+        answers[query_id] = Answer.from_head_groundings(
             query_id, groundings)
 
 

@@ -23,14 +23,12 @@ evaluated against it (plus the database).
 
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..db.database import Database
-from ..db.expression import ConjunctiveQuery
 from ..errors import CoordinationError
 from .combine import CombinedQuery, build_combined_query
 from .evaluate import (Answer, CoordinationResult, FailureReason,
@@ -215,7 +213,7 @@ def coordinate_with_aggregates(
             for query_id in combined.survivors:
                 result.failures[query_id] = FailureReason.NO_DATA
         else:
-            _record_answers(combined, [chosen], result)
+            _record_answers(combined, [chosen], result.answers)
     return result
 
 
@@ -231,6 +229,7 @@ def _aggregates_hold(database: Database, combined: CombinedQuery,
     # replaced by its class representative or folded to a constant.  Map
     # every aggregate variable through the global unifier before binding.
     binding = {variable: value for variable, value in valuation.items()}
+    substitution = combined.unifier.substitution()
     for query_id in combined.survivors:
         query = queries_by_id[query_id]
         for constraint in query.aggregates:
@@ -238,8 +237,7 @@ def _aggregates_hold(database: Database, combined: CombinedQuery,
             for variable in constraint.variables():
                 if variable in local:
                     continue
-                representative = combined.unifier.representative_term(
-                    variable)
+                representative = substitution.get(variable, variable)
                 if isinstance(representative, Constant):
                     local[variable] = representative.value
                 elif representative in binding:
@@ -281,5 +279,5 @@ def coordinate_with_preferences(
             for query_id in combined.survivors:
                 result.failures[query_id] = FailureReason.NO_DATA
         else:
-            _record_answers(combined, [best], result)
+            _record_answers(combined, [best], result.answers)
     return result

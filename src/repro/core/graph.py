@@ -220,10 +220,11 @@ class UnifiabilityGraph:
         edge with :meth:`edge`)."""
         return self._providers[query_id]
 
-    def head_values(self, ref: HeadRef) -> Optional[tuple]:
-        """The argument values of the head a provider ref stands for,
-        computed once at insertion; None for a non-ground head."""
-        return self._head_values[ref]
+    @property
+    def head_values(self) -> Mapping[HeadRef, Optional[tuple]]:
+        """Live provider ref -> its head's argument values, computed at
+        insertion; None for a non-ground head (read-only)."""
+        return self._head_values
 
     def edge(self, query_id: object, pc_pos: int, ref: HeadRef) -> Edge:
         """The edge from provider *ref* into one postcondition, built
@@ -315,7 +316,7 @@ class UnifiabilityGraph:
         # satisfying each new postcondition.  The index returns entries
         # in insertion order, so appending below keeps every ref map in
         # rank order.
-        found = list(map(self._pc_index.lookup_unifiable, query.head))
+        found = [*map(self._pc_index.lookup_unifiable, query.head)]
         own = tuple(map(dict.fromkeys,
                         map(self._head_index.lookup_unifiable,
                             query.postconditions)))
@@ -325,26 +326,21 @@ class UnifiabilityGraph:
         self._next_rank += 1
         providers, dependents = self._providers, self._dependents
         slots: list[PcRef] = []
-        for head_pos, written in enumerate(found):
-            if written:
-                ref = (query_id, head_pos)
-                for dst, pc_pos in written:
-                    providers[dst][pc_pos][ref] = None
-                slots += written
+        for head_pos, head in enumerate(query.head):
+            ref = (query_id, head_pos)
+            for dst, pc_pos in found[head_pos]:
+                providers[dst][pc_pos][ref] = None
+            slots += found[head_pos]
+            self._head_index.add(ref, head)
+            values = tuple([term.value for term in head.args
+                            if isinstance(term, Constant)])
+            self._head_values[ref] = (values if len(values) == head.arity
+                                      else None)
         dependents[query_id] = dict.fromkeys(map(_FIRST, slots))
         for refs in own:
             for src, _ in refs:
                 dependents[src][query_id] = None
         providers[query_id] = own
-
-        for head_pos, head in enumerate(query.head):
-            ref = (query_id, head_pos)
-            self._head_index.add(ref, head)
-            values = [term.value for term in head.args
-                      if isinstance(term, Constant)]
-            self._head_values[ref] = (tuple(values)
-                                      if len(values) == len(head.args)
-                                      else None)
         for pc_pos, postcondition in enumerate(query.postconditions):
             self._pc_index.add((query_id, pc_pos), postcondition)
         delta = GraphDelta("add", query_id, query, own, slots)
@@ -360,11 +356,10 @@ class UnifiabilityGraph:
         if query is None:
             return
         del self._rank[query_id]
-        heads: list[HeadRef] = []
-        for head_pos in range(len(query.head)):
-            heads.append((query_id, head_pos))
-            self._head_index.remove(heads[-1])
-            del self._head_values[heads[-1]]
+        heads = [(query_id, head_pos) for head_pos in range(len(query.head))]
+        for ref in heads:
+            self._head_index.remove(ref)
+            del self._head_values[ref]
         for pc_pos in range(query.pccount):
             self._pc_index.remove((query_id, pc_pos))
         providers, dependents = self._providers, self._dependents

@@ -238,7 +238,7 @@ class MatchState(Attempt):
         chosen, unifiers, alive = self.chosen, self.unifiers, self.alive
         fresh_set = set(fresh)
         global_unifier = self.global_unifier
-        if global_unifier is not None:
+        if global_unifier is not None and len(fresh) < len(self.members):
             # Folded in place below; results handed out keep theirs.
             global_unifier = global_unifier.copy()
 

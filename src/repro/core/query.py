@@ -116,15 +116,19 @@ class EntangledQuery:
         if not self.head:
             raise ValidationError(
                 f"query {self.query_id!r} has no head atoms")
-        body_vars = variables_of(self.body)
-        unbound = self.head_variables() - body_vars
+        body_vars = {term for item in self.body for term in item.args
+                     if isinstance(term, Variable)}
+        answer = (*self.head, *self.postconditions)
+        unbound = {term for item in answer for term in item.args
+                   if isinstance(term, Variable) and term not in body_vars}
         if unbound:
             names = ", ".join(sorted(variable.name for variable in unbound))
             raise ValidationError(
                 f"query {self.query_id!r} violates range restriction: "
                 f"variables {{{names}}} appear in the head or "
                 f"postconditions but not in the body")
-        overlap = self.answer_relations() & self.body_relations()
+        overlap = {item.relation for item in answer} & {
+            item.relation for item in self.body}
         if overlap:
             names = ", ".join(sorted(overlap))
             raise ValidationError(
@@ -148,30 +152,38 @@ class EntangledQuery:
 
         Unifier propagation requires that no variable appear in more than
         one query (paper Section 4.1.3).  The default tag is derived from
-        the query id.  One shared memo interns the renamed variables
-        across the copy's atoms: a variable occurring throughout the
-        head, postconditions, and body is allocated (and its hash
-        computed) exactly once — measurable on ingestion-heavy
-        workloads, where every submit renames its query apart.
+        the query id.  One pass renames the atoms, with one shared memo
+        interning the renamed variables: a variable occurring throughout
+        the head, postconditions, and body is allocated (and its hash
+        computed) exactly once — measurable on ingestion-heavy workloads,
+        where every submit renames its query apart.  A query whose every
+        variable already carries the suffix is returned as is.
         """
         suffix = f"@{tag if tag is not None else self.query_id}"
-        # A first variable without the suffix settles "already
-        # renamed?" with no sweep: one pass, one direct construction.
-        first = next((term for item in itertools.chain(
-            self.head, self.postconditions, self.body)
-            for term in item.args if isinstance(term, Variable)), None)
-        if first is None or (first.name.endswith(suffix) and all(
-                variable.name.endswith(suffix)
-                for variable in self.variables())):
-            return self
         memo: dict = {}
-        head = tuple([item.rename(suffix, memo) for item in self.head])
-        postconditions = tuple([item.rename(suffix, memo)
-                                for item in self.postconditions])
-        body = tuple([item.rename(suffix, memo) for item in self.body])
+        suffixed = True
+        renamed: list[tuple] = []
+        for atoms in (self.head, self.postconditions, self.body):
+            into = []
+            for item in atoms:
+                args = []
+                changed = False
+                for term in item.args:
+                    if isinstance(term, Variable):
+                        changed = True
+                        fresh = memo.get(term)
+                        if fresh is None:
+                            suffixed = suffixed and term.name.endswith(suffix)
+                            fresh = memo[term] = Variable(term.name + suffix)
+                        term = fresh
+                    args.append(term)
+                into.append(Atom(item.relation, tuple(args)) if changed
+                            else item)
+            renamed.append(tuple(into))
+        if suffixed:
+            return self
         return EntangledQuery(
-            self.query_id, head, postconditions, body, self.choose,
-            self.owner,
+            self.query_id, *renamed, self.choose, self.owner,
             tuple([constraint.rename(suffix)
                    for constraint in self.aggregates]),
             tuple([item.rename(suffix, memo)

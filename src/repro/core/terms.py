@@ -13,7 +13,7 @@ forests and lets query sets be deduplicated and indexed cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,40 +138,18 @@ class Atom:
         Variables absent from *mapping* are left in place, so partial
         substitutions are fine.
         """
-        new_args = tuple(
-            mapping.get(term, term) if isinstance(term, Variable) else term
-            for term in self.args
-        )
+        new_args = tuple([mapping.get(term, term)
+                          if isinstance(term, Variable) else term
+                          for term in self.args])
         if new_args == self.args:
             return self
         return Atom(self.relation, new_args)
 
-    def rename(self, suffix: str,
-               memo: Optional[dict] = None) -> "Atom":
-        """Return a copy with every variable name suffixed by *suffix*.
-
-        Ground atoms are returned as-is (nothing to rename).  *memo*
-        interns the renamed variables: atoms renamed with a shared memo
-        hold the *same* ``Variable`` objects for the same source
-        variable, so one renamed copy of a query allocates (and hashes)
-        each distinct variable once instead of once per occurrence.
-        """
-        if memo is None:
-            memo = {}
-        changed = False
-        new_args = []
-        for term in self.args:
-            if isinstance(term, Variable):
-                renamed = memo.get(term)
-                if renamed is None:
-                    renamed = memo[term] = Variable(term.name + suffix)
-                new_args.append(renamed)
-                changed = True
-            else:
-                new_args.append(term)
-        if not changed:
-            return self
-        return Atom(self.relation, tuple(new_args))
+    def rename(self, suffix: str) -> "Atom":
+        """Return a copy with every variable name suffixed by *suffix*
+        (a ground atom is returned as-is)."""
+        return self.substitute({variable: Variable(variable.name + suffix)
+                                for variable in self.variables()})
 
     def __str__(self) -> str:
         inner = ", ".join(str(term) for term in self.args)

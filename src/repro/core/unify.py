@@ -132,6 +132,25 @@ class Unifier:
         :meth:`copy` and discard it on failure — this is exactly what
         :func:`mgu` does.
         """
+        parent, rank = self._parent, self._rank
+        left_constant = isinstance(left, Constant)
+        right_constant = isinstance(right, Constant)
+        if not (left_constant and right_constant) \
+                and left not in parent and right not in parent:
+            # Two unseen terms, not both constants (each position of a
+            # repeat-free edge, each class's first fold in update()):
+            # write the forest the general path below leaves, sans finds.
+            if left_constant:
+                self._class_constant[left] = left
+            elif right_constant:
+                self._class_constant[left] = right
+            elif left == right:
+                parent[left], rank[left] = left, 0
+                return True
+            parent[left] = parent[right] = left
+            rank[left], rank[right] = 1, 0
+            self._canonical = None
+            return True
         self._ensure(left)
         self._ensure(right)
         root_left = self.find(left)
@@ -230,15 +249,6 @@ class Unifier:
     def __hash__(self) -> int:
         return hash(self.canonical())
 
-    def constraint_count(self) -> int:
-        """Total size of non-singleton classes (a monotonicity measure).
-
-        Algorithm 1's termination argument relies on unifiers only ever
-        getting *more* constrained; this count (together with the number
-        of classes) only moves in one direction under :meth:`update`.
-        """
-        return sum(len(group) for group in self.classes())
-
     def merged_with(self, other: "Unifier") -> Optional["Unifier"]:
         """Most general unifier of self and *other* as a new unifier.
 
@@ -262,39 +272,36 @@ class Unifier:
     # substitution
     # ------------------------------------------------------------------
 
-    def representative_term(self, term: Term) -> Term:
-        """Map *term* to its class constant if known, else a canonical
-        variable of its class, else itself.
-
-        The canonical variable is the lexicographically smallest variable
-        name in the class, which makes substitution deterministic.
-        """
-        if isinstance(term, Constant):
-            return term
-        if term not in self._parent:
-            return term
-        root = self.find(term)
-        constant = self._class_constant.get(root)
-        if constant is not None:
-            return constant
-        candidates = [member for member in self._parent
-                      if isinstance(member, Variable)
-                      and self.find(member) is root]
-        return min(candidates, key=lambda variable: variable.name)
-
     def substitution(self) -> dict[Variable, Term]:
         """Return a variable -> representative-term mapping.
 
         Applying this mapping to an atom realises the unifier's
         constraints: equated variables collapse to one name and variables
-        equated with a constant become that constant.
+        equated with a constant become that constant.  A class without
+        a constant is represented by its lexicographically smallest
+        variable name, which makes substitution deterministic.
         """
+        # One pass: classes with a constant map to it as they are met;
+        # the variables of the others are grouped by root, so the whole
+        # mapping is O(n α(n)), never a scan of the forest per variable.
+        find = self.find
+        class_constant = self._class_constant
         mapping: dict[Variable, Term] = {}
+        unconstrained: dict[Term, list[Variable]] = {}
         for term in self._parent:
             if isinstance(term, Variable):
-                representative = self.representative_term(term)
-                if representative != term:
-                    mapping[term] = representative
+                root = find(term)
+                constant = class_constant.get(root)
+                if constant is not None:
+                    mapping[term] = constant
+                else:
+                    unconstrained.setdefault(root, []).append(term)
+        for members in unconstrained.values():
+            if len(members) > 1:
+                canonical = min(members, key=lambda variable: variable.name)
+                for variable in members:
+                    if variable is not canonical:
+                        mapping[variable] = canonical
         return mapping
 
     def apply(self, item: Atom) -> Atom:

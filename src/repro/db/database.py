@@ -6,7 +6,6 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..core.terms import Variable
 from ..errors import RecoveryError, SchemaError, ValidationError
 from .executor import Executor, Valuation
 from .expression import ConjunctiveQuery
@@ -354,6 +353,11 @@ class Database:
                  limit: int | None = None) -> Iterator[Valuation]:
         """Stream valuations satisfying *query*."""
         return self._executor.evaluate(query, limit=limit)
+
+    def project(self, query: ConjunctiveQuery, variables: Sequence,
+                limit: int) -> Iterator:
+        """The values of *variables* per valuation (Executor.project)."""
+        return self._executor.project(query, variables, limit)
 
     def first(self, query: ConjunctiveQuery) -> Optional[Valuation]:
         """One satisfying valuation or None."""

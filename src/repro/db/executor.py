@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from ..core.terms import Atom, Constant
 from ..errors import QueryEvaluationError
@@ -284,6 +284,30 @@ class Executor:
         and stops after *limit* results if given.  An atom-free query
         yields one empty valuation iff all constant comparisons hold.
         """
+        program, params, slots = self._compiled(query)
+        results = self._search(program, params, slots)
+        if query.distinct:
+            results = self._deduplicate(results, query)
+        if limit is not None:
+            results = self._take(results, limit)
+        return results
+
+    def project(self, query: ConjunctiveQuery, variables: Sequence,
+                limit: int) -> Iterator:
+        """Per valuation of *query* (at most *limit*, ``distinct`` not
+        applied), the values of *variables* — a tuple, or one bare value
+        — read straight from the search's slots: no dict per row."""
+        program, params, slots = self._compiled(query)
+        if not all(variable in slots for variable in variables):
+            raise QueryEvaluationError(
+                f"{variables} are not all bound by {query}")
+        return self._take(self._search(
+            program, params, slots,
+            itemgetter(*[slots[variable] for variable in variables])),
+            limit)
+
+    def _compiled(self, query: ConjunctiveQuery) -> tuple:
+        """*query*'s shape program (built once) and its slot values."""
         shape, params, slots = bind_query(query)
         order, program = self._planner.lookup(shape, query)
         if program is None:
@@ -292,12 +316,7 @@ class Executor:
             self._planner.retain_program(shape, order, program)
         if program.contradiction:
             self.empty_prunes += 1
-        results = self._search(program, params, slots)
-        if query.distinct:
-            results = self._deduplicate(results, query)
-        if limit is not None:
-            results = self._take(results, limit)
-        return results
+        return program, params, slots
 
     def set_range_pushdown(self, enabled: bool) -> None:
         """Toggle ordered-index pushdown (the tests' reference leg).
@@ -344,8 +363,8 @@ class Executor:
         row_map = step.row_map
         return iter([row_map[row_id] for row_id in row_ids])
 
-    def _search(self, program: Program, params: list,
-                variables) -> Iterator[Valuation]:
+    def _search(self, program: Program, params: list, variables,
+                project=None) -> Iterator:
         """Iterative backtracking search over the program's steps.
 
         One explicit stack of row iterators instead of a generator per
@@ -355,7 +374,8 @@ class Executor:
         of rows per benchmark round).  All run state is local to the
         call — programs are shared across threads.  A slot is only read
         by steps deeper than the one that binds it, so backtracking
-        needs no undo: the next row simply overwrites it.
+        needs no undo: the next row simply overwrites it.  Results are
+        valuations over *variables*, or ``project(slots)`` if given.
         """
         if program.contradiction:
             return
@@ -368,7 +388,7 @@ class Executor:
         steps = program.steps
         last = len(steps) - 1
         if last < 0:
-            yield {}
+            yield {} if project is None else project(slots)
             return
         iterators: list = [None] * (last + 1)
         sentinel = _EXHAUSTED
@@ -393,7 +413,8 @@ class Executor:
                     for compare, left, right in step.comparisons):
                 continue
             if depth == last:
-                yield dict(zip(variables, slots))
+                yield (dict(zip(variables, slots)) if project is None
+                       else project(slots))
                 continue
             depth += 1
             iterators[depth] = rows_for(steps[depth], slots)

@@ -176,11 +176,6 @@ class Interval:
     upper_inclusive: bool = True
     empty: bool = False
 
-    def selectivity_hint(self) -> bool:
-        """True when the interval constrains at least one side."""
-        return self.empty or self.lower is not None \
-            or self.upper is not None
-
 
 @dataclass(frozen=True, slots=True)
 class RangePlan:

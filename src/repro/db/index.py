@@ -13,7 +13,7 @@ first use of a position set and maintained on insert/delete.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class HashIndex:
@@ -197,10 +197,6 @@ class OrderedIndex:
         """Window size without materializing it (planner estimates)."""
         start, end = self.range_window(prefix, lower, upper)
         return end - start
-
-    def rows_in_order(self) -> Iterator[tuple[tuple, int]]:
-        """All (key, row id) entries in sorted order (test oracle)."""
-        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

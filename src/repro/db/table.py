@@ -230,16 +230,6 @@ class Table:
         """
         return self._rows
 
-    def fetch_rows(self, row_ids: Iterable[int]) -> list[tuple]:
-        """The rows for *row_ids* (as returned by an index probe).
-
-        The executor resolves index handles at plan-compile time and
-        probes them directly; this is its path back from row ids to rows
-        without re-canonicalizing positions on every probe.
-        """
-        rows = self._rows
-        return [rows[row_id] for row_id in row_ids]
-
     def probe(self, bindings: dict[int, object]) -> Iterator[tuple]:
         """Yield rows matching equality *bindings* (position -> value).
 

@@ -35,24 +35,20 @@ configuration and settlement callbacks the scheduler uses.
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from ..core.combine import build_combined_query
-from ..core.evaluate import (CoordinationResult, _pick_valuations,
-                             _record_answers)
+from ..core.evaluate import _pick_valuations, _record_answers
 from ..core.graph import GraphDelta, UnifiabilityGraph
 from ..core.matching import ComponentMatch, match_component
 from ..core.query import EntangledQuery
-from ..core.terms import Constant
+from ..core.terms import Variable
 from ..core.ucs import check_ucs_graph
 from ..db.expression import ConjunctiveQuery
 from ..errors import ReproError
 from ..obs.trace import TRACER
 from .partitions import PartitionManager
-
-#: Marker for postcondition slots the body does not bind; never equal to
-#: any database value.
-_UNBOUND = object()
 
 
 class CoordinationScheduler:
@@ -117,32 +113,33 @@ class CoordinationScheduler:
 
     def _on_delta(self, delta: GraphDelta) -> None:
         """Fold one graph delta into partition state and the worklist."""
+        query_id = delta.query_id
         if delta.kind == "add":
             self.partitions.add_query(delta.query, delta)
-            self._dirty[delta.query_id] = None
-            self._track_reader(delta.query)
+            self._dirty[query_id] = None
+            if self._readers is not None:
+                self._track_reader(delta.query)
             return
+        # A removal is forgotten here, in the pass that removes it; only
+        # the partition bookkeeping waits for the end of a block.
+        self._dirty.pop(query_id, None)
+        if self._readers is not None:
+            self._forget_reader(query_id)
+        if self._failed_by_member:
+            self._drop_failed_groups_of(query_id)
         if self._removal_batch is not None:
-            self._removal_batch.append(delta.query_id)
+            self._removal_batch.append(query_id)
             return
-        self._dirty.pop(delta.query_id, None)
-        self._forget_reader(delta.query_id)
-        self._drop_failed_groups_of(delta.query_id)
-        for representative in self.partitions.remove_queries(
-                (delta.query_id,)):
+        for representative in self.partitions.remove_queries((query_id,)):
             self._dirty[representative] = None
 
     def _track_reader(self, query: EntangledQuery) -> None:
-        if self._readers is None:
-            return
         relations = {atom.relation for atom in query.body}
         self._reads_of[query.query_id] = relations
         for relation in sorted(relations):
             self._readers.setdefault(relation, {})[query.query_id] = None
 
     def _forget_reader(self, query_id) -> None:
-        if self._readers is None:
-            return
         for relation in self._reads_of.pop(query_id, ()):
             readers = self._readers.get(relation)
             if readers is not None:
@@ -174,10 +171,6 @@ class CoordinationScheduler:
                 self.graph.remove_query(query_id)
         finally:
             removed, self._removal_batch = self._removal_batch, None
-        for query_id in removed:
-            self._dirty.pop(query_id, None)
-            self._forget_reader(query_id)
-            self._drop_failed_groups_of(query_id)
         for representative in self.partitions.remove_queries(removed):
             self._dirty[representative] = None
 
@@ -424,10 +417,7 @@ class CoordinationScheduler:
         query = self.graph.query(origin)
         choices: Sequence = (None,)
         if query.pccount:
-            # Stable by arrival: a provider's refs stay in head order.
-            arrival = host._arrival
-            choices = sorted(self.graph.provider_refs(origin)[0],
-                             key=lambda ref: arrival[ref[0]])
+            choices = [*self.graph.provider_refs(origin)[0]]
             if len(choices) > 1:
                 choices = self._feasible_first(query, choices)
             # No choice left means no pending provider, or none the
@@ -449,68 +439,65 @@ class CoordinationScheduler:
 
     def _feasible_first(self, query: EntangledQuery,
                         refs: list) -> list:
-        """Filter/reorder candidate provider refs by data feasibility.
+        """Filter/reorder candidate provider refs by data feasibility,
+        into arrival order (a provider's refs stay in head order).
 
         One bounded enumeration of the origin query's body, in the
-        planner's fan-out order, projected onto its first
-        postcondition's arguments; then one set-membership test per
-        candidate, by the ground head values the graph keeps.  If the
-        enumeration is *complete* (did not hit the cap), candidates the
-        data cannot pair with are dropped outright — their combined
-        query is guaranteed empty.  If it was truncated,
-        infeasible-looking candidates are merely moved to the back.
-        Either way a provider whose head is non-ground is kept in front
-        (feasibility cannot be decided statically for it).  Nothing is
-        remembered between calls, so there is nothing a mutation could
-        leave stale.
+        planner's fan-out order, projected from the executor's slots
+        onto its first postcondition's variables; then one
+        set-membership test per candidate, by the ground head values
+        the graph keeps at those positions (its constants agree, or it
+        would not unify).  If the enumeration is *complete* (did not
+        hit the cap), candidates the data cannot pair with are dropped
+        outright — their combined query is guaranteed empty.  If it was
+        truncated, they merely move to the back.  Either way a provider
+        whose head is non-ground is kept in front.  Only survivors are
+        sorted, and nothing is remembered between calls, so there is
+        nothing a mutation could leave stale.
         """
         host = self._host
-        if not query.body:
-            return refs
-        pc_atom = query.postconditions[0]
-        if pc_atom.is_ground():
-            return refs
+        arrival = host._arrival
+
+        def by_arrival(kept: list) -> list:
+            return sorted(kept, key=lambda ref: arrival[ref[0]])
+
+        args = query.postconditions[0].args
+        positions = [position for position, term in enumerate(args)
+                     if isinstance(term, Variable)]
+        if not query.body or not positions:
+            return by_arrival(refs)
         tracer = TRACER
         if tracer.enabled:
             start_ns = time.perf_counter_ns()
-        # Postcondition variables the body does not bind project to
-        # _UNBOUND: they can never equal a candidate's ground values.
-        args = pc_atom.args
         limit = self._FEASIBILITY_LIMIT
-        feasible: set[tuple] = set()
-        enumerated = 0
         self.feasibility_misses += 1
         start = time.perf_counter()
         try:
-            for valuation in host.database.evaluate(
-                    ConjunctiveQuery(query.body), limit=limit):
-                enumerated += 1
-                feasible.add(tuple(
-                    [term.value if isinstance(term, Constant)
-                     else valuation.get(term, _UNBOUND)
-                     for term in args]))
+            rows = [*host.database.project(
+                ConjunctiveQuery(query.body),
+                [args[position] for position in positions], limit)]
         except ReproError:
-            return refs
+            return by_arrival(refs)
         finally:
             host.stats.db_seconds += time.perf_counter() - start
-
+        feasible = set(rows)
         preferred, fallback = [], []
+        key_of = itemgetter(*positions)
         head_values = self.graph.head_values
         for ref in refs:
-            values = head_values(ref)
-            if values is None or values in feasible:
+            values = head_values[ref]
+            if values is None or key_of(values) in feasible:
                 preferred.append(ref)
             else:
                 fallback.append(ref)
-        complete = enumerated < limit
+        complete = len(rows) < limit
         if tracer.enabled:
             tracer.record("query.prefilter", start_ns,
                           host._trace_of.get(query.query_id),
-                          candidates=len(refs), enumerated=enumerated,
+                          candidates=len(refs), enumerated=len(rows),
                           kept=len(preferred), complete=complete)
-        if complete:
-            return preferred
-        return preferred + fallback
+        return by_arrival(preferred) + ([] if complete
+                                        else by_arrival(fallback))
 
     def _build_group(self, origin, forced: dict) -> Optional[frozenset]:
         """Dependency closure of *origin*, or None if it cannot close.
@@ -664,7 +651,7 @@ class CoordinationScheduler:
         if not valuations:
             return False
 
-        scratch = CoordinationResult()
-        _record_answers(combined, valuations, scratch)
-        host._settle_answers(scratch.answers)
+        answers: dict = {}
+        _record_answers(combined, valuations, answers)
+        host._settle_answers(answers)
         return True

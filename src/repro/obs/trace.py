@@ -116,12 +116,8 @@ class Tracer:
         # lazily in :meth:`spans`.  Emission is one tuple build and
         # one deque append — no per-span object construction.
         self._spans: deque = deque(maxlen=capacity)
-        #: Hot-path emission: append one payload 6-tuple
-        #: ``(name, trace_id, site, start_ns, duration_ns, attrs)``
-        #: directly — a bound C-level ``deque.append``, the cheapest
-        #: possible span sink.  The per-query engine sites use this;
-        #: everything else goes through :meth:`record`/:meth:`event`.
-        self.emit = self._spans.append
+        #: Spans the full ring evicted since creation or :meth:`clear`.
+        self.dropped = 0
         self._lock = threading.Lock()
         # Trace ids must be unique across processes without reading a
         # wall clock: a per-process random prefix plus a counter.
@@ -135,12 +131,21 @@ class Tracer:
 
     # -- span emission ------------------------------------------------
 
+    def emit(self, payload: tuple) -> None:
+        """Append one payload 6-tuple ``(name, trace_id, site,
+        start_ns, duration_ns, attrs)``: the per-query engine sites'
+        hot path.  A full ring evicts its oldest span into
+        :attr:`dropped`."""
+        spans = self._spans
+        if len(spans) == spans.maxlen:
+            self.dropped += 1
+        spans.append(payload)
+
     def record(self, name: str, start_ns: int,
                trace_id: Optional[str] = None, **attrs) -> None:
         """Finish a span started at *start_ns* (caller read the clock)."""
-        self._spans.append((name, trace_id, self.site, start_ns,
-                            perf_counter_ns() - start_ns,
-                            attrs or None))
+        self.emit((name, trace_id, self.site, start_ns,
+                   perf_counter_ns() - start_ns, attrs or None))
 
     def record_many(self, name: str, start_ns: int,
                     trace_ids: Iterable[Optional[str]],
@@ -150,17 +155,15 @@ class Tracer:
         attempt seen from every participating query).  One clock read
         and one attrs dict however many members the component has."""
         duration = perf_counter_ns() - start_ns
-        site = self.site
-        shared = attrs or None
-        append = self._spans.append
         for trace_id in trace_ids:
-            append((name, trace_id, site, start_ns, duration, shared))
+            self.emit((name, trace_id, self.site, start_ns, duration,
+                       attrs or None))
 
     def event(self, name: str, trace_id: Optional[str] = None,
               **attrs) -> None:
         """A zero-duration marker (settle, expire, submit)."""
-        self._spans.append((name, trace_id, self.site,
-                            perf_counter_ns(), 0, attrs or None))
+        self.emit((name, trace_id, self.site, perf_counter_ns(), 0,
+                   attrs or None))
 
     @contextmanager
     def span(self, name: str, trace_id: Optional[str] = None, **attrs):
@@ -181,6 +184,7 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
+            self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -200,7 +204,7 @@ class Tracer:
         prefix."""
         with self._lock:
             for payload in payloads:
-                self._spans.append(tuple(payload[:6]))
+                self.emit(tuple(payload[:6]))
 
     # -- grouping and export ------------------------------------------
 

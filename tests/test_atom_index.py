@@ -95,6 +95,15 @@ class TestLookupIsSuperset:
         assert index.lookup(atom("R", 2, 3)) == {"rep"}
         assert not atoms_unifiable(atom("R", X, X), atom("R", 2, 3))
 
+    def test_shared_variable_is_verified(self):
+        # R(2, x) against R(x, 1): each position is compatible, but x
+        # would have to be both 2 and 1.
+        index = AtomIndex()
+        index.add("shared", atom("R", 2, X))
+        index.add("apart", atom("R", 2, Y))
+        assert index.lookup(atom("R", X, 1)) == {"shared", "apart"}
+        assert index.lookup_unifiable(atom("R", X, 1)) == ["apart"]
+
     def test_multi_constant_intersection(self):
         index = AtomIndex()
         index.add("a", atom("R", 1, 2, X))
@@ -137,3 +146,43 @@ def test_index_candidates_verified_equals_naive(stored, probe):
     truth = {position for position, item in enumerate(stored)
              if atoms_unifiable(probe, item)}
     assert verified == truth
+
+
+# Interleavings of add and remove: a step adds the next atom under a
+# fresh entry, or removes the live entry at some position.
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("add"), _atoms),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=11))),
+    max_size=30)
+
+
+@given(_steps, st.lists(_atoms, min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_lookup_unifiable_tracks_the_naive_scan_under_churn(steps, probes):
+    """After every add or remove, lookup_unifiable equals the naive
+    index's verified scan, in insertion order; emptied, the index holds
+    no bucket at all (a leaked empty bucket is resident memory that
+    grows with every distinct constant ever indexed)."""
+    index, naive = AtomIndex(), NaiveAtomIndex()
+    live: list = []
+    for step, (kind, item) in enumerate(steps):
+        if kind == "add":
+            index.add(step, item)
+            naive.add(step, item)
+            live.append(step)
+        elif live:
+            entry = live.pop(item % len(live))
+            index.remove(entry)
+            naive.remove(entry)
+        for probe in probes:
+            assert index.lookup_unifiable(probe) \
+                == naive.lookup_unifiable(probe)
+        for everything, positions in index._relations.values():
+            for by_value in positions:
+                assert all(by_value.values())
+                assert sum(map(len, by_value.values())) == len(everything)
+    for entry in live:
+        index.remove(entry)
+    assert len(index) == 0
+    assert index._relations == {}
+    assert not index._repeating and index._with_variables == 0

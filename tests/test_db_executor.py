@@ -215,3 +215,23 @@ def _canon(valuations):
 def test_executor_matches_naive_oracle(data):
     db, query = data
     assert _canon(db.evaluate(query)) == _canon(evaluate_naive(db, query))
+
+
+@given(_database_and_query(), st.integers(min_value=0, max_value=6),
+       st.lists(st.sampled_from([X, Y, Z]), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_projection_reads_the_valuations_evaluate_yields(data, limit,
+                                                         picked):
+    """``project`` is ``evaluate`` minus the dicts: the same rows, in
+    the same order, cut at the same limit."""
+    db, query = data
+    bound = query.variables()
+    if not set(picked) <= bound:
+        with pytest.raises(QueryEvaluationError):
+            db.project(query, picked, limit)
+        return
+    expected = [tuple(valuation[variable] for variable in picked)
+                for valuation in db.evaluate(query, limit=limit)]
+    if len(picked) == 1:
+        expected = [values[0] for values in expected]
+    assert list(db.project(query, picked, limit)) == expected

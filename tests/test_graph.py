@@ -153,3 +153,28 @@ class TestDerivedQuantities:
         graph = build_unifiability_graph([provider, consumer])
         assert len(graph.out_edges("provider")) >= 2
         assert graph.indegree("consumer") >= 2
+
+
+def test_removing_every_query_leaves_no_residue():
+    """Every per-query and per-ref map, and both atom indexes, empty
+    out once the last query leaves (long-lived engines would otherwise
+    grow with history, not with the pending set)."""
+    queries = rename_workload_apart(paper_running_example() + [
+        parse_ir("{T(w1)} R(w1) <- D2(w1)", "q4"),
+        parse_ir("{R(v1)} T(v1) ∧ S(v1) <- D1(v1, v1, v1)", "q5"),
+    ])
+    graph = UnifiabilityGraph()
+    for round_ in range(2):
+        for query in queries:
+            graph.add_query(query)
+        assert any(graph.provider_refs(query.query_id)[0]
+                   for query in queries if query.pccount)
+        for query in (queries if round_ else reversed(queries)):
+            graph.remove_query(query.query_id)
+        assert len(graph) == 0
+        for residue in (graph._providers, graph._dependents,
+                        graph._head_values, graph._rank,
+                        graph._head_index._relations,
+                        graph._pc_index._relations):
+            assert residue == {}
+        assert len(graph._head_index) == len(graph._pc_index) == 0

@@ -268,3 +268,30 @@ def test_ring_buffer_drops_oldest_spans():
     spans = tracer.spans()
     assert len(spans) == 4
     assert [span.attrs["index"] for span in spans] == [6, 7, 8, 9]
+
+
+def test_a_full_ring_counts_what_it_drops():
+    from repro.obs.trace import Tracer
+    tracer = Tracer(site="test", capacity=4)
+    tracer.enabled = True
+    for index in range(10):
+        tracer.emit(("tick", None, "test", index, 0, None))
+    assert len(tracer) == 4
+    assert tracer.dropped == 6
+    tracer.record_many("fan", 0, ["a", "b"])
+    tracer.import_payloads([("shipped", None, "shard0", 0, 0, None)])
+    assert tracer.dropped == 9
+    tracer.clear()
+    assert tracer.dropped == 0
+
+
+def test_repro_trace_reports_ring_drops(monkeypatch, capsys):
+    from collections import deque
+
+    from repro.cli import main
+    monkeypatch.setattr(TRACER, "_spans", deque(maxlen=4))
+    assert main(["trace"]) == 0
+    captured = capsys.readouterr()
+    assert TRACER.dropped > 0
+    assert (f"-- {TRACER.dropped} spans dropped: the ring keeps the "
+            f"newest 4") in captured.err

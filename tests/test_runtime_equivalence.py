@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core.combine import build_combined_query
-from repro.core.evaluate import CoordinationResult, _record_answers
+from repro.core.evaluate import _record_answers
 from repro.core.graph import UnifiabilityGraph
 from repro.core.matching import match_component
 from repro.core.query import EntangledQuery
@@ -80,9 +80,7 @@ class Oracle:
                                                 limit=choose))
             if not valuations:
                 continue
-            scratch = CoordinationResult()
-            _record_answers(combined, valuations, scratch)
-            answers.update(scratch.answers)
+            _record_answers(combined, valuations, answers)
         return answers
 
 

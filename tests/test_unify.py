@@ -191,11 +191,11 @@ class TestUnifyAtoms:
 class TestSubstitution:
     def test_representative_prefers_constant(self):
         unifier = Unifier.from_pairs([(X, Y), (Y, Constant(9))])
-        assert unifier.representative_term(X) == Constant(9)
+        assert unifier.substitution()[X] == Constant(9)
 
     def test_representative_variable_is_min_name(self):
         unifier = Unifier.from_pairs([(Z, X), (X, Y)])
-        assert unifier.representative_term(Z) == X
+        assert unifier.substitution() == {Z: X, Y: X}
 
     def test_substitution_application(self):
         unifier = Unifier.from_pairs([(X, Constant(1)), (Y, Z)])
@@ -296,3 +296,99 @@ def test_atom_unification_symmetric(atom_specs):
 def test_atom_unifies_with_itself(args):
     built = Atom("R", tuple(args))
     assert unify_atoms(built, built) is not None
+
+
+# ---------------------------------------------------------------------------
+# substitution() in one pass, and merge()'s unseen-pair path
+# ---------------------------------------------------------------------------
+
+def _substitution_by_representative(unifier):
+    """The per-term rule substitution() must agree with: each variable
+    maps to its class's constant, else to the class's minimum-name
+    variable (a scan of the whole forest per variable)."""
+    mapping = {}
+    for term in unifier.terms():
+        if isinstance(term, Variable):
+            root = unifier.find(term)
+            representative = unifier.constant_of(term) or min(
+                (member for member in unifier.terms()
+                 if isinstance(member, Variable)
+                 and unifier.find(member) is root),
+                key=lambda variable: variable.name)
+            if representative != term:
+                mapping[term] = representative
+    return mapping
+
+
+@given(_pairs)
+@settings(max_examples=300)
+def test_substitution_equals_the_representative_rule(pairs):
+    unifier = _build(pairs)
+    if unifier is not None:
+        assert unifier.substitution() == \
+            _substitution_by_representative(unifier)
+
+
+class _CountingUnifier(Unifier):
+    __slots__ = ("finds",)
+
+    def find(self, term):
+        self.finds += 1
+        return super().find(term)
+
+
+def test_substitution_finds_are_linear_on_one_large_class():
+    variables = [Variable(f"v{index:04d}") for index in range(2_000)]
+    unifier = _CountingUnifier()
+    unifier.finds = 0
+    for left, right in zip(variables, variables[1:]):
+        assert unifier.merge(left, right)
+    unifier.finds = 0
+    mapping = unifier.substitution()
+    # One find per variable (a per-term scan of the class would be
+    # 2 000 x 2 000).
+    assert unifier.finds <= 2 * len(variables)
+    assert mapping == {variable: variables[0] for variable in variables[1:]}
+
+
+def _general_merge(unifier, left, right):
+    """merge() as written before its unseen-pair path: ensure both
+    terms, find both roots, union by rank."""
+    for term in (left, right):
+        if term not in unifier._parent:
+            unifier._parent[term] = term
+            unifier._rank[term] = 0
+            if isinstance(term, Constant):
+                unifier._class_constant[term] = term
+    root_left, root_right = unifier.find(left), unifier.find(right)
+    if root_left is root_right:
+        return True
+    const_left = unifier._class_constant.get(root_left)
+    const_right = unifier._class_constant.get(root_right)
+    if (const_left is not None and const_right is not None
+            and const_left != const_right):
+        return False
+    if unifier._rank[root_left] < unifier._rank[root_right]:
+        root_left, root_right = root_right, root_left
+        const_left, const_right = const_right, const_left
+    unifier._parent[root_right] = root_left
+    if unifier._rank[root_left] == unifier._rank[root_right]:
+        unifier._rank[root_left] += 1
+    if const_left is None and const_right is not None:
+        unifier._class_constant[root_left] = const_right
+    unifier._class_constant.pop(root_right, None)
+    return True
+
+
+@given(_pairs)
+@settings(max_examples=300)
+def test_merge_leaves_the_forest_the_general_path_leaves(pairs):
+    fast, general = Unifier(), Unifier()
+    for left, right in pairs:
+        verdict = fast.merge(left, right)
+        assert verdict == _general_merge(general, left, right)
+        if not verdict:
+            break
+    for field in ("_parent", "_rank", "_class_constant"):
+        assert list(getattr(fast, field).items()) \
+            == list(getattr(general, field).items())
