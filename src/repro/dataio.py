@@ -845,11 +845,12 @@ def manifest_to_payload(manifest_id: str, records) -> dict:
     """Serialize a whole migration manifest: the batched unit of the
     cross-shard move protocol.
 
-    One manifest carries every component record moving between one
-    (source, destination) shard pair in one reserve → transfer →
-    commit exchange; it is version-stamped and self-describing
-    (``count`` lets the importer reject a truncated transfer) so the
-    exchange stays all-or-nothing on the wire too.
+    One manifest carries every component record the coordinator
+    imports into one shard in one call — a (source, destination)
+    pair's reserve → import → commit exchange, a re-home, a restore;
+    it is version-stamped and self-describing (``count`` lets the
+    importer reject a truncated manifest) so the import stays
+    all-or-nothing on the wire too.
     """
     items = [record_to_payload(record) for record in records]
     return {"wire": WIRE_VERSION,

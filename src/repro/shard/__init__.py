@@ -6,20 +6,22 @@ single-engine API over N shard workers, each owning a disjoint set of
 coordination components.  A deterministic
 :class:`~repro.shard.router.ShardRouter` places arrivals by anchor-atom
 fingerprint; arrivals that entangle queries on different shards trigger
-the two-phase cross-shard migration protocol (reserve → transfer →
-commit) so components are always whole on one shard — which is what
-keeps the fleet's answers byte-identical to a single engine at any
-shard count.  Two interchangeable backends implement the shard-worker
-protocol: in-process engines (deterministic, debuggable) and spawned
-worker processes speaking the :mod:`repro.dataio` wire format (real
-multi-core parallelism despite the GIL).  See DESIGN.md §6.
+the two-phase cross-shard migration protocol (reserve → import →
+commit, the imported records built from the coordinator's own copy) so
+components are always whole on one shard — which is what keeps the
+fleet's answers byte-identical to a single engine at any shard count.
+One :class:`~repro.shard.backend.ShardHost` holds every command body;
+two interchangeable transports carry commands to it: in-process
+(deterministic, debuggable) and spawned worker processes speaking the
+:mod:`repro.dataio` wire format (real multi-core parallelism despite
+the GIL).  See DESIGN.md §6.
 """
 
-from .backend import InProcessBackend, ShardBackend, ShardCall
+from .backend import (InProcessBackend, ShardBackend, ShardCall,
+                      ShardReplicaStaleError, ShardWorkerError)
 from .coordinator import (ShardMigrationError, ShardReplicationError,
                           ShardedCoordinator)
-from .process import (ProcessBackend, ShardReplicaStaleError,
-                      ShardWorkerError)
+from .process import ProcessBackend
 from .router import ShardRouter
 
 __all__ = [

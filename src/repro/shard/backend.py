@@ -1,23 +1,31 @@
-"""The shard-worker abstraction: one engine behind a command surface.
+"""The shard host and its command surface.
 
-A :class:`ShardBackend` owns one :class:`~repro.engine.engine.D3CEngine`
-holding a disjoint set of coordination components.  The coordinator
-drives backends through a small, strictly request/response command
-surface; settlements (answers, staleness failures) come back as
-**events** the backend buffers and the coordinator drains after every
-call — tickets never cross the backend boundary, which is what lets the
-same coordinator drive in-process engines and worker processes
-interchangeably.
+A :class:`ShardHost` owns one :class:`~repro.engine.engine.D3CEngine`
+holding a disjoint set of coordination components, and holds the one
+body of every shard command.  The coordinator drives hosts through a
+*transport* — a :class:`ShardBackend` — with a small, strictly
+request/response command surface; settlements (answers, staleness
+failures) come back as **events** the host buffers and the coordinator
+drains after every call — tickets never cross the transport, which is
+what lets the same coordinator drive in-process hosts and worker
+processes interchangeably.
 
-Two implementations ship:
+Two transports ship, both dispatching ``(op, args)`` commands through
+the host's one table (:attr:`ShardHost.COMMANDS`):
 
-* :class:`InProcessBackend` (here) — the engine lives in the
-  coordinator's process.  Deterministic, debuggable, zero serialization;
-  the shard-equivalence oracle suite runs against it, and migration
-  records stay live :class:`~repro.engine.engine.PendingRecord` objects.
-* :class:`~repro.shard.process.ProcessBackend` — the engine lives in a
-  worker process behind the :mod:`repro.dataio` wire format; the GIL
-  stays per-process, so shards coordinate on separate cores.
+* :class:`InProcessBackend` (here) — the host lives in the
+  coordinator's process.  Deterministic, debuggable, zero
+  serialization; the shard-equivalence oracle suite runs against it.
+* :class:`~repro.shard.process.ProcessBackend` — the host lives in a
+  worker process, behind a codec at the frame edge and the
+  :mod:`repro.dataio` wire format; the GIL stays per-process, so shards
+  coordinate on separate cores.
+
+On both, the host's engine runs on a
+:class:`~repro.engine.staleness.PinnedClock` set to the ``now`` every
+clock-reading command carries, so submission instants and expiry are
+judged in coordinator time — which is what lets the coordinator's own
+copy of a pending record stand for the shard's.
 
 Every command has exactly one spelling, ``call_<command>(...)``, which
 issues the command without waiting and returns a :class:`ShardCall`;
@@ -26,29 +34,48 @@ issues the command without waiting and returns a :class:`ShardCall`;
 first and collects in shard order afterwards, so process workers
 overlap.
 
-The migration protocol is two-phase on the source shard:
-``reserve`` detaches a component and parks it under a manifest (the
-queries can no longer coordinate or expire), ``transfer`` hands the
-records out, and ``commit`` forgets them once the target has imported —
-with ``abort`` restoring the component locally if the import fails.
-Answer preservation does not depend on *where* the component lands,
-only on it landing exactly once, which reserve/commit guarantees.
+The migration protocol is two-phase on the source shard: ``reserve``
+detaches a component and parks it under a manifest (the queries can no
+longer coordinate or expire), the destination imports records the
+coordinator builds from its own copy, and ``commit`` forgets the parked
+copy once the import landed — with ``abort`` restoring the component
+locally if it did not.  Answer preservation does not depend on *where*
+the component lands, only on it landing exactly once, which
+reserve/commit guarantees.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from ..core.query import EntangledQuery
 from ..db.database import Database
 from ..engine.engine import D3CEngine, PendingRecord
 from ..engine.futures import CoordinationTicket, TicketState
+from ..engine.staleness import PinnedClock
 
 #: One settlement event: ``("answered", query_id, Answer)`` or
 #: ``("failed", query_id, FailureReason)``.
 Event = tuple
+
+
+class ShardWorkerError(RuntimeError):
+    """A shard worker reported a failure executing a command."""
+
+
+class ShardReplicaStaleError(ShardWorkerError):
+    """Coordinator-side: the worker refused a ``db_delta`` block
+    because its replica is behind the block's ``from`` version.
+    Recoverable — the coordinator replays the retained mutation log."""
+
+
+class ReplicaGapError(ValueError):
+    """Host-side: a ``db_delta`` block starts ahead of the replica's
+    version (a frame was lost).  Travels the wire as a dedicated
+    ``"stale"`` reply status — never by matching message text — so the
+    coordinator can replay its mutation log instead of declaring the
+    worker dead."""
 
 
 class ShardCall:
@@ -83,19 +110,23 @@ class ShardCall:
         return self._resolve()
 
 
-class ShardBackend(Protocol):
-    """What the coordinator requires of a shard worker.
+class ShardBackend:
+    """A shard transport: the one command surface, carried to a host.
 
     Commands are ``call_*`` methods returning a :class:`ShardCall`
-    whose ``result()`` is documented per command.  Several calls may
-    be in flight per backend (the process backend windows them);
-    replies — and the settlement events that ride on them — are applied
-    in worker execution order regardless of collection order.  The
-    coordinator fans a command out by issuing it on every shard before
-    collecting any: shard state is disjoint, the database only changes
-    between fan-outs (replicated ``db_delta`` frames, never mid-round)
-    and events are applied in shard order, so a fan-out is
-    answer-identical to running the shards one after another.
+    whose ``result()`` is documented per command.  Each turns its
+    arguments into the host's ``(op, args)`` command (see
+    :attr:`ShardHost.COMMANDS`) and hands it to the transport's
+    :meth:`_dispatch`, which never raises: a failure, even one to encode
+    or send the command, waits for ``result()``.  Several calls may be
+    in flight per backend (the process backend windows them); replies —
+    and the settlement events that ride on them — are applied in worker
+    execution order regardless of collection order.  The coordinator
+    fans a command out by issuing it on every shard before collecting
+    any: shard state is disjoint, the database only changes between
+    fan-outs (replicated ``db_delta`` frames, never mid-round) and
+    events are applied in shard order, so a fan-out is answer-identical
+    to running the shards one after another.
     """
 
     shard_index: int
@@ -105,6 +136,10 @@ class ShardBackend(Protocol):
     #: layer reads this to report per-round wire traffic.
     wire_requests: int
 
+    def _dispatch(self, op: str, **args) -> ShardCall:
+        """Carry one command to the host."""
+        raise NotImplementedError
+
     def call_submit_block(self, queries: Sequence[EntangledQuery],
                           seqs: Sequence[int], now: float,
                           trace_ids: Sequence | None = None
@@ -113,36 +148,46 @@ class ShardBackend(Protocol):
 
         *trace_ids* (one per query, or None) threads the coordinator's
         lifecycle trace ids through so worker-side spans stitch into
-        the front-door trace."""
+        the front-door trace (an optional frame field: absent when
+        None)."""
+        if trace_ids is None:
+            return self._dispatch("submit_block", queries=queries,
+                               seqs=seqs, now=now)
+        return self._dispatch("submit_block", queries=queries, seqs=seqs,
+                           now=now, trace=trace_ids)
 
     def call_run_batch(self, now: float) -> ShardCall:
         """One set-at-a-time round over the shard's dirty components;
         results in the number answered."""
+        return self._dispatch("run_batch", now=now)
 
     def call_expire(self, now: float) -> ShardCall:
         """Expire stale pending queries at coordinator time *now*;
         results in the number expired."""
+        return self._dispatch("expire", now=now)
 
     def call_members(self, query_id: object) -> ShardCall:
         """The full coordination component of one pending query."""
+        return self._dispatch("members", id=query_id)
 
     def call_reserve(self, query_ids: Sequence) -> ShardCall:
         """Phase 1: detach a component batch for migration; results in
         a manifest id."""
-
-    def call_transfer(self, manifest: str) -> ShardCall:
-        """Phase 2: the reserved records (opaque to the coordinator —
-        live records in-process, a ``migration_manifest`` payload on
-        the wire)."""
+        return self._dispatch("reserve", ids=query_ids)
 
     def call_commit(self, manifest: str) -> ShardCall:
-        """Phase 3: forget a transferred manifest."""
+        """Phase 2: forget a reserved manifest whose records landed on
+        their destination."""
+        return self._dispatch("commit", manifest=manifest)
 
     def call_abort(self, manifest: str) -> ShardCall:
         """Undo a reservation: restore the component batch locally."""
+        return self._dispatch("abort", manifest=manifest)
 
-    def call_import(self, records: object) -> ShardCall:
-        """Adopt what a peer backend's ``call_transfer`` produced."""
+    def call_import(self, records: Sequence[PendingRecord]) -> ShardCall:
+        """Adopt pending records (a migrated or re-homed component),
+        under their original arrival seqs and submission instants."""
+        return self._dispatch("import", manifest=records)
 
     def call_db_delta(self, payload: dict) -> ShardCall:
         """Apply one versioned ``db_delta`` replication block to the
@@ -152,67 +197,69 @@ class ShardBackend(Protocol):
         reapplying (replays are idempotent); a block whose ``from``
         version is ahead of the replica raises — the replica has a gap
         and must be replayed from the mutation log first."""
+        return self._dispatch("db_delta", payload=payload)
 
     def call_metrics(self) -> ShardCall:
         """The shard engine's ``MetricsRegistry`` snapshot (see
         :meth:`repro.engine.engine.D3CEngine.metrics_snapshot`)."""
+        return self._dispatch("metrics")
 
     def call_partition_sizes(self) -> ShardCall:
         """Component sizes on this shard."""
+        return self._dispatch("sizes")
 
     def call_pending(self) -> ShardCall:
         """Pending query ids on this shard (arrival order)."""
+        return self._dispatch("pending")
 
     def call_invalidate(self) -> ShardCall:
         """Forget data-dependent caches after a database mutation."""
+        return self._dispatch("invalidate")
 
     def drain_events(self) -> list[Event]:
         """Settlements since the last drain, in settlement order."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release the worker (idempotent)."""
+        raise NotImplementedError
 
 
-def _eager(command):
-    """Turn an :class:`InProcessBackend` command body into its
-    ``call_*`` method: count one wire request, run the body now, and
-    park the outcome in a :class:`ShardCall` — a raised error surfaces
-    at ``result()``, mirroring the process backend's failure timing."""
-    @functools.wraps(command)
-    def call(self, *args, **kwargs) -> ShardCall:
-        self.wire_requests += 1
-        try:
-            return ShardCall.completed(command(self, *args, **kwargs))
-        except Exception as error:
-            return ShardCall.failed(error)
-    return call
+class ShardHost:
+    """One shard engine and the one body of every shard command.
 
-
-class InProcessBackend:
-    """A shard engine living in the coordinator's own process.
-
-    The engine shares the coordinator's database and clock objects, so
-    ``now`` arguments are informational here (the engine reads the same
-    clock the coordinator just did).  Settlement events are captured by
-    ticket callbacks the backend wires at submission and import time.
-    There is no worker to overlap with: every ``call_*`` executes
-    eagerly (see :func:`_eager`) and ``result()`` hands the outcome
-    back.
+    Both transports run this class: :class:`InProcessBackend` in the
+    coordinator's process, the pipe worker of
+    :mod:`repro.shard.process` in its own.  A command is a wire op
+    name plus an args dict, run by :meth:`execute` through
+    :attr:`COMMANDS`; each body's parameters are its frame's arg keys.
+    Bodies take and return live objects — the pipe's codec sits at the
+    frame edge, outside the host.  Settlement events are captured by
+    ticket callbacks wired at submission and import time.
     """
 
-    def __init__(self, shard_index: int, database: Database,
-                 engine_kwargs: dict):
-        self.shard_index = shard_index
-        self.engine = D3CEngine(database, **engine_kwargs)
+    def __init__(self, database: Database, engine_kwargs: dict):
+        self._clock = PinnedClock()
+        self.engine = D3CEngine(database, clock=self._clock,
+                                **engine_kwargs)
         self._events: list[Event] = []
         self._manifests: dict[str, list[PendingRecord]] = {}
         self._manifest_counter = itertools.count()
-        self.wire_requests = 0
+
+    def execute(self, op: str, args: dict):
+        """Run one command; returns its result (raises its failure)."""
+        command = self.COMMANDS.get(op)
+        if command is None:
+            raise ValueError(f"unknown shard command {op!r}")
+        return command(self, **args)
 
     # -- settlement capture --------------------------------------------
 
-    def _track(self, ticket: CoordinationTicket) -> None:
-        ticket.add_callback(self._on_settle)
+    def _track(self, tickets) -> None:
+        # A ticket that already settled inside the engine call fires
+        # its callback immediately on add.
+        for ticket in tickets:
+            ticket.add_callback(self._on_settle)
 
     def _on_settle(self, ticket: CoordinationTicket) -> None:
         if ticket.state is TicketState.ANSWERED:
@@ -226,89 +273,122 @@ class InProcessBackend:
         events, self._events = self._events, []
         return events
 
-    # -- command surface ------------------------------------------------
+    # -- command bodies -------------------------------------------------
 
-    @_eager
-    def call_submit_block(self, queries: Sequence[EntangledQuery],
-                          seqs: Sequence[int], now: float,
-                          trace_ids: Sequence | None = None) -> None:
+    def submit_block(self, queries: Sequence[EntangledQuery],
+                     seqs: Sequence[int], now: float,
+                     trace: Sequence | None = None) -> None:
+        self._clock.set(now)
         if len(queries) == 1:
-            ticket = self.engine.submit(
+            self._track([self.engine.submit(
                 queries[0], arrival_seq=seqs[0],
-                trace_id=trace_ids[0] if trace_ids else None)
-            tickets = [ticket]
+                trace_id=trace[0] if trace else None)])
         else:
-            tickets = self.engine.submit_many(
-                queries, arrival_seqs=list(seqs),
-                trace_ids=list(trace_ids) if trace_ids else None)
-        # Wire settlement capture first, then flush tickets that
-        # settled synchronously inside the engine call (their callbacks
-        # fire immediately on add).
-        for ticket in tickets:
-            self._track(ticket)
+            self._track(self.engine.submit_many(
+                queries, arrival_seqs=seqs, trace_ids=trace or None))
 
-    @_eager
-    def call_run_batch(self, now: float) -> int:
+    def run_batch(self, now: float) -> int:
+        self._clock.set(now)
         return self.engine.run_batch()
 
-    @_eager
-    def call_expire(self, now: float) -> int:
+    def expire(self, now: float) -> int:
+        self._clock.set(now)
         return self.engine.expire_stale()
 
-    @_eager
-    def call_members(self, query_id: object) -> list:
-        return self.engine.component_members(query_id)
+    def members(self, id: object) -> list:
+        return self.engine.component_members(id)
 
-    @_eager
-    def call_reserve(self, query_ids: Sequence) -> str:
-        records = self.engine.export_component(query_ids)
+    def reserve(self, ids: Sequence) -> str:
+        records = self.engine.export_component(ids)
         manifest = f"m{next(self._manifest_counter)}"
         self._manifests[manifest] = records
         return manifest
 
-    @_eager
-    def call_transfer(self, manifest: str) -> list:
-        return list(self._manifests[manifest])
-
-    @_eager
-    def call_commit(self, manifest: str) -> None:
+    def commit(self, manifest: str) -> None:
         del self._manifests[manifest]
 
-    @_eager
-    def call_abort(self, manifest: str) -> None:
+    def abort(self, manifest: str) -> None:
         records = self._manifests.pop(manifest, None)
         if records:
-            for ticket in self.engine.import_pending(records).values():
-                self._track(ticket)
+            self.import_records(records)
 
-    @_eager
-    def call_import(self, records: list) -> None:
-        for ticket in self.engine.import_pending(records).values():
-            self._track(ticket)
+    def import_records(self, manifest: Sequence[PendingRecord]) -> None:
+        # The wire op is "import" and its frame names the records
+        # "manifest".
+        self._track(self.engine.import_pending(manifest).values())
 
-    @_eager
-    def call_db_delta(self, payload: dict) -> int:
-        # In-process shards share the coordinator's live database
-        # object: the mutation block is already applied (and the shard
-        # engine's own mutation listener already dirty-marked its
-        # components), so the ack is simply the shared version.
-        return self.engine.database.db_version
+    def db_delta(self, payload: dict) -> int:
+        database = self.engine.database
+        if database.db_version >= payload["version"]:
+            # A replayed block (a coordinator re-sync after a fake or
+            # lost ack) — or a host sharing the primary itself, which
+            # is always already current: ack without reapplying.
+            return database.db_version
+        from ..dataio import db_delta_from_payload
+        from_version, version, deltas = db_delta_from_payload(payload)
+        if database.db_version != from_version:
+            raise ReplicaGapError(
+                f"stale replica: database at version "
+                f"{database.db_version}, db_delta block starts at "
+                f"{from_version} — replay the mutation log first")
+        for delta in deltas:
+            database.apply_delta(delta)
+        if database.db_version != version:
+            raise ValueError(
+                f"replica version skew: expected {version} after "
+                f"applying the block, at {database.db_version}")
+        return database.db_version
 
-    @_eager
-    def call_metrics(self) -> dict:
+    def metrics(self) -> dict:
         return self.engine.metrics_snapshot()
 
-    @_eager
-    def call_partition_sizes(self) -> list[int]:
+    def partition_sizes(self) -> list[int]:
         return self.engine.partition_sizes()
 
-    @_eager
-    def call_pending(self) -> list:
+    def pending(self) -> list:
         return self.engine.pending_ids()
 
-    @_eager
-    def call_invalidate(self) -> None:
+    def invalidate(self) -> None:
         self.engine.invalidate_cache()
+
+    #: Wire op -> command body: the one table both transports dispatch
+    #: through.
+    COMMANDS = {
+        "submit_block": submit_block, "run_batch": run_batch,
+        "expire": expire, "members": members, "reserve": reserve,
+        "commit": commit, "abort": abort, "import": import_records,
+        "db_delta": db_delta, "metrics": metrics,
+        "sizes": partition_sizes, "pending": pending,
+        "invalidate": invalidate,
+    }
+
+
+class InProcessBackend(ShardBackend):
+    """A shard host living in the coordinator's own process.
+
+    The engine shares the coordinator's database object (``db_delta``
+    is then always a replay, acked as is).  There is no worker to
+    overlap with: every command runs eagerly and its outcome — a raised
+    error included — is parked in a :class:`ShardCall`, so ``result()``
+    fails where the process backend's would.
+    """
+
+    def __init__(self, shard_index: int, database: Database,
+                 engine_kwargs: dict):
+        self.shard_index = shard_index
+        self.host = ShardHost(database, engine_kwargs)
+        self.engine = self.host.engine
+        self.wire_requests = 0
+
+    def _dispatch(self, op: str, **args) -> ShardCall:
+        self.wire_requests += 1
+        try:
+            return ShardCall.completed(self.host.execute(op, args))
+        except Exception as error:
+            return ShardCall.failed(error)
+
+    def drain_events(self) -> list[Event]:
+        return self.host.drain_events()
 
     def close(self) -> None:
         pass

@@ -14,7 +14,8 @@ fleet behave byte-identically to one engine:
   graph uses) over all pending heads and postconditions; an arrival's
   partners are discovered *before* placement, and when they span
   shards, the smaller components are migrated to a single owner first
-  (two-phase reserve → transfer → commit against the source shard, see
+  (two-phase reserve → commit against the source shard, the destination
+  importing records built from the coordinator's own copy; see
   :mod:`repro.shard.backend`).  Arrivals with no partners fall to the
   deterministic :class:`~repro.shard.router.ShardRouter` fingerprint.
 * **Global arrival order.**  Matching resolves conflicts by arrival
@@ -42,13 +43,15 @@ from typing import Iterable, Sequence
 from ..core.atom_index import AtomIndex
 from ..core.query import EntangledQuery
 from ..db.database import Database
+from ..engine.engine import PendingRecord
 from ..engine.futures import CoordinationTicket, TicketCallback
 from ..engine.staleness import Clock, NeverStale, StalenessPolicy, \
     SystemClock
 from ..engine.stats import EngineStats, lifecycle_payload
 from ..errors import RecoveryError, ValidationError
 from ..obs import MetricsRegistry, TRACER, merge_snapshots
-from .backend import InProcessBackend, ShardBackend
+from .backend import InProcessBackend, ShardBackend, \
+    ShardReplicaStaleError
 from .router import ShardRouter
 
 #: Backend selector values accepted by :class:`ShardedCoordinator`.
@@ -116,7 +119,6 @@ class ShardedCoordinator:
                 "per-shard (submit with rng=None)")
         self.database = database
         self.mode = mode
-        self.backend_kind = backend
         self.batch_size = batch_size
         self.num_shards = num_shards
         # Set before backend construction: the failure path below
@@ -146,8 +148,7 @@ class ShardedCoordinator:
             for index in range(num_shards):
                 self._backends.append(InProcessBackend(
                     index, database,
-                    dict(engine_kwargs, staleness=self._staleness,
-                         clock=self._clock)))
+                    dict(engine_kwargs, staleness=self._staleness)))
         else:
             from ..dataio import dump_database
             from .process import ProcessBackend, staleness_to_spec
@@ -187,8 +188,9 @@ class ShardedCoordinator:
         self._pc_index = AtomIndex()
         self._shard_of: dict = {}
         # qid -> (working, seq, submitted_at); the coordinator's own
-        # copy of every pending record, which is what lets it re-home
-        # a dead worker's components without the worker's cooperation.
+        # copy of every pending record and the one source of the
+        # records migration, re-homing and snapshots hand out (see
+        # _pending_records) — no worker is ever asked for its copy.
         self._pending_meta: dict = {}
         # qid -> trace id, maintained only while tracing is enabled;
         # stamps migration/re-home/snapshot records so a query keeps
@@ -218,7 +220,7 @@ class ShardedCoordinator:
         #: Cross-shard migration counters (the ledger's
         #: ``shard.migrations`` / ``shard.migrated_queries``):
         #: ``migrations`` counts manifest *exchanges* (one reserve →
-        #: transfer → commit round per (source, destination) pair, all
+        #: import → commit round per (source, destination) pair, all
         #: of a routing block's moves batched), ``migrated_queries``
         #: the records moved by them.
         self.migrations = 0
@@ -434,22 +436,22 @@ class ShardedCoordinator:
         self._exchange_manifests(groups)
 
     def _exchange_manifests(self, groups: dict) -> None:
-        """Batched two-phase moves: reserve → transfer → commit, one
+        """Batched two-phase moves: reserve → import → commit, one
         exchange per (source, destination) manifest, pipelined across
-        pairs.
+        pairs.  The destination imports records built from the
+        coordinator's own copy (:meth:`_pending_records`); the source's
+        parked copy only ever serves an abort.
 
         Abort semantics are exact and per-manifest: a manifest is
         either fully imported on its destination (then committed away
         on its source) or fully restored — to the source via ``abort``,
         or, if the source has also failed, re-homed onto a healthy
-        shard from the coordinator's own copy of the transferred
-        records.  No component is ever lost or duplicated, whichever
-        side dies at whichever step.
+        shard from the coordinator's copy.  No component is ever lost
+        or duplicated, whichever side dies at whichever step.
         """
         backends = self._backends
         pairs = sorted(groups)
         reserved: dict = {}
-        payloads: dict = {}
         failure: BaseException | None = None
         tracer = TRACER
         exchange_start_ns = (time.perf_counter_ns()
@@ -466,14 +468,6 @@ class ShardedCoordinator:
                     reserved[pair] = call.result()
                 except Exception as error:
                     failure = failure or error
-            if failure is None:
-                calls = [(pair, backends[pair[0]].call_transfer(
-                    reserved[pair])) for pair in pairs]
-                for pair, call in calls:
-                    try:
-                        payloads[pair] = call.result()
-                    except Exception as error:
-                        failure = failure or error
         except BaseException:
             # Interrupted (nothing imported yet): best-effort restore
             # of whatever was reserved before propagating — reserved
@@ -485,8 +479,8 @@ class ShardedCoordinator:
             # that made it and surface the original failure.
             self._abort_reserved(reserved, groups)
             raise failure
-        import_calls = [(pair,
-                         backends[pair[1]].call_import(payloads[pair]))
+        import_calls = [(pair, backends[pair[1]].call_import(
+                            self._pending_records(groups[pair])))
                         for pair in pairs]
         imported: list = []
         failed: list = []
@@ -524,23 +518,22 @@ class ShardedCoordinator:
                 # source merely failed to drop its inert parked copy.
                 errors.append(error)
         for pair, error in failed:
-            source, _ = pair
+            source, target = pair
             members = groups[pair]
             try:
                 backends[source].call_abort(reserved[pair]).result()
             except Exception as abort_error:
-                # Destination and source both failed: the coordinator
-                # still holds the transferred records — adopt them on
-                # a healthy shard rather than lose the component.
-                # Even a lost component must not abandon the *other*
-                # failed pairs' recovery, so keep walking the list.
+                # Destination and source both failed: adopt the
+                # coordinator's copy on a healthy shard rather than
+                # lose the component.  Even a lost component must not
+                # abandon the *other* failed pairs' recovery, so keep
+                # walking the list.
                 errors.append(abort_error)
-                try:
-                    self._rehome_records(members, payloads[pair],
-                                         exclude={source, pair[1]}
-                                         | self._dead)
-                except ShardMigrationError as lost:
-                    errors.append(lost)
+                if not self._rehome(members, exclude={source, target}):
+                    errors.append(ShardMigrationError(
+                        f"migration manifest carrying {members!r} could "
+                        f"not be restored on any shard: records lost "
+                        f"from the fleet"))
             else:
                 for query_id in members:
                     self._shard_of[query_id] = source
@@ -568,23 +561,36 @@ class ShardedCoordinator:
             for query_id in groups[pair]:
                 self._shard_of[query_id] = source
 
-    def _rehome_records(self, member_ids: list, payload, exclude) -> None:
-        """Last-resort restore: import a failed manifest's records into
-        the lowest-indexed healthy shard (both original parties died)."""
-        for shard, backend in enumerate(self._backends):
+    def _pending_records(self, query_ids) -> list[PendingRecord]:
+        """The coordinator's copy of pending records, in *query_ids*
+        order.  Shard engines hold the same values — their clocks are
+        pinned to the ``now`` each command carries — so this copy is
+        what migration, re-homing and snapshots hand out."""
+        trace_ids = self._trace_ids
+        return [PendingRecord(*self._pending_meta[query_id],
+                              trace_ids.get(query_id))
+                for query_id in query_ids]
+
+    def _rehome(self, query_ids: list, exclude: set) -> bool:
+        """Last-resort restore: import the coordinator's copy of
+        *query_ids* into the lowest-indexed live shard outside
+        *exclude*, replayed to the current ``db_version`` first — a
+        re-homed component must never coordinate against older data
+        than the rest of the fleet.  False when no shard took them."""
+        records = self._pending_records(query_ids)
+        for shard in self._live_shards():
             if shard in exclude:
                 continue
             try:
-                backend.call_import(payload).result()
+                self._sync_shard(shard)
+                self._backends[shard].call_import(records).result()
             except Exception:
                 self._health.inc("shard.rehome_import_failures")
                 continue
-            for query_id in member_ids:
+            for query_id in query_ids:
                 self._shard_of[query_id] = shard
-            return
-        raise ShardMigrationError(
-            f"migration manifest carrying {member_ids!r} could not be "
-            f"restored on any shard: records lost from the fleet")
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # live mutations: replication to shard replicas
@@ -672,7 +678,6 @@ class ShardedCoordinator:
         self._mutation_log.append(payload)
         calls = [(shard, self._backends[shard].call_db_delta(payload))
                  for shard in self._live_shards()]
-        from .process import ShardReplicaStaleError
         died: list[tuple[int, BaseException]] = []
         lagging: list[int] = []
         refused: list[int] = []
@@ -764,10 +769,7 @@ class ShardedCoordinator:
 
         The coordinator holds its own copy of every pending record
         (working query, global arrival seq, submission instant), so the
-        dead worker's cooperation is not needed.  The target shard is
-        replayed to the current ``db_version`` before it accepts the
-        records — a re-homed component must never coordinate against
-        older data than the rest of the fleet.
+        dead worker's cooperation is not needed (see :meth:`_rehome`).
         """
         backend = self._backends[shard]
         self._dead.add(shard)
@@ -783,33 +785,11 @@ class ShardedCoordinator:
             (query_id for query_id, owner in self._shard_of.items()
              if owner == shard),
             key=lambda query_id: self._pending_meta[query_id][1])
-        if not stranded:
-            return
-        from ..engine.engine import PendingRecord
-        records = [PendingRecord(*self._pending_meta[query_id],
-                                 self._trace_ids.get(query_id))
-                   for query_id in stranded]
-        if self.backend_kind == "process":
-            from ..dataio import manifest_to_payload
-            importable: object = manifest_to_payload(
-                f"rehome-{shard}", records)
-        else:
-            importable = records
-        for target in self._live_shards():
-            try:
-                self._sync_shard(target)
-                self._backends[target].call_import(
-                    importable).result()
-            except Exception:
-                self._health.inc("shard.rehome_import_failures")
-                continue
-            for query_id in stranded:
-                self._shard_of[query_id] = target
-            return
-        raise ShardMigrationError(
-            f"components of dead shard {shard} ({cause!r}) could not "
-            f"be re-homed on any live shard: records lost from the "
-            f"fleet") from cause
+        if stranded and not self._rehome(stranded, exclude=set()):
+            raise ShardMigrationError(
+                f"components of dead shard {shard} ({cause!r}) could "
+                f"not be re-homed on any live shard: records lost from "
+                f"the fleet") from cause
 
     # ------------------------------------------------------------------
     # submission
@@ -1050,12 +1030,7 @@ class ShardedCoordinator:
         builds, which is also what re-homing after a worker death does.
         """
         from ..dataio import dump_database, record_to_payload
-        from ..engine.engine import PendingRecord
-        records = [PendingRecord(working, seq, submitted_at,
-                                 self._trace_ids.get(working.query_id))
-                   for working, seq, submitted_at
-                   in self._pending_meta.values()]
-        records.sort(key=lambda record: record.arrival_seq)
+        records = self._pending_records(self.pending_ids())
         return {
             "database": dump_database(self.database, cache=dump_cache),
             "db_version": self.database.db_version,
@@ -1118,13 +1093,7 @@ class ShardedCoordinator:
         for record, target in zip(ordered, targets):
             groups.setdefault(target, []).append(record)
         for shard in sorted(groups):
-            group = groups[shard]
-            if self.backend_kind == "process":
-                from ..dataio import manifest_to_payload
-                payload = manifest_to_payload(f"restore-{shard}", group)
-                self._backends[shard].call_import(payload).result()
-            else:
-                self._backends[shard].call_import(group).result()
+            self._backends[shard].call_import(groups[shard]).result()
         return tickets
 
     # ------------------------------------------------------------------
@@ -1168,7 +1137,7 @@ class ShardedCoordinator:
         """Protocol commands issued across all shard workers (request
         frames on the process backend).  Manifest batching is visible
         here: migrating N components between one shard pair costs one
-        reserve/transfer/import/commit quartet instead of N."""
+        reserve/import/commit trio instead of N."""
         return sum(backend.wire_requests for backend in self._backends)
 
     def metrics_snapshot(self) -> dict:

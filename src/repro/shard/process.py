@@ -2,9 +2,10 @@
 
 The GIL serializes Python threads; worker *processes* do not share
 one, so process shards are this repo's one parallelism story.
-:class:`ProcessBackend` runs one :class:`~repro.engine.engine.D3CEngine`
-per spawned worker process and speaks a **correlation-ID** command
-protocol over a pipe:
+:class:`ProcessBackend` runs one :class:`~repro.shard.backend.ShardHost`
+— the same command bodies the in-process transport runs — per spawned
+worker process, and speaks a **correlation-ID** command protocol over
+a pipe:
 
 * requests are ``(req_id, op, args)`` frames with a per-connection
   monotonically increasing ``req_id``;
@@ -16,7 +17,7 @@ protocol over a pipe:
   partner-discovery lookups, migration exchanges, stats snapshots —
   overlap across shards instead of serializing on round trips.
 
-The worker executes commands strictly in send order (one engine, one
+The worker executes commands strictly in send order (one host, one
 loop), so replies actually come back in order too — but the frame
 format never relies on it, and the coordinator side buffers replies by
 ``req_id``.  Settlement **events** ride on the reply of the command
@@ -31,8 +32,12 @@ migration manifests (:func:`repro.dataio.manifest_to_payload`),
 ``db_delta`` blocks — are dicts, lists, and scalars in the stable
 :mod:`repro.dataio` wire format (:func:`~repro.dataio.to_payload` /
 :func:`~repro.dataio.from_payload`), so no live object and no class
-identity travels.  The frame *envelope* is ``Connection.send`` — a
-pickled tuple, delimited by the kernel — deliberately not
+identity travels; a codec at each frame edge (``_encode_args`` /
+``_decode_args``, ``_encode_events`` / ``_decode_events``) converts
+between them and the live objects the host's commands take, keyed on
+arg names, never on op names.  The frame *envelope* is
+``Connection.send`` — a pickled tuple, delimited by the kernel —
+deliberately not
 :func:`repro.dataio.frame_record`: the pipe is a trusted channel
 between two processes of one revision, where a CRC detects nothing the
 kernel does not already guarantee, and pickle is the cheaper carrier of
@@ -50,11 +55,9 @@ coordinator's primary, pinned to the primary's ``db_version`` at
 start-up and kept current by versioned ``db_delta`` frames (the worker
 acks each block's resulting version, skips already-applied replays,
 and refuses gapped blocks with a ``stale replica`` error so the
-coordinator replays its mutation log).  The worker's clock is a
-:class:`~repro.engine.staleness.PinnedClock` set to the coordinator's
-``now`` on every command, so staleness is judged against coordinator
-time and the process fleet behaves byte-identically to in-process
-shards.
+coordinator replays its mutation log).  The host's clock is pinned to
+the coordinator's ``now`` exactly as in-process, so the process fleet
+behaves byte-identically to in-process shards.
 """
 
 from __future__ import annotations
@@ -67,34 +70,16 @@ import warnings
 from typing import Sequence
 
 from ..core.evaluate import FailureReason
-from ..engine.engine import D3CEngine, PendingRecord
-from ..engine.futures import CoordinationTicket, TicketState
-from ..engine.staleness import NeverStale, PinnedClock, \
-    StalenessPolicy, TimeoutStaleness
+from ..engine.staleness import NeverStale, StalenessPolicy, \
+    TimeoutStaleness
 from ..obs.trace import TRACER, set_tracing
-from .backend import ShardCall
+from .backend import (ReplicaGapError, ShardBackend, ShardCall,
+                      ShardHost, ShardReplicaStaleError,
+                      ShardWorkerError)
 
 #: ``req_id`` of the worker's one unsolicited frame: the readiness
 #: handshake sent after the database rebuild.
 READY_REQ_ID = 0
-
-
-class ReplicaGapError(ValueError):
-    """Worker-side: a ``db_delta`` block starts ahead of the replica's
-    version (a frame was lost).  Travels the wire as a dedicated
-    ``"stale"`` reply status — never by matching message text — so the
-    coordinator can replay its mutation log instead of declaring the
-    worker dead."""
-
-
-class ShardWorkerError(RuntimeError):
-    """A shard worker reported a failure executing a command."""
-
-
-class ShardReplicaStaleError(ShardWorkerError):
-    """Coordinator-side: the worker refused a ``db_delta`` block
-    because its replica is behind the block's ``from`` version.
-    Recoverable — the coordinator replays the retained mutation log."""
 
 
 #: Default grace period (seconds) each step of worker-process shutdown
@@ -177,147 +162,89 @@ def staleness_from_spec(spec: Sequence) -> StalenessPolicy:
 # ----------------------------------------------------------------------
 
 
-class _Worker:
-    """The engine host running inside a shard worker process."""
-
-    def __init__(self, config: dict):
-        from ..dataio import load_database
-        if config.get("tracing"):
-            # Worker-side lifecycle tracing: spans are buffered here
-            # and shipped to the coordinator piggybacked on reply
-            # frames (see _worker_main), tagged with this shard's site.
-            set_tracing(True,
-                        site=f"shard{config.get('shard_index', '?')}")
-        self.database = load_database(config["database_text"])
-        for spec in config.get("warm_indexes", ()):
-            self.database.table(spec[0]).index_on(tuple(spec[1]))
-        # The rebuild replayed every row insert, so the replica's
-        # mutation counter disagrees with the primary's; pin it so
-        # replicated db_delta frames line up from the first block.
-        self.database.reset_db_version(config.get("db_version", 0))
-        self.clock = PinnedClock()
-        self.engine = D3CEngine(
-            self.database,
-            staleness=staleness_from_spec(config["staleness"]),
-            clock=self.clock,
-            **config["engine"])
-        self.events: list[tuple] = []
-        self.manifests: dict[str, list[PendingRecord]] = {}
-        self._manifest_counter = itertools.count()
-
-    def _track(self, ticket: CoordinationTicket) -> None:
-        ticket.add_callback(self._on_settle)
-
-    def _on_settle(self, ticket: CoordinationTicket) -> None:
-        from ..dataio import to_payload
-        if ticket.state is TicketState.ANSWERED:
-            self.events.append(("answered", ticket.query_id,
-                                to_payload(ticket.answer)))
-        else:
-            self.events.append(("failed", ticket.query_id,
-                                ticket.failure_reason.value))
-
-    def handle(self, op: str, args: dict):
-        from ..dataio import decode_queries, manifest_from_payload, \
-            manifest_to_payload
-        if op == "submit_block":
-            self.clock.set(args["now"])
-            queries = decode_queries(args["queries"])
-            # Optional versioned field: coordinators that trace send
-            # one trace id per query; older coordinators simply omit
-            # the key (and older workers ignore it).
-            trace_ids = args.get("trace")
-            if len(queries) == 1:
-                tickets = [self.engine.submit(
-                    queries[0], arrival_seq=args["seqs"][0],
-                    trace_id=trace_ids[0] if trace_ids else None)]
-            else:
-                tickets = self.engine.submit_many(
-                    queries, arrival_seqs=args["seqs"],
-                    trace_ids=trace_ids)
-            for ticket in tickets:
-                self._track(ticket)
-            return None
-        if op == "run_batch":
-            self.clock.set(args["now"])
-            return self.engine.run_batch()
-        if op == "expire":
-            self.clock.set(args["now"])
-            return self.engine.expire_stale()
-        if op == "members":
-            return self.engine.component_members(args["id"])
-        if op == "reserve":
-            records = self.engine.export_component(args["ids"])
-            manifest = f"m{next(self._manifest_counter)}"
-            self.manifests[manifest] = records
-            return manifest
-        if op == "transfer":
-            return manifest_to_payload(args["manifest"],
-                                       self.manifests[args["manifest"]])
-        if op == "commit":
-            del self.manifests[args["manifest"]]
-            return None
-        if op == "abort":
-            records = self.manifests.pop(args["manifest"], None)
-            if records:
-                for ticket in self.engine.import_pending(
-                        records).values():
-                    self._track(ticket)
-            return None
-        if op == "import":
-            _, records = manifest_from_payload(args["manifest"])
-            for ticket in self.engine.import_pending(records).values():
-                self._track(ticket)
-            return None
-        if op == "db_delta":
-            from ..dataio import db_delta_from_payload
-            from_version, version, deltas = db_delta_from_payload(
-                args["payload"])
-            current = self.database.db_version
-            if current >= version:
-                # Replayed block (a coordinator re-sync after a fake
-                # or lost ack): already applied, ack idempotently.
-                return current
-            if current != from_version:
-                raise ReplicaGapError(
-                    f"stale replica: database at version {current}, "
-                    f"db_delta block starts at {from_version} — replay "
-                    f"the mutation log first")
-            for delta in deltas:
-                self.database.apply_delta(delta)
-            if self.database.db_version != version:
-                raise ValueError(
-                    f"replica version skew: expected {version} after "
-                    f"applying the block, at "
-                    f"{self.database.db_version}")
-            return self.database.db_version
-        if op == "pending":
-            return self.engine.pending_ids()
-        if op == "sizes":
-            return self.engine.partition_sizes()
-        if op == "metrics":
-            return self.engine.metrics_snapshot()
-        if op == "invalidate":
-            self.engine.invalidate_cache()
-            return None
-        raise ValueError(f"unknown shard command {op!r}")
+def _start_host(config: dict) -> ShardHost:
+    """The worker's host, over a replica rebuilt from the coordinator's
+    database text."""
+    from ..dataio import load_database
+    if config.get("tracing"):
+        # Worker-side lifecycle tracing: spans are buffered here and
+        # shipped to the coordinator piggybacked on reply frames (see
+        # _worker_main), tagged with this shard's site.
+        set_tracing(True, site=f"shard{config.get('shard_index', '?')}")
+    database = load_database(config["database_text"])
+    for spec in config.get("warm_indexes", ()):
+        database.table(spec[0]).index_on(tuple(spec[1]))
+    # The rebuild replayed every row insert, so the replica's mutation
+    # counter disagrees with the primary's; pin it so replicated
+    # db_delta frames line up from the first block.
+    database.reset_db_version(config.get("db_version", 0))
+    return ShardHost(database, dict(
+        config["engine"],
+        staleness=staleness_from_spec(config["staleness"])))
 
 
-def _ship_spans(events: list) -> None:
-    """Piggyback buffered trace spans on an outgoing reply's events.
+# -- the frame-edge codec ----------------------------------------------
+#
+# Commands take and return live objects on both transports; only these
+# four functions know that a pipe sits between coordinator and host.
+# They key on arg names, never on op names: ``queries`` (a submit
+# block) and an import's ``manifest`` records are the only live
+# arguments, answers and failure reasons the only live event payloads.
 
-    A ``("spans", None, payloads)`` pseudo-event; the coordinator's
-    frame pump imports it into its own tracer instead of treating it
-    as a settlement.  One flag check when tracing is off.
-    """
+
+def _encode_args(args: dict) -> dict:
+    from ..dataio import manifest_to_payload, to_payload
+    if "queries" in args:
+        args["queries"] = [to_payload(query) for query in args["queries"]]
+    if "manifest" in args and not isinstance(args["manifest"], str):
+        # An import's records (commit and abort name a manifest id).
+        args["manifest"] = manifest_to_payload("import", args["manifest"])
+    return args
+
+
+def _decode_args(args: dict) -> dict:
+    from ..dataio import decode_queries, manifest_from_payload
+    if "queries" in args:
+        args["queries"] = decode_queries(args["queries"])
+    if isinstance(args.get("manifest"), dict):
+        args["manifest"] = manifest_from_payload(args["manifest"])[1]
+    return args
+
+
+def _encode_events(events: list) -> list:
+    """A reply's events as wire payloads, plus any buffered trace
+    spans as one ``("spans", None, payloads)`` pseudo-event (the
+    coordinator's frame pump imports it into its own tracer instead of
+    treating it as a settlement; one flag check when tracing is off)."""
+    from ..dataio import to_payload
+    encoded = [(kind, query_id,
+                to_payload(outcome) if kind == "answered" else outcome.value)
+               for kind, query_id, outcome in events]
     if TRACER.enabled and len(TRACER):
-        events.append(("spans", None, TRACER.drain_payloads()))
+        encoded.append(("spans", None, TRACER.drain_payloads()))
+    return encoded
+
+
+def _decode_events(events: list) -> list:
+    from ..dataio import from_payload
+    decoded = []
+    for kind, query_id, payload in events:
+        if kind == "answered":
+            decoded.append((kind, query_id, from_payload(payload)))
+        elif kind == "spans":
+            # Worker-side trace spans riding the reply: stitch them into
+            # the coordinator's buffer (they keep their shard site tag)
+            # — never a settlement event.
+            TRACER.import_payloads(payload)
+        else:
+            decoded.append((kind, query_id, FailureReason(payload)))
+    return decoded
 
 
 def _worker_main(connection, config: dict) -> None:
     """Entry point of a shard worker process (spawned)."""
     try:
-        worker = _Worker(config)
+        host = _start_host(config)
     except BaseException:  # lint: allow-swallow(traceback is shipped to the coordinator over the pipe)
         connection.send((READY_REQ_ID, "err", traceback.format_exc(), []))
         connection.close()
@@ -334,10 +261,11 @@ def _worker_main(connection, config: dict) -> None:
             break
         req_id, op, args = message
         if op == "stop":
+            # The transport's own control frame, not a host command.
             connection.send((req_id, "ok", None, []))
             break
         try:
-            result = worker.handle(op, args)
+            result = host.execute(op, _decode_args(args))
         except BaseException as error:
             # Settlements that fired before the failure still ship —
             # withholding them would desynchronize the coordinator's
@@ -347,14 +275,11 @@ def _worker_main(connection, config: dict) -> None:
             # never depends on message text.
             status = ("stale" if isinstance(error, ReplicaGapError)
                       else "err")
-            events, worker.events = worker.events, []
-            _ship_spans(events)
             connection.send((req_id, status, traceback.format_exc(),
-                             events))
+                             _encode_events(host.drain_events())))
             continue
-        events, worker.events = worker.events, []
-        _ship_spans(events)
-        connection.send((req_id, "ok", result, events))
+        connection.send((req_id, "ok", result,
+                         _encode_events(host.drain_events())))
     connection.close()
 
 
@@ -363,7 +288,7 @@ def _worker_main(connection, config: dict) -> None:
 # ----------------------------------------------------------------------
 
 
-class ProcessBackend:
+class ProcessBackend(ShardBackend):
     """A shard engine hosted in a spawned worker process.
 
     Commands are correlation-ID frames over a duplex pipe; up to
@@ -427,7 +352,7 @@ class ProcessBackend:
                 f"shard {self.shard_index} worker died "
                 f"(connection lost: {error!r})") from error
 
-    def _send(self, op: str, **args) -> int:
+    def _send(self, op: str, args: dict) -> int:
         if self._closed:
             raise ShardWorkerError(
                 f"shard {self.shard_index} is closed")
@@ -455,19 +380,7 @@ class ProcessBackend:
         first.
         """
         req_id, status, result, events = self._recv_frame()
-        from ..dataio import from_payload
-        for kind, query_id, payload in events:
-            if kind == "answered":
-                self._events.append((kind, query_id,
-                                     from_payload(payload)))
-            elif kind == "spans":
-                # Worker-side trace spans riding the reply: stitch
-                # them into the coordinator's buffer (they keep their
-                # shard site tag) — never a settlement event.
-                TRACER.import_payloads(payload)
-            else:
-                self._events.append((kind, query_id,
-                                     FailureReason(payload)))
+        self._events.extend(_decode_events(events))
         op = self._inflight.pop(req_id, "?")
         self._replies[req_id] = (op, status, result)
 
@@ -490,9 +403,10 @@ class ProcessBackend:
                 f"shard {self.shard_index} failed {op!r}:\n{result}")
         return result
 
-    def _call_async(self, op: str, **args) -> ShardCall:
+    def _dispatch(self, op: str, **args) -> ShardCall:
+        # Encoding failures, like send failures, surface at result().
         try:
-            req_id = self._send(op, **args)
+            req_id = self._send(op, _encode_args(args))
         except Exception as error:
             return ShardCall.failed(error)
         return ShardCall(lambda: self._wait(req_id))
@@ -500,62 +414,6 @@ class ProcessBackend:
     def drain_events(self) -> list[tuple]:
         events, self._events = self._events, []
         return events
-
-    # -- command surface ------------------------------------------------
-    #
-    # One spelling per command (see the ShardBackend protocol): issue
-    # without waiting, collect with ``result()``.  Several calls may be
-    # outstanding, bounded by the window.
-
-    def call_submit_block(self, queries, seqs, now: float,
-                          trace_ids=None) -> ShardCall:
-        from ..dataio import to_payload
-        args = dict(
-            queries=[to_payload(query) for query in queries],
-            seqs=list(seqs), now=now)
-        if trace_ids is not None:
-            # Optional versioned frame field (see _Worker.handle).
-            args["trace"] = list(trace_ids)
-        return self._call_async("submit_block", **args)
-
-    def call_run_batch(self, now: float) -> ShardCall:
-        return self._call_async("run_batch", now=now)
-
-    def call_expire(self, now: float) -> ShardCall:
-        return self._call_async("expire", now=now)
-
-    def call_members(self, query_id) -> ShardCall:
-        return self._call_async("members", id=query_id)
-
-    def call_reserve(self, query_ids) -> ShardCall:
-        return self._call_async("reserve", ids=list(query_ids))
-
-    def call_transfer(self, manifest: str) -> ShardCall:
-        return self._call_async("transfer", manifest=manifest)
-
-    def call_commit(self, manifest: str) -> ShardCall:
-        return self._call_async("commit", manifest=manifest)
-
-    def call_abort(self, manifest: str) -> ShardCall:
-        return self._call_async("abort", manifest=manifest)
-
-    def call_import(self, records: dict) -> ShardCall:
-        return self._call_async("import", manifest=records)
-
-    def call_db_delta(self, payload: dict) -> ShardCall:
-        return self._call_async("db_delta", payload=payload)
-
-    def call_metrics(self) -> ShardCall:
-        return self._call_async("metrics")
-
-    def call_partition_sizes(self) -> ShardCall:
-        return self._call_async("sizes")
-
-    def call_pending(self) -> ShardCall:
-        return self._call_async("pending")
-
-    def call_invalidate(self) -> ShardCall:
-        return self._call_async("invalidate")
 
     def close(self) -> None:
         if self._closed:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.query import EntangledQuery
 from repro.core.terms import Variable, atom
-from repro.engine.engine import D3CEngine
+from repro.engine.engine import D3CEngine, PendingRecord
 from repro.shard import (ShardCall, ShardMigrationError, ShardRouter,
                          ShardWorkerError, ShardedCoordinator)
 
@@ -344,7 +344,7 @@ def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
                                        "ORD")]
         source.call_submit_block(pair, [0, 1], 0.0).result()
         manifest = source.call_reserve(["z1", "z2"]).result()
-        payload = source.call_transfer(manifest).result()
+        payload = [PendingRecord(query, seq, 0.0) for seq, query in enumerate(pair)]
 
         target._process.kill()
         target._process.join(5)

@@ -15,6 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.query import EntangledQuery
+from repro.engine.engine import PendingRecord
+from repro.engine.staleness import Clock, TimeoutStaleness
+from repro.obs import TRACER, set_tracing
 from repro.core.terms import Variable, atom
 from repro.dataio import dump_database
 from repro.errors import ValidationError
@@ -165,25 +168,29 @@ def test_collecting_a_call_twice_raises_instead_of_pumping_forever():
 
 
 def _public_methods(cls) -> set:
-    return {name for name, member in vars(cls).items()
-            if not name.startswith("_") and callable(member)}
+    return {name for name in dir(cls)
+            if not name.startswith("_") and callable(getattr(cls, name))}
 
+
+_LONER = _filler("loner").rename_apart()
 
 #: The op table: command -> (arguments, what its in-process body
 #: raises on them).  Where a command can fail on an idle shard the
-#: arguments make it — a query id or manifest nobody holds, a record
-#: of the wrong shape — and the rest are driven on their happy path.
+#: arguments make it — a query id or manifest nobody holds, a block
+#: without seqs, one record imported twice, a replication block without
+#: its version — and the rest are driven on their happy path.  Every
+#: argument encodes, so on the pipe the failure is the worker's.
 COMMANDS = {
-    "call_submit_block": (([None], [0], 0.0), AttributeError),
+    "call_submit_block": (([_LONER], [], 0.0), IndexError),
     "call_run_batch": ((0.0,), None),
     "call_expire": ((0.0,), None),
     "call_members": (("ghost",), KeyError),
     "call_reserve": ((["ghost"],), ValidationError),
-    "call_transfer": (("no-such-manifest",), KeyError),
     "call_commit": (("no-such-manifest",), KeyError),
     "call_abort": (("no-such-manifest",), None),
-    "call_import": (([None],), AttributeError),
-    "call_db_delta": (({},), None),
+    "call_import": (([PendingRecord(_LONER, 0, 0.0)] * 2,),
+                    ValidationError),
+    "call_db_delta": (({},), KeyError),
     "call_pending": ((), None),
     "call_partition_sizes": ((), None),
     "call_metrics": ((), None),
@@ -202,23 +209,39 @@ def test_both_backends_expose_exactly_the_protocol_surface():
                     if name.startswith(("begin_", "finish_"))]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command, transport", [
+    pytest.param(command, transport,
+                 id=command if transport == "inprocess"
+                 else f"{command}-{transport}")
+    for command in sorted(COMMANDS)
+    for transport in ("inprocess", "process")])
 def test_in_process_calls_defer_their_outcome_to_result(
-        command, small_flight_db):
-    """The ``_eager`` contract: an in-process ``call_*`` never raises
-    at issue time — it counts one wire request and parks the outcome,
-    error included, for ``result()``, like a real in-flight command."""
-    backend = InProcessBackend(
-        0, small_flight_db, dict(mode="batch", safety="off"))
-    args, raises = COMMANDS[command]
-    call = getattr(backend, command)(*args)
-    assert isinstance(call, ShardCall)
-    assert backend.wire_requests == 1
-    if raises is None:
-        call.result()
+        command, transport, small_flight_db):
+    """No ``call_*`` raises when called, on either transport: it
+    counts one wire request and the outcome, error included, waits for
+    ``result()``.  In-process the host's own error surfaces; on the
+    pipe the worker's, as :class:`ShardWorkerError`."""
+    if transport == "inprocess":
+        backend = InProcessBackend(
+            0, small_flight_db, dict(mode="batch", safety="off"))
     else:
-        with pytest.raises(raises):
+        backend = _backend()
+    try:
+        args, raises = COMMANDS[command]
+        call = getattr(backend, command)(*args)
+        assert isinstance(call, ShardCall)
+        assert backend.wire_requests == 1
+        if raises is None:
             call.result()
+        elif transport == "inprocess":
+            with pytest.raises(raises):
+                call.result()
+        else:
+            # The worker's traceback names the host's own error.
+            with pytest.raises(ShardWorkerError, match=raises.__name__):
+                call.result()
+    finally:
+        backend.close()
 
 
 # ----------------------------------------------------------------------
@@ -255,15 +278,15 @@ def _triple(tag: str) -> list[EntangledQuery]:
     return [a, b, c]
 
 
-def _bridged_coordinator(small_flight_db,
-                         backend: str = "inprocess") -> ShardedCoordinator:
+def _bridged_coordinator(small_flight_db, backend: str = "inprocess",
+                         **options) -> ShardedCoordinator:
     """Two rendezvous triples whose providers straddle shards 0/1;
     submitting both bridges in one block forces two component moves
     with the same (source, destination)."""
     script = {"m1-a": 0, "m1-b": 1, "m2-a": 0, "m2-b": 1}
     coordinator = ShardedCoordinator(
         small_flight_db, num_shards=2, backend=backend, mode="batch",
-        router=ScriptedRouter(2, script))
+        router=ScriptedRouter(2, script), **options)
     one, two = _triple("m1"), _triple("m2")
     coordinator.submit_many([one[0], one[1], two[0], two[1]])
     coordinator.submit_many([one[2], two[2]])
@@ -280,9 +303,8 @@ def test_block_migrations_share_one_manifest(small_flight_db):
     assert {coordinator.shard_of(query_id)
             for query_id in ("m1-a", "m1-b", "m1-c",
                              "m2-a", "m2-b", "m2-c")} == {0}
-    # A second exchange would add its reserve/transfer/import/commit
-    # quartet (15).
-    assert coordinator.wire_requests == 11
+    # A second exchange would add its reserve/import/commit trio (13).
+    assert coordinator.wire_requests == 10
 
 
 def test_bridged_block_is_equivalent_on_the_process_backend(
@@ -295,3 +317,59 @@ def test_bridged_block_is_equivalent_on_the_process_backend(
                              coordinator.partition_sizes(),
                              coordinator.migrated_queries))
     assert outcomes[0] == outcomes[1]
+
+
+class _TickingClock(Clock):
+    """Advances one second on every read, so an engine that read the
+    clock itself instead of taking the coordinator's ``now`` would
+    stamp a later instant than the coordinator's copy."""
+
+    def __init__(self):
+        self.seconds = 0.0
+
+    def now(self) -> float:
+        self.seconds += 1.0
+        return self.seconds
+
+
+def test_moved_records_carry_the_coordinators_copy_on_both_transports(
+        small_flight_db):
+    """The destination holds the moved queries under the coordinator's
+    arrival seqs (its arrival order is the coordinator's), submission
+    instants (the expiry sweep takes them with the partners submitted
+    beside them) and trace ids (its expire spans name them)."""
+    outcomes = []
+    set_tracing(True)
+    try:
+        for backend in ("inprocess", "process"):
+            TRACER.clear()
+            with _bridged_coordinator(
+                    small_flight_db, backend, clock=_TickingClock(),
+                    staleness=TimeoutStaleness(1.5)) as coordinator:
+                records = {payload["query"]["id"]: payload for payload
+                           in coordinator.snapshot_state()["pending"]}
+                # Clock reads: the providers' block at 1.0, the
+                # bridges' at 2.0; m1-b and m2-b moved from shard 1.
+                providers = ["m1-a", "m1-b", "m2-a", "m2-b"]
+                assert [records[query_id]["at"]
+                        for query_id in providers] == [1.0] * 4
+                assert {coordinator.shard_of(query_id)
+                        for query_id in records} == {0}
+                destination = coordinator._backends[0]
+                arrival_order = destination.call_pending().result()
+                assert arrival_order == coordinator.pending_ids()
+
+                # At 3.0 with a 1.5 s timeout: the providers expire,
+                # the bridges (1 s old) stay.
+                assert coordinator.expire_stale() == 4
+                expired_traces = {span.trace_id for span in TRACER.spans()
+                                  if span.name == "query.expire"}
+                assert expired_traces == {records[query_id]["trace"]
+                                          for query_id in providers}
+                outcomes.append((arrival_order,
+                                 coordinator.pending_ids()))
+    finally:
+        set_tracing(False)
+        TRACER.clear()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == ["m1-c", "m2-c"]

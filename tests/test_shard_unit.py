@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.engine import D3CEngine
+from repro.engine.engine import D3CEngine, PendingRecord
 from repro.engine.staleness import ManualClock, ManualStaleness, \
     NeverStale, TimeoutStaleness
 from repro.errors import ValidationError
@@ -252,25 +252,28 @@ def backend_pair(database):
 
 
 def _submit_pair(backend, ids, users, destination, seqs):
-    pair = make_pair(ids[0], ids[1], users[0], users[1], destination)
-    backend.call_submit_block(
-        [query.rename_apart() for query in pair], seqs,
-        now=0.0).result()
+    pair = [query.rename_apart() for query in
+            make_pair(ids[0], ids[1], users[0], users[1], destination)]
+    backend.call_submit_block(pair, seqs, now=0.0).result()
+    return pair
 
 
-def test_reserve_transfer_commit_moves_exactly_once(backend_pair):
+def test_reserve_import_commit_moves_exactly_once(backend_pair):
     source, target = backend_pair
-    _submit_pair(source, ("m1", "m2"), ("user1", "user2"), "ITH", [0, 1])
+    pair = _submit_pair(source, ("m1", "m2"), ("user1", "user2"), "ITH",
+                        [0, 1])
     manifest = source.call_reserve(["m1", "m2"]).result()
     # Reserved queries are detached: the source can no longer
     # coordinate or expire them.
     assert source.call_pending().result() == []
-    records = source.call_transfer(manifest).result()
-    target.call_import(records).result()
+    # The caller imports its own copy of the records; the source's
+    # parked copy only serves an abort.
+    target.call_import([PendingRecord(query, seq, 0.0)
+                        for seq, query in enumerate(pair)]).result()
     source.call_commit(manifest).result()
     assert target.call_pending().result() == ["m1", "m2"]
     with pytest.raises(KeyError):
-        source.call_transfer(manifest).result()
+        source.call_commit(manifest).result()
 
 
 def test_abort_restores_the_component(backend_pair):
