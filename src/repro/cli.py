@@ -75,8 +75,8 @@ from typing import Sequence
 
 from .core.evaluate import coordinate
 from .dataio import load_database
-from .db.sql import run_sql
-from .lang import parse_ir_workload
+from .errors import ReproError
+from .lang import parse_ir_workload, run_sql
 from .workloads import build_intro_database
 
 
@@ -301,8 +301,12 @@ def _coordinate_service(database, queries, arguments) -> int:
 
 
 def _command_sql(arguments: argparse.Namespace) -> int:
-    database = load_database(arguments.data)
-    for row in run_sql(database, arguments.query):
+    try:
+        rows = run_sql(load_database(arguments.data), arguments.query)
+    except ReproError as error:
+        print(f"sql: {error}", file=sys.stderr)
+        return 1
+    for row in rows:
         print("\t".join(str(value) for value in row))
     return 0
 
@@ -383,7 +387,6 @@ def _command_trace(arguments: argparse.Namespace) -> int:
 
 def _command_serve(arguments: argparse.Namespace) -> int:
     import asyncio
-    from .errors import ReproError
     from .server import CoordinationServer, ServerConfig
     if arguments.port is None and not arguments.unix:
         print("serve: need --unix PATH and/or --port N",

@@ -15,7 +15,6 @@ from .expression import Comparison, ConjunctiveQuery
 from .planner import Plan, Planner, PlanStep
 from .executor import Executor, evaluate_naive
 from .database import Database, TableDelta
-from .sql import SelectStatement, SqlFrontend, parse_select, run_sql
 
 __all__ = [
     "ColumnType", "column_type_of",
@@ -25,5 +24,4 @@ __all__ = [
     "Plan", "Planner", "PlanStep",
     "Executor", "evaluate_naive",
     "Database", "TableDelta",
-    "SelectStatement", "SqlFrontend", "parse_select", "run_sql",
 ]

@@ -12,6 +12,9 @@ import re
 from ..core.query import EntangledQuery
 from ..core.terms import Atom, Constant, Term, Variable
 from ..errors import ValidationError
+from .sql_ast import (AnswerMembership, ComparisonCondition, Condition,
+                      EntangledSelect, Expr, Ident, Literal,
+                      TableMembership)
 
 _BARE_CONSTANT = re.compile(r"[A-Z][A-Za-z0-9_]*$")
 _VARIABLE_NAME = re.compile(r"[a-z_][A-Za-z0-9_]*$")
@@ -68,24 +71,25 @@ def to_ir_text(query: EntangledQuery) -> str:
     return text
 
 
-def _format_term_sql(term: Term) -> str:
+def _sql_expr(term: Term) -> Expr:
     if isinstance(term, Variable):
         if not _VARIABLE_NAME.match(term.name):
             raise ValidationError(
                 f"variable name {term.name!r} is not expressible in the "
                 f"SQL dialect; rename before formatting")
-        return term.name
+        return Ident(term.name)
     value = term.value
-    if isinstance(value, str):
-        escaped = value.replace("'", "''")
-        return f"'{escaped}'"
     if isinstance(value, bool):
         raise ValidationError("bool constants are not expressible in the "
                               "SQL dialect")
-    if isinstance(value, (int, float)):
-        return str(value)
+    if isinstance(value, (str, int, float)):
+        return Literal(value)
     raise ValidationError(f"constant {value!r} is not expressible in the "
                           f"SQL dialect")
+
+
+def _sql_exprs(atom: Atom) -> tuple[Expr, ...]:
+    return tuple(_sql_expr(term) for term in atom.args)
 
 
 def to_sql_text(query: EntangledQuery) -> str:
@@ -108,23 +112,16 @@ def to_sql_text(query: EntangledQuery) -> str:
         raise ValidationError(
             f"query {query.query_id!r} has aggregate constraints, which "
             f"have no positional SQL form")
-    (args,) = head_tuples
-    lines = ["SELECT " + ", ".join(_format_term_sql(term)
-                                   for term in args)]
-    lines.append("INTO " + ", ".join(f"ANSWER {atom.relation}"
-                                     for atom in query.head))
-    conditions: list[str] = []
-    for atom in query.body:
-        inner = ", ".join(_format_term_sql(term) for term in atom.args)
-        conditions.append(f"({inner}) IN TABLE {atom.relation}")
-    for comparison in query.body_comparisons:
-        conditions.append(
-            f"{_format_term_sql(comparison.left)} {comparison.op} "
-            f"{_format_term_sql(comparison.right)}")
-    for atom in query.postconditions:
-        inner = ", ".join(_format_term_sql(term) for term in atom.args)
-        conditions.append(f"({inner}) IN ANSWER {atom.relation}")
-    if conditions:
-        lines.append("WHERE " + "\n  AND ".join(conditions))
-    lines.append(f"CHOOSE {query.choose}")
-    return "\n".join(lines)
+    select = _sql_exprs(query.head[0])
+    conditions: list[Condition] = [
+        TableMembership(_sql_exprs(atom), atom.relation)
+        for atom in query.body]
+    conditions.extend(
+        ComparisonCondition(_sql_expr(comparison.left), comparison.op,
+                            _sql_expr(comparison.right))
+        for comparison in query.body_comparisons)
+    conditions.extend(AnswerMembership(_sql_exprs(atom), atom.relation)
+                      for atom in query.postconditions)
+    return str(EntangledSelect(
+        select, tuple(atom.relation for atom in query.head),
+        tuple(conditions), query.choose))

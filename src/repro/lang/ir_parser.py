@@ -30,8 +30,6 @@ from ..db.expression import Comparison
 from ..errors import ParseError
 from .tokenizer import Token, TokenStream, TokenType
 
-_COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
 
 def parse_ir(text: str, query_id: object = None,
              owner: object = None) -> EntangledQuery:
@@ -127,8 +125,7 @@ def _parse_body(stream: TokenStream
 def _parse_comparison(stream: TokenStream) -> Comparison:
     left = _parse_term(stream)
     token = stream.peek()
-    if not (token.type is TokenType.PUNCT
-            and token.value in _COMPARISON_OPS):
+    if not token.is_comparison():
         raise ParseError(f"expected comparison operator, found {token}",
                          token.line, token.column)
     stream.next()

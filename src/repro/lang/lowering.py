@@ -22,6 +22,9 @@ Lowering steps:
 4. aggregate subqueries lower to
    :class:`repro.core.extensions.AggregateConstraint`;
 5. the result is validated (range restriction etc.).
+
+A plain SELECT takes steps 2 and 3 alone to a ``ConjunctiveQuery``
+(:func:`lower_select`; :func:`run_sql` also evaluates it).
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ from ..core.extensions import AggregateConstraint
 from ..core.query import EntangledQuery
 from ..core.terms import Atom, Constant, Term, Variable
 from ..core.unify import Unifier
-from ..db.expression import Comparison
-from ..errors import ParseError, ValidationError
+from ..db.expression import Comparison, ConjunctiveQuery
+from ..errors import ValidationError
 from .sql_ast import (AggregateCondition, AnswerMembership, ColumnRef,
                       ComparisonCondition, EntangledSelect,
-                      EqualityCondition, Expr, FromItem, Ident, Literal,
-                      Subquery, SubqueryEquality, SubqueryMembership,
-                      TableMembership)
-from .sql_parser import parse_entangled_sql
+                      EqualityCondition, Expr, FromItem, Literal, Select,
+                      SubqueryComparison, SubqueryEquality,
+                      SubqueryMembership, TableMembership)
+from .sql_parser import parse_entangled_sql, parse_select
 
 #: Maps a table name to its ordered column names.
 SchemaResolver = Callable[[str], Sequence[str]]
@@ -64,15 +67,20 @@ def dict_resolver(schemas: Mapping[str, Sequence[str]]) -> SchemaResolver:
 
 
 class _Lowerer:
-    """Stateful lowering of a single query."""
+    """Stateful lowering of a single query or plain SELECT."""
 
-    def __init__(self, ast: EntangledSelect, query_id: object,
+    def __init__(self, ast: EntangledSelect | Select, query_id: object,
                  resolve: SchemaResolver,
                  answer_resolve: SchemaResolver | None):
         self._ast = ast
         self._query_id = query_id
         self._resolve = resolve
         self._answer_resolve = answer_resolve
+        # A plain SELECT has no outer query (see lower_select).
+        self._top_level = isinstance(ast, Select)
+        self._scope = ("the SELECT" if self._top_level
+                       else f"query {query_id!r}")
+        self._satisfiable = True
         self._unifier = Unifier()
         self._subquery_counter = 0
         self._body_atoms: list[Atom] = []
@@ -115,7 +123,7 @@ class _Lowerer:
                 if slots is None:
                     raise ValidationError(
                         f"unknown table alias {operand.qualifier!r} in "
-                        f"subquery of query {self._query_id!r}")
+                        f"{self._scope}")
                 if operand.column not in slots:
                     raise ValidationError(
                         f"table {operand.qualifier!r} has no column "
@@ -126,18 +134,27 @@ class _Lowerer:
             if len(owners) > 1:
                 raise ValidationError(
                     f"column {operand.column!r} is ambiguous among "
-                    f"{sorted(owners)} in query {self._query_id!r}")
+                    f"{sorted(owners)} in {self._scope}")
             if owners:
                 return slots_by_binding[owners[0]][operand.column]
+            if self._top_level:
+                raise ValidationError(
+                    f"unknown column {operand.column!r} in {self._scope}")
             # Not a column of any FROM table: an outer query variable.
             return Variable(operand.column)
         raise ValidationError(f"unsupported operand {operand!r}")
+
+    def _comparison(self, node: SubqueryComparison,
+                    slots_by_binding: dict) -> Comparison:
+        return Comparison(self._operand_term(node.left, slots_by_binding),
+                          node.op,
+                          self._operand_term(node.right, slots_by_binding))
 
     def _lower_from_and_where(
             self, from_items: Sequence[FromItem],
             equalities: Sequence[SubqueryEquality]
     ) -> tuple[dict, list[Atom], Unifier]:
-        """Shared for plain and aggregate subqueries.
+        """Shared by plain SELECTs and both kinds of subquery.
 
         Returns (slots_by_binding, raw atoms with slot variables, and a
         *local* unifier holding this subquery's equalities).
@@ -149,7 +166,7 @@ class _Lowerer:
             if item.binding_name in slots_by_binding:
                 raise ValidationError(
                     f"duplicate table alias {item.binding_name!r} in "
-                    f"subquery of query {self._query_id!r}")
+                    f"{self._scope}")
             slots = self._fresh_slots(item)
             slots_by_binding[item.binding_name] = slots
             atoms.append(Atom(item.table, tuple(slots[column] for column
@@ -159,16 +176,19 @@ class _Lowerer:
             left = self._operand_term(equality.left, slots_by_binding)
             right = self._operand_term(equality.right, slots_by_binding)
             if not local.merge(left, right):
-                raise ValidationError(
-                    f"contradictory equality {equality} in query "
-                    f"{self._query_id!r}")
+                if not self._top_level:
+                    raise ValidationError(
+                        f"contradictory equality {equality} in query "
+                        f"{self._query_id!r}")
+                self._satisfiable = False
         return slots_by_binding, atoms, local
 
     def _lower_subquery_membership(self, node: SubqueryMembership) -> None:
         subquery = node.subquery
         slots_by_binding, atoms, local = self._lower_from_and_where(
             subquery.from_items, subquery.equalities)
-        selected = self._operand_term(subquery.select, slots_by_binding)
+        selected = self._operand_term(subquery.columns[0],
+                                      slots_by_binding)
         if not local.merge(Variable(node.ident.name), selected):
             raise ValidationError(
                 f"contradictory linkage {node} in query "
@@ -179,11 +199,9 @@ class _Lowerer:
                 f"subquery {node} contradicts earlier conditions in "
                 f"query {self._query_id!r}")
         self._body_atoms.extend(atoms)
-        for comparison in subquery.comparisons:
-            self._body_comparisons.append(Comparison(
-                self._operand_term(comparison.left, slots_by_binding),
-                comparison.op,
-                self._operand_term(comparison.right, slots_by_binding)))
+        self._body_comparisons.extend(
+            self._comparison(comparison, slots_by_binding)
+            for comparison in subquery.comparisons)
 
     def _lower_aggregate(self, node: AggregateCondition) -> None:
         subquery = node.subquery
@@ -201,10 +219,35 @@ class _Lowerer:
         self._aggregates.append(AggregateConstraint(
             lowered, answer_relations, node.op, node.threshold))
 
+    def lower_select(self) -> tuple[ConjunctiveQuery, tuple[Term, ...],
+                                    int | None]:
+        statement = self._ast
+        slots_by_binding, atoms, local = self._lower_from_and_where(
+            statement.from_items, statement.equalities)
+        substitution = local.substitution()
+        comparisons = [
+            self._comparison(comparison, slots_by_binding).substitute(
+                substitution)
+            for comparison in statement.comparisons]
+        if not self._satisfiable:  # an always-false comparison: no rows
+            comparisons.append(Comparison(Constant(0), "=", Constant(1)))
+        if statement.columns is None:
+            selected = [slot for slots in slots_by_binding.values()
+                        for slot in slots.values()]
+        else:
+            selected = [self._operand_term(column, slots_by_binding)
+                        for column in statement.columns]
+        output = tuple(substitution.get(term, term) for term in selected)
+        query = ConjunctiveQuery(
+            tuple(atom.substitute(substitution) for atom in atoms),
+            tuple(comparisons), distinct=statement.distinct,
+            output_variables=tuple(term for term in output
+                                   if isinstance(term, Variable)))
+        return query, output, statement.limit
+
     # ------------------------------------------------------------------
 
-    def lower(self, choose_override: int | None = None,
-              owner: object = None) -> EntangledQuery:
+    def lower(self, owner: object = None) -> EntangledQuery:
         ast = self._ast
         select_terms = tuple(self._expr_term(expr) for expr in ast.select)
         heads = [Atom(name, select_terms) for name in ast.answer_tables]
@@ -248,8 +291,7 @@ class _Lowerer:
                                  for atom in postconditions),
             body=tuple(atom.substitute(substitution)
                        for atom in self._body_atoms),
-            choose=(choose_override if choose_override is not None
-                    else ast.choose),
+            choose=ast.choose,
             owner=owner,
             aggregates=tuple(
                 AggregateConstraint(
@@ -332,3 +374,31 @@ def parse_and_lower(text: str, query_id: object,
     """Parse entangled SQL text and lower it to an IR query."""
     return lower(parse_entangled_sql(text), query_id, schemas,
                  answer_schemas, owner=owner)
+
+
+def lower_select(statement: Select,
+                 schemas: Union[SchemaResolver, Mapping[str, Sequence[str]]]
+                 ) -> tuple[ConjunctiveQuery, tuple[Term, ...], int | None]:
+    """Lower a plain SELECT to a conjunctive query over the database.
+
+    Returns it, the output term of each column and the LIMIT.  With no
+    outer query, a bare name no FROM item owns is an unknown column, and
+    contradictory equalities yield no rows (not a ValidationError).
+    """
+    resolve = (schemas if callable(schemas) else dict_resolver(schemas))
+    return _Lowerer(statement, None, resolve, None).lower_select()
+
+
+def run_sql(database, text: str) -> list[tuple]:
+    """Run a plain SELECT against *database*; returns the projected rows.
+
+    >>> from repro.workloads import build_intro_database
+    >>> run_sql(build_intro_database(),
+    ...         "SELECT fno FROM Flights WHERE dest = 'Rome'")
+    [(136,)]
+    """
+    query, output, limit = lower_select(parse_select(text),
+                                        schema_resolver(database))
+    return [tuple(valuation[term] if isinstance(term, Variable)
+                  else term.value for term in output)
+            for valuation in database.evaluate(query, limit=limit)]

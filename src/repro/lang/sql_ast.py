@@ -19,6 +19,9 @@ with conditions::
     (SELECT COUNT(*) FROM ANSWER name [, tbl]...
         WHERE ...) cmp number                  -- aggregate extension
 
+The other statement, :class:`Select`, is a plain ``SELECT [DISTINCT]
+cols FROM … [WHERE …] [LIMIT n]``; an ``IN (…)`` subquery is one column.
+
 ``BETWEEN`` and chained inequalities (``a < x <= b``) are desugared by
 the parser into plain comparison conditions, so the AST only ever
 carries binary comparisons.
@@ -131,22 +134,32 @@ class SubqueryComparison:
 
 
 @dataclass(frozen=True, slots=True)
-class Subquery:
-    """``SELECT column FROM items WHERE conditions`` — one output column."""
+class Select:
+    """A plain SELECT (``repro sql``; one column in ``IN (…)``).
 
-    select: ColumnRef
+    ``columns`` is None for ``*``.
+    """
+
+    columns: tuple[ColumnRef, ...] | None
     from_items: tuple[FromItem, ...]
     equalities: tuple[SubqueryEquality, ...]
-    comparisons: tuple[SubqueryComparison, ...] = ()
+    comparisons: tuple[SubqueryComparison, ...]
+    distinct: bool = False
+    limit: int | None = None
 
     def __str__(self) -> str:
-        text = f"SELECT {self.select} FROM " + ", ".join(
+        columns = ("*" if self.columns is None
+                   else ", ".join(str(column) for column in self.columns))
+        distinct = "DISTINCT " if self.distinct else ""
+        text = f"SELECT {distinct}{columns} FROM " + ", ".join(
             str(item) for item in self.from_items)
         conditions = [str(equality) for equality in self.equalities]
         conditions.extend(str(comparison) for comparison
                           in self.comparisons)
         if conditions:
             text += " WHERE " + " AND ".join(conditions)
+        if self.limit is not None:
+            text += f" LIMIT {self.limit}"
         return text
 
 
@@ -184,7 +197,7 @@ class SubqueryMembership:
     """``ident IN (SELECT ...)`` — flattened into body atoms."""
 
     ident: Ident
-    subquery: Subquery
+    subquery: Select
 
     def __str__(self) -> str:
         return f"{self.ident} IN ({self.subquery})"

@@ -6,14 +6,16 @@ Grammar (informal; ``[...]`` optional, ``{...}`` repetition)::
                   INTO answer {, answer}
                   [WHERE condition {AND condition}]
                   CHOOSE number
+    select     := SELECT [DISTINCT] (columnref {, columnref} | '*')
+                  FROM fromitem {, fromitem}
+                  [WHERE sub_cond {AND sub_cond}]
+                  [LIMIT number]
     answer     := ANSWER ident
     condition  := '(' expr {, expr} ')' IN (ANSWER|TABLE) ident
                 | '(' aggregate ')' cmp number
-                | ident IN '(' subquery ')'
+                | ident IN '(' select ')'
                 | expr cmp expr {cmp expr}
                 | expr BETWEEN expr AND expr
-    subquery   := SELECT columnref FROM fromitem {, fromitem}
-                  [WHERE sub_cond {AND sub_cond}]
     aggregate  := SELECT COUNT '(' '*' ')' FROM fromitem {, fromitem}
                   [WHERE sub_eq {AND sub_eq}]
     fromitem   := [ANSWER] ident [[AS] ident]
@@ -32,6 +34,10 @@ comparison conditions.  Aggregate subqueries stay equality-only: the
 count ranges over coordination outcomes, where inequality pushdown has
 no meaning.
 
+Inside ``IN (…)`` a ``select`` has one column, no DISTINCT and no LIMIT.
+Those two are contextual words, not keywords: DISTINCT only before a
+column or ``*``, LIMIT not where it is a table alias.
+
 See :mod:`repro.lang.sql_ast` for the produced tree and
 :mod:`repro.lang.lowering` for conversion to the IR.
 """
@@ -42,12 +48,10 @@ from ..errors import ParseError
 from .sql_ast import (AggregateCondition, AggregateSubquery,
                       AnswerMembership, ColumnRef, ComparisonCondition,
                       Condition, EntangledSelect, EqualityCondition,
-                      Expr, FromItem, Ident, Literal, Operand, Subquery,
+                      Expr, FromItem, Ident, Literal, Operand, Select,
                       SubqueryComparison, SubqueryEquality,
                       SubqueryMembership, TableMembership)
-from .tokenizer import Token, TokenStream, TokenType
-
-_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+from .tokenizer import TokenStream, TokenType
 
 
 def parse_entangled_sql(text: str) -> EntangledSelect:
@@ -60,6 +64,14 @@ def parse_entangled_sql(text: str) -> EntangledSelect:
     query = _parse_query(stream)
     stream.expect_end()
     return query
+
+
+def parse_select(text: str) -> Select:
+    """Parse one plain SELECT statement (what ``repro sql`` runs)."""
+    stream = TokenStream.of(text)
+    statement = _parse_select(stream)
+    stream.expect_end()
+    return statement
 
 
 def _parse_query(stream: TokenStream) -> EntangledSelect:
@@ -122,32 +134,18 @@ def _parse_condition(stream: TokenStream) -> list[Condition]:
                 "(literals cannot be coordinated on)",
                 token.line, token.column)
         stream.expect_punct("(")
-        subquery = _parse_subquery(stream)
+        subquery = _parse_select(stream)
+        if (subquery.columns is None or len(subquery.columns) != 1
+                or subquery.distinct or subquery.limit is not None):
+            raise ParseError(
+                "an IN subquery selects exactly one column, without "
+                "DISTINCT or LIMIT", token.line, token.column)
         stream.expect_punct(")")
         return [SubqueryMembership(left, subquery)]
-    if stream.accept_keyword("BETWEEN"):
-        low = _parse_expr(stream)
-        stream.expect_keyword("AND")
-        high = _parse_expr(stream)
-        return [ComparisonCondition(left, ">=", low),
-                ComparisonCondition(left, "<=", high)]
-    token = stream.peek()
-    if not (token.type is TokenType.PUNCT and token.value in _COMPARISONS):
-        raise ParseError(
-            f"expected comparison operator, IN, or BETWEEN, "
-            f"found {token}", token.line, token.column)
-    conditions: list[Condition] = []
-    while token.type is TokenType.PUNCT and token.value in _COMPARISONS:
-        stream.next()
-        right = _parse_expr(stream)
-        if token.value == "=":
-            conditions.append(EqualityCondition(left, right))
-        else:
-            conditions.append(ComparisonCondition(left, token.value,
-                                                  right))
-        left = right
-        token = stream.peek()
-    return conditions
+    return [EqualityCondition(left, right) if op == "="
+            else ComparisonCondition(left, op, right)
+            for left, op, right in _parse_comparisons(stream, left,
+                                                      _parse_expr)]
 
 
 def _parse_membership(stream: TokenStream) -> Condition:
@@ -193,80 +191,98 @@ def _parse_from_item(stream: TokenStream) -> FromItem:
     table = stream.expect_ident().value
     alias = None
     stream.accept_keyword("AS")
-    if stream.peek().type is TokenType.IDENT:
+    if stream.peek().type is TokenType.IDENT and not _at_limit(stream):
         alias = stream.next().value
     return FromItem(table, alias, is_answer)  # type: ignore[arg-type]
 
 
-def _parse_sub_conditions(
-        stream: TokenStream, allow_comparisons: bool = True
-) -> tuple[list[SubqueryEquality], list[SubqueryComparison]]:
-    """Parse a subquery WHERE clause into equalities and comparisons.
+def _at_limit(stream: TokenStream) -> bool:
+    """A LIMIT clause starts here (not an alias before ``,``/``)``/WHERE)."""
+    after = stream.peek(1)
+    return stream.peek().is_word("LIMIT") and not (
+        after.is_punct(",") or after.is_punct(")")
+        or after.is_keyword("WHERE"))
 
-    ``BETWEEN`` and chained inequalities desugar exactly as at the top
-    level.  With *allow_comparisons* false (aggregate subqueries), any
-    non-equality operator is a parse error.
-    """
+
+def _parse_comparisons(stream: TokenStream, left: Operand,
+                       operand) -> list[tuple[Operand, str, Operand]]:
+    """The (left, op, right) triples of one conjunct, BETWEEN and chains
+    desugared; *operand* parses one operand of the context."""
+    if stream.accept_keyword("BETWEEN"):
+        low = operand(stream)
+        stream.expect_keyword("AND")
+        return [(left, ">=", low), (left, "<=", operand(stream))]
+    token = stream.peek()
+    if not token.is_comparison():
+        raise ParseError(f"expected comparison operator or BETWEEN, "
+                         f"found {token}", token.line, token.column)
+    triples = []
+    while token.is_comparison():
+        stream.next()
+        right = operand(stream)
+        triples.append((left, token.value, right))
+        left = right
+        token = stream.peek()
+    return triples
+
+
+def _parse_where(stream: TokenStream, equality_only: bool = False
+                 ) -> tuple[list[SubqueryEquality], list[SubqueryComparison]]:
+    """A SELECT's optional WHERE clause; *equality_only* for aggregates."""
     equalities: list[SubqueryEquality] = []
     comparisons: list[SubqueryComparison] = []
-
-    def reject_if_disallowed(token: Token) -> None:
-        if not allow_comparisons:
-            raise ParseError(
-                "aggregate subqueries support only equality predicates "
-                "(the count ranges over coordination outcomes)",
-                token.line, token.column)
-
     if stream.accept_keyword("WHERE"):
         while True:
-            left = _parse_operand(stream)
-            token = stream.peek()
-            if token.is_keyword("BETWEEN"):
-                reject_if_disallowed(token)
-                stream.next()
-                low = _parse_operand(stream)
-                stream.expect_keyword("AND")
-                high = _parse_operand(stream)
-                comparisons.append(SubqueryComparison(left, ">=", low))
-                comparisons.append(SubqueryComparison(left, "<=", high))
-            else:
-                if not (token.type is TokenType.PUNCT
-                        and token.value in _COMPARISONS):
+            start = stream.peek()
+            for left, op, right in _parse_comparisons(
+                    stream, _parse_operand(stream), _parse_operand):
+                if op == "=":
+                    equalities.append(SubqueryEquality(left, right))
+                elif equality_only:
                     raise ParseError(
-                        f"expected comparison operator or BETWEEN, "
-                        f"found {token}", token.line, token.column)
-                while (token.type is TokenType.PUNCT
-                       and token.value in _COMPARISONS):
-                    stream.next()
-                    right = _parse_operand(stream)
-                    if token.value == "=":
-                        equalities.append(SubqueryEquality(left, right))
-                    else:
-                        reject_if_disallowed(token)
-                        comparisons.append(SubqueryComparison(
-                            left, token.value, right))
-                    left = right
-                    token = stream.peek()
+                        "aggregate subqueries support only equality "
+                        "predicates (the count ranges over coordination "
+                        "outcomes)", start.line, start.column)
+                else:
+                    comparisons.append(SubqueryComparison(left, op, right))
             if not stream.accept_keyword("AND"):
                 break
     return equalities, comparisons
 
 
-def _parse_subquery(stream: TokenStream) -> Subquery:
+def _parse_select(stream: TokenStream) -> Select:
     stream.expect_keyword("SELECT")
-    select = _parse_column_ref(stream)
+    after = stream.peek(1)
+    distinct = stream.peek().is_word("DISTINCT") and (
+        after.type is TokenType.IDENT or after.is_punct("*"))
+    if distinct:
+        stream.next()
+    columns = None
+    if not stream.accept_punct("*"):
+        columns = [_parse_column_ref(stream)]
+        while stream.accept_punct(","):
+            columns.append(_parse_column_ref(stream))
     stream.expect_keyword("FROM")
     from_items = _parse_from_items(stream)
-    equalities, comparisons = _parse_sub_conditions(stream)
-    for item in from_items:
-        if item.is_answer:
-            token = stream.peek()
-            raise ParseError(
-                "ANSWER relations may only appear in aggregate "
-                "subqueries (COUNT over coordination outcomes)",
-                token.line, token.column)
-    return Subquery(select, tuple(from_items), tuple(equalities),
-                    tuple(comparisons))
+    if any(item.is_answer for item in from_items):
+        token = stream.peek()
+        raise ParseError(
+            "ANSWER relations may only appear in aggregate "
+            "subqueries (COUNT over coordination outcomes)",
+            token.line, token.column)
+    equalities, comparisons = _parse_where(stream)
+    limit = None
+    if _at_limit(stream):
+        stream.next()
+        number = stream.peek()
+        if (number.type is not TokenType.NUMBER
+                or not isinstance(number.value, int) or number.value < 0):
+            raise ParseError("LIMIT expects a non-negative integer",
+                             number.line, number.column)
+        limit = stream.next().value
+    return Select(None if columns is None else tuple(columns),
+                  tuple(from_items), tuple(equalities), tuple(comparisons),
+                  distinct, limit)  # type: ignore[arg-type]
 
 
 def _parse_aggregate_condition(stream: TokenStream) -> AggregateCondition:
@@ -278,11 +294,10 @@ def _parse_aggregate_condition(stream: TokenStream) -> AggregateCondition:
     stream.expect_punct(")")
     stream.expect_keyword("FROM")
     from_items = _parse_from_items(stream)
-    equalities, _ = _parse_sub_conditions(stream,
-                                          allow_comparisons=False)
+    equalities, _ = _parse_where(stream, equality_only=True)
     stream.expect_punct(")")
     token = stream.peek()
-    if not (token.type is TokenType.PUNCT and token.value in _COMPARISONS):
+    if not token.is_comparison():
         raise ParseError(
             f"expected comparison operator after COUNT subquery, "
             f"found {token}", token.line, token.column)

@@ -19,6 +19,9 @@ KEYWORDS = frozenset({
     "COUNT", "AS", "TABLE", "BETWEEN",
 })
 
+#: Comparison operators of both surface languages (``<>`` lexes as ``!=``).
+COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
+
 
 class TokenType(enum.Enum):
     """Lexical category of a token."""
@@ -46,6 +49,13 @@ class Token:
 
     def is_punct(self, symbol: str) -> bool:
         return self.type is TokenType.PUNCT and self.value == symbol
+
+    def is_comparison(self) -> bool:
+        return self.type is TokenType.PUNCT and self.value in COMPARISON_OPS
+
+    def is_word(self, word: str) -> bool:  # contextual: LIMIT, DISTINCT
+        return (self.type is TokenType.IDENT
+                and self.value.upper() == word)  # type: ignore[union-attr]
 
     def __str__(self) -> str:
         if self.type is TokenType.END:

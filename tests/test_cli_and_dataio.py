@@ -129,6 +129,29 @@ class TestCli:
                      "SELECT fno FROM Flights WHERE dest = 'Rome'"]) == 0
         assert capsys.readouterr().out.strip() == "136"
 
+    @pytest.mark.parametrize("query, message", [
+        ("SELECT fno FROM", "sql: expected identifier"),
+        ("SELECT bogus FROM Flights", "sql: unknown column 'bogus'"),
+    ])
+    def test_sql_command_reports_bad_input(self, tmp_path, query,
+                                           message):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        data = tmp_path / "intro.data"
+        data.write_text(INTRO_DATA)
+        source = pathlib.Path(__file__).resolve().parent.parent / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "sql", str(data), query],
+            env=dict(os.environ, PYTHONPATH=str(source)),
+            capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 1
+        assert completed.stdout == ""
+        (line,) = completed.stderr.splitlines()
+        assert line.startswith(message)
+        assert "Traceback" not in completed.stderr
+
     def test_shipped_example_data_files(self, capsys):
         import pathlib
         data_dir = (pathlib.Path(__file__).resolve().parent.parent
