@@ -101,7 +101,7 @@ class DeterminismRule(Rule):
 
     ``PYTHONHASHSEED`` varies per process; iterating a set (or
     anything built from one) in ``core/``, ``engine/``, ``shard/`` or
-    the executor makes answer bytes, routing, and migration manifests
+    the executor makes answer bytes, routing, and migration groups
     process-dependent.  Wrap the iterable in ``sorted(...)`` — or feed
     it to an order-insensitive consumer.
     """

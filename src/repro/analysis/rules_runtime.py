@@ -44,7 +44,7 @@ class SwallowedExceptionRule(Rule):
     """REP004 — broad handlers must not eat the error silently.
 
     ``except Exception: pass`` hides replication divergence, lost
-    migration manifests, and torn journal writes equally well.  A
+    migrated components, and torn journal writes equally well.  A
     broad handler must re-raise, carry the exception somewhere (bind
     it and use it), report through the obs layer, or be annotated
     ``# lint: allow-swallow(reason)`` on the ``except`` line.

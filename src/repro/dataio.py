@@ -21,10 +21,10 @@ This module also defines the **wire format** of the sharded
 coordination service (:mod:`repro.shard`): :func:`to_payload` /
 :func:`from_payload` turn :class:`~repro.core.query.EntangledQuery`
 instances and settled :class:`~repro.core.evaluate.Answer` objects into
-kind-tagged payloads of plain dicts, lists, and scalars, and
-:func:`manifest_to_payload` / :func:`manifest_from_payload` do the same
-for whole cross-shard migration manifests (batches of pending records
-moving between one shard pair in one exchange), and
+kind-tagged payloads of plain dicts, lists, and scalars,
+:func:`record_to_payload` / :func:`decode_records` do the same for the
+pending records a shard import adopts (a migrated, restored or
+re-homed component; snapshots store them too), and
 :func:`db_delta_to_payload` / :func:`db_delta_from_payload` for the
 versioned replication blocks that carry live database mutations to
 shard-local replicas.  Payloads are
@@ -623,8 +623,7 @@ def db_delta_to_payload(from_version: int, version: int,
     order.  ``from`` names the version a replica must be at to apply
     the block and ``version`` the version it ends at, so replicas
     detect gaps (and replays of already-applied blocks) instead of
-    silently diverging; ``count`` guards against truncation like the
-    migration manifest's does.
+    silently diverging; ``count`` guards against truncation.
     """
     items = [delta_to_payload(delta) for delta in deltas]
     return {"wire": WIRE_VERSION,
@@ -839,40 +838,3 @@ class FrameDecoder:
             stop.frames = frames
             raise stop
         return frames
-
-
-def manifest_to_payload(manifest_id: str, records) -> dict:
-    """Serialize a whole migration manifest: the batched unit of the
-    cross-shard move protocol.
-
-    One manifest carries every component record the coordinator
-    imports into one shard in one call — a (source, destination)
-    pair's reserve → import → commit exchange, a re-home, a restore;
-    it is version-stamped and self-describing (``count`` lets the
-    importer reject a truncated manifest) so the import stays
-    all-or-nothing on the wire too.
-    """
-    items = [record_to_payload(record) for record in records]
-    return {"wire": WIRE_VERSION,
-            "kind": "migration_manifest",
-            "manifest": _wire_scalar(manifest_id, "manifest id"),
-            "count": len(items),
-            "records": items}
-
-
-def manifest_from_payload(payload: dict) -> tuple:
-    """Rebuild ``(manifest_id, records)`` from a manifest payload."""
-    if payload.get("wire") != WIRE_VERSION:
-        raise ParseError(
-            f"manifest wire version {payload.get('wire')!r} != "
-            f"{WIRE_VERSION} (mixed shard revisions?)")
-    if payload.get("kind") != "migration_manifest":
-        raise ParseError(
-            f"expected a migration_manifest payload, got "
-            f"{payload.get('kind')!r}")
-    records = decode_records(payload["records"])
-    if len(records) != payload["count"]:
-        raise ParseError(
-            f"manifest {payload['manifest']!r} carries {len(records)} "
-            f"records but declares {payload['count']}")
-    return payload["manifest"], records

@@ -539,23 +539,28 @@ class D3CEngine:
         Callers must export whole components (see
         :meth:`component_members`); exporting a fragment would leave
         edges dangling across engines and change coordination outcomes.
+
+        Atomic: every id is validated before any query is detached, so
+        a bad id leaves the engine untouched — the migration protocol
+        leaves a group whose detach failed where it is.
         """
+        exported = list(query_ids)
         with self._lock:
-            records: list[PendingRecord] = []
-            exported: list = []
-            for query_id in query_ids:
-                entry = self._pending.pop(query_id, None)
-                if entry is None:
+            seen: set = set()
+            for query_id in exported:
+                if query_id not in self._pending or query_id in seen:
                     raise ValidationError(
                         f"query {query_id!r} is not pending; cannot "
                         f"export it")
-                working, _, submitted_at = entry
+                seen.add(query_id)
+            records: list[PendingRecord] = []
+            for query_id in exported:
+                working, _, submitted_at = self._pending.pop(query_id)
                 records.append(PendingRecord(
                     working, self._arrival[query_id], submitted_at,
                     self._trace_of.pop(query_id, None)
                     if self._trace_of else None))
                 self._safety.remove(query_id)
-                exported.append(query_id)
             self._runtime.remove_block(exported)
             records.sort(key=lambda record: record.arrival_seq)
             return records

@@ -6,8 +6,8 @@ single-engine API over N shard workers, each owning a disjoint set of
 coordination components.  A deterministic
 :class:`~repro.shard.router.ShardRouter` places arrivals by anchor-atom
 fingerprint; arrivals that entangle queries on different shards trigger
-the two-phase cross-shard migration protocol (reserve → import →
-commit, the imported records built from the coordinator's own copy) so
+the cross-shard migration protocol (detach → import, the imported
+records built from the coordinator's own copy, the only copy) so
 components are always whole on one shard — which is what keeps the
 fleet's answers byte-identical to a single engine at any shard count.
 One :class:`~repro.shard.backend.ShardHost` holds every command body;

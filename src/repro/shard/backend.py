@@ -34,19 +34,18 @@ issues the command without waiting and returns a :class:`ShardCall`;
 first and collects in shard order afterwards, so process workers
 overlap.
 
-The migration protocol is two-phase on the source shard: ``reserve``
-detaches a component and parks it under a manifest (the queries can no
-longer coordinate or expire), the destination imports records the
-coordinator builds from its own copy, and ``commit`` forgets the parked
-copy once the import landed — with ``abort`` restoring the component
-locally if it did not.  Answer preservation does not depend on *where*
-the component lands, only on it landing exactly once, which
-reserve/commit guarantees.
+A migration is two commands: ``detach`` drops a component from the
+source shard's engine (all or nothing; the shard keeps no copy), and
+``import`` adopts records the coordinator builds from its own copy on
+the destination.  The coordinator's copy is the only copy: when an
+import fails, the coordinator restores the detached records with the
+same ``import`` — on the source, else on another live shard.  Answer
+preservation does not depend on *where* the component lands, only on
+it landing exactly once.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from ..core.query import EntangledQuery
@@ -170,24 +169,17 @@ class ShardBackend:
         """The full coordination component of one pending query."""
         return self._dispatch("members", id=query_id)
 
-    def call_reserve(self, query_ids: Sequence) -> ShardCall:
-        """Phase 1: detach a component batch for migration; results in
-        a manifest id."""
-        return self._dispatch("reserve", ids=query_ids)
-
-    def call_commit(self, manifest: str) -> ShardCall:
-        """Phase 2: forget a reserved manifest whose records landed on
-        their destination."""
-        return self._dispatch("commit", manifest=manifest)
-
-    def call_abort(self, manifest: str) -> ShardCall:
-        """Undo a reservation: restore the component batch locally."""
-        return self._dispatch("abort", manifest=manifest)
+    def call_detach(self, query_ids: Sequence) -> ShardCall:
+        """Drop a component batch for migration, all or nothing: the
+        queries leave the shard (they can no longer coordinate or
+        expire) and nothing of them is kept there."""
+        return self._dispatch("detach", ids=query_ids)
 
     def call_import(self, records: Sequence[PendingRecord]) -> ShardCall:
-        """Adopt pending records (a migrated or re-homed component),
-        under their original arrival seqs and submission instants."""
-        return self._dispatch("import", manifest=records)
+        """Adopt pending records (a migrated, restored or re-homed
+        component), under their original arrival seqs and submission
+        instants."""
+        return self._dispatch("import", records=records)
 
     def call_db_delta(self, payload: dict) -> ShardCall:
         """Apply one versioned ``db_delta`` replication block to the
@@ -243,8 +235,6 @@ class ShardHost:
         self.engine = D3CEngine(database, clock=self._clock,
                                 **engine_kwargs)
         self._events: list[Event] = []
-        self._manifests: dict[str, list[PendingRecord]] = {}
-        self._manifest_counter = itertools.count()
 
     def execute(self, op: str, args: dict):
         """Run one command; returns its result (raises its failure)."""
@@ -298,24 +288,12 @@ class ShardHost:
     def members(self, id: object) -> list:
         return self.engine.component_members(id)
 
-    def reserve(self, ids: Sequence) -> str:
-        records = self.engine.export_component(ids)
-        manifest = f"m{next(self._manifest_counter)}"
-        self._manifests[manifest] = records
-        return manifest
+    def detach(self, ids: Sequence) -> None:
+        self.engine.export_component(ids)
 
-    def commit(self, manifest: str) -> None:
-        del self._manifests[manifest]
-
-    def abort(self, manifest: str) -> None:
-        records = self._manifests.pop(manifest, None)
-        if records:
-            self.import_records(records)
-
-    def import_records(self, manifest: Sequence[PendingRecord]) -> None:
-        # The wire op is "import" and its frame names the records
-        # "manifest".
-        self._track(self.engine.import_pending(manifest).values())
+    def import_records(self, records: Sequence[PendingRecord]) -> None:
+        # The wire op is "import" (a keyword, hence the body's name).
+        self._track(self.engine.import_pending(records).values())
 
     def db_delta(self, payload: dict) -> int:
         database = self.engine.database
@@ -355,10 +333,9 @@ class ShardHost:
     #: through.
     COMMANDS = {
         "submit_block": submit_block, "run_batch": run_batch,
-        "expire": expire, "members": members, "reserve": reserve,
-        "commit": commit, "abort": abort, "import": import_records,
-        "db_delta": db_delta, "metrics": metrics,
-        "sizes": partition_sizes, "pending": pending,
+        "expire": expire, "members": members, "detach": detach,
+        "import": import_records, "db_delta": db_delta,
+        "metrics": metrics, "sizes": partition_sizes, "pending": pending,
         "invalidate": invalidate,
     }
 

@@ -14,8 +14,8 @@ fleet behave byte-identically to one engine:
   graph uses) over all pending heads and postconditions; an arrival's
   partners are discovered *before* placement, and when they span
   shards, the smaller components are migrated to a single owner first
-  (two-phase reserve → commit against the source shard, the destination
-  importing records built from the coordinator's own copy; see
+  (detach on the source shard, then import on the destination of
+  records built from the coordinator's own copy; see
   :mod:`repro.shard.backend`).  Arrivals with no partners fall to the
   deterministic :class:`~repro.shard.router.ShardRouter` fingerprint.
 * **Global arrival order.**  Matching resolves conflicts by arrival
@@ -59,8 +59,8 @@ BACKENDS = ("inprocess", "process")
 
 
 class ShardMigrationError(RuntimeError):
-    """A migration manifest could not be restored anywhere (every
-    candidate shard failed); the affected component left the fleet."""
+    """Pending records could not be restored anywhere (every candidate
+    shard failed); the affected component left the fleet."""
 
 
 class ShardReplicationError(RuntimeError):
@@ -124,9 +124,9 @@ class ShardedCoordinator:
         # Set before backend construction: the failure path below
         # calls close(), which reads it.
         self._closed = False
-        # Fleet-health counters for best-effort failure paths (abort /
-        # close / re-home attempts that may themselves fail while a
-        # primary failure is handled); merged into metrics_snapshot().
+        # Fleet-health counters for best-effort failure paths (close /
+        # restore attempts that may themselves fail while a primary
+        # failure is handled); merged into metrics_snapshot().
         self._health = MetricsRegistry()
         self._staleness = staleness or NeverStale()
         self._clock = clock or SystemClock()
@@ -189,8 +189,8 @@ class ShardedCoordinator:
         self._shard_of: dict = {}
         # qid -> (working, seq, submitted_at); the coordinator's own
         # copy of every pending record and the one source of the
-        # records migration, re-homing and snapshots hand out (see
-        # _pending_records) — no worker is ever asked for its copy.
+        # records migration, restores and snapshots hand out (see
+        # _pending_records) — no worker keeps or returns a copy.
         self._pending_meta: dict = {}
         # qid -> trace id, maintained only while tracing is enabled;
         # stamps migration/re-home/snapshot records so a query keeps
@@ -219,10 +219,10 @@ class ShardedCoordinator:
         self._failed: Counter = Counter()
         #: Cross-shard migration counters (the ledger's
         #: ``shard.migrations`` / ``shard.migrated_queries``):
-        #: ``migrations`` counts manifest *exchanges* (one reserve →
-        #: import → commit round per (source, destination) pair, all
-        #: of a routing block's moves batched), ``migrated_queries``
-        #: the records moved by them.
+        #: ``migrations`` counts *exchanges* (one detach → import
+        #: round per (source, destination) pair, all of a routing
+        #: block's moves batched), ``migrated_queries`` the records
+        #: moved by them.
         self.migrations = 0
         self.migrated_queries = 0
 
@@ -275,7 +275,7 @@ class ShardedCoordinator:
 
         Migrations are *planned* during routing (``physical`` tracks
         where each logically reassigned component still physically
-        lives) and flushed as batched manifests — one per (source,
+        lives) and flushed as batched exchanges — one per (source,
         destination) pair — after the whole block is placed, so a
         component retargeted several times within a block moves over
         the wire at most once, directly to its final owner.  On
@@ -419,7 +419,7 @@ class ShardedCoordinator:
         return target
 
     def _flush_migrations(self, physical: dict) -> None:
-        """Move every planned component to its owner, one manifest per
+        """Move every planned component to its owner, one exchange per
         (source, destination) shard pair."""
         groups: dict[tuple[int, int], list] = {}
         for query_id, source in physical.items():
@@ -430,113 +430,74 @@ class ShardedCoordinator:
         if not groups:
             return
         for pair in groups:
-            # Manifest order is arrival order (matches export order).
+            # Group order is arrival order (matches export order).
             groups[pair].sort(
                 key=lambda query_id: self._pending_meta[query_id][1])
-        self._exchange_manifests(groups)
+        self._exchange(groups)
 
-    def _exchange_manifests(self, groups: dict) -> None:
-        """Batched two-phase moves: reserve → import → commit, one
-        exchange per (source, destination) manifest, pipelined across
-        pairs.  The destination imports records built from the
-        coordinator's own copy (:meth:`_pending_records`); the source's
-        parked copy only ever serves an abort.
+    def _exchange(self, groups: dict) -> None:
+        """Batched moves: detach → import, one exchange per (source,
+        destination) group, each step pipelined across pairs.  The
+        source keeps nothing; the destination imports records built
+        from the coordinator's own copy (:meth:`_pending_records`),
+        which is the only copy.
 
-        Abort semantics are exact and per-manifest: a manifest is
-        either fully imported on its destination (then committed away
-        on its source) or fully restored — to the source via ``abort``,
-        or, if the source has also failed, re-homed onto a healthy
-        shard from the coordinator's copy.  No component is ever lost
-        or duplicated, whichever side dies at whichever step.
+        Every group ends up on exactly one shard, whichever side fails
+        at whichever step.  A group whose detach failed never left its
+        source (detach is all or nothing) and only has its ownership
+        reverted; when any detach fails nothing is imported.  A group
+        that was detached but not imported is restored by
+        :meth:`_rehome`: onto its source, else onto another live shard,
+        else :class:`ShardMigrationError`.
         """
         backends = self._backends
         pairs = sorted(groups)
-        reserved: dict = {}
-        failure: BaseException | None = None
+        detached: list = []
+        errors: list = []
         tracer = TRACER
         exchange_start_ns = (time.perf_counter_ns()
                              if tracer.enabled else 0)
         try:
-            calls = [(pair,
-                      backends[pair[0]].call_reserve(groups[pair]))
+            calls = [(pair, backends[pair[0]].call_detach(groups[pair]))
                      for pair in pairs]
             for pair, call in calls:
-                # Collect every reply even after a failure: a reserve
-                # that succeeded on its worker must be aborted, not
-                # orphaned.
+                # Collect every reply even after a failure: a group
+                # that did detach must be restored, not orphaned.
                 try:
-                    reserved[pair] = call.result()
+                    call.result()
                 except Exception as error:
-                    failure = failure or error
+                    errors.append(error)
+                else:
+                    detached.append(pair)
         except BaseException:
-            # Interrupted (nothing imported yet): best-effort restore
-            # of whatever was reserved before propagating — reserved
-            # components are detached and would otherwise be stranded.
-            self._abort_reserved(reserved, groups)
+            # Interrupted before any import: restore best-effort, then
+            # propagate the interruption.
+            self._restore(groups, pairs, detached)
             raise
-        if failure is not None:
-            # Nothing was imported anywhere: restore every reservation
-            # that made it and surface the original failure.
-            self._abort_reserved(reserved, groups)
-            raise failure
-        import_calls = [(pair, backends[pair[1]].call_import(
-                            self._pending_records(groups[pair])))
-                        for pair in pairs]
-        imported: list = []
-        failed: list = []
-        for pair, call in import_calls:
-            try:
-                call.result()
-            except Exception as error:
-                failed.append((pair, error))
-            else:
-                imported.append(pair)
-        errors = [error for _, error in failed]
-        # Manifests that landed are owned by their destinations from
-        # this moment — bookkeeping first, so a commit failure (a
-        # source dying late) can no longer corrupt placement.
-        commit_calls = [(pair,
-                         backends[pair[0]].call_commit(reserved[pair]))
-                        for pair in imported]
-        for pair, call in commit_calls:
-            source, target = pair
-            members = groups[pair]
-            self.migrations += 1
-            self.migrated_queries += len(members)
-            if tracer.enabled:
-                # One engine-level span per committed manifest; the
-                # duration covers the whole batched exchange.
-                tracer.record("shard.migration", exchange_start_ns,
-                              None, source=source, dest=target,
-                              queries=len(members))
-            for query_id in members:
-                self._shard_of[query_id] = target
-            try:
-                call.result()
-            except Exception as error:
-                # The records live exactly once (on the target); the
-                # source merely failed to drop its inert parked copy.
-                errors.append(error)
-        for pair, error in failed:
-            source, target = pair
-            members = groups[pair]
-            try:
-                backends[source].call_abort(reserved[pair]).result()
-            except Exception as abort_error:
-                # Destination and source both failed: adopt the
-                # coordinator's copy on a healthy shard rather than
-                # lose the component.  Even a lost component must not
-                # abandon the *other* failed pairs' recovery, so keep
-                # walking the list.
-                errors.append(abort_error)
-                if not self._rehome(members, exclude={source, target}):
-                    errors.append(ShardMigrationError(
-                        f"migration manifest carrying {members!r} could "
-                        f"not be restored on any shard: records lost "
-                        f"from the fleet"))
-            else:
-                for query_id in members:
-                    self._shard_of[query_id] = source
+        if errors:
+            errors += self._restore(groups, pairs, detached)
+        else:
+            import_calls = [(pair, backends[pair[1]].call_import(
+                                self._pending_records(groups[pair])))
+                            for pair in pairs]
+            failed: list = []
+            for pair, call in import_calls:
+                try:
+                    call.result()
+                except Exception as error:
+                    errors.append(error)
+                    failed.append(pair)
+                    continue
+                members = groups[pair]
+                self.migrations += 1
+                self.migrated_queries += len(members)
+                if tracer.enabled:
+                    # One engine-level span per imported group; the
+                    # duration covers the whole batched exchange.
+                    tracer.record("shard.migration", exchange_start_ns,
+                                  None, source=pair[0], dest=pair[1],
+                                  queries=len(members))
+            errors += self._restore(groups, failed, failed)
         if errors:
             # A lost component outranks whatever failed first.
             for error in errors:
@@ -544,43 +505,52 @@ class ShardedCoordinator:
                     raise error
             raise errors[0]
 
-    def _abort_reserved(self, reserved: dict, groups: dict) -> None:
-        """Restore every group to its source: abort the manifests that
-        were reserved, and revert ownership for all of them (a group
-        whose reserve never happened still sits on its source)."""
-        for pair in sorted(groups):
-            source = pair[0]
-            if pair in reserved:
-                try:
-                    self._backends[source].call_abort(
-                        reserved[pair]).result()
-                except Exception:
-                    # The primary failure is already propagating; a
-                    # failed best-effort abort leaves only a counter.
-                    self._health.inc("shard.abort_failures")
-            for query_id in groups[pair]:
-                self._shard_of[query_id] = source
+    def _restore(self, groups: dict, pairs: list,
+                 detached: list) -> list:
+        """Undo the planned moves of *pairs*: re-home each *detached*
+        group from the coordinator's copy (its source first, never its
+        target) and point every other group — still on its source —
+        back there.  Returns the errors of groups lost from the fleet;
+        even a lost group must not abandon the others' restore."""
+        lost: list = []
+        for pair in pairs:
+            source, target = pair
+            if pair not in detached:
+                for query_id in groups[pair]:
+                    self._shard_of[query_id] = source
+                continue
+            try:
+                self._rehome(groups[pair], first=source,
+                             exclude={target})
+            except ShardMigrationError as error:
+                lost.append(error)
+        return lost
 
     def _pending_records(self, query_ids) -> list[PendingRecord]:
         """The coordinator's copy of pending records, in *query_ids*
         order.  Shard engines hold the same values — their clocks are
         pinned to the ``now`` each command carries — so this copy is
-        what migration, re-homing and snapshots hand out."""
+        what migration, restores, re-homing and snapshots hand out."""
         trace_ids = self._trace_ids
         return [PendingRecord(*self._pending_meta[query_id],
                               trace_ids.get(query_id))
                 for query_id in query_ids]
 
-    def _rehome(self, query_ids: list, exclude: set) -> bool:
-        """Last-resort restore: import the coordinator's copy of
-        *query_ids* into the lowest-indexed live shard outside
-        *exclude*, replayed to the current ``db_version`` first — a
-        re-homed component must never coordinate against older data
-        than the rest of the fleet.  False when no shard took them."""
+    def _rehome(self, query_ids: list, first: int | None = None,
+                exclude: set = frozenset()) -> None:
+        """The one restore path: import the coordinator's copy of
+        *query_ids* onto *first* (when live), else onto the
+        lowest-indexed live shard outside *exclude*, each replayed to
+        the current ``db_version`` first — a restored component must
+        never coordinate against older data than the rest of the
+        fleet.  Raises :class:`ShardMigrationError` when no shard took
+        them."""
         records = self._pending_records(query_ids)
-        for shard in self._live_shards():
-            if shard in exclude:
-                continue
+        candidates = [shard for shard in self._live_shards()
+                      if shard not in exclude and shard != first]
+        if first is not None and first not in self._dead:
+            candidates.insert(0, first)
+        for shard in candidates:
             try:
                 self._sync_shard(shard)
                 self._backends[shard].call_import(records).result()
@@ -589,8 +559,10 @@ class ShardedCoordinator:
                 continue
             for query_id in query_ids:
                 self._shard_of[query_id] = shard
-            return True
-        return False
+            return
+        raise ShardMigrationError(
+            f"pending queries {query_ids!r} could not be restored on "
+            f"any shard: records lost from the fleet")
 
     # ------------------------------------------------------------------
     # live mutations: replication to shard replicas
@@ -785,11 +757,14 @@ class ShardedCoordinator:
             (query_id for query_id, owner in self._shard_of.items()
              if owner == shard),
             key=lambda query_id: self._pending_meta[query_id][1])
-        if stranded and not self._rehome(stranded, exclude=set()):
-            raise ShardMigrationError(
-                f"components of dead shard {shard} ({cause!r}) could "
-                f"not be re-homed on any live shard: records lost from "
-                f"the fleet") from cause
+        if stranded:
+            try:
+                self._rehome(stranded)
+            except ShardMigrationError:
+                raise ShardMigrationError(
+                    f"components of dead shard {shard} ({cause!r}) "
+                    f"could not be re-homed on any live shard: records "
+                    f"lost from the fleet") from cause
 
     # ------------------------------------------------------------------
     # submission
@@ -1135,9 +1110,9 @@ class ShardedCoordinator:
     @property
     def wire_requests(self) -> int:
         """Protocol commands issued across all shard workers (request
-        frames on the process backend).  Manifest batching is visible
+        frames on the process backend).  Exchange batching is visible
         here: migrating N components between one shard pair costs one
-        reserve/import/commit trio instead of N."""
+        detach/import pair of requests instead of N."""
         return sum(backend.wire_requests for backend in self._backends)
 
     def metrics_snapshot(self) -> dict:

@@ -27,8 +27,8 @@ result), so draining stays in worker execution order no matter how
 replies interleave with other in-flight calls.
 
 Two layers cross the boundary, and only one of them is ours.  The
-payload *trees* inside a frame — queries, settled answers, batched
-migration manifests (:func:`repro.dataio.manifest_to_payload`),
+payload *trees* inside a frame — queries, settled answers, the pending
+records an import adopts (:func:`repro.dataio.record_to_payload`),
 ``db_delta`` blocks — are dicts, lists, and scalars in the stable
 :mod:`repro.dataio` wire format (:func:`~repro.dataio.to_payload` /
 :func:`~repro.dataio.from_payload`), so no live object and no class
@@ -188,26 +188,26 @@ def _start_host(config: dict) -> ShardHost:
 # Commands take and return live objects on both transports; only these
 # four functions know that a pipe sits between coordinator and host.
 # They key on arg names, never on op names: ``queries`` (a submit
-# block) and an import's ``manifest`` records are the only live
-# arguments, answers and failure reasons the only live event payloads.
+# block) and an import's ``records`` are the only live arguments,
+# answers and failure reasons the only live event payloads.
 
 
 def _encode_args(args: dict) -> dict:
-    from ..dataio import manifest_to_payload, to_payload
+    from ..dataio import record_to_payload, to_payload
     if "queries" in args:
         args["queries"] = [to_payload(query) for query in args["queries"]]
-    if "manifest" in args and not isinstance(args["manifest"], str):
-        # An import's records (commit and abort name a manifest id).
-        args["manifest"] = manifest_to_payload("import", args["manifest"])
+    if "records" in args:
+        args["records"] = [record_to_payload(record)
+                           for record in args["records"]]
     return args
 
 
 def _decode_args(args: dict) -> dict:
-    from ..dataio import decode_queries, manifest_from_payload
+    from ..dataio import decode_queries, decode_records
     if "queries" in args:
         args["queries"] = decode_queries(args["queries"])
-    if isinstance(args.get("manifest"), dict):
-        args["manifest"] = manifest_from_payload(args["manifest"])[1]
+    if "records" in args:
+        args["records"] = decode_records(args["records"])
     return args
 
 

@@ -4,7 +4,8 @@ The invariant under attack: **no coordination component is ever lost or
 duplicated**, whichever side of a migration dies at whichever step —
 a destination failing mid-import (including after partially applying
 records), a destination worker process killed on the wire, a source
-refusing the abort, a source dying between import and commit.  Each
+refusing the restore, one pair's detach failing while another pair's
+restore does too.  Each
 test drives the failure through the real protocol machinery and then
 audits the fleet: every query pending exactly once, coordinator
 bookkeeping consistent, and the service able to retry and coordinate
@@ -191,8 +192,8 @@ def test_destination_and_source_failure_rehomes_records(
         coordinator._backends[0], "call_import",
         lambda payload: ShardCall.failed(RuntimeError("dest down")))
     monkeypatch.setattr(
-        coordinator._backends[1], "call_abort",
-        lambda manifest: ShardCall.failed(RuntimeError("source down")))
+        coordinator._backends[1], "call_import",
+        lambda records: ShardCall.failed(RuntimeError("source down")))
     with pytest.raises(RuntimeError):
         coordinator.submit(c)
 
@@ -214,41 +215,13 @@ def test_total_failure_raises_migration_error(small_flight_db,
         coordinator._backends[0], "call_import",
         lambda payload: ShardCall.failed(RuntimeError("dest down")))
     monkeypatch.setattr(
-        coordinator._backends[1], "call_abort",
-        lambda manifest: ShardCall.failed(RuntimeError("source down")))
+        coordinator._backends[1], "call_import",
+        lambda records: ShardCall.failed(RuntimeError("source down")))
     # Two shards, both failed: there is nowhere left to restore to —
     # that terminal state is named loudly, never silent.
     with pytest.raises(ShardMigrationError, match="could not be "
                                                   "restored"):
         coordinator.submit(c)
-
-
-def test_commit_failure_after_import_does_not_duplicate(
-        small_flight_db, monkeypatch):
-    router = ScriptedRouter(2, {"k-a": 0, "k-b": 1})
-    coordinator = ShardedCoordinator(small_flight_db, num_shards=2,
-                                     mode="batch", router=router)
-    a, b, c = _submit_providers(coordinator, rendezvous_triple("k"))
-
-    monkeypatch.setattr(
-        coordinator._backends[1], "call_commit",
-        lambda manifest: ShardCall.failed(RuntimeError("late death")))
-    with pytest.raises(RuntimeError, match="late death"):
-        coordinator.submit(c)
-
-    # The import landed before the source died, so the component's one
-    # live copy is on the destination — an abort here would duplicate
-    # it, and reverting ownership would strand it.
-    assert coordinator.shard_of("k-b") == 0
-    assert coordinator._backends[0].call_pending().result() \
-        == ["k-a", "k-b"]
-    assert "k-b" not in coordinator._backends[1].call_pending().result()
-    _audit_exactly_once(coordinator)
-
-    monkeypatch.undo()
-    coordinator.submit(c)
-    assert coordinator.shard_of("k-c") == 0
-    _audit_exactly_once(coordinator)
 
 
 def test_failure_between_plan_and_flush_reverts_ownership(
@@ -292,6 +265,42 @@ def test_failure_between_plan_and_flush_reverts_ownership(
     _audit_exactly_once(coordinator)
 
 
+def test_failed_detach_and_failed_restore_lose_no_component(
+        small_flight_db, monkeypatch):
+    """One block plans two exchanges, 1 → 0 and 2 → 0.  Shard 2's
+    detach fails, so nothing is imported and shard 1's detached group
+    must go back; shard 1 refuses the restore, so the group lands on
+    the one live shard outside its exchange."""
+    router = ScriptedRouter(3, {"t-a": 0, "t-b": 1, "u-a": 0,
+                                "u-b": 2})
+    coordinator = ShardedCoordinator(small_flight_db, num_shards=3,
+                                     mode="batch", router=router)
+    t_a, t_b, t_c = rendezvous_triple("t", "AAA", "BBB")
+    u_a, u_b, u_c = rendezvous_triple("u", "CCC", "DDD")
+    coordinator.submit_many([t_a, t_b, u_a, u_b])
+
+    monkeypatch.setattr(
+        coordinator._backends[2], "call_detach",
+        lambda query_ids: ShardCall.failed(RuntimeError("detach died")))
+    monkeypatch.setattr(
+        coordinator._backends[1], "call_import",
+        lambda records: ShardCall.failed(RuntimeError("source down")))
+    with pytest.raises(RuntimeError, match="detach died"):
+        coordinator.submit_many([t_c, u_c])
+
+    assert coordinator.shard_of("t-b") == 2
+    assert coordinator.shard_of("u-b") == 2
+    _audit_exactly_once(coordinator)
+
+    monkeypatch.undo()
+    coordinator.submit_many([t_c, u_c])
+    assert len({coordinator.shard_of(query_id)
+                for query_id in ("t-a", "t-b", "t-c")}) == 1
+    assert len({coordinator.shard_of(query_id)
+                for query_id in ("u-a", "u-b", "u-c")}) == 1
+    _audit_exactly_once(coordinator)
+
+
 # ----------------------------------------------------------------------
 # process backend: a worker killed mid-protocol
 # ----------------------------------------------------------------------
@@ -324,9 +333,9 @@ def test_killed_destination_worker_aborts_to_source(small_flight_db,
 
 
 def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
-    """Protocol-level: reserve/transfer on a live source, import into a
-    dead worker, abort back — the wire failure is a named error and the
-    records survive on the source."""
+    """Protocol-level: detach on a live source, import into a dead
+    worker, re-import on the source — the wire failure is a named error
+    and the records survive on the source."""
     from repro.dataio import dump_database
     from repro.shard.process import ProcessBackend
 
@@ -343,7 +352,7 @@ def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
                 for query in make_pair("z1", "z2", "user1", "user2",
                                        "ORD")]
         source.call_submit_block(pair, [0, 1], 0.0).result()
-        manifest = source.call_reserve(["z1", "z2"]).result()
+        source.call_detach(["z1", "z2"]).result()
         payload = [PendingRecord(query, seq, 0.0) for seq, query in enumerate(pair)]
 
         target._process.kill()
@@ -351,7 +360,7 @@ def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
         with pytest.raises(ShardWorkerError):
             target.call_import(payload).result()
 
-        source.call_abort(manifest).result()
+        source.call_import(payload).result()
         assert source.call_pending().result() == ["z1", "z2"]
         assert source.call_partition_sizes().result() == [2]
     finally:

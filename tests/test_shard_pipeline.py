@@ -176,7 +176,7 @@ _LONER = _filler("loner").rename_apart()
 
 #: The op table: command -> (arguments, what its in-process body
 #: raises on them).  Where a command can fail on an idle shard the
-#: arguments make it — a query id or manifest nobody holds, a block
+#: arguments make it — a query id nobody holds, a block
 #: without seqs, one record imported twice, a replication block without
 #: its version — and the rest are driven on their happy path.  Every
 #: argument encodes, so on the pipe the failure is the worker's.
@@ -185,9 +185,7 @@ COMMANDS = {
     "call_run_batch": ((0.0,), None),
     "call_expire": ((0.0,), None),
     "call_members": (("ghost",), KeyError),
-    "call_reserve": ((["ghost"],), ValidationError),
-    "call_commit": (("no-such-manifest",), KeyError),
-    "call_abort": (("no-such-manifest",), None),
+    "call_detach": ((["ghost"],), ValidationError),
     "call_import": (([PendingRecord(_LONER, 0, 0.0)] * 2,),
                     ValidationError),
     "call_db_delta": (({},), KeyError),
@@ -303,8 +301,8 @@ def test_block_migrations_share_one_manifest(small_flight_db):
     assert {coordinator.shard_of(query_id)
             for query_id in ("m1-a", "m1-b", "m1-c",
                              "m2-a", "m2-b", "m2-c")} == {0}
-    # A second exchange would add its reserve/import/commit trio (13).
-    assert coordinator.wire_requests == 10
+    # A second exchange would add its detach/import pair (11).
+    assert coordinator.wire_requests == 9
 
 
 def test_bridged_block_is_equivalent_on_the_process_backend(

@@ -258,32 +258,47 @@ def _submit_pair(backend, ids, users, destination, seqs):
     return pair
 
 
-def test_reserve_import_commit_moves_exactly_once(backend_pair):
+def test_detach_import_moves_exactly_once(backend_pair):
     source, target = backend_pair
     pair = _submit_pair(source, ("m1", "m2"), ("user1", "user2"), "ITH",
                         [0, 1])
-    manifest = source.call_reserve(["m1", "m2"]).result()
-    # Reserved queries are detached: the source can no longer
-    # coordinate or expire them.
+    source.call_detach(["m1", "m2"]).result()
+    # Detached queries are gone: the source can no longer coordinate
+    # or expire them, and keeps no copy.
     assert source.call_pending().result() == []
-    # The caller imports its own copy of the records; the source's
-    # parked copy only serves an abort.
+    # The caller imports its own copy of the records.
     target.call_import([PendingRecord(query, seq, 0.0)
                         for seq, query in enumerate(pair)]).result()
-    source.call_commit(manifest).result()
     assert target.call_pending().result() == ["m1", "m2"]
-    with pytest.raises(KeyError):
-        source.call_commit(manifest).result()
+    with pytest.raises(ValidationError):
+        source.call_detach(["m1", "m2"]).result()
 
 
-def test_abort_restores_the_component(backend_pair):
+def test_reimport_restores_a_detached_component(backend_pair):
     source, _ = backend_pair
-    _submit_pair(source, ("a1", "a2"), ("user3", "user4"), "JFK", [0, 1])
-    manifest = source.call_reserve(["a1", "a2"]).result()
+    pair = _submit_pair(source, ("a1", "a2"), ("user3", "user4"), "JFK",
+                        [0, 1])
+    source.call_detach(["a1", "a2"]).result()
     assert source.call_pending().result() == []
-    source.call_abort(manifest).result()
+    source.call_import([PendingRecord(query, seq, 0.0)
+                        for seq, query in enumerate(pair)]).result()
     assert source.call_pending().result() == ["a1", "a2"]
     assert source.call_partition_sizes().result() == [2]
+
+
+def test_failed_export_detaches_nothing(database):
+    """Export is all or nothing: one id that is not pending leaves
+    every named query pending and the component whole."""
+    engine = D3CEngine(database, mode="batch")
+    for query in make_pair("r1", "r2", "user1", "user2", "ITH"):
+        engine.submit(query)
+    with pytest.raises(ValidationError):
+        engine.export_component(["r1", "ghost"])
+    assert engine.pending_ids() == ["r1", "r2"]
+    assert engine.partition_sizes() == [2]
+    records = engine.export_component(["r1", "r2"])
+    assert [record.query.query_id for record in records] == ["r1", "r2"]
+    assert engine.pending_ids() == []
 
 
 def test_wire_records_round_trip(database):
