@@ -13,7 +13,10 @@ shipped without pickling:
     row Airlines 122 'United'
 
 Values in ``row`` lines use the same literal syntax as queries: quoted
-strings, bare numbers, or bare identifiers (taken as strings).  Query
+strings, bare numbers, bare ``true`` / ``false`` (booleans), or other
+bare identifiers (taken as strings).  A quoted string may span lines.
+Every text, int, float and bool value a column accepts is dumped in a
+form that reads back as the same type and value (DESIGN §4).  Query
 workload files contain one IR-syntax entangled query per line (see
 :func:`repro.lang.parse_ir_workload`).
 
@@ -91,7 +94,16 @@ def load_database(source: Union[str, Path]) -> Database:
     # one cache-invalidation round per table instead of one per row —
     # this is the shard replica's bootstrap path.
     buffered: dict[str, list[tuple]] = {}
-    for line_number, line in enumerate(text.splitlines(), 1):
+    lines = text.split("\n")
+    position = 0
+    while position < len(lines):
+        line_number = position + 1
+        line = lines[position]
+        position += 1
+        while _open_literal(line) and position < len(lines):
+            # The newline belongs to a quoted string: the row goes on.
+            line = f"{line}\n{lines[position]}"
+            position += 1
         stripped = line.strip()
         if not stripped or stripped.startswith("--"):
             continue
@@ -188,6 +200,24 @@ def _buffer_row_line(database: Database, buffered: dict, rest: str,
     buffered.setdefault(name, []).append(stored)
 
 
+def _open_literal(line: str) -> bool:
+    """True if *line* ends inside a quoted string, by the tokenizer's
+    rules: ``''`` is an escaped quote, and ``--`` outside a string
+    starts a comment."""
+    start = 0
+    while True:
+        quote = line.find("'", start)
+        if quote < 0 or line.find("--", start, quote) >= 0:
+            return False
+        start = line.find("'", quote + 1) + 1
+        if not start:
+            return True
+
+
+#: Bare words that are values of their own, not strings.
+_BOOLEANS = {"true": True, "false": False}
+
+
 def _parse_values(text: str, line_number: int) -> tuple:
     stream = TokenStream.of(text)
     values: list = []
@@ -195,6 +225,8 @@ def _parse_values(text: str, line_number: int) -> tuple:
         token = stream.next()
         if token.type in (TokenType.STRING, TokenType.NUMBER):
             values.append(token.value)
+        elif token.type is TokenType.IDENT and token.value in _BOOLEANS:
+            values.append(_BOOLEANS[token.value])
         elif token.type in (TokenType.IDENT, TokenType.KEYWORD):
             values.append(str(token.value))
         else:
@@ -204,12 +236,22 @@ def _parse_values(text: str, line_number: int) -> tuple:
 
 
 def _render_value(value: object) -> str:
+    """*value* as a literal that reads back as the same type and value."""
     if isinstance(value, bool):
-        return "'true'" if value else "'false'"
-    if isinstance(value, (int, float)):
-        return str(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            # The tokenizer reads an overflowing literal as infinity.
+            return "1e999" if value > 0 else "-1e999"
+        return float.__repr__(value)
+    if isinstance(value, str):
+        escaped = value.replace("'", "''")
+        return f"'{escaped}'"
+    raise ValidationError(
+        f"{type(value).__name__} value {value!r} has no data-file form; "
+        f"snapshots and replicas carry text, int, float and bool only")
 
 
 # ----------------------------------------------------------------------

@@ -353,11 +353,11 @@ class Executor:
             return step.scan()
         if step.range_probe is not None:
             return step.range_probe(slots)
+        # One key slot reads a one-column index, keyed by bare values.
         if step.single is not None:
-            key = (slots[step.single],)
+            row_ids = step.probe(slots[step.single])
         else:
-            key = step.key(slots)
-        row_ids = step.probe(key)
+            row_ids = step.probe(step.key(slots))
         if not row_ids:
             return iter(())
         row_map = step.row_map

@@ -2,8 +2,11 @@
 
 The conjunctive-query executor probes tables by equality on a subset of
 column positions (the positions bound by constants or already-bound join
-variables).  A :class:`HashIndex` maps the projected key tuple to the row
-ids having that key.  An :class:`OrderedIndex` keeps (key, row id)
+variables).  A :class:`HashIndex` maps each row's key to the row ids
+having that key.  It builds no key tuple it can avoid: a one-column
+index is keyed by the bare value and an all-columns index by the stored
+row tuple itself; only the other multi-column indexes keep a projected
+tuple per row.  An :class:`OrderedIndex` keeps (key, row id)
 entries in sorted order so inequality predicates on the *last* indexed
 column resolve to a contiguous window found by binary search instead of
 a scan-and-filter pass.  Both kinds are built lazily by the table on
@@ -13,25 +16,40 @@ first use of a position set and maintained on insert/delete.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 
 class HashIndex:
-    """Equality index on a fixed tuple of column positions."""
+    """Equality index on a fixed tuple of column positions.
 
-    __slots__ = ("positions", "_buckets")
+    :meth:`key_of` gives a row's key in the index's own form: the value
+    for one position, the row itself when *whole_row* says the
+    positions are every column of the table, a projected tuple
+    otherwise.  :meth:`probe` takes a tuple in position order whatever
+    the form; :meth:`lookup` and :meth:`bucket_getter` take the own
+    form.  One column wins over whole-row: an arity-1 table's only
+    index is keyed by the value.
+    """
 
-    def __init__(self, positions: Sequence[int]):
+    __slots__ = ("positions", "_buckets", "key_of")
+
+    def __init__(self, positions: Sequence[int], whole_row: bool = False):
         self.positions = tuple(positions)
-        self._buckets: dict[tuple, list[int]] = {}
-
-    def key_of(self, row: Sequence) -> tuple:
-        """Project *row* onto this index's positions."""
-        return tuple(row[position] for position in self.positions)
+        self._buckets: dict[object, list[int]] = {}
+        if len(self.positions) == 1 or not whole_row:
+            self.key_of = itemgetter(*self.positions)
+        else:
+            self.key_of = _same_row
 
     def add(self, row_id: int, row: Sequence) -> None:
         """Index *row* under *row_id*."""
-        self._buckets.setdefault(self.key_of(row), []).append(row_id)
+        key = self.key_of(row)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [row_id]
+        else:
+            bucket.append(row_id)
 
     def remove(self, row_id: int, row: Sequence) -> None:
         """Drop *row_id* from the bucket of *row* (must be present)."""
@@ -47,7 +65,16 @@ class HashIndex:
             del self._buckets[key]
 
     def probe(self, key: tuple) -> list[int]:
-        """Row ids whose projection equals *key* (empty list if none)."""
+        """Row ids whose projection equals *key*, a tuple in position
+        order (empty list if none)."""
+        if len(self.positions) == 1:
+            if len(key) != 1:
+                return []
+            key = key[0]
+        return self._buckets.get(key, [])
+
+    def lookup(self, key: object) -> list[int]:
+        """Row ids under *key* in the index's own form (empty if none)."""
         return self._buckets.get(key, [])
 
     def bucket_getter(self):
@@ -70,6 +97,11 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
+
+
+def _same_row(row: tuple) -> tuple:
+    """An all-columns index's key: the stored row tuple itself."""
+    return row
 
 
 class _MaxSentinel:

@@ -92,7 +92,7 @@ class Table:
         index = self.index_on(tuple(range(self.schema.arity)))
         for row in rows:
             stored = self.schema.check_row(row)
-            bucket = index.probe(stored)
+            bucket = index.lookup(index.key_of(stored))
             if not bucket:
                 continue
             row_id = bucket[0]
@@ -174,7 +174,8 @@ class Table:
             with self._index_lock:
                 index = self._indexes.get(key)
                 if index is None:
-                    index = HashIndex(key)
+                    index = HashIndex(
+                        key, whole_row=len(key) == self.schema.arity)
                     for row_id, row in self._rows.items():
                         index.add(row_id, row)
                     self._indexes[key] = index
@@ -239,20 +240,24 @@ class Table:
         if not bindings:
             yield from self.rows()
             return
-        positions = tuple(sorted(bindings))
-        index = self.index_on(positions)
-        key = tuple(bindings[position] for position in positions)
-        for row_id in index.probe(key):
+        for row_id in self._bucket(bindings):
             yield self._rows[row_id]
 
     def count_probe(self, bindings: dict[int, object]) -> int:
         """Number of rows matching *bindings* (for planner estimates)."""
         if not bindings:
             return len(self._rows)
-        positions = tuple(sorted(bindings))
+        return len(self._bucket(bindings))
+
+    def _bucket(self, bindings: dict[int, object]) -> list[int]:
+        """Row ids matching non-empty *bindings*, looked up under the
+        index's own key form (a bare value for one position)."""
+        positions = sorted(bindings)
         index = self.index_on(positions)
-        key = tuple(bindings[position] for position in positions)
-        return len(index.probe(key))
+        if len(positions) == 1:
+            return index.lookup(bindings[positions[0]])
+        return index.lookup(tuple([bindings[position]
+                                   for position in positions]))
 
     def index_stats(self) -> dict:
         """Built indexes plus range-probe counters.

@@ -73,7 +73,8 @@ def tokenize(text: str) -> list[Token]:
     Identifier rules: ``[A-Za-z_][A-Za-z0-9_]*``; an identifier matching
     a keyword (case-insensitive) becomes a KEYWORD token with uppercase
     value.  Strings use single quotes with ``''`` as the escape for a
-    literal quote.  Numbers are ints unless they contain ``.``.
+    literal quote.  Numbers are ints unless they contain ``.`` or an
+    exponent (``1e+20``, ``5e-324``; ``1e999`` reads as infinity).
     """
     tokens: list[Token] = []
     line = 1
@@ -144,6 +145,16 @@ def tokenize(text: str) -> list[Token]:
                 if text[end] == ".":
                     seen_dot = True
                 end += 1
+            exponent = end
+            if exponent < length and text[exponent] in "eE":
+                exponent += 1
+                if exponent < length and text[exponent] in "+-":
+                    exponent += 1
+                if exponent < length and text[exponent].isdigit():
+                    seen_dot = True  # a float, like a fraction
+                    end = exponent + 1
+                    while end < length and text[end].isdigit():
+                        end += 1
             literal = text[position:end]
             value: object = float(literal) if seen_dot else int(literal)
             tokens.append(Token(TokenType.NUMBER, value,

@@ -42,7 +42,8 @@ class RemoteTicket:
     :func:`repro.dataio.to_payload`); ``failed`` tickets carry the
     failure reason string (e.g. ``"stale"``).  ``wait()`` returns the
     payload or raises :class:`ServerDisconnectedError` if the
-    connection died first.
+    connection died first.  The ``asyncio.Event`` a waiter parks on
+    is built only when someone awaits a pending ticket.
     """
 
     __slots__ = ("query_id", "state", "payload", "reason", "_event")
@@ -52,7 +53,7 @@ class RemoteTicket:
         self.state = "pending"
         self.payload = None
         self.reason: Optional[str] = None
-        self._event = asyncio.Event()
+        self._event: Optional[asyncio.Event] = None
 
     @property
     def settled(self) -> bool:
@@ -64,15 +65,19 @@ class RemoteTicket:
         self.state = state
         self.payload = payload
         self.reason = reason
-        self._event.set()
+        if self._event is not None:
+            self._event.set()
 
     async def wait(self, timeout: float | None = None):
         """Block until settled; returns the answer payload, or None
         for a failed settlement (check :attr:`reason`)."""
-        if timeout is None:
-            await self._event.wait()
-        else:
-            await asyncio.wait_for(self._event.wait(), timeout)
+        if not self.settled:
+            if self._event is None:
+                self._event = asyncio.Event()
+            if timeout is None:
+                await self._event.wait()
+            else:
+                await asyncio.wait_for(self._event.wait(), timeout)
         if self.state == "lost":
             raise ServerDisconnectedError(
                 f"connection closed with query {self.query_id!r} "

@@ -171,7 +171,9 @@ def _start_host(config: dict) -> ShardHost:
         # shipped to the coordinator piggybacked on reply frames (see
         # _worker_main), tagged with this shard's site.
         set_tracing(True, site=f"shard{config.get('shard_index', '?')}")
-    database = load_database(config["database_text"])
+    # Popped, not read: the worker keeps *config* alive for its whole
+    # life, and the text is dead weight once the replica is built.
+    database = load_database(config.pop("database_text"))
     for spec in config.get("warm_indexes", ()):
         database.table(spec[0]).index_on(tuple(spec[1]))
     # The rebuild replayed every row insert, so the replica's mutation
