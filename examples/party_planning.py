@@ -9,8 +9,7 @@ if Jerry does.
 Run:  python examples/party_planning.py
 """
 
-from repro import Database, FailureReason
-from repro.core.extensions import coordinate_with_aggregates
+from repro import Database, FailureReason, coordinate
 from repro.lang import parse_and_lower, schema_resolver
 
 ANSWER_SCHEMAS = {"Attendance": ("pid", "name")}
@@ -58,7 +57,7 @@ def main() -> None:
     queries = [jerry_query(db, threshold=2)]
     queries += [friend_query(db, name)
                 for name in ("Elaine", "George", "Newman")]
-    result = coordinate_with_aggregates(queries, db)
+    result = coordinate(queries, db)
     for query_id, answer in sorted(result.answers.items()):
         ((party, name),) = answer.rows["Attendance"]
         print(f"  {name:>7} attends {party}")
@@ -67,7 +66,7 @@ def main() -> None:
     print("\nRound 2: only one friend is available — the aggregate "
           "cannot be met:")
     queries = [jerry_query(db, threshold=2), friend_query(db, "Elaine")]
-    result = coordinate_with_aggregates(queries, db)
+    result = coordinate(queries, db)
     assert not result.answers
     for query_id, reason in sorted(result.failures.items()):
         print(f"  {query_id}: failed ({reason.value})")

@@ -3,18 +3,12 @@
 A travel agency collects coordination requests during the day and runs
 one set-at-a-time round each evening (the paper's batch mode).  Built
 on the same workload machinery as the benchmarks: a synthetic social
-network with hometowns, friend pairs wanting to fly together, plus the
-soft-preference extension (Section 6) choosing the *cheapest* suitable
-flight instead of an arbitrary one.
+network with hometowns and friend pairs wanting to fly together.
 
 Run:  python examples/travel_agency.py
 """
 
-import random
-
-from repro import D3CEngine, Variable
-from repro.core.extensions import coordinate_with_preferences
-from repro.lang import parse_ir
+from repro import D3CEngine
 from repro.workloads import (build_flight_database,
                              generate_social_network, two_way_pairs)
 
@@ -41,40 +35,6 @@ def main() -> None:
     example = next(ticket for ticket in tickets if ticket.done())
     print(f"\nSample coordinated booking: "
           f"{example.query_id} -> {example.answer.rows}")
-
-    # -- Soft preferences: pick the cheapest coordinated flight. --------
-    print("\nWith the Section 6 preference extension (cheapest flight):")
-    db2 = build_flight_database(network)
-    db2.create_table("Fares", "dest text", "fare int")
-    rng = random.Random(9)
-    fares = {town: rng.randint(99, 999)
-             for town in set(network.hometowns.values())}
-    db2.insert("Fares", list(fares.items()))
-
-    left, right = next(network.friend_pairs(random.Random(10)))
-    pair = [
-        parse_ir(f"{{R({right.upper()}, d)}} R({left.upper()}, d) "
-                 f"<- F('{left}', '{right}'), Fares(d, fare)",
-                 "pref-left"),
-        parse_ir(f"{{R({left.upper()}, d)}} R({right.upper()}, d) "
-                 f"<- F('{right}', '{left}'), Fares(d, fare)",
-                 "pref-right"),
-    ]
-
-    def cheaper(valuation) -> float:
-        fare_values = [value for variable, value in valuation.items()
-                       if variable.name.startswith("fare")]
-        return -min(fare_values)  # higher score = cheaper fare
-
-    result = coordinate_with_preferences(pair, db2, score=cheaper)
-    for query_id, answer in sorted(result.answers.items()):
-        (row,) = answer.rows["R"]
-        print(f"  {query_id}: destination {row[1]} "
-              f"(fare ${fares[row[1]]})")
-    cheapest = min(fares.values())
-    chosen = fares[next(iter(result.answers.values())).rows["R"][0][1]]
-    assert chosen == cheapest, "preference ranking should pick cheapest"
-    print(f"  -> chose the cheapest fare in the catalog (${cheapest})")
 
 
 if __name__ == "__main__":

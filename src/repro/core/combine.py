@@ -44,6 +44,10 @@ class CombinedQuery:
         choose: valuations to fetch (the survivors' largest ``CHOOSE``).
         unifier: the component's global most general unifier.
         members: the survivors' queries, in ``survivors`` order.
+        aggregates: the survivors' §6 aggregate constraints under the
+            same substitution as ``heads``; a valuation is kept only if
+            its grounding satisfies all of them (empty for most
+            workloads).
     """
 
     survivors: tuple
@@ -52,6 +56,7 @@ class CombinedQuery:
     choose: int
     unifier: Unifier
     members: tuple = field(repr=False)
+    aggregates: tuple
 
     @property
     def raw_query(self) -> ConjunctiveQuery:
@@ -149,4 +154,7 @@ def build_combined_query(
     return CombinedQuery(
         tuple(members), heads, simplified,
         max([query.choose for query in member_queries]), unifier,
-        member_queries)
+        member_queries,
+        tuple([constraint.substitute(substitution)
+               for query in member_queries
+               for constraint in query.aggregates]))

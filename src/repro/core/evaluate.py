@@ -8,8 +8,9 @@ entangled queries and a database, it
 3. builds the unifiability graph and partitions it;
 4. matches each component (Algorithm 1);
 5. combines each fully matched component into one conjunctive query;
-6. evaluates the combined query on the database (``LIMIT k``) and splits
-   each valuation into per-query answers.
+6. evaluates the combined query on the database (``LIMIT k``, after
+   dropping valuations that violate a §6 aggregate) and splits each
+   valuation into per-query answers.
 
 Timing of the matching phase versus the database phase is recorded
 separately because Figure 7 of the paper reports exactly that split.
@@ -17,19 +18,20 @@ separately because Figure 7 of the paper reports exactly that split.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from ..db.database import Database
 from .combine import CombinedQuery, build_combined_query, ground_heads
 from .graph import UnifiabilityGraph, build_unifiability_graph
-from .matching import ComponentMatch, ConflictPolicy, match_component, match_all
+from .matching import ComponentMatch, match_component, match_all
 from .query import EntangledQuery, validate_workload
 from .safety import enforce_safety
-from .terms import Atom, Constant, Variable
+from .terms import Atom
 from .ucs import check_ucs_graph
 
 
@@ -171,18 +173,29 @@ def _evaluate_component(
 
 def _pick_valuations(database: Database, combined: CombinedQuery,
                      choose: int, rng: Optional[random.Random]) -> list:
-    """Fetch up to *choose* valuations; with an rng, sample uniformly.
+    """The one valuation choice point: up to *choose* valuations of
+    *combined* (a ``CombinedQuery``, or the ``Attempt`` retained of
+    one); with an rng, a uniform sample.
 
     ``CHOOSE 1`` semantics say the tuple "should be chosen at random";
     deterministic callers (and the benchmarks) pass ``rng=None`` to take
     the first valuations the executor produces, which is the paper's
-    ``LIMIT 1`` optimization.
+    ``LIMIT 1`` optimization.  A valuation whose grounding violates
+    one of the survivors' §6 aggregates is skipped, so with aggregates
+    the stream is filtered before the first k (or the sample) are taken.
     """
-    if rng is None:
+    aggregates = combined.aggregates
+    if rng is None and not aggregates:
         return list(database.evaluate(combined.query, limit=choose))
+    stream = database.evaluate(combined.query)
+    if aggregates:
+        stream = (valuation for valuation in stream
+                  if _aggregates_hold(database, combined, valuation))
+    if rng is None:
+        return list(itertools.islice(stream, choose))
     # Reservoir sampling of `choose` valuations from the full stream.
     reservoir: list = []
-    for count, valuation in enumerate(database.evaluate(combined.query)):
+    for count, valuation in enumerate(stream):
         if len(reservoir) < choose:
             reservoir.append(valuation)
         else:
@@ -190,6 +203,17 @@ def _pick_valuations(database: Database, combined: CombinedQuery,
             if slot < choose:
                 reservoir[slot] = valuation
     return reservoir
+
+
+def _aggregates_hold(database: Database, combined,
+                     valuation: Mapping) -> bool:
+    """True iff the coordinated outcome *valuation* grounds satisfies
+    every aggregate of *combined*: each counts over the ANSWER tuples
+    of that grounding (all survivors' heads) plus the database."""
+    answer_rows = Answer.from_head_groundings(None, list(
+        ground_heads(combined.heads, valuation).values())).rows
+    return all(constraint.evaluate(database, answer_rows, valuation)
+               for constraint in combined.aggregates)
 
 
 def _record_answers(combined, valuations: list, answers: dict) -> None:
@@ -207,7 +231,6 @@ def _record_answers(combined, valuations: list, answers: dict) -> None:
 def coordinate(queries: Sequence[EntangledQuery],
                database: Database,
                check_safety: bool = True,
-               policy: ConflictPolicy = "first",
                rng: Optional[random.Random] = None,
                ucs_fallback: bool = False,
                use_index: bool = True) -> CoordinationResult:
@@ -218,7 +241,6 @@ def coordinate(queries: Sequence[EntangledQuery],
         database: substrate holding the database relations.
         check_safety: run the paper's safety repair first; dropped queries
             fail with :data:`FailureReason.UNSAFE`.
-        policy: conflict policy for multi-candidate postconditions.
         rng: optional randomness source for CHOOSE's random-tuple
             semantics; None takes the executor's first valuations.
         ucs_fallback: when a whole component cannot coordinate on the
@@ -251,7 +273,7 @@ def coordinate(queries: Sequence[EntangledQuery],
     queries_by_id = {query.query_id: query for query in working}
 
     start = time.perf_counter()
-    matches = match_all(graph, policy=policy)
+    matches = match_all(graph)
     result.timings.match_seconds = time.perf_counter() - start
     result.matches = matches
 

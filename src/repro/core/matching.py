@@ -82,20 +82,24 @@ class Attempt:
     the component strategy's :class:`MatchState`.
 
     Attributes:
-        query, heads, choose: their ``CombinedQuery`` namesakes for the
-            current member set; ``query`` is None until built.
+        query, heads, choose, aggregates: their ``CombinedQuery``
+            namesakes for the current member set; ``query`` is None
+            until built.
         empty_reads: ``(relation, table, version)`` per distinct table
             read by the last combined query that found no answer on the
             data, else None.  Conjunctive queries are monotone: it, and
             every conjunctive superset of it, is empty for as long as
             those versions stand (the scheduler sets and checks it).
+            An attempt with aggregates never sets it: they are not
+            monotone.
     """
 
-    __slots__ = ("query", "heads", "choose", "empty_reads")
+    __slots__ = ("query", "heads", "choose", "aggregates", "empty_reads")
 
     def __init__(self) -> None:
         self.query = self.heads = self.empty_reads = None
         self.choose = 1
+        self.aggregates = ()
 
 
 class MatchState(Attempt):
@@ -364,8 +368,7 @@ def _match_with_backtracking(graph: UnifiabilityGraph,
     return best.result()
 
 
-def match_all(graph: UnifiabilityGraph,
-              policy: ConflictPolicy = "first") -> list[ComponentMatch]:
+def match_all(graph: UnifiabilityGraph) -> list[ComponentMatch]:
     """Partition the graph and match every component (paper §4.1.2).
 
     Components are independent, so callers may parallelize; this helper
@@ -375,5 +378,5 @@ def match_all(graph: UnifiabilityGraph,
     components = graph.connected_components()
     components.sort(key=lambda component: min(order[query_id]
                                               for query_id in component))
-    return [match_component(graph, component, policy=policy, order=order)
+    return [match_component(graph, component, order=order)
             for component in components]

@@ -40,8 +40,8 @@ class EntangledQuery:
         owner: opaque tag identifying the submitting client (optional).
         aggregates: Section 6 aggregation constraints
             (:class:`repro.core.extensions.AggregateConstraint`);
-            ignored by the core algorithm, enforced by
-            :func:`repro.core.extensions.coordinate_with_aggregates`.
+            ignored by matching, enforced where every shape picks a
+            valuation (:func:`repro.core.evaluate._pick_valuations`).
         body_comparisons: comparison predicates
             (:class:`repro.db.expression.Comparison`) over body
             variables — deadline sweeps, tenant ranges, and other

@@ -61,11 +61,11 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .core.evaluate import Answer
+from .core.extensions import AggregateConstraint, OPERATORS
 from .core.query import EntangledQuery
 from .core.terms import Atom, Constant, Term, Variable
 from .db.database import Database
 from .db.expression import Comparison
-from .db.types import column_type_of
 from .errors import ParseError, ReproError, SchemaError, \
     ValidationError
 from .lang.tokenizer import TokenStream, TokenType  # leaf module; no cycle
@@ -322,20 +322,71 @@ def _atoms_from_payload(items, variables: dict,
         for term in terms])) for relation, terms in items])
 
 
+def _aggregate_to_payload(constraint: AggregateConstraint) -> list:
+    return _checked_aggregate([
+        _atoms_to_payload(constraint.atoms),
+        sorted(constraint.answer_relations, key=str), constraint.op,
+        constraint.threshold])
+
+
+def _aggregate_from_payload(item, variables: dict,
+                            constants: dict) -> AggregateConstraint:
+    atoms, relations, op, threshold = _checked_aggregate(item)
+    return AggregateConstraint(
+        _atoms_from_payload(atoms, variables, constants),
+        frozenset(relations), op, threshold)
+
+
+def _is_atom_payload(item) -> bool:
+    """``[relation, [[tag, value], ...]]`` with a str relation, and
+    terms that are named variables or wire-scalar constants."""
+    return (type(item) is list and len(item) == 2
+            and type(item[0]) is str and type(item[1]) is list
+            and all(type(term) is list and len(term) == 2
+                    and (type(term[1]) is str if term[0] == "v"
+                         else term[0] == "c"
+                         and isinstance(term[1], _WIRE_SCALARS))
+                    for term in item[1]))
+
+
+def _checked_aggregate(item) -> list:
+    """*item*, if it is a well-formed ``agg`` entry.  Checked at the
+    edge, because a payload comes from outside and a bad operator or
+    threshold would otherwise surface inside a coordination round,
+    after the query was admitted and journalled; and checked when
+    encoding too, so every journalled query decodes on recovery."""
+    if type(item) is not list or len(item) != 4:
+        raise ParseError(
+            f"aggregate payload {item!r} is not "
+            f"[atoms, answer relations, op, threshold]")
+    atoms, relations, op, threshold = item
+    if type(op) is not str or op not in OPERATORS:
+        raise ValidationError(
+            f"aggregate operator {op!r} is not one of "
+            f"{' '.join(OPERATORS)}")
+    if type(threshold) not in (int, float):
+        raise ValidationError(
+            f"aggregate threshold {threshold!r} is not a number")
+    if type(relations) is not list or not all(
+            type(relation) is str for relation in relations):
+        raise ValidationError(
+            f"aggregate answer relations {relations!r} are not a list "
+            f"of names")
+    if type(atoms) is not list or not all(map(_is_atom_payload, atoms)):
+        raise ParseError(f"malformed aggregate atoms {atoms!r}")
+    return item
+
+
 def to_payload(obj: Union[EntangledQuery, Answer]) -> dict:
     """Serialize a query or settled answer into a wire payload.
 
     The payload is a kind-tagged tree of dicts, lists, and scalars —
     stable under JSON round trips and safe to ship between shard
-    worker processes.  Queries carrying Section 6 aggregate constraints
-    are rejected: the sharded service does not speak them (yet), and a
-    silent drop would change answers.
+    worker processes.  A query's Section 6 aggregate constraints ride
+    as an optional ``agg`` key (``[atoms, answer relations, op,
+    threshold]`` each), absent when it has none.
     """
     if isinstance(obj, EntangledQuery):
-        if obj.aggregates:
-            raise ValidationError(
-                f"query {obj.query_id!r} carries aggregate constraints, "
-                f"which the wire format does not support")
         payload = {
             "wire": WIRE_VERSION,
             "kind": "query",
@@ -354,6 +405,10 @@ def to_payload(obj: Union[EntangledQuery, Answer]) -> dict:
                 [_term_to_payload(comparison.left), comparison.op,
                  _term_to_payload(comparison.right)]
                 for comparison in obj.body_comparisons]
+        if obj.aggregates:
+            # Optional key, as "cmp" is.
+            payload["agg"] = [_aggregate_to_payload(constraint)
+                              for constraint in obj.aggregates]
         return payload
     if isinstance(obj, Answer):
         return {
@@ -562,7 +617,10 @@ def decode_queries(payloads) -> list[EntangledQuery]:
                            op,
                            _term_from_payload(right, variables,
                                               constants))
-                for left, op, right in payload.get("cmp", ())])))
+                for left, op, right in payload.get("cmp", ())]),
+            aggregates=tuple([
+                _aggregate_from_payload(item, variables, constants)
+                for item in payload["agg"]]) if "agg" in payload else ()))
     return queries
 
 

@@ -225,9 +225,9 @@ class _DurableService:
     ``snapshot_log_bytes=N`` (a fixed segment size) are explicit
     overrides; naming any of them turns the derived rule off.
 
-    Restrictions: queries must be wire-serializable (aggregate
-    constraints are rejected at submission, exactly as on the sharded
-    service's wire format).
+    Restrictions: queries must be wire-serializable (an id, owner or
+    constant the wire format cannot carry is rejected at submission,
+    exactly as on the sharded service's wire format).
     """
 
     #: The inner service class a concrete wrapper journals.

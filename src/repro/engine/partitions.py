@@ -279,8 +279,9 @@ class PartitionManager:
         matching *state* or, in structure-only mode, as a slim record."""
         if not self._track_matching:
             state = self._match_states[self._fresh_root(query_id)] = Attempt()
-        state.query, state.heads, state.choose = (
-            combined.query, combined.heads, combined.choose)
+        state.query, state.heads, state.choose, state.aggregates = (
+            combined.query, combined.heads, combined.choose,
+            combined.aggregates)
         return state
 
     def remove_queries(self, removed: Iterable) -> list:

@@ -17,7 +17,9 @@ machinery:
   an insert may have made answerable are re-evaluated.  An unchanged
   component would deterministically produce its previous outcome on an
   unchanged database — or, conjunctive bodies being monotone, on one
-  that only lost rows — so skipping it is answer-preserving.
+  that only lost rows — so skipping it is answer-preserving.  (§6
+  aggregates are not monotone: their readers are re-queued on any
+  write to a table they read.)
 
 Arrival ingestion is one path (:meth:`CoordinationScheduler.ingest`):
 the graph writes the arrival's provider refs and emits its delta, and a
@@ -86,9 +88,10 @@ class CoordinationScheduler:
         self._dirty: dict = {}
         # Local groups whose combined query found no data; the database
         # is treated as a snapshot per the paper, so a failed group
-        # cannot succeed until the data changes (see invalidate).
-        # Indexed by member so a mutation drops the affected groups
-        # without scanning the whole set.
+        # cannot succeed until the data changes (see invalidate).  A
+        # group with §6 aggregates is never cached: its failure is not
+        # monotone in the data.  Indexed by member so a mutation drops
+        # the affected groups without scanning the whole set.
         self._failed_groups: set[frozenset] = set()
         self._failed_by_member: dict = {}
         # Body enumerations the feasibility prefilter ran (published
@@ -103,6 +106,10 @@ class CoordinationScheduler:
         # incrementally by the delta listener.
         self._readers: Optional[dict] = None
         self._reads_of: dict = {}
+        # Live queries carrying §6 aggregates -> the tables they read,
+        # kept eagerly (the one reader set a delete-only delta
+        # re-queues); empty, and never consulted, without aggregates.
+        self._aggregated: dict = {}
         # When set, removal deltas are collected instead of applied so
         # multi-query removals rebuild each affected partition once.
         self._removal_batch: Optional[list] = None
@@ -115,16 +122,21 @@ class CoordinationScheduler:
         """Fold one graph delta into partition state and the worklist."""
         query_id = delta.query_id
         if delta.kind == "add":
-            self.partitions.add_query(delta.query, delta)
+            query = delta.query
+            self.partitions.add_query(query, delta)
             self._dirty[query_id] = None
             if self._readers is not None:
-                self._track_reader(delta.query)
+                self._track_reader(query)
+            if query.aggregates:
+                self._aggregated[query_id] = _tables_read(query)
             return
         # A removal is forgotten here, in the pass that removes it; only
         # the partition bookkeeping waits for the end of a block.
         self._dirty.pop(query_id, None)
         if self._readers is not None:
             self._forget_reader(query_id)
+        if self._aggregated:
+            self._aggregated.pop(query_id, None)
         if self._failed_by_member:
             self._drop_failed_groups_of(query_id)
         if self._removal_batch is not None:
@@ -134,7 +146,7 @@ class CoordinationScheduler:
             self._dirty[representative] = None
 
     def _track_reader(self, query: EntangledQuery) -> None:
-        relations = {atom.relation for atom in query.body}
+        relations = _tables_read(query)
         self._reads_of[query.query_id] = relations
         for relation in sorted(relations):
             self._readers.setdefault(relation, {})[query.query_id] = None
@@ -190,14 +202,16 @@ class CoordinationScheduler:
     def mark_table_dirty(self, delta) -> None:
         """Targeted invalidation after a committed ``TableDelta``.
 
-        Exactly the queries whose bodies read the mutated table are
-        re-queued (their components re-attempt at the next drain —
-        previously failed groups over that table may now succeed);
-        components reading only untouched tables keep their clean
-        state and their failed-group entries.  A delta that inserted
-        nothing re-queues nobody — combined queries are conjunctive
-        (no aggregates on the engine path), hence monotone: losing
-        rows makes nothing answerable.
+        Exactly the queries that read the mutated table — in their
+        bodies or in their aggregates' atoms — are re-queued (their
+        components re-attempt at the next drain — previously failed
+        groups over that table may now succeed); components reading
+        only untouched tables keep their clean state and their
+        failed-group entries.  A delta that inserted nothing re-queues
+        only the readers carrying §6 aggregates: a combined query is
+        conjunctive, hence monotone — losing rows makes nothing
+        answerable — but an aggregate is not (``COUNT(...) < n`` can
+        come to hold when rows leave).
 
         Both invalidations go through maintained reverse indexes
         (relation -> readers, member -> failed groups): the
@@ -212,6 +226,11 @@ class CoordinationScheduler:
             if self._failed_by_member:  # never, in batch engines
                 for query_id in readers:
                     self._drop_failed_groups_of(query_id)
+        elif self._aggregated:
+            # (No failed group to drop: aggregate groups are not cached.)
+            for query_id, tables in self._aggregated.items():
+                if delta.table in tables:
+                    self._dirty[query_id] = None
 
     def invalidate(self) -> None:
         """Forget data-dependent caches and re-queue everything."""
@@ -344,8 +363,11 @@ class CoordinationScheduler:
         is built or evaluated.  A growing massively-unifying partition
         (Figure 8) therefore costs, per arrival and end to end, the
         graph's ref writes plus one built edge per postcondition of the
-        arrival.  A *fallback* round ignores the verdict: it speaks for
-        the whole component, not for its cores.
+        arrival.  An attempt with §6 aggregates stamps no verdict (a
+        count can come to hold as members join or rows leave); one
+        stamped before aggregates joined stays sound, since aggregates
+        only filter valuations.  A *fallback* round ignores the
+        verdict: it speaks for the whole component, not for its cores.
         """
         host = self._host
         stats = host.stats
@@ -393,7 +415,8 @@ class CoordinationScheduler:
                            [atom.relation for atom in kept.query.atoms])
                        for table in (host.database.table(name),)])
         if not self._evaluate_combined(kept):
-            kept.empty_reads = reads
+            if not kept.aggregates:
+                kept.empty_reads = reads
             if fallback:
                 self._core_fallback(tuple(kept.heads))
 
@@ -568,10 +591,11 @@ class CoordinationScheduler:
         queries_by_id = {query_id: self.graph.query(query_id)
                          for query_id in match.survivors}
         host.stats.combined_queries_built += 1
-        if self._evaluate_combined(
-                build_combined_query(queries_by_id, match)):
+        combined = build_combined_query(queries_by_id, match)
+        if self._evaluate_combined(combined):
             return True
-        self._record_failed_group(group)
+        if not combined.aggregates:
+            self._record_failed_group(group)
         return False
 
     # ------------------------------------------------------------------
@@ -655,3 +679,12 @@ class CoordinationScheduler:
         _record_answers(combined, valuations, answers)
         host._settle_answers(answers)
         return True
+
+
+def _tables_read(query: EntangledQuery) -> set:
+    """The database tables *query* reads: its body's and its
+    aggregates' (a mutation of either can change its outcome)."""
+    tables = {atom.relation for atom in query.body}
+    for constraint in query.aggregates:
+        tables |= constraint.database_relations()
+    return tables

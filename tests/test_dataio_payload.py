@@ -177,8 +177,9 @@ def test_wire_rejects_unserializable_and_malformed():
     with pytest.raises(ValidationError):
         to_payload(object_id_query)
 
+    # Aggregates travel now; an object() id still does not.
     aggregated = EntangledQuery(
-        query_id="agg",
+        query_id=object(),
         head=(atom("R", "a", x),), postconditions=(),
         body=(atom("B", x),),
         aggregates=(AggregateConstraint(

@@ -113,7 +113,7 @@ def test_unserializable_submission_has_no_side_effects(tmp_path, cls):
     from repro.core.terms import Variable, atom
     x = Variable("x")
     aggregate = EntangledQuery(
-        query_id="agg", head=(atom("Reservation", "A", x),),
+        query_id=object(), head=(atom("Reservation", "A", x),),
         postconditions=(), body=(atom("Flights", x, "Paris"),),
         aggregates=(AggregateConstraint(
             atoms=(atom("Reservation", "A", x),),

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.evaluate import FailureReason
-from repro.core.extensions import (AggregateConstraint,
-                                   coordinate_with_aggregates,
-                                   coordinate_with_preferences)
-from repro.core.query import EntangledQuery
+from repro.core.evaluate import FailureReason, coordinate
+from repro.core.extensions import AggregateConstraint
 from repro.core.terms import Variable, atom
 from repro.db import Database
-from repro.lang import parse_and_lower, parse_ir, schema_resolver
+from repro.lang import parse_and_lower, schema_resolver
 
 ANSWER_SCHEMAS = {"Attendance": ("pid", "name")}
 
@@ -116,7 +113,7 @@ class TestCoordinateWithAggregates:
         queries = [jerry_aggregate_query(party_db, threshold=2)]
         queries += [friend_query(party_db, name)
                     for name in ("Elaine", "George", "Newman")]
-        result = coordinate_with_aggregates(queries, party_db)
+        result = coordinate(queries, party_db)
         assert len(result.answers) == 4
         parties = {answer.rows["Attendance"][0][0]
                    for answer in result.answers.values()}
@@ -125,7 +122,7 @@ class TestCoordinateWithAggregates:
     def test_threshold_not_met_fails_component(self, party_db):
         queries = [jerry_aggregate_query(party_db, threshold=2),
                    friend_query(party_db, "Elaine")]
-        result = coordinate_with_aggregates(queries, party_db)
+        result = coordinate(queries, party_db)
         assert not result.answers
         assert all(reason is FailureReason.NO_DATA
                    for reason in result.failures.values())
@@ -133,51 +130,6 @@ class TestCoordinateWithAggregates:
     def test_queries_without_aggregates_behave_normally(self, intro_db,
                                                         kramer_query,
                                                         jerry_query):
-        result = coordinate_with_aggregates(
+        result = coordinate(
             [kramer_query, jerry_query], intro_db)
         assert set(result.answers) == {"kramer", "jerry"}
-
-
-class TestCoordinateWithPreferences:
-    def test_ranking_picks_best_valuation(self, intro_db):
-        queries = [
-            parse_ir("{R(Kramer, x)} R(Jerry, x) <- F(x, Paris)",
-                     "jerry"),
-            parse_ir("{R(Jerry, y)} R(Kramer, y) <- F(y, Paris)",
-                     "kramer"),
-        ]
-
-        def prefer_high_flight_number(valuation) -> float:
-            return max(value for value in valuation.values()
-                       if isinstance(value, int))
-
-        result = coordinate_with_preferences(
-            queries, intro_db, score=prefer_high_flight_number)
-        # Flights to Paris: 122, 123, 134 — ranking picks 134.
-        assert result.answers["jerry"].rows["R"][0][1] == 134
-
-    def test_ranking_with_no_data_fails(self, intro_db):
-        queries = [
-            parse_ir("{R(Kramer, x)} R(Jerry, x) <- F(x, Oslo)",
-                     "jerry"),
-            parse_ir("{R(Jerry, y)} R(Kramer, y) <- F(y, Oslo)",
-                     "kramer"),
-        ]
-        result = coordinate_with_preferences(queries, intro_db,
-                                             score=lambda _: 0.0)
-        assert not result.answers
-        assert set(result.failures.values()) == {FailureReason.NO_DATA}
-
-    def test_tie_breaks_deterministically(self, intro_db):
-        queries = [
-            parse_ir("{R(Kramer, x)} R(Jerry, x) <- F(x, Paris)",
-                     "jerry"),
-            parse_ir("{R(Jerry, y)} R(Kramer, y) <- F(y, Paris)",
-                     "kramer"),
-        ]
-        results = [coordinate_with_preferences(queries, intro_db,
-                                               score=lambda _: 1.0)
-                   for _ in range(3)]
-        flights = {result.answers["jerry"].rows["R"][0][1]
-                   for result in results}
-        assert len(flights) == 1

@@ -156,7 +156,7 @@ def _raised(function, argument):
 def test_errors_are_those_of_to_payload():
     x = Variable("x")
     aggregate = EntangledQuery(
-        query_id="agg", head=(atom("Reservation", "A", x),),
+        query_id=object(), head=(atom("Reservation", "A", x),),
         postconditions=(), body=(atom("Flights", x, "Paris"),),
         aggregates=(AggregateConstraint(
             atoms=(atom("Reservation", "A", x),),
