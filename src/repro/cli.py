@@ -138,17 +138,22 @@ def _command_coordinate(arguments: argparse.Namespace) -> int:
         if error:
             print(error, file=sys.stderr)
             return 1
-    database = load_database(arguments.data)
-    with open(arguments.workload) as handle:
-        queries = parse_ir_workload(handle.read())
-    if not queries:
-        print("workload is empty", file=sys.stderr)
+    try:
+        with open(arguments.data) as handle:
+            database = load_database(handle.read())
+        with open(arguments.workload) as handle:
+            queries = parse_ir_workload(handle.read())
+        if not queries:
+            print("workload is empty", file=sys.stderr)
+            return 1
+        if arguments.wal_dir or arguments.shards:
+            return _coordinate_service(database, queries, arguments)
+        result = coordinate(queries, database,
+                            check_safety=not arguments.no_safety,
+                            ucs_fallback=arguments.ucs_fallback)
+    except (ReproError, OSError) as error:
+        print(f"coordinate: {error}", file=sys.stderr)
         return 1
-    if arguments.wal_dir or arguments.shards:
-        return _coordinate_service(database, queries, arguments)
-    result = coordinate(queries, database,
-                        check_safety=not arguments.no_safety,
-                        ucs_fallback=arguments.ucs_fallback)
     for query_id in sorted(result.answers, key=repr):
         print(f"answered  {query_id}: {result.answers[query_id].rows}")
     for query_id in sorted(result.failures, key=repr):

@@ -90,7 +90,7 @@ class Database:
 
     def has_table(self, name: str) -> bool:
         """True if *name* is in the catalog."""
-        return name in self._catalog
+        return name in self._tables
 
     # ------------------------------------------------------------------
     # DML

@@ -49,12 +49,12 @@ from ..dataio import (WIRE_VERSION, compact_json, decode_records,
                       delta_from_payload, delta_to_payload, id_pairs,
                       load_database, render_query, to_payload)
 from ..engine.engine import D3CEngine
-from ..engine.futures import CoordinationTicket, TicketCallback, \
-    TicketState
+from ..engine.futures import CoordinationTicket, TicketState
 from ..engine.staleness import Clock, PinnedClock, SystemClock
 from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ValidationError
 from ..obs import TRACER
+from ..service import CoordinationService
 from ..shard.coordinator import ShardedCoordinator
 from .snapshots import SnapshotStore
 
@@ -68,10 +68,7 @@ class _RecoveredState:
     """What replaying snapshot + log suffix yields: plain state, ready
     to seed a fresh engine or coordinator."""
 
-    #: ``burned`` maps every id that may not be re-submitted to its
-    #: arrival sequence — or to None when the snapshot that burned it
-    #: was fleet-written (``used_ids`` carries no sequences; nothing
-    #: reads the sequence of a settled id, it only has to be present).
+    #: ``burned`` is the set of ids that may not be re-submitted.
     __slots__ = ("database", "next_seq", "pending", "burned",
                  "answers", "failures", "submitted", "answered",
                  "failed", "commands", "generation", "log_clean")
@@ -123,10 +120,11 @@ def _replay_store(store: SnapshotStore) -> _RecoveredState:
     recovered.next_seq = state["next_seq"]
     recovered.pending = {payload["query"]["id"]: payload
                          for payload in state["pending"]}
-    # Either shape may have written the snapshot: the engine burns
-    # ids as ``tombstones`` pairs, the fleet as bare ``used_ids``.
-    recovered.burned = dict.fromkeys(state["used_ids"])
-    recovered.burned.update(state["tombstones"])
+    recovered.burned = set(state["used_ids"])
+    # Legacy reader: engine snapshots written before ``used_ids`` was
+    # the one spelling burned ids as ``tombstones`` [id, seq] pairs.
+    recovered.burned.update(query_id for query_id, _
+                            in state.get("tombstones", ()))
     recovered.answers = {query_id: payload
                          for query_id, payload in state["answers"]}
     recovered.failures = {query_id: value
@@ -163,7 +161,7 @@ def _replay_command(recovered: _RecoveredState, frame: dict) -> None:
             query_id = payload["id"]
             recovered.pending[query_id] = {
                 "query": payload, "seq": seq, "at": frame["at"]}
-            recovered.burned[query_id] = seq
+            recovered.burned.add(query_id)
             recovered.next_seq = max(recovered.next_seq, seq + 1)
             recovered.submitted += 1
     elif op == "mutate":
@@ -182,7 +180,7 @@ def _replay_events(recovered: _RecoveredState, events) -> None:
             # snapshot this record arrived via the snapshot's pending
             # set — the settlement is the only replay step that knows
             # the id must stay burned.
-            recovered.burned[query_id] = record["seq"]
+            recovered.burned.add(query_id)
         if kind == "answered":
             recovered.answers[query_id] = payload
             recovered.answered += 1
@@ -192,12 +190,12 @@ def _replay_events(recovered: _RecoveredState, events) -> None:
                 recovered.failed.get(payload, 0) + 1
             if payload == FailureReason.STALE.value:
                 # Expired ids are retryable: the engine releases them.
-                recovered.burned.pop(query_id, None)
+                recovered.burned.discard(query_id)
         else:
             raise RecoveryError(f"unknown settlement event {kind!r}")
 
 
-class _DurableService:
+class _DurableService(CoordinationService):
     """A coordination service that survives its process.
 
     Implements the :class:`~repro.service.CoordinationService` protocol
@@ -559,9 +557,8 @@ class _DurableService:
     def database(self):
         return self.service.database
 
-    def _submit(self, queries: list,
-                admit: Callable[[], list]) -> list[CoordinationTicket]:
-        """Journal one ``submit`` command around *admit*.
+    def submit_many(self, queries: Iterable) -> list[CoordinationTicket]:
+        """Submit a block durably: one journalled ``submit`` frame.
 
         The frame carries the queries as handed over — rendered by
         :func:`~repro.dataio.render_query`, the bytes of their payloads
@@ -569,42 +566,24 @@ class _DurableService:
         assign (consecutive from its counter, safety-rejected arrivals
         included); replay re-renames them apart to the same working
         copies (suffix = query id).  A query the wire cannot carry
-        fails here, before anything runs; the inner service rejects a
+        fails here, before anything runs; the inner service refuses a
         bad query or block before touching any state: that raises out
         of ``execute()`` and the prepared frame is discarded
         unappended.
         """
+        queries = list(queries)
         start = self.service.next_arrival_seq
         rendered = ",".join([render_query(query) for query in queries])
         seqs = compact_json(list(range(start, start + len(queries))))
 
         def execute():
-            tickets = admit()
+            tickets = self.service.submit_many(queries)
             for ticket in tickets:
                 ticket.add_callback(self._on_settle)
             return tickets
 
         return self._command(
             "submit", f',"queries":[{rendered}],"seqs":{seqs}', execute)
-
-    def submit(self, query, callback: TicketCallback | None = None
-               ) -> CoordinationTicket:
-        """Submit one query durably (journalled; see the module doc)."""
-        (ticket,) = self._submit(
-            [query], lambda: [self.service.submit(query)])
-        if callback is not None:
-            ticket.add_callback(callback)
-        return ticket
-
-    def submit_all(self, queries: Iterable) -> list[CoordinationTicket]:
-        """Submit many queries in order (one journal frame each)."""
-        return [self.submit(query) for query in queries]
-
-    def submit_many(self, queries: Iterable) -> list[CoordinationTicket]:
-        """Submit a block through the batched pipeline (one frame)."""
-        queries = list(queries)
-        return self._submit(
-            queries, lambda: self.service.submit_many(queries))
 
     def run_batch(self) -> int:
         """One journalled set-at-a-time round; returns answered count."""
@@ -638,14 +617,6 @@ class _DurableService:
 
         return self._command("mutate", ',"ops":' + compact_json(ops),
                              execute)
-
-    def insert(self, table: str, rows) -> int:
-        """Insert rows (one journalled mutation block)."""
-        return self.apply_mutations([("insert", table, rows)])[0]
-
-    def delete_rows(self, table: str, rows) -> int:
-        """Delete rows (one journalled mutation block)."""
-        return self.apply_mutations([("delete", table, rows)])[0]
 
     def invalidate_cache(self) -> None:
         self.service.invalidate_cache()

@@ -22,10 +22,11 @@ path:
   components run in parallel by living on different process shards
   (:mod:`repro.shard`), not on threads.
 
-Blocks of arrivals can be submitted together with
-:meth:`D3CEngine.submit_many`: the block is admitted and ingested by
-the same per-arrival loop as :meth:`D3CEngine.submit`, and coordination
-is attempted once the whole block is in the graph.
+Every arrival enters through :meth:`D3CEngine.submit_many` — a single
+``submit`` is a block of one (:class:`~repro.service.
+CoordinationService`): the block is validated whole, admitted and
+ingested arrival by arrival, and coordination is attempted once the
+whole block is in the graph.
 
 Safety is enforced at admission: a query that would make the pending
 workload unsafe is rejected immediately (``safety="reject"``), mirroring
@@ -41,24 +42,24 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Optional, Sequence
+from typing import Iterable, Literal, Optional, Sequence
 
 from ..core.evaluate import FailureReason
 from ..core.query import EntangledQuery
 from ..core.safety import SafetyChecker
-from ..dataio import dump_database, id_pairs, record_to_payload
 from ..db.database import Database
 from ..errors import RecoveryError, ValidationError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TRACER
+from ..service import CoordinationService, state_payload
 
 #: Shared attrs for hot-path settle spans — one constant dict instead
 #: of an allocation per settlement.  Never mutated by any reader.
 _SETTLED_ANSWERED = {"outcome": "answered"}
-from .futures import CoordinationTicket, TicketCallback
-from .runtime import CoordinationScheduler
+from .futures import CoordinationTicket
+from .runtime import CoordinationScheduler, require_tables
 from .staleness import Clock, NeverStale, StalenessPolicy, SystemClock
-from .stats import EngineStats, lifecycle_payload
+from .stats import EngineStats
 
 EngineMode = Literal["incremental", "batch"]
 SafetyMode = Literal["reject", "off"]
@@ -91,7 +92,7 @@ class PendingRecord:
     trace_id: Optional[str] = None
 
 
-class D3CEngine:
+class D3CEngine(CoordinationService):
     """Coordination middleware over one database.
 
     Args:
@@ -248,81 +249,38 @@ class D3CEngine:
     # submission
     # ------------------------------------------------------------------
 
-    def submit(self, query: EntangledQuery,
-               callback: TicketCallback | None = None,
-               arrival_seq: int | None = None,
-               trace_id: str | None = None) -> CoordinationTicket:
-        """Submit one entangled query; returns its ticket.
-
-        The query is validated and renamed apart.  Query ids must be
-        unique among live and answered queries; an id whose previous
-        incarnation *expired* may be re-submitted (application retry
-        semantics — the new record gets a fresh submission instant and
-        deadline).  In incremental mode a
-        coordination attempt may run synchronously inside this call (and
-        settle the returned ticket before it is returned).
-
-        *arrival_seq* overrides the engine's own arrival counter; the
-        sharded coordinator uses it to impose one global arrival order
-        across shard engines (matching and conflict resolution are
-        arrival-ordered, so shard-local counters would not reproduce a
-        single engine's choices once queries migrate between shards).
-        Caller-supplied sequences must be strictly increasing across
-        submissions.
-
-        *trace_id* adopts a lifecycle trace started elsewhere (the
-        sharded coordinator threads its front-door trace id through so
-        worker-side spans stitch into it); None starts a fresh trace
-        when tracing is enabled.
-        """
-        query.validate()
-        ticket = CoordinationTicket(query.query_id)
-        if callback is not None:
-            ticket.add_callback(callback)
-
-        settle_unsafe = False
-        with self._lock:
-            self._check_new_id(query.query_id)
-            working, settle_unsafe = self._admit(query, ticket,
-                                                 arrival_seq, trace_id)
-            if not settle_unsafe:
-                if self.mode == "incremental":
-                    self._runtime.drain_arrival(
-                        working, self._runtime.ingest(working))
-                else:
-                    self._runtime.ingest(working)
-                    if (self.batch_size is not None
-                            and len(self._pending) >= self.batch_size):
-                        self.run_batch()
-        if settle_unsafe:
-            ticket.fail(FailureReason.UNSAFE)
-        return ticket
-
-    def submit_all(self, queries: Iterable[EntangledQuery]
-                   ) -> list[CoordinationTicket]:
-        """Submit many queries in order; returns their tickets."""
-        return [self.submit(query) for query in queries]
-
     def submit_many(self, queries: Iterable[EntangledQuery],
                     arrival_seqs: Sequence[int] | None = None,
                     trace_ids: Sequence[str | None] | None = None
                     ) -> list[CoordinationTicket]:
         """Submit a block of arrivals, coordinating after the block.
 
-        The block is validated as a whole, then admitted and ingested
-        in arrival order by the same loop as :meth:`submit` — the graph,
-        partitions and matching states it leaves are those of one
-        :meth:`submit` per query.  Coordination is deferred to the end
-        of the block: incremental engines then drain each arrival in
-        order, batch engines check the ``batch_size`` trigger once.
-        (This deferral is the one semantic difference from a loop of
-        :meth:`submit`, where an arrival may coordinate before the
-        next is ingested.)
+        The one admission path (``submit`` is a block of one).  The
+        block is validated as a whole — every query well formed, every
+        id unused, every table it reads present — before any query is
+        admitted; a refused block leaves the engine untouched.  Query
+        ids must be unique among live and answered queries; an id whose
+        previous incarnation *expired* may be re-submitted (application
+        retry semantics — the new record gets a fresh submission
+        instant and deadline).  The block is then admitted, renamed
+        apart and ingested in arrival order, and coordination is
+        deferred to the end of the block: incremental engines drain
+        each arrival in order, batch engines check the ``batch_size``
+        trigger once.  (This deferral is the one semantic difference
+        from a loop of ``submit``, where an arrival may coordinate
+        before the next is ingested.)
 
         Returns the tickets in input order; tickets may already be
-        settled on return.  *arrival_seqs*, when given, must be one
-        strictly increasing sequence number per query (see
-        :meth:`submit`).
+        settled on return.  *arrival_seqs* overrides the engine's own
+        arrival counter with one sequence number per query, strictly
+        increasing across submissions: the sharded coordinator imposes
+        one global arrival order across shard engines with it (matching
+        and conflict resolution are arrival-ordered, so shard-local
+        counters would not reproduce a single engine's choices once
+        queries migrate between shards).  *trace_ids* adopts lifecycle
+        traces started elsewhere (the coordinator's front-door ids, so
+        worker-side spans stitch into them); None starts fresh traces
+        when tracing is enabled.
         """
         queries = list(queries)
         if arrival_seqs is not None and len(arrival_seqs) != len(queries):
@@ -336,12 +294,17 @@ class D3CEngine:
             seen: set = set()
             for query in queries:
                 query.validate()
-                self._check_new_id(query.query_id)
-                if query.query_id in seen:
+                query_id = query.query_id
+                if query_id in self._pending or query_id in self._arrival:
                     raise ValidationError(
-                        f"query id {query.query_id!r} appears twice in "
-                        f"one block")
-                seen.add(query.query_id)
+                        f"query id {query_id!r} already used in this "
+                        f"engine")
+                if query_id in seen:
+                    raise ValidationError(
+                        f"query id {query_id!r} appears twice in one "
+                        f"block")
+                seen.add(query_id)
+                require_tables(self.database, query)
 
             admitted: list[EntangledQuery] = []
             unsafe: list[CoordinationTicket] = []
@@ -364,7 +327,9 @@ class D3CEngine:
                         for working in admitted]
             self.stats.blocks_ingested += 1
             if self.mode == "incremental":
-                attempted_roots: set = set()
+                # Closure dedupe matters only between block members; a
+                # block of one skips building its member-set key.
+                attempted_roots = set() if len(ingested) > 1 else None
                 for working, delta in ingested:
                     if working.query_id in self._runtime.graph:
                         self._runtime.drain_arrival(working, delta,
@@ -376,16 +341,12 @@ class D3CEngine:
             ticket.fail(FailureReason.UNSAFE)
         return tickets
 
-    def _check_new_id(self, query_id) -> None:
-        if query_id in self._pending or query_id in self._arrival:
-            raise ValidationError(
-                f"query id {query_id!r} already used in this engine")
-
     def _admit(self, query: EntangledQuery,
                ticket: CoordinationTicket,
-               arrival_seq: int | None = None,
-               trace_id: str | None = None):
-        """Shared admission: rename, arrival seq, safety, pending entry.
+               arrival_seq: int | None,
+               trace_id: str | None):
+        """Admit one block member: rename, arrival seq, safety, pending
+        entry.
 
         Returns ``(working_copy, settle_unsafe)``; on safe admission
         the query is registered pending (but not yet ingested into the
@@ -473,14 +434,6 @@ class D3CEngine:
         :meth:`_on_table_delta`, which re-queues exactly the readers of
         the mutated table."""
         return self.database.apply_mutations(operations)
-
-    def insert(self, table: str, rows) -> int:
-        """Insert rows (one mutation block)."""
-        return self.apply_mutations([("insert", table, rows)])[0]
-
-    def delete_rows(self, table: str, rows) -> int:
-        """Delete rows (one mutation block)."""
-        return self.apply_mutations([("delete", table, rows)])[0]
 
     def invalidate_cache(self) -> None:
         """Forget data-dependent coordination state, indiscriminately.
@@ -658,16 +611,14 @@ class D3CEngine:
     # ------------------------------------------------------------------
 
     def snapshot_state(self, *, dump_cache: dict | None = None) -> dict:
-        """The engine's durable state as a wire-safe payload.
+        """The engine's durable state as a wire-safe payload
+        (:func:`~repro.service.state_payload`).
 
-        The key set every service shape snapshots: the database (text
-        dump plus version), the arrival counter, the pending set as
-        migration-record payloads in arrival order (non-destructive —
-        a *live* engine is snapshotted and keeps serving), the
-        lifecycle counters, and the burned ids.  Answered and
-        safety-rejected ids stay burned for the engine's lifetime (only
-        expiry releases one); the engine spells them ``tombstones`` —
-        ``[id, arrival seq]`` pairs — and leaves ``used_ids`` empty.
+        The pending set is taken non-destructively — a *live* engine is
+        snapshotted and keeps serving.  The burned ids are every
+        arrival entry, pending ids included, as on the fleet: answered
+        and safety-rejected ids stay burned for the engine's lifetime
+        (only expiry releases one).
         """
         with self._lock:
             records = [PendingRecord(working, self._arrival[query_id],
@@ -676,38 +627,29 @@ class D3CEngine:
                        for query_id, (working, _, submitted_at)
                        in self._pending.items()]
             records.sort(key=lambda record: record.arrival_seq)
-            return {
-                "database": dump_database(self.database,
-                                          cache=dump_cache),
-                "db_version": self.database.db_version,
-                "next_seq": self._next_seq,
-                "pending": [record_to_payload(record)
-                            for record in records],
-                "tombstones": id_pairs(
-                    {query_id: seq
-                     for query_id, seq in self._arrival.items()
-                     if query_id not in self._pending}),
-                "used_ids": [],
-                "counters": lifecycle_payload(self.stats.submitted,
-                                              self.stats.answered,
-                                              self.stats.failed),
-            }
+            return state_payload(
+                self.database, next_seq=self._next_seq, records=records,
+                used_ids=self._arrival,
+                submitted=self.stats.submitted,
+                answered=self.stats.answered, failed=self.stats.failed,
+                dump_cache=dump_cache)
 
-    def restore_state(self, *, next_seq: int, used_ids: Mapping,
+    def restore_state(self, *, next_seq: int, used_ids: Iterable,
                       records: Sequence[PendingRecord],
                       submitted: int = 0, answered: int = 0,
                       failed: Counter | None = None) -> dict:
         """Reinstate a recovered history on a freshly built engine.
 
-        *used_ids* maps every burned id to its arrival sequence (or
-        ``None``: nothing reads the sequence of a settled id, it only
-        has to be present so a re-submission is refused); *next_seq*
-        continues the pre-crash arrival counter even when the highest
-        sequences belonged to since-expired queries; *records* re-enter
-        through :meth:`import_pending`, whose fresh tickets are
-        returned.  Raises :class:`~repro.errors.RecoveryError` over
-        live state — restoring onto an engine that already admitted
-        queries would silently merge two histories.
+        Every id in *used_ids* is burned: it enters the arrival map
+        with sequence ``None`` (nothing reads the sequence of a settled
+        id, it only has to be present so a re-submission is refused);
+        *next_seq* continues the pre-crash arrival counter even when
+        the highest sequences belonged to since-expired queries;
+        *records* re-enter through :meth:`import_pending`, whose fresh
+        tickets are returned.  Raises
+        :class:`~repro.errors.RecoveryError` over live state —
+        restoring onto an engine that already admitted queries would
+        silently merge two histories.
         """
         with self._lock:
             if (self._pending or self._arrival or self._next_seq
@@ -717,7 +659,7 @@ class D3CEngine:
                     f"({len(self._pending)} pending, "
                     f"{len(self._arrival)} arrival entries, "
                     f"next_seq={self._next_seq})")
-            self._arrival.update(used_ids)
+            self._arrival.update(dict.fromkeys(used_ids))
             self._next_seq = next_seq
             self.stats.submitted = submitted
             self.stats.answered = answered
@@ -807,7 +749,7 @@ class D3CEngine:
                                      None))
             self._runtime.remove_block(doomed)
             # Expired ids become re-submittable (an application retry
-            # is a new incarnation): drop the arrival tombstone and let
+            # is a new incarnation): drop the arrival entry and let
             # the policy release per-id verdict state (manual marks).
             # Any heap entry the old incarnation left behind is
             # harmless — the sweep re-checks is_stale against the

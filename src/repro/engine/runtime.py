@@ -37,7 +37,7 @@ configuration and settlement callbacks the scheduler uses.
 from __future__ import annotations
 
 import time
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from ..core.combine import build_combined_query
@@ -48,7 +48,7 @@ from ..core.query import EntangledQuery
 from ..core.terms import Variable
 from ..core.ucs import check_ucs_graph
 from ..db.expression import ConjunctiveQuery
-from ..errors import ReproError
+from ..errors import ReproError, SchemaError
 from ..obs.trace import TRACER
 from .partitions import PartitionManager
 
@@ -191,7 +191,7 @@ class CoordinationScheduler:
         """True while the scheduler holds no coordination state at all.
 
         Recovery restore paths (:mod:`repro.durability.service`) use
-        this as a guard: tombstones and pending imports may only be
+        this as a guard: burned ids and pending imports may only be
         replayed onto a scheduler that has never ingested a query, so
         the recovered history is the *only* history.
         """
@@ -681,10 +681,24 @@ class CoordinationScheduler:
         return True
 
 
+_RELATION = attrgetter("relation")
+
+
 def _tables_read(query: EntangledQuery) -> set:
     """The database tables *query* reads: its body's and its
     aggregates' (a mutation of either can change its outcome)."""
-    tables = {atom.relation for atom in query.body}
+    tables = set(map(_RELATION, query.body))
     for constraint in query.aggregates:
         tables |= constraint.database_relations()
     return tables
+
+
+def require_tables(database, query: EntangledQuery) -> None:
+    """Refuse *query* at admission when a table it reads is absent
+    from *database*: admitted, it would fail every round that
+    evaluates its component, its partners' rounds included."""
+    for relation in sorted(_tables_read(query)):
+        if not database.has_table(relation):
+            raise SchemaError(
+                f"query {query.query_id!r} reads no such table: "
+                f"{relation!r}")

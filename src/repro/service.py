@@ -7,21 +7,49 @@ every shape it is served in speaks this protocol:
 :class:`~repro.shard.coordinator.ShardedCoordinator`, and the
 journaling wrapper of :mod:`repro.durability.service` around either.
 The network server and the CLI are written against it and never ask
-which shape they were handed.  A declaration only — nothing inherits
-from it; ``tests/test_service_protocol.py`` drives every member on
-every shape.
+which shape they were handed.
+
+Every shape inherits it.  A shape implements the abstract members; the
+derived ones are written here, once: :meth:`~CoordinationService.submit`
+is a block of one through ``submit_many`` (the one admission path),
+``submit_all`` a loop of ``submit``, and ``insert`` / ``delete_rows``
+one-operation ``apply_mutations``.  Burned ids have one snapshot
+spelling, ``used_ids``, in the state payload :func:`state_payload`
+builds for every shape.  ``tests/test_service_protocol.py`` drives
+every member on every shape.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from collections import Counter
-from typing import Iterable, Mapping, Protocol, Sequence, \
-    runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from .core.query import EntangledQuery
+from .dataio import dump_database, record_to_payload
 from .db.database import Database
 from .engine.futures import CoordinationTicket, TicketCallback
-from .engine.stats import EngineStats
+from .engine.stats import EngineStats, lifecycle_payload
+
+
+def state_payload(database: Database, *, next_seq: int, records,
+                  used_ids: Iterable, submitted: int, answered: int,
+                  failed: Counter, dump_cache: dict | None) -> dict:
+    """The durable state every shape's ``snapshot_state`` returns.
+
+    One key set: the database (text dump plus version), the arrival
+    counter, the pending *records* as migration-record payloads, the
+    burned ids as ``used_ids`` (bare ids, sorted by ``repr``) and the
+    lifecycle counters.
+    """
+    return {
+        "database": dump_database(database, cache=dump_cache),
+        "db_version": database.db_version,
+        "next_seq": next_seq,
+        "pending": [record_to_payload(record) for record in records],
+        "used_ids": sorted(used_ids, key=repr),
+        "counters": lifecycle_payload(submitted, answered, failed),
+    }
 
 
 @runtime_checkable
@@ -37,71 +65,97 @@ class CoordinationService(Protocol):
     #: the engine, rendered from :meth:`metrics_snapshot` elsewhere).
     stats: EngineStats
 
+    # -- derived members -----------------------------------------------
+
     def submit(self, query: EntangledQuery,
                callback: TicketCallback | None = None
                ) -> CoordinationTicket:
-        """Submit one query; the ticket may already be settled."""
+        """Submit one query as a block of one; the ticket may already
+        be settled, in which case *callback* fires at once."""
+        ticket = self.submit_many([query])[0]
+        if callback is not None:
+            ticket.add_callback(callback)
+        return ticket
 
     def submit_all(self, queries: Iterable[EntangledQuery]
                    ) -> list[CoordinationTicket]:
         """``submit`` each query in order."""
+        return [self.submit(query) for query in queries]
 
+    def insert(self, table: str, rows) -> int:
+        """One-operation :meth:`apply_mutations` insert."""
+        return self.apply_mutations([("insert", table, rows)])[0]
+
+    def delete_rows(self, table: str, rows) -> int:
+        """One-operation :meth:`apply_mutations` delete."""
+        return self.apply_mutations([("delete", table, rows)])[0]
+
+    # -- what each shape implements ------------------------------------
+
+    @abstractmethod
     def submit_many(self, queries: Iterable[EntangledQuery]
                     ) -> list[CoordinationTicket]:
-        """Submit a block: validated whole, ingested together,
-        coordination deferred to the end of the block."""
+        """Submit a block: validated whole (a malformed query, a reused
+        id or a read of a missing table refuses the block before
+        anything is admitted), ingested together, coordination deferred
+        to the end of the block."""
 
+    @abstractmethod
     def run_batch(self) -> int:
         """One set-at-a-time round; returns the number answered."""
 
+    @abstractmethod
     def expire_stale(self) -> int:
         """Expire stale pending queries; returns the number expired
         (their ids become re-submittable)."""
 
+    @abstractmethod
     def apply_mutations(self, operations: Sequence[tuple]) -> list[int]:
         """Apply ``(kind, table, rows)`` DML operations, all-or-nothing
         against bad input; returns per-operation row counts."""
 
-    def insert(self, table: str, rows) -> int:
-        """One-operation :meth:`apply_mutations` insert."""
-
-    def delete_rows(self, table: str, rows) -> int:
-        """One-operation :meth:`apply_mutations` delete."""
-
+    @abstractmethod
     def invalidate_cache(self) -> None:
         """Re-queue every component and drop data-dependent caches."""
 
+    @abstractmethod
     def pending_ids(self) -> list:
         """Pending query ids in arrival order."""
 
     @property
+    @abstractmethod
     def pending_count(self) -> int:
         """Number of queries awaiting coordination."""
 
+    @abstractmethod
     def partition_sizes(self) -> list[int]:
         """Coordination component sizes, largest first."""
 
     @property
+    @abstractmethod
     def next_arrival_seq(self) -> int:
         """The arrival sequence the next admitted query receives
         (consecutive within a block)."""
 
+    @abstractmethod
     def metrics_snapshot(self) -> dict:
         """Every counter, gauge and histogram as one mergeable
         registry snapshot (:mod:`repro.obs.metrics`)."""
 
+    @abstractmethod
     def snapshot_state(self, *, dump_cache: dict | None = None) -> dict:
-        """The durable state as a wire-safe payload: ``database``,
-        ``db_version``, ``next_seq``, ``pending``, ``counters`` and the
-        burned ids (``tombstones`` and/or ``used_ids``)."""
+        """The durable state as a wire-safe payload
+        (:func:`state_payload`'s key set)."""
 
-    def restore_state(self, *, next_seq: int, used_ids: Mapping,
+    @abstractmethod
+    def restore_state(self, *, next_seq: int, used_ids: Iterable,
                       records: Sequence, submitted: int = 0,
                       answered: int = 0,
                       failed: Counter | None = None) -> dict:
         """Reinstate a recovered history on a freshly built service;
-        *used_ids* maps every burned id to its arrival sequence or
-        None.  Returns fresh tickets for *records* by query id."""
+        every id in *used_ids* is burned.  Returns fresh tickets for
+        *records* by query id."""
 
+    @abstractmethod
     def close(self) -> None:
         """Release workers and files (idempotent)."""

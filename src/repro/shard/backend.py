@@ -269,13 +269,8 @@ class ShardHost:
                      seqs: Sequence[int], now: float,
                      trace: Sequence | None = None) -> None:
         self._clock.set(now)
-        if len(queries) == 1:
-            self._track([self.engine.submit(
-                queries[0], arrival_seq=seqs[0],
-                trace_id=trace[0] if trace else None)])
-        else:
-            self._track(self.engine.submit_many(
-                queries, arrival_seqs=seqs, trace_ids=trace or None))
+        self._track(self.engine.submit_many(
+            queries, arrival_seqs=seqs, trace_ids=trace or None))
 
     def run_batch(self, now: float) -> int:
         self._clock.set(now)

@@ -1,11 +1,10 @@
 """The sharded coordination service (front door + migration protocol).
 
-:class:`ShardedCoordinator` presents the familiar
-:class:`~repro.engine.engine.D3CEngine` surface — ``submit`` /
-``submit_many`` / ``run_batch`` / ``expire_stale`` / ``pending_ids`` /
-``partition_sizes`` / ``stats`` — over N shard workers, each owning a
-disjoint set of coordination components.  Three mechanisms make the
-fleet behave byte-identically to one engine:
+:class:`ShardedCoordinator` is a
+:class:`~repro.service.CoordinationService` — the surface of one
+:class:`~repro.engine.engine.D3CEngine` — over N shard workers, each
+owning a disjoint set of coordination components.  Three mechanisms
+make the fleet behave byte-identically to one engine:
 
 * **Component co-location.**  Coordination components are the unit of
   independent work (paper §4.1.2), so answers are preserved as long as
@@ -44,12 +43,14 @@ from ..core.atom_index import AtomIndex
 from ..core.query import EntangledQuery
 from ..db.database import Database
 from ..engine.engine import PendingRecord
-from ..engine.futures import CoordinationTicket, TicketCallback
+from ..engine.futures import CoordinationTicket
 from ..engine.staleness import Clock, NeverStale, StalenessPolicy, \
     SystemClock
-from ..engine.stats import EngineStats, lifecycle_payload
+from ..engine.runtime import require_tables
+from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ValidationError
 from ..obs import MetricsRegistry, TRACER, merge_snapshots
+from ..service import CoordinationService, state_payload
 from .backend import InProcessBackend, ShardBackend, \
     ShardReplicaStaleError
 from .router import ShardRouter
@@ -71,7 +72,7 @@ class ShardReplicationError(RuntimeError):
     from stale data."""
 
 
-class ShardedCoordinator:
+class ShardedCoordinator(CoordinationService):
     """A D3C engine fleet behind one engine-shaped front door.
 
     Args:
@@ -600,14 +601,6 @@ class ShardedCoordinator:
         self._replicate()
         return counts
 
-    def insert(self, table: str, rows) -> int:
-        """Insert rows fleet-wide (one replicated mutation block)."""
-        return self.apply_mutations([("insert", table, rows)])[0]
-
-    def delete_rows(self, table: str, rows) -> int:
-        """Delete rows fleet-wide (one replicated mutation block)."""
-        return self.apply_mutations([("delete", table, rows)])[0]
-
     @property
     def db_version(self) -> int:
         """The last database version replicated to the fleet."""
@@ -770,15 +763,6 @@ class ShardedCoordinator:
     # submission
     # ------------------------------------------------------------------
 
-    def _check_new_id(self, query_id, block_seen: set) -> None:
-        if query_id in self._used_ids:
-            raise ValidationError(
-                f"query id {query_id!r} already used in this service")
-        if query_id in block_seen:
-            raise ValidationError(
-                f"query id {query_id!r} appears twice in one block")
-        block_seen.add(query_id)
-
     def _register(self, working: EntangledQuery, seq: int,
                   ticket: CoordinationTicket, now: float) -> None:
         query_id = working.query_id
@@ -787,59 +771,16 @@ class ShardedCoordinator:
         self._tickets[query_id] = ticket
         self._submitted += 1
 
-    def submit(self, query: EntangledQuery,
-               callback: TicketCallback | None = None
-               ) -> CoordinationTicket:
-        """Submit one entangled query; returns its ticket (it may
-        already be settled, exactly as on the single engine)."""
-        query.validate()
-        self._check_new_id(query.query_id, set())
-        self._replicate()
-        tracer = TRACER
-        trace_id = None
-        if tracer.enabled:
-            trace_id = tracer.new_trace_id()
-            tracer.event("query.submit", trace_id,
-                         query=str(query.query_id))
-            start_ns = time.perf_counter_ns()
-            working = query.rename_apart()
-            tracer.record("query.rename_apart", start_ns, trace_id)
-        else:
-            working = query.rename_apart()
-        ticket = CoordinationTicket(query.query_id)
-        if callback is not None:
-            ticket.add_callback(callback)
-        now = self._clock.now()
-        seq = self._next_seq
-        self._next_seq += 1
-        if tracer.enabled:
-            start_ns = time.perf_counter_ns()
-            (target,) = self._route_block([working])
-            tracer.record("query.route", start_ns, trace_id,
-                          shard=target)
-            self._trace_ids[query.query_id] = trace_id
-        else:
-            (target,) = self._route_block([working])
-        self._register(working, seq, ticket, now)
-        self._backends[target].call_submit_block(
-            [working], [seq], now,
-            trace_ids=None if trace_id is None else [trace_id]).result()
-        self._drain_all_events()
-        self._maybe_autobatch()
-        return ticket
-
-    def submit_all(self, queries: Iterable[EntangledQuery]
-                   ) -> list[CoordinationTicket]:
-        """Submit many queries in order; returns their tickets."""
-        return [self.submit(query) for query in queries]
-
     def submit_many(self, queries: Iterable[EntangledQuery]
                     ) -> list[CoordinationTicket]:
-        """Submit a block through the shards' batched pipelines.
+        """Submit a block through the shards' batched pipelines (the
+        one admission path; ``submit`` is a block of one).
 
-        The block is routed (with migrations) up front, split into
-        per-shard sub-blocks preserving arrival order, and each shard
-        ingests its sub-block with the same deferred-drain semantics as
+        The block is validated whole against the coordinator's own
+        state and database (the primary) before anything is routed,
+        then routed (with migrations) up front, split into per-shard
+        sub-blocks preserving arrival order, and each shard ingests its
+        sub-block with the same deferred-drain semantics as
         :meth:`D3CEngine.submit_many` — entangled block members are
         always co-located, so the per-shard deferral reproduces the
         single engine's whole-block deferral.
@@ -848,7 +789,16 @@ class ShardedCoordinator:
         block_seen: set = set()
         for query in queries:
             query.validate()
-            self._check_new_id(query.query_id, block_seen)
+            query_id = query.query_id
+            if query_id in self._used_ids:
+                raise ValidationError(
+                    f"query id {query_id!r} already used in this "
+                    f"service")
+            if query_id in block_seen:
+                raise ValidationError(
+                    f"query id {query_id!r} appears twice in one block")
+            block_seen.add(query_id)
+            require_tables(self.database, query)
         self._replicate()
         tracer = TRACER
         trace_ids: list | None = None
@@ -991,31 +941,21 @@ class ShardedCoordinator:
         return self._next_seq
 
     def snapshot_state(self, *, dump_cache: dict | None = None) -> dict:
-        """The coordinator's durable state as a wire-safe payload.
+        """The coordinator's durable state as a wire-safe payload
+        (:func:`~repro.service.state_payload`).
 
-        Everything a fresh coordinator needs to continue this one's
-        history: the primary database (text dump plus its version), the
-        global arrival counter, the burned ids (as ``used_ids``; the
-        engine's ``tombstones`` spelling stays empty), the full pending
-        set as migration-record payloads (the coordinator's
-        ``_pending_meta`` copy — workers are not consulted), and the
-        lifecycle counters.
-        Shard placement is deliberately *not* captured: restore re-routes
-        the pending set onto whatever fleet shape the recovering caller
-        builds, which is also what re-homing after a worker death does.
+        The pending set is the coordinator's ``_pending_meta`` copy —
+        workers are not consulted.  Shard placement is deliberately
+        *not* captured: restore re-routes the pending set onto whatever
+        fleet shape the recovering caller builds, which is also what
+        re-homing after a worker death does.
         """
-        from ..dataio import dump_database, record_to_payload
-        records = self._pending_records(self.pending_ids())
-        return {
-            "database": dump_database(self.database, cache=dump_cache),
-            "db_version": self.database.db_version,
-            "next_seq": self._next_seq,
-            "pending": [record_to_payload(record) for record in records],
-            "tombstones": [],
-            "used_ids": sorted(self._used_ids, key=repr),
-            "counters": lifecycle_payload(self._submitted,
-                                          self._answered, self._failed),
-        }
+        return state_payload(
+            self.database, next_seq=self._next_seq,
+            records=self._pending_records(self.pending_ids()),
+            used_ids=self._used_ids, submitted=self._submitted,
+            answered=self._answered, failed=self._failed,
+            dump_cache=dump_cache)
 
     def restore_state(self, *, next_seq: int, used_ids: Iterable,
                       records: Sequence, submitted: int = 0,
@@ -1023,9 +963,7 @@ class ShardedCoordinator:
                       failed: Counter | None = None) -> dict:
         """Reinstate a recovered coordinator history onto fresh shards.
 
-        *used_ids* holds every burned id (the fleet reads only the
-        keys of the id → arrival-sequence map the engine takes).
-        *records* are :class:`~repro.engine.engine.PendingRecord`\\ s of
+        Every id in *used_ids* is burned.  *records* are :class:`~repro.engine.engine.PendingRecord`\\ s of
         every pending query (the whole fleet's, in any order); they are
         routed as one block — every coordination partner is in the
         block, so routing is purely logical and no cross-shard

@@ -122,6 +122,31 @@ class TestCli:
         assert output.count("answered") == 2
         assert "no_data" in output
 
+    @pytest.mark.parametrize("flags", [[], ["--shards", "2"],
+                                       ["--wal-dir", "WAL"]])
+    @pytest.mark.parametrize("bad", ["parse", "table", "data",
+                                     "workload"])
+    def test_coordinate_reports_bad_input_in_one_line(self, tmp_path,
+                                                      capsys, bad,
+                                                      flags):
+        data = tmp_path / "intro.data"
+        data.write_text(INTRO_DATA)
+        workload = tmp_path / "bad.eq"
+        workload.write_text({
+            "parse": "this is not a query (\n",
+            "table": "{} R(Ghost, z) <- NoSuchTable(z)\n",
+        }.get(bad, INTRO_WORKLOAD))
+        paths = [tmp_path / "missing.data" if bad == "data" else data,
+                 tmp_path / "missing.eq" if bad == "workload"
+                 else workload]
+        flags = [str(tmp_path / "wal") if flag == "WAL" else flag
+                 for flag in flags]
+        assert main(["coordinate", *map(str, paths), *flags]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("note: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith("coordinate: ")
+
     def test_sql_command(self, tmp_path, capsys):
         data = tmp_path / "intro.data"
         data.write_text(INTRO_DATA)

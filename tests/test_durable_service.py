@@ -313,15 +313,15 @@ def test_engine_restore_state_refuses_live_state():
     engine = D3CEngine(build_intro_database(), mode="batch")
     engine.submit(_intro_queries()[0])
     with pytest.raises(RecoveryError, match="live engine state"):
-        engine.restore_state(next_seq=8, used_ids={"ghost": 7},
+        engine.restore_state(next_seq=8, used_ids=["ghost"],
                              records=[])
 
 
 def test_engine_restore_state_on_pristine_engine():
     engine = D3CEngine(build_intro_database(), mode="batch")
-    engine.restore_state(next_seq=9, used_ids={"ghost": 3}, records=[])
+    engine.restore_state(next_seq=9, used_ids=["ghost"], records=[])
     assert engine.next_arrival_seq == 9
-    assert engine.snapshot_state()["tombstones"] == [["ghost", 3]]
+    assert engine.snapshot_state()["used_ids"] == ["ghost"]
     with pytest.raises(ValidationError, match="already used"):
         engine.submit(parse_ir("{Reservation(Jerry, x)} "
                                "Reservation(Kramer, x) "

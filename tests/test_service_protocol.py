@@ -10,35 +10,46 @@ another layer assumes (the server's ``stats`` op once did).
 
 from __future__ import annotations
 
+import asyncio
 from collections import Counter
 
 import pytest
 
-from repro.dataio import load_database, record_from_payload
+from repro.dataio import dump_database, load_database, \
+    record_from_payload
 from repro.db import Database
 from repro.durability import DurableCoordinator, DurableEngine
+from repro.durability.snapshots import SnapshotStore
 from repro.engine.engine import D3CEngine
 from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock
 from repro.engine.stats import EngineStats
-from repro.errors import ValidationError
+from repro.errors import SchemaError, ValidationError
 from repro.lang import parse_ir
+from repro.server import ServerClient, ServerCommandError
+from repro.server.protocol import INVALID
 from repro.service import CoordinationService
 from repro.shard import ShardedCoordinator
 from repro.workloads import build_intro_database
 
+from test_aggregates_every_shape import _spawn_server, _stop
+
 SHAPES = ["engine", "fleet-inprocess", "fleet-process",
           "durable-engine", "durable-fleet"]
 
-#: Every key a ``snapshot_state()`` payload carries, on every shape.
+#: Every key a ``snapshot_state()`` payload carries, on every shape;
+#: burned ids have the one spelling, ``used_ids``.
 STATE_KEYS = {"database", "db_version", "next_seq", "pending",
-              "tombstones", "used_ids", "counters"}
+              "used_ids", "counters"}
 
 
 def _build(shape: str, database, wal_dir):
-    """A fresh batch-mode service of *shape* over *database*."""
+    """A fresh batch-mode service of *shape* over *database* (an
+    incremental one for ``engine-incremental``)."""
     if shape == "engine":
         return D3CEngine(database, mode="batch")
+    if shape == "engine-incremental":
+        return D3CEngine(database, mode="incremental")
     if shape.startswith("fleet-"):
         return ShardedCoordinator(database, num_shards=2, mode="batch",
                                   backend=shape.removeprefix("fleet-"))
@@ -64,6 +75,11 @@ def _pair():
 def _loner():
     return _query("{Reservation(Nobody, z)} Reservation(Elaine, z) "
                   "<- Flights(z, Rome)", "elaine")
+
+
+def _ghost():
+    """A query over a table the intro database lacks."""
+    return _query("{} R(Ghost, z) <- NoSuchTable(z)", "ghost")
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -131,13 +147,14 @@ def test_every_shape_answers_every_protocol_member(shape, tmp_path):
         # -- durable state out, and back into a fresh twin ------------
         state = service.snapshot_state(dump_cache={})
         assert STATE_KEYS <= state.keys()
+        assert "tombstones" not in state
         assert state["next_seq"] == 3
         assert state["db_version"] == service.database.db_version
         assert [record["query"]["id"] for record in state["pending"]] \
             == ["elaine"]
-        burned = dict.fromkeys(state["used_ids"])
-        burned.update(state["tombstones"])
-        assert {"kramer", "jerry"} <= burned.keys()
+        # Every admitted id, pending ones included, on every shape.
+        burned = state["used_ids"]
+        assert burned == ["elaine", "jerry", "kramer"]
 
         replica = load_database(state["database"])
         replica.reset_db_version(state["db_version"])
@@ -163,3 +180,135 @@ def test_every_shape_answers_every_protocol_member(shape, tmp_path):
     finally:
         service.close()
         service.close()    # idempotent on every shape
+
+
+# ----------------------------------------------------------------------
+# the one admission path: refusal before admission, callbacks
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", SHAPES + ["engine-incremental"])
+def test_missing_table_is_refused_before_anything_is_admitted(shape,
+                                                              tmp_path):
+    service = _build(shape, build_intro_database(), tmp_path / "wal")
+    try:
+        service.submit(_loner())
+        seq, pending = service.next_arrival_seq, service.pending_ids()
+        journalled = getattr(service, "commands_applied", None)
+        # Alone or behind a valid query, the block is refused whole.
+        for block in ([_ghost()], [_pair()[0], _ghost()]):
+            with pytest.raises(SchemaError, match="NoSuchTable"):
+                service.submit_many(block)
+            assert service.next_arrival_seq == seq
+            assert service.pending_ids() == pending
+            assert getattr(service, "commands_applied", None) \
+                == journalled
+        if shape == "fleet-process":
+            # Table DDL does not replicate to process workers: the id
+            # comes back over a table the replicas hold.
+            ghost = _query("{} R(Ghost, z) <- Flights(z, Oz)", "ghost")
+        else:
+            service.database.create_table("NoSuchTable", "z text")
+            ghost = _ghost()
+        service.submit(ghost)
+        tickets = service.submit_many(_pair())
+        service.run_batch()
+        assert [ticket.state for ticket in tickets] \
+            == [TicketState.ANSWERED] * 2
+        assert service.pending_ids() == ["elaine", "ghost"]
+    finally:
+        service.close()
+
+
+def test_served_child_refuses_a_missing_table_unjournalled(tmp_path):
+    data_path = tmp_path / "intro.data"
+    data_path.write_text(dump_database(build_intro_database()))
+    sock_path = tmp_path / "srv.sock"
+    process = _spawn_server(data_path, sock_path, tmp_path / "wal")
+
+    async def scenario():
+        client = await ServerClient.connect_unix(sock_path)
+        try:
+            with pytest.raises(ServerCommandError) as caught:
+                await client.submit([_ghost()], timeout=30)
+            pending = await client.pending(timeout=30)
+            await client.submit(_pair(), timeout=30)
+            answered = await client.run_batch(timeout=30)
+            return caught.value.code, pending, answered
+        finally:
+            await client.close()
+    try:
+        code, pending, answered = asyncio.run(scenario())
+    finally:
+        _stop(process)
+    assert (code, pending, answered) == (INVALID, [], 2)
+    recovered = DurableEngine.recover(tmp_path / "wal", mode="batch",
+                                      clock=ManualClock(),
+                                      sync_every=None)
+    try:
+        # Only the pair's submit and the round reached the journal.
+        assert recovered.commands_applied == 2
+        assert recovered.next_arrival_seq == 2
+        assert "ghost" not in recovered.answers
+    finally:
+        recovered.close()
+
+
+@pytest.mark.parametrize("shape", ["engine-incremental",
+                                   "fleet-inprocess"])
+def test_submit_callback_fires_once_on_a_ticket_settled_in_the_call(
+        shape):
+    database = build_intro_database()
+    service = D3CEngine(database, mode="incremental") \
+        if shape == "engine-incremental" \
+        else ShardedCoordinator(database, num_shards=2,
+                                mode="incremental")
+    try:
+        fired = []
+        kramer, jerry = _pair()
+        first = service.submit(kramer, callback=fired.append)
+        assert first.state is TicketState.PENDING
+        second = service.submit(jerry, callback=fired.append)
+        # The pair coordinated inside the second call: the callback
+        # added after settlement fires at once, and only once.
+        assert second.state is TicketState.ANSWERED
+        assert sorted(ticket.query_id for ticket in fired) \
+            == ["jerry", "kramer"]
+    finally:
+        service.close()
+
+
+# ----------------------------------------------------------------------
+# the legacy burned-id spelling is still read
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [DurableEngine, DurableCoordinator])
+def test_legacy_tombstones_snapshot_recovers_with_every_id_refused(
+        cls, tmp_path):
+    """A generation-0 snapshot in the engine's former layout —
+    ``tombstones`` [id, seq] pairs beside an empty ``used_ids`` —
+    recovers under both durable shapes, its ids all still burned."""
+    database = build_intro_database()
+    SnapshotStore(tmp_path / "wal").write_snapshot(0, 2, {
+        "database": dump_database(database),
+        "db_version": database.db_version,
+        "next_seq": 3,
+        "pending": [],
+        "tombstones": [["elaine", 2], ["jerry", 1], ["kramer", 0]],
+        "used_ids": [],
+        "counters": {"submitted": 3, "answered": 2,
+                     "failed": {"unsafe": 1}},
+        "answers": [], "failures": [],
+    })
+    recovered = cls.recover(tmp_path / "wal", mode="batch",
+                            clock=ManualClock(), sync_every=None)
+    try:
+        assert recovered.next_arrival_seq == 3
+        assert recovered.snapshot_state()["used_ids"] \
+            == ["elaine", "jerry", "kramer"]
+        for query in [*_pair(), _loner()]:
+            with pytest.raises(ValidationError, match="already used"):
+                recovered.submit(query)
+    finally:
+        recovered.close()

@@ -181,7 +181,7 @@ _LONER = _filler("loner").rename_apart()
 #: its version — and the rest are driven on their happy path.  Every
 #: argument encodes, so on the pipe the failure is the worker's.
 COMMANDS = {
-    "call_submit_block": (([_LONER], [], 0.0), IndexError),
+    "call_submit_block": (([_LONER], [], 0.0), ValidationError),
     "call_run_batch": ((0.0,), None),
     "call_expire": ((0.0,), None),
     "call_members": (("ghost",), KeyError),

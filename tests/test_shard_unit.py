@@ -113,8 +113,8 @@ def test_import_preserves_arrival_order_across_engines(database):
     source = D3CEngine(database, mode="batch")
     target = D3CEngine(database, mode="batch")
     early, late = make_pair("early", "late", "user3", "user4", "JFK")
-    source.submit(early, arrival_seq=10)
-    target.submit(late, arrival_seq=20)
+    source.submit_many([early], arrival_seqs=[10])
+    target.submit_many([late], arrival_seqs=[20])
     target.import_pending(source.export_component(["early"]))
     # Arrival order (not import order) governs the pending view.
     assert target.pending_ids() == ["early", "late"]
@@ -193,8 +193,9 @@ def test_worker_error_replies_carry_prior_settlements():
     from repro.shard.process import _worker_main
 
     # An answerable pair (the tiny U table has data for both bodies)
-    # plus a pair whose bodies name a missing table: one run_batch
-    # settles the first component, then raises on the second.
+    # plus a pair whose bodies read U at the wrong arity (admitted —
+    # the table exists — but unevaluable): one run_batch settles the
+    # first component, then raises on the second.
     town = Variable("c")
     good = [EntangledQuery(query_id="g1",
                            head=(atom("R", "A", "d"),),
@@ -207,11 +208,11 @@ def test_worker_error_replies_carry_prior_settlements():
     bad = [EntangledQuery(query_id="b1",
                           head=(atom("R", "X", "d"),),
                           postconditions=(atom("R", "Y", "d"),),
-                          body=(atom("Missing", Variable("m"),),)),
+                          body=(atom("U", Variable("m"),),)),
            EntangledQuery(query_id="b2",
                           head=(atom("R", "Y", "d"),),
                           postconditions=(atom("R", "X", "d"),),
-                          body=(atom("Missing", Variable("m2"),),))]
+                          body=(atom("U", Variable("m2"),),))]
     config = {
         "database_text": "table U user:text town:text\n"
                          "row U a x\nrow U b x\n",
@@ -233,7 +234,7 @@ def test_worker_error_replies_carry_prior_settlements():
     req_id, status, payload, events = batch_reply
     assert req_id == 2
     assert status == "err"
-    assert "Missing" in payload
+    assert "arity" in payload
     # The good pair's settlements shipped despite the failure.
     assert sorted(event[1] for event in events) == ["g1", "g2"]
     assert all(event[0] == "answered" for event in events)
