@@ -75,10 +75,11 @@ class AggregateConstraint:
             result.update(atom.variables())
         return result
 
-    def database_relations(self) -> set[str]:
-        """The database tables the constraint's count reads."""
-        return {atom.relation for atom in self.atoms
-                if atom.relation not in self.answer_relations}
+    def database_atoms(self) -> tuple[Atom, ...]:
+        """The atoms the constraint's count reads from database
+        tables."""
+        return tuple(atom for atom in self.atoms
+                     if atom.relation not in self.answer_relations)
 
     def evaluate(self, database: Database,
                  answer_rows: Mapping[str, Sequence[tuple]],

@@ -30,12 +30,16 @@ class TableSchema:
 
     name: str
     columns: tuple[Column, ...]
+    #: Number of columns — a slot, not a property: admission reads it
+    #: for every database atom of every arrival.
+    arity: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.columns, tuple):
             object.__setattr__(self, "columns", tuple(self.columns))
         if not self.columns:
             raise SchemaError(f"table {self.name!r} must have >= 1 column")
+        object.__setattr__(self, "arity", len(self.columns))
         seen: set[str] = set()
         for column in self.columns:
             if column.name in seen:
@@ -43,11 +47,6 @@ class TableSchema:
                     f"table {self.name!r} has duplicate column "
                     f"{column.name!r}")
             seen.add(column.name)
-
-    @property
-    def arity(self) -> int:
-        """Number of columns."""
-        return len(self.columns)
 
     def column_names(self) -> tuple[str, ...]:
         """Ordered column names."""

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Literal, Sequence
 
@@ -89,7 +88,7 @@ class _RecoveredState:
             # the exact working copies the crashed engine held.
             working = record.query.rename_apart()
             if working is not record.query:
-                record = replace(record, query=working)
+                record = record._replace(query=working)
             records.append(record)
         return records
 

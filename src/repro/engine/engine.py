@@ -24,9 +24,11 @@ path:
 
 Every arrival enters through :meth:`D3CEngine.submit_many` — a single
 ``submit`` is a block of one (:class:`~repro.service.
-CoordinationService`): the block is validated whole, admitted and
-ingested arrival by arrival, and coordination is attempted once the
-whole block is in the graph.
+CoordinationService`): the block is validated whole, stamped into
+:class:`PendingRecord`\\ s, adopted and ingested arrival by arrival,
+and coordination is attempted once the whole block is in the graph.
+One body adopts records (:meth:`D3CEngine._adopt`), whether they were
+just submitted, stamped by the sharded coordinator, or imported.
 
 Safety is enforced at admission: a query that would make the pending
 workload unsafe is rejected immediately (``safety="reject"``), mirroring
@@ -41,8 +43,8 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from ..core.evaluate import FailureReason
 from ..core.query import EntangledQuery
@@ -57,7 +59,7 @@ from ..service import CoordinationService, state_payload
 #: of an allocation per settlement.  Never mutated by any reader.
 _SETTLED_ANSWERED = {"outcome": "answered"}
 from .futures import CoordinationTicket
-from .runtime import CoordinationScheduler, require_tables
+from .runtime import CoordinationScheduler, check_block
 from .staleness import Clock, NeverStale, StalenessPolicy, SystemClock
 from .stats import EngineStats
 
@@ -65,21 +67,22 @@ EngineMode = Literal["incremental", "batch"]
 SafetyMode = Literal["reject", "off"]
 
 #: Sentinel distinguishing "id had no arrival entry" from "entry was
-#: None" when rolling back a failed import.
+#: None" when rolling back a failed adoption.
 _ABSENT = object()
 
 
-@dataclass(frozen=True, slots=True)
-class PendingRecord:
-    """One pending query detached from an engine for migration.
+class PendingRecord(NamedTuple):
+    """One pending query: the one form it takes from admission to
+    settlement, on every service shape.
 
-    Carries everything another engine needs to adopt the query as if it
-    had been submitted there originally: the renamed-apart working
-    copy, the (global) arrival sequence number, and the submission
-    timestamp staleness is judged against.  Produced by
-    :meth:`D3CEngine.export_component`, consumed by
-    :meth:`D3CEngine.import_pending`; the sharded coordination service
-    moves whole components between shard engines with these.
+    Stamped once at the front door (:func:`stamp_records`): the
+    renamed-apart working copy, the (global) arrival sequence number,
+    and the submission timestamp staleness is judged against.  An
+    engine stores the record itself as the query's pending entry, and
+    every other path hands the stored record on as is — export and
+    import, snapshot and restore, and on a fleet the coordinator's
+    copy, which is what a shard adopts on submission, migration and
+    re-homing.
     """
 
     query: EntangledQuery
@@ -90,6 +93,34 @@ class PendingRecord:
     #: trace that submitted it.  Defaults to None (tracing off, or a
     #: record serialized before the field existed).
     trace_id: Optional[str] = None
+
+
+_ARRIVAL_SEQ = attrgetter("arrival_seq")
+
+
+def stamp_records(queries: Sequence[EntangledQuery], first_seq: int,
+                  now: float) -> list[PendingRecord]:
+    """Rename a validated block apart and stamp its records: arrival
+    sequences from *first_seq*, submission instant *now*, and — while
+    tracing — a fresh trace id per query, opened by its
+    ``query.submit`` and ``query.rename_apart`` spans.  The one place
+    a query becomes a record (an engine's and a fleet's front door)."""
+    tracer = TRACER
+    if tracer.enabled:
+        records = []
+        site = tracer.site
+        for seq, query in enumerate(queries, first_seq):
+            trace_id = tracer.new_trace_id()
+            start_ns = time.perf_counter_ns()
+            tracer.emit(("query.submit", trace_id, site, start_ns, 0,
+                         {"query": str(query.query_id)}))
+            working = query.rename_apart()
+            tracer.emit(("query.rename_apart", trace_id, site, start_ns,
+                         time.perf_counter_ns() - start_ns, None))
+            records.append(PendingRecord(working, seq, now, trace_id))
+        return records
+    return [PendingRecord(query.rename_apart(), seq, now)
+            for seq, query in enumerate(queries, first_seq)]
 
 
 class D3CEngine(CoordinationService):
@@ -177,9 +208,9 @@ class D3CEngine(CoordinationService):
         self.stats = EngineStats()
 
         self._lock = threading.RLock()
-        # query_id -> (query, ticket, submitted_at); insertion order is
-        # arrival order (ids are never reused), which pending_ids and
-        # the scheduler's component ordering rely on.
+        # query_id -> (PendingRecord, ticket); insertion order is
+        # arrival order for submissions (imports may splice earlier
+        # sequences in; pending_ids sorts).
         self._pending: dict = {}
         # query_id -> arrival sequence number; the scheduler's partition
         # manager holds this very dict as its matching order.
@@ -191,11 +222,6 @@ class D3CEngine(CoordinationService):
         # staleness policies; settled entries are dropped lazily, so an
         # expiry sweep is O(expired log pending), not O(pending).
         self._expiry_heap: list[tuple] = []
-        # query_id -> trace id, maintained only while lifecycle
-        # tracing is enabled (settle/expire/export pop entries; the
-        # map stays empty — and every site skips it — when tracing is
-        # off).
-        self._trace_of: dict = {}
         # Live-mutation hook: every committed TableDelta re-queues
         # exactly the components whose plans read the mutated table
         # (held weakly by the database — a dropped engine unregisters
@@ -249,152 +275,172 @@ class D3CEngine(CoordinationService):
     # submission
     # ------------------------------------------------------------------
 
-    def submit_many(self, queries: Iterable[EntangledQuery],
-                    arrival_seqs: Sequence[int] | None = None,
-                    trace_ids: Sequence[str | None] | None = None
+    def submit_many(self, queries: Iterable[EntangledQuery]
                     ) -> list[CoordinationTicket]:
         """Submit a block of arrivals, coordinating after the block.
 
         The one admission path (``submit`` is a block of one).  The
-        block is validated as a whole — every query well formed, every
-        id unused, every table it reads present — before any query is
-        admitted; a refused block leaves the engine untouched.  Query
-        ids must be unique among live and answered queries; an id whose
-        previous incarnation *expired* may be re-submitted (application
-        retry semantics — the new record gets a fresh submission
-        instant and deadline).  The block is then admitted, renamed
-        apart and ingested in arrival order, and coordination is
-        deferred to the end of the block: incremental engines drain
+        block is refused whole by :func:`~repro.engine.runtime.
+        check_block` — every query well formed, every id unused, every
+        atom it evaluates over a present table of its arity — before
+        any query is admitted; a refused block leaves the engine
+        untouched.  An id whose previous incarnation *expired* may be
+        re-submitted (application retry semantics — the new record gets
+        a fresh submission instant and deadline).  The block is then
+        renamed apart and stamped (:func:`stamp_records`), then adopted
+        and coordinated as :meth:`submit_records` describes.
+
+        Returns the tickets in input order; tickets may already be
+        settled on return.
+        """
+        queries = list(queries)
+        with self._lock:
+            check_block(queries, self._arrival, self.database)
+            return self._submit(stamp_records(
+                queries, self._next_seq, self.clock.now()))
+
+    def submit_records(self, records: Sequence[PendingRecord]
+                       ) -> list[CoordinationTicket]:
+        """Adopt a block of stamped records, then coordinate.
+
+        :meth:`submit_many` enters here with the records it stamped;
+        a shard engine enters here with the sharded coordinator's,
+        which imposes one global arrival order (and one trace id per
+        query) across shard engines — so nothing is validated, renamed
+        or stamped again.  The records are adopted by the one body
+        that makes a query pending (:meth:`_adopt`), and coordination
+        is deferred to the end of the block: incremental engines drain
         each arrival in order, batch engines check the ``batch_size``
         trigger once.  (This deferral is the one semantic difference
         from a loop of ``submit``, where an arrival may coordinate
-        before the next is ingested.)
-
-        Returns the tickets in input order; tickets may already be
-        settled on return.  *arrival_seqs* overrides the engine's own
-        arrival counter with one sequence number per query, strictly
-        increasing across submissions: the sharded coordinator imposes
-        one global arrival order across shard engines with it (matching
-        and conflict resolution are arrival-ordered, so shard-local
-        counters would not reproduce a single engine's choices once
-        queries migrate between shards).  *trace_ids* adopts lifecycle
-        traces started elsewhere (the coordinator's front-door ids, so
-        worker-side spans stitch into them); None starts fresh traces
-        when tracing is enabled.
+        before the next is ingested.)  Returns the tickets in record
+        order.
         """
-        queries = list(queries)
-        if arrival_seqs is not None and len(arrival_seqs) != len(queries):
-            raise ValidationError(
-                "arrival_seqs must match the block length")
-        if trace_ids is not None and len(trace_ids) != len(queries):
-            raise ValidationError(
-                "trace_ids must match the block length")
-        tickets: list[CoordinationTicket] = []
         with self._lock:
-            seen: set = set()
-            for query in queries:
-                query.validate()
-                query_id = query.query_id
-                if query_id in self._pending or query_id in self._arrival:
-                    raise ValidationError(
-                        f"query id {query_id!r} already used in this "
-                        f"engine")
-                if query_id in seen:
-                    raise ValidationError(
-                        f"query id {query_id!r} appears twice in one "
-                        f"block")
-                seen.add(query_id)
-                require_tables(self.database, query)
+            return self._submit(records)
 
-            admitted: list[EntangledQuery] = []
-            unsafe: list[CoordinationTicket] = []
-            for position, query in enumerate(queries):
-                ticket = CoordinationTicket(query.query_id)
-                tickets.append(ticket)
-                working, settle_unsafe = self._admit(
-                    query, ticket,
-                    None if arrival_seqs is None
-                    else arrival_seqs[position],
-                    None if trace_ids is None
-                    else trace_ids[position])
-                if settle_unsafe:
-                    unsafe.append(ticket)
-                else:
-                    admitted.append(working)
-
-            ingest = self._runtime.ingest
-            ingested = [(working, ingest(working))
-                        for working in admitted]
-            self.stats.blocks_ingested += 1
-            if self.mode == "incremental":
-                # Closure dedupe matters only between block members; a
-                # block of one skips building its member-set key.
-                attempted_roots = set() if len(ingested) > 1 else None
-                for working, delta in ingested:
-                    if working.query_id in self._runtime.graph:
-                        self._runtime.drain_arrival(working, delta,
-                                                    attempted_roots)
-            elif (self.batch_size is not None
-                    and len(self._pending) >= self.batch_size):
-                self.run_batch()
+    def _submit(self, records: Sequence[PendingRecord]
+                ) -> list[CoordinationTicket]:
+        """Adopt a block, coordinate after it, then fail the arrivals
+        the safety screen refused (engine lock held)."""
+        tickets, arrivals, unsafe = self._adopt(records)
+        self.stats.submitted += len(tickets)
+        self.stats.blocks_ingested += 1
+        if self.mode == "incremental":
+            # Closure dedupe matters only between block members; a
+            # block of one skips building its member-set key.
+            attempted_roots = set() if len(arrivals) > 1 else None
+            graph = self._runtime.graph
+            for working, delta in arrivals:
+                if working.query_id in graph:
+                    self._runtime.drain_arrival(working, delta,
+                                                attempted_roots)
+        elif (self.batch_size is not None
+                and len(self._pending) >= self.batch_size):
+            self.run_batch()
         for ticket in unsafe:
             ticket.fail(FailureReason.UNSAFE)
         return tickets
 
-    def _admit(self, query: EntangledQuery,
-               ticket: CoordinationTicket,
-               arrival_seq: int | None,
-               trace_id: str | None):
-        """Admit one block member: rename, arrival seq, safety, pending
-        entry.
+    def _adopt(self, records: Sequence[PendingRecord]):
+        """The one body that makes queries pending (engine lock held).
 
-        Returns ``(working_copy, settle_unsafe)``; on safe admission
-        the query is registered pending (but not yet ingested into the
-        graph).
+        Per record, in order: the arrival entry (sequence from the
+        record, the counter moved past it), the safety screen and state
+        (``safety="reject"`` only), the pending entry ``(record,
+        ticket)``, the expiry-heap entry, and graph ingest.  All or
+        nothing: a record already pending (here or earlier in the
+        block) or any failure mid-way rolls back every record applied
+        so far, the arrival counter included.
+
+        Returns ``(tickets, arrivals, unsafe)``: a fresh ticket per
+        record, in order; ``(query, graph delta)`` per ingested record;
+        and the tickets the safety screen refused — their ids stay
+        burned, and the caller fails them once the block is done.
         """
+        pending = self._pending
+        next_seq = self._next_seq
+        prior: dict = {}
+        tickets: list[CoordinationTicket] = []
+        arrivals: list = []
+        unsafe: list[CoordinationTicket] = []
+        try:
+            for record in records:
+                working = record.query
+                query_id = working.query_id
+                if query_id in pending or query_id in prior:
+                    raise ValidationError(
+                        f"query id {query_id!r} is already pending in "
+                        f"this engine")
+                prior[query_id] = self._arrival.get(query_id, _ABSENT)
+                seq = record.arrival_seq
+                self._arrival[query_id] = seq
+                if seq >= self._next_seq:
+                    self._next_seq = seq + 1
+                ticket = CoordinationTicket(query_id)
+                tickets.append(ticket)
+                if self.safety_mode == "reject" \
+                        and not self._screen(record):
+                    unsafe.append(ticket)
+                    continue
+                pending[query_id] = (record, ticket)
+                deadline = self.staleness.deadline(working,
+                                                   record.submitted_at)
+                if deadline is not None and deadline != math.inf:
+                    heapq.heappush(self._expiry_heap,
+                                   (deadline, seq, query_id))
+                arrivals.append((working, self._runtime.ingest(working)))
+        except BaseException:
+            self._rollback(prior, next_seq)
+            raise
+        return tickets, arrivals, unsafe
+
+    def _screen(self, record: PendingRecord) -> bool:
+        """The admission safety check (Figure 9): True when *record*
+        keeps the pending workload safe — it then joins the safety
+        state — else False, with the failure counted and traced."""
+        start = time.perf_counter()
+        safe = self._safety.is_safe_to_add(record.query)
+        self.stats.safety_seconds += time.perf_counter() - start
+        if safe:
+            self._safety.add(record.query)
+            return True
+        self.stats.record_failure(FailureReason.UNSAFE)
         tracer = TRACER
         if tracer.enabled:
-            if trace_id is None:
-                trace_id = tracer.new_trace_id()
-            site = tracer.site
-            start_ns = time.perf_counter_ns()
-            tracer.emit(("query.submit", trace_id, site, start_ns, 0,
-                         {"query": str(query.query_id)}))
-            working = query.rename_apart()
-            tracer.emit(("query.rename_apart", trace_id, site,
-                         start_ns,
-                         time.perf_counter_ns() - start_ns, None))
-        else:
-            working = query.rename_apart()
-        self.stats.submitted += 1
-        if arrival_seq is None:
-            arrival_seq = self._next_seq
-        self._arrival[query.query_id] = arrival_seq
-        self._next_seq = max(self._next_seq, arrival_seq) + 1
+            tracer.event("query.settle", record.trace_id,
+                         query=str(record.query.query_id),
+                         outcome="unsafe")
+        return False
 
-        if self.safety_mode == "reject":
-            start = time.perf_counter()
-            unsafe = not self._safety.is_safe_to_add(working)
-            self.stats.safety_seconds += time.perf_counter() - start
-            if unsafe:
-                self.stats.record_failure(FailureReason.UNSAFE)
-                if tracer.enabled:
-                    tracer.event("query.settle", trace_id,
-                                 query=str(query.query_id),
-                                 outcome="unsafe")
-                return working, True
-        submitted_at = self.clock.now()
-        if trace_id is not None:
-            self._trace_of[query.query_id] = trace_id
-        self._pending[query.query_id] = (working, ticket, submitted_at)
-        if self.safety_mode == "reject":
-            self._safety.add(working)
-        deadline = self.staleness.deadline(working, submitted_at)
-        if deadline is not None and deadline != math.inf:
-            heapq.heappush(self._expiry_heap,
-                           (deadline, self._arrival[query.query_id],
-                            query.query_id))
-        return working, False
+    def _rollback(self, prior: dict, next_seq: int) -> None:
+        """Undo a partially applied adoption (under the engine lock).
+
+        Every record touched (the keys of *prior*, each mapped to its
+        arrival entry before the adoption, or ``_ABSENT``) leaves the
+        pending set, the safety state and the graph, and gets its
+        arrival entry back; the arrival counter returns to *next_seq*.
+        Stale expiry-heap entries are dropped lazily by the sweep's
+        pending-and-is_stale re-check, so they need no undo.
+        """
+        for query_id in prior:
+            self._pending.pop(query_id, None)
+            self._safety.remove(query_id)
+        self._runtime.remove_block(
+            [query_id for query_id in prior
+             if query_id in self._runtime.graph])
+        for query_id, before in prior.items():
+            if before is _ABSENT:
+                self._arrival.pop(query_id, None)
+            else:
+                self._arrival[query_id] = before
+        self._next_seq = next_seq
+
+    def _trace_id(self, query_id):
+        """The trace id stamped on a pending query's record (None when
+        it is not pending or was stamped with tracing off)."""
+        entry = self._pending.get(query_id)
+        return None if entry is None else entry[0].trace_id
 
     # ------------------------------------------------------------------
     # settlement (called by the scheduler under the engine lock)
@@ -409,18 +455,15 @@ class D3CEngine(CoordinationService):
             entry = self._pending.pop(query_id, None)
             if entry is None:
                 continue
-            _, ticket, _ = entry
+            record, ticket = entry
             resolved.append((ticket, answer))
             self._safety.remove(query_id)
             settled.append(query_id)
             self.stats.answered += 1
-            if self._trace_of:
-                trace_id = self._trace_of.pop(query_id, None)
-                if tracer.enabled:
-                    tracer.emit(("query.settle", trace_id,
-                                 tracer.site,
-                                 time.perf_counter_ns(), 0,
-                                 _SETTLED_ANSWERED))
+            if tracer.enabled and record.trace_id is not None:
+                tracer.emit(("query.settle", record.trace_id,
+                             tracer.site, time.perf_counter_ns(), 0,
+                             _SETTLED_ANSWERED))
         self._runtime.remove_block(settled)
         for ticket, answer in resolved:
             ticket.resolve(answer)
@@ -508,103 +551,41 @@ class D3CEngine(CoordinationService):
                 seen.add(query_id)
             records: list[PendingRecord] = []
             for query_id in exported:
-                working, _, submitted_at = self._pending.pop(query_id)
-                records.append(PendingRecord(
-                    working, self._arrival[query_id], submitted_at,
-                    self._trace_of.pop(query_id, None)
-                    if self._trace_of else None))
+                records.append(self._pending.pop(query_id)[0])
                 self._safety.remove(query_id)
             self._runtime.remove_block(exported)
-            records.sort(key=lambda record: record.arrival_seq)
+            records.sort(key=_ARRIVAL_SEQ)
             return records
 
     def import_pending(self, records: Iterable[PendingRecord]) -> dict:
         """Adopt previously exported queries; returns fresh tickets.
 
-        The inverse of :meth:`export_component`: each record's working
-        copy re-enters the pending set and the graph under its original
-        arrival sequence number and submission time, so matching order
-        and staleness behave as if the query had been submitted here in
-        the first place.  No coordination attempt runs — imported
+        The inverse of :meth:`export_component`: the records — in
+        arrival order — go through the same body a submission does
+        (:meth:`_adopt`), so each re-enters the pending set and the
+        graph under its original arrival sequence number, submission
+        instant and trace id, exactly as if it had been submitted here
+        in the first place (a ``safety="reject"`` engine screens it as
+        it would have then).  No coordination attempt runs — imported
         components are re-attempted by the next arrival that touches
         them or the next set-at-a-time round (imports mark them dirty).
 
-        Returns ``{query_id: ticket}`` with unsettled tickets the
-        caller wires to its own answer delivery.
+        Returns ``{query_id: ticket}`` with fresh tickets the caller
+        wires to its own answer delivery (unsettled, unless the safety
+        screen refused the record).
 
-        Atomic: every record is validated before any is applied, and a
-        failure while applying (a poisoned record, an engine fault)
-        rolls back the records applied so far — the migration
-        protocol's abort path relies on this (a partial import plus an
-        abort would duplicate part of the component across engines).
+        Atomic: a record already pending, or any failure while
+        applying (a poisoned record, an engine fault), rolls back the
+        records applied so far — the migration protocol's abort path
+        relies on this (a partial import plus an abort would duplicate
+        part of the component across engines).
         """
-        tickets: dict = {}
-        ordered = sorted(records, key=lambda record: record.arrival_seq)
         with self._lock:
-            seen: set = set()
-            for record in ordered:
-                query_id = record.query.query_id
-                if query_id in self._pending or query_id in seen:
-                    raise ValidationError(
-                        f"query id {query_id!r} is already pending in "
-                        f"this engine")
-                seen.add(query_id)
-            prior_arrival: dict = {}
-            applied: list = []
-            try:
-                for record in ordered:
-                    working = record.query
-                    query_id = working.query_id
-                    ticket = CoordinationTicket(query_id)
-                    prior_arrival[query_id] = self._arrival.get(
-                        query_id, _ABSENT)
-                    self._arrival[query_id] = record.arrival_seq
-                    self._next_seq = max(self._next_seq,
-                                         record.arrival_seq + 1)
-                    self._pending[query_id] = (working, ticket,
-                                               record.submitted_at)
-                    if record.trace_id is not None:
-                        # The migrated component keeps reporting into
-                        # the trace that originally submitted it.
-                        self._trace_of[query_id] = record.trace_id
-                    if self.safety_mode == "reject":
-                        self._safety.add(working)
-                    deadline = self.staleness.deadline(
-                        working, record.submitted_at)
-                    if deadline is not None and deadline != math.inf:
-                        heapq.heappush(self._expiry_heap,
-                                       (deadline, record.arrival_seq,
-                                        query_id))
-                    self._runtime.ingest(working)
-                    applied.append(query_id)
-                    tickets[query_id] = ticket
-            except BaseException:
-                self._rollback_import(prior_arrival, applied)
-                raise
-        return tickets
-
-    def _rollback_import(self, prior_arrival: dict,
-                         applied: list) -> None:
-        """Undo a partially applied import (under the engine lock).
-
-        Records fully applied come out of the pending set, the safety
-        state, and the graph; the record that failed mid-ingest (in
-        ``prior_arrival`` but not ``applied``) is scrubbed too.  Stale
-        expiry-heap entries are dropped lazily by the sweep's
-        pending-and-is_stale re-check, so they need no undo.
-        """
-        for query_id in prior_arrival:
-            self._pending.pop(query_id, None)
-            self._safety.remove(query_id)
-            self._trace_of.pop(query_id, None)
-        self._runtime.remove_block(
-            [query_id for query_id in prior_arrival
-             if query_id in self._runtime.graph])
-        for query_id, prior in prior_arrival.items():
-            if prior is _ABSENT:
-                self._arrival.pop(query_id, None)
-            else:
-                self._arrival[query_id] = prior
+            tickets, _, unsafe = self._adopt(
+                sorted(records, key=_ARRIVAL_SEQ))
+        for ticket in unsafe:
+            ticket.fail(FailureReason.UNSAFE)
+        return {ticket.query_id: ticket for ticket in tickets}
 
     # ------------------------------------------------------------------
     # durability hooks (see repro.durability.service)
@@ -621,12 +602,9 @@ class D3CEngine(CoordinationService):
         (only expiry releases one).
         """
         with self._lock:
-            records = [PendingRecord(working, self._arrival[query_id],
-                                     submitted_at,
-                                     self._trace_of.get(query_id))
-                       for query_id, (working, _, submitted_at)
-                       in self._pending.items()]
-            records.sort(key=lambda record: record.arrival_seq)
+            records = sorted((record for record, _
+                              in self._pending.values()),
+                             key=_ARRIVAL_SEQ)
             return state_payload(
                 self.database, next_seq=self._next_seq, records=records,
                 used_ids=self._arrival,
@@ -727,26 +705,24 @@ class D3CEngine(CoordinationService):
             policy = self.staleness
             if policy.requires_full_scan:
                 doomed = [query_id
-                          for query_id, (query, _, submitted_at)
+                          for query_id, (record, _)
                           in self._pending.items()
-                          if policy.is_stale(query, submitted_at, now)]
+                          if policy.is_stale(record.query,
+                                             record.submitted_at, now)]
             else:
                 doomed = self._due_candidates(policy, now)
             tracer = TRACER
             for query_id in doomed:
-                _, ticket, _ = self._pending.pop(query_id)
+                record, ticket = self._pending.pop(query_id)
                 self._safety.remove(query_id)
                 expired.append(ticket)
                 self.stats.record_failure(FailureReason.STALE)
-                if self._trace_of:
-                    trace_id = self._trace_of.pop(query_id, None)
-                    if tracer.enabled:
-                        # The submit span already names the query; an
-                        # expire marker needs only the trace id.
-                        tracer.emit(("query.expire", trace_id,
-                                     tracer.site,
-                                     time.perf_counter_ns(), 0,
-                                     None))
+                if tracer.enabled and record.trace_id is not None:
+                    # The submit span already names the query; an
+                    # expire marker needs only the trace id.
+                    tracer.emit(("query.expire", record.trace_id,
+                                 tracer.site, time.perf_counter_ns(), 0,
+                                 None))
             self._runtime.remove_block(doomed)
             # Expired ids become re-submittable (an application retry
             # is a new incarnation): drop the arrival entry and let
@@ -779,7 +755,8 @@ class D3CEngine(CoordinationService):
             entry = self._pending.get(query_id)
             if entry is None:
                 continue
-            query, _, submitted_at = entry
+            record = entry[0]
+            query, submitted_at = record.query, record.submitted_at
             if policy.is_stale(query, submitted_at, now):
                 doomed.append(query_id)
             else:

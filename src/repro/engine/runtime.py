@@ -37,7 +37,7 @@ configuration and settlement callbacks the scheduler uses.
 from __future__ import annotations
 
 import time
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from ..core.combine import build_combined_query
@@ -48,7 +48,7 @@ from ..core.query import EntangledQuery
 from ..core.terms import Variable
 from ..core.ucs import check_ucs_graph
 from ..db.expression import ConjunctiveQuery
-from ..errors import ReproError, SchemaError
+from ..errors import ReproError, SchemaError, ValidationError
 from ..obs.trace import TRACER
 from .partitions import PartitionManager
 
@@ -60,9 +60,9 @@ class CoordinationScheduler:
     (``database``, ``stats``, ``rng``, ``incremental_strategy``,
     ``max_group_size``, ``max_candidate_attempts``,
     ``max_combined_atoms``, ``ucs_fallback``), the arrival-order
-    mapping ``_arrival``, and the settlement callback
-    ``_settle_answers``.  All entry points must be called under the
-    host's lock.
+    mapping ``_arrival``, the trace-id lookup ``_trace_id``, and the
+    settlement callback ``_settle_answers``.  All entry points must be
+    called under the host's lock.
     """
 
     #: Cap on body valuations enumerated by the feasibility prefilter.
@@ -389,7 +389,7 @@ class CoordinationScheduler:
                 stats.match_seconds += time.perf_counter() - start
                 if tracer.enabled:
                     tracer.record("query.match_attempt", start_ns,
-                                  host._trace_of.get(origin),
+                                  host._trace_id(origin),
                                   outcome="empty_carried",
                                   members=partitions.partition_size(origin))
                 return
@@ -516,7 +516,7 @@ class CoordinationScheduler:
         complete = len(rows) < limit
         if tracer.enabled:
             tracer.record("query.prefilter", start_ns,
-                          host._trace_of.get(query.query_id),
+                          host._trace_id(query.query_id),
                           candidates=len(refs), enumerated=len(rows),
                           kept=len(preferred), complete=complete)
         return by_arrival(preferred) + ([] if complete
@@ -563,7 +563,7 @@ class CoordinationScheduler:
         *outcome*: the combined query was ``"built"`` or ``"reused"``."""
         if TRACER.enabled:
             traced = [trace_id for trace_id
-                      in map(self._host._trace_of.get, members)
+                      in map(self._host._trace_id, members)
                       if trace_id is not None]
             if traced:
                 TRACER.record_many("query.match_attempt", start_ns, traced,
@@ -681,24 +681,54 @@ class CoordinationScheduler:
         return True
 
 
-_RELATION = attrgetter("relation")
+def _atoms_read(query: EntangledQuery) -> tuple:
+    """The database atoms *query* evaluates: its body's and its
+    aggregates' (a mutation of either table can change its outcome)."""
+    atoms = query.body
+    for constraint in query.aggregates:
+        atoms += constraint.database_atoms()
+    return atoms
 
 
 def _tables_read(query: EntangledQuery) -> set:
-    """The database tables *query* reads: its body's and its
-    aggregates' (a mutation of either can change its outcome)."""
-    tables = set(map(_RELATION, query.body))
-    for constraint in query.aggregates:
-        tables |= constraint.database_relations()
-    return tables
+    """The database tables *query* reads."""
+    return {atom.relation for atom in _atoms_read(query)}
 
 
-def require_tables(database, query: EntangledQuery) -> None:
-    """Refuse *query* at admission when a table it reads is absent
-    from *database*: admitted, it would fail every round that
-    evaluates its component, its partners' rounds included."""
-    for relation in sorted(_tables_read(query)):
-        if not database.has_table(relation):
-            raise SchemaError(
-                f"query {query.query_id!r} reads no such table: "
-                f"{relation!r}")
+def check_block(queries: Sequence[EntangledQuery], used,
+                database) -> None:
+    """Refuse a block before anything of it is admitted.
+
+    Every query must be well formed, its id neither in *used* (the
+    service's burned ids) nor twice in the block, and every database
+    atom it evaluates (body and §6 aggregates) must name a table
+    present in *database*, at the table's arity — admitted, such a
+    query would fail every round that evaluates its component, its
+    partners' rounds included.  Every shape's ``submit_many`` calls
+    this first.
+    """
+    seen: set = set()
+    table_or_none = database.table_or_none
+    for query in queries:
+        query.validate()
+        query_id = query.query_id
+        if query_id in used:
+            raise ValidationError(
+                f"query id {query_id!r} already used in this service")
+        if query_id in seen:
+            raise ValidationError(
+                f"query id {query_id!r} appears twice in one block")
+        seen.add(query_id)
+        for atom in _atoms_read(query):
+            table = table_or_none(atom.relation)
+            if table is None or len(atom.args) != table.schema.arity:
+                raise SchemaError(_unreadable(query_id, atom, table))
+
+
+def _unreadable(query_id, atom, table) -> str:
+    if table is None:
+        return (f"query {query_id!r} reads no such table: "
+                f"{atom.relation!r}")
+    return (f"query {query_id!r} reads {atom.relation!r} with arity "
+            f"{len(atom.args)}; the table has {table.schema.arity} "
+            f"columns")

@@ -33,8 +33,9 @@ class EngineStats:
     coordination_rounds: int = 0
     combined_queries_built: int = 0
     closure_events: int = 0
-    #: Admission calls: each ``submit_many`` block counts once, and a
-    #: single ``submit`` is a block of one.
+    #: Submitted blocks: each block adopted and coordinated counts
+    #: once — a ``submit_many`` call (a single ``submit`` is a block of
+    #: one) or a shard's ``submit_records``; an import is no block.
     blocks_ingested: int = 0
     components_drained: int = 0
     #: Whole-component attempts (closures, and components drained by

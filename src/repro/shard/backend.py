@@ -21,11 +21,15 @@ the host's one table (:attr:`ShardHost.COMMANDS`):
   :mod:`repro.dataio` wire format; the GIL stays per-process, so shards
   coordinate on separate cores.
 
-On both, the host's engine runs on a
+A query reaches a shard as the coordinator's
+:class:`~repro.engine.engine.PendingRecord` — renamed apart and stamped
+once, at the front door, with its global arrival seq, submission
+instant and trace id — and ``submit_block`` adopts it as is: the
+coordinator's copy of a pending record *is* the shard's.  On both
+transports the host's engine runs on a
 :class:`~repro.engine.staleness.PinnedClock` set to the ``now`` every
-clock-reading command carries, so submission instants and expiry are
-judged in coordinator time — which is what lets the coordinator's own
-copy of a pending record stand for the shard's.
+clock-reading command carries, so expiry is judged in coordinator time
+too.
 
 Every command has exactly one spelling, ``call_<command>(...)``, which
 issues the command without waiting and returns a :class:`ShardCall`;
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.query import EntangledQuery
 from ..db.database import Database
 from ..engine.engine import D3CEngine, PendingRecord
 from ..engine.futures import CoordinationTicket, TicketState
@@ -139,21 +142,12 @@ class ShardBackend:
         """Carry one command to the host."""
         raise NotImplementedError
 
-    def call_submit_block(self, queries: Sequence[EntangledQuery],
-                          seqs: Sequence[int], now: float,
-                          trace_ids: Sequence | None = None
+    def call_submit_block(self, records: Sequence[PendingRecord]
                           ) -> ShardCall:
-        """Ingest a block of arrivals with global arrival seqs.
-
-        *trace_ids* (one per query, or None) threads the coordinator's
-        lifecycle trace ids through so worker-side spans stitch into
-        the front-door trace (an optional frame field: absent when
-        None)."""
-        if trace_ids is None:
-            return self._dispatch("submit_block", queries=queries,
-                               seqs=seqs, now=now)
-        return self._dispatch("submit_block", queries=queries, seqs=seqs,
-                           now=now, trace=trace_ids)
+        """Adopt a block of arrivals and coordinate it: the
+        coordinator's records, stamped at its front door (global
+        arrival seqs, submission instants, trace ids), adopted as is."""
+        return self._dispatch("submit_block", records=records)
 
     def call_run_batch(self, now: float) -> ShardCall:
         """One set-at-a-time round over the shard's dirty components;
@@ -265,12 +259,8 @@ class ShardHost:
 
     # -- command bodies -------------------------------------------------
 
-    def submit_block(self, queries: Sequence[EntangledQuery],
-                     seqs: Sequence[int], now: float,
-                     trace: Sequence | None = None) -> None:
-        self._clock.set(now)
-        self._track(self.engine.submit_many(
-            queries, arrival_seqs=seqs, trace_ids=trace or None))
+    def submit_block(self, records: Sequence[PendingRecord]) -> None:
+        self._track(self.engine.submit_records(records))
 
     def run_batch(self, now: float) -> int:
         self._clock.set(now)

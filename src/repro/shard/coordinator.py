@@ -42,11 +42,11 @@ from typing import Iterable, Sequence
 from ..core.atom_index import AtomIndex
 from ..core.query import EntangledQuery
 from ..db.database import Database
-from ..engine.engine import PendingRecord
+from ..engine.engine import PendingRecord, stamp_records
 from ..engine.futures import CoordinationTicket
 from ..engine.staleness import Clock, NeverStale, StalenessPolicy, \
     SystemClock
-from ..engine.runtime import require_tables
+from ..engine.runtime import check_block
 from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ValidationError
 from ..obs import MetricsRegistry, TRACER, merge_snapshots
@@ -188,15 +188,11 @@ class ShardedCoordinator(CoordinationService):
         self._head_index = AtomIndex()
         self._pc_index = AtomIndex()
         self._shard_of: dict = {}
-        # qid -> (working, seq, submitted_at); the coordinator's own
-        # copy of every pending record and the one source of the
-        # records migration, restores and snapshots hand out (see
-        # _pending_records) — no worker keeps or returns a copy.
+        # qid -> PendingRecord, stamped at this front door: the
+        # coordinator's own copy of every pending record, the one a
+        # shard adopts on submission, and the one migration, restores,
+        # re-homing and snapshots hand out — no worker returns a copy.
         self._pending_meta: dict = {}
-        # qid -> trace id, maintained only while tracing is enabled;
-        # stamps migration/re-home/snapshot records so a query keeps
-        # its originating trace wherever it lands.
-        self._trace_ids: dict = {}
         self._tickets: dict = {}
         self._used_ids: set = set()
         self._next_seq = 0
@@ -432,16 +428,14 @@ class ShardedCoordinator(CoordinationService):
             return
         for pair in groups:
             # Group order is arrival order (matches export order).
-            groups[pair].sort(
-                key=lambda query_id: self._pending_meta[query_id][1])
+            groups[pair].sort(key=self._arrival_seq)
         self._exchange(groups)
 
     def _exchange(self, groups: dict) -> None:
         """Batched moves: detach → import, one exchange per (source,
         destination) group, each step pipelined across pairs.  The
-        source keeps nothing; the destination imports records built
-        from the coordinator's own copy (:meth:`_pending_records`),
-        which is the only copy.
+        source keeps nothing; the destination imports the
+        coordinator's own records, which are the only copy.
 
         Every group ends up on exactly one shard, whichever side fails
         at whichever step.  A group whose detach failed never left its
@@ -479,7 +473,8 @@ class ShardedCoordinator(CoordinationService):
             errors += self._restore(groups, pairs, detached)
         else:
             import_calls = [(pair, backends[pair[1]].call_import(
-                                self._pending_records(groups[pair])))
+                                [self._pending_meta[query_id]
+                                 for query_id in groups[pair]]))
                             for pair in pairs]
             failed: list = []
             for pair, call in import_calls:
@@ -527,15 +522,8 @@ class ShardedCoordinator(CoordinationService):
                 lost.append(error)
         return lost
 
-    def _pending_records(self, query_ids) -> list[PendingRecord]:
-        """The coordinator's copy of pending records, in *query_ids*
-        order.  Shard engines hold the same values — their clocks are
-        pinned to the ``now`` each command carries — so this copy is
-        what migration, restores, re-homing and snapshots hand out."""
-        trace_ids = self._trace_ids
-        return [PendingRecord(*self._pending_meta[query_id],
-                              trace_ids.get(query_id))
-                for query_id in query_ids]
+    def _arrival_seq(self, query_id) -> int:
+        return self._pending_meta[query_id].arrival_seq
 
     def _rehome(self, query_ids: list, first: int | None = None,
                 exclude: set = frozenset()) -> None:
@@ -546,7 +534,7 @@ class ShardedCoordinator(CoordinationService):
         never coordinate against older data than the rest of the
         fleet.  Raises :class:`ShardMigrationError` when no shard took
         them."""
-        records = self._pending_records(query_ids)
+        records = [self._pending_meta[query_id] for query_id in query_ids]
         candidates = [shard for shard in self._live_shards()
                       if shard not in exclude and shard != first]
         if first is not None and first not in self._dead:
@@ -732,9 +720,9 @@ class ShardedCoordinator(CoordinationService):
         """Remove a dead worker from the fleet and adopt its pending
         components on a healthy shard.
 
-        The coordinator holds its own copy of every pending record
-        (working query, global arrival seq, submission instant), so the
-        dead worker's cooperation is not needed (see :meth:`_rehome`).
+        The coordinator holds its own copy of every pending record, so
+        the dead worker's cooperation is not needed (see
+        :meth:`_rehome`).
         """
         backend = self._backends[shard]
         self._dead.add(shard)
@@ -749,7 +737,7 @@ class ShardedCoordinator(CoordinationService):
         stranded = sorted(
             (query_id for query_id, owner in self._shard_of.items()
              if owner == shard),
-            key=lambda query_id: self._pending_meta[query_id][1])
+            key=self._arrival_seq)
         if stranded:
             try:
                 self._rehome(stranded)
@@ -763,100 +751,74 @@ class ShardedCoordinator(CoordinationService):
     # submission
     # ------------------------------------------------------------------
 
-    def _register(self, working: EntangledQuery, seq: int,
-                  ticket: CoordinationTicket, now: float) -> None:
-        query_id = working.query_id
-        self._used_ids.add(query_id)
-        self._pending_meta[query_id] = (working, seq, now)
-        self._tickets[query_id] = ticket
-        self._submitted += 1
-
     def submit_many(self, queries: Iterable[EntangledQuery]
                     ) -> list[CoordinationTicket]:
         """Submit a block through the shards' batched pipelines (the
         one admission path; ``submit`` is a block of one).
 
-        The block is validated whole against the coordinator's own
-        state and database (the primary) before anything is routed,
-        then routed (with migrations) up front, split into per-shard
-        sub-blocks preserving arrival order, and each shard ingests its
-        sub-block with the same deferred-drain semantics as
-        :meth:`D3CEngine.submit_many` — entangled block members are
+        The block is refused whole by :func:`~repro.engine.runtime.
+        check_block` against the coordinator's own state and database
+        (the primary) before anything is routed, then stamped
+        (:func:`~repro.engine.engine.stamp_records`: one global arrival
+        sequence and one trace id per query) and placed
+        (:meth:`_place`).  Each shard adopts its sub-block of records
+        as is and coordinates it with the same deferred-drain semantics
+        as :meth:`D3CEngine.submit_many` — entangled block members are
         always co-located, so the per-shard deferral reproduces the
         single engine's whole-block deferral.
         """
         queries = list(queries)
-        block_seen: set = set()
-        for query in queries:
-            query.validate()
-            query_id = query.query_id
-            if query_id in self._used_ids:
-                raise ValidationError(
-                    f"query id {query_id!r} already used in this "
-                    f"service")
-            if query_id in block_seen:
-                raise ValidationError(
-                    f"query id {query_id!r} appears twice in one block")
-            block_seen.add(query_id)
-            require_tables(self.database, query)
+        check_block(queries, self._used_ids, self.database)
         self._replicate()
+        records = stamp_records(queries, self._next_seq,
+                                self._clock.now())
+        self._next_seq += len(records)
+        tickets = self._place(records, ShardBackend.call_submit_block)
+        self._submitted += len(records)
+        self._drain_all_events()
+        self._maybe_autobatch()
+        return tickets
+
+    def _place(self, records: list[PendingRecord],
+               command) -> list[CoordinationTicket]:
+        """Route → register → dispatch: the one step that puts
+        records on the fleet, for submissions and restores alike.
+
+        The records are routed as one block (with migrations; see
+        :meth:`_route_block`), registered (burned id, coordinator copy,
+        fresh ticket), split into per-shard sub-blocks preserving
+        arrival order, and handed to the shards concurrently by
+        *command* — :meth:`ShardBackend.call_submit_block` (adopt and
+        coordinate) or :meth:`ShardBackend.call_import` (adopt only).
+        Results are collected in shard order.  Returns the tickets in
+        record order.
+        """
         tracer = TRACER
-        trace_ids: list | None = None
+        workings = [record.query for record in records]
         if tracer.enabled:
-            trace_ids = []
-            workings = []
-            for query in queries:
-                trace_id = tracer.new_trace_id()
-                tracer.event("query.submit", trace_id,
-                             query=str(query.query_id))
-                start_ns = time.perf_counter_ns()
-                workings.append(query.rename_apart())
-                tracer.record("query.rename_apart", start_ns, trace_id)
-                trace_ids.append(trace_id)
-        else:
-            workings = [query.rename_apart() for query in queries]
-        tickets = [CoordinationTicket(query.query_id)
-                   for query in queries]
-        now = self._clock.now()
-        seqs = list(range(self._next_seq,
-                          self._next_seq + len(queries)))
-        self._next_seq += len(queries)
-        if tracer.enabled and trace_ids is not None:
             start_ns = time.perf_counter_ns()
             targets = self._route_block(workings)
             # One route span per block member (they share the block's
             # routing duration), each tagged with its final shard.
-            for working, trace_id, target in zip(workings, trace_ids,
-                                                 targets):
-                tracer.record("query.route", start_ns, trace_id,
+            for record, target in zip(records, targets):
+                tracer.record("query.route", start_ns, record.trace_id,
                               shard=target)
-                self._trace_ids[working.query_id] = trace_id
         else:
             targets = self._route_block(workings)
-        for working, seq, ticket in zip(workings, seqs, tickets):
-            self._register(working, seq, ticket, now)
-        blocks: dict[int, tuple[list, list, list]] = {}
-        for position, (working, seq, target) in enumerate(
-                zip(workings, seqs, targets)):
-            sub_queries, sub_seqs, sub_traces = blocks.setdefault(
-                target, ([], [], []))
-            sub_queries.append(working)
-            sub_seqs.append(seq)
-            if trace_ids is not None:
-                sub_traces.append(trace_ids[position])
-        # Fan out: every shard ingests its sub-block concurrently
-        # (process workers overlap on real cores); results collected
-        # and events applied in shard order for determinism.
-        calls = []
-        for target in sorted(blocks):
-            sub_queries, sub_seqs, sub_traces = blocks[target]
-            calls.append(self._backends[target].call_submit_block(
-                sub_queries, sub_seqs, now,
-                trace_ids=sub_traces if trace_ids is not None else None))
+        tickets: list[CoordinationTicket] = []
+        blocks: dict[int, list] = {}
+        for record, target in zip(records, targets):
+            query_id = record.query.query_id
+            ticket = CoordinationTicket(query_id)
+            tickets.append(ticket)
+            self._used_ids.add(query_id)
+            self._pending_meta[query_id] = record
+            self._tickets[query_id] = ticket
+            blocks.setdefault(target, []).append(record)
+        calls = [command(self._backends[target], blocks[target])
+                 for target in sorted(blocks)]
         for call in calls:
             call.result()
-        self._drain_all_events()
-        self._maybe_autobatch()
         return tickets
 
     def _maybe_autobatch(self) -> None:
@@ -912,11 +874,9 @@ class ShardedCoordinator(CoordinationService):
         from ..core.evaluate import FailureReason
         for kind, query_id, payload in events:
             ticket = self._tickets.pop(query_id, None)
-            if self._trace_ids:
-                self._trace_ids.pop(query_id, None)
-            meta = self._pending_meta.pop(query_id, None)
-            if meta is not None:
-                self._unindex_query(meta[0])
+            record = self._pending_meta.pop(query_id, None)
+            if record is not None:
+                self._unindex_query(record.query)
             self._shard_of.pop(query_id, None)
             if ticket is None:
                 continue
@@ -944,15 +904,16 @@ class ShardedCoordinator(CoordinationService):
         """The coordinator's durable state as a wire-safe payload
         (:func:`~repro.service.state_payload`).
 
-        The pending set is the coordinator's ``_pending_meta`` copy —
-        workers are not consulted.  Shard placement is deliberately
+        The pending set is the coordinator's own records — workers are
+        not consulted.  Shard placement is deliberately
         *not* captured: restore re-routes the pending set onto whatever
         fleet shape the recovering caller builds, which is also what
         re-homing after a worker death does.
         """
         return state_payload(
             self.database, next_seq=self._next_seq,
-            records=self._pending_records(self.pending_ids()),
+            records=[self._pending_meta[query_id]
+                     for query_id in self.pending_ids()],
             used_ids=self._used_ids, submitted=self._submitted,
             answered=self._answered, failed=self._failed,
             dump_cache=dump_cache)
@@ -963,14 +924,16 @@ class ShardedCoordinator(CoordinationService):
                       failed: Counter | None = None) -> dict:
         """Reinstate a recovered coordinator history onto fresh shards.
 
-        Every id in *used_ids* is burned.  *records* are :class:`~repro.engine.engine.PendingRecord`\\ s of
-        every pending query (the whole fleet's, in any order); they are
-        routed as one block — every coordination partner is in the
-        block, so routing is purely logical and no cross-shard
-        migrations run — and imported shard by shard with their
-        original sequence numbers and submission instants, exactly as
-        re-homing a dead shard's components does.  Returns
-        ``{query_id: ticket}`` with fresh unsettled tickets.
+        Every id in *used_ids* is burned.  *records* are the
+        :class:`~repro.engine.engine.PendingRecord`\\ s of every pending
+        query (the whole fleet's, in any order); they are placed as one
+        block by the step a submission takes (:meth:`_place`) — every
+        coordination partner is in the block, so routing is purely
+        logical and no cross-shard migrations run — but imported, not
+        submitted: adopted with their original sequence numbers,
+        submission instants and trace ids, exactly as re-homing a dead
+        shard's components does.  Returns ``{query_id: ticket}`` with
+        fresh unsettled tickets.
 
         Raises :class:`~repro.errors.RecoveryError` over live state:
         the coordinator must have been constructed (over the recovered
@@ -987,27 +950,10 @@ class ShardedCoordinator(CoordinationService):
         self._submitted = submitted
         self._answered = answered
         self._failed = Counter(failed or ())
-        ordered = sorted(records, key=lambda record: record.arrival_seq)
-        tickets: dict = {}
-        for record in ordered:
-            query_id = record.query.query_id
-            ticket = CoordinationTicket(query_id)
-            self._used_ids.add(query_id)
-            self._pending_meta[query_id] = (record.query,
-                                            record.arrival_seq,
-                                            record.submitted_at)
-            if record.trace_id is not None:
-                self._trace_ids[query_id] = record.trace_id
-            self._tickets[query_id] = ticket
-            tickets[query_id] = ticket
-        workings = [record.query for record in ordered]
-        targets = self._route_block(workings)
-        groups: dict[int, list] = {}
-        for record, target in zip(ordered, targets):
-            groups.setdefault(target, []).append(record)
-        for shard in sorted(groups):
-            self._backends[shard].call_import(groups[shard]).result()
-        return tickets
+        tickets = self._place(
+            sorted(records, key=lambda record: record.arrival_seq),
+            ShardBackend.call_import)
+        return {ticket.query_id: ticket for ticket in tickets}
 
     # ------------------------------------------------------------------
     # introspection
@@ -1020,9 +966,7 @@ class ShardedCoordinator(CoordinationService):
 
     def pending_ids(self) -> list:
         """Ids of pending queries, in global arrival order."""
-        return sorted(self._tickets,
-                      key=lambda query_id:
-                      self._pending_meta[query_id][1])
+        return sorted(self._tickets, key=self._arrival_seq)
 
     def partition_sizes(self) -> list[int]:
         """Component sizes across all shards, largest first (snapshots

@@ -27,9 +27,10 @@ result), so draining stays in worker execution order no matter how
 replies interleave with other in-flight calls.
 
 Two layers cross the boundary, and only one of them is ours.  The
-payload *trees* inside a frame — queries, settled answers, the pending
-records an import adopts (:func:`repro.dataio.record_to_payload`),
-``db_delta`` blocks — are dicts, lists, and scalars in the stable
+payload *trees* inside a frame — settled answers, the pending records a
+``submit_block`` or an ``import`` carries
+(:func:`repro.dataio.record_to_payload`), ``db_delta`` blocks — are
+dicts, lists, and scalars in the stable
 :mod:`repro.dataio` wire format (:func:`~repro.dataio.to_payload` /
 :func:`~repro.dataio.from_payload`), so no live object and no class
 identity travels; a codec at each frame edge (``_encode_args`` /
@@ -41,11 +42,11 @@ deliberately not
 :func:`repro.dataio.frame_record`: the pipe is a trusted channel
 between two processes of one revision, where a CRC detects nothing the
 kernel does not already guarantee, and pickle is the cheaper carrier of
-an already-plain tree (a 60-query ``submit_block`` frame: 97 µs to
-encode / 237 µs to decode and 13.9 KB pickled, against 330 / 219 µs and
-18.0 KB through ``frame_record`` / ``unframe_records``; a 32-answer
-reply 12 / 20 µs against 62 / 34 µs — about +0.3 ms per round per
-shard for nothing; see EXPERIMENTS.md).
+an already-plain tree (a 60-record ``submit_block`` frame is 15.0 KB
+pickled against 19.5 KB through ``frame_record`` /
+``unframe_records``, and a 32-answer reply encodes / decodes in
+12 / 20 µs against 62 / 34 µs; the envelope costs about +0.3 ms per
+round per shard for nothing — timings in EXPERIMENTS.md).
 
 Workers are started with the ``spawn`` method: the coordinator's
 process may be running threads (forking one is lock-roulette), and
@@ -189,15 +190,13 @@ def _start_host(config: dict) -> ShardHost:
 #
 # Commands take and return live objects on both transports; only these
 # four functions know that a pipe sits between coordinator and host.
-# They key on arg names, never on op names: ``queries`` (a submit
-# block) and an import's ``records`` are the only live arguments,
-# answers and failure reasons the only live event payloads.
+# They key on arg names, never on op names: ``records`` (a submit
+# block's or an import's) is the only live argument, answers and
+# failure reasons the only live event payloads.
 
 
 def _encode_args(args: dict) -> dict:
-    from ..dataio import record_to_payload, to_payload
-    if "queries" in args:
-        args["queries"] = [to_payload(query) for query in args["queries"]]
+    from ..dataio import record_to_payload
     if "records" in args:
         args["records"] = [record_to_payload(record)
                            for record in args["records"]]
@@ -205,9 +204,7 @@ def _encode_args(args: dict) -> dict:
 
 
 def _decode_args(args: dict) -> dict:
-    from ..dataio import decode_queries, decode_records
-    if "queries" in args:
-        args["queries"] = decode_queries(args["queries"])
+    from ..dataio import decode_records
     if "records" in args:
         args["records"] = decode_records(args["records"])
     return args

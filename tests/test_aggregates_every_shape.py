@@ -320,7 +320,7 @@ def test_aggregate_query_survives_snapshot_and_replay(tmp_path):
     try:
         assert recovered.pending_ids() == [query.query_id
                                            for query in queries[:3]]
-        (restored, *_) = recovered.service._pending["jerry"]
+        restored = recovered.service._pending["jerry"][0].query
         assert restored.aggregates == queries[0].rename_apart().aggregates
         tickets = recovered.restored_tickets
         tickets["f-Newman"] = recovered.submit(queries[3])

@@ -145,9 +145,8 @@ def _oracle_round_answers(engine: D3CEngine) -> dict:
     oracle = D3CEngine(engine.database, mode="batch")
     tickets = {}
     for query_id in engine.pending_ids():
-        working, _, _ = engine._pending[query_id]
-        (tickets[query_id],) = oracle.submit_many(
-            [working], arrival_seqs=[engine._arrival[query_id]])
+        record, _ = engine._pending[query_id]
+        tickets.update(oracle.import_pending([record]))
     oracle.run_batch()
     return {query_id: ticket.answer.rows
             for query_id, ticket in tickets.items()

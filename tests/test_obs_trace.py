@@ -182,6 +182,31 @@ def test_process_backend_yields_one_stitched_trace():
     assert worker_sites == {"shard0", "shard1"}
 
 
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_a_sharded_query_is_submitted_and_renamed_once(backend):
+    """The fleet stamps each query's record at its front door and the
+    shard adopts it as is: one ``query.submit`` and one
+    ``query.rename_apart`` span per query, both at the coordinator —
+    never a second pair from the shard engine."""
+    set_tracing(True)
+    network = generate_social_network(num_users=120, seed=3,
+                                      planted_cliques={4: 4})
+    database = build_flight_database(network)
+    queries = two_way_pairs(network, 16, specific=True, seed=3)
+    with ShardedCoordinator(database, num_shards=2, backend=backend,
+                            mode="batch") as coordinator:
+        coordinator.submit_many(queries)
+        assert coordinator.run_batch() > 0
+    traces = TRACER.traces()
+    traces.pop(None, None)
+    assert len(traces) == len(queries)
+    for spans in traces.values():
+        names = _by_name(spans)
+        for name in ("query.submit", "query.rename_apart"):
+            (span,) = names[name]
+            assert span.site == "coordinator"
+
+
 def test_migrated_queries_keep_their_originating_trace_id():
     set_tracing(True)
     network = generate_social_network(num_users=300, seed=5,

@@ -48,7 +48,8 @@ class Oracle:
         # The engine's pending map preserves arrival order and holds
         # the renamed-apart working copies — exactly what a fresh
         # graph build needs.
-        self.pending = [entry[0] for entry in engine._pending.values()]
+        self.pending = [record.query
+                        for record, _ in engine._pending.values()]
         self.graph = UnifiabilityGraph()
         for query in self.pending:
             self.graph.add_query(query)
@@ -159,7 +160,7 @@ def test_batch_rounds_match_fullrecompute_oracle(setup, seed):
             # full recompute round would, with identical rows.
             expected = oracle.round_answers(database)
             before = {ticket.query_id
-                      for _, ticket, _ in engine._pending.values()}
+                      for _, ticket in engine._pending.values()}
             answered = engine.run_batch()
             rounds += 1
             still = set(engine.pending_ids())

@@ -20,7 +20,7 @@ from repro.dataio import dump_database, load_database, \
 from repro.db import Database
 from repro.durability import DurableCoordinator, DurableEngine
 from repro.durability.snapshots import SnapshotStore
-from repro.engine.engine import D3CEngine
+from repro.engine.engine import D3CEngine, stamp_records
 from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock
 from repro.engine.stats import EngineStats
@@ -30,7 +30,8 @@ from repro.server import ServerClient, ServerCommandError
 from repro.server.protocol import INVALID
 from repro.service import CoordinationService
 from repro.shard import ShardedCoordinator
-from repro.workloads import build_intro_database
+from repro.workloads import (build_flight_database, build_intro_database,
+                             generate_social_network, two_way_pairs)
 
 from test_aggregates_every_shape import _spawn_server, _stop
 
@@ -80,6 +81,16 @@ def _loner():
 def _ghost():
     """A query over a table the intro database lacks."""
     return _query("{} R(Ghost, z) <- NoSuchTable(z)", "ghost")
+
+
+def _misread():
+    """A query reading ``Flights`` (two columns) at arity one."""
+    return _query("{} R(Ghost, z) <- Flights(z)", "ghost")
+
+
+#: Each query admission refuses, with the text its ``SchemaError``
+#: names.
+UNREADABLE = [(_ghost, "NoSuchTable"), (_misread, "arity")]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -196,13 +207,14 @@ def test_missing_table_is_refused_before_anything_is_admitted(shape,
         seq, pending = service.next_arrival_seq, service.pending_ids()
         journalled = getattr(service, "commands_applied", None)
         # Alone or behind a valid query, the block is refused whole.
-        for block in ([_ghost()], [_pair()[0], _ghost()]):
-            with pytest.raises(SchemaError, match="NoSuchTable"):
-                service.submit_many(block)
-            assert service.next_arrival_seq == seq
-            assert service.pending_ids() == pending
-            assert getattr(service, "commands_applied", None) \
-                == journalled
+        for unreadable, named in UNREADABLE:
+            for block in ([unreadable()], [_pair()[0], unreadable()]):
+                with pytest.raises(SchemaError, match=named):
+                    service.submit_many(block)
+                assert service.next_arrival_seq == seq
+                assert service.pending_ids() == pending
+                assert getattr(service, "commands_applied", None) \
+                    == journalled
         if shape == "fleet-process":
             # Table DDL does not replicate to process workers: the id
             # comes back over a table the replicas hold.
@@ -229,12 +241,16 @@ def test_served_child_refuses_a_missing_table_unjournalled(tmp_path):
     async def scenario():
         client = await ServerClient.connect_unix(sock_path)
         try:
-            with pytest.raises(ServerCommandError) as caught:
-                await client.submit([_ghost()], timeout=30)
+            codes = set()
+            for unreadable, _ in UNREADABLE:
+                with pytest.raises(ServerCommandError) as caught:
+                    await client.submit([unreadable()], timeout=30)
+                codes.add(caught.value.code)
+            (code,) = codes
             pending = await client.pending(timeout=30)
             await client.submit(_pair(), timeout=30)
             answered = await client.run_batch(timeout=30)
-            return caught.value.code, pending, answered
+            return code, pending, answered
         finally:
             await client.close()
     try:
@@ -276,6 +292,40 @@ def test_submit_callback_fires_once_on_a_ticket_settled_in_the_call(
             == ["jerry", "kramer"]
     finally:
         service.close()
+
+
+@pytest.mark.parametrize("safety", ["off", "reject"])
+def test_submit_and_import_adopt_through_one_body(safety):
+    """One body makes a query pending: the same records submitted
+    (``submit_many``) or imported (``import_pending``) leave the same
+    engine after a round — pending set, burned ids, arrival counter,
+    partitions and outcomes, the safety screen's included."""
+    network = generate_social_network(num_users=80, seed=4)
+    database = build_flight_database(network)
+    # Every fifth arrival dropped: some pairs answer, some wait.
+    queries = [query for position, query in
+               enumerate(two_way_pairs(network, 40, seed=4))
+               if position % 5]
+    clock = ManualClock(3.0)
+    submitted, imported = (
+        D3CEngine(database, mode="batch", safety=safety, clock=clock)
+        for _ in range(2))
+    records = stamp_records(queries, 0, clock.now())
+    by_submit = submitted.submit_many(queries)
+    by_import = imported.import_pending(records)
+    assert submitted.run_batch() == imported.run_batch() > 0
+
+    def state(engine):
+        snapshot = engine.snapshot_state()
+        # An import adopts; it is not a submission.
+        del snapshot["counters"]["submitted"]
+        return snapshot
+    assert state(submitted) == state(imported)
+    assert submitted.pending_ids() == imported.pending_ids() != []
+    assert submitted.partition_sizes() == imported.partition_sizes()
+    assert [(ticket.query_id, ticket.state) for ticket in by_submit] \
+        == [(ticket.query_id, ticket.state)
+            for ticket in by_import.values()]
 
 
 # ----------------------------------------------------------------------

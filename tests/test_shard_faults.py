@@ -351,9 +351,9 @@ def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
         pair = [query.rename_apart()
                 for query in make_pair("z1", "z2", "user1", "user2",
                                        "ORD")]
-        source.call_submit_block(pair, [0, 1], 0.0).result()
-        source.call_detach(["z1", "z2"]).result()
         payload = [PendingRecord(query, seq, 0.0) for seq, query in enumerate(pair)]
+        source.call_submit_block(payload).result()
+        source.call_detach(["z1", "z2"]).result()
 
         target._process.kill()
         target._process.join(5)

@@ -67,7 +67,8 @@ def test_settle_flood_during_inflight_call_keeps_order():
                    for index in range(6)
                    for query in _settling_pair(f"p{index}")]
         submit_call = backend.call_submit_block(
-            queries, list(range(len(queries))), 0.0)
+            [PendingRecord(query, seq, 0.0)
+             for seq, query in enumerate(queries)])
         round_call = backend.call_run_batch(0.0)  # will settle all 12
         stats_call = backend.call_metrics()  # three commands in flight
 
@@ -95,10 +96,12 @@ def test_settle_flood_during_inflight_call_keeps_order():
 def test_events_from_pipelined_commands_keep_worker_order():
     backend = _backend(staleness=("timeout", 1.0))
     try:
-        backend.call_submit_block([_filler("old").rename_apart()], [0],
-                                  0.0).result()
+        backend.call_submit_block(
+            [PendingRecord(_filler("old").rename_apart(), 0, 0.0)]).result()
         pair = [query.rename_apart() for query in _settling_pair("new")]
-        backend.call_submit_block(pair, [1, 2], 4.5).result()
+        backend.call_submit_block([PendingRecord(query, seq, 4.5)
+                                   for seq, query in enumerate(pair, 1)]
+                                  ).result()
 
         expire_call = backend.call_expire(5.0)  # expires "old" only
         round_call = backend.call_run_batch(5.0)  # answers the pair
@@ -181,7 +184,8 @@ _LONER = _filler("loner").rename_apart()
 #: its version — and the rest are driven on their happy path.  Every
 #: argument encodes, so on the pipe the failure is the worker's.
 COMMANDS = {
-    "call_submit_block": (([_LONER], [], 0.0), ValidationError),
+    "call_submit_block": (([PendingRecord(_LONER, 0, 0.0)] * 2,),
+                          ValidationError),
     "call_run_batch": ((0.0,), None),
     "call_expire": ((0.0,), None),
     "call_members": (("ghost",), KeyError),

@@ -113,8 +113,8 @@ def test_import_preserves_arrival_order_across_engines(database):
     source = D3CEngine(database, mode="batch")
     target = D3CEngine(database, mode="batch")
     early, late = make_pair("early", "late", "user3", "user4", "JFK")
-    source.submit_many([early], arrival_seqs=[10])
-    target.submit_many([late], arrival_seqs=[20])
+    source.submit_records([PendingRecord(early.rename_apart(), 10, 0.0)])
+    target.submit_records([PendingRecord(late.rename_apart(), 20, 0.0)])
     target.import_pending(source.export_component(["early"]))
     # Arrival order (not import order) governs the pending view.
     assert target.pending_ids() == ["early", "late"]
@@ -189,13 +189,14 @@ def test_worker_error_replies_carry_prior_settlements():
     """A worker command that settles tickets and then fails must ship
     the settlements with the error reply — withholding them would
     desynchronize the coordinator's tickets from the shard engine."""
-    from repro.dataio import to_payload
     from repro.shard.process import _worker_main
 
     # An answerable pair (the tiny U table has data for both bodies)
-    # plus a pair whose bodies read U at the wrong arity (admitted —
-    # the table exists — but unevaluable): one run_batch settles the
-    # first component, then raises on the second.
+    # plus a pair whose bodies read U at the wrong arity: a front door
+    # refuses them, but a shard adopts the records it is sent without
+    # validating them again, so this hand-built frame admits them —
+    # unevaluable: one run_batch settles the first component, then
+    # raises on the second.
     town = Variable("c")
     good = [EntangledQuery(query_id="g1",
                            head=(atom("R", "A", "d"),),
@@ -221,9 +222,9 @@ def test_worker_error_replies_carry_prior_settlements():
     }
     connection = _FakeConnection([
         (1, "submit_block", {
-            "queries": [to_payload(query.rename_apart())
-                        for query in good + bad],
-            "seqs": [0, 1, 2, 3], "now": 0.0}),
+            "records": [record_to_payload(
+                            PendingRecord(query.rename_apart(), seq, 0.0))
+                        for seq, query in enumerate(good + bad)]}),
         (2, "run_batch", {"now": 0.0}),
     ])
     _worker_main(connection, config)
@@ -255,7 +256,8 @@ def backend_pair(database):
 def _submit_pair(backend, ids, users, destination, seqs):
     pair = [query.rename_apart() for query in
             make_pair(ids[0], ids[1], users[0], users[1], destination)]
-    backend.call_submit_block(pair, seqs, now=0.0).result()
+    backend.call_submit_block([PendingRecord(query, seq, 0.0)
+                               for query, seq in zip(pair, seqs)]).result()
     return pair
 
 

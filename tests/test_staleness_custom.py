@@ -118,7 +118,7 @@ def test_full_scan_expiry_in_arrival_order(small_flight_db):
     _pending_pairs(engine, 2)
     policy.blocked.update({"owner-0", "owner-1"})
     settled: list = []
-    for query_id, (_, ticket, _) in engine._pending.items():
+    for query_id, (_, ticket) in engine._pending.items():
         ticket.add_callback(
             lambda t: settled.append(t.query_id))
     assert engine.expire_stale() == 4
