@@ -79,11 +79,6 @@ class Database:
         self._tables[table_schema.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Remove a table and its data."""
-        self._catalog.drop(name)
-        del self._tables[name]
-
     def table_names(self) -> list[str]:
         """Names of all tables in the catalog."""
         return sorted(self._catalog)

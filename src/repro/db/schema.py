@@ -121,8 +121,3 @@ class Catalog:
             return self._schemas[name]
         except KeyError:
             raise SchemaError(f"no such table: {name!r}")
-
-    def drop(self, name: str) -> None:
-        if name not in self._schemas:
-            raise SchemaError(f"no such table: {name!r}")
-        del self._schemas[name]

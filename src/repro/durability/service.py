@@ -22,7 +22,11 @@ written **after** each command executes:
 
 Because frames land after execution, a crash between execute and
 append makes the in-flight command *never happened* — exactly the
-contract a torn final record gets — so recovery is uniform: rebuild
+contract a torn final record gets.  An append that *fails* (a full
+disk) leaves the same journal behind while this process has run the
+command, so the wrapper fail-stops: it writes nothing more, and every
+later command raises :class:`~repro.errors.RecoveryError` until the
+directory is recovered.  Recovery is uniform: rebuild
 from the newest valid snapshot, then fold the log suffix into plain
 state (no coordination is re-executed; answers were recorded when they
 were produced).  Recovery ends by restoring that state into a freshly
@@ -222,6 +226,13 @@ class _DurableService(CoordinationService):
     ``snapshot_log_bytes=N`` (a fixed segment size) are explicit
     overrides; naming any of them turns the derived rule off.
 
+    Fail-stop: once a journal append raises, the journal no longer
+    holds what this process ran.  The wrapper releases the segment
+    without flushing, raises :class:`~repro.errors.RecoveryError`
+    naming the directory for that command and every later one (none
+    executes), and :meth:`close` publishes no snapshot; the settlement
+    maps keep only what the journal holds.
+
     Restrictions: queries must be wire-serializable (an id, owner or
     constant the wire format cannot carry is rejected at submission,
     exactly as on the sharded service's wire format).
@@ -318,6 +329,8 @@ class _DurableService(CoordinationService):
         self._since_snapshot = 0
         self._suppress_deltas = False
         self._closed = False
+        #: Why the service stopped (a failed journal append), or None.
+        self._stopped: str | None = None
         self._events: list = []
         #: Per-table rendered-text cache for snapshot dumps (see
         #: :func:`repro.dataio.dump_database` — repeat snapshots
@@ -336,8 +349,8 @@ class _DurableService(CoordinationService):
         self._wal_bytes_total = 0
         self._snapshot_bytes_total = 0
         #: query_id -> answer payload / failure-reason value, for every
-        #: settlement this service ever produced (recovery rebuilds
-        #: both maps exactly — they are the oracle-equivalence surface).
+        #: journalled settlement (recovery rebuilds both maps exactly —
+        #: they are the oracle-equivalence surface).
         self.answers: dict = {}
         self.failures: dict = {}
         #: query_id -> fresh ticket for queries that were pending at
@@ -371,6 +384,26 @@ class _DurableService(CoordinationService):
     def _ensure_open(self) -> None:
         if self._closed:
             raise ValidationError("this durable service is closed")
+        if self._stopped is not None:
+            raise RecoveryError(self._stopped)
+
+    def _fail_stop(self, error: BaseException) -> RecoveryError:
+        """Stop after a failed append (see the class docstring)."""
+        self._stopped = (
+            f"{self._store.root}: a journal append failed "
+            f"({type(error).__name__}: {error}); the service is "
+            f"stopped, recover the directory to continue")
+        self._log.abandon()
+        return RecoveryError(self._stopped)
+
+    def _publish(self, events: list) -> None:
+        """Fold journalled settlement *events* into the maps."""
+        for kind, query_id, payload in events:
+            if kind == "answered":
+                self.answers[query_id] = payload
+            else:
+                self.failures[query_id] = payload
+        del events[:]
 
     def _command(self, op: str, fields: str,
                  execute: Callable[[], object]):
@@ -385,7 +418,7 @@ class _DurableService(CoordinationService):
         inside its frame; if the command raises after settling
         tickets, the events are salvaged into a ``wal_settle`` frame
         (the settlements are real — their tickets fired) and the
-        exception propagates.
+        exception propagates.  A failed append fail-stops.
         """
         self._ensure_open()
         self._pinned.set(self._clock.now())
@@ -394,27 +427,34 @@ class _DurableService(CoordinationService):
         # The one serialization of the frame: the events (which do not
         # exist yet) are spliced in after execution.
         body = head[:-1] + fields
-        del self._events[:]
+        events = self._events
+        del events[:]
         try:
             result = execute()
         except BaseException:
-            if self._events:
-                self._log.append({"wire": WIRE_VERSION,
-                                  "kind": "wal_settle",
-                                  "events": list(self._events)})
-                del self._events[:]
+            if events:
+                try:
+                    self._log.append({"wire": WIRE_VERSION,
+                                      "kind": "wal_settle",
+                                      "events": events})
+                except BaseException as error:
+                    raise self._fail_stop(error) from error
+                self._publish(events)
             raise
-        events = compact_json(self._events)
-        del self._events[:]
-        framed = (body + ',"events":' + events + "}").encode("utf-8")
+        framed = (body + ',"events":' + compact_json(events)
+                  + "}").encode("utf-8")
         tracer = TRACER
-        if tracer.enabled:
-            start_ns = time.perf_counter_ns()
-            self._log.append_body(framed)
-            tracer.record("wal.append", start_ns, None, op=op,
-                          bytes=len(framed))
-        else:
-            self._log.append_body(framed)
+        try:
+            if tracer.enabled:
+                start_ns = time.perf_counter_ns()
+                self._log.append_body(framed)
+                tracer.record("wal.append", start_ns, None, op=op,
+                              bytes=len(framed))
+            else:
+                self._log.append_body(framed)
+        except BaseException as error:
+            raise self._fail_stop(error) from error
+        self._publish(events)
         self.commands_applied += 1
         self._since_snapshot += 1
         if (self._snapshot_every
@@ -432,15 +472,12 @@ class _DurableService(CoordinationService):
         return result
 
     def _on_settle(self, ticket: CoordinationTicket) -> None:
-        query_id = ticket.query_id
         if ticket.state is TicketState.ANSWERED:
-            payload = to_payload(ticket.answer)
-            self._events.append(["answered", query_id, payload])
-            self.answers[query_id] = payload
+            self._events.append(["answered", ticket.query_id,
+                                 to_payload(ticket.answer)])
         else:
-            value = ticket.failure_reason.value
-            self._events.append(["failed", query_id, value])
-            self.failures[query_id] = value
+            self._events.append(["failed", ticket.query_id,
+                                 ticket.failure_reason.value])
 
     def _on_delta(self, delta) -> None:
         """Database mutation listener: journal out-of-band mutations.
@@ -453,8 +490,12 @@ class _DurableService(CoordinationService):
         """
         if self._suppress_deltas or self._closed:
             return
-        self._log.append({"wire": WIRE_VERSION, "kind": "wal_delta",
-                          "delta": delta_to_payload(delta)})
+        self._ensure_open()
+        try:
+            self._log.append({"wire": WIRE_VERSION, "kind": "wal_delta",
+                              "delta": delta_to_payload(delta)})
+        except BaseException as error:
+            raise self._fail_stop(error) from error
 
     # -- snapshots and lifecycle ---------------------------------------
 
@@ -526,9 +567,14 @@ class _DurableService(CoordinationService):
         """Snapshot, sync, and release resources (idempotent).
 
         A cleanly closed service reopens from its final snapshot with
-        an empty log — recovery is instant.
+        an empty log — recovery is instant.  A stopped one publishes
+        nothing: its directory recovers to the journalled state.
         """
         if self._closed:
+            return
+        if self._stopped is not None:
+            self._closed = True
+            self.service.close()
             return
         try:
             self.snapshot()

@@ -77,6 +77,17 @@ class WriteAheadLog:
         self._since_sync = 0
         self.syncs += 1
 
+    def abandon(self) -> None:
+        """Release the segment without writing another byte.
+
+        A failed append can leave its frame in the write buffer; the
+        flush a :meth:`close` does would land it after its caller was
+        told the append failed.  Closing the raw file first turns the
+        buffered close into a no-op.
+        """
+        self._file.raw.close()
+        self._file.close()
+
     def close(self) -> None:
         """Sync and close the segment (idempotent)."""
         if self._file.closed:

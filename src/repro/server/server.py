@@ -31,10 +31,14 @@ command dequeued past it is dropped unexecuted with ``TIMEOUT``.
 Settlements route back to the connection that submitted the query:
 ticket callbacks (synchronous, fired inside engine calls) append
 ``evt`` frames to a per-connection backlog the consumer flushes after
-every command.  Settlements for vanished connections are counted and
-dropped; late or reconnecting clients recover outcomes through the
-``resolved`` op, which (for durable services) is seeded across crashes
-from the journal's answer/failure maps.
+every command.  A command that raises
+:class:`~repro.errors.RecoveryError` — a durable service whose journal
+append failed, and which now refuses every command — has its
+settlements withdrawn before the flush: the journal never saw them,
+so no client may either.  Settlements for vanished connections are
+counted and dropped; late or reconnecting clients recover outcomes
+through the ``resolved`` op, which (for durable services) is seeded
+across crashes from the journal's answer/failure maps.
 
 Graceful drain (``drain()``, wired to SIGTERM by ``repro serve``)
 stops the listeners, sheds new requests with ``SHUTTING_DOWN``,
@@ -61,7 +65,7 @@ from typing import Callable, Optional
 from ..dataio import decode_queries, to_payload
 from ..engine.futures import TicketState
 from ..engine.stats import EngineStats
-from ..errors import ReproError, ValidationError
+from ..errors import RecoveryError, ReproError, ValidationError
 from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.trace import TRACER
 from ..service import CoordinationService
@@ -168,6 +172,8 @@ class CoordinationServer:
         self._answers: dict = {}
         self._failures: dict = {}
         self._event_backlog: dict = {}
+        #: Ids settled by the command executing now.
+        self._settled: list = []
         self._connections: set = set()
         self._listeners: list = []
         self._consumer: Optional[asyncio.Task] = None
@@ -464,8 +470,13 @@ class CoordinationServer:
             self._metrics.inc("server.dropped.disconnected")
             return
         started = perf_counter_ns()
+        del self._settled[:]
         try:
             result, order = self._execute(conn, op, frame["args"])
+        except RecoveryError as error:
+            self._withdraw_settlements()
+            self._metrics.inc("server.internal_errors")
+            reply = error_reply(req_id, INTERNAL, str(error))
         except ReproError as error:
             self._metrics.inc("server.invalid_requests")
             reply = error_reply(req_id, INVALID, str(error))
@@ -544,6 +555,7 @@ class CoordinationServer:
 
     def _on_settle(self, ticket) -> None:
         query_id = ticket.query_id
+        self._settled.append(query_id)
         conn = self._owners.pop(query_id, None)
         if ticket.state is TicketState.ANSWERED:
             payload = to_payload(ticket.answer)
@@ -558,6 +570,15 @@ class CoordinationServer:
             self._metrics.inc("server.events.dropped")
             return
         self._event_backlog.setdefault(conn, []).append(frame)
+
+    def _withdraw_settlements(self) -> None:
+        """Forget what the failed command settled: its events (the
+        backlog holds nothing else between commands) and its
+        outcomes."""
+        self._event_backlog.clear()
+        for query_id in self._settled:
+            self._answers.pop(query_id, None)
+            self._failures.pop(query_id, None)
 
     async def _flush_events(self) -> None:
         """Push every backlogged settlement, one write per connection

@@ -1,7 +1,7 @@
 """The paper's §6 aggregates give one outcome on every service shape.
 
 Jerry attends a Friday party only if more than *n* of his friends
-attend the same one (``tests/test_extensions.py::jerry_aggregate_query``);
+attend the same one (``tests/servicekit.py::jerry_aggregate_query``);
 each friend attends whichever party Jerry attends.  ``coordinate()`` is
 the set-at-a-time reference: every shape — engine in batch mode and
 with the incremental component strategy, in-process and process
@@ -20,12 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import signal
-import socket
-import subprocess
-import sys
-import time
 from dataclasses import replace
 
 import pytest
@@ -35,19 +29,16 @@ from repro.core.extensions import AggregateConstraint
 from repro.core.terms import atom
 from repro.dataio import dump_database, from_payload, to_payload
 from repro.db import Database
-from repro.durability import DurableCoordinator, DurableEngine
+from repro.durability import DurableEngine
 from repro.engine.engine import D3CEngine
 from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock
 from repro.lang import parse_ir
 from repro.server import ServerClient, ServerCommandError
 from repro.server.protocol import INVALID
-from repro.shard import ShardedCoordinator
 
-from test_extensions import friend_query, jerry_aggregate_query
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC_DIR = os.path.join(REPO_ROOT, "src")
+from servicekit import (GROUPS, build, friend_query, jerry_aggregate_query,
+                        run_model, single, spawn_server, stop)
 
 FRIENDS = ("Elaine", "George", "Newman")
 
@@ -90,82 +81,23 @@ def _reference(threshold: int, friends) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _in_process_shapes(tmp_path):
-    clock = dict(clock=ManualClock(), sync_every=None)
-    return {
-        "engine-batch": lambda db: D3CEngine(db, mode="batch"),
-        "engine-component": lambda db: D3CEngine(
-            db, mode="incremental", incremental_strategy="component"),
-        "fleet-inprocess": lambda db: ShardedCoordinator(
-            db, num_shards=2, mode="batch"),
-        "fleet-process": lambda db: ShardedCoordinator(
-            db, num_shards=2, backend="process", mode="batch"),
-        "durable-engine": lambda db: DurableEngine(
-            tmp_path / "wal", db, mode="batch", **clock),
-        "durable-fleet": lambda db: DurableCoordinator(
-            tmp_path / "wal", db, mode="batch", num_shards=2, **clock),
-    }
+#: Each shape gets coordinate()'s outcome on §6 parties the model
+#: machine draws (host ``U0``, some guests, a threshold of 0 or 1):
+#: its invariants hold every aggregate answer to its constraint, and its
+#: ground oracle a party's round to ``coordinate()``.
+MODEL_SHAPES = {
+    "engine-batch": single("engine", forget=True),
+    "engine-component": GROUPS["component"],
+    "fleet-inprocess": single("fleet", num_shards=2),
+    "fleet-process": single("fleet-process", num_shards=2),
+    "durable-engine": single("durable-engine"),
+    "durable-fleet": single("durable-fleet", num_shards=2),
+}
 
 
-SHAPES = ("engine-batch", "engine-component", "fleet-inprocess",
-          "fleet-process", "durable-engine", "durable-fleet")
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_every_in_process_shape_gives_coordinates_outcome(shape,
-                                                          tmp_path):
-    for case, (threshold, friends) in sorted(CASES.items()):
-        db = _party_db()
-        service = _in_process_shapes(tmp_path / case)[shape](db)
-        try:
-            tickets = [service.submit(query)
-                       for query in _queries(db, threshold, friends)]
-            service.run_batch()
-            answered = {ticket.query_id: ticket.answer.rows
-                        for ticket in tickets
-                        if ticket.state is TicketState.ANSWERED}
-            assert answered == _reference(threshold, friends), case
-            assert sorted(service.pending_ids()) == sorted(
-                ticket.query_id for ticket in tickets
-                if ticket.query_id not in answered), case
-        finally:
-            service.close()
-
-
-def _spawn_server(data_path, sock_path, wal_dir) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", str(data_path),
-         "--unix", str(sock_path), "--wal-dir", str(wal_dir)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise AssertionError(
-                f"server exited early:\n{process.stdout.read()}")
-        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            probe.connect(str(sock_path))
-        except OSError:
-            time.sleep(0.05)
-        else:
-            return process
-        finally:
-            probe.close()
-    process.kill()
-    process.wait()
-    raise AssertionError("server did not come up within 30s")
-
-
-def _stop(process: subprocess.Popen) -> None:
-    process.send_signal(signal.SIGTERM)
-    try:
-        process.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        process.kill()
-        process.wait()
-    process.stdout.close()
+@pytest.mark.parametrize("shape", sorted(MODEL_SHAPES))
+def test_every_in_process_shape_gives_coordinates_outcome(shape):
+    run_model(MODEL_SHAPES[shape], seed=6)
 
 
 def _serve(tmp_path, scenario):
@@ -175,7 +107,7 @@ def _serve(tmp_path, scenario):
     data_path.write_text(dump_database(_party_db()))
     sock_path = tmp_path / "srv.sock"
     wal_dir = tmp_path / "wal"
-    process = _spawn_server(data_path, sock_path, wal_dir)
+    process = spawn_server(data_path, sock_path, wal_dir)
 
     async def run():
         client = await ServerClient.connect_unix(sock_path)
@@ -186,7 +118,7 @@ def _serve(tmp_path, scenario):
     try:
         return asyncio.run(run()), wal_dir
     finally:
-        _stop(process)
+        stop(process)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -267,7 +199,7 @@ def test_delete_only_delta_lets_a_less_than_aggregate_answer(shape,
     db = _party_db()
     db.create_table("Busy", "name text")
     db.insert("Busy", [("Jerry",)])
-    service = _in_process_shapes(tmp_path)[shape](db)
+    service = build(shape, db)
     try:
         (ticket,) = service.submit_many([_unbusy_jerry(db)])
         assert service.run_batch() == 0
@@ -284,7 +216,7 @@ def test_insert_into_a_table_only_the_aggregate_reads_requeues(
         shape, tmp_path):
     db = _party_db()
     db.delete_rows("Friend", [("Jerry", "Newman")])
-    service = _in_process_shapes(tmp_path)[shape](db)
+    service = build(shape, db)
     try:
         tickets = service.submit_many(_queries(db, 2, FRIENDS))
         assert service.run_batch() == 0

@@ -11,11 +11,19 @@ sequence, pending records, tombstones, lifecycle counters, and the
 answers/failures maps — to be *byte-identical* to an uncrashed oracle
 run of the same scenario.
 
-22 randomized crash points across the single-engine service and both
-shard backends, plus the torn-final-record, stale-snapshot-long-tail,
-and clean-shutdown controls — and, under the *derived* snapshot
-cadence (the one a service gets when its caller names none), kills on,
-inside, and on either side of every generation it publishes.
+One real subprocess kill per configuration and mode — the engine, the
+in-process fleet and the process fleet after an append, the engine and
+the in-process fleet inside one — plus the torn-final-record,
+stale-snapshot-long-tail and clean-shutdown controls, and, under the
+*derived* snapshot cadence (the one a service gets when its caller
+names none), kills on, inside, and on either side of every generation
+it publishes.  The step coverage the sampled crash points below used to
+give is the model machine's (:class:`servicekit.ServiceModel`): its
+``crash`` rule recovers a copy of the live directory — what a kill -9
+leaves, since every append reaches the OS before it returns — under a
+drawn durable shape, and its ``journal_full`` rule is the in-process
+form of a death inside the append.  Each sampled point names a seeded
+run of it.
 """
 
 from __future__ import annotations
@@ -29,11 +37,8 @@ import pytest
 
 import crashkit
 from repro.durability import SnapshotStore
-from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock
-from repro.errors import ValidationError
-from repro.lang import parse_ir
-from repro.workloads import build_intro_database
+from servicekit import run_model, single
 
 CRASHKIT = os.path.join(os.path.dirname(__file__), "crashkit.py")
 SNAP_EVERY = 5
@@ -119,64 +124,62 @@ def _recover_and_resume(config, wal_dir, resume_step, workload,
         service.close()
 
 
-@pytest.mark.parametrize("crash_step", ENGINE_POST)
-def test_engine_recovers_after_kill9(tmp_path, workload, oracle,
-                                     crash_step):
+#: One real kill per (configuration, mode): the first sampled point.
+HONEST = [("engine", "post", ENGINE_POST[0]),
+          ("engine", "pre_append", ENGINE_PRE[0]),
+          ("coord-inprocess", "post", COORD_POST[0]),
+          ("coord-inprocess", "pre_append", COORD_PRE[0]),
+          ("coord-process", "post", PROC_POST[0])]
+
+
+@pytest.mark.parametrize("config, mode, crash_step", HONEST,
+                         ids=[f"{config}-{mode}"
+                              for config, mode, _ in HONEST])
+def test_kill9_recovers_to_the_uncrashed_state(tmp_path, workload,
+                                               oracle, config, mode,
+                                               crash_step):
+    """``post``: the step's frame landed, recovery resumes at the next
+    step.  ``pre_append``: the command executed in the doomed process
+    but its frame never landed — recovery must treat it as never
+    having happened and re-run it.  A SIGKILLed process fleet's
+    workers exit on pipe EOF, and recovery re-homes the pending set
+    onto a freshly spawned fleet."""
     wal_dir = tmp_path / "wal"
-    _crash_child("engine", wal_dir, workload, crash_step, "post")
-    got = _recover_and_resume("engine", wal_dir, crash_step + 1,
-                              workload)
-    assert got == oracle("engine")
+    _crash_child(config, wal_dir, workload, crash_step, mode)
+    resume = crash_step + 1 if mode == "post" else crash_step
+    got = _recover_and_resume(config, wal_dir, resume, workload)
+    assert got == oracle(config)
+
+
+#: The durable shape each sampled configuration names in the model.
+MODEL = {"engine": single("durable-engine"),
+         "coord-inprocess": single("durable-fleet", num_shards=2),
+         "coord-process": single("durable-fleet-process", num_shards=2)}
+
+
+@pytest.mark.parametrize("crash_step", ENGINE_POST)
+def test_engine_recovers_after_kill9(crash_step):
+    run_model(MODEL["engine"], seed=crash_step)
 
 
 @pytest.mark.parametrize("crash_step", ENGINE_PRE)
-def test_engine_recovers_from_crash_inside_append(tmp_path, workload,
-                                                  oracle, crash_step):
-    """The command executed in the doomed process but its frame never
-    landed — recovery must treat it as never having happened and
-    re-run it."""
-    wal_dir = tmp_path / "wal"
-    _crash_child("engine", wal_dir, workload, crash_step,
-                 "pre_append")
-    got = _recover_and_resume("engine", wal_dir, crash_step, workload)
-    assert got == oracle("engine")
+def test_engine_recovers_from_crash_inside_append(crash_step):
+    run_model(MODEL["engine"], seed=1000 + crash_step)
 
 
 @pytest.mark.parametrize("crash_step", COORD_POST)
-def test_sharded_inprocess_recovers_after_kill9(tmp_path, workload,
-                                                oracle, crash_step):
-    wal_dir = tmp_path / "wal"
-    _crash_child("coord-inprocess", wal_dir, workload, crash_step,
-                 "post")
-    got = _recover_and_resume("coord-inprocess", wal_dir,
-                              crash_step + 1, workload)
-    assert got == oracle("coord-inprocess")
+def test_sharded_inprocess_recovers_after_kill9(crash_step):
+    run_model(MODEL["coord-inprocess"], seed=crash_step)
 
 
 @pytest.mark.parametrize("crash_step", COORD_PRE)
-def test_sharded_inprocess_recovers_from_crash_inside_append(
-        tmp_path, workload, oracle, crash_step):
-    wal_dir = tmp_path / "wal"
-    _crash_child("coord-inprocess", wal_dir, workload, crash_step,
-                 "pre_append")
-    got = _recover_and_resume("coord-inprocess", wal_dir, crash_step,
-                              workload)
-    assert got == oracle("coord-inprocess")
+def test_sharded_inprocess_recovers_from_crash_inside_append(crash_step):
+    run_model(MODEL["coord-inprocess"], seed=1000 + crash_step)
 
 
 @pytest.mark.parametrize("crash_step", PROC_POST)
-def test_sharded_process_backend_recovers_after_kill9(tmp_path,
-                                                      workload, oracle,
-                                                      crash_step):
-    """Multiprocessing fleet: the SIGKILLed parent's workers exit on
-    pipe EOF, and recovery re-homes the pending set onto a freshly
-    spawned fleet."""
-    wal_dir = tmp_path / "wal"
-    _crash_child("coord-process", wal_dir, workload, crash_step,
-                 "post")
-    got = _recover_and_resume("coord-process", wal_dir, crash_step + 1,
-                              workload)
-    assert got == oracle("coord-process")
+def test_sharded_process_backend_recovers_after_kill9(crash_step):
+    run_model(MODEL["coord-process"], seed=crash_step)
 
 
 def test_recovery_reshapes_the_fleet(tmp_path, workload, oracle):
@@ -297,107 +300,27 @@ def test_fleet_recovers_around_derived_publications(
 # Cross-shape recovery: the directory records state, not the shape
 
 
-def _cross_shape_queries(tag):
-    return [
-        parse_ir("{Reservation(Jerry, x)} Reservation(Kramer, x) "
-                 "<- Flights(x, Paris)", f"kramer-{tag}"),
-        parse_ir("{Reservation(Kramer, y)} Reservation(Jerry, y) "
-                 "<- Flights(y, Paris), Airlines(y, United)",
-                 f"jerry-{tag}"),
-    ]
-
-
-def _cross_shape_loner():
-    return parse_ir("{Reservation(Nobody, z)} Reservation(Elaine, z) "
-                    "<- Flights(z, Rome)", "elaine")
+def _cross_shape(writer):
+    return single(writer, **({"num_shards": 2} if "fleet" in writer
+                             else {}))
 
 
 CROSS_SHAPE = pytest.mark.parametrize(
-    "writer, reader",
-    [(crashkit.DurableEngine, crashkit.DurableCoordinator),
-     (crashkit.DurableCoordinator, crashkit.DurableEngine)],
+    "writer", ["durable-engine", "durable-fleet"],
     ids=["engine-to-fleet", "fleet-to-engine"])
-CROSS_KWARGS = dict(sync_every=None, snapshot_every=None, mode="batch",
-                    staleness=crashkit.TimeoutStaleness(2.5))
-
-
-def _assert_history_carried_over(service, burned, next_seq):
-    """*service* refuses every id in *burned*, takes the released
-    (expired) id back, and continues the arrival counter."""
-    assert service.next_arrival_seq == next_seq
-    assert service.pending_count == 0
-    for query in (_cross_shape_queries("a") + _cross_shape_queries("b")):
-        if query.query_id in burned:
-            with pytest.raises(ValidationError, match="already used"):
-                service.submit(query)
-    assert set(service.answers) == burned
-    assert service.failures == {"elaine": "stale"}
-    retry = service.submit(_cross_shape_loner())
-    assert retry.state is TicketState.PENDING
-    assert service.next_arrival_seq == next_seq + 1
-    assert service.pending_ids() == ["elaine"]
 
 
 @CROSS_SHAPE
-def test_cross_shape_recovery_keeps_burned_ids(tmp_path, writer, reader):
+def test_cross_shape_recovery_keeps_burned_ids(writer):
     """``serve --wal-dir D`` then ``serve --wal-dir D --shards 2`` (or
-    the reverse): a directory closed by one durable shape and recovered
-    by the other still refuses every answered id, keeps an expired id
-    retryable, and continues the arrival counter."""
-    wal_dir = tmp_path / "wal"
-    clock = ManualClock()
-    with writer(wal_dir, build_intro_database(), clock=clock,
-                **CROSS_KWARGS) as service:
-        service.submit_many(_cross_shape_queries("a")
-                            + [_cross_shape_loner()])
-        assert service.run_batch() == 2
-        clock.advance(3.0)
-        assert service.expire_stale() == 1
-    recovered = reader.recover(wal_dir, clock=clock, **CROSS_KWARGS)
-    try:
-        assert recovered.restored_tickets == {}
-        _assert_history_carried_over(
-            recovered, {"kramer-a", "jerry-a"}, next_seq=3)
-    finally:
-        recovered.close()
-    # And back again: what the second shape snapshots, the first reads.
-    back = writer.recover(wal_dir, clock=clock, **CROSS_KWARGS)
-    try:
-        assert set(back.restored_tickets) == {"elaine"}
-        assert back.next_arrival_seq == 4
-        with pytest.raises(ValidationError, match="already used"):
-            back.submit(_cross_shape_queries("a")[0])
-    finally:
-        back.close()
+    the reverse): the model's crash rule recovers under engine and
+    fleet shapes alike, and its own verdict refuses every burned id."""
+    run_model(_cross_shape(writer), seed=15, examples=3)
 
 
 @CROSS_SHAPE
-def test_cross_shape_recovery_from_snapshot_plus_log_suffix(
-        tmp_path, writer, reader):
-    """The crashed variant: some ids were burned by the snapshot (in
-    the writer's dialect), others only by log frames after it — the
-    reader must refuse both kinds."""
-    wal_dir = tmp_path / "wal"
-    clock = ManualClock()
-    service = writer(wal_dir, build_intro_database(), clock=clock,
-                     **CROSS_KWARGS)
-    service.submit_many(_cross_shape_queries("a"))
-    assert service.run_batch() == 2
-    service.snapshot()              # "a" burned by the snapshot
-    service.submit_many(_cross_shape_queries("b")
-                        + [_cross_shape_loner()])
-    assert service.run_batch() == 2    # "b" burned by log frames only
-    clock.advance(3.0)
-    assert service.expire_stale() == 1
-    assert service.wal_bytes > 0
-    del service                     # crash: no final snapshot
-    recovered = reader.recover(wal_dir, clock=clock, **CROSS_KWARGS)
-    try:
-        _assert_history_carried_over(
-            recovered, {"kramer-a", "jerry-a", "kramer-b", "jerry-b"},
-            next_seq=5)
-    finally:
-        recovered.close()
+def test_cross_shape_recovery_from_snapshot_plus_log_suffix(writer):
+    run_model(_cross_shape(writer), seed=16, examples=3)
 
 
 def test_torn_final_record_drops_exactly_one_command(tmp_path,

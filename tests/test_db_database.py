@@ -30,14 +30,6 @@ class TestDdl:
         with pytest.raises(SchemaError):
             db.create_table("T", "b")
 
-    def test_drop_table(self):
-        db = Database()
-        db.create_table("T", "a")
-        db.drop_table("T")
-        assert not db.has_table("T")
-        with pytest.raises(SchemaError):
-            db.table("T")
-
     def test_unknown_table_access(self):
         with pytest.raises(SchemaError, match="no such table"):
             Database().table("ghost")

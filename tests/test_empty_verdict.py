@@ -8,8 +8,8 @@ of the failed one, so later closures are answered from the verdict —
 counted in ``closures_skipped_empty``, nothing built or evaluated —
 until a stamped table changes or the state is dropped.  Each test pins
 one way the verdict is dropped or kept; the randomized differential
-against an engine that never carries anything lives in
-``test_runtime_equivalence.py``.
+against an engine that never carries anything is the model machine's
+component group (``tests/servicekit.py``).
 """
 
 from __future__ import annotations
@@ -152,20 +152,6 @@ def test_dropped_by_a_write_to_a_read_table(write):
     engine.submit(_cluster_query(3))
     assert _counters(engine) == (2, 1)
     assert engine.stats.answered == 0
-
-
-def test_dropped_when_a_dropped_table_is_recreated():
-    """Same name, same version number, different table: the stamp
-    compares identity, like the planner's cache."""
-    engine = _engine_with_verdict()
-    database = engine.database
-    version = database.table("F").version
-    database.drop_table("F")
-    database.create_table("F", "a:text", "b:text")
-    database.insert("F", [("U0", "U1")])
-    assert database.table("F").version == version
-    engine.submit(_cluster_query(2))
-    assert _counters(engine) == (2, 0)
 
 
 def test_dropped_by_expiry_of_a_member():

@@ -8,9 +8,8 @@ from repro.core.evaluate import FailureReason, coordinate
 from repro.core.extensions import AggregateConstraint
 from repro.core.terms import Variable, atom
 from repro.db import Database
-from repro.lang import parse_and_lower, schema_resolver
 
-ANSWER_SCHEMAS = {"Attendance": ("pid", "name")}
+from servicekit import friend_query, jerry_aggregate_query
 
 
 @pytest.fixture
@@ -23,29 +22,6 @@ def party_db() -> Database:
     db.insert("Friend", [("Jerry", name) for name
                          in ("Elaine", "George", "Newman")])
     return db
-
-
-def jerry_aggregate_query(db: Database, threshold: int):
-    """The paper's §6 aggregation example (parameterized threshold)."""
-    return parse_and_lower(f"""
-        SELECT party_id, 'Jerry' INTO ANSWER Attendance
-        WHERE party_id IN (SELECT pid FROM Parties
-                           WHERE pdate = 'Friday')
-          AND (SELECT COUNT(*) FROM ANSWER Attendance A, Friend F
-               WHERE party_id = A.pid AND A.name = F.name2
-                 AND F.name1 = 'Jerry') > {threshold}
-        CHOOSE 1
-    """, "jerry", schema_resolver(db), ANSWER_SCHEMAS)
-
-
-def friend_query(db: Database, friend: str):
-    return parse_and_lower(f"""
-        SELECT party_id, '{friend}' INTO ANSWER Attendance
-        WHERE party_id IN (SELECT pid FROM Parties
-                           WHERE pdate = 'Friday')
-          AND (party_id, 'Jerry') IN ANSWER Attendance
-        CHOOSE 1
-    """, f"f-{friend}", schema_resolver(db), ANSWER_SCHEMAS)
 
 
 class TestAggregateConstraint:

@@ -25,9 +25,11 @@ from repro.dataio import db_delta_to_payload, dump_database
 from repro.db import Database, TableDelta
 from repro.engine.engine import D3CEngine
 from repro.shard import (ShardCall, ShardReplicaStaleError,
-                         ShardReplicationError, ShardRouter,
-                         ShardWorkerError, ShardedCoordinator)
+                         ShardReplicationError, ShardWorkerError,
+                         ShardedCoordinator)
 from repro.shard.process import ProcessBackend
+
+from servicekit import ScriptedRouter, audit_exactly_once
 
 
 def gate_db() -> Database:
@@ -53,29 +55,6 @@ def gated_pair(tag: str, left: str, right: str,
             body=(atom(gate, user, partner), atom("U", user, town),
                   atom("U", partner, town))))
     return queries
-
-
-class ScriptedRouter(ShardRouter):
-    """Pins chosen query ids to chosen home shards."""
-
-    def __init__(self, num_shards: int, script: dict):
-        super().__init__(num_shards)
-        self.script = script
-
-    def home_shard(self, query) -> int:
-        if query.query_id in self.script:
-            return self.script[query.query_id]
-        return super().home_shard(query)
-
-
-def _audit_exactly_once(coordinator) -> None:
-    fleet: list = []
-    for shard in coordinator._live_shards():
-        fleet.extend(
-            coordinator._backends[shard].call_pending().result())
-    assert len(fleet) == len(set(fleet)), f"duplicated: {fleet}"
-    assert sorted(fleet, key=repr) == sorted(coordinator._shard_of,
-                                             key=repr)
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +115,7 @@ def test_worker_killed_mid_db_delta_rehomes_components(monkeypatch):
         assert coordinator._acked[0] == coordinator.db_version
         assert sorted(coordinator._backends[0].call_pending().result()) \
             == ["p1-a", "p1-b", "p2-a", "p2-b"]
-        _audit_exactly_once(coordinator)
+        audit_exactly_once(coordinator)
 
         # The re-homed components coordinate against the mutated data
         # exactly as a single engine would have.
@@ -148,7 +127,7 @@ def test_worker_killed_mid_db_delta_rehomes_components(monkeypatch):
         # New arrivals route only to live shards.
         coordinator.submit_many(gated_pair("p3", "u1", "u3", "G"))
         assert coordinator.shard_of("p3-a") == 0
-        _audit_exactly_once(coordinator)
+        audit_exactly_once(coordinator)
 
 
 def test_lagging_worker_is_replayed_from_the_log(monkeypatch):
@@ -177,7 +156,7 @@ def test_lagging_worker_is_replayed_from_the_log(monkeypatch):
         # both gated pairs coordinate exactly like a single engine.
         coordinator.insert("H", [("u3", "u4"), ("u4", "u3")])
         assert coordinator.run_batch() == 4
-        _audit_exactly_once(coordinator)
+        audit_exactly_once(coordinator)
 
 
 def test_lagging_and_dead_workers_in_one_flush(monkeypatch):
@@ -221,7 +200,7 @@ def test_lagging_and_dead_workers_in_one_flush(monkeypatch):
         # The casualty was re-homed despite the laggard's hiccup...
         assert coordinator.dead_shards() == {1}
         assert coordinator.shard_of("p2-a") != 1
-        _audit_exactly_once(coordinator)
+        audit_exactly_once(coordinator)
         # ...and the laggard was genuinely replayed to the current
         # version (its pair coordinates on replay-delivered rows).
         for shard in coordinator._live_shards():
@@ -270,7 +249,7 @@ def test_stale_ack_worker_is_refused_and_removed(monkeypatch):
         # service keeps answering correctly.
         assert coordinator._acked[0] == coordinator.db_version
         assert coordinator.dead_shards() == {1}
-        _audit_exactly_once(coordinator)
+        audit_exactly_once(coordinator)
         assert coordinator.run_batch() == 2
         assert coordinator.pending_count == 0
 

@@ -8,13 +8,12 @@ savings: the differential half of this file replays random histories
 on a live service and on a twin that is made to forget everything
 (attempts dropped, every component re-queued) before every round, and
 requires the same tickets to settle with the same rows in the same
-order.  The exact-counter half pins what each rule skips.
+order — :class:`servicekit.ServiceModel` runs them, with the
+histories that once answered wrongly in ``tests/test_model.py``.  The
+exact-counter half pins what each rule skips.
 """
 
 from __future__ import annotations
-
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.core.matching import Attempt, MatchState
 from repro.core.query import EntangledQuery
@@ -22,10 +21,9 @@ from repro.core.terms import Variable, atom
 from repro.db import Database
 from repro.engine.engine import D3CEngine
 from repro.engine.staleness import ManualClock, TimeoutStaleness
-from repro.errors import ValidationError
-from repro.shard import ShardedCoordinator
 
-USERS = 3
+from servicekit import run_model, single
+
 TTL = 2.5
 
 
@@ -58,148 +56,15 @@ def _query(query_id: str, kind: str, user: int, partner: int,
         postconditions=(atom("R", other, destination),), body=body)
 
 
-_users = st.integers(min_value=0, max_value=USERS - 1)
-_queries = st.builds(
-    _query, st.integers(min_value=0, max_value=13).map("q{}".format),
-    st.sampled_from(["pair", "pair", "cluster", "gated"]),
-    _users, _users, st.sampled_from(["D", "D", "E"]))
-_f_rows = st.lists(st.tuples(_users, _users).map(
-    lambda pair: (f"U{pair[0]}", f"U{pair[1]}")), min_size=1, max_size=4)
-_g_rows = st.lists(_users.map(lambda user: (f"U{user}",)),
-                   min_size=1, max_size=2)
-_commands = st.one_of(
-    st.tuples(st.just("submit"), _queries),
-    st.tuples(st.just("submit"), _queries),
-    st.tuples(st.just("submit_many"),
-              st.lists(_queries, min_size=2, max_size=4)),
-    st.tuples(st.just("insert"), st.just("F"), _f_rows),
-    st.tuples(st.just("insert"), st.just("G"), _g_rows),
-    st.tuples(st.just("delete"), st.just("F"), _f_rows),
-    st.tuples(st.just("delete"), st.just("G"), _g_rows),
-    st.tuples(st.just("expire"), st.sampled_from([1.0, 2.0])),
-    st.tuples(st.just("run_batch")),
-    st.tuples(st.just("run_batch")))
-_histories = st.lists(_commands, min_size=4, max_size=40)
-
-_PAIR = [("submit", _query("q0", "pair", 0, 1, "D")),
-         ("submit", _query("q1", "pair", 1, 0, "D")),
-         ("run_batch",)]
-_BOTH_ROWS = ("insert", "F", [("U0", "U1"), ("U1", "U0")])
-#: Histories in which forgetting too little answers wrongly: the failed
-#: pair is joined by a member the data cannot serve; loses its partner
-#: and gets another; is satisfied by an insert after a delete; and comes
-#: back under an expired id as a different query.
-_JOINED = [*_PAIR, ("submit", _query("q2", "cluster", 2, 0, "D")),
-           _BOTH_ROWS, ("run_batch",)]
-_REPLACED = [("submit", _query("q0", "pair", 0, 1, "D")), ("expire", 2.0),
-             ("submit", _query("q1", "pair", 1, 0, "D")), ("run_batch",),
-             ("expire", 1.0), ("submit", _query("q2", "pair", 0, 1, "D")),
-             _BOTH_ROWS, ("run_batch",)]
-_REFILLED = [*_PAIR, ("insert", "F", [("U0", "U1")]), ("run_batch",),
-             ("delete", "F", [("U0", "U1")]),
-             ("insert", "F", [("U1", "U0")]), ("run_batch",),
-             ("insert", "F", [("U0", "U1")]), ("run_batch",)]
-_REBORN = [("submit", _query("q0", "pair", 0, 1, "D")), ("expire", 2.0),
-           ("submit", _query("q1", "pair", 1, 0, "D")), ("run_batch",),
-           ("expire", 1.0), ("submit", _query("q0", "pair", 0, 1, "E")),
-           _BOTH_ROWS, ("run_batch",),
-           ("submit", _query("q2", "pair", 1, 0, "E")), ("run_batch",)]
+def test_engine_equals_a_twin_that_forgets_before_every_round():
+    run_model(single("engine", forget=True), seed=22, examples=20)
 
 
-def _replay(service, clock, engines, history, forget: bool) -> list:
-    """Run *history* on *service*; returns what an observer sees: every
-    refusal, every expiry count, every settlement (id and rows) in the
-    order it happened, and the pending set after each command.  Ids
-    come from a small pool, so histories re-submit live ids (refused),
-    answered ids (refused) and expired ids (a new incarnation)."""
-    log: list = []
-
-    def submit(call, argument, ids):
-        try:
-            tickets = call(argument)
-        except ValidationError:
-            log.append(("refused", ids))
-            return
-        for ticket in tickets if isinstance(tickets, list) else [tickets]:
-            ticket.add_callback(lambda settled: log.append(
-                (settled.query_id, settled.state.name,
-                 settled.answer.rows if settled.answer else None)))
-
-    for command in history:
-        if command[0] == "submit":
-            submit(service.submit, command[1], command[1].query_id)
-        elif command[0] == "submit_many":
-            submit(service.submit_many, command[1],
-                   [query.query_id for query in command[1]])
-        elif command[0] == "insert":
-            service.insert(command[1], command[2])
-        elif command[0] == "delete":
-            service.delete_rows(command[1], command[2])
-        elif command[0] == "expire":
-            clock.advance(command[1])
-            log.append(("expired", service.expire_stale()))
-        else:
-            if forget:
-                for engine in engines:
-                    engine._partitions._match_states.clear()
-                service.invalidate_cache()
-            log.append(("answered", service.run_batch()))
-        log.append(("pending", service.pending_ids()))
-    return log
-
-
-def _engine_pair():
-    for forget in (False, True):
-        clock = ManualClock()
-        engine = D3CEngine(_database(), mode="batch", clock=clock,
-                           staleness=TimeoutStaleness(TTL))
-        yield engine, clock, [engine], forget
-
-
-def _fleet_pair():
-    for forget in (False, True):
-        clock = ManualClock()
-        fleet = ShardedCoordinator(
-            _database(), num_shards=2, backend="inprocess", mode="batch",
-            clock=clock, staleness=TimeoutStaleness(TTL))
-        yield (fleet, clock,
-               [backend.engine for backend in fleet._backends], forget)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_histories)
-@example(_JOINED)
-@example(_REPLACED)
-@example(_REFILLED)
-@example(_REBORN)
-def test_engine_equals_a_twin_that_forgets_before_every_round(history):
-    (live, *_), (twin, *_) = logs = [
-        (service, _replay(service, clock, engines, history, forget))
-        for service, clock, engines, forget in _engine_pair()]
-    assert logs[0][1] == logs[1][1]
-    assert live.stats.answered == twin.stats.answered
-    # The twin never resumes anything; whatever the live engine did
-    # resume, it built that much less.
-    assert twin.stats.match_resumed == 0
-    assert (live.stats.combined_queries_built
-            <= twin.stats.combined_queries_built)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_histories)
-@example(_JOINED)
-@example(_REPLACED)
-@example(_REFILLED)
-@example(_REBORN)
-def test_sharded_fleet_equals_a_twin_that_forgets(history):
+def test_sharded_fleet_equals_a_twin_that_forgets():
     """Worker databases receive mutations through ``apply_delta``: the
     insert-only re-queue rule has to hold on replicated deltas too."""
-    logs = []
-    for fleet, clock, engines, forget in _fleet_pair():
-        with fleet:
-            logs.append(_replay(fleet, clock, engines, history, forget))
-            logs.append(fleet.stats.answered)
-    assert logs[:2] == logs[2:]
+    run_model(single("fleet", num_shards=2, forget=True), seed=22,
+              examples=5)
 
 
 # ----------------------------------------------------------------------

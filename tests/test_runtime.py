@@ -274,25 +274,6 @@ class TestProgramCache:
         assert planner.program_builds == builds
         assert planner.program_hits == hits + 2
 
-    def test_drop_and_recreate_table_does_not_reuse_handles(self,
-                                                             pair_db):
-        # A recreated table is a new object whose version counter
-        # restarts; the cache must validate identity against the live
-        # catalog, not just the pinned version numbers.  The new table
-        # is filled behind the facade (no eviction by name) up to the
-        # old table's version, so only identity tells them apart.
-        query = self._query()
-        before = sorted(map(repr, pair_db.evaluate(query)))
-        assert before
-        old_version = pair_db.table("F").version
-        pair_db.drop_table("F")
-        table = pair_db.create_table("F", "u text", "v text")
-        table.insert_many([("newman", "kramer")] * old_version)
-        assert table.version == old_version
-        after = sorted(map(repr, pair_db.evaluate(query)))
-        assert after != before
-        assert len(after) == old_version
-
     def test_retained_program_reads_live_rows(self, pair_db):
         # A program holds index and table handles, never rows: run
         # again after a mutation — without being rebuilt — it sees the

@@ -27,15 +27,12 @@ import json
 import os
 import signal
 import socket
-import subprocess
-import sys
-import time
 
 import pytest
 
 from repro.dataio import dump_database, from_payload, to_payload
 from repro.db import Database
-from repro.durability import DurableCoordinator, DurableEngine
+from repro.durability import DurableEngine
 from repro.engine.engine import D3CEngine
 from repro.engine.futures import TicketState
 from repro.engine.stats import EngineStats
@@ -49,13 +46,11 @@ from repro.server.protocol import (OVERLOADED, FrameDecoder,
                                    encode_frame, event_frame,
                                    hello_frame, request_frame)
 from repro.server.server import _Connection, normalize_mutations
-from repro.shard import ShardedCoordinator
 from repro.workloads import (build_intro_database,
                              build_flight_database,
                              generate_social_network, two_way_pairs)
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC_DIR = os.path.join(REPO_ROOT, "src")
+from servicekit import build, spawn_server
 
 
 def _network(seed: int = 11):
@@ -327,17 +322,6 @@ def test_draining_server_sheds_with_shutting_down():
 # ----------------------------------------------------------------------
 
 
-def _served_shape(shape: str, wal_dir):
-    database = build_intro_database()
-    if shape == "engine":
-        return _intro_engine()
-    if shape == "fleet":
-        return ShardedCoordinator(database, num_shards=2, mode="batch")
-    cls = DurableEngine if shape == "durable-engine" \
-        else DurableCoordinator
-    return cls(wal_dir, database, mode="batch", sync_every=None)
-
-
 @pytest.mark.parametrize("shape", ["engine", "fleet", "durable-engine",
                                    "durable-fleet"])
 def test_read_only_ops_answer_ok_on_every_shape(shape, tmp_path):
@@ -347,7 +331,7 @@ def test_read_only_ops_answer_ok_on_every_shape(shape, tmp_path):
     and ``stats`` carries the same keys everywhere."""
     async def scenario():
         server = CoordinationServer(
-            _served_shape(shape, tmp_path / "wal"))
+            build(shape, build_intro_database(), tmp_path / "wal"))
         await server.start(port=0)
         host, port = server.tcp_address
         client = await ServerClient.connect_tcp(host, port)
@@ -447,37 +431,13 @@ def _intro_queries(tag: str):
     return [kramer, jerry]
 
 
-def _spawn_server(data_path, sock_path, wal_dir) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", str(data_path),
-         "--unix", str(sock_path), "--wal-dir", str(wal_dir)],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            raise AssertionError(
-                f"server exited early:\n{process.stdout.read()}")
-        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            probe.connect(str(sock_path))
-        except OSError:
-            time.sleep(0.05)
-        else:
-            return process
-        finally:
-            probe.close()
-    raise AssertionError("server did not come up within 30s")
-
-
 def test_kill9_under_load_recovers_byte_identical_answers(tmp_path):
     data_path = tmp_path / "intro.data"
     data_path.write_text(dump_database(build_intro_database()))
     sock_path = tmp_path / "srv.sock"
     wal_dir = tmp_path / "wal"
 
-    server = _spawn_server(data_path, sock_path, wal_dir)
+    server = spawn_server(data_path, sock_path, wal_dir)
 
     async def pre_crash():
         client = await ServerClient.connect_unix(str(sock_path))
@@ -517,7 +477,7 @@ def test_kill9_under_load_recovers_byte_identical_answers(tmp_path):
     # reclaim it (unlink-on-bind) rather than fail EADDRINUSE-style.
     assert sock_path.exists()
 
-    server = _spawn_server(data_path, sock_path, wal_dir)
+    server = spawn_server(data_path, sock_path, wal_dir)
 
     async def post_crash():
         client = await ServerClient.connect_unix(str(sock_path))
@@ -807,7 +767,7 @@ def test_stock_serve_freezes_its_static_heap(tmp_path):
     data_path = tmp_path / "intro.data"
     data_path.write_text(dump_database(build_intro_database()))
     sock_path = tmp_path / "srv.sock"
-    server = _spawn_server(data_path, sock_path, tmp_path / "wal")
+    server = spawn_server(data_path, sock_path, tmp_path / "wal")
 
     async def read_metrics():
         client = await ServerClient.connect_unix(str(sock_path))

@@ -24,7 +24,7 @@ from repro.engine.engine import D3CEngine, stamp_records
 from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock
 from repro.engine.stats import EngineStats
-from repro.errors import SchemaError, ValidationError
+from repro.errors import ValidationError
 from repro.lang import parse_ir
 from repro.server import ServerClient, ServerCommandError
 from repro.server.protocol import INVALID
@@ -33,7 +33,7 @@ from repro.shard import ShardedCoordinator
 from repro.workloads import (build_flight_database, build_intro_database,
                              generate_social_network, two_way_pairs)
 
-from test_aggregates_every_shape import _spawn_server, _stop
+from servicekit import build, run_model, single, spawn_server, stop
 
 SHAPES = ["engine", "fleet-inprocess", "fleet-process",
           "durable-engine", "durable-fleet"]
@@ -42,22 +42,6 @@ SHAPES = ["engine", "fleet-inprocess", "fleet-process",
 #: burned ids have the one spelling, ``used_ids``.
 STATE_KEYS = {"database", "db_version", "next_seq", "pending",
               "used_ids", "counters"}
-
-
-def _build(shape: str, database, wal_dir):
-    """A fresh batch-mode service of *shape* over *database* (an
-    incremental one for ``engine-incremental``)."""
-    if shape == "engine":
-        return D3CEngine(database, mode="batch")
-    if shape == "engine-incremental":
-        return D3CEngine(database, mode="incremental")
-    if shape.startswith("fleet-"):
-        return ShardedCoordinator(database, num_shards=2, mode="batch",
-                                  backend=shape.removeprefix("fleet-"))
-    cls = DurableEngine if shape == "durable-engine" \
-        else DurableCoordinator
-    return cls(wal_dir, database, mode="batch", sync_every=None,
-               clock=ManualClock())
 
 
 def _query(text: str, query_id: str):
@@ -95,7 +79,7 @@ UNREADABLE = [(_ghost, "NoSuchTable"), (_misread, "arity")]
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_every_shape_answers_every_protocol_member(shape, tmp_path):
-    service = _build(shape, build_intro_database(), tmp_path / "wal")
+    service = build(shape, build_intro_database(), tmp_path / "wal")
     try:
         assert isinstance(service, CoordinationService)
         assert isinstance(service.database, Database)
@@ -169,7 +153,7 @@ def test_every_shape_answers_every_protocol_member(shape, tmp_path):
 
         replica = load_database(state["database"])
         replica.reset_db_version(state["db_version"])
-        twin = _build(shape, replica, tmp_path / "wal-twin")
+        twin = build(shape, replica, tmp_path / "wal-twin")
         try:
             counters = state["counters"]
             tickets = twin.restore_state(
@@ -199,44 +183,21 @@ def test_every_shape_answers_every_protocol_member(shape, tmp_path):
 
 
 @pytest.mark.parametrize("shape", SHAPES + ["engine-incremental"])
-def test_missing_table_is_refused_before_anything_is_admitted(shape,
-                                                              tmp_path):
-    service = _build(shape, build_intro_database(), tmp_path / "wal")
-    try:
-        service.submit(_loner())
-        seq, pending = service.next_arrival_seq, service.pending_ids()
-        journalled = getattr(service, "commands_applied", None)
-        # Alone or behind a valid query, the block is refused whole.
-        for unreadable, named in UNREADABLE:
-            for block in ([unreadable()], [_pair()[0], unreadable()]):
-                with pytest.raises(SchemaError, match=named):
-                    service.submit_many(block)
-                assert service.next_arrival_seq == seq
-                assert service.pending_ids() == pending
-                assert getattr(service, "commands_applied", None) \
-                    == journalled
-        if shape == "fleet-process":
-            # Table DDL does not replicate to process workers: the id
-            # comes back over a table the replicas hold.
-            ghost = _query("{} R(Ghost, z) <- Flights(z, Oz)", "ghost")
-        else:
-            service.database.create_table("NoSuchTable", "z text")
-            ghost = _ghost()
-        service.submit(ghost)
-        tickets = service.submit_many(_pair())
-        service.run_batch()
-        assert [ticket.state for ticket in tickets] \
-            == [TicketState.ANSWERED] * 2
-        assert service.pending_ids() == ["elaine", "ghost"]
-    finally:
-        service.close()
+def test_missing_table_is_refused_before_anything_is_admitted(shape):
+    """The model machine submits queries over a missing table and at
+    the wrong arity, alone and inside blocks; its own verdict requires
+    the refusal, and lockstep that nothing was admitted."""
+    options = {"num_shards": 2} if "fleet" in shape else {}
+    reference = ("engine-incremental", {}) \
+        if shape == "engine-incremental" else ("engine", {})
+    run_model(single(shape, reference=reference, **options), seed=34)
 
 
 def test_served_child_refuses_a_missing_table_unjournalled(tmp_path):
     data_path = tmp_path / "intro.data"
     data_path.write_text(dump_database(build_intro_database()))
     sock_path = tmp_path / "srv.sock"
-    process = _spawn_server(data_path, sock_path, tmp_path / "wal")
+    process = spawn_server(data_path, sock_path, tmp_path / "wal")
 
     async def scenario():
         client = await ServerClient.connect_unix(sock_path)
@@ -256,7 +217,7 @@ def test_served_child_refuses_a_missing_table_unjournalled(tmp_path):
     try:
         code, pending, answered = asyncio.run(scenario())
     finally:
-        _stop(process)
+        stop(process)
     assert (code, pending, answered) == (INVALID, [], 2)
     recovered = DurableEngine.recover(tmp_path / "wal", mode="batch",
                                       clock=ManualClock(),

@@ -1,210 +1,51 @@
-"""Shard-vs-single oracle equivalence (the sharded service's contract).
+"""Shard-vs-single equivalence: named runs of the model machine.
 
 A :class:`repro.shard.ShardedCoordinator` — any shard count, either
 backend — must be observationally identical to one
-:class:`repro.engine.engine.D3CEngine` over arbitrary interleavings of
-single submissions, block submissions, staleness expiry, and
-set-at-a-time rounds: identical answers (rows and choices), identical
-failure reasons, identical pending sets and component-size multisets at
-every observation point.  The drivers below replay one interleaving
-against the single-engine oracle and against coordinators at 1, 2, and
-4 shards, including workloads engineered to force cross-shard
-migrations (the multi-tenant rendezvous triples bridge components that
-routing scattered across shards).
+:class:`repro.engine.engine.D3CEngine`.  The generators and loops
+this file held are gone: each case runs
+:class:`servicekit.ServiceModel` with the one fleet it names as the
+subject, on the seed it always had (``tests/test_model.py`` runs every
+shape together).  The machine's fleets route through a
+:class:`servicekit.ScriptedRouter` that scatters the id pool across
+shards, so bridging arrivals force migrations.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.engine.engine import D3CEngine
-from repro.engine.futures import TicketState
-from repro.engine.staleness import ManualClock, TimeoutStaleness
-from repro.shard import ShardedCoordinator
-from repro.workloads import (build_flight_database, chain_queries,
-                             generate_social_network, multi_tenant_rounds,
-                             three_way_triangles, two_way_pairs)
+from servicekit import run_model, single
 
 SHARD_COUNTS = (1, 2, 4)
 
 
-@pytest.fixture(scope="module")
-def setup():
-    network = generate_social_network(num_users=300, seed=5,
-                                      planted_cliques={4: 10})
-    return network, build_flight_database(network)
-
-
-def _mixed_workload(network, seed: int):
-    rng = random.Random(seed)
-    queries = (two_way_pairs(network, 60, specific=True, seed=seed)
-               + chain_queries(network, 20, chain_length=4,
-                               seed=seed + 1)
-               + three_way_triangles(network, 18, seed=seed + 2))
-    rng.shuffle(queries)
-    return queries
-
-
-def _outcome(ticket):
-    if ticket.state is TicketState.ANSWERED:
-        return ("answered", ticket.answer.rows, ticket.answer.choices)
-    if ticket.state is TicketState.FAILED:
-        return ("failed", ticket.failure_reason.value)
-    return ("pending",)
-
-
-def _drive(engine, clock, queries, seed: int):
-    """One randomized interleaving; returns the full observation log."""
-    log: list = []
-    tickets: dict = {}
-    rng = random.Random(seed)
-    position = 0
-    safety_rounds = 0
-    while position < len(queries) or engine.pending_count:
-        action = rng.random()
-        if position < len(queries) and action < 0.5:
-            block = queries[position:position + rng.randint(1, 15)]
-            position += len(block)
-            if rng.random() < 0.5:
-                produced = engine.submit_many(block)
-            else:
-                produced = [engine.submit(query) for query in block]
-            tickets.update((ticket.query_id, ticket)
-                           for ticket in produced)
-        elif action < 0.75:
-            clock.advance(rng.choice([0.5, 1.0, 2.0]))
-            log.append(("expired", engine.expire_stale()))
-            if position >= len(queries):
-                clock.advance(5.0)
-                log.append(("drained", engine.expire_stale()))
-        else:
-            log.append(("batch", engine.run_batch(),
-                        tuple(engine.pending_ids()),
-                        tuple(engine.partition_sizes())))
-        safety_rounds += 1
-        if safety_rounds > 200:  # pathological schedule guard
-            break
-    log.append(("final", sorted(
-        (query_id, _outcome(ticket))
-        for query_id, ticket in tickets.items())))
-    return log
-
-
-def _drive_rounds(engine, clock, rounds):
-    """The multi-tenant service loop: expire, ingest, coordinate."""
-    log: list = []
-    tickets: dict = {}
-    for block in rounds:
-        clock.advance(1.0)
-        log.append(("expired", engine.expire_stale()))
-        produced = engine.submit_many(block)
-        tickets.update((ticket.query_id, ticket) for ticket in produced)
-        log.append(("batch", engine.run_batch(),
-                    tuple(engine.pending_ids()),
-                    tuple(engine.partition_sizes())))
-    log.append(("final", sorted(
-        (query_id, _outcome(ticket))
-        for query_id, ticket in tickets.items())))
-    return log
-
-
 @pytest.mark.parametrize("seed", [101, 202])
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_inprocess_matches_single_engine(setup, num_shards, seed):
-    network, database = setup
-    queries = _mixed_workload(network, seed)
-
-    clock = ManualClock()
-    single = D3CEngine(database, mode="batch",
-                       staleness=TimeoutStaleness(3.5), clock=clock)
-    expected = _drive(single, clock, queries, seed * 3)
-
-    clock = ManualClock()
-    coordinator = ShardedCoordinator(
-        database, num_shards=num_shards, backend="inprocess",
-        mode="batch", staleness=TimeoutStaleness(3.5), clock=clock)
-    actual = _drive(coordinator, clock, queries, seed * 3)
-    assert actual == expected
-    assert coordinator.stats.answered > 0
+def test_inprocess_matches_single_engine(num_shards, seed):
+    run_model(single("fleet", num_shards=num_shards), seed=seed)
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_incremental_mode_matches_single_engine(setup, num_shards):
+def test_incremental_mode_matches_single_engine(num_shards):
     """Per-arrival coordination settles identically across shards."""
-    network, database = setup
-    queries = _mixed_workload(network, 77)
-    single = D3CEngine(database, mode="incremental")
-    expected = [_outcome(ticket)
-                for ticket in single.submit_all(queries)]
-    coordinator = ShardedCoordinator(database, num_shards=num_shards,
-                                     backend="inprocess",
-                                     mode="incremental")
-    actual = [_outcome(ticket)
-              for ticket in coordinator.submit_all(queries)]
-    assert actual == expected
-    assert coordinator.pending_ids() == single.pending_ids()
+    run_model(single("fleet", num_shards=num_shards, mode="incremental",
+                     reference=("engine-incremental", {})), seed=77)
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_forced_migrations_match_single_engine(setup, num_shards):
-    """Multi-tenant rendezvous traffic: migrations must not change
-    answers — and at >1 shard they must actually happen."""
-    network, database = setup
-    rounds = multi_tenant_rounds(network, 8, 60, seed=13)
-
-    clock = ManualClock()
-    single = D3CEngine(database, mode="batch",
-                       staleness=TimeoutStaleness(4.5), clock=clock)
-    expected = _drive_rounds(single, clock, rounds)
-
-    clock = ManualClock()
-    coordinator = ShardedCoordinator(
-        database, num_shards=num_shards, backend="inprocess",
-        mode="batch", staleness=TimeoutStaleness(4.5), clock=clock)
-    actual = _drive_rounds(coordinator, clock, rounds)
-    assert actual == expected
-    if num_shards > 1:
-        assert coordinator.migrations > 0
+def test_forced_migrations_match_single_engine(num_shards):
+    run_model(single("fleet", num_shards=num_shards), seed=13,
+              examples=3)
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_process_backend_matches_single_engine(setup, num_shards):
-    """The wire-format worker fleet reproduces the oracle byte for
-    byte, including under forced migrations."""
-    network, database = setup
-    rounds = multi_tenant_rounds(network, 5, 40, seed=29)
-
-    clock = ManualClock()
-    single = D3CEngine(database, mode="batch",
-                       staleness=TimeoutStaleness(3.5), clock=clock)
-    expected = _drive_rounds(single, clock, rounds)
-
-    clock = ManualClock()
-    with ShardedCoordinator(
-            database, num_shards=num_shards, backend="process",
-            mode="batch", staleness=TimeoutStaleness(3.5),
-            clock=clock) as coordinator:
-        actual = _drive_rounds(coordinator, clock, rounds)
-        assert actual == expected
-        if num_shards > 1:
-            assert coordinator.migrations > 0
+def test_process_backend_matches_single_engine(num_shards):
+    run_model(single("fleet-process", num_shards=num_shards), seed=29)
 
 
-def test_batch_size_trigger_matches_single_engine(setup):
+def test_batch_size_trigger_matches_single_engine():
     """The coordinator's global batch_size trigger fires exactly when
     the single engine's would."""
-    network, database = setup
-    queries = _mixed_workload(network, 31)
-
-    single = D3CEngine(database, mode="batch", batch_size=17)
-    expected = [_outcome(ticket)
-                for ticket in single.submit_all(queries)]
-    coordinator = ShardedCoordinator(database, num_shards=3,
-                                     backend="inprocess", mode="batch",
-                                     batch_size=17)
-    actual = [_outcome(ticket)
-              for ticket in coordinator.submit_all(queries)]
-    assert actual == expected
-    assert coordinator.pending_count == single.pending_count
+    run_model(single("fleet", num_shards=3, batch_size=3,
+                     reference=("engine", {"batch_size": 3})), seed=31)

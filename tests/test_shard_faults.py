@@ -24,8 +24,11 @@ import pytest
 from repro.core.query import EntangledQuery
 from repro.core.terms import Variable, atom
 from repro.engine.engine import D3CEngine, PendingRecord
-from repro.shard import (ShardCall, ShardMigrationError, ShardRouter,
+from repro.shard import (ShardCall, ShardMigrationError,
                          ShardWorkerError, ShardedCoordinator)
+
+from servicekit import (ScriptedRouter, audit_exactly_once,
+                        rendezvous_triple)
 
 
 def make_pair(query_id_left, query_id_right, left, right, destination):
@@ -43,59 +46,6 @@ def make_pair(query_id_left, query_id_right, left, right, destination):
             body=(atom("F", user, partner), atom("U", user, town),
                   atom("U", partner, town))))
     return queries
-
-
-class ScriptedRouter(ShardRouter):
-    """Pins chosen query ids to chosen home shards (tests need the
-    rendezvous providers to provably start on different shards)."""
-
-    def __init__(self, num_shards: int, script: dict):
-        super().__init__(num_shards)
-        self.script = script
-
-    def home_shard(self, query) -> int:
-        if query.query_id in self.script:
-            return self.script[query.query_id]
-        return super().home_shard(query)
-
-
-def rendezvous_triple(tag: str, dest_a: str = "AAA",
-                      dest_b: str = "BBB") -> list[EntangledQuery]:
-    """Providers ``a`` and ``b`` plus a two-postcondition bridge ``c``
-    that entangles both (same shape as the multi-tenant generator)."""
-    a = EntangledQuery(
-        query_id=f"{tag}-a",
-        head=(atom("R", f"{tag}-a", dest_a),),
-        postconditions=(atom("R", f"{tag}-c", dest_a),),
-        body=(atom("U", "user1", Variable("t")),))
-    b = EntangledQuery(
-        query_id=f"{tag}-b",
-        head=(atom("R", f"{tag}-b", dest_b),),
-        postconditions=(atom("R", f"{tag}-c", dest_b),),
-        body=(atom("U", "user2", Variable("t")),))
-    c = EntangledQuery(
-        query_id=f"{tag}-c",
-        head=(atom("R", f"{tag}-c", dest_a),
-              atom("R", f"{tag}-c", dest_b)),
-        postconditions=(atom("R", f"{tag}-a", dest_a),
-                        atom("R", f"{tag}-b", dest_b)),
-        body=(atom("U", "user1", Variable("t")),))
-    return [a, b, c]
-
-
-def _audit_exactly_once(coordinator) -> None:
-    """Every tracked query pending on exactly one shard, and the
-    coordinator's ownership map agreeing with the engines."""
-    fleet: list = []
-    for backend in coordinator._backends:
-        fleet.extend(backend.call_pending().result())
-    assert len(fleet) == len(set(fleet)), f"duplicated: {fleet}"
-    assert sorted(fleet, key=repr) == sorted(coordinator._shard_of,
-                                             key=repr)
-    for query_id in fleet:
-        shard = coordinator.shard_of(query_id)
-        assert query_id in coordinator._backends[
-            shard].call_pending().result()
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +120,7 @@ def test_destination_import_failure_restores_source(small_flight_db,
     assert coordinator._backends[1].call_pending().result() == ["t-b"]
     assert coordinator._backends[0].call_pending().result() == ["t-a"]
     assert coordinator.pending_ids() == ["t-a", "t-b"]
-    _audit_exactly_once(coordinator)
+    audit_exactly_once(coordinator)
 
     # After the destination heals, the same bridge id is retryable and
     # the migration completes.
@@ -178,7 +128,7 @@ def test_destination_import_failure_restores_source(small_flight_db,
     coordinator.submit(c)
     assert {coordinator.shard_of(query_id)
             for query_id in ("t-a", "t-b", "t-c")} == {0}
-    _audit_exactly_once(coordinator)
+    audit_exactly_once(coordinator)
 
 
 def test_destination_and_source_failure_rehomes_records(
@@ -201,7 +151,7 @@ def test_destination_and_source_failure_rehomes_records(
     # transferred records and adopted them on the surviving shard.
     assert coordinator.shard_of("d-b") == 2
     assert coordinator._backends[2].call_pending().result() == ["d-b"]
-    _audit_exactly_once(coordinator)
+    audit_exactly_once(coordinator)
 
 
 def test_total_failure_raises_migration_error(small_flight_db,
@@ -255,14 +205,14 @@ def test_failure_between_plan_and_flush_reverts_ownership(
     assert coordinator.shard_of("t-b") == 1
     assert coordinator._backends[1].call_pending().result() \
         == ["t-b", "u-b"]
-    _audit_exactly_once(coordinator)
+    audit_exactly_once(coordinator)
 
     # After the worker heals the same bridges route and migrate fine.
     monkeypatch.undo()
     coordinator.submit_many([t_c, u_c])
     assert {coordinator.shard_of(query_id)
             for query_id in ("t-a", "t-b", "t-c")} == {0}
-    _audit_exactly_once(coordinator)
+    audit_exactly_once(coordinator)
 
 
 def test_failed_detach_and_failed_restore_lose_no_component(
@@ -290,7 +240,7 @@ def test_failed_detach_and_failed_restore_lose_no_component(
 
     assert coordinator.shard_of("t-b") == 2
     assert coordinator.shard_of("u-b") == 2
-    _audit_exactly_once(coordinator)
+    audit_exactly_once(coordinator)
 
     monkeypatch.undo()
     coordinator.submit_many([t_c, u_c])
@@ -298,7 +248,7 @@ def test_failed_detach_and_failed_restore_lose_no_component(
                 for query_id in ("t-a", "t-b", "t-c")}) == 1
     assert len({coordinator.shard_of(query_id)
                 for query_id in ("u-a", "u-b", "u-c")}) == 1
-    _audit_exactly_once(coordinator)
+    audit_exactly_once(coordinator)
 
 
 # ----------------------------------------------------------------------

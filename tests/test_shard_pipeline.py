@@ -22,9 +22,10 @@ from repro.core.terms import Variable, atom
 from repro.dataio import dump_database
 from repro.errors import ValidationError
 from repro.shard import (InProcessBackend, ShardBackend, ShardCall,
-                         ShardedCoordinator, ShardRouter,
-                         ShardWorkerError)
+                         ShardedCoordinator, ShardWorkerError)
 from repro.shard.process import ProcessBackend
+
+from servicekit import ScriptedRouter, rendezvous_triple
 
 #: A two-row co-located users table: every `_settling_pair` below
 #: coordinates (and therefore settles) at the next run_batch.
@@ -251,35 +252,6 @@ def test_in_process_calls_defer_their_outcome_to_result(
 # ----------------------------------------------------------------------
 
 
-class ScriptedRouter(ShardRouter):
-    def __init__(self, num_shards: int, script: dict):
-        super().__init__(num_shards)
-        self.script = script
-
-    def home_shard(self, query) -> int:
-        if query.query_id in self.script:
-            return self.script[query.query_id]
-        return super().home_shard(query)
-
-
-def _triple(tag: str) -> list[EntangledQuery]:
-    a = EntangledQuery(query_id=f"{tag}-a",
-                       head=(atom("R", f"{tag}-a", "AAA"),),
-                       postconditions=(atom("R", f"{tag}-c", "AAA"),),
-                       body=(atom("U", "user1", Variable("t")),))
-    b = EntangledQuery(query_id=f"{tag}-b",
-                       head=(atom("R", f"{tag}-b", "BBB"),),
-                       postconditions=(atom("R", f"{tag}-c", "BBB"),),
-                       body=(atom("U", "user2", Variable("t")),))
-    c = EntangledQuery(query_id=f"{tag}-c",
-                       head=(atom("R", f"{tag}-c", "AAA"),
-                             atom("R", f"{tag}-c", "BBB")),
-                       postconditions=(atom("R", f"{tag}-a", "AAA"),
-                                       atom("R", f"{tag}-b", "BBB")),
-                       body=(atom("U", "user1", Variable("t")),))
-    return [a, b, c]
-
-
 def _bridged_coordinator(small_flight_db, backend: str = "inprocess",
                          **options) -> ShardedCoordinator:
     """Two rendezvous triples whose providers straddle shards 0/1;
@@ -289,7 +261,7 @@ def _bridged_coordinator(small_flight_db, backend: str = "inprocess",
     coordinator = ShardedCoordinator(
         small_flight_db, num_shards=2, backend=backend, mode="batch",
         router=ScriptedRouter(2, script), **options)
-    one, two = _triple("m1"), _triple("m2")
+    one, two = rendezvous_triple("m1"), rendezvous_triple("m2")
     coordinator.submit_many([one[0], one[1], two[0], two[1]])
     coordinator.submit_many([one[2], two[2]])
     return coordinator
