@@ -231,7 +231,10 @@ class _DurableService(CoordinationService):
     without flushing, raises :class:`~repro.errors.RecoveryError`
     naming the directory for that command and every later one (none
     executes), and :meth:`close` publishes no snapshot; the settlement
-    maps keep only what the journal holds.
+    maps keep only what the journal holds.  A direct write to
+    :attr:`database` after the stop reaches the listener only once the
+    database has applied it: it changes the stopped process's memory,
+    raises, and is never journalled.
 
     Restrictions: queries must be wire-serializable (an id, owner or
     constant the wire format cannot carry is rejected at submission,

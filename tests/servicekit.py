@@ -32,12 +32,22 @@ subject shapes of a :class:`Group`, and after every rule checks:
 Besides the lockstep comparison the machine keeps a small model of its
 own: which ids are burned (pending or answered) and which queries read
 a missing table or a table at the wrong arity, so a refusal every
-shape forgot still fails.
+shape forgot still fails.  A twin that forgets its carried state must
+never resume an attempt.
+
+:func:`run_model` replays :data:`TOUR` — every rule the group has,
+once — before hypothesis's examples, if the group has any (the first
+is always hypothesis's simplest history), and then requires of the
+whole run what makes its comparisons mean something: every rule of
+the group reached, answers given, the live shapes resuming carried
+attempts where a forgetting twin is compared with them, and fleets of
+more than one shard migrating.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import errno
 import itertools
 import os
@@ -539,6 +549,19 @@ class InProcess:
         self._dump_cache = {}
         self.watch(service.restored_tickets.values())
 
+    def counters(self) -> collections.Counter:
+        """What this incarnation resumed, built, answered and migrated
+        (the run-level checks sum them over incarnations)."""
+        stats = self.service.stats
+        role = "forget" if self.forget else "live"
+        counts = collections.Counter({
+            f"{role}.{counter}": getattr(stats, counter) for counter in (
+                "match_resumed", "closures_skipped_empty",
+                "combined_queries_built")})
+        counts["migrations"] = sum(fleet.migrations
+                                   for fleet in self.fleets())
+        return counts
+
     def close(self) -> None:
         self.service.close()
 
@@ -578,6 +601,9 @@ class Served:
 
     def fleets(self) -> list:
         return []
+
+    def counters(self) -> collections.Counter:
+        return collections.Counter()
 
     def submit_many(self, queries) -> list:
         tickets = self._run(self._client.submit(queries))
@@ -671,6 +697,26 @@ class Group:
     def served(self) -> bool:
         return any(shape == "served" for shape, _ in self.subjects)
 
+    @property
+    def durable(self) -> bool:
+        return any(shape == "served" or shape.startswith("durable")
+                   for shape, _ in self.subjects)
+
+    def rules(self) -> set:
+        """The rules this group's machine runs (its preconditions, the
+        tour's steps and what a run must reach)."""
+        rules = {"submit", "submit_many", "mutate", "advance",
+                 "run_batch"}
+        if not self.served:
+            rules.add("invalidate_cache")
+        if self.durable:
+            rules |= {"crash", "journal_full"}
+            if not self.served:
+                rules.add("snapshot")
+        if self.faults:
+            rules.add("fault")
+        return rules
+
 
 IN_PROCESS_RESHAPES = (("durable-engine", 0), ("durable-fleet", 1),
                        ("durable-fleet", 2), ("durable-fleet", 4))
@@ -706,7 +752,10 @@ GROUPS = {
 def single(shape: str, reference: tuple = ("engine", {}),
            **options) -> Group:
     """A one-subject group with the rules that apply to *shape* — what
-    a named entry point runs (*reference* as in :class:`Group`)."""
+    a named entry point runs (*reference* as in :class:`Group`): its
+    tour, then seeded histories.  A process shape walks its tour only:
+    every example spawns its workers, so its random histories are the
+    process group's."""
     shards = options.get("num_shards", 0)
     process = shape.endswith("process")
     reshapes = ()
@@ -717,13 +766,18 @@ def single(shape: str, reference: tuple = ("engine", {}),
                  ttl=None if shape == "served" else TTL,
                  faults="fleet" in shape and not process
                  and options.get("mode", "batch") == "batch",
-                 reshapes=reshapes, examples=1,
-                 steps=10 if process else 12)
+                 reshapes=reshapes, examples=0 if process else 5,
+                 steps=12)
 
 
 # ----------------------------------------------------------------------
 # the machine
 # ----------------------------------------------------------------------
+
+
+def _in_group(name: str):
+    """Enable the rule *name* only where its group has it."""
+    return precondition(lambda self: name in self.group.rules())
 
 
 def _error_kind(subject, error: BaseException) -> str:
@@ -746,6 +800,10 @@ class ServiceModel(RuleBasedStateMachine):
     #: Home shard per pool id, for every fleet's ScriptedRouter: the
     #: ids scatter, so bridging arrivals force migrations.
     homes: dict = dict(zip(ID_POOL, itertools.cycle(range(4))))
+
+    #: What the run reached: rules, and the subjects' counters (see
+    #: :func:`run_model`); :func:`machine_for` gives each run its own.
+    tally: collections.Counter = collections.Counter()
 
     def __init__(self):
         super().__init__()
@@ -804,10 +862,19 @@ class ServiceModel(RuleBasedStateMachine):
             options["backend"] = "process"
         return cls.recover(wal_dir, **options)
 
+    def _retire(self, subject) -> None:
+        """Count what *subject*'s service did, before it closes."""
+        self.tally.update(subject.counters())
+        if subject is self.reference:
+            self.tally["answered"] += subject.service.stats.answered
+
     def teardown(self):
         try:
             for subject in [self.reference, *self.subjects]:
-                subject.close()
+                try:
+                    self._retire(subject)
+                finally:
+                    subject.close()
         finally:
             shutil.rmtree(self.workdir, ignore_errors=True)
 
@@ -832,6 +899,7 @@ class ServiceModel(RuleBasedStateMachine):
                 # loudly; that fleet has diverged and leaves the group.
                 assert faulty
                 self.subjects.remove(subject)
+                self._retire(subject)
                 subject.close()
                 continue
             except InjectedFault:
@@ -893,12 +961,12 @@ class ServiceModel(RuleBasedStateMachine):
         """The block query by query (each a block of one)."""
         for spec in block:
             self._submit([spec])
-        self._check()
+        self._check("submit")
 
     @rule(block=blocks)
     def submit_many(self, block):
         self._submit(block)
-        self._check()
+        self._check("submit_many")
 
     @rule(ops=st.lists(operations, min_size=1, max_size=2),
           direct=st.booleans())
@@ -906,7 +974,7 @@ class ServiceModel(RuleBasedStateMachine):
         status, _ = self._each(
             lambda subject: subject.apply_mutations(ops, direct))
         assert status == "ok"
-        self._check()
+        self._check("mutate")
 
     @rule(seconds=st.sampled_from([1.0, 2.0]), then_round=st.booleans())
     def advance(self, seconds, then_round):
@@ -915,7 +983,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.clock.advance(seconds)
         status, _ = self._each(lambda subject: subject.expire_stale())
         assert status == "ok"
-        self._check()
+        self._check("advance")
         if then_round:
             self.run_batch()
 
@@ -928,25 +996,23 @@ class ServiceModel(RuleBasedStateMachine):
                     in self.reference.settled if kind == "answered"}
         for component, ids in expected:
             assert answered & component == ids, (component, ids)
-        self._check()
+        self._check("run_batch")
 
-    @precondition(lambda self: not self.group.served)
+    @_in_group("invalidate_cache")
     @rule()
     def invalidate_cache(self):
         self._each(lambda subject: subject.invalidate_cache())
-        self._check()
+        self._check("invalidate_cache")
 
-    @precondition(lambda self: any(subject.durable and not subject.served
-                                   for subject in self.subjects))
+    @_in_group("snapshot")
     @rule()
     def snapshot(self):
         for subject in self.subjects:
             if subject.durable:
                 subject.snapshot()
-        self._check()
+        self._check("snapshot")
 
-    @precondition(lambda self: any(subject.durable
-                                   for subject in self.subjects))
+    @_in_group("crash")
     @rule(reshape=st.integers(0, 3))
     def crash(self, reshape):
         """A kill -9: every append reached the OS before it returned,
@@ -959,12 +1025,13 @@ class ServiceModel(RuleBasedStateMachine):
             elif subject.durable:
                 copy = self._wal_dir()
                 shutil.copytree(subject.service.wal_dir, copy)
+                self._retire(subject)
                 subject.close()
                 subject.settled.clear()
                 subject.replace_service(self._recover(copy, reshape))
-        self._check()
+        self._check("crash")
 
-    @precondition(lambda self: self.group.faults)
+    @_in_group("fault")
     @rule(faults=st.dictionaries(st.sampled_from(FAULT_KINDS),
                                  st.integers(1, 2), min_size=1),
           block=blocks)
@@ -985,10 +1052,9 @@ class ServiceModel(RuleBasedStateMachine):
                 for fleet in subject.fleets():
                     _disarm(fleet)
                     audit_exactly_once(fleet)
-        self._check()
+        self._check("fault")
 
-    @precondition(lambda self: any(subject.durable
-                                   for subject in self.subjects))
+    @_in_group("journal_full")
     @rule(command=st.sampled_from(["run_batch", "expire", "mutate",
                                    "insert"]),
           ops=st.lists(operations, min_size=1, max_size=2),
@@ -1008,11 +1074,12 @@ class ServiceModel(RuleBasedStateMachine):
             if subject.served:
                 _served_journal_full(subject)
                 continue
+            self._retire(subject)
             _in_process_journal_full(subject, command, ops)
             subject.settled.clear()
             subject.replace_service(self._recover(
                 subject.service.wal_dir, reshape))
-        self._check()
+        self._check("journal_full")
 
     # -- invariants ----------------------------------------------------
 
@@ -1043,10 +1110,15 @@ class ServiceModel(RuleBasedStateMachine):
                 ).answered_ids)))
         return verdicts
 
-    def _check(self):
+    def _check(self, reached: str):
         expected = sorted(self.reference.settled, key=repr)
         view = self.reference.observe()
         for subject in self.subjects:
+            if getattr(subject, "forget", False):
+                # The twin re-derives everything: nothing carried.
+                stats = subject.service.stats
+                assert stats.match_resumed == 0, subject.name
+                assert stats.closures_skipped_empty == 0, subject.name
             got = subject.observe()
             assert sorted(subject.settled, key=repr) == expected, (
                 subject.name, subject.settled, expected)
@@ -1064,6 +1136,7 @@ class ServiceModel(RuleBasedStateMachine):
                 assert query_id in subject.live, (subject.name, query_id)
                 subject.live.discard(query_id)
             subject.settled.clear()
+        self.tally[reached] += 1
 
     def _check_answers(self):
         """Invariant (b) on the reference (every subject matched it)."""
@@ -1209,32 +1282,116 @@ def _served_journal_full(subject) -> None:
 
 
 def machine_for(group: Group):
-    """A :class:`ServiceModel` subclass bound to *group*."""
+    """A :class:`ServiceModel` subclass bound to *group*, with a tally
+    of its own."""
     return type(f"ServiceModel_{group.name}", (ServiceModel,),
-                {"group": group})
+                {"group": group, "tally": collections.Counter()})
 
 
-def replay(group: Group, history) -> None:
+#: Every rule once, in an order that makes each one bite: a block
+#: refused whole for one query at the wrong arity, pairs that answer,
+#: typed values written directly, a gated pair that fails, a
+#: chain whose bridge joins two pending halves on different shards (a
+#: migration, while detach calls fail), a write that lets the chain
+#: answer and resumes the gated pair's attempt, a crash into another
+#: shape, expiry, a §6 party, a full journal, and a query over a
+#: missing table.
+TOUR = [
+    ("submit_many", {"block": [Spec("q0", "pair", 0, "D"),
+                               Spec("q1", "arity", 1, "D")]}),
+    ("submit", {"block": [Spec("q0", "pair", 0, "D"),
+                          Spec("q1", "pair", 1, "D")]}),
+    ("submit_many", {"block": [Spec("q2", "valued", 0, "E"),
+                               Spec("q3", "valued", 1, "E"),
+                               Spec("q4", "gated", 2, "D"),
+                               Spec("q5", "gated", 3, "D")]}),
+    ("mutate", {"ops": [("insert", "V", [
+        ("E", -7, float("-inf"), False, "it's", "a\nb")])],
+                "direct": True}),
+    ("run_batch", {}),
+    ("fault", {"faults": {"detach": 1}, "block": [
+        Spec("q6", "pair", 1, "E"), Spec("q7", "pair", 2, "E"),
+        Spec("q8", "pair", 3, "E"), Spec("q9", "bridge", 0, "E")]}),
+    ("mutate", {"ops": [("insert", "F", [("U3", "U2"), ("U0", "U2")])],
+                "direct": False}),
+    ("run_batch", {}),
+    ("crash", {"reshape": 2}),
+    ("invalidate_cache", {}),
+    ("advance", {"seconds": 2.0, "then_round": True}),
+    ("snapshot", {}),
+    ("advance", {"seconds": 1.0, "then_round": False}),
+    ("submit_many", {"block": [Spec("q10", "host", 0, "D", 1),
+                               Spec("q11", "guest", 1, "D"),
+                               Spec("q4", "guest", 2, "D", fresh=True)]}),
+    ("run_batch", {}),
+    ("journal_full", {"command": "run_batch", "ops": [], "reshape": 0}),
+    ("submit", {"block": [Spec("q5", "missing", 0, "D")]}),
+    ("run_batch", {}),
+]
+
+
+def tour(group: Group) -> list:
+    """:data:`TOUR` as far as *group*'s rules go; without the fault rule
+    the chain arrives by plain ``submit`` (its bridge still migrates)."""
+    steps = []
+    for name, arguments in TOUR:
+        if name == "fault" and name not in group.rules():
+            name, arguments = "submit", {"block": arguments["block"]}
+        if name in group.rules():
+            steps.append((name, arguments))
+    return steps
+
+
+def replay(group: Group, history, machine=None) -> None:
     """Run an explicit *history* — ``(rule name, keyword arguments)``
-    pairs — through *group*'s machine, every invariant checked."""
-    machine = machine_for(group)()
+    pairs — through *group*'s machine (or *machine*, a class from
+    :func:`machine_for`), every invariant checked."""
+    instance = (machine or machine_for(group))()
     try:
         for name, arguments in history:
-            getattr(machine, name)(**arguments)
+            getattr(instance, name)(**arguments)
     finally:
-        machine.teardown()
+        instance.teardown()
+
+
+def require_reached(group: Group, tally) -> None:
+    """What a run of *group* must have done for its comparisons to mean
+    anything."""
+    missing = group.rules() - set(tally)
+    assert not missing, f"{group.name}: no {sorted(missing)} in {tally}"
+    assert tally["answered"] > 0, tally
+    if any(options.get("forget") for _, options in group.subjects):
+        # The compared paths really differed.
+        assert tally["live.match_resumed"] > 0, tally
+    if group.reference[0] == "engine-component":
+        # One carrying engine against its forgetting twin: it answered
+        # closures from carried verdicts, and built less.
+        assert tally["live.closures_skipped_empty"] > 0, tally
+        assert (tally["live.combined_queries_built"]
+                < tally["forget.combined_queries_built"]), tally
+    if any(options.get("num_shards", 2) > 1
+           for shape, options in group.subjects if "fleet" in shape):
+        assert tally["migrations"] > 0, tally
 
 
 def run_model(group: Group, *, seed: int | None = None,
               examples: int | None = None, steps: int | None = None):
-    """Run *group*'s machine under hypothesis (a fixed *seed* makes the
-    run reproducible)."""
+    """Run *group*'s machine: its :func:`tour`, then hypothesis's
+    *examples* histories (none if the group has none) — a fixed *seed*
+    makes them reproducible; the first is always hypothesis's simplest,
+    so there are at least two — and :func:`require_reached` over the
+    whole run."""
+    examples = group.examples if examples is None else examples
+    assert examples != 1, "the first example is hypothesis's simplest"
     machine = machine_for(group)
-    factory = machine
-    if seed is not None:
-        from hypothesis import seed as fixed_seed
-        factory = fixed_seed(seed)(lambda: machine())
-    run_state_machine_as_test(factory, settings=settings(
-        max_examples=examples or group.examples,
-        stateful_step_count=steps or group.steps, deadline=None,
-        suppress_health_check=list(HealthCheck)))
+    replay(group, tour(group), machine)
+    if examples:
+        factory = machine
+        if seed is not None:
+            from hypothesis import seed as fixed_seed
+            factory = fixed_seed(seed)(lambda: machine())
+        run_state_machine_as_test(factory, settings=settings(
+            max_examples=examples,
+            stateful_step_count=steps or group.steps, deadline=None,
+            database=None, suppress_health_check=list(HealthCheck)))
+    require_reached(group, machine.tally)

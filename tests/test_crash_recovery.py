@@ -22,8 +22,9 @@ give is the model machine's (:class:`servicekit.ServiceModel`): its
 ``crash`` rule recovers a copy of the live directory — what a kill -9
 leaves, since every append reaches the OS before it returns — under a
 drawn durable shape, and its ``journal_full`` rule is the in-process
-form of a death inside the append.  Each sampled point names a seeded
-run of it.
+form of a death inside the append.  Each sampled point names a run of
+it on the shape it names: the kit's tour (a crash into another shape
+and a full journal among its steps), then seeded histories.
 """
 
 from __future__ import annotations
@@ -315,12 +316,12 @@ def test_cross_shape_recovery_keeps_burned_ids(writer):
     """``serve --wal-dir D`` then ``serve --wal-dir D --shards 2`` (or
     the reverse): the model's crash rule recovers under engine and
     fleet shapes alike, and its own verdict refuses every burned id."""
-    run_model(_cross_shape(writer), seed=15, examples=3)
+    run_model(_cross_shape(writer), seed=15)
 
 
 @CROSS_SHAPE
 def test_cross_shape_recovery_from_snapshot_plus_log_suffix(writer):
-    run_model(_cross_shape(writer), seed=16, examples=3)
+    run_model(_cross_shape(writer), seed=16)
 
 
 def test_torn_final_record_drops_exactly_one_command(tmp_path,

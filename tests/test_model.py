@@ -7,8 +7,9 @@ on both backends, the durable wrapper around each, and a served child —
 with the paper as the ground oracle (Theorem 2.1's coordinating sets,
 ``coordinate()`` for §6 aggregates).  ``tests/servicekit.py`` lists
 its rules and invariants.  Below: the hypothesis-driven runs of every
-group, then explicit histories that once answered wrongly, replayed
-through the same machine.
+group (each replays the kit's tour of every rule first), then explicit
+histories that once answered wrongly, replayed through the same
+machine.
 """
 
 from __future__ import annotations
@@ -20,55 +21,11 @@ from servicekit import GROUPS, Spec, replay, run_model, single
 IN_PROCESS = GROUPS["in-process"]
 
 
-#: The process group walks its tour below and the process fleets run
-#: seeded in test_shard_equivalence / test_mutation_equivalence: its
-#: two random examples here cost worker spawns and the first of them is
-#: hypothesis's simplest history.
-@pytest.mark.parametrize("group", ["component", "in-process", "served"])
+@pytest.mark.parametrize("group", sorted(GROUPS))
 def test_every_shape_is_the_same_function_of_the_history(group):
     # A fixed seed keeps tier-1 reproducible; hunting with a bigger
     # budget and fresh seeds is run_model's other use.
     run_model(GROUPS[group], seed=36)
-
-
-# ----------------------------------------------------------------------
-# every rule once: the small-budget groups' random examples start from
-# hypothesis's simplest histories, so each group also walks one tour
-# ----------------------------------------------------------------------
-
-TOUR = [
-    ("submit", {"block": [Spec("q0", "pair", 0, "D"),
-                          Spec("q1", "pair", 1, "D")]}),
-    ("submit_many", {"block": [Spec("q2", "valued", 0, "E"),
-                               Spec("q3", "valued", 1, "E")]}),
-    ("mutate", {"ops": [("insert", "V", [
-        ("E", -7, float("-inf"), False, "it's", "a\nb")])],
-                "direct": True}),
-    ("run_batch", {}),
-    ("crash", {"reshape": 1}),
-    ("mutate", {"ops": [("insert", "F", [("U0", "U2"), ("U3", "U2")])],
-                "direct": False}),
-    ("submit", {"block": [Spec("q4", "pair", 1, "D"),
-                          Spec("q5", "pair", 2, "D"),
-                          Spec("q6", "pair", 3, "D"),
-                          Spec("q7", "bridge", 0, "D")]}),
-    ("submit_many", {"block": [Spec("q8", "host", 0, "D", 1),
-                               Spec("q9", "guest", 1, "D"),
-                               Spec("q10", "guest", 2, "D")]}),
-    ("run_batch", {}),
-    ("advance", {"seconds": 2.0, "then_round": True}),
-    ("journal_full", {"command": "run_batch", "ops": [], "reshape": 0}),
-    ("submit_many", {"block": [Spec("q11", "missing", 0, "D")]}),
-    ("run_batch", {}),
-]
-
-
-@pytest.mark.parametrize("group", sorted(GROUPS))
-def test_every_rule_once(group):
-    durable = any(shape == "served" or shape.startswith("durable")
-                  for shape, _ in GROUPS[group].subjects)
-    replay(GROUPS[group], [step for step in TOUR if durable
-                           or step[0] not in ("crash", "journal_full")])
 
 
 # ----------------------------------------------------------------------

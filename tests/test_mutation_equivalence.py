@@ -5,7 +5,8 @@ Live mutations — inserts and deletes over every column type, through
 change answers.  The scripted interleavings and the fresh-engine oracle
 this file held are gone: each case runs :class:`servicekit.ServiceModel`
 (whose ``mutate`` rule draws those writes) with the shape it names as
-the subject, on the seed it always had.
+the subject — the kit's tour of every rule, then seeded histories on
+the seed it always had.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ backend — must be observationally identical to one
 :class:`repro.engine.engine.D3CEngine`.  The generators and loops
 this file held are gone: each case runs
 :class:`servicekit.ServiceModel` with the one fleet it names as the
-subject, on the seed it always had (``tests/test_model.py`` runs every
-shape together).  The machine's fleets route through a
+subject — the kit's tour of every rule, then seeded histories on the
+seed it always had — and requires the run to have answered and
+migrated (``tests/test_model.py`` runs every shape together).  The machine's fleets route through a
 :class:`servicekit.ScriptedRouter` that scatters the id pool across
 shards, so bridging arrivals force migrations.
 """
@@ -35,8 +36,7 @@ def test_incremental_mode_matches_single_engine(num_shards):
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 def test_forced_migrations_match_single_engine(num_shards):
-    run_model(single("fleet", num_shards=num_shards), seed=13,
-              examples=3)
+    run_model(single("fleet", num_shards=num_shards), seed=13)
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
