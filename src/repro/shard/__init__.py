@@ -1,7 +1,7 @@
 """The sharded coordination service (beyond the paper).
 
-Scales the D3C engine across CPU cores: a
-:class:`~repro.shard.coordinator.ShardedCoordinator` presents the
+Isolates the D3C engine's coordination components in separate shards:
+a :class:`~repro.shard.coordinator.ShardedCoordinator` presents the
 single-engine API over N shard workers, each owning a disjoint set of
 coordination components.  A deterministic
 :class:`~repro.shard.router.ShardRouter` places arrivals by anchor-atom
@@ -13,12 +13,13 @@ fleet's answers byte-identical to a single engine at any shard count.
 One :class:`~repro.shard.backend.ShardHost` holds every command body;
 two interchangeable transports carry commands to it: in-process
 (deterministic, debuggable) and spawned worker processes speaking the
-:mod:`repro.dataio` wire format (real multi-core parallelism despite
-the GIL).  See DESIGN.md §6.
+:mod:`repro.dataio` wire format.  Sharding here is fault containment,
+not throughput: a fleet costs more than one engine, and a lost worker
+costs only a re-home of its components (DESIGN.md §6).
 """
 
 from .backend import (InProcessBackend, ShardBackend, ShardCall,
-                      ShardReplicaStaleError, ShardWorkerError)
+                      ShardLostError, ShardWorkerError)
 from .coordinator import (ShardMigrationError, ShardReplicationError,
                           ShardedCoordinator)
 from .process import ProcessBackend
@@ -26,7 +27,6 @@ from .router import ShardRouter
 
 __all__ = [
     "InProcessBackend", "ProcessBackend", "ShardBackend", "ShardCall",
-    "ShardMigrationError", "ShardReplicaStaleError",
-    "ShardReplicationError", "ShardRouter", "ShardWorkerError",
-    "ShardedCoordinator",
+    "ShardLostError", "ShardMigrationError", "ShardReplicationError",
+    "ShardRouter", "ShardWorkerError", "ShardedCoordinator",
 ]

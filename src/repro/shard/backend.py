@@ -18,8 +18,8 @@ the host's one table (:attr:`ShardHost.COMMANDS`):
   serialization; the shard-equivalence oracle suite runs against it.
 * :class:`~repro.shard.process.ProcessBackend` — the host lives in a
   worker process, behind a codec at the frame edge and the
-  :mod:`repro.dataio` wire format; the GIL stays per-process, so shards
-  coordinate on separate cores.
+  :mod:`repro.dataio` wire format; a worker that dies takes only its
+  own process down, and the coordinator re-homes its components.
 
 A query reaches a shard as the coordinator's
 :class:`~repro.engine.engine.PendingRecord` — renamed apart and stamped
@@ -66,18 +66,11 @@ class ShardWorkerError(RuntimeError):
     """A shard worker reported a failure executing a command."""
 
 
-class ShardReplicaStaleError(ShardWorkerError):
-    """Coordinator-side: the worker refused a ``db_delta`` block
-    because its replica is behind the block's ``from`` version.
-    Recoverable — the coordinator replays the retained mutation log."""
-
-
-class ReplicaGapError(ValueError):
-    """Host-side: a ``db_delta`` block starts ahead of the replica's
-    version (a frame was lost).  Travels the wire as a dedicated
-    ``"stale"`` reply status — never by matching message text — so the
-    coordinator can replay its mutation log instead of declaring the
-    worker dead."""
+class ShardLostError(ShardWorkerError):
+    """The transport to a shard is gone: sending the command failed,
+    or the connection closed before its reply arrived.  The coordinator
+    removes the shard and re-homes its components (see
+    :meth:`~repro.shard.coordinator.ShardedCoordinator._lose`)."""
 
 
 class ShardCall:
@@ -181,8 +174,8 @@ class ShardBackend:
         ``db_version`` afterwards (the ack the coordinator verifies).
         Blocks the replica has already applied are acknowledged without
         reapplying (replays are idempotent); a block whose ``from``
-        version is ahead of the replica raises — the replica has a gap
-        and must be replayed from the mutation log first."""
+        version is ahead of the replica raises — the replica has a gap,
+        and the coordinator refuses it."""
         return self._dispatch("db_delta", payload=payload)
 
     def call_metrics(self) -> ShardCall:
@@ -283,17 +276,16 @@ class ShardHost:
     def db_delta(self, payload: dict) -> int:
         database = self.engine.database
         if database.db_version >= payload["version"]:
-            # A replayed block (a coordinator re-sync after a fake or
-            # lost ack) — or a host sharing the primary itself, which
-            # is always already current: ack without reapplying.
+            # A replayed block, or a host sharing the primary itself,
+            # which is always already current: ack without reapplying.
             return database.db_version
         from ..dataio import db_delta_from_payload
         from_version, version, deltas = db_delta_from_payload(payload)
         if database.db_version != from_version:
-            raise ReplicaGapError(
+            raise ValueError(
                 f"stale replica: database at version "
                 f"{database.db_version}, db_delta block starts at "
-                f"{from_version} — replay the mutation log first")
+                f"{from_version}")
         for delta in deltas:
             database.apply_delta(delta)
         if database.db_version != version:

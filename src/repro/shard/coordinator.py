@@ -36,7 +36,7 @@ per-shard).
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, deque
 from typing import Iterable, Sequence
 
 from ..core.atom_index import AtomIndex
@@ -51,8 +51,7 @@ from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ValidationError
 from ..obs import MetricsRegistry, TRACER, merge_snapshots
 from ..service import CoordinationService, state_payload
-from .backend import InProcessBackend, ShardBackend, \
-    ShardReplicaStaleError
+from .backend import InProcessBackend, ShardBackend, ShardLostError
 from .router import ShardRouter
 
 #: Backend selector values accepted by :class:`ShardedCoordinator`.
@@ -85,7 +84,9 @@ class ShardedCoordinator(CoordinationService):
         num_shards: worker count (1 is a valid, useful baseline).
         backend: ``"inprocess"`` (deterministic, debuggable — the
             equivalence oracle runs against it) or ``"process"``
-            (spawned workers, real CPU parallelism under the GIL).
+            (spawned workers: a worker that dies takes only its own
+            shard down, and its components are re-homed — isolation,
+            not speed; see DESIGN.md §6).
         mode / staleness / clock / batch_size / ucs_fallback /
         max_group_size / max_candidate_attempts /
         max_combined_atoms / incremental_strategy: exactly as on
@@ -201,12 +202,8 @@ class ShardedCoordinator(CoordinationService):
         # is the primary; TableDeltas it commits buffer here (via the
         # mutation listener) and flush as ONE versioned db_delta frame
         # per block to every live worker, which must ack the resulting
-        # version.  The log retains flushed blocks until every live
-        # shard acked them, so a lagging or re-homed-to shard can be
-        # replayed to the current version before accepting work.
+        # version or leave the fleet — so no live replica ever lags.
         self._db_version = database.db_version
-        self._acked = [database.db_version] * num_shards
-        self._mutation_log: list[dict] = []
         self._pending_deltas: list = []
         self._dead: set[int] = set()
         database.add_mutation_listener(self._on_local_delta)
@@ -355,38 +352,25 @@ class ShardedCoordinator(CoordinationService):
             else:
                 resident.add(partner)
 
-        # Membership lookups pipeline *across* shards in rounds: each
-        # round issues at most one request per shard (the next anchor
-        # not already covered by a collected component) before
-        # collecting any reply, so shard workers overlap while
-        # same-component anchors still cost a single lookup.  Anchors
-        # group by *logical* shard (the ownership view); each lookup
-        # goes to the anchor's *physical* shard, whose engine still
-        # holds the component when a planned move is unflushed.
-        anchors_by_shard: dict[int, list] = {}
-        for partner in sorted(resident, key=repr):
-            anchors_by_shard.setdefault(
-                self._shard_of[partner], []).append(partner)
-        queues = {shard: sorted(anchors, key=repr)[::-1]
-                  for shard, anchors in anchors_by_shard.items()}
-        members_by_shard: dict[int, set] = {
-            shard: set() for shard in anchors_by_shard}
-        while True:
-            batch: list[tuple[int, object]] = []
-            for shard in sorted(queues):
-                queue = queues[shard]
-                while queue:
-                    anchor = queue.pop()
-                    if anchor not in members_by_shard[shard]:
-                        holder = self._backends[
-                            self._physical_shard(anchor, physical)]
-                        batch.append((shard,
-                                      holder.call_members(anchor)))
-                        break
-            if not batch:
-                break
-            for shard, call in batch:
-                members_by_shard[shard].update(call.result())
+        owners = {self._shard_of[partner] for partner in resident | queued}
+        if len(owners) == 1:
+            # Every partner is on one shard already: nothing can move,
+            # so no component needs looking up.
+            return owners.pop()
+
+        # One membership lookup per component: an anchor already in a
+        # collected component of its shard is skipped.  Anchors group
+        # by *logical* shard (the ownership view); each lookup goes to
+        # the anchor's *physical* shard, whose engine still holds the
+        # component when a planned move is unflushed.
+        members_by_shard: dict[int, set] = {}
+        for anchor in sorted(resident, key=repr):
+            members = members_by_shard.setdefault(self._shard_of[anchor],
+                                                  set())
+            if anchor not in members:
+                holder = self._backends[
+                    self._physical_shard(anchor, physical)]
+                members.update(holder.call_members(anchor).result())
 
         weight: Counter = Counter()
         for shard, members in members_by_shard.items():
@@ -526,14 +510,14 @@ class ShardedCoordinator(CoordinationService):
         return self._pending_meta[query_id].arrival_seq
 
     def _rehome(self, query_ids: list, first: int | None = None,
-                exclude: set = frozenset()) -> None:
+                exclude: set = frozenset()) -> int:
         """The one restore path: import the coordinator's copy of
         *query_ids* onto *first* (when live), else onto the
-        lowest-indexed live shard outside *exclude*, each replayed to
-        the current ``db_version`` first — a restored component must
-        never coordinate against older data than the rest of the
-        fleet.  Raises :class:`ShardMigrationError` when no shard took
-        them."""
+        lowest-indexed live shard outside *exclude* — every live
+        replica is at the current ``db_version``, so a restored
+        component never coordinates against older data than the rest
+        of the fleet.  Returns the shard that took them; raises
+        :class:`ShardMigrationError` when none did."""
         records = [self._pending_meta[query_id] for query_id in query_ids]
         candidates = [shard for shard in self._live_shards()
                       if shard not in exclude and shard != first]
@@ -541,14 +525,13 @@ class ShardedCoordinator(CoordinationService):
             candidates.insert(0, first)
         for shard in candidates:
             try:
-                self._sync_shard(shard)
                 self._backends[shard].call_import(records).result()
             except Exception:
                 self._health.inc("shard.rehome_import_failures")
                 continue
             for query_id in query_ids:
                 self._shard_of[query_id] = shard
-            return
+            return shard
         raise ShardMigrationError(
             f"pending queries {query_ids!r} could not be restored on "
             f"any shard: records lost from the fleet")
@@ -580,10 +563,10 @@ class ShardedCoordinator(CoordinationService):
         nothing applied, so a retry of the "failed" batch cannot
         double-apply earlier ops fleet-wide under bag semantics.
         Returns the per-operation row counts.  Workers ack the
-        resulting ``db_version``; a worker acking any other version is
-        refused (:class:`ShardReplicationError`), and a worker that
-        died mid-frame has its components re-homed onto a healthy
-        shard (replayed to the current version first).
+        resulting ``db_version``; a worker acking any other version, or
+        failing the block, is refused (:class:`ShardReplicationError`),
+        and a worker lost mid-frame has its components re-homed onto a
+        current shard (see :meth:`_replicate`).
         """
         counts = self.database.apply_mutations(operations)
         self._replicate()
@@ -595,7 +578,8 @@ class ShardedCoordinator(CoordinationService):
         return self._db_version
 
     def dead_shards(self) -> set[int]:
-        """Shards removed from the fleet after a worker death."""
+        """Shards removed from the fleet: lost, or refused as stale
+        replicas."""
         return set(self._dead)
 
     def _live_shards(self) -> list[int]:
@@ -615,7 +599,15 @@ class ShardedCoordinator(CoordinationService):
 
     def _replicate(self) -> None:
         """Flush buffered deltas as one db_delta frame to every live
-        worker; verify acks, re-home components of workers that died."""
+        worker.
+
+        A worker lost on the way is re-homed as at any fan-out.  One
+        that acks any version but the block's, or fails the block (a
+        gap in its replica included), is refused: removed like a lost
+        one, then :class:`ShardReplicationError` is raised.  Either
+        way every live worker has acked the current version when the
+        flush ends, so no live replica lags and nothing is replayed.
+        """
         if not self._pending_deltas:
             return
         from ..dataio import db_delta_to_payload
@@ -628,106 +620,42 @@ class ShardedCoordinator(CoordinationService):
                                       self._pending_deltas)
         self._pending_deltas = []
         self._db_version = version
-        self._mutation_log.append(payload)
-        calls = [(shard, self._backends[shard].call_db_delta(payload))
-                 for shard in self._live_shards()]
-        died: list[tuple[int, BaseException]] = []
-        lagging: list[int] = []
-        refused: list[int] = []
-        for shard, call in calls:
-            try:
-                ack = call.result()
-            except ShardReplicaStaleError:
-                # The worker detected a gap (a previous frame was
-                # lost): recoverable — replay the log to it.
-                lagging.append(shard)
-                continue
-            except Exception as error:
-                died.append((shard, error))
-                continue
-            if ack != version:
-                refused.append(shard)
-                continue
-            self._acked[shard] = ack
-        for shard in lagging:
-            # A failure replaying must not abandon the died-shard
-            # re-homing below: a replay death joins the died list, a
-            # short ack (or a log too short to heal the gap) joins
-            # the refused list.
-            try:
-                self._sync_shard(shard)
-            except (ShardReplicationError, ShardReplicaStaleError):
-                refused.append(shard)
-                continue
-            except Exception as error:
-                died.append((shard, error))
-                continue
-            if self._acked[shard] != version:
-                refused.append(shard)
-        # Mark every casualty dead before re-homing any, so one dead
-        # shard's components can never be re-homed onto another shard
-        # that died (or was refused) in the same flush.
-        for shard, _ in died:
-            self._dead.add(shard)
-        for shard in refused:
-            self._dead.add(shard)
-        for shard, error in died:
-            self._rehome_dead_shard(shard, error)
-        failure: ShardReplicationError | None = None
-        if refused:
-            # A refused replica cannot be trusted with coordination:
-            # remove it from the fleet and adopt its components on
-            # shards known to be current, then surface the refusal.
-            failure = ShardReplicationError(
-                f"shards {sorted(refused)!r} acked the wrong "
-                f"db_version for block ->{version}; stale replicas "
-                f"are refused (removed from the fleet, components "
-                f"re-homed)")
-            for shard in refused:
-                self._rehome_dead_shard(shard, failure)
-        self._trim_log()
-        if failure is not None:
-            raise failure
-
-    def _sync_shard(self, shard: int) -> None:
-        """Replay the mutation log to *shard* up to the current
-        version (idempotent: already-applied blocks are skipped by the
-        worker and acked with its current version)."""
-        backend = self._backends[shard]
-        for payload in self._mutation_log:
-            if payload["version"] <= self._acked[shard]:
-                continue
-            ack = backend.call_db_delta(payload).result()
-            if ack < payload["version"]:
-                raise ShardReplicationError(
-                    f"shard {shard} acked db_version {ack} while "
-                    f"replaying block ->{payload['version']}")
-            self._acked[shard] = payload["version"]
-
-    def _trim_log(self) -> None:
-        """Drop log blocks every live shard has acked (a re-home
-        target is always a live shard, so older blocks can never be
-        needed again)."""
-        live = self._live_shards()
-        if not live:
+        failures: dict = {}
+        acks = dict(self._fan_out(
+            lambda backend, _: backend.call_db_delta(payload),
+            failures=failures))
+        refused = sorted(set(failures).union(
+            shard for shard, ack in acks.items() if ack != version))
+        if not refused:
             return
-        floor = min(self._acked[shard] for shard in live)
-        self._mutation_log = [payload for payload in self._mutation_log
-                              if payload["version"] > floor]
+        failure = ShardReplicationError(
+            f"shards {refused!r} acked the wrong db_version for block "
+            f"->{version}, or failed it; stale replicas are refused "
+            f"(removed from the fleet, components re-homed)")
+        # Mark every refused shard dead before re-homing any, so one's
+        # components never land on another refused in the same flush.
+        self._dead.update(refused)
+        for shard in refused:
+            self._lose(shard, failures.get(shard, failure))
+        raise failure from next(iter(failures.values()), None)
 
-    def _rehome_dead_shard(self, shard: int,
-                           cause: BaseException) -> None:
-        """Remove a dead worker from the fleet and adopt its pending
-        components on a healthy shard.
+    def _lose(self, shard: int, cause: BaseException,
+              spare: set = frozenset()) -> int:
+        """The one loss path: remove *shard* from the fleet and re-home
+        its components.
 
-        The coordinator holds its own copy of every pending record, so
-        the dead worker's cooperation is not needed (see
-        :meth:`_rehome`).
+        The shard is marked dead, the settlements already decoded off
+        its wire are applied (their tickets must still resolve), its
+        backend is closed, and every pending query it owned is
+        imported from the coordinator's own records by
+        :meth:`_rehome` — the worker's cooperation is not needed.
+        *spare* ids (a block the shard never acknowledged, which the
+        caller sends on itself) stay behind.  Returns the shard that
+        adopted the rest (the lowest live one when there was none);
+        raises :class:`ShardMigrationError` when no live shard remains.
         """
         backend = self._backends[shard]
         self._dead.add(shard)
-        # Salvage settlements already decoded off the wire before the
-        # death — their tickets must still resolve.
         self._apply_events(backend.drain_events())
         try:
             backend.close()
@@ -736,16 +664,70 @@ class ShardedCoordinator(CoordinationService):
             self._health.inc("shard.close_failures")
         stranded = sorted(
             (query_id for query_id, owner in self._shard_of.items()
-             if owner == shard),
+             if owner == shard and query_id not in spare),
             key=self._arrival_seq)
-        if stranded:
+        if not stranded:
+            return self._live_home(shard)
+        try:
+            return self._rehome(stranded)
+        except ShardMigrationError:
+            raise ShardMigrationError(
+                f"components of lost shard {shard} ({cause!r}) could "
+                f"not be re-homed on any live shard: records lost from "
+                f"the fleet") from cause
+
+    def _fan_out(self, issue, blocks: dict | None = None,
+                 failures: dict | None = None) -> list:
+        """The one fan-out: issue a command on every live shard, then
+        collect the replies in shard order, applying each shard's
+        settlement events after its reply.
+
+        ``issue(backend, block)`` issues the command on one backend.
+        *blocks* (shard -> the records it is sent; :meth:`_place`)
+        names the shards and what each carries; by default every live
+        shard carries nothing.  A shard lost on the way goes through
+        :meth:`_lose`, and each block it still owed is issued again on
+        the shard that adopted its components, so the command finishes
+        on the survivors.  Any other failure is put in *failures*
+        (shard -> error) when given, else raised once every reply is
+        in.  Returns ``(shard, reply)`` pairs in collection order: a
+        shard that adopted a lost one's components replies again,
+        after it did so.
+        """
+        if blocks is None:
+            blocks = dict.fromkeys(self._live_shards(), ())
+        backends = self._backends
+        owed = {shard: shard for shard in blocks}  # block -> carrier
+        calls = deque((shard, shard, issue(backends[shard], blocks[shard]))
+                      for shard in sorted(blocks))
+        replies: list = []
+        errors = {} if failures is None else failures
+        while calls:
+            block, carrier, call = calls.popleft()
+            if owed.get(block) != carrier:
+                continue  # issued again after its carrier was lost
             try:
-                self._rehome(stranded)
-            except ShardMigrationError:
-                raise ShardMigrationError(
-                    f"components of dead shard {shard} ({cause!r}) "
-                    f"could not be re-homed on any live shard: records "
-                    f"lost from the fleet") from cause
+                replies.append((carrier, call.result()))
+            except ShardLostError as error:
+                moved = [key for key, owner in owed.items()
+                         if owner == carrier]
+                heir = self._lose(carrier, error, spare={
+                    record.query.query_id
+                    for key in moved for record in blocks[key]})
+                for key in moved:
+                    owed[key] = heir
+                    for record in blocks[key]:
+                        self._shard_of[record.query.query_id] = heir
+                    calls.append((key, heir,
+                                  issue(backends[heir], blocks[key])))
+                continue
+            except Exception as error:
+                errors.setdefault(carrier, error)
+            del owed[block]
+            self._apply_events(backends[carrier].drain_events())
+        if failures is None and errors:
+            raise next(iter(errors.values()))
+        return replies
 
     # ------------------------------------------------------------------
     # submission
@@ -761,7 +743,11 @@ class ShardedCoordinator(CoordinationService):
         (the primary) before anything is routed, then stamped
         (:func:`~repro.engine.engine.stamp_records`: one global arrival
         sequence and one trace id per query) and placed
-        (:meth:`_place`).  Each shard adopts its sub-block of records
+        (:meth:`_place`), which moves the sequence counter past the
+        block only once the block is routed and registered, so a block
+        that fails in routing leaves it where one engine's would be.
+        Each shard adopts its
+        sub-block of records
         as is and coordinates it with the same deferred-drain semantics
         as :meth:`D3CEngine.submit_many` — entangled block members are
         always co-located, so the per-shard deferral reproduces the
@@ -772,10 +758,8 @@ class ShardedCoordinator(CoordinationService):
         self._replicate()
         records = stamp_records(queries, self._next_seq,
                                 self._clock.now())
-        self._next_seq += len(records)
         tickets = self._place(records, ShardBackend.call_submit_block)
         self._submitted += len(records)
-        self._drain_all_events()
         self._maybe_autobatch()
         return tickets
 
@@ -786,11 +770,12 @@ class ShardedCoordinator(CoordinationService):
 
         The records are routed as one block (with migrations; see
         :meth:`_route_block`), registered (burned id, coordinator copy,
-        fresh ticket), split into per-shard sub-blocks preserving
-        arrival order, and handed to the shards concurrently by
-        *command* — :meth:`ShardBackend.call_submit_block` (adopt and
-        coordinate) or :meth:`ShardBackend.call_import` (adopt only).
-        Results are collected in shard order.  Returns the tickets in
+        fresh ticket, the sequence counter moved past it), split into per-shard sub-blocks preserving
+        arrival order, and handed to the shards by *command* —
+        :meth:`ShardBackend.call_submit_block` (adopt and coordinate)
+        or :meth:`ShardBackend.call_import` (adopt only) — through
+        :meth:`_fan_out`, which sends a lost shard's sub-block on to
+        the shard that adopts its components.  Returns the tickets in
         record order.
         """
         tracer = TRACER
@@ -815,10 +800,12 @@ class ShardedCoordinator(CoordinationService):
             self._pending_meta[query_id] = record
             self._tickets[query_id] = ticket
             blocks.setdefault(target, []).append(record)
-        calls = [command(self._backends[target], blocks[target])
-                 for target in sorted(blocks)]
-        for call in calls:
-            call.result()
+        if records:
+            # Registered records own their seqs (records come in
+            # arrival order); a block refused in routing never gets here.
+            self._next_seq = max(self._next_seq,
+                                 records[-1].arrival_seq + 1)
+        self._fan_out(command, blocks)
         return tickets
 
     def _maybe_autobatch(self) -> None:
@@ -837,38 +824,24 @@ class ShardedCoordinator(CoordinationService):
         Shards round concurrently — components are disjoint and the
         database only changes between rounds (buffered mutations are
         replicated before the fan-out), so the fan-out settles exactly
-        what sequential rounds would; events apply in shard order.
+        what sequential rounds would; events apply in shard order.  A
+        shard that adopts a lost one's components rounds again.
         """
         self._replicate()
         now = self._clock.now()
-        answered = 0
-        live = [self._backends[shard] for shard in self._live_shards()]
-        calls = [backend.call_run_batch(now) for backend in live]
-        for backend, call in zip(live, calls):
-            answered += call.result()
-            self._apply_events(backend.drain_events())
-        return answered
+        return sum(answered for _, answered in self._fan_out(
+            lambda backend, _: backend.call_run_batch(now)))
 
     def expire_stale(self) -> int:
         """Expire stale pending queries fleet-wide; returns the count."""
         self._replicate()
         now = self._clock.now()
-        expired = 0
-        live = [self._backends[shard] for shard in self._live_shards()]
-        calls = [backend.call_expire(now) for backend in live]
-        for backend, call in zip(live, calls):
-            expired += call.result()
-            self._apply_events(backend.drain_events())
-        return expired
+        return sum(expired for _, expired in self._fan_out(
+            lambda backend, _: backend.call_expire(now)))
 
     def invalidate_cache(self) -> None:
         """Forget data-dependent coordination state on every shard."""
-        for shard in self._live_shards():
-            self._backends[shard].call_invalidate().result()
-
-    def _drain_all_events(self) -> None:
-        for shard in self._live_shards():
-            self._apply_events(self._backends[shard].drain_events())
+        self._fan_out(lambda backend, _: backend.call_invalidate())
 
     def _apply_events(self, events) -> None:
         from ..core.evaluate import FailureReason
@@ -969,25 +942,16 @@ class ShardedCoordinator(CoordinationService):
         return sorted(self._tickets, key=self._arrival_seq)
 
     def partition_sizes(self) -> list[int]:
-        """Component sizes across all shards, largest first (snapshots
-        collected concurrently — the lookups pipeline across shards)."""
-        calls = [self._backends[shard].call_partition_sizes()
-                 for shard in self._live_shards()]
-        sizes: list[int] = []
-        for call in calls:
-            sizes.extend(call.result())
-        return sorted(sizes, reverse=True)
+        """Component sizes across all shards, largest first (each
+        shard's last reply: an heir's counts what it adopted)."""
+        replies = dict(self._fan_out(
+            lambda backend, _: backend.call_partition_sizes()))
+        return sorted((size for sizes in replies.values()
+                       for size in sizes), reverse=True)
 
     def shard_of(self, query_id) -> int:
         """The shard currently owning a pending query."""
         return self._shard_of[query_id]
-
-    def shard_pending_counts(self) -> list[int]:
-        """Pending queries per shard (load-balance diagnostics)."""
-        counts = [0] * len(self._backends)
-        for shard in self._shard_of.values():
-            counts[shard] += 1
-        return counts
 
     @property
     def wire_requests(self) -> int:
@@ -1002,8 +966,8 @@ class ShardedCoordinator(CoordinationService):
 
         The single aggregation codepath: every live worker's
         :meth:`~repro.engine.engine.D3CEngine.metrics_snapshot` is
-        collected concurrently (the calls pipeline across shards) and
-        merged key-wise with :func:`repro.obs.merge_snapshots`.  The
+        collected by :meth:`_fan_out` (an heir's last reply counts)
+        and merged key-wise with :func:`repro.obs.merge_snapshots`.  The
         coordinator then overrides the lifecycle counters it is
         authoritative for (``submitted`` / ``answered`` /
         ``failed.*`` — worker-local counts double-count nothing, but
@@ -1012,9 +976,9 @@ class ShardedCoordinator(CoordinationService):
         ``shard.migrated_queries`` / ``wire.requests`` counters and
         the global ``pending`` gauge.
         """
-        calls = [self._backends[shard].call_metrics()
-                 for shard in self._live_shards()]
-        merged = merge_snapshots(*[call.result() for call in calls],
+        replies = dict(self._fan_out(
+            lambda backend, _: backend.call_metrics()))
+        merged = merge_snapshots(*replies.values(),
                                  self._health.snapshot())
         counters = merged["counters"]
         for key in [key for key in counters

@@ -1,7 +1,10 @@
-"""Process-parallel shard workers behind a pipelined wire protocol.
+"""Shard workers in their own processes, behind a pipelined wire protocol.
 
-The GIL serializes Python threads; worker *processes* do not share
-one, so process shards are this repo's one parallelism story.
+A worker process is a fault-containment boundary: a shard that dies
+takes only its own engine down, and the coordinator re-homes its
+components from its own records.  It is not a speed-up — over the
+ledger's ``sharded_rounds`` a 2-shard fleet costs about 2.6× one
+engine's wall time (README, "Sharding is fault containment").
 :class:`ProcessBackend` runs one :class:`~repro.shard.backend.ShardHost`
 — the same command bodies the in-process transport runs — per spawned
 worker process, and speaks a **correlation-ID** command protocol over
@@ -55,10 +58,11 @@ from :func:`repro.dataio.dump_database` text — a *replica* of the
 coordinator's primary, pinned to the primary's ``db_version`` at
 start-up and kept current by versioned ``db_delta`` frames (the worker
 acks each block's resulting version, skips already-applied replays,
-and refuses gapped blocks with a ``stale replica`` error so the
-coordinator replays its mutation log).  The host's clock is pinned to
-the coordinator's ``now`` exactly as in-process, so the process fleet
-behaves byte-identically to in-process shards.
+and refuses gapped blocks with a ``stale replica`` error, after which
+the coordinator removes it).  A broken pipe or a closed connection
+raises :class:`~repro.shard.backend.ShardLostError`.  The host's clock
+is pinned to the coordinator's ``now`` exactly as in-process, so the
+process fleet behaves byte-identically to in-process shards.
 """
 
 from __future__ import annotations
@@ -74,9 +78,8 @@ from ..core.evaluate import FailureReason
 from ..engine.staleness import NeverStale, StalenessPolicy, \
     TimeoutStaleness
 from ..obs.trace import TRACER, set_tracing
-from .backend import (ReplicaGapError, ShardBackend, ShardCall,
-                      ShardHost, ShardReplicaStaleError,
-                      ShardWorkerError)
+from .backend import (ShardBackend, ShardCall, ShardHost,
+                      ShardLostError, ShardWorkerError)
 
 #: ``req_id`` of the worker's one unsolicited frame: the readiness
 #: handshake sent after the database rebuild.
@@ -265,16 +268,12 @@ def _worker_main(connection, config: dict) -> None:
             break
         try:
             result = host.execute(op, _decode_args(args))
-        except BaseException as error:
+        except BaseException:  # lint: allow-swallow(traceback is shipped to the coordinator in the err reply)
             # Settlements that fired before the failure still ship —
             # withholding them would desynchronize the coordinator's
             # tickets from the engine (the coordinator applies events
-            # from error replies before raising).  A replica gap gets
-            # its own status so the coordinator's recovery choice
-            # never depends on message text.
-            status = ("stale" if isinstance(error, ReplicaGapError)
-                      else "err")
-            connection.send((req_id, status, traceback.format_exc(),
+            # from error replies before raising).
+            connection.send((req_id, "err", traceback.format_exc(),
                              _encode_events(host.drain_events())))
             continue
         connection.send((req_id, "ok", result,
@@ -347,7 +346,7 @@ class ProcessBackend(ShardBackend):
         try:
             return self._connection.recv()
         except (EOFError, OSError) as error:
-            raise ShardWorkerError(
+            raise ShardLostError(
                 f"shard {self.shard_index} worker died "
                 f"(connection lost: {error!r})") from error
 
@@ -361,8 +360,8 @@ class ProcessBackend(ShardBackend):
         req_id = next(self._req_ids)
         try:
             self._connection.send((req_id, op, args))
-        except (BrokenPipeError, OSError) as error:
-            raise ShardWorkerError(
+        except OSError as error:
+            raise ShardLostError(
                 f"shard {self.shard_index} worker died "
                 f"(send failed: {error!r})") from error
         self._inflight[req_id] = op
@@ -393,10 +392,6 @@ class ProcessBackend(ShardBackend):
                     f"{req_id} was already collected")
             self._pump_one()
         op, status, result = self._replies.pop(req_id)
-        if status == "stale":
-            raise ShardReplicaStaleError(
-                f"shard {self.shard_index} refused {op!r} as a stale "
-                f"replica:\n{result}")
         if status != "ok":
             raise ShardWorkerError(
                 f"shard {self.shard_index} failed {op!r}:\n{result}")

@@ -18,8 +18,9 @@ cross-shard migration protocol is for.
 
 The fingerprint is BLAKE2 over a canonical rendering, **not** Python's
 builtin ``hash``: string hashing is salted per process
-(``PYTHONHASHSEED``), and shard worker processes must agree with the
-coordinator on every route.
+(``PYTHONHASHSEED``).  Only the coordinator routes — workers never do —
+so what BLAKE2 buys is run-to-run determinism: the same inputs place
+the same queries, and migrate the same components, in every run.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ def atom_route_key(atom: Atom) -> tuple:
 def fingerprint(key: object) -> int:
     """Stable 64-bit fingerprint of a routing key.
 
-    Process-independent (unlike builtin ``hash``), so coordinator and
-    shard workers — and reruns under different ``PYTHONHASHSEED`` —
-    always agree.
+    Process-independent (unlike builtin ``hash``), so reruns under
+    different ``PYTHONHASHSEED`` route alike.
     """
     rendered = repr(key).encode("utf-8")
     digest = hashlib.blake2b(rendered, digest_size=8).digest()

@@ -27,7 +27,9 @@ subject shapes of a :class:`Group`, and after every rule checks:
     when ``find_coordinating_set`` finds a coordinating set covering it
     (Theorem 2.1), and else not at all; one whose queries carry a §6
     aggregate gets ``coordinate()``'s answers;
-(d) after a fault, every fleet passes the exactly-once audit.
+(d) after a fault, every fleet passes the exactly-once audit; after a
+    shard is lost, the fleet names it dead and still matches the
+    reference — the loss cost nothing but a re-home.
 
 Besides the lockstep comparison the machine keeps a small model of its
 own: which ids are burned (pending or answered) and which queries read
@@ -40,8 +42,8 @@ once — before hypothesis's examples, if the group has any (the first
 is always hypothesis's simplest history), and then requires of the
 whole run what makes its comparisons mean something: every rule of
 the group reached, answers given, the live shapes resuming carried
-attempts where a forgetting twin is compared with them, and fleets of
-more than one shard migrating.
+attempts where a forgetting twin is compared with them, fleets of
+more than one shard migrating, and a lost shard named dead.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ from repro.engine.staleness import ManualClock, TimeoutStaleness
 from repro.errors import RecoveryError, ReproError
 from repro.lang import parse_and_lower, schema_resolver
 from repro.server import ServerClient, ServerCommandError
-from repro.shard import (ShardCall, ShardMigrationError, ShardRouter,
+from repro.shard import (InProcessBackend, ShardCall, ShardLostError,
+                         ShardMigrationError, ShardRouter,
                          ShardedCoordinator)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -441,6 +444,11 @@ class InjectedFault(RuntimeError):
 #: The shard calls a migration makes, and a fault can fail.
 FAULT_KINDS = ("members", "detach", "import")
 
+#: The commands that can meet a lost shard first (``observe``: the
+#: check's own reads, ``partition_sizes`` and ``stats``).
+LOSS_POINTS = ("run_batch", "expire_stale", "invalidate_cache",
+               "mutate", "observe")
+
 
 def _forget_before_rounds(service) -> None:
     """Drop every retained attempt and re-queue every component: a
@@ -475,10 +483,6 @@ class InProcess:
         self.name = name
         self.service = service
         self.forget = forget
-        #: Set once a fault made a submission fail: a fleet's failed
-        #: block consumes its arrival sequence numbers, so from then on
-        #: they compare by order only.
-        self.faulted = False
         self.settled: list = []
         #: Raw answer rows by id, for invariant (b).
         self.rows: dict = {}
@@ -560,6 +564,8 @@ class InProcess:
                 "combined_queries_built")})
         counts["migrations"] = sum(fleet.migrations
                                    for fleet in self.fleets())
+        counts["lost"] = sum(len(fleet.dead_shards())
+                             for fleet in self.fleets())
         return counts
 
     def close(self) -> None:
@@ -575,7 +581,6 @@ class Served:
 
     served = True
     durable = True
-    faulted = False
 
     def __init__(self, name: str, workdir: Path, database):
         self.name = name
@@ -715,6 +720,10 @@ class Group:
                 rules.add("snapshot")
         if self.faults:
             rules.add("fault")
+        if any("fleet" in shape and not shape.endswith("process")
+               and options.get("num_shards", 2) > 1
+               for shape, options in self.subjects):
+            rules.add("lose")
         return rules
 
 
@@ -904,7 +913,6 @@ class ServiceModel(RuleBasedStateMachine):
                 continue
             except InjectedFault:
                 assert faulty
-                subject.faulted = True
                 for fleet in subject.fleets():
                     audit_exactly_once(fleet)
                     _disarm(fleet)
@@ -1054,6 +1062,30 @@ class ServiceModel(RuleBasedStateMachine):
                     audit_exactly_once(fleet)
         self._check("fault")
 
+    @_in_group("lose")
+    @rule(victim=st.integers(0, 3), then=st.sampled_from(LOSS_POINTS),
+          ops=st.lists(operations, min_size=1, max_size=2))
+    def lose(self, victim, then, ops):
+        """A shard of every in-process fleet with more than one live
+        shard is lost: from now on each of its calls fails with
+        ShardLostError, as a dead worker's would.  *then* is the
+        command that meets the loss first; it completes and matches
+        the reference, and the fleet names the shard dead."""
+        for subject in self.subjects:
+            for fleet in subject.fleets():
+                _lose_shard(fleet, victim)
+        if then == "mutate":
+            self._each(lambda subject: subject.apply_mutations(ops, False))
+        elif then != "observe":
+            self._each(lambda subject: getattr(subject, then)())
+        self._check("lose")
+        for subject in self.subjects:
+            for fleet in subject.fleets():
+                assert not [shard for shard in fleet._live_shards()
+                            if _is_lost(fleet._backends[shard])], \
+                    subject.name
+                audit_exactly_once(fleet)
+
     @_in_group("journal_full")
     @rule(command=st.sampled_from(["run_batch", "expire", "mutate",
                                    "insert"]),
@@ -1122,13 +1154,9 @@ class ServiceModel(RuleBasedStateMachine):
             got = subject.observe()
             assert sorted(subject.settled, key=repr) == expected, (
                 subject.name, subject.settled, expected)
-            want = view
-            if subject.faulted:
-                assert got["state"]["next_seq"] >= view["state"]["next_seq"]
-                got, want = _by_order(got), _by_order(view)
             for key, value in got.items():
-                assert value == want[key], (subject.name, key, value,
-                                            want[key])
+                assert value == view[key], (subject.name, key, value,
+                                            view[key])
         self._check_answers()
         for subject in [self.reference, *self.subjects]:
             for query_id, _ in subject.settled:
@@ -1212,14 +1240,6 @@ def _components(queries) -> list:
     return list(groups.values())
 
 
-def _by_order(view: dict) -> dict:
-    """*view* with arrival sequence numbers dropped (``pending`` keeps
-    arrival order)."""
-    state = dict(view["state"], next_seq=None, pending=[
-        dict(record, seq=None) for record in view["state"]["pending"]])
-    return dict(view, state=state)
-
-
 def _arm(fleet, faults: dict) -> None:
     """The next ``faults[kind]`` calls of ``call_<kind>`` on *fleet*,
     whichever shard they go to, fail with InjectedFault."""
@@ -1242,6 +1262,31 @@ def _disarm(fleet) -> None:
     for backend in fleet._backends:
         for kind in FAULT_KINDS:
             backend.__dict__.pop(f"call_{kind}", None)
+
+
+def _is_lost(backend) -> bool:
+    return "_dispatch" in vars(backend)
+
+
+def _lose_shard(fleet, victim: int) -> None:
+    """From now on every call to one shard of an in-process *fleet*
+    fails with ShardLostError: the *victim*-th of its shards not yet
+    lost, busiest first, so a loss usually strands pending queries; a
+    fleet keeps at least one shard."""
+    standing = [shard for shard in fleet._live_shards()
+                if isinstance(fleet._backends[shard], InProcessBackend)
+                and not _is_lost(fleet._backends[shard])]
+    if len(standing) < 2:
+        return
+    owned = collections.Counter(fleet._shard_of.values())
+    standing.sort(key=lambda shard: -owned[shard])
+    backend = fleet._backends[standing[victim % len(standing)]]
+
+    def lost(op, **args):
+        return ShardCall.failed(ShardLostError(
+            f"shard {backend.shard_index} lost before {op!r}"))
+
+    backend._dispatch = lost
 
 
 def _in_process_journal_full(subject, command: str, ops) -> None:
@@ -1293,7 +1338,8 @@ def machine_for(group: Group):
 #: typed values written directly, a gated pair that fails, a
 #: chain whose bridge joins two pending halves on different shards (a
 #: migration, while detach calls fail), a write that lets the chain
-#: answer and resumes the gated pair's attempt, a crash into another
+#: answer and resumes the gated pair's attempt, the busiest shard lost
+#: before the round that answers the chain, a crash into another
 #: shape, expiry, a §6 party, a full journal, and a query over a
 #: missing table.
 TOUR = [
@@ -1314,6 +1360,7 @@ TOUR = [
         Spec("q8", "pair", 3, "E"), Spec("q9", "bridge", 0, "E")]}),
     ("mutate", {"ops": [("insert", "F", [("U3", "U2"), ("U0", "U2")])],
                 "direct": False}),
+    ("lose", {"victim": 0, "then": "run_batch", "ops": []}),
     ("run_batch", {}),
     ("crash", {"reshape": 2}),
     ("invalidate_cache", {}),
@@ -1372,6 +1419,8 @@ def require_reached(group: Group, tally) -> None:
     if any(options.get("num_shards", 2) > 1
            for shape, options in group.subjects if "fleet" in shape):
         assert tally["migrations"] > 0, tally
+    if "lose" in group.rules():
+        assert tally["lost"] > 0, tally
 
 
 def run_model(group: Group, *, seed: int | None = None,

@@ -3,13 +3,12 @@
 The invariants under attack:
 
 * a worker killed mid-``db_delta`` loses nothing — its pending
-  components are re-homed onto a healthy shard, which is replayed to
-  the current ``db_version`` (from the coordinator's mutation log)
-  before it accepts the records, and the service keeps answering
-  exactly like a single engine;
-* a replica that acks the wrong version for a replication block is
-  refused loudly (:class:`repro.shard.ShardReplicationError`), never
-  silently served stale data;
+  components are re-homed onto a shard that acked the block, and the
+  service keeps answering exactly like a single engine;
+* a replica that acks the wrong version for a replication block, or
+  refuses it for a gap, is refused loudly
+  (:class:`repro.shard.ShardReplicationError`) and re-homed like a
+  dead one, never left serving stale data;
 * the worker-side version guard makes replays idempotent and gaps
   impossible: an already-applied block is acked without reapplying, a
   block from the future raises before touching the replica.
@@ -24,9 +23,8 @@ from repro.core.terms import Variable, atom
 from repro.dataio import db_delta_to_payload, dump_database
 from repro.db import Database, TableDelta
 from repro.engine.engine import D3CEngine
-from repro.shard import (ShardCall, ShardReplicaStaleError,
-                         ShardReplicationError, ShardWorkerError,
-                         ShardedCoordinator)
+from repro.shard import (ShardCall, ShardReplicationError,
+                         ShardWorkerError, ShardedCoordinator)
 from repro.shard.process import ProcessBackend
 
 from servicekit import ScriptedRouter, audit_exactly_once
@@ -109,10 +107,9 @@ def test_worker_killed_mid_db_delta_rehomes_components(monkeypatch):
         ])
 
         # The dead shard left the fleet; its component was re-homed
-        # onto the survivor, which is at the current db_version.
+        # onto the survivor.
         assert coordinator.dead_shards() == {1}
         assert coordinator.shard_of("p2-a") == 0
-        assert coordinator._acked[0] == coordinator.db_version
         assert sorted(coordinator._backends[0].call_pending().result()) \
             == ["p1-a", "p1-b", "p2-a", "p2-b"]
         audit_exactly_once(coordinator)
@@ -130,39 +127,11 @@ def test_worker_killed_mid_db_delta_rehomes_components(monkeypatch):
         audit_exactly_once(coordinator)
 
 
-def test_lagging_worker_is_replayed_from_the_log(monkeypatch):
-    """A worker that misses a replication frame (transport hiccup: the
-    frame is swallowed before the send) reports ``stale replica`` at
-    the next frame; the coordinator replays the mutation log to it —
-    for real, not as a no-op — and the fleet converges."""
-    db, coordinator = _two_shard_fleet()
-    with coordinator:
-        victim = coordinator._backends[0]
-        real_call = victim.call_db_delta
-
-        def swallow_once(payload):
-            monkeypatch.setattr(victim, "call_db_delta", real_call)
-            return ShardCall.failed(ShardReplicaStaleError(
-                "shard 0 dropped the frame (simulated lost db_delta)"))
-
-        monkeypatch.setattr(victim, "call_db_delta", swallow_once)
-        # Frame 1 is lost to shard 0; the coordinator replays it from
-        # the log inside the same replication round.
-        coordinator.insert("G", [("u1", "u2"), ("u2", "u1")])
-        assert coordinator._acked == [coordinator.db_version] * 2
-        assert coordinator.dead_shards() == set()
-
-        # Frame 2 arrives normally and the worker is genuinely current:
-        # both gated pairs coordinate exactly like a single engine.
-        coordinator.insert("H", [("u3", "u4"), ("u4", "u3")])
-        assert coordinator.run_batch() == 4
-        audit_exactly_once(coordinator)
-
-
 def test_lagging_and_dead_workers_in_one_flush(monkeypatch):
-    """A shard lagging (swallowed frame) and a shard dying in the SAME
-    replication flush: the laggard is replayed AND the casualty is
-    re-homed — neither recovery may abandon the other."""
+    """A shard refusing the block for a gap (a swallowed earlier frame)
+    and a shard dying in the SAME replication flush: both leave the
+    fleet and both have their components re-homed — neither removal
+    may abandon the other."""
     db = gate_db()
     router = ScriptedRouter(3, {"p1-a": 0, "p2-a": 1})
     coordinator = ShardedCoordinator(db, num_shards=3,
@@ -176,11 +145,11 @@ def test_lagging_and_dead_workers_in_one_flush(monkeypatch):
         laggard = coordinator._backends[0]
         real_laggard_call = laggard.call_db_delta
 
-        def swallow_once(payload):
+        def gap_once(payload):
             monkeypatch.setattr(laggard, "call_db_delta",
                                 real_laggard_call)
-            return ShardCall.failed(ShardReplicaStaleError(
-                "shard 0 dropped the frame (simulated lost db_delta)"))
+            return ShardCall.failed(ShardWorkerError(
+                "shard 0: stale replica (simulated lost db_delta)"))
 
         victim = coordinator._backends[1]
         real_victim_call = victim.call_db_delta
@@ -190,21 +159,21 @@ def test_lagging_and_dead_workers_in_one_flush(monkeypatch):
             victim._process.join(5)
             return real_victim_call(payload)
 
-        monkeypatch.setattr(laggard, "call_db_delta", swallow_once)
+        monkeypatch.setattr(laggard, "call_db_delta", gap_once)
         monkeypatch.setattr(victim, "call_db_delta", kill_then_send)
-        coordinator.apply_mutations([
-            ("insert", "G", [("u1", "u2"), ("u2", "u1")]),
-            ("insert", "H", [("u3", "u4"), ("u4", "u3")]),
-        ])
+        with pytest.raises(ShardReplicationError, match="refused"):
+            coordinator.apply_mutations([
+                ("insert", "G", [("u1", "u2"), ("u2", "u1")]),
+                ("insert", "H", [("u3", "u4"), ("u4", "u3")]),
+            ])
 
-        # The casualty was re-homed despite the laggard's hiccup...
-        assert coordinator.dead_shards() == {1}
-        assert coordinator.shard_of("p2-a") != 1
+        # The casualty and the laggard both left the fleet; every
+        # component landed on the one shard that acked the block...
+        assert coordinator.dead_shards() == {0, 1}
+        assert {coordinator.shard_of(query_id) for query_id
+                in ("p1-a", "p1-b", "p2-a", "p2-b")} == {2}
         audit_exactly_once(coordinator)
-        # ...and the laggard was genuinely replayed to the current
-        # version (its pair coordinates on replay-delivered rows).
-        for shard in coordinator._live_shards():
-            assert coordinator._acked[shard] == coordinator.db_version
+        # ...and coordinates on the rows that block delivered.
         assert coordinator.run_batch() == 4
 
 
@@ -233,25 +202,32 @@ def test_all_workers_dead_is_a_named_loud_failure(monkeypatch):
 
 
 def test_stale_ack_worker_is_refused_and_removed(monkeypatch):
-    db = gate_db()
-    coordinator = ShardedCoordinator(db, num_shards=2,
-                                     backend="inprocess", mode="batch")
-    with coordinator:
-        coordinator.submit_many(gated_pair("p1", "u1", "u2", "G"))
-        liar = coordinator._backends[1]
-        monkeypatch.setattr(
-            liar, "call_db_delta",
-            lambda payload: ShardCall.completed(payload["version"] - 1))
-        with pytest.raises(ShardReplicationError, match="refused"):
-            coordinator.insert("G", [("u1", "u2"), ("u2", "u1")])
-        # The honest shard acked and stays current; the liar left the
-        # fleet and its components (if any) were re-homed, so the
-        # service keeps answering correctly.
-        assert coordinator._acked[0] == coordinator.db_version
-        assert coordinator.dead_shards() == {1}
-        audit_exactly_once(coordinator)
-        assert coordinator.run_batch() == 2
-        assert coordinator.pending_count == 0
+    """A worker acking the wrong version, and one refusing the block
+    for a gap in its replica: each is refused, removed and re-homed."""
+    replies = {
+        "wrong ack": lambda payload: ShardCall.completed(
+            payload["version"] - 1),
+        "gap": lambda payload: ShardCall.failed(ShardWorkerError(
+            "shard 1: stale replica (simulated lost db_delta)")),
+    }
+    for reply in replies.values():
+        db = gate_db()
+        coordinator = ShardedCoordinator(db, num_shards=2,
+                                         backend="inprocess",
+                                         mode="batch")
+        with coordinator:
+            coordinator.submit_many(gated_pair("p1", "u1", "u2", "G"))
+            monkeypatch.setattr(coordinator._backends[1],
+                                "call_db_delta", reply)
+            with pytest.raises(ShardReplicationError, match="refused"):
+                coordinator.insert("G", [("u1", "u2"), ("u2", "u1")])
+            # The refused shard left the fleet and its components (if
+            # any) were re-homed onto the shard that acked, so the
+            # service keeps answering correctly.
+            assert coordinator.dead_shards() == {1}
+            audit_exactly_once(coordinator)
+            assert coordinator.run_batch() == 2
+            assert coordinator.pending_count == 0
 
 
 # ----------------------------------------------------------------------
@@ -351,14 +327,3 @@ def test_failed_group_cache_pruned_when_members_leave():
     assert engine.expire_stale() == 2
     assert not runtime._failed_groups
     assert not runtime._failed_by_member
-
-
-def test_coordinator_trims_acked_log_blocks():
-    db = gate_db()
-    with ShardedCoordinator(db, num_shards=2, backend="process",
-                            mode="batch") as coordinator:
-        for index in range(5):
-            coordinator.insert("G", [(f"x{index}", f"y{index}")])
-        # Every live shard acked every block: nothing worth retaining.
-        assert coordinator._mutation_log == []
-        assert coordinator._acked == [coordinator.db_version] * 2

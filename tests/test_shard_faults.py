@@ -9,8 +9,12 @@ restore does too.  Each
 test drives the failure through the real protocol machinery and then
 audits the fleet: every query pending exactly once, coordinator
 bookkeeping consistent, and the service able to retry and coordinate
-afterwards.  Last comes the first fault of the "stalls rather than
-dies" family: a stopped worker must not be able to hang ``close()``.
+afterwards.  Then the first fault of the "stalls rather than dies"
+family: a stopped worker must not be able to hang ``close()``.  Last,
+a shard lost between commands — a real SIGKILL, and two in-process
+shards lost in one dispatch — is contained by the command that meets
+it: the shard leaves the fleet, its components are re-homed, and the
+command completes as one engine's would.
 """
 
 from __future__ import annotations
@@ -18,16 +22,19 @@ from __future__ import annotations
 import os
 import signal
 import threading
+from contextlib import nullcontext
 
 import pytest
 
 from repro.core.query import EntangledQuery
 from repro.core.terms import Variable, atom
+from repro.db import Database
 from repro.engine.engine import D3CEngine, PendingRecord
-from repro.shard import (ShardCall, ShardMigrationError,
+from repro.engine.staleness import ManualClock, TimeoutStaleness
+from repro.shard import (ShardCall, ShardLostError, ShardMigrationError,
                          ShardWorkerError, ShardedCoordinator)
 
-from servicekit import (ScriptedRouter, audit_exactly_once,
+from servicekit import (ScriptedRouter, audit_exactly_once, outcome,
                         rendezvous_triple)
 
 
@@ -355,3 +362,116 @@ def test_close_is_bounded_against_a_stalled_worker(monkeypatch):
         if process.is_alive():
             process.kill()  # releases a close() that never gave up
         closer.join(5)
+
+
+# ----------------------------------------------------------------------
+# a shard lost between commands: contained at the next fan-out
+# ----------------------------------------------------------------------
+
+
+def _loss_db():
+    db = Database()
+    db.create_table("F", "a text", "b text")
+    db.create_table("U", "a text", "b text")
+    db.insert("F", [("u1", "u2"), ("u2", "u1"), ("u3", "u4"),
+                    ("u4", "u3"), ("u5", "u6"), ("u6", "u5")])
+    db.insert("U", [(f"u{index}", "t") for index in range(1, 9)])
+    return db
+
+
+def _outcomes(service, tickets) -> dict:
+    return {"tickets": {ticket.query_id: outcome(ticket)
+                        for ticket in tickets},
+            "pending": service.pending_ids(),
+            "sizes": sorted(service.partition_sizes())}
+
+
+#: The commands run after the kill, each in turn the first to meet it.
+AFTER_THE_KILL = ["run_batch", "expire_stale", "submit_many"]
+
+
+@pytest.mark.parametrize("first", AFTER_THE_KILL)
+def test_worker_killed_between_commands_is_contained(first):
+    """SIGKILL a worker between commands: whichever command meets the
+    dead pipe first — a round, an expiry sweep or a submission bound
+    for the dead shard — and the two after it complete on the
+    survivor, and the fleet ends where one engine fed the same history
+    does.  Pairs ``a`` and ``b`` answer, ``c`` (whose data never
+    serves) expires, and ``d`` arrives for the dead shard."""
+    order = AFTER_THE_KILL[AFTER_THE_KILL.index(first):] \
+        + AFTER_THE_KILL[:AFTER_THE_KILL.index(first)]
+    histories = []
+    for shape in ("engine", "fleet"):
+        clock = ManualClock()
+        options = dict(mode="batch", clock=clock,
+                       staleness=TimeoutStaleness(2.5))
+        if shape == "engine":
+            service = D3CEngine(_loss_db(), **options)
+        else:
+            service = ShardedCoordinator(
+                _loss_db(), num_shards=2, backend="process",
+                router=ScriptedRouter(2, {"c1": 1, "a1": 0, "b1": 1,
+                                          "d1": 1}), **options)
+        with service if shape == "fleet" else nullcontext():
+            tickets = service.submit_many(
+                make_pair("c1", "c2", "u7", "u8", "ITH"))
+            clock.advance(2.0)
+            tickets += service.submit_many(
+                make_pair("a1", "a2", "u1", "u2", "ITH")
+                + make_pair("b1", "b2", "u3", "u4", "ITH"))
+            if shape == "fleet":
+                assert service.shard_of("b1") == 1
+                victim = service._backends[1]._process
+                victim.kill()
+                victim.join(5)
+            clock.advance(1.0)
+            for command in order:
+                if command == "submit_many":
+                    tickets += service.submit_many(
+                        make_pair("d1", "d2", "u5", "u6", "ITH"))
+                else:
+                    getattr(service, command)()
+            if shape == "fleet":
+                assert service.dead_shards() == {1}
+                audit_exactly_once(service)
+            histories.append(_outcomes(service, tickets))
+    engine, fleet = histories
+    assert fleet == engine
+    assert engine["tickets"]["c1"] == ("failed", "stale")
+    assert engine["tickets"]["b1"][0] == "answered"
+
+
+def test_two_shards_lost_in_one_dispatch_land_on_the_third():
+    """Shards 0 and 1 of an in-process fleet are lost while a block
+    bound for both is dispatched.  Shard 0 held nothing, so its
+    sub-block is sent on to shard 1 — lost too, which hands both
+    sub-blocks and its own pending pair to shard 2.  Nothing is
+    imported twice, and one engine fed the same history agrees."""
+    histories = []
+    for shape in ("engine", "fleet"):
+        if shape == "engine":
+            service = D3CEngine(_loss_db(), mode="batch")
+        else:
+            service = ShardedCoordinator(
+                _loss_db(), num_shards=3, mode="batch",
+                router=ScriptedRouter(3, {"x1": 1, "n1": 0, "m1": 1}))
+        tickets = service.submit_many(
+            make_pair("x1", "x2", "u1", "u2", "ITH"))
+        if shape == "fleet":
+            for shard in (0, 1):
+                service._backends[shard]._dispatch = (
+                    lambda op, **args: ShardCall.failed(
+                        ShardLostError(f"lost before {op!r}")))
+        tickets += service.submit_many(
+            make_pair("n1", "n2", "u3", "u4", "ITH")
+            + make_pair("m1", "m2", "u5", "u6", "ORD"))
+        if shape == "fleet":
+            assert service.dead_shards() == {0, 1}
+            assert {service.shard_of(ticket.query_id)
+                    for ticket in tickets} == {2}
+            audit_exactly_once(service)
+        service.run_batch()
+        histories.append(_outcomes(service, tickets))
+    engine, fleet = histories
+    assert fleet == engine
+    assert engine["pending"] == []

@@ -346,7 +346,7 @@ def test_coordinator_tracks_shard_ownership(database):
     coordinator.submit(pair[1])
     # Partner lookup co-locates the pair regardless of home shards.
     assert coordinator.shard_of("own1") == coordinator.shard_of("own2")
-    assert sum(coordinator.shard_pending_counts()) == 2
+    assert coordinator.pending_count == 2
     assert coordinator.partition_sizes() == [2]
 
 
