@@ -230,6 +230,41 @@ def test_stale_ack_worker_is_refused_and_removed(monkeypatch):
             assert coordinator.pending_count == 0
 
 
+def test_lagging_worker_is_refused_and_rehomed(monkeypatch):
+    """A worker that misses one replication frame (transport hiccup:
+    the frame is swallowed before the send) is refused at that frame —
+    never kept serving a lagging replica, even though its next frame
+    would arrive — and its pending component is re-homed onto the
+    shard that acked, where the fleet answers like a single engine."""
+    db, coordinator = _two_shard_fleet()
+    with coordinator:
+        victim = coordinator._backends[0]
+        real_call = victim.call_db_delta
+
+        def swallow_once(payload):
+            monkeypatch.setattr(victim, "call_db_delta", real_call)
+            return ShardCall.failed(ShardWorkerError(
+                "shard 0: stale replica (simulated lost db_delta)"))
+
+        monkeypatch.setattr(victim, "call_db_delta", swallow_once)
+        with pytest.raises(ShardReplicationError, match="refused"):
+            coordinator.insert("G", [("u1", "u2"), ("u2", "u1")])
+        assert coordinator.dead_shards() == {0}
+        assert coordinator.shard_of("p1-a") == 1
+        assert sorted(coordinator._backends[1].call_pending().result()) \
+            == ["p1-a", "p1-b", "p2-a", "p2-b"]
+        audit_exactly_once(coordinator)
+
+        # The next frame goes to the survivor only, and both gated
+        # pairs coordinate exactly like a single engine.
+        coordinator.insert("H", [("u3", "u4"), ("u4", "u3")])
+        expected_answered, _ = _single_engine_outcome()
+        assert coordinator.run_batch() == expected_answered == 4
+        assert coordinator.dead_shards() == {0}
+        assert coordinator.pending_count == 0
+        audit_exactly_once(coordinator)
+
+
 # ----------------------------------------------------------------------
 # worker-side version guard (protocol level)
 # ----------------------------------------------------------------------
