@@ -41,11 +41,13 @@ overlap.
 A migration is two commands: ``detach`` drops a component from the
 source shard's engine (all or nothing; the shard keeps no copy), and
 ``import`` adopts records the coordinator builds from its own copy on
-the destination.  The coordinator's copy is the only copy: when an
-import fails, the coordinator restores the detached records with the
-same ``import`` — on the source, else on another live shard.  Answer
-preservation does not depend on *where* the component lands, only on
-it landing exactly once.
+the destination.  The coordinator's copy is the only copy, so a lost
+shard costs a migration nothing: a detach it owed is complete, and an
+import it owed goes to the shard that adopted its components.  When a
+live shard fails either step, the coordinator restores the detached
+records with the same ``import`` — on the source, else on another live
+shard.  Answer preservation does not depend on *where* the component
+lands, only on it landing exactly once.
 """
 
 from __future__ import annotations

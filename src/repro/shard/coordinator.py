@@ -206,6 +206,8 @@ class ShardedCoordinator(CoordinationService):
         self._db_version = database.db_version
         self._pending_deltas: list = []
         self._dead: set[int] = set()
+        #: Lost shard -> the shard that adopted its components.
+        self._heirs: dict[int, int] = {}
         database.add_mutation_listener(self._on_local_delta)
 
         self._submitted = 0
@@ -267,18 +269,21 @@ class ShardedCoordinator(CoordinationService):
         tracked symmetrically so a later arrival that bridges earlier
         block members drags their whole clusters to one owner.
 
-        Migrations are *planned* during routing (``physical`` tracks
-        where each logically reassigned component still physically
-        lives) and flushed as batched exchanges — one per (source,
-        destination) pair — after the whole block is placed, so a
-        component retargeted several times within a block moves over
-        the wire at most once, directly to its final owner.  On
-        failure the block's arrivals are unwound from the routing
-        indexes (nothing was submitted yet), leaving no ghost entries.
+        Owners are *planned* in block-local maps — ``assignments`` for
+        arrivals, ``moves`` for resident queries that are to move —
+        while ``_shard_of`` stays true: it says where registered
+        records are.  The moves flush after the whole block is planned
+        (see :meth:`_exchange`), so a component retargeted several
+        times within a block moves at most once, directly to its final
+        owner.  Every request goes through :meth:`_fan_out`, so a shard
+        lost at any of them is contained by :meth:`_lose`, and planned
+        owners it took down are handed to its heir.  On failure the
+        block's arrivals (never registered) are unwound from the
+        routing indexes, leaving no ghost partner entries.
         """
         assignments: dict = {}
+        moves: dict = {}
         queued_partners: dict = {}
-        physical: dict = {}
         try:
             for working in workings:
                 query_id = working.query_id
@@ -288,49 +293,32 @@ class ShardedCoordinator(CoordinationService):
                     if partner in queued_partners:
                         queued_partners[partner].add(query_id)
                 if not partners:
-                    target = self._live_home(
+                    assignments[query_id] = self._heir(
                         self._router.home_shard(working))
                 else:
-                    target = self._colocate(query_id, partners,
-                                            queued_partners,
-                                            assignments, physical)
-                assignments[query_id] = target
-                self._shard_of[query_id] = target
+                    assignments[query_id] = self._colocate(
+                        query_id, partners, queued_partners, assignments,
+                        moves)
                 self._index_query(working)
-            self._flush_migrations(physical)
+            self._exchange(moves)
         except BaseException:
-            # Planned-but-unflushed moves are ownership edits with no
-            # physical counterpart yet — revert them (the flush paths
-            # revert their own failures and empty `physical` first).
-            for query_id, source in physical.items():
-                self._shard_of[query_id] = source
-            self._unwind_block(workings, assignments)
+            for working in workings:
+                if working.query_id in assignments:
+                    self._unindex_query(working)
             raise
         # Read placements only now: a later block member that bridged
         # two clusters may have reassigned earlier members.
+        self._hand_to_heirs(assignments)
         return [assignments[working.query_id] for working in workings]
 
-    def _unwind_block(self, workings: Sequence[EntangledQuery],
-                      assignments: dict) -> None:
-        """Scrub a failed block's arrivals from the routing state.
-
-        They were indexed for partner discovery but never registered
-        or submitted; leaving the entries behind would make future
-        arrivals chase partners whose shard assignment no longer
-        exists.
-        """
-        for working in workings:
-            if working.query_id in assignments:
-                self._unindex_query(working)
-                self._shard_of.pop(working.query_id, None)
-
-    def _physical_shard(self, query_id, physical: dict) -> int:
-        """Where a pending query's records actually live right now
-        (its logical assignment, unless a planned move is unflushed)."""
-        return physical.get(query_id, self._shard_of[query_id])
+    def _hand_to_heirs(self, planned: dict) -> None:
+        """Point every *planned* owner lost so far at its heir."""
+        if self._dead:
+            for query_id, owner in planned.items():
+                planned[query_id] = self._heir(owner)
 
     def _colocate(self, origin, partners: set, queued_partners: dict,
-                  assignments: dict, physical: dict) -> int:
+                  assignments: dict, moves: dict) -> int:
         """Pick one owner shard for an arrival's partners; plan the
         rest's component moves to it.  Returns the owner."""
         # Transitive closure over same-block (queued) adjacency;
@@ -352,159 +340,117 @@ class ShardedCoordinator(CoordinationService):
             else:
                 resident.add(partner)
 
-        owners = {self._shard_of[partner] for partner in resident | queued}
+        shard_of = self._shard_of
+        owners = {moves.get(partner, shard_of[partner])
+                  for partner in resident}
+        owners |= {assignments[partner] for partner in queued}
         if len(owners) == 1:
             # Every partner is on one shard already: nothing can move,
             # so no component needs looking up.
             return owners.pop()
 
-        # One membership lookup per component: an anchor already in a
-        # collected component of its shard is skipped.  Anchors group
-        # by *logical* shard (the ownership view); each lookup goes to
-        # the anchor's *physical* shard, whose engine still holds the
-        # component when a planned move is unflushed.
-        members_by_shard: dict[int, set] = {}
+        # One membership lookup per component, on the shard holding it:
+        # an anchor already in a looked-up component is skipped.
+        components: list = []
         for anchor in sorted(resident, key=repr):
-            members = members_by_shard.setdefault(self._shard_of[anchor],
-                                                  set())
-            if anchor not in members:
-                holder = self._backends[
-                    self._physical_shard(anchor, physical)]
-                members.update(holder.call_members(anchor).result())
-
+            if not any(anchor in members for _, members in components):
+                components.append((anchor, set(self._fan_out(
+                    lambda backend, _: backend.call_members(anchor),
+                    {anchor: (shard_of[anchor], ())})[-1][1])))
+        # Owners are read only now: a shard lost at a lookup handed its
+        # components to its heir.
+        self._hand_to_heirs(assignments)
+        self._hand_to_heirs(moves)
         weight: Counter = Counter()
-        for shard, members in members_by_shard.items():
-            weight[shard] += len(members)
+        for anchor, members in components:
+            weight[moves.get(anchor, shard_of[anchor])] += len(members)
         for partner in sorted(queued, key=repr):
-            weight[self._shard_of[partner]] += 1
-        involved = set(weight)
+            weight[assignments[partner]] += 1
         # Owner: the shard already holding the most involved queries
         # ("move the smaller components"), ties to the lowest index.
-        target = min(involved, key=lambda shard: (-weight[shard], shard))
+        target = min(weight, key=lambda shard: (-weight[shard], shard))
 
-        for shard in sorted(members_by_shard):
-            members = members_by_shard[shard]
-            if shard == target or not members:
-                continue
-            # Logical move now, physical move at flush: remember where
-            # the records live (their first physical home — a component
-            # retargeted twice still moves only once).
-            for member in sorted(members, key=repr):
-                physical.setdefault(
-                    member, self._physical_shard(member, physical))
-                self._shard_of[member] = target
+        for anchor, members in components:
+            if moves.get(anchor, shard_of[anchor]) != target:
+                for member in sorted(members, key=repr):
+                    moves[member] = target
         for partner in sorted(queued, key=repr):
-            if self._shard_of[partner] != target:
-                self._shard_of[partner] = target
-                assignments[partner] = target
+            assignments[partner] = target
         return target
 
-    def _flush_migrations(self, physical: dict) -> None:
-        """Move every planned component to its owner, one exchange per
-        (source, destination) shard pair."""
-        groups: dict[tuple[int, int], list] = {}
-        for query_id, source in physical.items():
-            target = self._shard_of[query_id]
-            if source != target:
-                groups.setdefault((source, target), []).append(query_id)
-        physical.clear()
-        if not groups:
-            return
-        for pair in groups:
-            # Group order is arrival order (matches export order).
-            groups[pair].sort(key=self._arrival_seq)
-        self._exchange(groups)
-
-    def _exchange(self, groups: dict) -> None:
-        """Batched moves: detach → import, one exchange per (source,
-        destination) group, each step pipelined across pairs.  The
-        source keeps nothing; the destination imports the
+    def _exchange(self, moves: dict) -> None:
+        """Move every resident query in *moves* that is away from its
+        planned owner: detach → import, one exchange per (source,
+        destination) pair, each step one :meth:`_fan_out` across the
+        pairs.  The source keeps nothing; the destination imports the
         coordinator's own records, which are the only copy.
 
-        Every group ends up on exactly one shard, whichever side fails
-        at whichever step.  A group whose detach failed never left its
-        source (detach is all or nothing) and only has its ownership
-        reverted; when any detach fails nothing is imported.  A group
-        that was detached but not imported is restored by
-        :meth:`_rehome`: onto its source, else onto another live shard,
-        else :class:`ShardMigrationError`.
+        Every group ends up on exactly one shard.  A lost shard fails
+        nothing: a detach it owed is complete (the import places the
+        records), an import it owed goes to its heir.  A detach that
+        fails on a live shard leaves its group in place (detach is all
+        or nothing) and nothing is imported; the groups detached by
+        then, or a group whose import failed on a live shard, are on
+        no shard until :meth:`_rehome` restores them (the source
+        first, never the target), and then the failure is raised.
         """
-        backends = self._backends
-        pairs = sorted(groups)
-        detached: list = []
-        errors: list = []
+        groups: dict[tuple[int, int], list] = {}
+        for query_id, target in moves.items():
+            source = self._shard_of.get(query_id)
+            if source is not None and source != target:
+                groups.setdefault((source, target), []).append(
+                    self._pending_meta[query_id])
+        if not groups:
+            return
         tracer = TRACER
         exchange_start_ns = (time.perf_counter_ns()
                              if tracer.enabled else 0)
-        try:
-            calls = [(pair, backends[pair[0]].call_detach(groups[pair]))
-                     for pair in pairs]
-            for pair, call in calls:
-                # Collect every reply even after a failure: a group
-                # that did detach must be restored, not orphaned.
-                try:
-                    call.result()
-                except Exception as error:
-                    errors.append(error)
-                else:
-                    detached.append(pair)
-        except BaseException:
-            # Interrupted before any import: restore best-effort, then
-            # propagate the interruption.
-            self._restore(groups, pairs, detached)
-            raise
-        if errors:
-            errors += self._restore(groups, pairs, detached)
-        else:
-            import_calls = [(pair, backends[pair[1]].call_import(
-                                [self._pending_meta[query_id]
-                                 for query_id in groups[pair]]))
-                            for pair in pairs]
-            failed: list = []
-            for pair, call in import_calls:
-                try:
-                    call.result()
-                except Exception as error:
-                    errors.append(error)
-                    failed.append(pair)
-                    continue
-                members = groups[pair]
-                self.migrations += 1
-                self.migrated_queries += len(members)
-                if tracer.enabled:
-                    # One engine-level span per imported group; the
-                    # duration covers the whole batched exchange.
-                    tracer.record("shard.migration", exchange_start_ns,
-                                  None, source=pair[0], dest=pair[1],
-                                  queries=len(members))
-            errors += self._restore(groups, failed, failed)
+        pairs = sorted(groups)
+        for pair in pairs:
+            # Group order is arrival order (matches export order).
+            groups[pair].sort(key=lambda record: record.arrival_seq)
+        errors: dict = {}
+        self._fan_out(lambda backend, records: backend.call_detach(
+            [record.query.query_id for record in records]),
+            {pair: (pair[0], groups[pair]) for pair in pairs}, errors,
+            resend=False)
+        stray = [pair for pair in pairs if pair not in errors]
+        if not errors:
+            # Detached everywhere: each group is owed to its target.
+            blocks = {pair: (self._heir(pair[1]), groups[pair])
+                      for pair in pairs}
+            for target, records in blocks.values():
+                for record in records:
+                    self._shard_of[record.query.query_id] = target
+            self._fan_out(lambda backend, records: backend.call_import(
+                records), blocks, errors)
+            stray = [pair for pair in pairs if pair in errors]
+            for pair in pairs:
+                if pair not in errors:
+                    self.migrations += 1
+                    self.migrated_queries += len(groups[pair])
+                    if tracer.enabled:
+                        # One span per imported group; the duration
+                        # covers the whole batched exchange.
+                        tracer.record("shard.migration", exchange_start_ns,
+                                      None, source=pair[0], dest=pair[1],
+                                      queries=len(groups[pair]))
+        # Forget every stray owner before any restore: one that loses a
+        # shard must not re-home a stray group a second time.
+        stray_ids = {pair: [record.query.query_id for record in
+                            groups[pair]] for pair in stray}
+        for query_ids in stray_ids.values():
+            for query_id in query_ids:
+                del self._shard_of[query_id]
+        lost: list = []
+        for (source, target), query_ids in stray_ids.items():
+            try:
+                self._rehome(query_ids, first=source, exclude={target})
+            except ShardMigrationError as error:
+                lost.append(error)  # the other groups still restore
         if errors:
             # A lost component outranks whatever failed first.
-            for error in errors:
-                if isinstance(error, ShardMigrationError):
-                    raise error
-            raise errors[0]
-
-    def _restore(self, groups: dict, pairs: list,
-                 detached: list) -> list:
-        """Undo the planned moves of *pairs*: re-home each *detached*
-        group from the coordinator's copy (its source first, never its
-        target) and point every other group — still on its source —
-        back there.  Returns the errors of groups lost from the fleet;
-        even a lost group must not abandon the others' restore."""
-        lost: list = []
-        for pair in pairs:
-            source, target = pair
-            if pair not in detached:
-                for query_id in groups[pair]:
-                    self._shard_of[query_id] = source
-                continue
-            try:
-                self._rehome(groups[pair], first=source,
-                             exclude={target})
-            except ShardMigrationError as error:
-                lost.append(error)
-        return lost
+            raise (lost or list(errors.values()))[0]
 
     def _arrival_seq(self, query_id) -> int:
         return self._pending_meta[query_id].arrival_seq
@@ -516,22 +462,31 @@ class ShardedCoordinator(CoordinationService):
         lowest-indexed live shard outside *exclude* — every live
         replica is at the current ``db_version``, so a restored
         component never coordinates against older data than the rest
-        of the fleet.  Returns the shard that took them; raises
+        of the fleet.  A candidate lost on the way hands the import to
+        its heir.  Returns the shard that took them; raises
         :class:`ShardMigrationError` when none did."""
         records = [self._pending_meta[query_id] for query_id in query_ids]
         candidates = [shard for shard in self._live_shards()
                       if shard not in exclude and shard != first]
         if first is not None and first not in self._dead:
             candidates.insert(0, first)
+        if not records and candidates:
+            return candidates[0]  # nothing to import
         for shard in candidates:
-            try:
-                self._backends[shard].call_import(records).result()
-            except Exception:
-                self._health.inc("shard.rehome_import_failures")
-                continue
+            if shard in self._dead:
+                continue  # lost while an earlier candidate was tried
+            failures: dict = {}
+            replies = self._fan_out(
+                lambda backend, block: backend.call_import(block),
+                {shard: (shard, records)}, failures)
+            if not failures:
+                shard = replies[-1][0]
+                for query_id in query_ids:
+                    self._shard_of[query_id] = shard
+                return shard
+            self._health.inc("shard.rehome_import_failures")
             for query_id in query_ids:
-                self._shard_of[query_id] = shard
-            return shard
+                self._shard_of.pop(query_id, None)
         raise ShardMigrationError(
             f"pending queries {query_ids!r} could not be restored on "
             f"any shard: records lost from the fleet")
@@ -586,17 +541,6 @@ class ShardedCoordinator(CoordinationService):
         return [shard for shard in range(len(self._backends))
                 if shard not in self._dead]
 
-    def _live_home(self, shard: int) -> int:
-        """Remap a router-chosen home off dead shards (deterministic:
-        the lowest-indexed live shard stands in)."""
-        if shard not in self._dead:
-            return shard
-        live = self._live_shards()
-        if not live:
-            raise ShardMigrationError(
-                "no live shards remain in the fleet")
-        return live[0]
-
     def _replicate(self) -> None:
         """Flush buffered deltas as one db_delta frame to every live
         worker.
@@ -646,13 +590,15 @@ class ShardedCoordinator(CoordinationService):
 
         The shard is marked dead, the settlements already decoded off
         its wire are applied (their tickets must still resolve), its
-        backend is closed, and every pending query it owned is
-        imported from the coordinator's own records by
+        backend is closed, and every pending query whose records it
+        held is imported from the coordinator's own records by
         :meth:`_rehome` — the worker's cooperation is not needed.
-        *spare* ids (a block the shard never acknowledged, which the
-        caller sends on itself) stay behind.  Returns the shard that
-        adopted the rest (the lowest live one when there was none);
-        raises :class:`ShardMigrationError` when no live shard remains.
+        *spare* ids (blocks the shard owed when it was lost, which
+        :meth:`_fan_out` sends on or counts as detached) stay behind.
+        Returns the heir, the shard that adopted the rest (the lowest
+        live one when there was none), which a router home or a planned
+        owner on *shard* resolves to (:meth:`_heir`); raises
+        :class:`ShardMigrationError` when no live shard remains.
         """
         backend = self._backends[shard]
         self._dead.add(shard)
@@ -666,64 +612,80 @@ class ShardedCoordinator(CoordinationService):
             (query_id for query_id, owner in self._shard_of.items()
              if owner == shard and query_id not in spare),
             key=self._arrival_seq)
-        if not stranded:
-            return self._live_home(shard)
         try:
-            return self._rehome(stranded)
+            heir = self._rehome(stranded)
         except ShardMigrationError:
             raise ShardMigrationError(
                 f"components of lost shard {shard} ({cause!r}) could "
                 f"not be re-homed on any live shard: records lost from "
                 f"the fleet") from cause
+        self._heirs[shard] = heir
+        return heir
+
+    def _heir(self, shard: int) -> int:
+        """*shard*, or the live shard its components went to if it was
+        lost (an heir lost in turn hands on to its own)."""
+        while shard in self._dead:
+            shard = self._heirs[shard]
+        return shard
 
     def _fan_out(self, issue, blocks: dict | None = None,
-                 failures: dict | None = None) -> list:
-        """The one fan-out: issue a command on every live shard, then
-        collect the replies in shard order, applying each shard's
+                 failures: dict | None = None, resend: bool = True
+                 ) -> list:
+        """The one request path: issue a command on shards, then
+        collect the replies in issue order, applying each shard's
         settlement events after its reply.
 
-        ``issue(backend, block)`` issues the command on one backend.
-        *blocks* (shard -> the records it is sent; :meth:`_place`)
-        names the shards and what each carries; by default every live
-        shard carries nothing.  A shard lost on the way goes through
-        :meth:`_lose`, and each block it still owed is issued again on
-        the shard that adopted its components, so the command finishes
-        on the survivors.  Any other failure is put in *failures*
-        (shard -> error) when given, else raised once every reply is
-        in.  Returns ``(shard, reply)`` pairs in collection order: a
-        shard that adopted a lost one's components replies again,
-        after it did so.
+        *blocks* maps a key to ``(shard, records)``: one call
+        ``issue(backend, records)`` on that shard per key, in the order
+        of *blocks* (by default one per live shard, carrying nothing).
+        Records a call carries are owed by its shard until the reply is
+        in.  A shard lost on the way goes through :meth:`_lose`, which
+        leaves what it owed to this loop: each block is issued again on
+        the heir — or, with *resend* false (a detach), is complete,
+        since the coordinator holds the only copy of its records — so
+        the command finishes on the survivors.  Any other failure is
+        put in *failures* (key -> error) when given, else raised once
+        every reply is in.  Returns ``(shard, reply)`` pairs in
+        collection order: a shard that adopted a lost one's components
+        replies again, after it did so.
         """
         if blocks is None:
-            blocks = dict.fromkeys(self._live_shards(), ())
+            blocks = {shard: (shard, ()) for shard in self._live_shards()}
         backends = self._backends
-        owed = {shard: shard for shard in blocks}  # block -> carrier
-        calls = deque((shard, shard, issue(backends[shard], blocks[shard]))
-                      for shard in sorted(blocks))
+        owed: dict = {}  # key -> the shard its call is on
+        calls: deque = deque()
+        for key, (shard, records) in blocks.items():
+            owed[key] = shard
+            calls.append((key, shard, issue(backends[shard], records)))
         replies: list = []
         errors = {} if failures is None else failures
         while calls:
-            block, carrier, call = calls.popleft()
-            if owed.get(block) != carrier:
+            key, carrier, call = calls.popleft()
+            if owed.get(key) != carrier:
                 continue  # issued again after its carrier was lost
             try:
                 replies.append((carrier, call.result()))
             except ShardLostError as error:
-                moved = [key for key, owner in owed.items()
+                moved = [other for other, owner in owed.items()
                          if owner == carrier]
                 heir = self._lose(carrier, error, spare={
                     record.query.query_id
-                    for key in moved for record in blocks[key]})
-                for key in moved:
-                    owed[key] = heir
-                    for record in blocks[key]:
+                    for other in moved for record in blocks[other][1]})
+                for other in moved:
+                    if not resend:
+                        del owed[other]
+                        continue
+                    owed[other] = heir
+                    records = blocks[other][1]
+                    for record in records:
                         self._shard_of[record.query.query_id] = heir
-                    calls.append((key, heir,
-                                  issue(backends[heir], blocks[key])))
+                    calls.append((other, heir,
+                                  issue(backends[heir], records)))
                 continue
             except Exception as error:
-                errors.setdefault(carrier, error)
-            del owed[block]
+                errors.setdefault(key, error)
+            del owed[key]
             self._apply_events(backends[carrier].drain_events())
         if failures is None and errors:
             raise next(iter(errors.values()))
@@ -746,10 +708,9 @@ class ShardedCoordinator(CoordinationService):
         (:meth:`_place`), which moves the sequence counter past the
         block only once the block is routed and registered, so a block
         that fails in routing leaves it where one engine's would be.
-        Each shard adopts its
-        sub-block of records
-        as is and coordinates it with the same deferred-drain semantics
-        as :meth:`D3CEngine.submit_many` — entangled block members are
+        Each shard adopts its sub-block of records as is and
+        coordinates it with the same deferred-drain semantics as
+        :meth:`D3CEngine.submit_many` — entangled block members are
         always co-located, so the per-shard deferral reproduces the
         single engine's whole-block deferral.
         """
@@ -770,13 +731,15 @@ class ShardedCoordinator(CoordinationService):
 
         The records are routed as one block (with migrations; see
         :meth:`_route_block`), registered (burned id, coordinator copy,
-        fresh ticket, the sequence counter moved past it), split into per-shard sub-blocks preserving
-        arrival order, and handed to the shards by *command* —
+        fresh ticket, owner, the sequence counter moved past it), split
+        into per-shard sub-blocks preserving arrival order, and handed
+        to the shards by *command* —
         :meth:`ShardBackend.call_submit_block` (adopt and coordinate)
         or :meth:`ShardBackend.call_import` (adopt only) — through
         :meth:`_fan_out`, which sends a lost shard's sub-block on to
-        the shard that adopts its components.  Returns the tickets in
-        record order.
+        the shard that adopts its components.  A sub-block a live shard
+        fails is settled by :meth:`_settle_refused` before the failure
+        is raised.  Returns the tickets in record order.
         """
         tracer = TRACER
         workings = [record.query for record in records]
@@ -799,14 +762,41 @@ class ShardedCoordinator(CoordinationService):
             self._used_ids.add(query_id)
             self._pending_meta[query_id] = record
             self._tickets[query_id] = ticket
+            self._shard_of[query_id] = target
             blocks.setdefault(target, []).append(record)
         if records:
             # Registered records own their seqs (records come in
             # arrival order); a block refused in routing never gets here.
             self._next_seq = max(self._next_seq,
                                  records[-1].arrival_seq + 1)
-        self._fan_out(command, blocks)
+        failures: dict = {}
+        self._fan_out(command, {target: (target, blocks[target])
+                                for target in sorted(blocks)}, failures)
+        if failures:
+            for target in failures:
+                self._settle_refused(blocks[target])
+            raise next(iter(failures.values()))
         return tickets
+
+    def _settle_refused(self, records: list) -> None:
+        """Make the registration of *records*, a sub-block a live shard
+        failed, match what that shard adopted: one ``pending`` request
+        to the shard holding them.  An id it did not adopt is
+        unregistered and its id freed, so a retry is accepted; one it
+        adopted stays pending, as on one engine whose drain raised."""
+        unsettled = [record.query.query_id for record in records
+                     if record.query.query_id in self._tickets]
+        if not unsettled:
+            return
+        shard = self._shard_of[unsettled[0]]
+        adopted = set(self._fan_out(
+            lambda backend, _: backend.call_pending(),
+            {shard: (shard, ())})[-1][1])
+        for query_id in unsettled:
+            if query_id in self._tickets and query_id not in adopted:
+                del self._tickets[query_id], self._shard_of[query_id]
+                self._unindex_query(self._pending_meta.pop(query_id).query)
+                self._used_ids.discard(query_id)
 
     def _maybe_autobatch(self) -> None:
         if (self.mode == "batch" and self.batch_size is not None

@@ -43,7 +43,8 @@ is always hypothesis's simplest history), and then requires of the
 whole run what makes its comparisons mean something: every rule of
 the group reached, answers given, the live shapes resuming carried
 attempts where a forgetting twin is compared with them, fleets of
-more than one shard migrating, and a lost shard named dead.
+more than one shard migrating, and a lost shard named dead, some loss
+first met by routing.
 """
 
 from __future__ import annotations
@@ -142,8 +143,16 @@ def rendezvous_triple(tag: str, dest_a: str = "AAA",
 
 
 def audit_exactly_once(coordinator) -> None:
-    """Every tracked query pending on exactly one live shard, and the
-    coordinator's ownership map agreeing with the engines."""
+    """Every tracked query pending on exactly one live shard, the
+    coordinator's ownership map agreeing with the engines, and its own
+    maps agreeing with each other: one key set for records, tickets and
+    owners, every key a burned id."""
+    owners = set(coordinator._shard_of)
+    assert set(coordinator._pending_meta) == owners, \
+        set(coordinator._pending_meta) ^ owners
+    assert set(coordinator._tickets) == owners, \
+        set(coordinator._tickets) ^ owners
+    assert owners <= coordinator._used_ids, owners - coordinator._used_ids
     held = {shard: coordinator._backends[shard].call_pending().result()
             for shard in coordinator._live_shards()}
     fleet = [query_id for ids in held.values() for query_id in ids]
@@ -445,9 +454,11 @@ class InjectedFault(RuntimeError):
 FAULT_KINDS = ("members", "detach", "import")
 
 #: The commands that can meet a lost shard first (``observe``: the
-#: check's own reads, ``partition_sizes`` and ``stats``).
+#: check's own reads, ``partition_sizes`` and ``stats``; ``submit``: a
+#: bridge whose partners may span shards, so its routing meets the
+#: loss).
 LOSS_POINTS = ("run_batch", "expire_stale", "invalidate_cache",
-               "mutate", "observe")
+               "mutate", "observe", "submit")
 
 
 def _forget_before_rounds(service) -> None:
@@ -1064,20 +1075,33 @@ class ServiceModel(RuleBasedStateMachine):
 
     @_in_group("lose")
     @rule(victim=st.integers(0, 3), then=st.sampled_from(LOSS_POINTS),
-          ops=st.lists(operations, min_size=1, max_size=2))
-    def lose(self, victim, then, ops):
+          ops=st.lists(operations, min_size=1, max_size=2),
+          block=blocks)
+    def lose(self, victim, then, ops, block=()):
         """A shard of every in-process fleet with more than one live
         shard is lost: from now on each of its calls fails with
         ShardLostError, as a dead worker's would.  *then* is the
         command that meets the loss first; it completes and matches
-        the reference, and the fleet names the shard dead."""
-        for subject in self.subjects:
-            for fleet in subject.fleets():
-                _lose_shard(fleet, victim)
-        if then == "mutate":
+        the reference, and the fleet names the shard dead.  For
+        ``submit``, *block* but its last query (a chain's pairs)
+        arrives first, the shard holding the newest pending query is
+        the one lost, and the last query (the chain's bridge) arrives:
+        where its partners span shards, routing meets the loss."""
+        provider = None
+        if then == "submit" and block:
+            self._submit(block[:-1])
+            provider = next(reversed(self.queries), None)
+        met = [_lose_shard(fleet, victim, provider)
+               for subject in self.subjects
+               for fleet in subject.fleets()]
+        if then == "submit" and block:
+            self._submit(block[-1:])
+        elif then == "mutate":
             self._each(lambda subject: subject.apply_mutations(ops, False))
         elif then != "observe":
             self._each(lambda subject: getattr(subject, then)())
+        self.tally["lost_in_routing"] += sum(
+            1 for ops_met in met if ops_met and ops_met[0] in FAULT_KINDS)
         self._check("lose")
         for subject in self.subjects:
             for fleet in subject.fleets():
@@ -1268,25 +1292,33 @@ def _is_lost(backend) -> bool:
     return "_dispatch" in vars(backend)
 
 
-def _lose_shard(fleet, victim: int) -> None:
+def _lose_shard(fleet, victim: int, holding=None) -> list | None:
     """From now on every call to one shard of an in-process *fleet*
-    fails with ShardLostError: the *victim*-th of its shards not yet
-    lost, busiest first, so a loss usually strands pending queries; a
-    fleet keeps at least one shard."""
+    fails with ShardLostError: the one holding the query *holding*
+    when given, else the *victim*-th of its shards not yet lost,
+    busiest first, so a loss usually strands pending queries; a fleet
+    keeps at least one shard.  Returns the list the lost shard's calls
+    append their ops to (``None`` when no shard was lost)."""
     standing = [shard for shard in fleet._live_shards()
                 if isinstance(fleet._backends[shard], InProcessBackend)
                 and not _is_lost(fleet._backends[shard])]
     if len(standing) < 2:
-        return
+        return None
     owned = collections.Counter(fleet._shard_of.values())
     standing.sort(key=lambda shard: -owned[shard])
-    backend = fleet._backends[standing[victim % len(standing)]]
+    shard = fleet._shard_of.get(holding)
+    if shard not in standing:
+        shard = standing[victim % len(standing)]
+    backend = fleet._backends[shard]
+    met: list = []
 
     def lost(op, **args):
+        met.append(op)
         return ShardCall.failed(ShardLostError(
             f"shard {backend.shard_index} lost before {op!r}"))
 
     backend._dispatch = lost
+    return met
 
 
 def _in_process_journal_full(subject, command: str, ops) -> None:
@@ -1338,10 +1370,13 @@ def machine_for(group: Group):
 #: typed values written directly, a gated pair that fails, a
 #: chain whose bridge joins two pending halves on different shards (a
 #: migration, while detach calls fail), a write that lets the chain
-#: answer and resumes the gated pair's attempt, the busiest shard lost
-#: before the round that answers the chain, a crash into another
-#: shape, expiry, a §6 party, a full journal, and a query over a
-#: missing table.
+#: answer and resumes the gated pair's attempt, the shard holding a
+#: provider (``q9``: shard 1 of 2, 3 or 4) lost right before a bridge
+#: joins it to the gated pair (shard 0) — the bridge's membership
+#: lookup meets the loss — then the busiest shard left lost before the
+#: round that answers the chain, a crash into another shape, expiry
+#: (the gated pair and the bridged provider free their ids), a §6
+#: party, a full journal, and a query over a missing table.
 TOUR = [
     ("submit_many", {"block": [Spec("q0", "pair", 0, "D"),
                                Spec("q1", "arity", 1, "D")]}),
@@ -1357,9 +1392,11 @@ TOUR = [
     ("run_batch", {}),
     ("fault", {"faults": {"detach": 1}, "block": [
         Spec("q6", "pair", 1, "E"), Spec("q7", "pair", 2, "E"),
-        Spec("q8", "pair", 3, "E"), Spec("q9", "bridge", 0, "E")]}),
+        Spec("q8", "pair", 3, "E"), Spec("q10", "bridge", 0, "E")]}),
     ("mutate", {"ops": [("insert", "F", [("U3", "U2"), ("U0", "U2")])],
                 "direct": False}),
+    ("lose", {"victim": 0, "then": "submit", "ops": [], "block": [
+        Spec("q9", "pair", 1, "D"), Spec("q11", "bridge", 0, "D")]}),
     ("lose", {"victim": 0, "then": "run_batch", "ops": []}),
     ("run_batch", {}),
     ("crash", {"reshape": 2}),
@@ -1367,7 +1404,7 @@ TOUR = [
     ("advance", {"seconds": 2.0, "then_round": True}),
     ("snapshot", {}),
     ("advance", {"seconds": 1.0, "then_round": False}),
-    ("submit_many", {"block": [Spec("q10", "host", 0, "D", 1),
+    ("submit_many", {"block": [Spec("q9", "host", 0, "D", 1),
                                Spec("q11", "guest", 1, "D"),
                                Spec("q4", "guest", 2, "D", fresh=True)]}),
     ("run_batch", {}),
@@ -1420,7 +1457,10 @@ def require_reached(group: Group, tally) -> None:
            for shape, options in group.subjects if "fleet" in shape):
         assert tally["migrations"] > 0, tally
     if "lose" in group.rules():
+        # Some loss was first met by routing: a membership lookup, a
+        # detach or an import.
         assert tally["lost"] > 0, tally
+        assert tally["lost_in_routing"] > 0, tally
 
 
 def run_model(group: Group, *, seed: int | None = None,

@@ -12,9 +12,11 @@ bookkeeping consistent, and the service able to retry and coordinate
 afterwards.  Then the first fault of the "stalls rather than dies"
 family: a stopped worker must not be able to hang ``close()``.  Last,
 a shard lost between commands — a real SIGKILL, and two in-process
-shards lost in one dispatch — is contained by the command that meets
-it: the shard leaves the fleet, its components are re-homed, and the
-command completes as one engine's would.
+shards lost in one dispatch — is contained by the request that meets
+it, a routing one included (a bridge's membership lookup, detach or
+import): the shard leaves the fleet, its components are re-homed, and
+the command completes as one engine's would.  A live shard failing a
+submission leaves registered exactly what it adopted.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.core.terms import Variable, atom
 from repro.db import Database
 from repro.engine.engine import D3CEngine, PendingRecord
 from repro.engine.staleness import ManualClock, TimeoutStaleness
+from repro.errors import ValidationError
 from repro.shard import (ShardCall, ShardLostError, ShardMigrationError,
                          ShardWorkerError, ShardedCoordinator)
 
@@ -258,6 +261,52 @@ def test_failed_detach_and_failed_restore_lose_no_component(
     audit_exactly_once(coordinator)
 
 
+def test_a_shard_lost_during_a_restore_restores_each_group_once(
+        small_flight_db, monkeypatch):
+    """One block plans three exchanges into shard 0; shard 3's detach
+    fails, so the groups detached from shards 1 and 2 are restored.
+    Shard 1 refuses ``t-b``'s restore and shard 2, tried next, is lost
+    at it.  Shard 2 detached ``u-b``, so the loss must not re-home
+    ``u-b`` from there as well: each group lands exactly once."""
+    router = ScriptedRouter(4, {"t-a": 0, "t-b": 1, "u-a": 0, "u-b": 2,
+                                "v-a": 0, "v-b": 3})
+    coordinator = ShardedCoordinator(small_flight_db, num_shards=4,
+                                     mode="batch", router=router)
+    t_a, t_b, t_c = rendezvous_triple("t", "AAA", "BBB")
+    u_a, u_b, u_c = rendezvous_triple("u", "CCC", "DDD")
+    v_a, v_b, v_c = rendezvous_triple("v", "EEE", "FFF")
+    coordinator.submit_many([t_a, t_b, u_a, u_b, v_a, v_b])
+
+    monkeypatch.setattr(
+        coordinator._backends[3], "call_detach",
+        lambda query_ids: ShardCall.failed(RuntimeError("detach died")))
+    monkeypatch.setattr(
+        coordinator._backends[1], "call_import",
+        lambda records: ShardCall.failed(RuntimeError("import refused")))
+    victim = coordinator._backends[2]
+    real_import = victim.call_import
+
+    def lose_then_import(records):
+        _lose(victim, [])
+        return real_import(records)
+
+    monkeypatch.setattr(victim, "call_import", lose_then_import)
+    with pytest.raises(RuntimeError, match="detach died"):
+        coordinator.submit_many([t_c, u_c, v_c])
+
+    assert coordinator.dead_shards() == {2}
+    assert coordinator.shard_of("t-b") == 0
+    assert coordinator.shard_of("u-b") == 3
+    audit_exactly_once(coordinator)
+
+    monkeypatch.undo()
+    coordinator.submit_many([t_c, u_c, v_c])
+    for tag in "tuv":
+        assert len({coordinator.shard_of(f"{tag}-{role}")
+                    for role in "abc"}) == 1
+    audit_exactly_once(coordinator)
+
+
 # ----------------------------------------------------------------------
 # process backend: a worker killed mid-protocol
 # ----------------------------------------------------------------------
@@ -281,12 +330,15 @@ def test_killed_destination_worker_aborts_to_source(small_flight_db,
 
         monkeypatch.setattr(destination, "call_import",
                             kill_then_import)
-        with pytest.raises(ShardWorkerError):
-            coordinator.submit(c)
+        coordinator.submit(c)
 
-        # The surviving source shard holds its component, exactly once.
-        assert coordinator.shard_of("w-b") == 1
-        assert coordinator._backends[1].call_pending().result() == ["w-b"]
+        # The loss is contained: the surviving source shard adopts the
+        # dead destination's component, the import sent on to it and
+        # the bridge — the whole component, exactly once.
+        assert coordinator.dead_shards() == {0}
+        assert coordinator._backends[1].call_pending().result() \
+            == ["w-a", "w-b", "w-c"]
+        audit_exactly_once(coordinator)
 
 
 def test_killed_worker_surfaces_as_shard_worker_error(small_flight_db):
@@ -475,3 +527,126 @@ def test_two_shards_lost_in_one_dispatch_land_on_the_third():
     engine, fleet = histories
     assert fleet == engine
     assert engine["pending"] == []
+
+
+# ----------------------------------------------------------------------
+# a shard lost in routing: contained like any other loss
+# ----------------------------------------------------------------------
+
+
+#: The routing requests a bridge's submission makes, each in turn the
+#: first to meet the loss: shard 1's membership lookup (lost before the
+#: bridge arrives), shard 1's detach of its provider, shard 0's import
+#: of it.
+ROUTING_LOSSES = {"members": 1, "detach": 1, "import": 0}
+
+
+def _lose(backend, met: list) -> None:
+    """A lost shard: a SIGKILLed worker, or an in-process host whose
+    every later call fails as a dead pipe's would (*met* records them)."""
+    if hasattr(backend, "_process"):
+        backend._process.kill()
+        backend._process.join(5)
+        return
+
+    def lost(op, **args):
+        met.append(op)
+        return ShardCall.failed(ShardLostError(f"lost before {op!r}"))
+
+    backend._dispatch = lost
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+@pytest.mark.parametrize("point", sorted(ROUTING_LOSSES))
+def test_a_loss_met_in_routing_is_contained(backend, point):
+    """Providers ``t-a`` (shard 0) and ``t-b`` (shard 1) of a 3-shard
+    fleet, then their bridge ``t-c``: the first request to the lost
+    shard is the bridge's membership lookup, the detach of ``t-b`` or
+    its import.  The bridge submits on the first try, the shard is
+    named dead, and a round answers as one engine fed the same history
+    does."""
+    histories = []
+    for shape in ("engine", "fleet"):
+        triple = rendezvous_triple("t")
+        database = _loss_db()
+        database.insert("U", [("user1", "t"), ("user2", "t")])
+        if shape == "engine":
+            service = D3CEngine(database, mode="batch")
+        else:
+            service = ShardedCoordinator(
+                database, num_shards=3, backend=backend,
+                mode="batch", router=ScriptedRouter(3, {"t-a": 0,
+                                                        "t-b": 1}))
+        with service if shape == "fleet" else nullcontext():
+            tickets = service.submit_many(triple[:1])
+            tickets += service.submit_many(triple[1:2])
+            met: list = []
+            if shape == "fleet":
+                assert service.shard_of("t-b") == 1
+                victim = service._backends[ROUTING_LOSSES[point]]
+                if point == "members":
+                    _lose(victim, met)
+                else:
+                    real = getattr(victim, f"call_{point}")
+
+                    def lose_then_call(*args, real=real):
+                        _lose(victim, met)
+                        return real(*args)
+
+                    setattr(victim, f"call_{point}", lose_then_call)
+            tickets += service.submit_many(triple[2:])
+            if shape == "fleet":
+                assert met[:1] == ([point] if backend == "inprocess"
+                                   else [])
+                assert service.dead_shards() == {ROUTING_LOSSES[point]}
+                assert len({service.shard_of(ticket.query_id)
+                            for ticket in tickets}) == 1
+                audit_exactly_once(service)
+            service.run_batch()
+            histories.append(_outcomes(service, tickets))
+    engine, fleet = histories
+    assert fleet == engine
+    assert engine["tickets"]["t-c"][0] == "answered"
+
+
+# ----------------------------------------------------------------------
+# a live shard failing a submission
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("adopted", [False, True])
+def test_a_failed_submit_block_registers_what_the_shard_adopted(
+        monkeypatch, adopted):
+    """Shard 1 of a 2-shard fleet fails its ``submit_block`` — before
+    adopting the pair, or after.  The coordinator's registration then
+    matches the shard: ids it did not adopt are unregistered, so a
+    retry is accepted and answers; ids it adopted stay pending, as on
+    one engine whose drain raised, so a retry is refused."""
+    coordinator = ShardedCoordinator(
+        _loss_db(), num_shards=2, mode="batch",
+        router=ScriptedRouter(2, {"u-a": 1}))
+    engine = coordinator._backends[1].engine
+    real_submit = engine.submit_records
+
+    def failing_submit(records):
+        if adopted:
+            real_submit(records)
+        raise RuntimeError("submit_block failed")
+
+    monkeypatch.setattr(engine, "submit_records", failing_submit)
+    pair = make_pair("u-a", "u-b", "u1", "u2", "ITH")
+    with pytest.raises(RuntimeError, match="submit_block failed"):
+        coordinator.submit_many(pair)
+    assert coordinator.dead_shards() == set()
+    audit_exactly_once(coordinator)
+    monkeypatch.undo()
+    if adopted:
+        assert coordinator.pending_ids() == ["u-a", "u-b"]
+        with pytest.raises(ValidationError, match="already"):
+            coordinator.submit_many(pair)
+        return
+    assert coordinator.pending_ids() == []
+    coordinator.submit_many(pair)
+    assert coordinator.run_batch() == 2
+    assert coordinator.pending_ids() == []
+    audit_exactly_once(coordinator)
