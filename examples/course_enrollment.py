@@ -67,7 +67,10 @@ def main() -> None:
         answer = ticket.result(timeout=5)
         print(f"  {ticket.query_id}: {answer.rows['Enrollment']}")
 
-    print(f"\nEngine stats: {engine.stats}")
+    counters = engine.metrics_snapshot()["counters"]
+    print(f"\nEngine counters: submitted={counters['submitted']} "
+          f"answered={counters['answered']} "
+          f"rounds={counters['coordination_rounds']}")
 
 
 if __name__ == "__main__":

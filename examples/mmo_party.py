@@ -78,7 +78,10 @@ def main() -> None:
     except StaleQueryError as error:
         print(f"  bron's queue ticket failed as expected: {error}")
 
-    print(f"\nEngine stats: {engine.stats}")
+    counters = engine.metrics_snapshot()["counters"]
+    print(f"\nEngine counters: submitted={counters['submitted']} "
+          f"answered={counters['answered']} "
+          f"rounds={counters['coordination_rounds']}")
 
 
 if __name__ == "__main__":

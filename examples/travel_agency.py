@@ -30,7 +30,10 @@ def main() -> None:
     answered = engine.run_batch()
     print(f"Evening round answered {answered} requests "
           f"({engine.pending_count} remain pending for tomorrow)")
-    print(f"Engine stats: {engine.stats}")
+    counters = engine.metrics_snapshot()["counters"]
+    print(f"Engine counters: submitted={counters['submitted']} "
+          f"answered={counters['answered']} "
+          f"rounds={counters['coordination_rounds']}")
 
     example = next(ticket for ticket in tickets if ticket.done())
     print(f"\nSample coordinated booking: "

@@ -198,25 +198,22 @@ def run_batch(database: Database, queries, **engine_kwargs) -> dict:
 
 
 def _metrics(engine: D3CEngine, num_queries: int, total: float) -> dict:
-    from ..engine.stats import EngineStats
     from ..obs import absorb_snapshot
-    # One snapshot serves the figures below and the global aggregate
-    # (a fleet's or wrapper's ``stats`` would take a second one).
+    # One snapshot serves the figures below and the global aggregate.
     snapshot = engine.metrics_snapshot()
-    stats = EngineStats.from_metrics(snapshot)
+    counters, gauges = snapshot["counters"], snapshot["gauges"]
     metrics = {
         "queries": num_queries,
         "seconds": total,
         "throughput_qps": num_queries / total if total > 0 else 0.0,
-        "answered": stats.answered,
-        "pending": stats.pending,
-        "closure_events": stats.closure_events,
-        "coordination_rounds": stats.coordination_rounds,
-        "combined_queries_built": stats.combined_queries_built,
-        "graph_seconds": stats.graph_seconds,
-        "match_seconds": stats.match_seconds,
-        "db_seconds": stats.db_seconds,
-        "safety_seconds": stats.safety_seconds,
+        "answered": counters["answered"],
+        "pending": int(gauges["pending"]),
+        **{key: counters[key] for key in (
+            "closure_events", "coordination_rounds",
+            "combined_queries_built")},
+        **{key: gauges[key] for key in (
+            "graph_seconds", "match_seconds", "db_seconds",
+            "safety_seconds")},
     }
     # Outside the stopwatch: fold it into the process-global aggregate
     # (``bench --metrics-json`` reads it).

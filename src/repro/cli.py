@@ -291,12 +291,12 @@ def _coordinate_service(database, queries, arguments) -> int:
                   f"commands {service.commands_applied}  "
                   f"pending {service.pending_count}")
         else:
-            stats = service.stats
+            gauges = service.metrics_snapshot()["gauges"]
             print(f"-- shards {arguments.shards}  "
                   f"migrations {service.migrations}  "
-                  f"graph {stats.graph_seconds:.3f}s  "
-                  f"match {stats.match_seconds:.3f}s  "
-                  f"db {stats.db_seconds:.3f}s")
+                  f"graph {gauges['graph_seconds']:.3f}s  "
+                  f"match {gauges['match_seconds']:.3f}s  "
+                  f"db {gauges['db_seconds']:.3f}s")
         if arguments.metrics_json:
             _write_metrics_json(arguments.metrics_json,
                                 service.metrics_snapshot())
@@ -437,10 +437,10 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         print(f"serving {' '.join(listening)} pid={os.getpid()}",
               flush=True)
         await server.serve_forever()
-        stats = server.stats()
-        print(f"drained: commands={stats['order']} "
-              f"answers={stats['answers']} "
-              f"failures={stats['failures']}", flush=True)
+        gauges = server.metrics_snapshot()["gauges"]
+        print(f"drained: commands={gauges['server.order']:.0f} "
+              f"answers={gauges['server.answers']:.0f} "
+              f"failures={gauges['server.failures']:.0f}", flush=True)
         return 0
 
     return asyncio.run(_run())
@@ -475,8 +475,7 @@ async def _connect_async(arguments: argparse.Namespace) -> int:
     timeout = arguments.timeout
     try:
         action = arguments.action
-        if action in ("ping", "stats", "metrics", "pending",
-                      "resolved"):
+        if action in ("ping", "metrics", "pending", "resolved"):
             result = await client.request(action, timeout=timeout)
             print(json.dumps(result, sort_keys=True))
             return 0
@@ -715,8 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
         "connect", help="drive a running coordination server as one "
                         "async client")
     connect.add_argument("action",
-                         choices=["ping", "stats", "metrics",
-                                  "pending", "resolved", "batch",
+                         choices=["ping", "metrics", "pending",
+                                  "resolved", "batch",
                                   "expire", "submit"],
                          help="request to issue; 'submit' sends a "
                               "workload file, runs a batch, and "

@@ -54,7 +54,6 @@ from ..dataio import (WIRE_VERSION, compact_json, decode_records,
 from ..engine.engine import D3CEngine
 from ..engine.futures import CoordinationTicket, TicketState
 from ..engine.staleness import Clock, PinnedClock, SystemClock
-from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ValidationError
 from ..obs import TRACER
 from ..service import CoordinationService
@@ -542,25 +541,6 @@ class _DurableService(CoordinationService):
         self._wal_sync_batches += log.syncs
         self._wal_bytes_total += log.bytes_appended
 
-    def durability_stats(self) -> dict:
-        """Journal activity over this service's lifetime.
-
-        Stable plain-int keys; :meth:`metrics_snapshot` adds them to
-        the inner service's snapshot as ``durability.<key>`` counters.
-        """
-        log = self._log
-        return {
-            "snapshots_taken": self.snapshots_taken,
-            "commands_applied": self.commands_applied,
-            "wal_records": self._wal_records + (
-                log.records_appended if log is not None else 0),
-            "wal_sync_batches": self._wal_sync_batches + (
-                log.syncs if log is not None else 0),
-            "wal_bytes": self._wal_bytes_total + (
-                log.bytes_appended if log is not None else 0),
-            "snapshot_bytes": self._snapshot_bytes_total,
-        }
-
     def sync(self) -> None:
         """Force the journal to stable storage (fsync now)."""
         self._ensure_open()
@@ -684,19 +664,25 @@ class _DurableService(CoordinationService):
         return self.service.partition_sizes()
 
     def metrics_snapshot(self) -> dict:
-        """The inner service's metrics snapshot joined by the
-        ``durability.*`` counters (the journal lives on the wrapper)."""
+        """The inner service's metrics snapshot joined by the journal's
+        lifetime activity (the journal lives on the wrapper) as
+        ``durability.*`` counters: snapshots taken and their bytes,
+        commands applied, and WAL records, fsync batches and bytes,
+        the live segment's included."""
         snapshot = self.service.metrics_snapshot()
-        counters = snapshot["counters"]
-        for key, value in self.durability_stats().items():
-            counters[f"durability.{key}"] = value
+        log = self._log
+        records, syncs, appended = (
+            (0, 0, 0) if log is None
+            else (log.records_appended, log.syncs, log.bytes_appended))
+        snapshot["counters"].update({
+            "durability.snapshots_taken": self.snapshots_taken,
+            "durability.commands_applied": self.commands_applied,
+            "durability.wal_records": self._wal_records + records,
+            "durability.wal_sync_batches": self._wal_sync_batches + syncs,
+            "durability.wal_bytes": self._wal_bytes_total + appended,
+            "durability.snapshot_bytes": self._snapshot_bytes_total,
+        })
         return snapshot
-
-    @property
-    def stats(self) -> EngineStats:
-        """:meth:`metrics_snapshot` in the engine's vocabulary
-        (journal activity under ``durability``)."""
-        return EngineStats.from_metrics(self.metrics_snapshot())
 
     def snapshot_state(self, *, dump_cache: dict | None = None) -> dict:
         """The inner service's durable state plus the settlement maps

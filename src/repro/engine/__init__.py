@@ -12,7 +12,8 @@
 * :mod:`~repro.engine.partitions` — the incremental partition state
   (union-find, closure detection, cached partial unifiers, exact lazy
   re-splitting on removal).
-* :mod:`~repro.engine.stats` — counters and phase timings.
+* :mod:`~repro.engine.stats` — the hot-path counter block, read
+  through ``metrics_snapshot()``.
 """
 
 from .engine import D3CEngine

@@ -251,20 +251,20 @@ class D3CEngine(CoordinationService):
     def metrics_snapshot(self) -> dict:
         """This engine's metrics as one registry snapshot.
 
-        The one stats surface: every :class:`EngineStats` counter
-        appears under its own name (nested dicts as dotted counters,
-        ``range_index.*`` refreshed from the database here so hot-path
-        counter bumps stay attribute stores), joined by the
-        database-layer cache counters (``db.*``) and the prefilter's
-        enumeration count (``feasibility.misses``).  The shape is
-        JSON-safe, merges across a fleet with
-        :func:`repro.obs.merge_snapshots`, and renders back into the
-        engine's vocabulary with :meth:`EngineStats.from_metrics`.
+        The one stats surface: every :class:`EngineStats` field
+        appears under its own name (:meth:`EngineStats.to_metrics`),
+        joined by the database's ordered-index counters
+        (``range_index.*``, read here so hot-path counter bumps stay
+        attribute stores), its cache counters (``db.*``) and the
+        prefilter's enumeration count (``feasibility.misses``).  The
+        shape is JSON-safe and merges across a fleet with
+        :func:`repro.obs.merge_snapshots`.
         """
         registry = MetricsRegistry()
         with self._lock:
-            self.stats.range_index = self.database.range_stats()
             self.stats.to_metrics(registry)
+            for key, value in self.database.range_stats().items():
+                registry.inc(f"range_index.{key}", value)
             registry.inc("feasibility.misses",
                          self._runtime.feasibility_misses)
             for key, value in self.database.cache_stats().items():
@@ -405,7 +405,7 @@ class D3CEngine(CoordinationService):
         if safe:
             self._safety.add(record.query)
             return True
-        self.stats.record_failure(FailureReason.UNSAFE)
+        self.stats.failed[FailureReason.UNSAFE] += 1
         tracer = TRACER
         if tracer.enabled:
             tracer.event("query.settle", record.trace_id,
@@ -716,7 +716,7 @@ class D3CEngine(CoordinationService):
                 record, ticket = self._pending.pop(query_id)
                 self._safety.remove(query_id)
                 expired.append(ticket)
-                self.stats.record_failure(FailureReason.STALE)
+                self.stats.failed[FailureReason.STALE] += 1
                 if tracer.enabled and record.trace_id is not None:
                     # The submit span already names the query; an
                     # expire marker needs only the trace id.
@@ -790,6 +790,14 @@ class D3CEngine(CoordinationService):
         """
         with self._lock:
             return sorted(self._pending, key=self._arrival.__getitem__)
+
+    def pending_tickets(self, query_ids: Iterable) -> list:
+        """The tickets of those of *query_ids* pending here — how a
+        caller whose :meth:`submit_records` raised after adopting (a
+        drain that failed) finds what it adopted."""
+        with self._lock:
+            return [self._pending[query_id][1] for query_id in query_ids
+                    if query_id in self._pending]
 
     def partition_sizes(self) -> list[int]:
         """Current partition sizes, reported by the partition manager.

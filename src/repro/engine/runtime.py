@@ -45,9 +45,10 @@ from ..core.evaluate import _pick_valuations, _record_answers
 from ..core.graph import GraphDelta, UnifiabilityGraph
 from ..core.matching import ComponentMatch, match_component
 from ..core.query import EntangledQuery
-from ..core.terms import Variable
+from ..core.terms import Constant, Variable
 from ..core.ucs import check_ucs_graph
 from ..db.expression import ConjunctiveQuery
+from ..db.types import ColumnType
 from ..errors import ReproError, SchemaError, ValidationError
 from ..obs.trace import TRACER
 from .partitions import PartitionManager
@@ -702,10 +703,12 @@ def check_block(queries: Sequence[EntangledQuery], used,
     Every query must be well formed, its id neither in *used* (the
     service's burned ids) nor twice in the block, and every database
     atom it evaluates (body and §6 aggregates) must name a table
-    present in *database*, at the table's arity — admitted, such a
-    query would fail every round that evaluates its component, its
-    partners' rounds included.  Every shape's ``submit_many`` calls
-    this first.
+    present in *database*, at the table's arity, and no ordering
+    comparison (``<``, ``<=``, ``>``, ``>=``) may set text against a
+    number, as far as constants and typed columns tell — admitted,
+    such a query would fail every round that evaluates its component,
+    its partners' rounds included.  Every shape's ``submit_many``
+    calls this first.
     """
     seen: set = set()
     table_or_none = database.table_or_none
@@ -723,6 +726,36 @@ def check_block(queries: Sequence[EntangledQuery], used,
             table = table_or_none(atom.relation)
             if table is None or len(atom.args) != table.schema.arity:
                 raise SchemaError(_unreadable(query_id, atom, table))
+        if query.body_comparisons:
+            _check_orderable(query, table_or_none)
+
+
+#: Which side of text-against-number a typed column holds (an ``any``
+#: column may hold either).
+_COLUMN_KINDS = {ColumnType.TEXT: "text", ColumnType.INT: "number",
+                 ColumnType.FLOAT: "number", ColumnType.BOOL: "number"}
+
+
+def _check_orderable(query: EntangledQuery, table_or_none) -> None:
+    """Refuse an ordering comparison of *query* that sets text against
+    a number — it raises whenever it is evaluated — as far as its
+    constants' types and its variables' typed body columns tell."""
+    kinds: dict = {}
+    for atom in query.body:
+        columns = table_or_none(atom.relation).schema.columns
+        for term, column in zip(atom.args, columns):
+            if isinstance(term, Variable) and column.type in _COLUMN_KINDS:
+                kinds.setdefault(term, set()).add(_COLUMN_KINDS[column.type])
+    for comparison in query.body_comparisons:
+        left, right = (
+            {"text" if isinstance(term.value, str) else "number"}
+            if isinstance(term, Constant) else kinds.get(term, set())
+            for term in (comparison.left, comparison.right))
+        if comparison.op in ("<", "<=", ">", ">=") and left and right \
+                and len(left | right) == 2:
+            raise SchemaError(
+                f"query {query.query_id!r} orders text against a "
+                f"number: {comparison}")
 
 
 def _unreadable(query_id, atom, table) -> str:

@@ -1,13 +1,14 @@
 """Typed metrics with a deterministic, loss-free merge.
 
-One :class:`MetricsRegistry` per engine absorbs the counters that
-previously lived scattered across subsystems (engine stats, ordered-
-index ``range_stats``, prefilter enumerations, plan-cache hits,
-``wire_requests``, WAL/fsync counters) behind a single
-:meth:`MetricsRegistry.snapshot`.  Fleet aggregation is
-:func:`merge_snapshots` — associative, commutative, with the empty
-snapshot as identity — so the coordinator's stats fan-out is one
-codepath regardless of shard count.
+One :class:`MetricsRegistry` snapshot is the one stats surface of
+every service shape: the engine's counter block, ordered-index
+``range_stats``, prefilter enumerations, plan-cache hits,
+``wire_requests``, WAL/fsync counters and the server's layer are all
+read from ``metrics_snapshot()`` by metric name, and from nowhere
+else.  Fleet aggregation is :func:`merge_snapshots` — associative,
+commutative, with the empty snapshot as identity — so the
+coordinator's metrics fan-out is one codepath regardless of shard
+count.
 
 Three instrument types:
 

@@ -325,9 +325,6 @@ class ServerClient:
         result = await self.request("pending", timeout=timeout)
         return result["ids"]
 
-    async def stats(self, *, timeout: float | None = None) -> dict:
-        return await self.request("stats", timeout=timeout)
-
     async def metrics(self, *, timeout: float | None = None) -> dict:
         return await self.request("metrics", timeout=timeout)
 

@@ -82,8 +82,7 @@ ERROR_CODES = (OVERLOADED, TIMEOUT, SHUTTING_DOWN, BAD_FRAME, INVALID,
 ORDERED_OPS = ("submit", "run_batch", "expire", "mutate")
 
 #: The full request vocabulary the server understands.
-REQUEST_OPS = ORDERED_OPS + ("pending", "stats", "metrics", "resolved",
-                             "ping")
+REQUEST_OPS = ORDERED_OPS + ("pending", "metrics", "resolved", "ping")
 
 
 class ServerError(ReproError):

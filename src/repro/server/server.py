@@ -64,7 +64,6 @@ from typing import Callable, Optional
 
 from ..dataio import decode_queries, to_payload
 from ..engine.futures import TicketState
-from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ReproError, ValidationError
 from ..obs.metrics import MetricsRegistry, merge_snapshots
 from ..obs.trace import TRACER
@@ -502,9 +501,6 @@ class CoordinationServer:
             return {"pong": True, "draining": self._draining}, None
         if op == "pending":
             return {"ids": self.service.pending_ids()}, None
-        if op == "stats":
-            return EngineStats.from_metrics(
-                self.service.metrics_snapshot()).snapshot(), None
         if op == "metrics":
             return self.metrics_snapshot(), None
         if op == "resolved":
@@ -626,26 +622,25 @@ class CoordinationServer:
     # -- introspection ------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """The service's metrics merged with the ``server.*`` layer
-        and two readings of the hosting process's collector: what was
-        frozen when the server started (``repro serve`` freezes its
-        boot heap) and the full collections run so far.  Read-only —
-        the server never configures the collector."""
-        self._metrics.gauge("process.gc.full_collections",
-                            gc.get_stats()[2]["collections"])
+        """The service's metrics merged with the ``server.*`` layer —
+        its counters and histograms, and live gauges: open
+        connections, queue depth, the last ``order`` stamped,
+        draining (1/0), and the answers and failures settled this
+        generation — and two readings of the hosting process's
+        collector: what was frozen when the server started (``repro
+        serve`` freezes its boot heap) and the full collections run so
+        far.  Read-only — the server never configures the collector."""
+        metrics = self._metrics
+        metrics.gauge("process.gc.full_collections",
+                      gc.get_stats()[2]["collections"])
+        metrics.gauge("server.connections.live", len(self._connections))
+        metrics.gauge("server.queued", self._queue.qsize())
+        metrics.gauge("server.order", self._order)
+        metrics.gauge("server.draining", self._draining)
+        metrics.gauge("server.answers", len(self._answers))
+        metrics.gauge("server.failures", len(self._failures))
         return merge_snapshots(self.service.metrics_snapshot(),
-                               self._metrics.snapshot())
-
-    def stats(self) -> dict:
-        """Cheap live counters for the ``repro serve`` banner/tests."""
-        return {
-            "connections": len(self._connections),
-            "queued": self._queue.qsize(),
-            "order": self._order,
-            "draining": self._draining,
-            "answers": len(self._answers),
-            "failures": len(self._failures),
-        }
+                               metrics.snapshot())
 
 
 def _sorted_pairs(mapping: dict) -> list:

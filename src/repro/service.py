@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from abc import abstractmethod
 from collections import Counter
+from operator import attrgetter
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from .core.query import EntangledQuery
 from .dataio import dump_database, record_to_payload
 from .db.database import Database
 from .engine.futures import CoordinationTicket, TicketCallback
-from .engine.stats import EngineStats, lifecycle_payload
 
 
 def state_payload(database: Database, *, next_seq: int, records,
@@ -40,7 +40,7 @@ def state_payload(database: Database, *, next_seq: int, records,
     One key set: the database (text dump plus version), the arrival
     counter, the pending *records* as migration-record payloads, the
     burned ids as ``used_ids`` (bare ids, sorted by ``repr``) and the
-    lifecycle counters.
+    lifecycle counters (failures by reason value, in a stable order).
     """
     return {
         "database": dump_database(database, cache=dump_cache),
@@ -48,7 +48,9 @@ def state_payload(database: Database, *, next_seq: int, records,
         "next_seq": next_seq,
         "pending": [record_to_payload(record) for record in records],
         "used_ids": sorted(used_ids, key=repr),
-        "counters": lifecycle_payload(submitted, answered, failed),
+        "counters": {"submitted": submitted, "answered": answered,
+                     "failed": {reason.value: failed[reason] for reason
+                                in sorted(failed, key=attrgetter("value"))}},
     }
 
 
@@ -60,10 +62,6 @@ class CoordinationService(Protocol):
     #: primary on a fleet); committed deltas reach the service whether
     #: or not they came through :meth:`apply_mutations`.
     database: Database
-
-    #: Counters and phase timings in the engine's vocabulary (live on
-    #: the engine, rendered from :meth:`metrics_snapshot` elsewhere).
-    stats: EngineStats
 
     # -- derived members -----------------------------------------------
 
@@ -140,7 +138,8 @@ class CoordinationService(Protocol):
     @abstractmethod
     def metrics_snapshot(self) -> dict:
         """Every counter, gauge and histogram as one mergeable
-        registry snapshot (:mod:`repro.obs.metrics`)."""
+        registry snapshot (:mod:`repro.obs.metrics`): the one stats
+        surface, read by metric name on every shape."""
 
     @abstractmethod
     def snapshot_state(self, *, dump_cache: dict | None = None) -> dict:

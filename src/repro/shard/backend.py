@@ -255,7 +255,14 @@ class ShardHost:
     # -- command bodies -------------------------------------------------
 
     def submit_block(self, records: Sequence[PendingRecord]) -> None:
-        self._track(self.engine.submit_records(records))
+        try:
+            self._track(self.engine.submit_records(records))
+        except BaseException:
+            # Adopted, then a drain raised: what stays pending here
+            # still reports its settlements.
+            self._track(self.engine.pending_tickets(
+                record.query.query_id for record in records))
+            raise
 
     def run_batch(self, now: float) -> int:
         self._clock.set(now)

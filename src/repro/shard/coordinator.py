@@ -40,6 +40,7 @@ from collections import Counter, deque
 from typing import Iterable, Sequence
 
 from ..core.atom_index import AtomIndex
+from ..core.evaluate import FailureReason
 from ..core.query import EntangledQuery
 from ..db.database import Database
 from ..engine.engine import PendingRecord, stamp_records
@@ -47,7 +48,6 @@ from ..engine.futures import CoordinationTicket
 from ..engine.staleness import Clock, NeverStale, StalenessPolicy, \
     SystemClock
 from ..engine.runtime import check_block
-from ..engine.stats import EngineStats
 from ..errors import RecoveryError, ValidationError
 from ..obs import MetricsRegistry, TRACER, merge_snapshots
 from ..service import CoordinationService, state_payload
@@ -60,7 +60,8 @@ BACKENDS = ("inprocess", "process")
 
 class ShardMigrationError(RuntimeError):
     """Pending records could not be restored anywhere (every candidate
-    shard failed); the affected component left the fleet."""
+    shard failed); the affected component left the fleet, its queries
+    settled failed ``STALE`` (retryable)."""
 
 
 class ShardReplicationError(RuntimeError):
@@ -392,7 +393,8 @@ class ShardedCoordinator(CoordinationService):
         or nothing) and nothing is imported; the groups detached by
         then, or a group whose import failed on a live shard, are on
         no shard until :meth:`_rehome` restores them (the source
-        first, never the target), and then the failure is raised.
+        first, never the target) or, when no shard takes one, settles
+        it failed; then the failure is raised.
         """
         groups: dict[tuple[int, int], list] = {}
         for query_id, target in moves.items():
@@ -463,8 +465,10 @@ class ShardedCoordinator(CoordinationService):
         replica is at the current ``db_version``, so a restored
         component never coordinates against older data than the rest
         of the fleet.  A candidate lost on the way hands the import to
-        its heir.  Returns the shard that took them; raises
-        :class:`ShardMigrationError` when none did."""
+        its heir.  Returns the shard that took them.  When none did,
+        the queries settle failed ``STALE`` — counted, unregistered,
+        their ids free for a retry, as an expiry leaves them — and
+        :class:`ShardMigrationError` is raised."""
         records = [self._pending_meta[query_id] for query_id in query_ids]
         candidates = [shard for shard in self._live_shards()
                       if shard not in exclude and shard != first]
@@ -487,6 +491,8 @@ class ShardedCoordinator(CoordinationService):
             self._health.inc("shard.rehome_import_failures")
             for query_id in query_ids:
                 self._shard_of.pop(query_id, None)
+        self._apply_events([("failed", query_id, FailureReason.STALE)
+                            for query_id in query_ids])
         raise ShardMigrationError(
             f"pending queries {query_ids!r} could not be restored on "
             f"any shard: records lost from the fleet")
@@ -834,7 +840,6 @@ class ShardedCoordinator(CoordinationService):
         self._fan_out(lambda backend, _: backend.call_invalidate())
 
     def _apply_events(self, events) -> None:
-        from ..core.evaluate import FailureReason
         for kind, query_id, payload in events:
             ticket = self._tickets.pop(query_id, None)
             record = self._pending_meta.pop(query_id, None)
@@ -983,19 +988,6 @@ class ShardedCoordinator(CoordinationService):
         counters["wire.requests"] = self.wire_requests
         merged["gauges"]["pending"] = float(len(self._tickets))
         return merged
-
-    @property
-    def stats(self) -> EngineStats:
-        """Fleet-wide statistics in the engine's vocabulary.
-
-        Lifecycle counters (submitted / answered / failed) come from
-        the coordinator; work counters and phase timings are summed
-        over shards.  Built on :meth:`metrics_snapshot` — the merged
-        registry is the only aggregation codepath — and rendered back
-        into :class:`~repro.engine.stats.EngineStats` for callers that
-        speak the engine's vocabulary.
-        """
-        return EngineStats.from_metrics(self.metrics_snapshot())
 
     # ------------------------------------------------------------------
     # lifecycle

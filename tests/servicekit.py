@@ -13,8 +13,9 @@ subject shapes of a :class:`Group`, and after every rule checks:
 
 (a) every subject matches the reference on the rule's result or the
     type of error it raised, on what settled during the rule, on
-    ``pending_ids()``, sorted ``partition_sizes()`` and ``stats``; the
-    in-process shapes also on ``snapshot_state()``;
+    ``pending_ids()``, sorted ``partition_sizes()`` and the lifecycle
+    counters of ``metrics_snapshot()``; the in-process shapes also on
+    ``snapshot_state()``;
 (b) what settles together is a coordinating set (the paper's
     Section 2.3): every answer is one of ``materialize_groundings(query,
     database)`` at the instant it settles, whose postconditions are
@@ -78,11 +79,12 @@ from repro.core.evaluate import coordinate
 from repro.core.extensions import AggregateConstraint
 from repro.core.query import EntangledQuery
 from repro.core.safety import is_safe
-from repro.core.terms import Variable, atom
+from repro.core.terms import Constant, Variable, atom
 from repro.core.ucs import is_ucs
 from repro.core.unify import atoms_unifiable
 from repro.dataio import dump_database, from_payload
 from repro.db import Database
+from repro.db.expression import Comparison
 from repro.durability import DurableCoordinator, DurableEngine
 from repro.durability.snapshots import SnapshotStore
 from repro.engine.engine import D3CEngine
@@ -161,6 +163,14 @@ def audit_exactly_once(coordinator) -> None:
                                              key=repr)
     for query_id in fleet:
         assert query_id in held[coordinator.shard_of(query_id)]
+
+
+def lifecycle(metrics: dict) -> tuple:
+    """Submitted, answered and pending, read from a
+    ``metrics_snapshot()`` by metric name."""
+    return (metrics["counters"]["submitted"],
+            metrics["counters"]["answered"],
+            int(metrics["gauges"]["pending"]))
 
 
 def exact(value):
@@ -321,8 +331,10 @@ def base_database() -> Database:
     return database
 
 
-#: Kinds a submission refuses before admitting anything.
-UNREADABLE = ("missing", "arity")
+#: Kinds a submission refuses before admitting anything: a read of a
+#: missing table, one at the wrong arity, and an ordering comparison
+#: of a text column against a number.
+UNREADABLE = ("missing", "arity", "misordered")
 KINDS = ("pair", "pair", "pair", "gated", "cluster", "bridge", "valued",
          "valued", "host", "guest", "guest") + UNREADABLE
 
@@ -348,6 +360,7 @@ class Spec(NamedTuple):
         d, x, p = self.destination, Variable("x"), Variable("p")
         head, post = (atom("R", me, d),), (atom("R", other, d),)
         body, aggregates = (atom("F", me, other),), ()
+        comparisons = ()
         if self.kind == "gated":
             body += (atom("G", me),)
         elif self.kind == "cluster":
@@ -382,8 +395,13 @@ class Spec(NamedTuple):
                 atom("NoSuchTable", x),)
         elif self.kind == "arity":
             head, post, body = (atom("R", me, x),), (), (atom("F", x),)
+        elif self.kind == "misordered":
+            head, post, body = (atom("R", me, x),), (), (
+                atom("F", me, x),)
+            comparisons = (Comparison(x, "<", Constant(5)),)
         return EntangledQuery(query_id=self.query_id, head=head,
                               postconditions=post, body=body,
+                              body_comparisons=comparisons,
                               aggregates=aggregates)
 
 
@@ -454,9 +472,9 @@ class InjectedFault(RuntimeError):
 FAULT_KINDS = ("members", "detach", "import")
 
 #: The commands that can meet a lost shard first (``observe``: the
-#: check's own reads, ``partition_sizes`` and ``stats``; ``submit``: a
-#: bridge whose partners may span shards, so its routing meets the
-#: loss).
+#: check's own reads, ``metrics_snapshot`` and ``partition_sizes``;
+#: ``submit``: a bridge whose partners may span shards, so its routing
+#: meets the loss).
 LOSS_POINTS = ("run_batch", "expire_stale", "invalidate_cache",
                "mutate", "observe", "submit")
 
@@ -550,14 +568,13 @@ class InProcess:
             self.service.snapshot()
 
     def observe(self) -> dict:
-        stats = self.service.stats
+        stats = lifecycle(self.service.metrics_snapshot())
         state = self.service.snapshot_state(dump_cache=self._dump_cache)
         for key in ("answers", "failures"):
             state.pop(key, None)
         return {"pending": self.service.pending_ids(),
                 "sizes": sorted(self.service.partition_sizes()),
-                "stats": (stats.submitted, stats.answered, stats.pending),
-                "state": state}
+                "stats": stats, "state": state}
 
     def replace_service(self, service) -> None:
         self.service = service
@@ -567,10 +584,10 @@ class InProcess:
     def counters(self) -> collections.Counter:
         """What this incarnation resumed, built, answered and migrated
         (the run-level checks sum them over incarnations)."""
-        stats = self.service.stats
+        counters = self.service.metrics_snapshot()["counters"]
         role = "forget" if self.forget else "live"
         counts = collections.Counter({
-            f"{role}.{counter}": getattr(stats, counter) for counter in (
+            f"{role}.{counter}": counters[counter] for counter in (
                 "match_resumed", "closures_skipped_empty",
                 "combined_queries_built")})
         counts["migrations"] = sum(fleet.migrations
@@ -652,10 +669,8 @@ class Served:
 
     def observe(self) -> dict:
         self.collect()
-        stats = self._run(self._client.stats())
         return {"pending": self._run(self._client.pending()),
-                "stats": (stats["submitted"], stats["answered"],
-                          stats["pending"])}
+                "stats": lifecycle(self._run(self._client.metrics()))}
 
     def fill_journal(self) -> None:
         """The child's next append finds no room: its file-size limit
@@ -886,7 +901,8 @@ class ServiceModel(RuleBasedStateMachine):
         """Count what *subject*'s service did, before it closes."""
         self.tally.update(subject.counters())
         if subject is self.reference:
-            self.tally["answered"] += subject.service.stats.answered
+            self.tally["answered"] += subject.service.metrics_snapshot()[
+                "counters"]["answered"]
 
     def teardown(self):
         try:
@@ -1172,9 +1188,10 @@ class ServiceModel(RuleBasedStateMachine):
         for subject in self.subjects:
             if getattr(subject, "forget", False):
                 # The twin re-derives everything: nothing carried.
-                stats = subject.service.stats
-                assert stats.match_resumed == 0, subject.name
-                assert stats.closures_skipped_empty == 0, subject.name
+                counters = subject.service.metrics_snapshot()["counters"]
+                assert counters["match_resumed"] == 0, subject.name
+                assert counters["closures_skipped_empty"] == 0, \
+                    subject.name
             got = subject.observe()
             assert sorted(subject.settled, key=repr) == expected, (
                 subject.name, subject.settled, expected)
@@ -1409,7 +1426,8 @@ TOUR = [
                                Spec("q4", "guest", 2, "D", fresh=True)]}),
     ("run_batch", {}),
     ("journal_full", {"command": "run_batch", "ops": [], "reshape": 0}),
-    ("submit", {"block": [Spec("q5", "missing", 0, "D")]}),
+    ("submit", {"block": [Spec("q5", "missing", 0, "D"),
+                          Spec("q6", "misordered", 1, "D")]}),
     ("run_batch", {}),
 ]
 

@@ -9,7 +9,14 @@ from repro.bench import (Series, bench_scale, run_batch,
 from repro.bench.harness import bench_database, bench_network
 from repro.core.evaluate import FailureReason
 from repro.engine.stats import EngineStats
+from repro.obs import MetricsRegistry
 from repro.workloads import build_intro_database, two_way_pairs
+
+
+def _metrics(stats: EngineStats) -> dict:
+    registry = MetricsRegistry()
+    stats.to_metrics(registry)
+    return registry.snapshot()
 
 
 class TestEngineStats:
@@ -17,19 +24,20 @@ class TestEngineStats:
         stats = EngineStats()
         stats.submitted = 10
         stats.answered = 4
-        stats.record_failure(FailureReason.STALE, 2)
-        stats.record_failure(FailureReason.UNSAFE)
+        stats.failed[FailureReason.STALE] += 2
+        stats.failed[FailureReason.UNSAFE] += 1
         assert stats.pending == 3
-        assert stats.total_failed == 3
-        snapshot = stats.snapshot()
-        assert snapshot["pending"] == 3
-        assert snapshot["failed"] == {"stale": 2, "unsafe": 1}
+        metrics = _metrics(stats)
+        assert metrics["gauges"]["pending"] == 3
+        assert {key: value for key, value in metrics["counters"].items()
+                if key.startswith("failed.")} \
+            == {"failed.stale": 2, "failed.unsafe": 1}
 
     def test_str_rendering(self):
+        # The counters are read by metric name; there is no rendering.
         stats = EngineStats()
         stats.submitted = 2
-        text = str(stats)
-        assert "submitted=2" in text
+        assert _metrics(stats)["counters"]["submitted"] == 2
 
 
 class TestSeries:

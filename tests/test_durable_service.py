@@ -183,7 +183,8 @@ def test_answers_and_failures_maps_survive_close_and_recover(tmp_path):
     try:
         assert recovered.answers == answers
         assert recovered.failures == failures
-        assert recovered.stats.answered == len(answers)
+        assert recovered.metrics_snapshot()["counters"]["answered"] \
+            == len(answers)
     finally:
         recovered.close()
 

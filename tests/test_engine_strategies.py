@@ -111,6 +111,7 @@ class TestStatsAccounting:
         stats = engine.stats
         assert stats.graph_seconds >= 0
         assert stats.combined_queries_built >= 1
-        snapshot = stats.snapshot()
-        assert snapshot["answered"] == 2
-        assert snapshot["pending"] == 0
+        metrics = engine.metrics_snapshot()
+        assert metrics["counters"]["answered"] == 2
+        assert metrics["gauges"]["pending"] == 0
+        assert metrics["gauges"]["graph_seconds"] == stats.graph_seconds

@@ -269,7 +269,8 @@ class TestEdgesMaterialised:
             fleet.submit_many(arrivals[:400])
             counters = fleet.metrics_snapshot()["counters"]
             assert 0 < counters["edges_materialised"] <= 51_000
-            assert fleet.stats.edges_materialised \
+            assert sum(backend.engine.stats.edges_materialised
+                       for backend in fleet._backends) \
                 == counters["edges_materialised"]
         finally:
             fleet.close()

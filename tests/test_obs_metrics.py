@@ -6,19 +6,23 @@ aggregation codepath leans on: :func:`repro.obs.merge_snapshots` is
 associative and commutative with the empty snapshot as identity, no
 key present in any input is dropped, and a snapshot that round-trips
 through JSON merges identically to a live one.  The one-stats-surface
-tests pin that every counter :class:`~repro.engine.stats.EngineStats`
-reports appears in ``metrics_snapshot`` under the same (dotted) name —
-for the bare engine, the sharded fleet, and the durable wrapper — and
-that ``EngineStats.from_metrics`` renders it back exactly.
+tests pin that every field of the engine's counter block
+(:class:`~repro.engine.stats.EngineStats`) appears in
+``metrics_snapshot`` under its own (dotted) name — a field added is
+published with no other edit — for the bare engine, the sharded fleet
+(work summed over shards) and the durable wrapper (``durability.*``
+joined).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass, fields
 
 import pytest
 
+from repro.core.evaluate import FailureReason
 from repro.durability import DurableEngine
 from repro.engine.engine import D3CEngine
 from repro.engine.staleness import ManualClock
@@ -151,30 +155,23 @@ def test_snapshot_merges_identically_after_a_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# One stats surface: EngineStats is a rendering of metrics_snapshot
+# One stats surface: metrics_snapshot publishes the engine's counter block
 
 
-def _flatten_stats(snapshot: dict) -> dict:
-    """``EngineStats.snapshot()`` keys under their
-    ``metrics_snapshot`` names."""
-    flat: dict = {}
-    for key, value in snapshot.items():
-        if key in ("failed", "range_index", "durability"):
-            for sub, count in value.items():
-                flat[f"{key}.{sub}"] = count
+def _assert_publishes(metrics: dict, stats: EngineStats) -> None:
+    """Every field of *stats* under its own name: ints as counters,
+    floats as gauges, the failure tally as ``failed.<reason>``."""
+    counters, gauges = metrics["counters"], metrics["gauges"]
+    for spec in fields(stats):
+        value = getattr(stats, spec.name)
+        if spec.name == "failed":
+            for reason, count in value.items():
+                assert counters[f"failed.{reason.value}"] == count
+        elif isinstance(value, float):
+            assert gauges[spec.name] == pytest.approx(value), spec.name
         else:
-            flat[key] = value
-    return flat
-
-
-def _assert_supersedes(metrics: dict, stats: dict) -> None:
-    counters = metrics["counters"]
-    gauges = metrics["gauges"]
-    for key, value in _flatten_stats(stats).items():
-        if key.endswith("_seconds") or key == "pending":
-            assert gauges[key] == pytest.approx(value), key
-        else:
-            assert counters[key] == value, key
+            assert counters[spec.name] == value, spec.name
+    assert gauges["pending"] == stats.pending
 
 
 def test_engine_stats_round_trip_through_metrics_snapshot():
@@ -182,16 +179,35 @@ def test_engine_stats_round_trip_through_metrics_snapshot():
     engine.submit_many(_intro_queries())
     engine.run_batch()
     metrics = engine.metrics_snapshot()
-    stats = engine.stats.snapshot()
-    assert stats["answered"] == 2
-    _assert_supersedes(metrics, stats)
-    # from_metrics is the inverse of to_metrics: the rendering every
-    # other shape (and the server's stats op) serves equals the
-    # engine's live counters.
-    assert EngineStats.from_metrics(metrics).snapshot() == stats
-    # The registry also carries the database-layer counters the stats
-    # dict never had.
+    assert metrics["counters"]["answered"] == 2
+    _assert_publishes(metrics, engine.stats)
+    # The registry also carries the database-layer counters the engine
+    # block never had.
     assert any(key.startswith("db.") for key in metrics["counters"])
+    assert any(key.startswith("range_index.")
+               for key in metrics["counters"])
+
+
+def test_every_engine_stats_field_appears_in_metrics_snapshot():
+    """A counter is declared once: a field added to the block is
+    published by ``metrics_snapshot`` with no other edit."""
+    @dataclass(slots=True)
+    class Extended(EngineStats):
+        probes_sent: int = 0
+        probe_seconds: float = 0.0
+
+    engine = D3CEngine(build_intro_database(), mode="batch")
+    engine.submit_many(_intro_queries())
+    engine.run_batch()
+    engine.stats = Extended(**{spec.name: getattr(engine.stats, spec.name)
+                               for spec in fields(EngineStats)},
+                            probes_sent=3, probe_seconds=0.5)
+    engine.stats.failed[FailureReason.STALE] += 1
+    metrics = engine.metrics_snapshot()
+    _assert_publishes(metrics, engine.stats)
+    assert metrics["counters"]["probes_sent"] == 3
+    assert metrics["gauges"]["probe_seconds"] == 0.5
+    assert metrics["counters"]["failed.stale"] == 1
 
 
 @pytest.mark.parametrize("backend", ["inprocess"])
@@ -205,13 +221,23 @@ def test_coordinator_fleet_merge_matches_stats(backend):
     coordinator.submit_many(queries)
     coordinator.run_batch()
     metrics = coordinator.metrics_snapshot()
-    stats = coordinator.stats.snapshot()
-    assert stats["submitted"] == len(queries)
-    _assert_supersedes(metrics, stats)
-    assert metrics["counters"]["shard.migrations"] == \
-        coordinator.migrations
-    assert metrics["counters"]["wire.requests"] >= 0
-    assert metrics["gauges"]["pending"] == coordinator.pending_count
+    counters, gauges = metrics["counters"], metrics["gauges"]
+    # Lifecycle counters are the coordinator's; work counters and
+    # phase seconds are summed over the shard engines.
+    assert counters["submitted"] == len(queries)
+    assert counters["answered"] == len(queries) - coordinator.pending_count
+    shards = [backend.engine.stats for backend in coordinator._backends]
+    for spec in fields(EngineStats):
+        if spec.name in ("submitted", "answered", "failed"):
+            continue
+        total = sum(getattr(stats, spec.name) for stats in shards)
+        if isinstance(total, float):
+            assert gauges[spec.name] == pytest.approx(total), spec.name
+        else:
+            assert counters[spec.name] == total, spec.name
+    assert counters["shard.migrations"] == coordinator.migrations
+    assert counters["wire.requests"] >= 0
+    assert gauges["pending"] == coordinator.pending_count
 
 
 def test_durable_engine_metrics_include_durability_counters(tmp_path):
@@ -219,18 +245,18 @@ def test_durable_engine_metrics_include_durability_counters(tmp_path):
                            mode="batch", sync_every=1,
                            clock=ManualClock())
     try:
-        bootstrap = engine.durability_stats()["snapshots_taken"]
+        bootstrap = engine.metrics_snapshot()["counters"][
+            "durability.snapshots_taken"]
         engine.submit_many(_intro_queries())
         engine.run_batch()
         engine.snapshot()
-        stats = engine.stats.snapshot()
         metrics = engine.metrics_snapshot()
-        durability = stats["durability"]
-        assert durability["snapshots_taken"] == bootstrap + 1
-        assert durability["wal_records"] > 0
-        assert durability["wal_bytes"] > 0
-        assert durability["wal_sync_batches"] > 0
-        _assert_supersedes(metrics, stats)
+        counters = metrics["counters"]
+        assert counters["durability.snapshots_taken"] == bootstrap + 1
+        assert counters["durability.wal_records"] > 0
+        assert counters["durability.wal_bytes"] > 0
+        assert counters["durability.wal_sync_batches"] > 0
+        _assert_publishes(metrics, engine.service.stats)
     finally:
         engine.close()
 
@@ -241,15 +267,17 @@ def test_durability_totals_survive_log_rotation(tmp_path):
     engine = DurableEngine(tmp_path / "wal", build_intro_database(),
                            mode="batch", sync_every=1,
                            clock=ManualClock())
+
+    def durability(key):
+        return engine.metrics_snapshot()["counters"][f"durability.{key}"]
     try:
-        bootstrap = engine.durability_stats()["snapshots_taken"]
+        bootstrap = durability("snapshots_taken")
         engine.submit_many(_intro_queries())
-        before = engine.durability_stats()["wal_records"]
+        before = durability("wal_records")
         assert before > 0
         engine.snapshot()
-        after = engine.durability_stats()
-        assert after["wal_records"] >= before
-        assert after["snapshots_taken"] == bootstrap + 1
+        assert durability("wal_records") >= before
+        assert durability("snapshots_taken") == bootstrap + 1
     finally:
         engine.close()
 

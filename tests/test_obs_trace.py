@@ -159,7 +159,7 @@ def test_process_backend_yields_one_stitched_trace():
                             mode="batch") as coordinator:
         coordinator.submit_many(queries)
         coordinator.run_batch()
-        assert coordinator.stats.answered > 0
+        assert coordinator.metrics_snapshot()["counters"]["answered"] > 0
     traces = TRACER.traces()
     traces.pop(None, None)
     stitched = 0

@@ -209,10 +209,9 @@ def test_engine_metrics_snapshot_reports_range_counters():
     engine = D3CEngine(database, mode="batch")
     engine.submit_all(queries)
     engine.run_batch()
-    engine.metrics_snapshot()    # refreshes stats.range_index
-    snapshot = engine.stats.snapshot()
-    assert snapshot["answered"] == 2
-    counters = snapshot["range_index"]
-    assert counters["range_probes"] > 0
-    assert counters["ordered_indexes"] >= 1
-    assert counters["range_pruned"] + counters["range_rows"] > 0
+    counters = engine.metrics_snapshot()["counters"]
+    assert counters["answered"] == 2
+    assert counters["range_index.range_probes"] > 0
+    assert counters["range_index.ordered_indexes"] >= 1
+    assert counters["range_index.range_pruned"] \
+        + counters["range_index.range_rows"] > 0

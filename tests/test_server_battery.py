@@ -27,6 +27,7 @@ import json
 import os
 import signal
 import socket
+from dataclasses import fields
 
 import pytest
 
@@ -39,10 +40,10 @@ from repro.engine.stats import EngineStats
 from repro.errors import ValidationError
 from repro.lang import parse_ir
 from repro.server import (CoordinationServer, ServerAddressInUseError,
-                          ServerClient, ServerConfig,
+                          ServerClient, ServerCommandError, ServerConfig,
                           ServerOverloadedError,
                           ServerShuttingDownError, ServerTimeoutError)
-from repro.server.protocol import (OVERLOADED, FrameDecoder,
+from repro.server.protocol import (INVALID, OVERLOADED, FrameDecoder,
                                    encode_frame, event_frame,
                                    hello_frame, request_frame)
 from repro.server.server import _Connection, normalize_mutations
@@ -322,13 +323,36 @@ def test_draining_server_sheds_with_shutting_down():
 # ----------------------------------------------------------------------
 
 
+def test_a_stats_request_gets_a_typed_invalid_reply():
+    """The ``stats`` op is gone (``metrics`` carries every counter):
+    a client that still sends it gets a typed ``INVALID`` reply, and
+    its connection keeps serving."""
+    async def scenario():
+        server = CoordinationServer(
+            D3CEngine(build_intro_database(), mode="batch"))
+        await server.start(port=0)
+        host, port = server.tcp_address
+        client = await ServerClient.connect_tcp(host, port)
+        try:
+            with pytest.raises(ServerCommandError) as caught:
+                await client.request("stats", timeout=10)
+            assert caught.value.code == INVALID
+            assert "unknown op 'stats'" in str(caught.value)
+            assert (await client.ping(timeout=10))["pong"] is True
+        finally:
+            await client.close()
+            await server.drain()
+    asyncio.run(scenario())
+
+
+
 @pytest.mark.parametrize("shape", ["engine", "fleet", "durable-engine",
                                    "durable-fleet"])
 def test_read_only_ops_answer_ok_on_every_shape(shape, tmp_path):
-    """``ping`` / ``pending`` / ``stats`` / ``metrics`` / ``resolved``
-    over real frames: the server asks nothing of its service beyond
-    the CoordinationService protocol, so every shape answers each op
-    and ``stats`` carries the same keys everywhere."""
+    """``ping`` / ``pending`` / ``metrics`` / ``resolved`` over real
+    frames: the server asks nothing of its service beyond the
+    CoordinationService protocol, so every shape answers each op and
+    ``metrics`` carries the engine's counter keys everywhere."""
     async def scenario():
         server = CoordinationServer(
             build(shape, build_intro_database(), tmp_path / "wal"))
@@ -341,15 +365,16 @@ def test_read_only_ops_answer_ok_on_every_shape(shape, tmp_path):
             assert sorted((await client.pending(timeout=10))) == \
                 ["jerry-r", "kramer-r"]
             assert await client.run_batch(timeout=10) == 2
-            stats = await client.stats(timeout=10)
-            assert stats.keys() == EngineStats().snapshot().keys()
-            assert (stats["submitted"], stats["answered"],
-                    stats["pending"]) == (2, 2, 0)
-            assert bool(stats["durability"]) == \
-                shape.startswith("durable")
             metrics = await client.metrics(timeout=10)
-            assert metrics["counters"]["answered"] == 2
-            assert metrics["counters"]["server.replies"] >= 5
+            counters, gauges = metrics["counters"], metrics["gauges"]
+            assert {spec.name for spec in fields(EngineStats)} \
+                - {"failed"} <= counters.keys() | gauges.keys()
+            assert (counters["submitted"], counters["answered"],
+                    gauges["pending"]) == (2, 2, 0)
+            assert any(name.startswith("durability.")
+                       for name in counters) == shape.startswith("durable")
+            assert counters["server.replies"] >= 4
+            assert gauges["server.connections.live"] == 1
             resolved = await client.resolved(timeout=10)
             assert [qid for qid, _ in resolved["answers"]] == \
                 ["jerry-r", "kramer-r"]

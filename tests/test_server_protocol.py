@@ -311,10 +311,13 @@ def test_welcome_advertises_negotiated_limits():
 
 def test_request_op_vocabulary_is_stable():
     # The oracle replay and the CLI both depend on this vocabulary;
-    # growing it is fine, renaming/removing is a wire break.
+    # growing it is fine, renaming/removing is a wire break.  The one
+    # deliberate removal is ``stats``: ``metrics`` carries every
+    # counter it rendered, and an old client's ``stats`` gets INVALID.
     assert set(REQUEST_OPS) >= {"submit", "run_batch", "expire",
-                                "mutate", "pending", "stats",
-                                "metrics", "resolved", "ping"}
+                                "mutate", "pending", "metrics",
+                                "resolved", "ping"}
+    assert "stats" not in REQUEST_OPS
 
 
 def test_rep002_wire_completeness_stays_green():

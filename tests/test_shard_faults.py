@@ -29,8 +29,8 @@ from contextlib import nullcontext
 import pytest
 
 from repro.core.query import EntangledQuery
-from repro.core.terms import Variable, atom
-from repro.db import Database
+from repro.core.terms import Constant, Variable, atom
+from repro.db import Comparison, Database
 from repro.engine.engine import D3CEngine, PendingRecord
 from repro.engine.staleness import ManualClock, TimeoutStaleness
 from repro.errors import ValidationError
@@ -648,5 +648,74 @@ def test_a_failed_submit_block_registers_what_the_shard_adopted(
     assert coordinator.pending_ids() == []
     coordinator.submit_many(pair)
     assert coordinator.run_batch() == 2
+    assert coordinator.pending_ids() == []
+    audit_exactly_once(coordinator)
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_a_block_adopted_before_its_drain_failed_still_settles(backend):
+    """An incremental shard adopts the pair ``u-a`` / ``u-b``, then its
+    drain raises: their comparison reads an ``any`` column holding
+    text.  They stay pending, as on one engine whose drain raised, and
+    once the row is mended a later round answers them at the
+    coordinator too: the shard reports what it settles for every query
+    it adopted, not only for blocks that returned."""
+    database = _loss_db()
+    database.create_table("W", "a text", "v any")
+    database.insert("W", [("u1", "text")])
+    pair = []
+    for query_id, user, partner in (("u-a", "u1", "u2"),
+                                    ("u-b", "u2", "u1")):
+        value = Variable("v")
+        pair.append(EntangledQuery(
+            query_id=query_id, head=(atom("R", user, "ITH"),),
+            postconditions=(atom("R", partner, "ITH"),),
+            body=(atom("F", user, partner), atom("W", "u1", value)),
+            body_comparisons=(Comparison(value, "<", Constant(5)),)))
+    with ShardedCoordinator(database, num_shards=2, backend=backend,
+                            mode="incremental",
+                            router=ScriptedRouter(2, {"u-a": 1})
+                            ) as coordinator:
+        with pytest.raises(Exception, match="not supported"):
+            coordinator.submit_many(pair)
+        assert coordinator.pending_ids() == ["u-a", "u-b"]
+        audit_exactly_once(coordinator)
+        coordinator.apply_mutations([("delete", "W", [("u1", "text")]),
+                                     ("insert", "W", [("u1", 3)])])
+        coordinator.run_batch()
+        assert coordinator.pending_ids() == []
+        assert coordinator.metrics_snapshot()["counters"]["answered"] == 2
+        audit_exactly_once(coordinator)
+
+
+def test_a_group_no_shard_takes_settles_failed_and_frees_its_ids(
+        monkeypatch):
+    """A bridge migrates ``t-b`` from shard 1 to shard 0, and both
+    shards refuse the import — the move and the restore.  ``t-b``
+    left the fleet: its ticket fails ``STALE`` (counted, retryable),
+    it leaves the coordinator's maps, and its id is free, so a retry
+    of it and the bridge is accepted and answers."""
+    database = _loss_db()
+    database.insert("U", [("user1", "t"), ("user2", "t")])
+    coordinator = ShardedCoordinator(
+        database, num_shards=2, mode="batch",
+        router=ScriptedRouter(2, {"t-a": 0, "t-b": 1}))
+    a, b, c = rendezvous_triple("t")
+    coordinator.submit(a)
+    lost = coordinator.submit(b)
+    for backend in coordinator._backends:
+        monkeypatch.setattr(
+            backend, "call_import",
+            lambda records: ShardCall.failed(RuntimeError("refused")))
+    with pytest.raises(ShardMigrationError):
+        coordinator.submit_many([c])
+    assert outcome(lost) == ("failed", "stale")
+    assert coordinator.pending_ids() == ["t-a"]
+    assert coordinator.metrics_snapshot()["counters"]["failed.stale"] == 1
+    audit_exactly_once(coordinator)
+
+    monkeypatch.undo()
+    coordinator.submit_many([b, c])
+    assert coordinator.run_batch() == 3
     assert coordinator.pending_ids() == []
     audit_exactly_once(coordinator)

@@ -384,7 +384,8 @@ def test_coordinator_stats_aggregate(database):
     pair = make_pair("st1", "st2", "user1", "user2", "ITH")
     coordinator.submit_many(pair)
     coordinator.run_batch()
-    stats = coordinator.stats
-    assert stats.submitted == 2
-    assert stats.answered + stats.pending == 2
-    assert stats.coordination_rounds >= 1
+    metrics = coordinator.metrics_snapshot()
+    counters = metrics["counters"]
+    assert counters["submitted"] == 2
+    assert counters["answered"] + metrics["gauges"]["pending"] == 2
+    assert counters["coordination_rounds"] >= 1

@@ -401,8 +401,8 @@ def test_recovery_insensitive_to_snapshot_cadence(tmp_path,
     assert recovered.answers == expected_answers
     assert recovered.database.db_version == expected_version
     assert recovered.pending_count == 0
-    assert recovered.stats.submitted == 2
-    assert recovered.stats.answered == 2
+    counters = recovered.metrics_snapshot()["counters"]
+    assert (counters["submitted"], counters["answered"]) == (2, 2)
     recovered.close()
 
 
