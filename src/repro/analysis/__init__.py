@@ -26,29 +26,23 @@ REP007    no lambdas/closures/local defs in objects handed to
 ``REP000`` is the analyzer's own voice: malformed pragmas and
 unparseable files.
 
-Run it as ``repro lint [PATHS] [--baseline analysis/baseline.json]
-[--json] [--update-baseline]``; per-line suppressions are
-``# lint: allow(REPNNN, ...)`` and ``# lint: allow-swallow(reason)``.
-See DESIGN.md §12 for the rule catalog and baseline policy.
+Run it as ``repro lint [PATHS] [--json]``: any finding fails the run;
+per-line suppressions are ``# lint: allow(REPNNN, ...)`` and
+``# lint: allow-swallow(reason)``.  See DESIGN.md §12 for the rule
+catalog.
 """
 
-from .baseline import (BaselineDiff, diff_against_baseline,
-                       load_baseline, save_baseline)
 from .context import META_RULE, ModuleContext, parse_pragmas
 from .engine import Analyzer, default_rules, rule_catalog
 from .findings import Finding, sort_findings
 
 __all__ = [
     "Analyzer",
-    "BaselineDiff",
     "Finding",
     "META_RULE",
     "ModuleContext",
     "default_rules",
-    "diff_against_baseline",
-    "load_baseline",
     "parse_pragmas",
     "rule_catalog",
-    "save_baseline",
     "sort_findings",
 ]

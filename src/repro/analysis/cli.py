@@ -1,14 +1,12 @@
 """The ``repro lint`` command implementation.
 
 Kept out of :mod:`repro.cli` so the argparse surface stays thin there;
-this module owns path resolution, baseline handling, output rendering
-(terminal lines, ``--json``, GitHub step annotations), and the exit
-code contract:
+this module owns path resolution, output rendering (terminal lines,
+``--json``, GitHub step annotations), and the exit code contract:
 
-* ``0`` — no new findings (baselined and stale entries allowed);
-* ``1`` — new findings (or a malformed baseline);
-* ``2`` — usage errors (missing paths, --update-baseline without
-  --baseline).
+* ``0`` — no findings;
+* ``1`` — any finding;
+* ``2`` — usage errors (missing paths).
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
-from .baseline import (BaselineDiff, diff_against_baseline,
-                       load_baseline, save_baseline)
 from .engine import Analyzer, rule_catalog
 from .findings import Finding
 
@@ -30,8 +26,6 @@ DEFAULT_TARGETS = ("src", "tests")
 
 
 def run_lint(paths: Sequence[str], *,
-             baseline: Optional[str] = None,
-             update_baseline: bool = False,
              as_json: bool = False,
              list_rules: bool = False,
              root: Optional[str] = None,
@@ -45,11 +39,6 @@ def run_lint(paths: Sequence[str], *,
         for rule_id, rule in sorted(rule_catalog().items()):
             print(f"{rule_id}  {rule.description}", file=out)
         return 0
-
-    if update_baseline and not baseline:
-        print("lint: --update-baseline requires --baseline PATH",
-              file=err)
-        return 2
 
     targets = list(paths)
     if not targets:
@@ -66,65 +55,25 @@ def run_lint(paths: Sequence[str], *,
         print(f"lint: {error}", file=err)
         return 2
 
-    baseline_path = None
-    baseline_entries: List[Finding] = []
-    if baseline:
-        baseline_path = Path(baseline)
-        if not baseline_path.is_absolute():
-            baseline_path = analyzer.root / baseline_path
-        if update_baseline:
-            save_baseline(baseline_path, findings)
-            print(f"lint: wrote {len(findings)} finding(s) to "
-                  f"{baseline}", file=out)
-            return 0
-        if baseline_path.exists():
-            try:
-                baseline_entries = load_baseline(baseline_path)
-            except (ValueError, json.JSONDecodeError) as error:
-                print(f"lint: {error}", file=err)
-                return 1
-        else:
-            print(f"lint: baseline {baseline} does not exist yet; "
-                  f"treating every finding as new (create it with "
-                  f"--update-baseline)", file=err)
-
-    result = diff_against_baseline(findings, baseline_entries)
     if as_json:
-        print(json.dumps(_json_report(result), indent=2,
+        print(json.dumps(_json_report(findings), indent=2,
                          sort_keys=True), file=out)
     else:
-        _render_text(result, out)
-    return 1 if result.new else 0
+        _render_text(findings, out)
+    return 1 if findings else 0
 
 
-def _json_report(result: BaselineDiff) -> dict:
-    return {
-        "version": 1,
-        "new": [finding.to_json() for finding in result.new],
-        "baselined": [finding.to_json()
-                      for finding in result.baselined],
-        "stale_baseline": [finding.to_json()
-                           for finding in result.stale],
-        "counts": {"new": len(result.new),
-                   "baselined": len(result.baselined),
-                   "stale_baseline": len(result.stale)},
-    }
+def _json_report(findings: List[Finding]) -> dict:
+    return {"version": 1,
+            "findings": [finding.to_json() for finding in findings],
+            "count": len(findings)}
 
 
-def _render_text(result: BaselineDiff, out: TextIO) -> None:
+def _render_text(findings: List[Finding], out: TextIO) -> None:
     annotate = bool(os.environ.get("GITHUB_ACTIONS"))
-    for finding in result.new:
+    for finding in findings:
         print(finding.render(), file=out)
         if annotate:
             print(finding.render_github(), file=out)
-    if result.stale:
-        print(f"lint: {len(result.stale)} baselined finding(s) no "
-              f"longer present — shrink the baseline with "
-              f"--update-baseline:", file=out)
-        for entry in result.stale:
-            print(f"  (fixed) {entry.render()}", file=out)
-    summary = (f"lint: {len(result.new)} new, "
-               f"{len(result.baselined)} baselined, "
-               f"{len(result.stale)} stale baseline entr"
-               f"{'y' if len(result.stale) == 1 else 'ies'}")
-    print(summary, file=out)
+    print(f"lint: {len(findings)} finding"
+          f"{'' if len(findings) == 1 else 's'}", file=out)

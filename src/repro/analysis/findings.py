@@ -2,9 +2,8 @@
 
 A :class:`Finding` is one rule violation at one source location.  It is
 deliberately plain data — JSON-safe, hashable, totally ordered — so the
-baseline machinery (:mod:`repro.analysis.baseline`) can diff two runs
-key-wise and the CLI can render the same object as a terminal line, a
-JSON record, or a GitHub workflow annotation.
+CLI can render the same object as a terminal line, a JSON record, or a
+GitHub workflow annotation.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ SEVERITIES = ("error", "warning")
 class Finding:
     """One rule violation at one source location.
 
-    *path* is repo-relative and posix-style so findings (and the
-    committed baseline) are machine-independent; *line*/*col* are
+    *path* is repo-relative and posix-style so findings are
+    machine-independent; *line*/*col* are
     1-based / 0-based as in :mod:`ast`.
     """
 
@@ -35,15 +34,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    def baseline_key(self) -> tuple:
-        """Identity used for baseline matching.
-
-        The message is excluded: wording tweaks to a rule must not
-        un-grandfather old findings (the rule id + location is the
-        violation's identity).
-        """
-        return (self.rule, self.path, self.line)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: " \
@@ -68,15 +58,6 @@ class Finding:
         if self.hint:
             record["hint"] = self.hint
         return record
-
-    @classmethod
-    def from_json(cls, record: dict) -> "Finding":
-        return cls(rule=record["rule"], path=record["path"],
-                   line=int(record["line"]),
-                   col=int(record.get("col", 0)),
-                   severity=record.get("severity", "error"),
-                   message=record.get("message", ""),
-                   hint=record.get("hint", ""))
 
 
 def sort_findings(findings) -> list:

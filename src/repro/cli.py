@@ -41,10 +41,9 @@ Commands:
 ``lint [PATHS ...]``
     Run the invariant linter (:mod:`repro.analysis`) over the source
     tree — determinism, wire-protocol, mutation-safety, exception,
-    tracing, clock, and worker-frame rules.  ``--baseline PATH``
-    grandfathers committed findings (new ones still fail);
-    ``--update-baseline`` rewrites the baseline; ``--json`` emits a
-    machine-readable report; ``--rules`` lists the rule catalog.
+    tracing, clock, and worker-frame rules; any finding fails the run.
+    ``--json`` emits a machine-readable report; ``--rules`` lists the
+    rule catalog.
 
 ``serve DATA``
     Boot the network-facing coordination server (:mod:`repro.server`)
@@ -536,8 +535,6 @@ async def _connect_submit(client, arguments: argparse.Namespace,
 def _command_lint(arguments: argparse.Namespace) -> int:
     from .analysis.cli import run_lint
     return run_lint(arguments.paths,
-                    baseline=arguments.baseline,
-                    update_baseline=arguments.update_baseline,
                     as_json=arguments.json,
                     list_rules=arguments.rules)
 
@@ -646,13 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint (default: "
                            "src and tests)")
-    lint.add_argument("--baseline", metavar="PATH",
-                      help="grandfathered-findings file; matching "
-                           "findings pass, new ones fail, stale "
-                           "entries are celebrated")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite --baseline PATH with this run's "
-                           "findings")
     lint.add_argument("--json", action="store_true",
                       help="emit a machine-readable JSON report")
     lint.add_argument("--rules", action="store_true",

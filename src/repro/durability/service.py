@@ -18,7 +18,15 @@ written **after** each command executes:
   committed *outside* a journalled mutate command (applications may
   mutate the shared database directly; a listener captures it).
 * ``wal_settle`` — settlement events salvaged when a command raises
-  after settling some tickets; the command itself is not counted.
+  after settling some tickets; the command itself is not counted.  A
+  submit whose inner service adopted queries before it raised is the
+  exception: its own ``wal_cmd`` frame is appended with its events
+  (the adopted queries are real), then the error propagates.
+
+Settlements reach the wrapper through the inner service's settlement
+stream (:attr:`~repro.service.CoordinationService.on_settle`), which
+the wrapper sets when it builds the service, and leave it through its
+own stream only once the journal holds them.
 
 Because frames land after execution, a crash between execute and
 append makes the in-flight command *never happened* — exactly the
@@ -333,7 +341,10 @@ class _DurableService(CoordinationService):
         self._closed = False
         #: Why the service stopped (a failed journal append), or None.
         self._stopped: str | None = None
+        #: The running command's settlements: encoded events for its
+        #: frame, and their tickets for this service's stream.
         self._events: list = []
+        self._settled: list = []
         #: Per-table rendered-text cache for snapshot dumps (see
         #: :func:`repro.dataio.dump_database` — repeat snapshots
         #: re-render only the tables that mutated since the last one).
@@ -361,6 +372,7 @@ class _DurableService(CoordinationService):
         #: The journalled inner service.
         self.service = self._service_class(database, clock=self._pinned,
                                            **service_kwargs)
+        self.service.on_settle = self._on_settle
         database.add_mutation_listener(self._on_delta)
 
     # -- properties ----------------------------------------------------
@@ -399,16 +411,23 @@ class _DurableService(CoordinationService):
         return RecoveryError(self._stopped)
 
     def _publish(self, events: list) -> None:
-        """Fold journalled settlement *events* into the maps."""
+        """Fold journalled settlement *events* into the maps, then hand
+        their tickets on to this service's stream."""
         for kind, query_id, payload in events:
             if kind == "answered":
                 self.answers[query_id] = payload
             else:
                 self.failures[query_id] = payload
         del events[:]
+        on_settle = self.on_settle
+        if on_settle is not None:
+            for ticket in self._settled:
+                on_settle(ticket)
+        del self._settled[:]
 
     def _command(self, op: str, fields: str,
-                 execute: Callable[[], object]):
+                 execute: Callable[[], object],
+                 adopted: Callable[[], str | None] = lambda: None):
         """Run one serving command under the journal.
 
         *fields* is the JSON text of the frame's command-specific
@@ -420,7 +439,10 @@ class _DurableService(CoordinationService):
         inside its frame; if the command raises after settling
         tickets, the events are salvaged into a ``wal_settle`` frame
         (the settlements are real — their tickets fired) and the
-        exception propagates.  A failed append fail-stops.
+        exception propagates — unless *adopted* (called after the
+        failure) returns fields: then the command's own frame is
+        appended with them (a submit's, narrowed to what the inner
+        service adopted).  A failed append fail-stops.
         """
         self._ensure_open()
         self._pinned.set(self._clock.now())
@@ -430,11 +452,14 @@ class _DurableService(CoordinationService):
         # exist yet) are spliced in after execution.
         body = head[:-1] + fields
         events = self._events
-        del events[:]
+        del events[:], self._settled[:]
         try:
             result = execute()
         except BaseException:
-            if events:
+            fields = adopted()
+            if fields is not None:
+                self._append_command(op, head[:-1] + fields, events)
+            elif events:
                 try:
                     self._log.append({"wire": WIRE_VERSION,
                                       "kind": "wal_settle",
@@ -443,6 +468,12 @@ class _DurableService(CoordinationService):
                     raise self._fail_stop(error) from error
                 self._publish(events)
             raise
+        self._append_command(op, body, events)
+        return result
+
+    def _append_command(self, op: str, body: str, events: list) -> None:
+        """Append one command frame (*body* plus *events*), publish its
+        settlements and count it, snapshotting on the cadence."""
         framed = (body + ',"events":' + compact_json(events)
                   + "}").encode("utf-8")
         tracer = TRACER
@@ -471,15 +502,17 @@ class _DurableService(CoordinationService):
             # re-writes the whole state however little the log grew —
             # ruinous when the state dwarfs a command frame).
             self.snapshot()
-        return result
 
     def _on_settle(self, ticket: CoordinationTicket) -> None:
+        """The inner service's stream: encode the settlement for the
+        running command's frame and keep the ticket to hand on."""
         if ticket.state is TicketState.ANSWERED:
             self._events.append(["answered", ticket.query_id,
                                  to_payload(ticket.answer)])
         else:
             self._events.append(["failed", ticket.query_id,
                                  ticket.failure_reason.value])
+        self._settled.append(ticket)
 
     def _on_delta(self, delta) -> None:
         """Database mutation listener: journal out-of-band mutations.
@@ -597,21 +630,32 @@ class _DurableService(CoordinationService):
         fails here, before anything runs; the inner service refuses a
         bad query or block before touching any state: that raises out
         of ``execute()`` and the prepared frame is discarded
-        unappended.
+        unappended.  A block the inner service adopted before it raised
+        (a drain that failed) is journalled all the same, narrowed to
+        the queries it adopted — pending now, or settled by the call —
+        so recovery rebuilds what the live service holds.
         """
         queries = list(queries)
-        start = self.service.next_arrival_seq
-        rendered = ",".join([render_query(query) for query in queries])
-        seqs = compact_json(list(range(start, start + len(queries))))
+        service = self.service
+        start = service.next_arrival_seq
+        rendered = [render_query(query) for query in queries]
+        seqs = list(range(start, start + len(queries)))
 
-        def execute():
-            tickets = self.service.submit_many(queries)
-            for ticket in tickets:
-                ticket.add_callback(self._on_settle)
-            return tickets
+        def adopted():
+            if service.next_arrival_seq == start:
+                return None
+            kept = set(service.pending_ids()).union(
+                event[1] for event in self._events)
+            chosen = [index for index, query in enumerate(queries)
+                      if query.query_id in kept]
+            if not chosen:
+                return None
+            return _submit_fields([rendered[index] for index in chosen],
+                                  [seqs[index] for index in chosen])
 
-        return self._command(
-            "submit", f',"queries":[{rendered}],"seqs":{seqs}', execute)
+        return self._command("submit", _submit_fields(rendered, seqs),
+                             lambda: service.submit_many(queries),
+                             adopted)
 
     def run_batch(self) -> int:
         """One journalled set-at-a-time round; returns answered count."""
@@ -693,14 +737,18 @@ class _DurableService(CoordinationService):
         return state
 
     def restore_state(self, **state) -> dict:
-        """Restore the (pristine) inner service, journal the restored
-        tickets' settlements from here on, and publish the result as a
-        new snapshot generation; returns the fresh tickets."""
+        """Restore the (pristine) inner service and publish the result
+        as a new snapshot generation; returns the fresh tickets (their
+        settlements are journalled like any other)."""
         tickets = self.service.restore_state(**state)
-        for ticket in tickets.values():
-            ticket.add_callback(self._on_settle)
         self.snapshot()
         return tickets
+
+
+def _submit_fields(rendered: list, seqs: list) -> str:
+    """A submit frame's own members: the rendered queries and the
+    arrival sequences they take."""
+    return f',"queries":[{",".join(rendered)}],"seqs":{compact_json(seqs)}'
 
 
 class DurableEngine(_DurableService):

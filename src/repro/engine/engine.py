@@ -16,9 +16,9 @@ path:
 * **batch** (set-at-a-time) — arrivals only accumulate (they still
   maintain the graph and partition state incrementally); coordination
   runs when :meth:`D3CEngine.run_batch` drains the scheduler's
-  dirty-component worklist (or automatically every ``batch_size``
-  arrivals).  Only components touched since their last attempt are
-  attempted, re-matched only if their member set changed.  Independent
+  dirty-component worklist.  Only components touched since their last
+  attempt are attempted, re-matched only if their member set changed.
+  Independent
   components run in parallel by living on different process shards
   (:mod:`repro.shard`), not on threads.
 
@@ -33,6 +33,10 @@ just submitted, stamped by the sharded coordinator, or imported.
 Safety is enforced at admission: a query that would make the pending
 workload unsafe is rejected immediately (``safety="reject"``), mirroring
 the admission check stress-tested in the paper's Figure 9.
+
+Every ticket the engine settles — answered, expired or refused unsafe —
+goes to :attr:`~repro.service.CoordinationService.on_settle` right
+after it settles, whichever call settled it.
 """
 
 from __future__ import annotations
@@ -144,25 +148,11 @@ class D3CEngine(CoordinationService):
         staleness: policy deciding when pending queries expire; checked
             during :meth:`expire_stale` sweeps.
         clock: time source for staleness (injected for tests).
-        batch_size: in batch mode, auto-run coordination whenever this
-            many queries are pending (None = only explicit run_batch).
         rng: randomness for CHOOSE's random-tuple semantics (None =
             take the executor's first valuations, the LIMIT 1 path).
         ucs_fallback: retry strongly connected cores when a closed
             partition finds no data (Section 6-adjacent extension;
             applies to :meth:`run_batch` rounds).
-        max_group_size: incremental mode's cap on the size of the local
-            coordination group built around an arrival; groups that
-            would exceed it are deferred to set-at-a-time rounds (the
-            paper reaches the same conclusion for massively unifying
-            partitions in Section 5.3.4).
-        max_candidate_attempts: how many alternative providers to try
-            for an arrival's postconditions when pending heads
-            transiently over-unify.
-        max_combined_atoms: refuse to send combined queries with more
-            body atoms than this to the database (the paper's Figure 7
-            shows the DB collapsing past a join-count threshold);
-            affected queries stay pending.
         incremental_strategy: ``"local"`` (default) attempts bounded
             local groups per arrival; ``"component"`` reproduces the
             paper's design faithfully — whenever the arrival's whole
@@ -172,6 +162,10 @@ class D3CEngine(CoordinationService):
             unifying partitions the combined query is still rebuilt
             and re-evaluated at every closure, which is the behaviour
             behind the paper's Figure 8 set-at-a-time recommendation.
+
+    The caps on a local group's size, on the alternative providers
+    tried per arrival and on a combined query's atoms are constants of
+    :mod:`repro.engine.runtime`.
     """
 
     def __init__(self, database: Database,
@@ -179,12 +173,8 @@ class D3CEngine(CoordinationService):
                  safety: SafetyMode = "off",
                  staleness: StalenessPolicy | None = None,
                  clock: Clock | None = None,
-                 batch_size: int | None = None,
                  rng: Optional[random.Random] = None,
                  ucs_fallback: bool = False,
-                 max_group_size: int = 64,
-                 max_candidate_attempts: int = 8,
-                 max_combined_atoms: int = 512,
                  incremental_strategy: str = "local"):
         if mode not in ("incremental", "batch"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -198,12 +188,8 @@ class D3CEngine(CoordinationService):
         self.safety_mode = safety
         self.staleness = staleness or NeverStale()
         self.clock = clock or SystemClock()
-        self.batch_size = batch_size
         self.rng = rng
         self.ucs_fallback = ucs_fallback
-        self.max_group_size = max(2, max_group_size)
-        self.max_candidate_attempts = max(1, max_candidate_attempts)
-        self.max_combined_atoms = max(1, max_combined_atoms)
         self.incremental_strategy = incremental_strategy
         self.stats = EngineStats()
 
@@ -310,11 +296,10 @@ class D3CEngine(CoordinationService):
         or stamped again.  The records are adopted by the one body
         that makes a query pending (:meth:`_adopt`), and coordination
         is deferred to the end of the block: incremental engines drain
-        each arrival in order, batch engines check the ``batch_size``
-        trigger once.  (This deferral is the one semantic difference
-        from a loop of ``submit``, where an arrival may coordinate
-        before the next is ingested.)  Returns the tickets in record
-        order.
+        each arrival in order, batch engines wait for :meth:`run_batch`.
+        (This deferral is the one semantic difference from a loop of
+        ``submit``, where an arrival may coordinate before the next is
+        ingested.)  Returns the tickets in record order.
         """
         with self._lock:
             return self._submit(records)
@@ -322,10 +307,16 @@ class D3CEngine(CoordinationService):
     def _submit(self, records: Sequence[PendingRecord]
                 ) -> list[CoordinationTicket]:
         """Adopt a block, coordinate after it, then fail the arrivals
-        the safety screen refused (engine lock held)."""
+        the safety screen refused (engine lock held).
+
+        An arrival whose attempt raises does not stop the block: the
+        other arrivals are still attempted and the refused ones failed,
+        then the first error is raised.  The block stays adopted, its
+        components dirty for the next round."""
         tickets, arrivals, unsafe = self._adopt(records)
         self.stats.submitted += len(tickets)
         self.stats.blocks_ingested += 1
+        error = None
         if self.mode == "incremental":
             # Closure dedupe matters only between block members; a
             # block of one skips building its member-set key.
@@ -333,13 +324,16 @@ class D3CEngine(CoordinationService):
             graph = self._runtime.graph
             for working, delta in arrivals:
                 if working.query_id in graph:
-                    self._runtime.drain_arrival(working, delta,
-                                                attempted_roots)
-        elif (self.batch_size is not None
-                and len(self._pending) >= self.batch_size):
-            self.run_batch()
-        for ticket in unsafe:
-            ticket.fail(FailureReason.UNSAFE)
+                    try:
+                        self._runtime.drain_arrival(working, delta,
+                                                    attempted_roots)
+                    except Exception as failure:
+                        if error is None:
+                            error = failure
+        if unsafe:
+            self._fail(unsafe, FailureReason.UNSAFE)
+        if error is not None:
+            raise error
         return tickets
 
     def _adopt(self, records: Sequence[PendingRecord]):
@@ -446,6 +440,15 @@ class D3CEngine(CoordinationService):
     # settlement (called by the scheduler under the engine lock)
     # ------------------------------------------------------------------
 
+    def _fail(self, tickets, reason: FailureReason) -> None:
+        """Fail *tickets* with *reason*, each on the stream right
+        after it settles."""
+        on_settle = self.on_settle
+        for ticket in tickets:
+            ticket.fail(reason)
+            if on_settle is not None:
+                on_settle(ticket)
+
     def _settle_answers(self, answers: dict) -> int:
         """Settle answered queries: tickets, safety, graph eviction."""
         resolved: list[tuple[CoordinationTicket, object]] = []
@@ -465,8 +468,11 @@ class D3CEngine(CoordinationService):
                              tracer.site, time.perf_counter_ns(), 0,
                              _SETTLED_ANSWERED))
         self._runtime.remove_block(settled)
+        on_settle = self.on_settle
         for ticket, answer in resolved:
             ticket.resolve(answer)
+            if on_settle is not None:
+                on_settle(ticket)
         return len(settled)
 
     def apply_mutations(self, operations: Sequence[tuple]) -> list[int]:
@@ -570,9 +576,9 @@ class D3CEngine(CoordinationService):
         components are re-attempted by the next arrival that touches
         them or the next set-at-a-time round (imports mark them dirty).
 
-        Returns ``{query_id: ticket}`` with fresh tickets the caller
-        wires to its own answer delivery (unsettled, unless the safety
-        screen refused the record).
+        Returns ``{query_id: ticket}`` with fresh tickets, unsettled
+        unless the safety screen refused the record; their settlements
+        reach :attr:`on_settle` like any other.
 
         Atomic: a record already pending, or any failure while
         applying (a poisoned record, an engine fault), rolls back the
@@ -583,8 +589,7 @@ class D3CEngine(CoordinationService):
         with self._lock:
             tickets, _, unsafe = self._adopt(
                 sorted(records, key=_ARRIVAL_SEQ))
-        for ticket in unsafe:
-            ticket.fail(FailureReason.UNSAFE)
+            self._fail(unsafe, FailureReason.UNSAFE)
         return {ticket.query_id: ticket for ticket in tickets}
 
     # ------------------------------------------------------------------
@@ -733,8 +738,7 @@ class D3CEngine(CoordinationService):
             for query_id in doomed:
                 self._arrival.pop(query_id, None)
                 policy.on_expired(query_id)
-        for ticket in expired:
-            ticket.fail(FailureReason.STALE)
+        self._fail(expired, FailureReason.STALE)
         return len(expired)
 
     def _due_candidates(self, policy: StalenessPolicy,
@@ -790,14 +794,6 @@ class D3CEngine(CoordinationService):
         """
         with self._lock:
             return sorted(self._pending, key=self._arrival.__getitem__)
-
-    def pending_tickets(self, query_ids: Iterable) -> list:
-        """The tickets of those of *query_ids* pending here — how a
-        caller whose :meth:`submit_records` raised after adopting (a
-        drain that failed) finds what it adopted."""
-        with self._lock:
-            return [self._pending[query_id][1] for query_id in query_ids
-                    if query_id in self._pending]
 
     def partition_sizes(self) -> list[int]:
         """Current partition sizes, reported by the partition manager.

@@ -53,17 +53,31 @@ from ..errors import ReproError, SchemaError, ValidationError
 from ..obs.trace import TRACER
 from .partitions import PartitionManager
 
+#: Incremental mode's cap on the local coordination group built around
+#: an arrival; a group that would exceed it is left to set-at-a-time
+#: rounds (the paper reaches the same conclusion for massively unifying
+#: partitions, Section 5.3.4).
+MAX_GROUP_SIZE = 64
+
+#: How many alternative providers an arrival's first postcondition
+#: tries when pending heads transiently over-unify.
+MAX_CANDIDATE_ATTEMPTS = 8
+
+#: Combined queries with more body atoms than this are never sent to
+#: the database (the paper's Figure 7 shows it collapsing past a
+#: join-count threshold); their queries stay pending.
+MAX_COMBINED_ATOMS = 512
+
 
 class CoordinationScheduler:
     """Delta-driven coordination over one unifiability graph.
 
     The *host* (the engine) provides configuration attributes
     (``database``, ``stats``, ``rng``, ``incremental_strategy``,
-    ``max_group_size``, ``max_candidate_attempts``,
-    ``max_combined_atoms``, ``ucs_fallback``), the arrival-order
-    mapping ``_arrival``, the trace-id lookup ``_trace_id``, and the
-    settlement callback ``_settle_answers``.  All entry points must be
-    called under the host's lock.
+    ``ucs_fallback``), the arrival-order mapping ``_arrival``, the
+    trace-id lookup ``_trace_id``, and the settlement callback
+    ``_settle_answers``.  All entry points must be called under the
+    host's lock.
     """
 
     #: Cap on body valuations enumerated by the feasibility prefilter.
@@ -337,15 +351,15 @@ class CoordinationScheduler:
 
     def _combinable(self, match: ComponentMatch) -> Optional[dict]:
         """The survivors' queries by id — or None when their combined
-        query would exceed ``max_combined_atoms`` (the paper observes
-        the DB collapsing past a join-count threshold, Figure 7; the
-        queries stay pending).  The simplified combined query has
+        query would exceed :data:`MAX_COMBINED_ATOMS` (the paper
+        observes the DB collapsing past a join-count threshold, Figure
+        7; the queries stay pending).  The simplified combined query has
         exactly one atom per member body atom, so the cap is decided
         before anything is built."""
         queries_by_id = {query_id: self.graph.query(query_id)
                          for query_id in match.survivors}
         if sum(len(query.body) for query in queries_by_id.values()) \
-                > self._host.max_combined_atoms:
+                > MAX_COMBINED_ATOMS:
             return None
         return queries_by_id
 
@@ -429,11 +443,12 @@ class CoordinationScheduler:
         mutually coordinating pairs and cliques close on themselves).
         When the origin's postconditions transiently over-unify with
         several pending heads, alternative providers are tried up to
-        ``max_candidate_attempts``, *feasible-first*: a cheap semi-join
-        of the origin's body against the database reorders candidates so
-        providers the data can actually pair with are tried before stale
-        pendings (this is what keeps the paper's "random workload"
-        linear — without it, attempts are wasted on dead queries).
+        :data:`MAX_CANDIDATE_ATTEMPTS`, *feasible-first*: a cheap
+        semi-join of the origin's body against the database reorders
+        candidates so providers the data can actually pair with are
+        tried before stale pendings (this is what keeps the paper's
+        "random workload" linear — without it, attempts are wasted on
+        dead queries).
         Groups whose combined query already failed on the data are
         skipped for free.
         """
@@ -447,7 +462,7 @@ class CoordinationScheduler:
             # No choice left means no pending provider, or none the
             # data can pair with: any group through this postcondition
             # is empty on the DB.
-            choices = choices[:host.max_candidate_attempts]
+            choices = choices[:MAX_CANDIDATE_ATTEMPTS]
         tried: set[frozenset] = set()
         for ref in choices:
             forced = {} if ref is None else {(origin, 0): ref[0]}
@@ -536,7 +551,6 @@ class CoordinationScheduler:
         group: set = {origin}
         stack: list = [origin]
         arrival = self._host._arrival
-        max_group_size = self._host.max_group_size
         while stack:
             current = stack.pop()
             for pc_pos, refs in enumerate(
@@ -550,7 +564,7 @@ class CoordinationScheduler:
                     chosen = min(in_group or providers,
                                  key=arrival.__getitem__)
                 if chosen not in group:
-                    if len(group) >= max_group_size:
+                    if len(group) >= MAX_GROUP_SIZE:
                         return None
                     group.add(chosen)
                     stack.append(chosen)
@@ -610,22 +624,26 @@ class CoordinationScheduler:
         again.  Components whose evaluation settles queries re-enter the
         worklist through the removal deltas (their survivors changed
         shape); failed components stay clean until something changes.
-        If the round aborts mid-drain (a planner or evaluation error),
-        the consumed marks are restored so the affected components are
-        re-attempted by the next round rather than silently dropped.
+        A component whose attempt raises (a planner or evaluation
+        error) keeps its mark, every other component is still
+        attempted, and the round then raises the first error.  If the
+        round is interrupted outright, every consumed mark is restored.
         """
         marks = list(self._dirty)
         self._dirty.clear()
         try:
-            self._drain_marks(marks)
+            error = self._drain_marks(marks)
         except BaseException:
             for query_id in marks:
                 self._dirty[query_id] = None
             raise
+        if error is not None:
+            raise error
 
-    def _drain_marks(self, marks: Sequence) -> None:
+    def _drain_marks(self, marks: Sequence) -> Optional[Exception]:
         """Attempt the live components *marks* stand for (answered and
-        expired marks drop out), in arrival order."""
+        expired marks drop out), in arrival order; returns the first
+        error an attempt raised (its component is marked again)."""
         roots: set = set()
         for query_id in marks:
             if query_id in self.graph:
@@ -636,8 +654,15 @@ class CoordinationScheduler:
         host = self._host
         host.stats.components_drained += len(roots)
         # (Components are disjoint: settling one keeps the rest exact.)
+        error = None
         for root in sorted(roots, key=self.partitions.first_arrival):
-            self._attempt_component(root, host.ucs_fallback)
+            try:
+                self._attempt_component(root, host.ucs_fallback)
+            except Exception as failure:
+                self._dirty[root] = None
+                if error is None:
+                    error = failure
+        return error
 
     def _core_fallback(self, survivors: Sequence) -> None:
         """Retry a failed component's strongly connected cores."""

@@ -29,14 +29,15 @@ a typed reply, never a hang.  Admitted commands carry a deadline; a
 command dequeued past it is dropped unexecuted with ``TIMEOUT``.
 
 Settlements route back to the connection that submitted the query:
-ticket callbacks (synchronous, fired inside engine calls) append
-``evt`` frames to a per-connection backlog the consumer flushes after
-every command.  A command that raises
+the service's settlement stream (its ``on_settle`` slot, set once
+here, called synchronously inside service calls) appends ``evt``
+frames to a per-connection backlog the consumer flushes after every
+command.  A durable service streams a settlement only once its journal
+holds it, so a command that raises
 :class:`~repro.errors.RecoveryError` — a durable service whose journal
-append failed, and which now refuses every command — has its
-settlements withdrawn before the flush: the journal never saw them,
-so no client may either.  Settlements for vanished connections are
-counted and dropped; late or reconnecting clients recover outcomes
+append failed, and which now refuses every command — has streamed
+nothing that no client may see.  Settlements for vanished connections
+are counted and dropped; late or reconnecting clients recover outcomes
 through the ``resolved`` op, which (for durable services) is seeded
 across crashes from the journal's answer/failure maps.
 
@@ -171,8 +172,6 @@ class CoordinationServer:
         self._answers: dict = {}
         self._failures: dict = {}
         self._event_backlog: dict = {}
-        #: Ids settled by the command executing now.
-        self._settled: list = []
         self._connections: set = set()
         self._listeners: list = []
         self._consumer: Optional[asyncio.Task] = None
@@ -182,6 +181,7 @@ class CoordinationServer:
         self._drain_requested = asyncio.Event()
         self._unix_path: Optional[str] = None
         self._tcp_address = None
+        service.on_settle = self._on_settle
 
     # -- lifecycle ----------------------------------------------------
 
@@ -469,11 +469,9 @@ class CoordinationServer:
             self._metrics.inc("server.dropped.disconnected")
             return
         started = perf_counter_ns()
-        del self._settled[:]
         try:
             result, order = self._execute(conn, op, frame["args"])
         except RecoveryError as error:
-            self._withdraw_settlements()
             self._metrics.inc("server.internal_errors")
             reply = error_reply(req_id, INTERNAL, str(error))
         except ReproError as error:
@@ -528,30 +526,29 @@ class CoordinationServer:
         ids = [query.query_id for query in queries]
         # Register ownership before submitting: in incremental mode a
         # ticket can settle inside submit_many, and its event must
-        # find the owner.  Roll back on failure (the ids were never
-        # admitted; an expired id may belong to a previous owner).
+        # find the owner.  Roll back on failure, but for what the
+        # service adopted before it raised (a drain that failed): those
+        # ids stay pending, and their settlements still find the owner.
         previous = {qid: self._owners[qid]
                     for qid in ids if qid in self._owners}
         for qid in ids:
             self._owners[qid] = conn
         try:
-            tickets = self.service.submit_many(queries)
+            self.service.submit_many(queries)
         except BaseException:
+            adopted = set(self.service.pending_ids())
             for qid in ids:
                 if qid in previous:
                     self._owners[qid] = previous[qid]
-                else:
+                elif qid not in adopted:
                     self._owners.pop(qid, None)
             raise
-        for ticket in tickets:
-            ticket.add_callback(self._on_settle)
         return {"ids": ids}
 
     # -- settlement routing -------------------------------------------
 
     def _on_settle(self, ticket) -> None:
         query_id = ticket.query_id
-        self._settled.append(query_id)
         conn = self._owners.pop(query_id, None)
         if ticket.state is TicketState.ANSWERED:
             payload = to_payload(ticket.answer)
@@ -566,15 +563,6 @@ class CoordinationServer:
             self._metrics.inc("server.events.dropped")
             return
         self._event_backlog.setdefault(conn, []).append(frame)
-
-    def _withdraw_settlements(self) -> None:
-        """Forget what the failed command settled: its events (the
-        backlog holds nothing else between commands) and its
-        outcomes."""
-        self._event_backlog.clear()
-        for query_id in self._settled:
-            self._answers.pop(query_id, None)
-            self._failures.pop(query_id, None)
 
     async def _flush_events(self) -> None:
         """Push every backlogged settlement, one write per connection

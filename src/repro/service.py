@@ -17,6 +17,14 @@ one-operation ``apply_mutations``.  Burned ids have one snapshot
 spelling, ``used_ids``, in the state payload :func:`state_payload`
 builds for every shape.  ``tests/test_service_protocol.py`` drives
 every member on every shape.
+
+Settlements leave a service through one stream: the
+:attr:`~CoordinationService.on_settle` slot, which every shape calls
+once for every ticket it settles, right after the ticket settles — the
+tickets a call returned, the ones it adopted before it raised, and the
+restored ones alike.  The layer that owns a service sets the slot once,
+when it builds or wraps it (the shard host, the durable wrapper, the
+server); applications keep their per-ticket callbacks.
 """
 
 from __future__ import annotations
@@ -62,6 +70,12 @@ class CoordinationService(Protocol):
     #: primary on a fleet); committed deltas reach the service whether
     #: or not they came through :meth:`apply_mutations`.
     database: Database
+
+    #: The settlement stream: called with every ticket this service
+    #: settles, once, right after it settles (a durable wrapper calls
+    #: it once its journal holds the settlement).  Set by the layer
+    #: that owns the service; None while nothing listens.
+    on_settle: TicketCallback | None = None
 
     # -- derived members -----------------------------------------------
 

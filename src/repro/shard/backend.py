@@ -5,10 +5,14 @@ holding a disjoint set of coordination components, and holds the one
 body of every shard command.  The coordinator drives hosts through a
 *transport* — a :class:`ShardBackend` — with a small, strictly
 request/response command surface; settlements (answers, staleness
-failures) come back as **events** the host buffers and the coordinator
-drains after every call — tickets never cross the transport, which is
-what lets the same coordinator drive in-process hosts and worker
-processes interchangeably.
+failures) come back as **events** the host buffers from its engine's
+settlement stream (:attr:`~repro.service.CoordinationService.on_settle`)
+and the coordinator drains after every call — tickets never cross the
+transport, which is what lets the same coordinator drive in-process
+hosts and worker processes interchangeably.  The stream carries every
+settlement the engine makes, so a command that raises after its engine
+settled some queries (a drain that failed mid-block) still reports
+them.
 
 Two transports ship, both dispatching ``(op, args)`` commands through
 the host's one table (:attr:`ShardHost.COMMANDS`):
@@ -215,14 +219,15 @@ class ShardHost:
     name plus an args dict, run by :meth:`execute` through
     :attr:`COMMANDS`; each body's parameters are its frame's arg keys.
     Bodies take and return live objects — the pipe's codec sits at the
-    frame edge, outside the host.  Settlement events are captured by
-    ticket callbacks wired at submission and import time.
+    frame edge, outside the host.  Settlement events are what the
+    engine's settlement stream delivers, in settlement order.
     """
 
     def __init__(self, database: Database, engine_kwargs: dict):
         self._clock = PinnedClock()
         self.engine = D3CEngine(database, clock=self._clock,
                                 **engine_kwargs)
+        self.engine.on_settle = self._on_settle
         self._events: list[Event] = []
 
     def execute(self, op: str, args: dict):
@@ -233,12 +238,6 @@ class ShardHost:
         return command(self, **args)
 
     # -- settlement capture --------------------------------------------
-
-    def _track(self, tickets) -> None:
-        # A ticket that already settled inside the engine call fires
-        # its callback immediately on add.
-        for ticket in tickets:
-            ticket.add_callback(self._on_settle)
 
     def _on_settle(self, ticket: CoordinationTicket) -> None:
         if ticket.state is TicketState.ANSWERED:
@@ -255,14 +254,7 @@ class ShardHost:
     # -- command bodies -------------------------------------------------
 
     def submit_block(self, records: Sequence[PendingRecord]) -> None:
-        try:
-            self._track(self.engine.submit_records(records))
-        except BaseException:
-            # Adopted, then a drain raised: what stays pending here
-            # still reports its settlements.
-            self._track(self.engine.pending_tickets(
-                record.query.query_id for record in records))
-            raise
+        self.engine.submit_records(records)
 
     def run_batch(self, now: float) -> int:
         self._clock.set(now)
@@ -280,7 +272,7 @@ class ShardHost:
 
     def import_records(self, records: Sequence[PendingRecord]) -> None:
         # The wire op is "import" (a keyword, hence the body's name).
-        self._track(self.engine.import_pending(records).values())
+        self.engine.import_pending(records)
 
     def db_delta(self, payload: dict) -> int:
         database = self.engine.database

@@ -21,10 +21,11 @@ make the fleet behave byte-identically to one engine:
   order, so the coordinator issues one global sequence number per
   arrival and shard engines adopt it (including across migrations) —
   a query coordinates identically wherever it lands.
-* **Coordinator-owned policy.**  Tickets, the staleness clock, and the
-  batch-size trigger live here; shard engines only execute.  Shard
-  workers report settlements as events, which the coordinator applies
-  to its own tickets in order.
+* **Coordinator-owned policy.**  Tickets and the staleness clock live
+  here; shard engines only execute.  Shard workers report settlements
+  as events, which the coordinator applies to its own tickets in order
+  — and hands each settled ticket to its own settlement stream
+  (:attr:`~repro.service.CoordinationService.on_settle`).
 
 Restrictions (all checked at construction): safety must be ``"off"``
 (the admission check needs the *global* pending set; the paper's
@@ -88,12 +89,10 @@ class ShardedCoordinator(CoordinationService):
             (spawned workers: a worker that dies takes only its own
             shard down, and its components are re-homed — isolation,
             not speed; see DESIGN.md §6).
-        mode / staleness / clock / batch_size / ucs_fallback /
-        max_group_size / max_candidate_attempts /
-        max_combined_atoms / incremental_strategy: exactly as on
+        mode / staleness / clock / ucs_fallback /
+        incremental_strategy: exactly as on
             :class:`~repro.engine.engine.D3CEngine`; forwarded to every
-            shard engine (``batch_size`` is enforced *here*, against
-            the global pending count).
+            shard engine.
         router: injectable :class:`~repro.shard.router.ShardRouter`
             (defaults to one over *num_shards*).
     """
@@ -104,12 +103,8 @@ class ShardedCoordinator(CoordinationService):
                  mode: str = "incremental",
                  staleness: StalenessPolicy | None = None,
                  clock: Clock | None = None,
-                 batch_size: int | None = None,
                  rng=None,
                  ucs_fallback: bool = False,
-                 max_group_size: int = 64,
-                 max_candidate_attempts: int = 8,
-                 max_combined_atoms: int = 512,
                  incremental_strategy: str = "local",
                  router: ShardRouter | None = None,
                  warm_indexes: Sequence[tuple] = ()):
@@ -122,7 +117,6 @@ class ShardedCoordinator(CoordinationService):
                 "per-shard (submit with rng=None)")
         self.database = database
         self.mode = mode
-        self.batch_size = batch_size
         self.num_shards = num_shards
         # Set before backend construction: the failure path below
         # calls close(), which reads it.
@@ -139,11 +133,7 @@ class ShardedCoordinator(CoordinationService):
                              "shard count")
 
         engine_kwargs = dict(
-            mode=mode, safety="off", batch_size=None, rng=None,
-            ucs_fallback=ucs_fallback,
-            max_group_size=max_group_size,
-            max_candidate_attempts=max_candidate_attempts,
-            max_combined_atoms=max_combined_atoms,
+            mode=mode, safety="off", rng=None, ucs_fallback=ucs_fallback,
             incremental_strategy=incremental_strategy)
 
         self._backends: list[ShardBackend] = []
@@ -725,10 +715,7 @@ class ShardedCoordinator(CoordinationService):
         self._replicate()
         records = stamp_records(queries, self._next_seq,
                                 self._clock.now())
-        tickets = self._place(records, ShardBackend.call_submit_block)
-        self._submitted += len(records)
-        self._maybe_autobatch()
-        return tickets
+        return self._place(records, ShardBackend.call_submit_block)
 
     def _place(self, records: list[PendingRecord],
                command) -> list[CoordinationTicket]:
@@ -737,7 +724,8 @@ class ShardedCoordinator(CoordinationService):
 
         The records are routed as one block (with migrations; see
         :meth:`_route_block`), registered (burned id, coordinator copy,
-        fresh ticket, owner, the sequence counter moved past it), split
+        fresh ticket, owner, the sequence counter moved past it, the
+        ``submitted`` count), split
         into per-shard sub-blocks preserving arrival order, and handed
         to the shards by *command* —
         :meth:`ShardBackend.call_submit_block` (adopt and coordinate)
@@ -775,6 +763,7 @@ class ShardedCoordinator(CoordinationService):
             # arrival order); a block refused in routing never gets here.
             self._next_seq = max(self._next_seq,
                                  records[-1].arrival_seq + 1)
+        self._submitted += len(records)
         failures: dict = {}
         self._fan_out(command, {target: (target, blocks[target])
                                 for target in sorted(blocks)}, failures)
@@ -788,8 +777,9 @@ class ShardedCoordinator(CoordinationService):
         """Make the registration of *records*, a sub-block a live shard
         failed, match what that shard adopted: one ``pending`` request
         to the shard holding them.  An id it did not adopt is
-        unregistered and its id freed, so a retry is accepted; one it
-        adopted stays pending, as on one engine whose drain raised."""
+        unregistered, uncounted and its id freed, so a retry is
+        accepted; one it adopted stays pending, as on one engine whose
+        drain raised."""
         unsettled = [record.query.query_id for record in records
                      if record.query.query_id in self._tickets]
         if not unsettled:
@@ -803,11 +793,7 @@ class ShardedCoordinator(CoordinationService):
                 del self._tickets[query_id], self._shard_of[query_id]
                 self._unindex_query(self._pending_meta.pop(query_id).query)
                 self._used_ids.discard(query_id)
-
-    def _maybe_autobatch(self) -> None:
-        if (self.mode == "batch" and self.batch_size is not None
-                and len(self._tickets) >= self.batch_size):
-            self.run_batch()
+                self._submitted -= 1
 
     # ------------------------------------------------------------------
     # rounds, expiry, events
@@ -840,6 +826,9 @@ class ShardedCoordinator(CoordinationService):
         self._fan_out(lambda backend, _: backend.call_invalidate())
 
     def _apply_events(self, events) -> None:
+        """Settle the coordinator's tickets by shard *events*, in
+        order, each on the stream right after it settles."""
+        on_settle = self.on_settle
         for kind, query_id, payload in events:
             ticket = self._tickets.pop(query_id, None)
             record = self._pending_meta.pop(query_id, None)
@@ -858,6 +847,8 @@ class ShardedCoordinator(CoordinationService):
                     # a re-submission is a fresh incarnation.
                     self._used_ids.discard(query_id)
                 ticket.fail(payload)
+            if on_settle is not None:
+                on_settle(ticket)
 
     # ------------------------------------------------------------------
     # durability hooks (see repro.durability.service)
@@ -915,12 +906,13 @@ class ShardedCoordinator(CoordinationService):
                 f"next_seq={self._next_seq})")
         self._used_ids = set(used_ids)
         self._next_seq = next_seq
-        self._submitted = submitted
         self._answered = answered
         self._failed = Counter(failed or ())
         tickets = self._place(
             sorted(records, key=lambda record: record.arrival_seq),
             ShardBackend.call_import)
+        # Placing counted the records; they were counted when submitted.
+        self._submitted = submitted
         return {ticket.query_id: ticket for ticket in tickets}
 
     # ------------------------------------------------------------------

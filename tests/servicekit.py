@@ -30,7 +30,11 @@ subject shapes of a :class:`Group`, and after every rule checks:
     aggregate gets ``coordinate()``'s answers;
 (d) after a fault, every fleet passes the exactly-once audit; after a
     shard is lost, the fleet names it dead and still matches the
-    reference — the loss cost nothing but a re-home.
+    reference — the loss cost nothing but a re-home;
+(e) on every in-process shape, the reference included, the settlement
+    stream (``on_settle``) delivered exactly the settlements the
+    tickets report, once each and in settlement order — and nothing a
+    fail-stopped journal lacks.
 
 Besides the lockstep comparison the machine keeps a small model of its
 own: which ids are burned (pending or answered) and which queries read
@@ -91,11 +95,12 @@ from repro.engine.engine import D3CEngine
 from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock, TimeoutStaleness
 from repro.errors import RecoveryError, ReproError
-from repro.lang import parse_and_lower, schema_resolver
+from repro.lang import parse_and_lower, parse_ir, schema_resolver
 from repro.server import ServerClient, ServerCommandError
 from repro.shard import (InProcessBackend, ShardCall, ShardLostError,
                          ShardMigrationError, ShardRouter,
                          ShardedCoordinator)
+from repro.workloads import build_intro_database
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -226,6 +231,31 @@ def friend_query(db: Database, friend: str):
     """, f"f-{friend}", schema_resolver(db), ANSWER_SCHEMAS)
 
 
+def poisoned_database() -> Database:
+    """The intro database plus ``W``, whose ``any`` column holds
+    text: admission cannot tell that ordering it against a number
+    raises, so :func:`poisoned_pair` is admitted and its component
+    raises whenever it is evaluated (until :data:`MEND`)."""
+    database = build_intro_database()
+    database.create_table("W", "a text", "v any")
+    database.insert("W", [("w1", "text")])
+    return database
+
+
+def poisoned_pair() -> list:
+    """``u-a`` / ``u-b``: a pair whose comparison raises on
+    :func:`poisoned_database`, and no partner of the intro pair."""
+    return [parse_ir(f"{{Reservation({partner}, x)}} "
+                     f"Reservation({user}, x) "
+                     f"<- Flights(x, Paris), W(w1, v), v < 5", query_id)
+            for query_id, user, partner in (("u-a", "Newman", "Susan"),
+                                            ("u-b", "Susan", "Newman"))]
+
+
+#: The mutation that mends the poisoned pair's row.
+MEND = [("delete", "W", [("w1", "text")]), ("insert", "W", [("w1", 3)])]
+
+
 def build(shape: str, database, wal_dir=None, **options):
     """A fresh set-at-a-time service of *shape* over *database*.
 
@@ -245,7 +275,7 @@ def build(shape: str, database, wal_dir=None, **options):
     if "fleet" in shape:
         options.setdefault("num_shards", 2)
         options.setdefault("backend", "process"
-                           if shape.endswith("process") else "inprocess")
+                           if shape.endswith("-process") else "inprocess")
     if shape.startswith("durable"):
         options.setdefault("clock", ManualClock())
         options.setdefault("sync_every", None)
@@ -513,6 +543,12 @@ class InProcess:
         self.service = service
         self.forget = forget
         self.settled: list = []
+        #: What the settlement stream delivered (invariant e), and what
+        #: ticket callbacks saw as it settled (not on a late add).
+        self.stream: list = []
+        self._as_settled: list = []
+        self._watching = False
+        service.on_settle = self._on_stream
         #: Raw answer rows by id, for invariant (b).
         self.rows: dict = {}
         #: Ids with an unsettled incarnation (invariant b).
@@ -531,13 +567,41 @@ class InProcess:
         return [inner] if isinstance(inner, ShardedCoordinator) else []
 
     def watch(self, tickets) -> None:
-        for ticket in tickets:
-            ticket.add_callback(self._on_settle)
+        self._watching = True
+        try:
+            for ticket in tickets:
+                ticket.add_callback(self._on_settle)
+        finally:
+            self._watching = False
 
     def _on_settle(self, ticket) -> None:
-        self.settled.append((ticket.query_id, outcome(ticket)))
+        entry = (ticket.query_id, outcome(ticket))
+        self.settled.append(entry)
+        if not self._watching:
+            self._as_settled.append(entry)
         if ticket.answer is not None:
             self.rows[ticket.query_id] = ticket.answer.rows
+
+    def _on_stream(self, ticket) -> None:
+        assert ticket.done(), (self.name, ticket)
+        self.stream.append((ticket.query_id, outcome(ticket)))
+
+    def check_stream(self) -> None:
+        """Invariant (e): the stream holds what the tickets report,
+        once each, and in the order the callbacks saw them settle."""
+        assert sorted(self.stream, key=repr) == sorted(
+            self.settled, key=repr), (self.name, self.stream, self.settled)
+        heard = set(self._as_settled)
+        assert [entry for entry in self.stream if entry in heard] \
+            == self._as_settled, (self.name, self.stream,
+                                  self._as_settled)
+        self.forget_settled()
+
+    def forget_settled(self) -> None:
+        """Drop what settled since the last check (the service that
+        settled it is gone)."""
+        for seen in (self.settled, self.stream, self._as_settled):
+            seen.clear()
 
     def submit_many(self, queries) -> list:
         tickets = self.service.submit_many(queries)
@@ -579,6 +643,7 @@ class InProcess:
     def replace_service(self, service) -> None:
         self.service = service
         self._dump_cache = {}
+        service.on_settle = self._on_stream
         self.watch(service.restored_tickets.values())
 
     def counters(self) -> collections.Counter:
@@ -746,7 +811,7 @@ class Group:
                 rules.add("snapshot")
         if self.faults:
             rules.add("fault")
-        if any("fleet" in shape and not shape.endswith("process")
+        if any("fleet" in shape and not shape.endswith("-process")
                and options.get("num_shards", 2) > 1
                for shape, options in self.subjects):
             rules.add("lose")
@@ -792,7 +857,7 @@ def single(shape: str, reference: tuple = ("engine", {}),
     every example spawns its workers, so its random histories are the
     process group's."""
     shards = options.get("num_shards", 0)
-    process = shape.endswith("process")
+    process = shape.endswith("-process")
     reshapes = ()
     if shape.startswith("durable"):
         reshapes = ((shape, shards),) if process else IN_PROCESS_RESHAPES
@@ -1062,7 +1127,7 @@ class ServiceModel(RuleBasedStateMachine):
                 shutil.copytree(subject.service.wal_dir, copy)
                 self._retire(subject)
                 subject.close()
-                subject.settled.clear()
+                subject.forget_settled()
                 subject.replace_service(self._recover(copy, reshape))
         self._check("crash")
 
@@ -1148,7 +1213,7 @@ class ServiceModel(RuleBasedStateMachine):
                 continue
             self._retire(subject)
             _in_process_journal_full(subject, command, ops)
-            subject.settled.clear()
+            subject.forget_settled()
             subject.replace_service(self._recover(
                 subject.service.wal_dir, reshape))
         self._check("journal_full")
@@ -1204,7 +1269,10 @@ class ServiceModel(RuleBasedStateMachine):
                 # Settled at most once per incarnation.
                 assert query_id in subject.live, (subject.name, query_id)
                 subject.live.discard(query_id)
-            subject.settled.clear()
+            if subject.served:
+                subject.settled.clear()
+            else:
+                subject.check_stream()
         self.tally[reached] += 1
 
     def _check_answers(self):
@@ -1347,6 +1415,7 @@ def _in_process_journal_full(subject, command: str, ops) -> None:
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     service._log._write_framed = full
+    streamed = len(subject.stream)
     calls = {"run_batch": service.run_batch,
              "expire": service.expire_stale,
              "mutate": lambda: service.apply_mutations(ops),
@@ -1355,6 +1424,9 @@ def _in_process_journal_full(subject, command: str, ops) -> None:
     for call in (calls[command], service.run_batch, service.snapshot):
         with pytest.raises(RecoveryError, match=str(wal_dir)):
             call()
+    # The journal holds none of the failed commands' settlements, so
+    # the stream delivered none.
+    assert len(subject.stream) == streamed
     generations = store.generations()
     segment = store.log_path(generations[-1]).read_bytes()
     service.close()

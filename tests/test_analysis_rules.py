@@ -2,12 +2,9 @@
 
 Every rule gets at least one violating snippet (the rule fires) and
 one clean snippet (it does not), analyzed in memory under virtual
-paths — the path decides which rules' scopes apply.  Baseline
-machinery is tested through its add / shrink / update round-trip, and
-a self-check asserts the real tree is clean modulo the committed
-``analysis/baseline.json`` — which is also the demonstration that CI
-fails on an injected violation: the same entry point returns exit 1
-the moment a finding has no baseline entry.
+paths — the path decides which rules' scopes apply.  A self-check
+asserts the real tree has no finding, and the CLI tests show the same
+entry point returning exit 1 on an injected violation.
 """
 
 from __future__ import annotations
@@ -19,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (Analyzer, Finding, diff_against_baseline,
-                            load_baseline, save_baseline)
+from repro.analysis import Analyzer
 from repro.analysis.cli import run_lint
 from repro.analysis.context import parse_pragmas
 from repro.analysis.engine import rule_catalog
@@ -529,54 +525,6 @@ class TestPragmas:
         assert pragmas.suppresses("REP004", 3)
 
 
-def finding(rule="REP001", path="src/repro/engine/x.py", line=10,
-            message="iteration observes hash order"):
-    return Finding(rule=rule, path=path, line=line, message=message)
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        entries = [finding(), finding(rule="REP004", line=20)]
-        save_baseline(path, entries)
-        loaded = load_baseline(path)
-        assert [e.baseline_key() for e in loaded] == \
-            sorted(e.baseline_key() for e in entries)
-
-    def test_new_finding_not_absorbed(self):
-        diff = diff_against_baseline([finding(line=10),
-                                      finding(line=99)],
-                                     [finding(line=10)])
-        assert [f.line for f in diff.new] == [99]
-        assert [f.line for f in diff.baselined] == [10]
-        assert diff.stale == []
-
-    def test_fixed_finding_reported_stale(self):
-        diff = diff_against_baseline([], [finding(line=10)])
-        assert diff.new == []
-        assert [f.line for f in diff.stale] == [10]
-
-    def test_message_change_does_not_unbaseline(self):
-        diff = diff_against_baseline(
-            [finding(message="new wording")],
-            [finding(message="old wording")])
-        assert diff.new == []
-        assert len(diff.baselined) == 1
-
-    def test_multiset_semantics_per_line(self):
-        # Two findings on one line need two entries.
-        diff = diff_against_baseline(
-            [finding(), finding()], [finding()])
-        assert len(diff.new) == 1
-        assert len(diff.baselined) == 1
-
-    def test_malformed_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestLintCli:
     VIOLATION = textwrap.dedent(
         """
@@ -614,53 +562,15 @@ class TestLintCli:
         root = self._tree(tmp_path, self.CLEAN)
         code, out, _ = self._lint(root, "src")
         assert code == 0
-        assert "0 new" in out
-
-    def test_baseline_add_then_shrink_round_trip(self, tmp_path):
-        root = self._tree(tmp_path, self.VIOLATION)
-        # add: grandfather the injected violation
-        code, _, _ = self._lint(root, "src", baseline="baseline.json",
-                                update_baseline=True)
-        assert code == 0
-        code, out, _ = self._lint(root, "src",
-                                  baseline="baseline.json")
-        assert code == 0
-        assert "1 baselined" in out
-        # shrink: fix the violation; the stale entry is celebrated
-        self._tree(tmp_path, self.CLEAN)
-        code, out, _ = self._lint(root, "src",
-                                  baseline="baseline.json")
-        assert code == 0
-        assert "(fixed)" in out
-        # update: the baseline file shrinks to empty
-        code, _, _ = self._lint(root, "src", baseline="baseline.json",
-                                update_baseline=True)
-        assert code == 0
-        assert load_baseline(root / "baseline.json") == []
-
-    def test_new_finding_fails_despite_baseline(self, tmp_path):
-        root = self._tree(tmp_path, self.CLEAN)
-        self._lint(root, "src", baseline="baseline.json",
-                   update_baseline=True)
-        self._tree(tmp_path, self.VIOLATION)
-        code, out, _ = self._lint(root, "src",
-                                  baseline="baseline.json")
-        assert code == 1
-        assert "REP001" in out
+        assert "0 findings" in out
 
     def test_json_report_shape(self, tmp_path):
         root = self._tree(tmp_path, self.VIOLATION)
         code, out, _ = self._lint(root, "src", as_json=True)
         assert code == 1
         report = json.loads(out)
-        assert report["counts"]["new"] == 1
-        assert report["new"][0]["rule"] == "REP001"
-
-    def test_update_baseline_requires_baseline_path(self, tmp_path):
-        root = self._tree(tmp_path, self.CLEAN)
-        code, _, err = self._lint(root, "src", update_baseline=True)
-        assert code == 2
-        assert "--baseline" in err
+        assert report["count"] == 1
+        assert report["findings"][0]["rule"] == "REP001"
 
     def test_missing_target_is_a_usage_error(self, tmp_path):
         code, _, err = self._lint(tmp_path, "no/such/dir")
@@ -683,9 +593,12 @@ class TestLintCli:
 
 class TestRealTreeSelfCheck:
     def test_src_and_tests_clean_modulo_committed_baseline(self):
+        """The tree has no finding at all (there is no baseline to
+        grandfather one)."""
         out, err = io.StringIO(), io.StringIO()
-        code = run_lint([], baseline="analysis/baseline.json",
-                        root=str(REPO_ROOT), stdout=out, stderr=err)
+        code = run_lint([], as_json=True, root=str(REPO_ROOT),
+                        stdout=out, stderr=err)
         assert code == 0, (
-            "the tree has non-baselined lint findings:\n"
+            "the tree has lint findings:\n"
             + out.getvalue() + err.getvalue())
+        assert json.loads(out.getvalue())["count"] == 0

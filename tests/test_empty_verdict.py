@@ -21,6 +21,7 @@ import pytest
 from repro.core.query import EntangledQuery
 from repro.core.terms import Variable, atom
 from repro.db import Database
+from repro.engine import runtime
 from repro.engine.engine import D3CEngine
 from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock, TimeoutStaleness
@@ -96,8 +97,9 @@ def test_kept_across_a_write_to_a_table_the_closure_never_read():
     assert _counters(engine) == (1, 2)
 
 
-def test_kept_across_capped_closures():
-    engine = _engine_with_verdict(max_combined_atoms=2)
+def test_kept_across_capped_closures(monkeypatch):
+    monkeypatch.setattr(runtime, "MAX_COMBINED_ATOMS", 2)
+    engine = _engine_with_verdict()
     # Three body atoms are over the cap: without the verdict the
     # closure would be neither built nor skipped.
     engine.submit(_cluster_query(2))
@@ -105,9 +107,9 @@ def test_kept_across_capped_closures():
     assert _state(engine, "c2").empty_reads is not None
 
 
-def test_a_capped_closure_sets_no_verdict():
-    engine = D3CEngine(_database(), incremental_strategy="component",
-                       max_combined_atoms=1)
+def test_a_capped_closure_sets_no_verdict(monkeypatch):
+    monkeypatch.setattr(runtime, "MAX_COMBINED_ATOMS", 1)
+    engine = D3CEngine(_database(), incremental_strategy="component")
     for index in range(3):
         engine.submit(_cluster_query(index))
     assert _counters(engine) == (0, 0)

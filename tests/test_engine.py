@@ -128,12 +128,6 @@ class TestBatchMode:
         assert not tickets[2].done()
         assert engine.pending_count == 2
 
-    def test_auto_batch_size(self, pair_db):
-        engine = D3CEngine(pair_db, mode="batch", batch_size=2)
-        first = engine.submit(pair("j", "jerry", "kramer"))
-        second = engine.submit(pair("k", "kramer", "jerry"))
-        assert first.done() and second.done()
-
     def test_repeated_batches_converge(self, pair_db):
         engine = D3CEngine(pair_db, mode="batch")
         engine.submit(pair("j", "jerry", "kramer"))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Database
-from repro.engine import D3CEngine
+from repro.engine import D3CEngine, runtime
 from repro.lang import parse_ir
 
 
@@ -56,9 +56,10 @@ class TestComponentStrategy:
 
 
 class TestCaps:
-    def test_max_group_size_defers_large_groups(self, db):
+    def test_max_group_size_defers_large_groups(self, db, monkeypatch):
         # A 3-cycle cannot close under a group cap of 2.
-        engine = D3CEngine(db, max_group_size=2)
+        monkeypatch.setattr(runtime, "MAX_GROUP_SIZE", 2)
+        engine = D3CEngine(db)
         tickets = [
             engine.submit(parse_ir("{R(B, x)} R(A, x) <- F(x, PAR)",
                                    "qa")),
@@ -71,14 +72,17 @@ class TestCaps:
         # A set-at-a-time round has no group cap and answers all three.
         assert engine.run_batch() == 3
 
-    def test_max_combined_atoms_blocks_monster_queries(self, db):
-        engine = D3CEngine(db, mode="batch", max_combined_atoms=1)
+    def test_max_combined_atoms_blocks_monster_queries(self, db,
+                                                       monkeypatch):
+        monkeypatch.setattr(runtime, "MAX_COMBINED_ATOMS", 1)
+        engine = D3CEngine(db, mode="batch")
         engine.submit_all(mutual_pair("p"))
         assert engine.run_batch() == 0
         assert engine.pending_count == 2
 
-    def test_candidate_attempts_bounded(self, db):
-        engine = D3CEngine(db, max_candidate_attempts=1)
+    def test_candidate_attempts_bounded(self, db, monkeypatch):
+        monkeypatch.setattr(runtime, "MAX_CANDIDATE_ATTEMPTS", 1)
+        engine = D3CEngine(db)
         engine.submit_all(mutual_pair("p"))
         assert engine.stats.answered == 2
 

@@ -181,12 +181,6 @@ class TestSubmitMany:
         # The failed block admitted nothing.
         assert engine.pending_count == 2
 
-    def test_batch_size_triggers_once_per_block(self, pair_db):
-        engine = D3CEngine(pair_db, mode="batch", batch_size=2)
-        tickets = engine.submit_many([pair("j", "jerry", "kramer"),
-                                      pair("k", "kramer", "jerry")])
-        assert all(ticket.done() for ticket in tickets)
-
     def test_unsafe_block_members_rejected(self, pair_db):
         from repro.core.evaluate import FailureReason
         engine = D3CEngine(pair_db, safety="reject")

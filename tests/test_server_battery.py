@@ -51,7 +51,8 @@ from repro.workloads import (build_intro_database,
                              build_flight_database,
                              generate_social_network, two_way_pairs)
 
-from servicekit import build, spawn_server
+from servicekit import (MEND, build, poisoned_database, poisoned_pair,
+                        spawn_server)
 
 
 def _network(seed: int = 11):
@@ -316,6 +317,41 @@ def test_draining_server_sheds_with_shutting_down():
             server._draining = False
             await server.drain(close_service=False)
     asyncio.run(scenario())
+
+
+def test_a_submit_that_raised_after_adopting_keeps_its_owner(tmp_path):
+    """An incremental engine adopts one block: the poisoned pair, whose
+    drain raises, and the intro pair, which still answers.  The client
+    gets a typed ``INTERNAL`` reply and the intro pair's events; the
+    poisoned pair stays this connection's, so once its row is mended
+    the next round's events reach it too."""
+    kramer = parse_ir("{Reservation(Jerry, x)} Reservation(Kramer, x) "
+                      "<- Flights(x, Paris)", "kramer")
+    jerry = parse_ir("{Reservation(Kramer, y)} Reservation(Jerry, y) "
+                     "<- Flights(y, Paris), Airlines(y, United)", "jerry")
+
+    async def scenario():
+        server = CoordinationServer(
+            D3CEngine(poisoned_database(), mode="incremental"))
+        await server.start(unix_path=tmp_path / "srv.sock")
+        client = await ServerClient.connect_unix(tmp_path / "srv.sock")
+        try:
+            with pytest.raises(ServerCommandError) as caught:
+                await client.submit(poisoned_pair() + [kramer, jerry],
+                                    timeout=10)
+            await client.ping(timeout=10)
+            first = sorted(query_id for _, query_id, _ in client.events)
+            await client.mutate(MEND, timeout=10)
+            answered = await client.run_batch(timeout=10)
+            await client.ping(timeout=10)
+            return (caught.value.code, first, answered,
+                    sorted(query_id for _, query_id, _ in client.events))
+        finally:
+            await client.close()
+            await server.drain()
+    assert asyncio.run(scenario()) == (
+        "INTERNAL", ["jerry", "kramer"], 2,
+        ["jerry", "kramer", "u-a", "u-b"])
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import Counter
+import shutil
 from dataclasses import fields
 
 import pytest
@@ -34,7 +35,9 @@ from repro.shard import ShardedCoordinator
 from repro.workloads import (build_flight_database, build_intro_database,
                              generate_social_network, two_way_pairs)
 
-from servicekit import build, run_model, single, spawn_server, stop
+from servicekit import (MEND, ScriptedRouter, build, poisoned_database,
+                        poisoned_pair, run_model, single, spawn_server,
+                        stop)
 
 SHAPES = ["engine", "fleet-inprocess", "fleet-process",
           "durable-engine", "durable-fleet"]
@@ -226,6 +229,96 @@ def test_unorderable_comparison_is_refused_before_anything_is_admitted(
         assert service.metrics_snapshot()["counters"]["answered"] == 2
     finally:
         service.close()
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_component_that_raises_does_not_stop_the_round(shape, tmp_path):
+    """A round meets the poisoned pair's component first, and it
+    raises.  The unrelated pair, on the same engine, still answers in
+    that round; the round then raises the typed error, and the pair
+    that raised keeps its mark: once its row is mended, the next round
+    answers it."""
+    options = {"router": ScriptedRouter(2, {"u-a": 0, "kramer": 0})} \
+        if "fleet" in shape else {}
+    service = build(shape, poisoned_database(), tmp_path / "wal",
+                    **options)
+    try:
+        service.submit_many(poisoned_pair())
+        tickets = service.submit_many(_pair())
+        with pytest.raises(Exception, match="not supported"):
+            service.run_batch()
+        assert [ticket.state for ticket in tickets] \
+            == [TicketState.ANSWERED] * 2
+        assert service.pending_ids() == ["u-a", "u-b"]
+        assert service.metrics_snapshot()["counters"]["answered"] == 2
+        service.apply_mutations(MEND)
+        assert service.run_batch() == 2
+        assert service.pending_ids() == []
+    finally:
+        service.close()
+
+
+def test_a_served_round_that_raises_still_answers_the_rest(tmp_path):
+    """The same round through a served durable child: the client
+    gets a typed ``INTERNAL`` reply, the unrelated pair's settlement
+    events, and the poisoned pair stays pending."""
+    data_path = tmp_path / "poisoned.data"
+    data_path.write_text(dump_database(poisoned_database()))
+    sock_path = tmp_path / "srv.sock"
+    process = spawn_server(data_path, sock_path, tmp_path / "wal")
+
+    async def scenario():
+        client = await ServerClient.connect_unix(sock_path)
+        try:
+            await client.submit(poisoned_pair(), timeout=30)
+            tickets = await client.submit(_pair(), timeout=30)
+            with pytest.raises(ServerCommandError) as caught:
+                await client.run_batch(timeout=30)
+            await client.ping(timeout=30)
+            return (caught.value.code,
+                    [ticket.settled for ticket in tickets],
+                    await client.pending(timeout=30))
+        finally:
+            await client.close()
+    try:
+        code, done, pending = asyncio.run(scenario())
+    finally:
+        stop(process)
+    assert (code, done, pending) == ("INTERNAL", [True, True],
+                                     ["u-a", "u-b"])
+
+
+@pytest.mark.parametrize("cls", [DurableEngine, DurableCoordinator])
+def test_a_submit_adopted_before_it_raised_is_journalled(cls, tmp_path):
+    """An incremental block adopts the poisoned pair and the pair; the
+    poisoned pair's drain raises, the pair's still runs and answers.
+    The wrapper journals the submit all the same, with the pair's
+    settlements, and re-raises: after one more mutation, the directory copied as a kill
+    -9 leaves it (no ``close()``) recovers to the live state — the
+    poisoned pair pending, two answered, ``kramer`` refused."""
+    options = dict(mode="incremental", clock=ManualClock(),
+                   sync_every=None)
+    if cls is DurableCoordinator:
+        options.update(num_shards=2, router=ScriptedRouter(
+            2, {"kramer": 0, "u-a": 0}))
+    live = cls(tmp_path / "wal", poisoned_database(), **options)
+    try:
+        with pytest.raises(Exception, match="not supported"):
+            live.submit_many(poisoned_pair() + _pair())
+        live.apply_mutations([("insert", "W", [("w2", "more")])])
+        shutil.copytree(live.wal_dir, tmp_path / "crash")
+        recovered = cls.recover(tmp_path / "crash", **options)
+        try:
+            assert recovered.snapshot_state() == live.snapshot_state()
+            assert recovered.pending_ids() == ["u-a", "u-b"]
+            assert recovered.metrics_snapshot()["counters"][
+                "answered"] == 2
+            with pytest.raises(ValidationError, match="already used"):
+                recovered.submit(_pair()[0])
+        finally:
+            recovered.close()
+    finally:
+        live.close()
 
 
 def test_served_child_refuses_a_missing_table_unjournalled(tmp_path):

@@ -42,10 +42,3 @@ def test_forced_migrations_match_single_engine(num_shards):
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
 def test_process_backend_matches_single_engine(num_shards):
     run_model(single("fleet-process", num_shards=num_shards), seed=29)
-
-
-def test_batch_size_trigger_matches_single_engine():
-    """The coordinator's global batch_size trigger fires exactly when
-    the single engine's would."""
-    run_model(single("fleet", num_shards=3, batch_size=3,
-                     reference=("engine", {"batch_size": 3})), seed=31)

@@ -654,37 +654,58 @@ def test_a_failed_submit_block_registers_what_the_shard_adopted(
 
 @pytest.mark.parametrize("backend", ["inprocess", "process"])
 def test_a_block_adopted_before_its_drain_failed_still_settles(backend):
-    """An incremental shard adopts the pair ``u-a`` / ``u-b``, then its
-    drain raises: their comparison reads an ``any`` column holding
-    text.  They stay pending, as on one engine whose drain raised, and
-    once the row is mended a later round answers them at the
-    coordinator too: the shard reports what it settles for every query
-    it adopted, not only for blocks that returned."""
-    database = _loss_db()
-    database.create_table("W", "a text", "v any")
-    database.insert("W", [("u1", "text")])
-    pair = []
+    """An incremental shard adopts one block: the answerable pair
+    ``g-a`` / ``g-b``, then the pair ``u-a`` / ``u-b``, whose
+    comparison reads an ``any`` column holding text.  ``g-a``'s drain
+    answers its pair, then ``u-a``'s raises.  The fleet does what one
+    engine does: ``g-a`` and ``g-b`` answered (their tickets fire on
+    the settlement stream, a retry of ``g-a`` is refused), ``u-a`` /
+    ``u-b`` pending — and once the row is mended a later round answers
+    them too: the shard reports every settlement of the queries it
+    adopted, not only those of blocks that returned."""
+    def poisoned_db():
+        database = _loss_db()
+        database.create_table("W", "a text", "v any")
+        database.insert("W", [("u1", "text")])
+        return database
+
+    block = make_pair("g-a", "g-b", "u3", "u4", "ITH")
     for query_id, user, partner in (("u-a", "u1", "u2"),
                                     ("u-b", "u2", "u1")):
         value = Variable("v")
-        pair.append(EntangledQuery(
+        block.append(EntangledQuery(
             query_id=query_id, head=(atom("R", user, "ITH"),),
             postconditions=(atom("R", partner, "ITH"),),
             body=(atom("F", user, partner), atom("W", "u1", value)),
             body_comparisons=(Comparison(value, "<", Constant(5)),)))
-    with ShardedCoordinator(database, num_shards=2, backend=backend,
-                            mode="incremental",
-                            router=ScriptedRouter(2, {"u-a": 1})
-                            ) as coordinator:
+
+    def raise_mid_block(service) -> list:
+        fired = []
+        service.on_settle = fired.append
         with pytest.raises(Exception, match="not supported"):
-            coordinator.submit_many(pair)
-        assert coordinator.pending_ids() == ["u-a", "u-b"]
+            service.submit_many(block)
+        assert service.pending_ids() == ["u-a", "u-b"]
+        assert service.metrics_snapshot()["counters"]["answered"] == 2
+        with pytest.raises(ValidationError, match="already used"):
+            service.submit(block[0])
+        return [(ticket.query_id, outcome(ticket)) for ticket in fired]
+
+    expected = raise_mid_block(D3CEngine(poisoned_db(),
+                                         mode="incremental"))
+    assert [query_id for query_id, _ in expected] == ["g-a", "g-b"]
+    with ShardedCoordinator(poisoned_db(), num_shards=2, backend=backend,
+                            mode="incremental",
+                            router=ScriptedRouter(2, {"g-a": 1, "u-a": 1})
+                            ) as coordinator:
+        assert raise_mid_block(coordinator) == expected
+        assert {coordinator.shard_of(query_id)
+                for query_id in ("u-a", "u-b")} == {1}
         audit_exactly_once(coordinator)
         coordinator.apply_mutations([("delete", "W", [("u1", "text")]),
                                      ("insert", "W", [("u1", 3)])])
         coordinator.run_batch()
         assert coordinator.pending_ids() == []
-        assert coordinator.metrics_snapshot()["counters"]["answered"] == 2
+        assert coordinator.metrics_snapshot()["counters"]["answered"] == 4
         audit_exactly_once(coordinator)
 
 

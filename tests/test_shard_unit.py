@@ -248,7 +248,7 @@ def test_worker_error_replies_carry_prior_settlements():
 
 @pytest.fixture
 def backend_pair(database):
-    kwargs = dict(mode="batch", safety="off", batch_size=None)
+    kwargs = dict(mode="batch", safety="off")
     return (InProcessBackend(0, database, dict(kwargs)),
             InProcessBackend(1, database, dict(kwargs)))
 
