@@ -154,7 +154,8 @@ _PRIVATE_STRUCTURES = frozenset(
 
 #: Methods that exist only on Table and bypass delta commits.
 _TABLE_ONLY_MUTATORS = frozenset(
-    {"insert_stored", "insert_many", "delete_matching"})
+    {"insert_stored", "insert_stored_many", "insert_many",
+     "delete_matching"})
 
 #: Mutators shared with the Database facade: flagged only when the
 #: receiver is syntactically a table.

@@ -110,19 +110,25 @@ class MatchState(Attempt):
     ``"first"``), the fixpoint unifier and the alive/removed verdict,
     plus the running global unifier — so an arrival *continues* the
     matching instead of repeating it.  :meth:`extend` matches members
-    from scratch; :meth:`add` resumes with one arrival; both end in
-    :meth:`_settle`, the one Algorithm 1 pass.
+    from scratch; :meth:`add` only records an arrival, and
+    :meth:`result` folds the recorded arrivals in, in arrival order,
+    before it reads: both end in :meth:`_settle`, the one Algorithm 1
+    pass.  An attempt answered from a carried verdict never reads, so
+    a component growing under one builds no edge and merges no
+    unifier.
 
     The fixpoint is a function of the chosen edges alone (a node is
     removed iff some ancestor-or-self along chosen edges has an
     unsatisfiable postcondition or an inconsistent ancestor closure;
     a survivor's unifier is the MGU of its ancestors' chosen in-edge
     unifiers), never of the propagation order — which is why a resumed
-    state equals a from-scratch one.
+    state equals a from-scratch one.  A deferred fold equals an eager
+    one: each recorded arrival is linked among the members folded
+    before it, which are exactly the providers an eager link saw.
 
     Attributes:
-        members: query ids, in arrival order.
-        chosen: per member, its chosen in-edge (or None) per
+        members: folded query ids, in arrival order.
+        chosen: per folded member, its chosen in-edge (or None) per
             postcondition position (also the membership index).
         unifiers: fixpoint unifier per surviving member; the members
             of one chosen-edge cycle share one object (read-only).
@@ -130,19 +136,23 @@ class MatchState(Attempt):
         global_unifier: MGU of all survivor unifiers, None when they
             are jointly inconsistent.
 
-    :meth:`add` drops the inherited ``query`` (the grown component
-    combines anew) and keeps ``empty_reads``: a resumed state only adds
-    survivors and refines the global unifier, so every later combined
-    query is a conjunctive superset of the one that came back empty.
+    The folded attributes lag the recorded arrivals until
+    :meth:`result` reads them.  :meth:`add` drops the inherited
+    ``query`` (the grown component combines anew) and keeps
+    ``empty_reads``: a resumed state only adds survivors and refines
+    the global unifier, so every later combined query is a conjunctive
+    superset of the one that came back empty.
     """
 
-    __slots__ = ("_graph", "_order", "members", "chosen", "unifiers",
-                 "alive", "global_unifier")
+    __slots__ = ("_graph", "_order", "_pending", "members", "chosen",
+                 "unifiers", "alive", "global_unifier")
 
     def __init__(self, graph: UnifiabilityGraph, order: Mapping):
         super().__init__()
         self._graph = graph
         self._order = order
+        # Recorded arrivals not folded yet, in arrival order.
+        self._pending: list = []
         self.members: list = []
         self.chosen: dict = {}
         self.unifiers: dict = {}
@@ -155,33 +165,26 @@ class MatchState(Attempt):
         self._link(members, policy)
         self._settle(members)
 
-    def add(self, query_id: object, slots: Iterable) -> bool:
-        """Resume with one arrival; False if it is no monotone extension.
+    def add(self, query_id: object) -> bool:
+        """Record one arrival; False if it arrives out of order.
 
-        *slots* are the ``(dst, pc_pos)`` postconditions the graph wrote
-        the arrival's heads into (``GraphDelta.slots``).
-        An arrival later than every member can take no chosen slot from
-        an earlier provider, so the settled members keep their chosen
-        edges, unifiers and verdicts, and only the arrival — which
-        nobody relies on yet, a component of its own — is settled, from
-        its chosen in-edges and its providers' (final) unifiers.  Two
-        arrivals are
-        not monotone and leave the state untouched for the caller to
-        discard: one that arrives out of order (an import carrying an
-        older sequence number), and one whose head is the first provider
-        of a member's postcondition (that member and its CLEANUP-ed
-        dependents would have to be revived).
+        The caller has ruled out the other arrival that is no monotone
+        extension: one whose head is the first provider of a member's
+        postcondition (that member and its CLEANUP-ed dependents would
+        have to be revived), which is a postcondition flipping from
+        unsatisfied to satisfied in the caller's closure accounting.
+        An in-order arrival then takes no chosen slot from an earlier
+        provider, so the members keep their chosen edges, unifiers and
+        verdicts, and the arrival — which nobody relies on yet — waits
+        for :meth:`result` to settle it, from its chosen in-edges and
+        its providers' (final) unifiers.  An arrival carrying an older
+        sequence number (an import) leaves the state untouched for the
+        caller to discard.
         """
-        members = self.members
-        if members and self._order[query_id] < self._order[members[-1]]:
+        last = self._pending or self.members
+        if last and self._order[query_id] < self._order[last[-1]]:
             return False
-        chosen = self.chosen
-        for dst, pc_pos in slots:
-            if chosen[dst][pc_pos] is None:
-                return False
-        fresh = (query_id,)
-        self._link(fresh, "first")
-        self._settle(fresh)
+        self._pending.append(query_id)
         self.query = self.heads = None
         return True
 
@@ -235,9 +238,9 @@ class MatchState(Attempt):
         connected components along chosen edges, providers first, one
         unifier per component, folded once into the global unifier.
         From scratch every member is fresh; on resumption only the
-        arrival is.  Members of a component that cannot be answered
-        never become alive, so every component relying on one finds a
-        dead provider: that is CLEANUP.
+        recorded arrivals are.  Members of a component that cannot be
+        answered never become alive, so every component relying on one
+        finds a dead provider: that is CLEANUP.
         """
         chosen, unifiers, alive = self.chosen, self.unifiers, self.alive
         fresh_set = set(fresh)
@@ -294,15 +297,20 @@ class MatchState(Attempt):
         return unifier
 
     def result(self) -> ComponentMatch:
-        """The matching outcome as an immutable-by-convention value."""
+        """The matching outcome as an immutable-by-convention value,
+        once every recorded arrival is folded in."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            for query_id in pending:
+                self._link((query_id,), "first")
+            self._settle(pending)
         alive, chosen, unifiers = self.alive, self.chosen, self.unifiers
-        survivors = tuple(query_id for query_id in self.members
-                          if query_id in alive)
+        survivors = tuple([query_id for query_id in self.members
+                           if query_id in alive])
         return ComponentMatch(
             component=tuple(self.members),
             survivors=survivors,
-            removed=frozenset(query_id for query_id in self.members
-                              if query_id not in alive),
+            removed=frozenset(self.members).difference(alive),
             unifiers={query_id: unifiers[query_id]
                       for query_id in survivors},
             chosen_edges={(query_id, pc_pos): edge

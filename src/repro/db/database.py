@@ -112,8 +112,7 @@ class Database:
         """
         table = self.table(name)
         stored = tuple(table.schema.check_row(row) for row in rows)
-        for row in stored:
-            table.insert_stored(row)
+        table.insert_stored_many(stored)
         if stored:
             self._commit_delta(name, stored, ())
         return len(stored)
@@ -125,11 +124,10 @@ class Database:
         Trusted internal path (``load_database``'s per-table flush):
         skips the facade's re-validation — the caller has already run
         ``schema.check_row`` on every row — while still committing one
-        delta for the batch.
+        delta for the batch.  All or nothing: a row an index refuses
+        leaves no row of the batch stored.
         """
-        table = self.table(name)
-        for row in stored_rows:
-            table.insert_stored(row)
+        self.table(name).insert_stored_many(stored_rows)
         if stored_rows:
             self._commit_delta(name, tuple(stored_rows), ())
         return len(stored_rows)
@@ -263,8 +261,7 @@ class Database:
         table = self.table(delta.table)
         inserted = tuple(table.schema.check_row(row)
                          for row in delta.inserted)
-        for row in inserted:
-            table.insert_stored(row)
+        table.insert_stored_many(inserted)
         removed = table.delete_rows(delta.deleted)
         if len(removed) != len(delta.deleted):
             raise SchemaError(

@@ -57,17 +57,38 @@ class Table:
 
         The bulk paths (:meth:`repro.db.database.Database.insert`,
         delta replay) validate whole batches up front for atomicity;
-        this skips the redundant second ``check_row``.
+        this skips the redundant second ``check_row``.  An index that
+        refuses the row (an ordered index cannot compare a number with
+        text) leaves the table as it was.
         """
         row_id = self._next_row_id
-        self._next_row_id += 1
+        try:
+            for index in self._indexes.values():
+                index.add(row_id, stored)
+            for index in self._ordered.values():
+                index.add(row_id, stored)
+        except Exception:
+            for added in (*self._indexes.values(), *self._ordered.values()):
+                if added is index:
+                    break
+                added.remove(row_id, stored)
+            raise
+        self._next_row_id = row_id + 1
         self._rows[row_id] = stored
         self._version += 1
-        for index in self._indexes.values():
-            index.add(row_id, stored)
-        for index in self._ordered.values():
-            index.add(row_id, stored)
         return row_id
+
+    def insert_stored_many(self, stored_rows: Sequence[tuple]) -> None:
+        """:meth:`insert_stored` every row, all or none: a row that
+        fails takes the rows stored before it back out."""
+        first = self._next_row_id
+        try:
+            for stored in stored_rows:
+                self.insert_stored(stored)
+        except Exception:
+            for row_id in range(first, self._next_row_id):
+                self._discard(row_id)
+            raise
 
     def insert_many(self, rows: Iterable[Sequence]) -> int:
         """Insert many rows; returns the number inserted."""
@@ -95,14 +116,7 @@ class Table:
             bucket = index.lookup(index.key_of(stored))
             if not bucket:
                 continue
-            row_id = bucket[0]
-            actual = self._rows.pop(row_id)
-            self._version += 1
-            for other in self._indexes.values():
-                other.remove(row_id, actual)
-            for other in self._ordered.values():
-                other.remove(row_id, actual)
-            removed.append(actual)
+            removed.append(self._discard(bucket[0]))
         return removed
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
@@ -117,16 +131,19 @@ class Table:
         the delta-emitting :meth:`repro.db.database.Database.
         delete_where` records the returned rows.
         """
-        doomed = [(row_id, row) for row_id, row in self._rows.items()
+        doomed = [row_id for row_id, row in self._rows.items()
                   if predicate(row)]
-        for row_id, row in doomed:
-            del self._rows[row_id]
-            self._version += 1
-            for index in self._indexes.values():
-                index.remove(row_id, row)
-            for index in self._ordered.values():
-                index.remove(row_id, row)
-        return [row for _, row in doomed]
+        return [self._discard(row_id) for row_id in doomed]
+
+    def _discard(self, row_id: int) -> tuple:
+        """Delete the row stored under *row_id*; returns it."""
+        row = self._rows.pop(row_id)
+        self._version += 1
+        for index in self._indexes.values():
+            index.remove(row_id, row)
+        for index in self._ordered.values():
+            index.remove(row_id, row)
+        return row
 
     # ------------------------------------------------------------------
     # access

@@ -15,11 +15,12 @@ with the addition of a new query".  This module tracks:
   heads were written into;
 * the **resumable matching state** — per matched component a
   :class:`~repro.core.matching.MatchState` (chosen edges, Algorithm 1
-  fixpoint unifiers, survivors, global unifier) that each arrival
-  extends by choosing its own providers — one edge built per
-  postcondition of the arrival — or, in structure-only mode, just the
-  slim :class:`~repro.core.matching.Attempt` (combined query, heads,
-  data verdict) a set-at-a-time round retained to re-evaluate.
+  fixpoint unifiers, survivors, global unifier) on which each arrival
+  is recorded, to be folded in (one edge built per postcondition of
+  the arrival) only when an attempt reads the matching — or, in
+  structure-only mode, just the slim
+  :class:`~repro.core.matching.Attempt` (combined query, heads, data
+  verdict) a set-at-a-time round retained to re-evaluate.
 
 Closure is the trigger for a coordination attempt; the matching state
 is what the attempt reads, so a closed partition that keeps growing
@@ -136,7 +137,9 @@ class PartitionManager:
         provider refs per postcondition and the slots its heads were
         written into.  Merges the arrival with each neighbouring
         component once, updates closure bookkeeping per slot and
-        extends the matching state of the component the arrival joins.
+        records the arrival on the matching state of the component it
+        joins, unless a slot flipping to satisfied shows it revives a
+        member.
         """
         query_id = query.query_id
         if query_id in self._dead:
@@ -190,14 +193,19 @@ class PartitionManager:
             satisfied[(query_id, pc_pos)] = False
             if refs:
                 own.append((query_id, pc_pos))
+        revives = False
         for slot in (*own, *delta.slots):
             if not satisfied[slot]:
                 satisfied[slot] = True
                 self._node_open[slot[0]] -= 1
                 self._root_open[root] -= 1
+                # A member's slot (the arrival never provides for
+                # itself) that had no provider: the matching carried
+                # that member as removed, and the arrival revives it.
+                revives |= slot[0] != query_id
         state = (MatchState(self._graph, self._order) if not states
                  else states[0] if len(states) == 1 else None)
-        if state is not None and state.add(query_id, delta.slots):
+        if state is not None and not revives and state.add(query_id):
             self._match_states[root] = state
         return root
 

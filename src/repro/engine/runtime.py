@@ -375,13 +375,16 @@ class CoordinationScheduler:
         one that was empty on table versions that still stand
         (``Attempt.empty_reads``) is empty still, as is every
         conjunctive superset a resumed matching can yield, so nothing
-        is built or evaluated.  A growing massively-unifying partition
-        (Figure 8) therefore costs, per arrival and end to end, the
-        graph's ref writes plus one built edge per postcondition of the
-        arrival.  An attempt with §6 aggregates stamps no verdict (a
-        count can come to hold as members join or rows leave); one
-        stamped before aggregates joined stays sound, since aggregates
-        only filter valuations.  A *fallback* round ignores the
+        is built or evaluated — nor is the matching read, so the
+        arrivals recorded on it stay unfolded.  A growing
+        massively-unifying partition (Figure 8) therefore costs, per
+        arrival and end to end, the graph's ref writes and the closure
+        accounting; an arrival's edges are built (one per
+        postcondition) only when a later attempt reads the matching.
+        An attempt with §6 aggregates stamps no verdict (a count can
+        come to hold as members join or rows leave); one stamped
+        before aggregates joined stays sound, since aggregates only
+        filter valuations.  A *fallback* round ignores the
         verdict: it speaks for the whole component, not for its cores.
         """
         host = self._host

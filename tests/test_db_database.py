@@ -105,6 +105,29 @@ class TestApplyMutations:
                 for name in db.table_names()} == before
         assert deltas == []
 
+    @pytest.mark.parametrize("rows", [[("w2", 1)],
+                                      [("w2", "fine"), ("w3", 1)]])
+    def test_a_row_an_index_refuses_leaves_nothing_stored(self, rows):
+        """An ``any`` column under an ordered index holds text, and the
+        batch inserts a number: the index refuses it, and no row of the
+        batch stays stored without a delta announcing it."""
+        db = Database()
+        db.create_table("W", "a text", "v any")
+        db.insert("W", [("w1", "text")])
+        table = db.table("W")
+        ordered = table.ordered_index_on((), 1)
+        hashed = table.index_on((0,))
+        deltas = []
+        db.add_mutation_listener(deltas.append)
+        with pytest.raises(TypeError):
+            db.apply_mutations([("insert", "W", rows)])
+        assert list(table.rows()) == [("w1", "text")]
+        assert db.db_version == 1 and deltas == []
+        assert len(ordered) == len(hashed) == 1
+        assert db.apply_mutations([("insert", "W", [("w4", "more")])]) \
+            == [1]
+        assert sorted(table.rows()) == [("w1", "text"), ("w4", "more")]
+
 
 class TestFacadeQueries:
     def test_evaluate_first_count(self):

@@ -18,8 +18,10 @@ import random
 
 import pytest
 
+from repro.core.matching import match_component
 from repro.core.query import EntangledQuery
 from repro.core.terms import Variable, atom
+from repro.core.unify import Unifier
 from repro.db import Database
 from repro.engine import runtime
 from repro.engine.engine import D3CEngine
@@ -27,6 +29,8 @@ from repro.engine.futures import TicketState
 from repro.engine.staleness import ManualClock, TimeoutStaleness
 from repro.obs import TRACER, format_traces, set_tracing
 from repro.shard import ShardedCoordinator
+from repro.workloads import (big_cluster_queries, build_flight_database,
+                             generate_social_network)
 
 
 def _database(rows=(("U0", "U1"),)) -> Database:
@@ -236,6 +240,49 @@ def test_dropped_by_a_revival_arrival():
     arrive("i0", "U9")
     assert engine.stats.match_rebuilt == rebuilt + 1
     assert _counters(engine) == (2, 1)
+
+
+# ----------------------------------------------------------------------
+# arrivals under a standing verdict are only recorded
+# ----------------------------------------------------------------------
+
+def test_a_cluster_under_its_verdict_folds_nothing_until_a_write(
+        monkeypatch):
+    """Figure 8's 200-arrival cluster: once the verdict is stamped, an
+    arrival builds no edge and merges no unifier; the insert that
+    breaks the verdict makes the next attempt fold every recorded
+    arrival, and the fold is the from-scratch matching."""
+    merges = [0]
+    merge = Unifier.merge
+
+    def counted_merge(self, left, right):
+        merges[0] += 1
+        return merge(self, left, right)
+
+    monkeypatch.setattr(Unifier, "merge", counted_merge)
+    network = generate_social_network(num_users=4_000, seed=0)
+    engine = D3CEngine(build_flight_database(network),
+                       incremental_strategy="component")
+    arrivals = big_cluster_queries(network, 200, seed=12)
+    stats = engine.stats
+    index = 0
+    while not stats.closures_skipped_empty:
+        engine.submit(arrivals[index])
+        index += 1
+    edges, merged = stats.edges_materialised, merges[0]
+    for query in arrivals[index:]:
+        engine.submit(query)
+    assert (stats.edges_materialised, merges[0]) == (edges, merged)
+    assert stats.closures_skipped_empty == stats.closure_events - 2
+    state = _state(engine, arrivals[-1].query_id)
+    # Recorded: every arrival since the verdict was stamped.
+    assert len(state._pending) == len(arrivals) - index + 1
+    (name, _, _), *_ = state.empty_reads
+    engine.apply_mutations([("insert", name, [("nobody", "nowhere")])])
+    engine.run_batch()
+    assert stats.edges_materialised > edges and not state._pending
+    assert state.result() == match_component(
+        engine._graph, engine.pending_ids(), order=engine._arrival)
 
 
 # ----------------------------------------------------------------------

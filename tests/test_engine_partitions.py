@@ -92,7 +92,7 @@ class TestMatchState:
         admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
         state, resumed = manager.match_state("a")
         assert not resumed  # b revived a
-        assert state.alive == {"a", "b"}
+        assert set(state.result().survivors) == {"a", "b"}
         assert manager.match_state("b") == (state, True)
 
     def test_late_arrival_resumes_with_its_providers_constraints(self):
@@ -105,7 +105,7 @@ class TestMatchState:
         admit(graph, manager, "{R(A, z)} R(C, z) <- F(z)", "c")
         resumed_state, resumed = manager.match_state("c")
         assert resumed and resumed_state is state
-        assert state.unifiers["c"].constant_of(
+        assert state.result().unifiers["c"].constant_of(
             Variable("z@c")) == Constant(1)
         assert_same_match(state, scratch(graph, manager, "c"))
 
@@ -117,18 +117,18 @@ class TestMatchState:
         state, _ = manager.match_state("a")
         admit(graph, manager, "{R(A, 2)} R(C, 2) <- F(z)", "c")
         assert manager.match_state("c") == (state, True)
-        assert state.alive == {"a", "b"}
+        assert set(state.result().survivors) == {"a", "b"}
         assert_same_match(state, scratch(graph, manager, "c"))
 
     def test_first_provider_of_an_open_postcondition_goes_stale(self):
         graph, manager = setup_manager()
         admit(graph, manager, "{R(B, x)} R(A, x) <- F(x)", "a")
         state, _ = manager.match_state("a")
-        assert not state.alive  # nobody provides R(B, x) yet
+        assert not state.result().survivors  # nobody provides R(B, x) yet
         admit(graph, manager, "{R(A, y)} R(B, y) <- F(y)", "b")
         rebuilt, resumed = manager.match_state("a")
         assert not resumed and rebuilt is not state
-        assert rebuilt.alive == {"a", "b"}
+        assert set(rebuilt.result().survivors) == {"a", "b"}
 
     def test_removal_goes_stale(self):
         graph, manager = setup_manager()
@@ -151,7 +151,7 @@ class TestMatchState:
               "c")
         state, resumed = manager.match_state("c")
         assert not resumed
-        assert state.members == ["a", "b", "c"]
+        assert list(state.result().component) == ["a", "b", "c"]
         assert len(manager._match_states) == 1
 
     def test_unmatched_side_of_a_bridge_drops_the_state(self):
@@ -164,7 +164,7 @@ class TestMatchState:
               "c")
         state, resumed = manager.match_state("c")
         assert not resumed
-        assert state.alive == {"a", "b", "p", "c"}
+        assert set(state.result().survivors) == {"a", "b", "p", "c"}
 
     def test_structure_only_mode_keeps_no_state(self):
         graph, manager = setup_manager(track_matching=False)

@@ -180,7 +180,8 @@ def _joiner(index: int, destination: str, pin) -> EntangledQuery:
 def _histories(draw):
     """A workload plus an interleaving of in-order adds, out-of-order
     adds (a removed query re-entering under its old sequence number,
-    as an import does) and removals."""
+    as an import does) and removals, and after each step whether the
+    matchings are read."""
     queries = draw(_workloads())
     for index in range(draw(st.integers(min_value=2, max_value=7))):
         destination = draw(st.sampled_from(["P", "Q"]))
@@ -192,7 +193,9 @@ def _histories(draw):
                                            "readd"]),
                           min_size=len(queries),
                           max_size=len(queries) + 12))
-    return rename_workload_apart(queries), steps, rng
+    reads = draw(st.lists(st.booleans(), min_size=len(steps),
+                          max_size=len(steps)))
+    return rename_workload_apart(queries), list(zip(steps, reads)), rng
 
 
 @given(_histories())
@@ -200,20 +203,21 @@ def _histories(draw):
 def test_resumed_match_state_equals_from_scratch(history):
     """Whatever the history, every component's carried
     :class:`MatchState` is the matching ``match_component`` computes
-    from scratch."""
+    from scratch — read after every step or after several arrivals
+    were only recorded on it, and always at the end."""
     queries, steps, rng = history
     graph = UnifiabilityGraph()
     order: dict = {}
     manager = PartitionManager(graph, order, track_matching=True)
     waiting = list(enumerate(queries))
     removed: list = []
-    resumed_reads = 0
+    resumed_reads = deferred = 0
 
     def admit(seq, query):
         order[query.query_id] = seq
         manager.add_query(query, graph.add_query(query))
 
-    for step in steps:
+    for index, (step, read) in enumerate(steps):
         if step == "add" and waiting:
             admit(*waiting.pop(0))
         elif step == "readd" and removed:
@@ -223,9 +227,12 @@ def test_resumed_match_state_equals_from_scratch(history):
             removed.append((order[query_id], graph.query(query_id)))
             graph.remove_query(query_id)
             manager.remove_queries([query_id])
+        if not read and index < len(steps) - 1:
+            continue
         for root in manager.roots():
             state, resumed = manager.match_state(root)
             resumed_reads += resumed
+            deferred = max(deferred, len(state._pending))
             got = state.result()
             want = match_component(graph, manager.members_set(root),
                                    order=order)
@@ -236,3 +243,4 @@ def test_resumed_match_state_equals_from_scratch(history):
             assert got.unifiers == want.unifiers
             assert got.global_unifier == want.global_unifier
     event(f"resumed reads: {min(resumed_reads, 20) // 5 * 5}+")
+    event(f"most arrivals folded at one read: {min(deferred, 4)}+")

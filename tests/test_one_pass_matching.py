@@ -93,7 +93,12 @@ def test_one_pass_equals_fixpoint_after_every_resumed_add(
     for query, sequence in zip(queries, arrival):
         order[query.query_id] = sequence
         delta = graph.add_query(query)
-        accepted = [state.add(query.query_id, delta.slots)
+        # A slot that holds only the arrival's refs had no provider.
+        revives = any(
+            {src for src, _ in graph.provider_refs(dst)[pc_pos]}
+            == {query.query_id}
+            for dst, pc_pos in delta.slots)
+        accepted = [not revives and state.add(query.query_id)
                     for state in states]
         assert accepted[0] == accepted[1]
         if not accepted[0]:
